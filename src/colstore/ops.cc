@@ -91,15 +91,6 @@ std::vector<std::pair<uint64_t, uint64_t>> DenseCount(
 }
 
 // Sorted-unique union of two sorted-unique lists.
-std::vector<uint64_t> SetUnion2(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b) {
-  std::vector<uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 // Serial merge-join kernel over subranges, emitting *global* indices
 // (subrange start + offset). Shared by the serial path and every
 // partition of the parallel path.
@@ -548,6 +539,15 @@ std::vector<uint64_t> SortedIntersect(std::span<const uint64_t> a,
   return out;
 }
 
+std::vector<uint64_t> SortedUnion(std::span<const uint64_t> a,
+                                  std::span<const uint64_t> b) {
+  std::vector<uint64_t> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
 std::vector<uint64_t> UnionDistinct(
     const std::vector<std::vector<uint64_t>>& lists,
     const exec::ExecContext& ctx) {
@@ -576,7 +576,7 @@ std::vector<uint64_t> UnionDistinct(
     std::vector<std::vector<uint64_t>> next((sorted.size() + 1) / 2);
     ctx.ParallelFor(pairs, 1, [&](uint64_t b, uint64_t e, uint64_t) {
       for (uint64_t p = b; p < e; ++p) {
-        next[p] = SetUnion2(sorted[2 * p], sorted[2 * p + 1]);
+        next[p] = SortedUnion(sorted[2 * p], sorted[2 * p + 1]);
       }
     });
     if (sorted.size() % 2 != 0) next.back() = std::move(sorted.back());

@@ -149,6 +149,10 @@ PositionVector MergeSelectPositions(
 std::vector<uint64_t> SortedIntersect(std::span<const uint64_t> a,
                                       std::span<const uint64_t> b);
 
+// Union of two sorted unique id lists (linear merge).
+std::vector<uint64_t> SortedUnion(std::span<const uint64_t> a,
+                                  std::span<const uint64_t> b);
+
 // Sorted distinct union of several id lists (unsorted inputs allowed).
 std::vector<uint64_t> UnionDistinct(
     const std::vector<std::vector<uint64_t>>& lists,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <tuple>
 
 #include "common/macros.h"
 #include "obs/trace.h"
@@ -14,25 +15,19 @@ namespace {
 using colstore::CountByKeyDense;
 using colstore::CountByPair;
 using colstore::EncodedColumn;
-using colstore::EqRangeSorted;
 using colstore::ForEachDecodedBatch;
 using colstore::Gather;
-using colstore::kDecodeBatch;
 using colstore::MarkSet;
 using colstore::MergeCountMatches;
-using colstore::MergeJoin;
 using colstore::MergeSelectPositions;
+using colstore::PairCount;
 using colstore::PositionVector;
 using colstore::SelectEq;
+using colstore::SelectMarked;
 using colstore::SortDistinct;
 using colstore::SortedIntersect;
+using colstore::SortedUnion;
 using colstore::UnionDistinct;
-
-// Whether this run of a q2/q3/q4/q6-family query applies the
-// "interesting properties" restriction while scanning.
-bool UseFilter(QueryId id, const QueryContext& ctx) {
-  return UsesPropertyFilter(id) && !IsStar(id) && !ctx.FilterCoversAll();
-}
 
 // Morsel size for the triple store's fused column scans (matches the ops
 // kernels' chunking).
@@ -177,6 +172,207 @@ std::vector<PropMorsel> FlattenPropMorsels(uint64_t props,
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// ColumnBackend: the 12 queries as filter -> phase -> finalize
+// ---------------------------------------------------------------------------
+
+void ColumnBackend::MergeDelta(const exec::ExecContext& ectx) {
+  const uint64_t pending = PendingWrites();
+  if (pending == 0) return;
+  obs::Span span(ectx.trace(), tag_ + ".merge_delta");
+  span.set_rows_in(pending);
+  EnsureMerged();
+  ++merge_count_;
+}
+
+QueryResult ColumnBackend::Run(QueryId id, const QueryContext& ctx,
+                               const exec::ExecContext& ectx) {
+  MergeDelta(ectx);
+  const Vocabulary& v = ctx.vocab();
+  const uint64_t universe = ctx.dict_size();
+  const std::vector<uint64_t>* props = PropertyFilter(id, ctx);
+  switch (BaseOf(id)) {
+    case QueryId::kQ1: {
+      obs::Span span(ectx.trace(), tag_ + ".q1");
+      return KeyCountRows({"obj", "count"},
+                          ObjectCounts(v.type, universe, ectx));
+    }
+    case QueryId::kQ2: {
+      obs::Span span(ectx.trace(), tag_ + ".q2_family");
+      const std::vector<uint64_t> a = SubjectsOf(v.type, v.text, ectx);
+      return KeyCountRows({"prop", "count"},
+                          PropertyCounts(a, props, universe, ectx));
+    }
+    case QueryId::kQ3:
+    case QueryId::kQ4: {
+      obs::Span span(ectx.trace(), tag_ + ".q3_family");
+      std::vector<uint64_t> a = SubjectsOf(v.type, v.text, ectx);
+      // q4/q4*: the subject must also carry (language, fre).
+      if (BaseOf(id) == QueryId::kQ4) {
+        a = SortedIntersect(a, SubjectsOf(v.language, v.french, ectx));
+      }
+      return PairCountRowsOverOne(
+          PropertyObjectCounts(a, props, universe, ectx));
+    }
+    case QueryId::kQ5: {
+      obs::Span span(ectx.trace(), tag_ + ".q5");
+      const std::vector<uint64_t> a = SubjectsOf(v.origin, v.dlc, ectx);
+      const SubjectObjects by_object =
+          ByObject(SubjectObjectPairs(v.records, a, ectx));
+      const SubjectObjects types =
+          SubjectObjectPairs(v.type, DistinctFirsts(by_object), ectx);
+      return JoinRecordsTypes(by_object, types, v.text);
+    }
+    case QueryId::kQ6: {
+      obs::Span span(ectx.trace(), tag_ + ".q6_family");
+      // Union: Text-typed subjects plus subjects whose records-object is
+      // Text-typed.
+      const std::vector<uint64_t> a = SubjectsOf(v.type, v.text, ectx);
+      MarkSet text_typed(universe);
+      text_typed.MarkAll(a);
+      const std::vector<uint64_t> via_records =
+          SubjectsWithObjectIn(text_typed, v.records, ectx);
+      const std::vector<uint64_t> united = SortedUnion(a, via_records);
+      return KeyCountRows({"prop", "count"},
+                          PropertyCounts(united, props, universe, ectx));
+    }
+    case QueryId::kQ7: {
+      obs::Span span(ectx.trace(), tag_ + ".q7");
+      const std::vector<uint64_t> a = SubjectsOf(v.point, v.end, ectx);
+      const SubjectObjects encodings = SubjectObjectPairs(v.encoding, a, ectx);
+      const SubjectObjects types = SubjectObjectPairs(v.type, a, ectx);
+      return JoinOnSubject(encodings, types);
+    }
+    case QueryId::kQ8: {
+      obs::Span span(ectx.trace(), tag_ + ".q8");
+      // Temporary table t: the objects of subject "conferences", joined
+      // back against every property's objects.
+      MarkSet shared(universe);
+      shared.MarkAll(ObjectsOf(v.conferences, ectx));
+      return SubjectRowsExcept(
+          SubjectsWithObjectIn(shared, std::nullopt, ectx), v.conferences);
+    }
+    default:
+      SWAN_CHECK(false);
+      return {};
+  }
+}
+
+const std::vector<uint64_t>* PropertyFilter(QueryId id,
+                                            const QueryContext& ctx) {
+  if (!UsesPropertyFilter(id) || IsStar(id) || ctx.FilterCoversAll()) {
+    return nullptr;
+  }
+  return &ctx.interesting_properties();
+}
+
+SubjectObjects ByObject(const SubjectObjects& rows) {
+  SubjectObjects flipped(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    flipped[i] = {rows[i].second, rows[i].first};
+  }
+  std::sort(flipped.begin(), flipped.end());
+  return flipped;
+}
+
+std::vector<uint64_t> DistinctFirsts(const SubjectObjects& sorted) {
+  std::vector<uint64_t> keys;
+  for (const auto& row : sorted) {
+    if (keys.empty() || keys.back() != row.first) keys.push_back(row.first);
+  }
+  return keys;
+}
+
+KeyCounts SumKeyCounts(const std::vector<KeyCounts>& partials) {
+  KeyCounts all;
+  for (const KeyCounts& p : partials) all.insert(all.end(), p.begin(), p.end());
+  std::sort(all.begin(), all.end());
+  KeyCounts out;
+  for (const auto& [key, count] : all) {
+    if (!out.empty() && out.back().first == key) {
+      out.back().second += count;
+    } else {
+      out.emplace_back(key, count);
+    }
+  }
+  return out;
+}
+
+std::vector<PairCount> SumPairCounts(
+    const std::vector<std::vector<PairCount>>& partials) {
+  std::vector<PairCount> all;
+  for (const auto& p : partials) all.insert(all.end(), p.begin(), p.end());
+  std::sort(all.begin(), all.end(), [](const PairCount& x, const PairCount& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  });
+  std::vector<PairCount> out;
+  for (const PairCount& g : all) {
+    if (!out.empty() && out.back().a == g.a && out.back().b == g.b) {
+      out.back().count += g.count;
+    } else {
+      out.push_back(g);
+    }
+  }
+  return out;
+}
+
+QueryResult KeyCountRows(std::vector<std::string> names,
+                         const KeyCounts& counts) {
+  QueryResult result;
+  result.column_names = std::move(names);
+  result.rows.reserve(counts.size());
+  for (const auto& [key, count] : counts) result.rows.push_back({key, count});
+  return result;
+}
+
+QueryResult PairCountRowsOverOne(const std::vector<PairCount>& groups) {
+  QueryResult result;
+  result.column_names = {"prop", "obj", "count"};
+  for (const PairCount& g : groups) {
+    if (g.count > 1) result.rows.push_back({g.a, g.b, g.count});
+  }
+  return result;
+}
+
+QueryResult JoinRecordsTypes(const SubjectObjects& by_object,
+                             const SubjectObjects& types, uint64_t text) {
+  QueryResult result;
+  result.column_names = {"subj", "obj"};
+  size_t j = 0;
+  for (const auto& [obj, subj] : by_object) {
+    while (j < types.size() && types[j].first < obj) ++j;
+    for (size_t k = j; k < types.size() && types[k].first == obj; ++k) {
+      if (types[k].second != text) result.rows.push_back({subj, types[k].second});
+    }
+  }
+  return result;
+}
+
+QueryResult JoinOnSubject(const SubjectObjects& encodings,
+                          const SubjectObjects& types) {
+  QueryResult result;
+  result.column_names = {"subj", "encoding", "type"};
+  size_t j = 0;
+  for (size_t i = 0; i < encodings.size(); ++i) {
+    const uint64_t s = encodings[i].first;
+    while (j < types.size() && types[j].first < s) ++j;
+    for (size_t k = j; k < types.size() && types[k].first == s; ++k) {
+      result.rows.push_back({s, encodings[i].second, types[k].second});
+    }
+  }
+  return result;
+}
+
+QueryResult SubjectRowsExcept(const std::vector<uint64_t>& subjects,
+                              uint64_t hub) {
+  QueryResult result;
+  result.column_names = {"subj"};
+  for (uint64_t s : subjects) {
+    if (s != hub) result.rows.push_back({s});
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // ColTripleBackend
 // ---------------------------------------------------------------------------
 
@@ -185,7 +381,7 @@ ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
                                    storage::DiskConfig disk_config,
                                    size_t pool_pages,
                                    colstore::ColumnCodec codec)
-    : BackendBase(disk_config, pool_pages) {
+    : ColumnBackend("col_triple", disk_config, pool_pages) {
   SWAN_CHECK_MSG(
       order == rdf::TripleOrder::kSPO || order == rdf::TripleOrder::kPSO,
       "column triple-store supports SPO or PSO sort order");
@@ -203,7 +399,7 @@ ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
                                    storage::BufferPool* pool,
                                    std::vector<rdf::Triple> subset,
                                    colstore::ColumnCodec codec)
-    : BackendBase(disk, pool) {
+    : ColumnBackend("col_triple", disk, pool) {
   SWAN_CHECK_MSG(
       order == rdf::TripleOrder::kSPO || order == rdf::TripleOrder::kPSO,
       "column triple-store supports SPO or PSO sort order");
@@ -241,7 +437,7 @@ PositionVector ColTripleBackend::PropPositions(
   return SelectEq(table_->encoded_properties(), property, ectx);
 }
 
-std::vector<uint64_t> ColTripleBackend::SubjectsWithPropObj(
+std::vector<uint64_t> ColTripleBackend::SubjectsOf(
     uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
   const PositionVector props = PropPositions(property, ectx);
   const PositionVector sel =
@@ -251,254 +447,115 @@ std::vector<uint64_t> ColTripleBackend::SubjectsWithPropObj(
   return Gather(table_->encoded_subjects(), sel, ectx);
 }
 
-QueryResult ColTripleBackend::RunQ1(const QueryContext& ctx,
-                                    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q1");
-  const PositionVector sel = PropPositions(ctx.vocab().type, ectx);
-  QueryResult result;
-  result.column_names = {"obj", "count"};
-  for (const auto& [obj, count] :
-       CountByKeyDense(table_->encoded_objects(), sel, ctx.dict_size(),
-                       ectx)) {
-    result.rows.push_back({obj, count});
+std::vector<uint64_t> ColTripleBackend::ObjectsOf(
+    uint64_t subject, const exec::ExecContext& ectx) const {
+  if (pso_) {
+    const PositionVector sel =
+        SelectEq(table_->encoded_subjects(), subject, ectx);
+    return SortDistinct(Gather(table_->encoded_objects(), sel, ectx));
   }
-  return result;
+  const auto [lo, hi] = table_->PrimaryRange(subject);
+  std::vector<uint64_t> objects(hi - lo);
+  table_->encoded_objects().MaterializeInto(lo, hi, objects.data());
+  return SortDistinct(std::move(objects));
 }
 
-QueryResult ColTripleBackend::RunQ2Family(QueryId id, const QueryContext& ctx,
-                                          const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q2_family");
-  const auto& v = ctx.vocab();
-  MarkSet a_subjects(ctx.dict_size());
-  a_subjects.MarkAll(SubjectsWithPropObj(v.type, v.text, ectx));
+KeyCounts ColTripleBackend::ObjectCounts(uint64_t property, uint64_t universe,
+                                         const exec::ExecContext& ectx) const {
+  const PositionVector sel = PropPositions(property, ectx);
+  return CountByKeyDense(table_->encoded_objects(), sel, universe, ectx);
+}
 
-  const bool filter = UseFilter(id, ctx);
-  MarkSet interesting(filter ? ctx.dict_size() : 1);
-  if (filter) interesting.MarkAll(ctx.interesting_properties());
+KeyCounts ColTripleBackend::PropertyCounts(
+    std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+    uint64_t universe, const exec::ExecContext& ectx) const {
+  MarkSet marked(universe);
+  marked.MarkAll(subjects);
+  MarkSet scope(props != nullptr ? universe : 1);
+  if (props != nullptr) scope.MarkAll(*props);
 
   // Count every property of the marked subjects (morsel-parallel), then
   // apply the property filter when emitting — non-interesting properties
-  // simply never produce a row, so the rows match the fused filter scan.
+  // simply never produce a row, so the rows match a fused filter scan.
   const std::vector<uint64_t> counts = CountPropsOfMarkedSubjects(
-      table_->encoded_subjects(), table_->encoded_properties(),
-      ctx.dict_size(), a_subjects, ectx);
-
-  QueryResult result;
-  result.column_names = {"prop", "count"};
+      table_->encoded_subjects(), table_->encoded_properties(), universe,
+      marked, ectx);
+  KeyCounts out;
   for (uint64_t p = 0; p < counts.size(); ++p) {
     if (counts[p] == 0) continue;
-    if (filter && !interesting.Test(p)) continue;
-    result.rows.push_back({p, counts[p]});
+    if (props != nullptr && !scope.Test(p)) continue;
+    out.emplace_back(p, counts[p]);
   }
-  return result;
+  return out;
 }
 
-QueryResult ColTripleBackend::RunQ3Family(QueryId id, const QueryContext& ctx,
-                                          const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q3_family");
-  const auto& v = ctx.vocab();
-  MarkSet a_subjects(ctx.dict_size());
-  a_subjects.MarkAll(SubjectsWithPropObj(v.type, v.text, ectx));
-
-  // q4/q4*: B's subject must also carry (language, fre).
-  const bool with_language =
-      BaseOf(id) == QueryId::kQ4;
-  MarkSet c_subjects(with_language ? ctx.dict_size() : 1);
-  if (with_language) {
-    c_subjects.MarkAll(SubjectsWithPropObj(v.language, v.french, ectx));
-  }
-
-  const bool filter = UseFilter(id, ctx);
-  MarkSet interesting(filter ? ctx.dict_size() : 1);
-  if (filter) interesting.MarkAll(ctx.interesting_properties());
+std::vector<PairCount> ColTripleBackend::PropertyObjectCounts(
+    std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+    uint64_t universe, const exec::ExecContext& ectx) const {
+  MarkSet marked(universe);
+  marked.MarkAll(subjects);
+  MarkSet scope(props != nullptr ? universe : 1);
+  if (props != nullptr) scope.MarkAll(*props);
 
   const PositionVector sel = ScanPairPositions(
       ectx, table_->encoded_subjects(), table_->encoded_properties(),
       [&](uint64_t s, uint64_t p) {
-        if (!a_subjects.Test(s)) return false;
-        if (with_language && !c_subjects.Test(s)) return false;
-        if (filter && !interesting.Test(p)) return false;
-        return true;
+        return marked.Test(s) && (props == nullptr || scope.Test(p));
       });
-
-  const std::vector<uint64_t> props =
+  const std::vector<uint64_t> ps =
       Gather(table_->encoded_properties(), sel, ectx);
-  const std::vector<uint64_t> objs =
-      Gather(table_->encoded_objects(), sel, ectx);
-
-  QueryResult result;
-  result.column_names = {"prop", "obj", "count"};
-  for (const auto& group : CountByPair(props, objs, ectx)) {
-    if (group.count > 1) {
-      result.rows.push_back({group.a, group.b, group.count});
-    }
-  }
-  return result;
+  const std::vector<uint64_t> os = Gather(table_->encoded_objects(), sel, ectx);
+  return CountByPair(ps, os, ectx);
 }
 
-QueryResult ColTripleBackend::RunQ5(const QueryContext& ctx,
-                                    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q5");
-  const auto& v = ctx.vocab();
-  MarkSet a_subjects(ctx.dict_size());
-  a_subjects.MarkAll(SubjectsWithPropObj(v.origin, v.dlc, ectx));
-
-  // B: records-triples of DLC-origin subjects, as (object, subject) pairs
-  // sorted by object for the C-join. Only the selected rows are decoded.
-  const PositionVector rec_positions = PropPositions(v.records, ectx);
-  std::vector<std::pair<uint64_t, uint64_t>> b_pairs;
-  {
-    const std::vector<uint64_t> rec_subj =
-        Gather(table_->encoded_subjects(), rec_positions, ectx);
-    const std::vector<uint64_t> rec_obj =
-        Gather(table_->encoded_objects(), rec_positions, ectx);
-    for (size_t i = 0; i < rec_positions.size(); ++i) {
-      if (a_subjects.Test(rec_subj[i])) {
-        b_pairs.emplace_back(rec_obj[i], rec_subj[i]);
-      }
-    }
-  }
-  std::sort(b_pairs.begin(), b_pairs.end());
-  std::vector<uint64_t> b_objects(b_pairs.size());
-  for (size_t i = 0; i < b_pairs.size(); ++i) b_objects[i] = b_pairs[i].first;
-
-  QueryResult result;
-  result.column_names = {"subj", "obj"};
+SubjectObjects ColTripleBackend::SubjectObjectPairs(
+    uint64_t property, std::span<const uint64_t> subjects,
+    const exec::ExecContext& ectx) const {
+  // Both sort orders keep one property's rows in (subject, object) order,
+  // so a merge against the sorted filter selects them; only the selected
+  // rows decode.
+  PositionVector sel;
   if (pso_) {
-    // C is one contiguous PSO row range: merge-join directly against the
-    // encoded subject column, run-by-run; objects decode only at
-    // projection.
-    const auto [lo, hi] = table_->PrimaryRange(v.type);
-    std::vector<uint64_t> c_objects(hi - lo);
-    table_->encoded_objects().MaterializeInto(lo, hi, c_objects.data());
-    for (const auto& [bi, ci] :
-         MergeJoin(b_objects, table_->encoded_subjects(), lo, hi, ectx)) {
-      if (c_objects[ci] != v.text) {
-        result.rows.push_back({b_pairs[bi].second, c_objects[ci]});
-      }
-    }
-    return result;
-  }
-  // SPO: type rows are scattered; gather both C columns (subject-sorted
-  // because the whole table is).
-  const PositionVector type_positions = PropPositions(v.type, ectx);
-  const std::vector<uint64_t> c_subjects =
-      Gather(table_->encoded_subjects(), type_positions, ectx);
-  const std::vector<uint64_t> c_objects =
-      Gather(table_->encoded_objects(), type_positions, ectx);
-  for (const auto& [bi, ci] : MergeJoin(b_objects, c_subjects, ectx)) {
-    if (c_objects[ci] != v.text) {
-      result.rows.push_back({b_pairs[bi].second, c_objects[ci]});
-    }
-  }
-  return result;
-}
-
-QueryResult ColTripleBackend::RunQ6Family(QueryId id, const QueryContext& ctx,
-                                          const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q6_family");
-  const auto& v = ctx.vocab();
-  const std::vector<uint64_t> a1 = SubjectsWithPropObj(v.type, v.text, ectx);
-  MarkSet text_typed(ctx.dict_size());
-  text_typed.MarkAll(a1);
-
-  // Union: Text-typed subjects plus subjects whose records-object is
-  // Text-typed.
-  MarkSet united(ctx.dict_size());
-  united.MarkAll(a1);
-  {
-    const PositionVector recs = PropPositions(v.records, ectx);
-    const std::vector<uint64_t> rec_subj =
-        Gather(table_->encoded_subjects(), recs, ectx);
-    const std::vector<uint64_t> rec_obj =
-        Gather(table_->encoded_objects(), recs, ectx);
-    for (size_t i = 0; i < recs.size(); ++i) {
-      if (text_typed.Test(rec_obj[i])) united.Mark(rec_subj[i]);
-    }
-  }
-
-  const bool filter = UseFilter(id, ctx);
-  MarkSet interesting(filter ? ctx.dict_size() : 1);
-  if (filter) interesting.MarkAll(ctx.interesting_properties());
-
-  const std::vector<uint64_t> counts = CountPropsOfMarkedSubjects(
-      table_->encoded_subjects(), table_->encoded_properties(),
-      ctx.dict_size(), united, ectx);
-
-  QueryResult result;
-  result.column_names = {"prop", "count"};
-  for (uint64_t p = 0; p < counts.size(); ++p) {
-    if (counts[p] == 0) continue;
-    if (filter && !interesting.Test(p)) continue;
-    result.rows.push_back({p, counts[p]});
-  }
-  return result;
-}
-
-QueryResult ColTripleBackend::RunQ7(const QueryContext& ctx,
-                                    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q7");
-  const auto& v = ctx.vocab();
-  MarkSet a_subjects(ctx.dict_size());
-  a_subjects.MarkAll(SubjectsWithPropObj(v.point, v.end, ectx));
-
-  auto collect = [&](uint64_t property, std::vector<uint64_t>* subjects,
-                     std::vector<uint64_t>* objects) {
-    const PositionVector positions = PropPositions(property, ectx);
-    const std::vector<uint64_t> ps =
-        Gather(table_->encoded_subjects(), positions, ectx);
-    const std::vector<uint64_t> po =
-        Gather(table_->encoded_objects(), positions, ectx);
-    for (size_t i = 0; i < positions.size(); ++i) {
-      if (a_subjects.Test(ps[i])) {
-        subjects->push_back(ps[i]);
-        objects->push_back(po[i]);
-      }
-    }
-  };
-
-  std::vector<uint64_t> b_subj, b_obj, c_subj, c_obj;
-  collect(v.encoding, &b_subj, &b_obj);
-  collect(v.type, &c_subj, &c_obj);
-
-  QueryResult result;
-  result.column_names = {"subj", "encoding", "type"};
-  for (const auto& [bi, ci] : MergeJoin(b_subj, c_subj, ectx)) {
-    result.rows.push_back({b_subj[bi], b_obj[bi], c_obj[ci]});
-  }
-  return result;
-}
-
-QueryResult ColTripleBackend::RunQ8(const QueryContext& ctx,
-                                    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_triple.q8");
-  const auto& v = ctx.vocab();
-  std::vector<uint64_t> t;
-  if (pso_) {
-    const PositionVector sel =
-        SelectEq(table_->encoded_subjects(), v.conferences, ectx);
-    t = SortDistinct(Gather(table_->encoded_objects(), sel, ectx));
+    const auto [lo, hi] = table_->PrimaryRange(property);
+    sel = MergeSelectPositions(table_->encoded_subjects(), lo, hi, subjects,
+                               ectx);
+    for (uint32_t& p : sel) p += lo;
   } else {
-    const auto [lo, hi] = table_->PrimaryRange(v.conferences);
-    std::vector<uint64_t> range_objs(hi - lo);
-    table_->encoded_objects().MaterializeInto(lo, hi, range_objs.data());
-    t = SortDistinct(std::move(range_objs));
+    const PositionVector rows = PropPositions(property, ectx);
+    const std::vector<uint64_t> rs =
+        Gather(table_->encoded_subjects(), rows, ectx);
+    for (uint32_t i : MergeSelectPositions(rs, subjects, ectx)) {
+      sel.push_back(rows[i]);
+    }
   }
-  MarkSet shared(ctx.dict_size());
-  shared.MarkAll(t);
+  const std::vector<uint64_t> ps = Gather(table_->encoded_subjects(), sel, ectx);
+  const std::vector<uint64_t> po = Gather(table_->encoded_objects(), sel, ectx);
+  SubjectObjects out(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) out[i] = {ps[i], po[i]};
+  return out;
+}
 
-  const PositionVector hits = ScanPairPositions(
-      ectx, table_->encoded_subjects(), table_->encoded_objects(),
-      [&](uint64_t s, uint64_t o) {
-        return s != v.conferences && shared.Test(o);
-      });
-  std::vector<uint64_t> out =
-      SortDistinct(Gather(table_->encoded_subjects(), hits, ectx));
-
-  QueryResult result;
-  result.column_names = {"subj"};
-  for (uint64_t s : out) result.rows.push_back({s});
-  return result;
+std::vector<uint64_t> ColTripleBackend::SubjectsWithObjectIn(
+    const MarkSet& objects, std::optional<uint64_t> property,
+    const exec::ExecContext& ectx) const {
+  if (!property) {
+    const PositionVector hits =
+        SelectMarked(table_->encoded_objects(), objects, ectx);
+    return SortDistinct(Gather(table_->encoded_subjects(), hits, ectx));
+  }
+  const PositionVector positions = PropPositions(*property, ectx);
+  const std::vector<uint64_t> ps =
+      Gather(table_->encoded_subjects(), positions, ectx);
+  const std::vector<uint64_t> po =
+      Gather(table_->encoded_objects(), positions, ectx);
+  // One property's subjects come out sorted (see SubjectObjectPairs).
+  std::vector<uint64_t> out;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    if (objects.Test(po[i]) && (out.empty() || out.back() != ps[i])) {
+      out.push_back(ps[i]);
+    }
+  }
+  return out;
 }
 
 bool ColTripleBackend::BaseContains(const rdf::Triple& t) const {
@@ -543,7 +600,6 @@ Status ColTripleBackend::Delete(const rdf::Triple& triple) {
 }
 
 void ColTripleBackend::EnsureMerged() {
-  if (delta_.empty() && tombstones_.empty()) return;
   // Merge the write store into the read-optimized columns: read the base
   // columns back, drop tombstoned rows, append the delta, and rebuild —
   // the full cost a sorted-column store pays for updates.
@@ -564,36 +620,6 @@ void ColTripleBackend::EnsureMerged() {
   delta_.clear();
   delta_set_.clear();
   tombstones_.clear();
-  ++merge_count_;
-}
-
-QueryResult ColTripleBackend::Run(QueryId id, const QueryContext& ctx,
-                                  const exec::ExecContext& ectx) {
-  if (!delta_.empty() || !tombstones_.empty()) {
-    obs::Span span(ectx.trace(), "col_triple.merge_delta");
-    span.set_rows_in(delta_.size() + tombstones_.size());
-    EnsureMerged();
-  }
-  switch (BaseOf(id)) {
-    case QueryId::kQ1:
-      return RunQ1(ctx, ectx);
-    case QueryId::kQ2:
-      return RunQ2Family(id, ctx, ectx);
-    case QueryId::kQ3:
-    case QueryId::kQ4:
-      return RunQ3Family(id, ctx, ectx);
-    case QueryId::kQ5:
-      return RunQ5(ctx, ectx);
-    case QueryId::kQ6:
-      return RunQ6Family(id, ctx, ectx);
-    case QueryId::kQ7:
-      return RunQ7(ctx, ectx);
-    case QueryId::kQ8:
-      return RunQ8(ctx, ectx);
-    default:
-      SWAN_CHECK(false);
-      return {};
-  }
 }
 
 std::vector<rdf::Triple> ColTripleBackend::Match(
@@ -673,7 +699,7 @@ ColVerticalBackend::ColVerticalBackend(const rdf::Dataset& dataset,
                                        storage::DiskConfig disk_config,
                                        size_t pool_pages,
                                        colstore::ColumnCodec codec)
-    : BackendBase(disk_config, pool_pages) {
+    : ColumnBackend("col_vert", disk_config, pool_pages) {
   codec_ = codec;
   dataset_ = &dataset;
   table_ = std::make_unique<colstore::VerticalTable>(pool_, disk_,
@@ -686,7 +712,7 @@ ColVerticalBackend::ColVerticalBackend(const rdf::Dataset& dataset,
                                        storage::BufferPool* pool,
                                        std::vector<rdf::Triple> subset,
                                        colstore::ColumnCodec codec)
-    : BackendBase(disk, pool) {
+    : ColumnBackend("col_vert", disk, pool) {
   codec_ = codec;
   dataset_ = &dataset;
   table_ = std::make_unique<colstore::VerticalTable>(pool_, disk_, codec);
@@ -758,7 +784,6 @@ Status ColVerticalBackend::Delete(const rdf::Triple& triple) {
 }
 
 void ColVerticalBackend::EnsureMerged() {
-  if (delta_.empty() && tombstones_.empty()) return;
   // Every partition touched by an insert or a delete is rebuilt in full —
   // the data-driven vertical schema's update cost the paper warns about.
   std::unordered_set<uint64_t> touched;
@@ -789,7 +814,6 @@ void ColVerticalBackend::EnsureMerged() {
   delta_.clear();
   delta_set_.clear();
   tombstones_.clear();
-  ++merge_count_;
 }
 
 std::string ColVerticalBackend::name() const { return "MonetDB vert. SO"; }
@@ -799,7 +823,7 @@ void ColVerticalBackend::DropCaches() {
   pool_->Clear();
 }
 
-std::vector<uint64_t> ColVerticalBackend::SubjectsWhereObjEq(
+std::vector<uint64_t> ColVerticalBackend::SubjectsOf(
     uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
   if (!table_->HasPartition(property)) return {};
   const PositionVector sel =
@@ -808,92 +832,92 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWhereObjEq(
   return Gather(table_->EncodedSubjects(property), sel, ectx);
 }
 
-std::vector<uint64_t> ColVerticalBackend::PropertyList(
-    QueryId id, const QueryContext& ctx) const {
-  if (IsStar(id) || ctx.FilterCoversAll()) return table_->properties();
-  return ctx.interesting_properties();
+std::vector<uint64_t> ColVerticalBackend::ObjectsOf(
+    uint64_t subject, const exec::ExecContext& ectx) const {
+  // Visits *every* property table: one sub-plan per partition; empty
+  // per-property lists contribute nothing to the union.
+  const std::vector<uint64_t>& all_props = table_->properties();
+  std::vector<std::vector<uint64_t>> object_lists(all_props.size());
+  ectx.ParallelFor(
+      all_props.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
+        for (uint64_t k = b; k < e; ++k) {
+          const uint64_t p = all_props[k];
+          const auto [lo, hi] = table_->SubjectRange(p, subject);
+          if (lo == hi) continue;
+          object_lists[k].resize(hi - lo);
+          table_->EncodedObjects(p).MaterializeInto(lo, hi,
+                                                    object_lists[k].data());
+        }
+      });
+  return UnionDistinct(object_lists, ectx);
 }
 
-QueryResult ColVerticalBackend::RunQ1(const QueryContext& ctx,
-                                      const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q1");
-  QueryResult result;
-  result.column_names = {"obj", "count"};
-  if (!table_->HasPartition(ctx.vocab().type)) return result;
-  for (const auto& [obj, count] : CountByKeyDense(
-           table_->EncodedObjects(ctx.vocab().type), ctx.dict_size(), ectx)) {
-    result.rows.push_back({obj, count});
-  }
-  return result;
+KeyCounts ColVerticalBackend::ObjectCounts(
+    uint64_t property, uint64_t universe,
+    const exec::ExecContext& ectx) const {
+  if (!table_->HasPartition(property)) return {};
+  return CountByKeyDense(table_->EncodedObjects(property), universe, ectx);
 }
 
-QueryResult ColVerticalBackend::RunQ2Family(
-    QueryId id, const QueryContext& ctx, const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q2_family");
-  const auto& v = ctx.vocab();
-  const std::vector<uint64_t> a = SubjectsWhereObjEq(v.type, v.text, ectx);
-
-  QueryResult result;
-  result.column_names = {"prop", "count"};
+KeyCounts ColVerticalBackend::PropertyCounts(
+    std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+    uint64_t universe, const exec::ExecContext& ectx) const {
+  (void)universe;
   // One merge join per property table, then the implicit union of all the
   // per-partition results — the plan shape the Perl-generated SQL produces.
   // The fan-out is over flattened (property, row-range) morsels rather
   // than whole properties, so the handful of giant partitions that
   // dominate q2* load-balance across lanes; per-morsel counts are
   // additive per property, so the totals match the serial loop exactly.
-  const std::vector<uint64_t> props = PropertyList(id, ctx);
+  // Properties without a partition here have no morsels.
+  const std::vector<uint64_t>& list =
+      props != nullptr ? *props : table_->properties();
   const std::vector<PropMorsel> morsels = FlattenPropMorsels(
-      props.size(),
-      [&](uint64_t k) -> uint64_t { return table_->PartitionSize(props[k]); });
+      list.size(),
+      [&](uint64_t k) -> uint64_t { return table_->PartitionSize(list[k]); });
   std::vector<uint64_t> partial(morsels.size(), 0);
   ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
     for (uint64_t m = b; m < e; ++m) {
       const PropMorsel& ms = morsels[m];
-      partial[m] =
-          MergeCountMatches(table_->EncodedSubjects(props[ms.prop_idx]),
-                            ms.lo, ms.hi, a, ectx);
+      partial[m] = MergeCountMatches(table_->EncodedSubjects(list[ms.prop_idx]),
+                                     ms.lo, ms.hi, subjects, ectx);
     }
   });
-  std::vector<uint64_t> counts(props.size(), 0);
+  std::vector<uint64_t> counts(list.size(), 0);
   for (size_t m = 0; m < morsels.size(); ++m) {
     counts[morsels[m].prop_idx] += partial[m];
   }
-  for (size_t k = 0; k < props.size(); ++k) {
-    if (counts[k] > 0) result.rows.push_back({props[k], counts[k]});
+  KeyCounts out;
+  for (size_t k = 0; k < list.size(); ++k) {
+    if (counts[k] > 0) out.emplace_back(list[k], counts[k]);
   }
-  return result;
+  return out;
 }
 
-QueryResult ColVerticalBackend::RunQ3Family(
-    QueryId id, const QueryContext& ctx, const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q3_family");
-  const auto& v = ctx.vocab();
-  std::vector<uint64_t> a = SubjectsWhereObjEq(v.type, v.text, ectx);
-  if (BaseOf(id) == QueryId::kQ4) {
-    a = SortedIntersect(a, SubjectsWhereObjEq(v.language, v.french, ectx));
-  }
-
-  QueryResult result;
-  result.column_names = {"prop", "obj", "count"};
+std::vector<PairCount> ColVerticalBackend::PropertyObjectCounts(
+    std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+    uint64_t universe, const exec::ExecContext& ectx) const {
+  (void)universe;
   // Flattened (property, row-range) morsels: each morsel filters its row
-  // range against `a` and pre-aggregates its objects into a sorted
+  // range against `subjects` and pre-aggregates its objects into a sorted
   // (obj, count) list; per property, the morsel lists are merged with
   // counts summed, which is exactly the serial whole-partition
-  // sort-and-count. This is the q4* fix: before, one skewed partition
-  // pinned the entire query to a single lane.
-  const std::vector<uint64_t> props = PropertyList(id, ctx);
+  // sort-and-count. One skewed partition (q4*) thus never pins the
+  // whole query to a single lane.
+  const std::vector<uint64_t>& list =
+      props != nullptr ? *props : table_->properties();
   const std::vector<PropMorsel> morsels = FlattenPropMorsels(
-      props.size(),
-      [&](uint64_t k) -> uint64_t { return table_->PartitionSize(props[k]); });
+      list.size(),
+      [&](uint64_t k) -> uint64_t { return table_->PartitionSize(list[k]); });
   std::vector<std::vector<std::pair<uint64_t, uint64_t>>> partial(
       morsels.size());
   ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
     for (uint64_t m = b; m < e; ++m) {
       const PropMorsel& ms = morsels[m];
-      const uint64_t p = props[ms.prop_idx];
+      const uint64_t p = list[ms.prop_idx];
       // Positions are relative to ms.lo; only the selected objects decode.
       const PositionVector sel = MergeSelectPositions(
-          table_->EncodedSubjects(p), ms.lo, ms.hi, a, ectx);
+          table_->EncodedSubjects(p), ms.lo, ms.hi, subjects, ectx);
       const EncodedColumn& obj = table_->EncodedObjects(p);
       std::vector<uint64_t> objs(sel.size());
       for (size_t i = 0; i < sel.size(); ++i) {
@@ -910,176 +934,60 @@ QueryResult ColVerticalBackend::RunQ3Family(
     }
   });
   // Stitch per property: merge the morsel (obj, count) lists, summing
-  // counts, and emit HAVING count > 1 rows in ascending object order.
+  // counts, in ascending object order.
+  std::vector<PairCount> out;
   size_t m = 0;
-  for (size_t k = 0; k < props.size(); ++k) {
+  for (size_t k = 0; k < list.size(); ++k) {
     std::vector<std::pair<uint64_t, uint64_t>> merged;
     while (m < morsels.size() && morsels[m].prop_idx == k) {
       merged.insert(merged.end(), partial[m].begin(), partial[m].end());
       ++m;
     }
     std::sort(merged.begin(), merged.end());
-    size_t i = 0;
-    while (i < merged.size()) {
-      size_t j = i + 1;
-      uint64_t count = merged[i].second;
-      while (j < merged.size() && merged[j].first == merged[i].first) {
-        count += merged[j].second;
-        ++j;
+    for (const auto& [obj, count] : merged) {
+      if (!out.empty() && out.back().a == list[k] && out.back().b == obj) {
+        out.back().count += count;
+      } else {
+        out.push_back({list[k], obj, count});
       }
-      if (count > 1) {
-        result.rows.push_back({props[k], merged[i].first, count});
-      }
-      i = j;
     }
   }
-  return result;
+  return out;
 }
 
-QueryResult ColVerticalBackend::RunQ5(const QueryContext& ctx,
-                                      const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q5");
-  const auto& v = ctx.vocab();
-  QueryResult result;
-  result.column_names = {"subj", "obj"};
-  if (!table_->HasPartition(v.records) || !table_->HasPartition(v.type)) {
-    return result;
-  }
-  const std::vector<uint64_t> a = SubjectsWhereObjEq(v.origin, v.dlc, ectx);
-
-  const PositionVector rec_sel =
-      MergeSelectPositions(table_->EncodedSubjects(v.records), 0,
-                           table_->PartitionSize(v.records), a, ectx);
-  std::vector<std::pair<uint64_t, uint64_t>> b_pairs;  // (object, subject)
-  {
-    const std::vector<uint64_t> rs =
-        Gather(table_->EncodedSubjects(v.records), rec_sel, ectx);
-    const std::vector<uint64_t> ro =
-        Gather(table_->EncodedObjects(v.records), rec_sel, ectx);
-    b_pairs.reserve(rec_sel.size());
-    for (size_t i = 0; i < rec_sel.size(); ++i) {
-      b_pairs.emplace_back(ro[i], rs[i]);
-    }
-  }
-  std::sort(b_pairs.begin(), b_pairs.end());
-  std::vector<uint64_t> b_objects(b_pairs.size());
-  for (size_t i = 0; i < b_pairs.size(); ++i) b_objects[i] = b_pairs[i].first;
-
-  // Run-by-run join against the encoded type partition; the object column
-  // decodes only at projection, one matched row at a time.
-  const EncodedColumn& c_objects = table_->EncodedObjects(v.type);
-  for (const auto& [bi, ci] :
-       MergeJoin(b_objects, table_->EncodedSubjects(v.type), 0,
-                 table_->PartitionSize(v.type), ectx)) {
-    const uint64_t c_obj = c_objects.ValueAt(ci);
-    if (c_obj != v.text) {
-      result.rows.push_back({b_pairs[bi].second, c_obj});
-    }
-  }
-  return result;
+SubjectObjects ColVerticalBackend::SubjectObjectPairs(
+    uint64_t property, std::span<const uint64_t> subjects,
+    const exec::ExecContext& ectx) const {
+  if (!table_->HasPartition(property)) return {};
+  const PositionVector sel =
+      MergeSelectPositions(table_->EncodedSubjects(property), 0,
+                           table_->PartitionSize(property), subjects, ectx);
+  const std::vector<uint64_t> ps =
+      Gather(table_->EncodedSubjects(property), sel, ectx);
+  const std::vector<uint64_t> po =
+      Gather(table_->EncodedObjects(property), sel, ectx);
+  SubjectObjects out(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) out[i] = {ps[i], po[i]};
+  return out;
 }
 
-QueryResult ColVerticalBackend::RunQ6Family(
-    QueryId id, const QueryContext& ctx, const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q6_family");
-  const auto& v = ctx.vocab();
-  const std::vector<uint64_t> a1 = SubjectsWhereObjEq(v.type, v.text, ectx);
-  MarkSet text_typed(ctx.dict_size());
-  text_typed.MarkAll(a1);
-
-  std::vector<uint64_t> via_records;
-  if (table_->HasPartition(v.records)) {
+std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
+    const MarkSet& objects, std::optional<uint64_t> property,
+    const exec::ExecContext& ectx) const {
+  if (property) {
+    if (!table_->HasPartition(*property)) return {};
     const PositionVector sel =
-        SelectMarked(table_->EncodedObjects(v.records), text_typed, ectx);
-    via_records = Gather(table_->EncodedSubjects(v.records), sel, ectx);
+        SelectMarked(table_->EncodedObjects(*property), objects, ectx);
+    // Gathered from a sorted subject column: duplicates are adjacent.
+    std::vector<uint64_t> out =
+        Gather(table_->EncodedSubjects(*property), sel, ectx);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
   }
-  const std::vector<uint64_t> united = UnionDistinct({a1, via_records}, ectx);
-
-  QueryResult result;
-  result.column_names = {"prop", "count"};
-  // Same flattened (property, row-range) fan-out as the q2 family; counts
-  // are additive per property.
-  const std::vector<uint64_t> props = PropertyList(id, ctx);
-  const std::vector<PropMorsel> morsels = FlattenPropMorsels(
-      props.size(),
-      [&](uint64_t k) -> uint64_t { return table_->PartitionSize(props[k]); });
-  std::vector<uint64_t> partial(morsels.size(), 0);
-  ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    for (uint64_t m = b; m < e; ++m) {
-      const PropMorsel& ms = morsels[m];
-      partial[m] =
-          MergeCountMatches(table_->EncodedSubjects(props[ms.prop_idx]),
-                            ms.lo, ms.hi, united, ectx);
-    }
-  });
-  std::vector<uint64_t> counts(props.size(), 0);
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    counts[morsels[m].prop_idx] += partial[m];
-  }
-  for (size_t k = 0; k < props.size(); ++k) {
-    if (counts[k] > 0) result.rows.push_back({props[k], counts[k]});
-  }
-  return result;
-}
-
-QueryResult ColVerticalBackend::RunQ7(const QueryContext& ctx,
-                                      const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q7");
-  const auto& v = ctx.vocab();
-  QueryResult result;
-  result.column_names = {"subj", "encoding", "type"};
-  if (!table_->HasPartition(v.encoding) || !table_->HasPartition(v.type)) {
-    return result;
-  }
-  const std::vector<uint64_t> a = SubjectsWhereObjEq(v.point, v.end, ectx);
-
-  auto collect = [&](uint64_t property, std::vector<uint64_t>* subjects,
-                     std::vector<uint64_t>* objects) {
-    const PositionVector sel =
-        MergeSelectPositions(table_->EncodedSubjects(property), 0,
-                             table_->PartitionSize(property), a, ectx);
-    *subjects = Gather(table_->EncodedSubjects(property), sel, ectx);
-    *objects = Gather(table_->EncodedObjects(property), sel, ectx);
-  };
-  std::vector<uint64_t> b_subj, b_obj, c_subj, c_obj;
-  collect(v.encoding, &b_subj, &b_obj);
-  collect(v.type, &c_subj, &c_obj);
-
-  for (const auto& [bi, ci] : MergeJoin(b_subj, c_subj, ectx)) {
-    result.rows.push_back({b_subj[bi], b_obj[bi], c_obj[ci]});
-  }
-  return result;
-}
-
-QueryResult ColVerticalBackend::RunQ8(const QueryContext& ctx,
-                                      const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "col_vert.q8");
-  const auto& v = ctx.vocab();
-
-  // Phase 1 (temporary table t): visit *every* property table and collect
-  // the objects of subject "conferences". One sub-plan per partition;
-  // empty per-property lists contribute nothing to the union.
-  const std::vector<uint64_t> all_props = table_->properties();
-  std::vector<std::vector<uint64_t>> object_lists(all_props.size());
-  ectx.ParallelFor(
-      all_props.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
-        for (uint64_t k = b; k < e; ++k) {
-          const uint64_t p = all_props[k];
-          const auto [lo, hi] = table_->SubjectRange(p, v.conferences);
-          if (lo == hi) continue;
-          object_lists[k].resize(hi - lo);
-          table_->EncodedObjects(p).MaterializeInto(lo, hi,
-                                                    object_lists[k].data());
-        }
-      });
-  const std::vector<uint64_t> t = UnionDistinct(object_lists, ectx);
-  MarkSet shared(ctx.dict_size());
-  shared.MarkAll(t);
-
-  // Phase 2: join t back against every property table, fanned out over
-  // flattened (property, row-range) morsels — the probe side is dominated
-  // by the few giant partitions, which would otherwise serialize. `shared`
-  // is only read from here on.
+  // Every property table, fanned out over flattened (property, row-range)
+  // morsels — the probe side is dominated by the few giant partitions,
+  // which would otherwise serialize.
+  const std::vector<uint64_t>& all_props = table_->properties();
   const std::vector<PropMorsel> morsels = FlattenPropMorsels(
       all_props.size(),
       [&](uint64_t k) -> uint64_t {
@@ -1101,50 +1009,14 @@ QueryResult ColVerticalBackend::RunQ8(const QueryContext& ctx,
             if (obuf.size() < cnt) obuf.resize(cnt);
             obj.MaterializeInto(base, base + cnt, obuf.data());
             for (uint64_t i = 0; i < cnt; ++i) {
-              if (s[i] != v.conferences && shared.Test(obuf[i])) {
-                hits[m].push_back(s[i]);
-              }
+              if (objects.Test(obuf[i])) hits[m].push_back(s[i]);
             }
           });
     }
   });
   std::vector<uint64_t> out;
   for (const auto& h : hits) out.insert(out.end(), h.begin(), h.end());
-  out = SortDistinct(std::move(out));
-
-  QueryResult result;
-  result.column_names = {"subj"};
-  for (uint64_t s : out) result.rows.push_back({s});
-  return result;
-}
-
-QueryResult ColVerticalBackend::Run(QueryId id, const QueryContext& ctx,
-                                    const exec::ExecContext& ectx) {
-  if (!delta_.empty() || !tombstones_.empty()) {
-    obs::Span span(ectx.trace(), "col_vert.merge_delta");
-    span.set_rows_in(delta_set_.size() + tombstones_.size());
-    EnsureMerged();
-  }
-  switch (BaseOf(id)) {
-    case QueryId::kQ1:
-      return RunQ1(ctx, ectx);
-    case QueryId::kQ2:
-      return RunQ2Family(id, ctx, ectx);
-    case QueryId::kQ3:
-    case QueryId::kQ4:
-      return RunQ3Family(id, ctx, ectx);
-    case QueryId::kQ5:
-      return RunQ5(ctx, ectx);
-    case QueryId::kQ6:
-      return RunQ6Family(id, ctx, ectx);
-    case QueryId::kQ7:
-      return RunQ7(ctx, ectx);
-    case QueryId::kQ8:
-      return RunQ8(ctx, ectx);
-    default:
-      SWAN_CHECK(false);
-      return {};
-  }
+  return SortDistinct(std::move(out));
 }
 
 std::vector<rdf::Triple> ColVerticalBackend::Match(

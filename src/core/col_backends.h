@@ -2,23 +2,143 @@
 #define SWANDB_CORE_COL_BACKENDS_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "colstore/ops.h"
 #include "colstore/triple_table.h"
 #include "colstore/vertical_table.h"
 #include "core/backend.h"
 
 namespace swan::core {
 
+// (key, count) groups, ascending by key.
+using KeyCounts = std::vector<std::pair<uint64_t, uint64_t>>;
+// (subject, object) rows of one property, ascending.
+using SubjectObjects = std::vector<std::pair<uint64_t, uint64_t>>;
+
+// The partition-local query phases of a column engine. Every phase reads
+// only this backend's merged base columns and takes its filter as an
+// argument, so one implementation serves both a single node (filter
+// computed locally, by the Run below) and one node of a scale-out store
+// (filter gathered across nodes by shard::ShardedBackend). Outputs are
+// sorted and duplicate-free, so partials from several nodes merge
+// linearly at a coordinator.
+//
+// Property lists (`props`) are sorted; nullptr means every property.
+// `universe` bounds the dictionary ids (dense MarkSet / counter sizing).
+class ColumnBackend : public BackendBase {
+ public:
+  // `tag` prefixes the engine's span names ("col_vert", "col_triple").
+  ColumnBackend(std::string tag, storage::DiskConfig disk_config,
+                size_t pool_pages)
+      : BackendBase(disk_config, pool_pages), tag_(std::move(tag)) {}
+  ColumnBackend(std::string tag, storage::SimulatedDisk* disk,
+                storage::BufferPool* pool)
+      : BackendBase(disk, pool), tag_(std::move(tag)) {}
+
+  // The 12 benchmark queries, once for both column schemes: compute the
+  // filter locally, run the phase, finalize.
+  using Backend::Run;
+  QueryResult Run(QueryId id, const QueryContext& ctx,
+                  const exec::ExecContext& ectx) final;
+
+  // Applies buffered inserts and deletes to the base columns. Run calls
+  // it first; a scale-out coordinator calls it on every node before the
+  // phases, which never see the write store.
+  void MergeDelta(const exec::ExecContext& ectx);
+  uint64_t merge_count() const { return merge_count_; }
+
+  // --- filters ------------------------------------------------------------
+  // Subjects s with (s, property, object).
+  virtual std::vector<uint64_t> SubjectsOf(
+      uint64_t property, uint64_t object,
+      const exec::ExecContext& ectx) const = 0;
+  // Objects o with (subject, ?, o).
+  virtual std::vector<uint64_t> ObjectsOf(
+      uint64_t subject, const exec::ExecContext& ectx) const = 0;
+
+  // --- phases -------------------------------------------------------------
+  // q1: object counts of one property.
+  virtual KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
+                                 const exec::ExecContext& ectx) const = 0;
+  // q2/q6: per-property triple counts of the `subjects` (sorted).
+  virtual KeyCounts PropertyCounts(std::span<const uint64_t> subjects,
+                                   const std::vector<uint64_t>* props,
+                                   uint64_t universe,
+                                   const exec::ExecContext& ectx) const = 0;
+  // q3/q4: (property, object) group counts of the `subjects`, with no
+  // HAVING applied (it only holds over merged counts).
+  virtual std::vector<colstore::PairCount> PropertyObjectCounts(
+      std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+      uint64_t universe, const exec::ExecContext& ectx) const = 0;
+  // q5/q7: (subject, object) rows of `property` whose subject is in
+  // `subjects` (sorted).
+  virtual SubjectObjects SubjectObjectPairs(
+      uint64_t property, std::span<const uint64_t> subjects,
+      const exec::ExecContext& ectx) const = 0;
+  // q6/q8: subjects with an object in `objects`, through `property` or
+  // through any property.
+  virtual std::vector<uint64_t> SubjectsWithObjectIn(
+      const colstore::MarkSet& objects, std::optional<uint64_t> property,
+      const exec::ExecContext& ectx) const = 0;
+
+ protected:
+  // Rows waiting in the write store (inserts + tombstones).
+  virtual uint64_t PendingWrites() const = 0;
+  // Rebuilds the read-optimized columns from base + write store.
+  virtual void EnsureMerged() = 0;
+
+ private:
+  std::string tag_;
+  uint64_t merge_count_ = 0;
+};
+
+// --- finalize: shared by ColumnBackend::Run and the scale-out gather ------
+
+// The property list a q2/q3/q4/q6-family query restricts to, or nullptr
+// when it visits every property (star variants, or a restriction that
+// covers the whole schema).
+const std::vector<uint64_t>* PropertyFilter(QueryId id,
+                                            const QueryContext& ctx);
+
+// q5 regroups its records bindings by the join column: ByObject flips
+// (subject, object) rows to (object, subject) and sorts them once;
+// DistinctFirsts reads the join keys off such sorted rows.
+SubjectObjects ByObject(const SubjectObjects& rows);
+std::vector<uint64_t> DistinctFirsts(const SubjectObjects& sorted);
+
+// Sums per-node partials key by key.
+KeyCounts SumKeyCounts(const std::vector<KeyCounts>& partials);
+std::vector<colstore::PairCount> SumPairCounts(
+    const std::vector<std::vector<colstore::PairCount>>& partials);
+
+// Final QueryResults. KeyCountRows emits (key, count); the pair form
+// applies the q3/q4 HAVING count > 1.
+QueryResult KeyCountRows(std::vector<std::string> names,
+                         const KeyCounts& counts);
+QueryResult PairCountRowsOverOne(const std::vector<colstore::PairCount>& groups);
+// q5: bindings (o, s) (ByObject) merge-joined with type rows (o, t) on
+// o, keeping t != `text`. Both sorted.
+QueryResult JoinRecordsTypes(const SubjectObjects& by_object,
+                             const SubjectObjects& types, uint64_t text);
+// q7: encodings (s, e) x types (s, t) on s; both sorted.
+QueryResult JoinOnSubject(const SubjectObjects& encodings,
+                          const SubjectObjects& types);
+// q8: sorted subjects minus the hub subject.
+QueryResult SubjectRowsExcept(const std::vector<uint64_t>& subjects,
+                              uint64_t hub);
+
 // "MonetDB triple SPO/PSO" of Tables 6/7: the triple-store scheme on the
 // column engine. Plans are vectorized full-column operations; cold runs
 // pay for reading every touched column in full, which is the column
 // triple-store's characteristic cost (§4.3).
-class ColTripleBackend : public BackendBase {
+class ColTripleBackend : public ColumnBackend {
  public:
   ColTripleBackend(const rdf::Dataset& dataset, rdf::TripleOrder order,
                    storage::DiskConfig disk_config = {},
@@ -34,10 +154,7 @@ class ColTripleBackend : public BackendBase {
                    colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw);
 
   std::string name() const override;
-  using Backend::Run;
   using Backend::Match;
-  QueryResult Run(QueryId id, const QueryContext& ctx,
-                  const exec::ExecContext& ectx) override;
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern,
       const exec::ExecContext& ectx) const override;
@@ -51,7 +168,6 @@ class ColTripleBackend : public BackendBase {
 
   const colstore::TripleTable& table() const { return *table_; }
   uint64_t delta_size() const { return delta_.size(); }
-  uint64_t merge_count() const { return merge_count_; }
 
   plan::AccessHints PlannerHints() const override {
     plan::AccessHints hints;
@@ -62,32 +178,37 @@ class ColTripleBackend : public BackendBase {
 
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
+  std::vector<uint64_t> SubjectsOf(
+      uint64_t property, uint64_t object,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> ObjectsOf(
+      uint64_t subject, const exec::ExecContext& ectx) const override;
+  KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
+                         const exec::ExecContext& ectx) const override;
+  KeyCounts PropertyCounts(std::span<const uint64_t> subjects,
+                           const std::vector<uint64_t>* props,
+                           uint64_t universe,
+                           const exec::ExecContext& ectx) const override;
+  std::vector<colstore::PairCount> PropertyObjectCounts(
+      std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+      uint64_t universe, const exec::ExecContext& ectx) const override;
+  SubjectObjects SubjectObjectPairs(
+      uint64_t property, std::span<const uint64_t> subjects,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> SubjectsWithObjectIn(
+      const colstore::MarkSet& objects, std::optional<uint64_t> property,
+      const exec::ExecContext& ectx) const override;
+
  private:
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
-  // Sorted subjects of all triples matching (?, property, object).
-  std::vector<uint64_t> SubjectsWithPropObj(
-      uint64_t property, uint64_t object, const exec::ExecContext& ectx) const;
-
-  QueryResult RunQ1(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ2Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ3Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ5(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ6Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ7(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ8(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
 
   // True if the triple exists in the merged (base) columns.
   bool BaseContains(const rdf::Triple& triple) const;
-  // Rebuilds the read-optimized columns from base + delta.
-  void EnsureMerged();
+  uint64_t PendingWrites() const override {
+    return delta_.size() + tombstones_.size();
+  }
+  void EnsureMerged() override;
 
   bool pso_;
   colstore::ColumnCodec codec_;
@@ -101,14 +222,13 @@ class ColTripleBackend : public BackendBase {
   // Deletes of base rows buffer here; applied at the next merge. A delete
   // of an unmerged insert cancels the delta entry directly instead.
   std::unordered_set<rdf::Triple, rdf::TripleHash> tombstones_;
-  uint64_t merge_count_ = 0;
 };
 
 // "MonetDB vert. SO": the vertically-partitioned scheme on the column
 // engine. Per-property merge joins on sorted subject columns; queries that
 // do not bind the property iterate every partition — both the strength
 // and the scalability weakness the paper studies.
-class ColVerticalBackend : public BackendBase {
+class ColVerticalBackend : public ColumnBackend {
  public:
   explicit ColVerticalBackend(const rdf::Dataset& dataset,
                               storage::DiskConfig disk_config = {},
@@ -124,10 +244,7 @@ class ColVerticalBackend : public BackendBase {
                      colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw);
 
   std::string name() const override;
-  using Backend::Run;
   using Backend::Match;
-  QueryResult Run(QueryId id, const QueryContext& ctx,
-                  const exec::ExecContext& ectx) override;
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern,
       const exec::ExecContext& ectx) const override;
@@ -142,7 +259,6 @@ class ColVerticalBackend : public BackendBase {
 
   const colstore::VerticalTable& table() const { return *table_; }
   uint64_t partitions_created() const { return partitions_created_; }
-  uint64_t merge_count() const { return merge_count_; }
 
   plan::AccessHints PlannerHints() const override {
     plan::AccessHints hints;
@@ -154,29 +270,32 @@ class ColVerticalBackend : public BackendBase {
 
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
+  std::vector<uint64_t> SubjectsOf(
+      uint64_t property, uint64_t object,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> ObjectsOf(
+      uint64_t subject, const exec::ExecContext& ectx) const override;
+  KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
+                         const exec::ExecContext& ectx) const override;
+  KeyCounts PropertyCounts(std::span<const uint64_t> subjects,
+                           const std::vector<uint64_t>* props,
+                           uint64_t universe,
+                           const exec::ExecContext& ectx) const override;
+  std::vector<colstore::PairCount> PropertyObjectCounts(
+      std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+      uint64_t universe, const exec::ExecContext& ectx) const override;
+  SubjectObjects SubjectObjectPairs(
+      uint64_t property, std::span<const uint64_t> subjects,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> SubjectsWithObjectIn(
+      const colstore::MarkSet& objects, std::optional<uint64_t> property,
+      const exec::ExecContext& ectx) const override;
+
  private:
-  // Sorted subjects of partition `property`'s rows whose object == o.
-  std::vector<uint64_t> SubjectsWhereObjEq(
-      uint64_t property, uint64_t object, const exec::ExecContext& ectx) const;
-  // Property list a (possibly star) filtered query iterates.
-  std::vector<uint64_t> PropertyList(QueryId id, const QueryContext& ctx) const;
-
-  QueryResult RunQ1(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ2Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ3Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ5(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ6Family(QueryId id, const QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  QueryResult RunQ7(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-  QueryResult RunQ8(const QueryContext& ctx,
-                    const exec::ExecContext& ectx) const;
-
-  void EnsureMerged();
+  uint64_t PendingWrites() const override {
+    return delta_set_.size() + tombstones_.size();
+  }
+  void EnsureMerged() override;
 
   colstore::ColumnCodec codec_;
   const rdf::Dataset* dataset_ = nullptr;
@@ -188,7 +307,6 @@ class ColVerticalBackend : public BackendBase {
   // Deletes of base rows, applied when their partition is next rebuilt.
   std::unordered_set<rdf::Triple, rdf::TripleHash> tombstones_;
   uint64_t partitions_created_ = 0;
-  uint64_t merge_count_ = 0;
 };
 
 }  // namespace swan::core

@@ -1,10 +1,7 @@
 #include "shard/sharded_backend.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <utility>
 
 #include "common/macros.h"
@@ -20,11 +17,6 @@ namespace {
 constexpr uint64_t kBytesPerKey = 8;
 constexpr uint64_t kBytesPerPair = 16;
 constexpr uint64_t kBytesPerTriple = 24;
-
-bool UseFilter(core::QueryId id, const core::QueryContext& ctx) {
-  return core::UsesPropertyFilter(id) && !core::IsStar(id) &&
-         !ctx.FilterCoversAll();
-}
 
 void SortUnique(std::vector<uint64_t>* v) {
   std::sort(v->begin(), v->end());
@@ -68,7 +60,6 @@ class ShardedBackend::Routing : public core::DistRouting {
 ShardedBackend::ShardedBackend(const rdf::Dataset& dataset,
                                ShardOptions options)
     : options_(options),
-      dataset_(&dataset),
       placement_(dataset.triples(),
                  PlacementConfig{options.nodes, options.split_factor}) {
   SWAN_CHECK_MSG(options_.nodes >= 1, "sharded backend needs >= 1 node");
@@ -142,29 +133,14 @@ void ShardedBackend::Ship(int src, int dst, uint64_t bytes, uint64_t messages,
   topology_->network().Ship(src, dst, bytes, messages, ectx);
 }
 
-std::vector<uint64_t> ShardedBackend::LocalSubjectsOf(
-    int node, uint64_t property, uint64_t object,
-    const exec::ExecContext& ectx) const {
-  rdf::TriplePattern pattern;
-  pattern.property = property;
-  pattern.object = object;
-  std::vector<uint64_t> subjects;
-  for (const rdf::Triple& t :
-       inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-    subjects.push_back(t.subject);
-  }
-  SortUnique(&subjects);
-  return subjects;
-}
-
 std::vector<uint64_t> ShardedBackend::GatherSubjectFilter(
     uint64_t property, uint64_t object, const std::vector<int>& consumers,
     const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.semijoin_filter");
   std::vector<uint64_t> keys;
   for (int holder : NodesFor(property)) {
-    std::vector<uint64_t> local =
-        LocalSubjectsOf(holder, property, object, ectx);
+    const std::vector<uint64_t> local =
+        node(holder).SubjectsOf(property, object, ectx);
     // Broadcast the filter from its producer to every consumer.
     for (int consumer : consumers) {
       Ship(holder, consumer, kBytesPerKey * local.size(), 1, ectx);
@@ -179,18 +155,19 @@ std::vector<uint64_t> ShardedBackend::GatherSubjectFilter(
 core::QueryResult ShardedBackend::Run(core::QueryId id,
                                       const core::QueryContext& ctx,
                                       const exec::ExecContext& ectx) {
+  // Phases read merged base columns only.
+  for (auto& backend : inner_) backend->MergeDelta(ectx);
   switch (core::BaseOf(id)) {
     case core::QueryId::kQ1:
       return RunQ1(ctx, ectx);
     case core::QueryId::kQ2:
-      return RunQ2Family(id, ctx, ectx);
+    case core::QueryId::kQ6:
+      return RunPropertyCounts(id, ctx, ectx);
     case core::QueryId::kQ3:
     case core::QueryId::kQ4:
       return RunQ3Family(id, ctx, ectx);
     case core::QueryId::kQ5:
       return RunQ5(ctx, ectx);
-    case core::QueryId::kQ6:
-      return RunQ6Family(id, ctx, ectx);
     case core::QueryId::kQ7:
       return RunQ7(ctx, ectx);
     case core::QueryId::kQ8:
@@ -207,53 +184,53 @@ core::QueryResult ShardedBackend::Run(core::QueryId id,
 core::QueryResult ShardedBackend::RunQ1(const core::QueryContext& ctx,
                                         const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q1");
-  const core::Vocabulary& v = ctx.vocab();
-  std::map<uint64_t, uint64_t> counts;
-  for (int node : NodesFor(v.type)) {
-    rdf::TriplePattern pattern;
-    pattern.property = v.type;
-    std::map<uint64_t, uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-      ++local[t.object];
-    }
-    Ship(node, coordinator_, kBytesPerPair * local.size(), 1, ectx);
-    for (const auto& [obj, count] : local) counts[obj] += count;
+  const uint64_t type = ctx.vocab().type;
+  std::vector<core::KeyCounts> partials;
+  for (int n : NodesFor(type)) {
+    partials.push_back(node(n).ObjectCounts(type, ctx.dict_size(), ectx));
+    Ship(n, coordinator_, kBytesPerPair * partials.back().size(), 1, ectx);
   }
-  core::QueryResult result;
-  result.column_names = {"obj", "count"};
-  for (const auto& [obj, count] : counts) result.rows.push_back({obj, count});
+  core::QueryResult result =
+      core::KeyCountRows({"obj", "count"}, core::SumKeyCounts(partials));
   span.set_rows_out(result.rows.size());
   return result;
 }
 
-// q2/q2*: ship the Text-typed subject set as a semi-join filter to every
-// node, count local properties of filtered triples, sum-merge partials.
-core::QueryResult ShardedBackend::RunQ2Family(
+// q2/q6 (and stars): ship the subject filter to every node, count the
+// local properties of the filtered subjects, sum-merge the partials. q6's
+// filter is the union of the Text-typed subjects and the subjects that
+// record a Text-typed object — the second leg is computed on the
+// <records> holders and broadcast as a filter of its own.
+core::QueryResult ShardedBackend::RunPropertyCounts(
     core::QueryId id, const core::QueryContext& ctx,
     const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "shard.q2");
+  const bool q6 = core::BaseOf(id) == core::QueryId::kQ6;
+  obs::Span span(ectx.trace(), q6 ? "shard.q6" : "shard.q2");
   const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
-  const std::vector<uint64_t> a_keys =
+  std::vector<uint64_t> subjects =
       GatherSubjectFilter(v.type, v.text, AllNodes(), ectx);
-  const std::unordered_set<uint64_t> a(a_keys.begin(), a_keys.end());
-
-  std::map<uint64_t, uint64_t> counts;
-  for (int node = 0; node < options_.nodes; ++node) {
-    std::map<uint64_t, uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(rdf::TriplePattern{}, ectx)) {
-      if (a.count(t.subject) == 0) continue;
-      if (filter && !ctx.IsInteresting(t.property)) continue;
-      ++local[t.property];
+  if (q6) {
+    colstore::MarkSet text_typed(ctx.dict_size());
+    text_typed.MarkAll(subjects);
+    for (int rn : NodesFor(v.records)) {
+      const std::vector<uint64_t> local =
+          node(rn).SubjectsWithObjectIn(text_typed, v.records, ectx);
+      for (int consumer : AllNodes()) {
+        Ship(rn, consumer, kBytesPerKey * local.size(), 1, ectx);
+      }
+      subjects = colstore::SortedUnion(subjects, local);
     }
-    Ship(node, coordinator_, kBytesPerPair * local.size(), 1, ectx);
-    for (const auto& [p, count] : local) counts[p] += count;
   }
-  core::QueryResult result;
-  result.column_names = {"prop", "count"};
-  for (const auto& [p, count] : counts) result.rows.push_back({p, count});
+
+  const std::vector<uint64_t>* props = core::PropertyFilter(id, ctx);
+  std::vector<core::KeyCounts> partials;
+  for (int n : AllNodes()) {
+    partials.push_back(
+        node(n).PropertyCounts(subjects, props, ctx.dict_size(), ectx));
+    Ship(n, coordinator_, kBytesPerPair * partials.back().size(), 1, ectx);
+  }
+  core::QueryResult result =
+      core::KeyCountRows({"prop", "count"}, core::SumKeyCounts(partials));
   span.set_rows_out(result.rows.size());
   return result;
 }
@@ -266,36 +243,22 @@ core::QueryResult ShardedBackend::RunQ3Family(
     const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q3");
   const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
-  const bool q4 = core::BaseOf(id) == core::QueryId::kQ4;
-  const std::vector<uint64_t> a_keys =
+  std::vector<uint64_t> subjects =
       GatherSubjectFilter(v.type, v.text, AllNodes(), ectx);
-  const std::unordered_set<uint64_t> a(a_keys.begin(), a_keys.end());
-  std::unordered_set<uint64_t> c;
-  if (q4) {
-    const std::vector<uint64_t> c_keys =
-        GatherSubjectFilter(v.language, v.french, AllNodes(), ectx);
-    c.insert(c_keys.begin(), c_keys.end());
+  if (core::BaseOf(id) == core::QueryId::kQ4) {
+    subjects = colstore::SortedIntersect(
+        subjects, GatherSubjectFilter(v.language, v.french, AllNodes(), ectx));
   }
 
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> counts;
-  for (int node = 0; node < options_.nodes; ++node) {
-    std::map<std::pair<uint64_t, uint64_t>, uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(rdf::TriplePattern{}, ectx)) {
-      if (a.count(t.subject) == 0) continue;
-      if (q4 && c.count(t.subject) == 0) continue;
-      if (filter && !ctx.IsInteresting(t.property)) continue;
-      ++local[{t.property, t.object}];
-    }
-    Ship(node, coordinator_, kBytesPerTriple * local.size(), 1, ectx);
-    for (const auto& [group, count] : local) counts[group] += count;
+  const std::vector<uint64_t>* props = core::PropertyFilter(id, ctx);
+  std::vector<std::vector<colstore::PairCount>> partials;
+  for (int n : AllNodes()) {
+    partials.push_back(
+        node(n).PropertyObjectCounts(subjects, props, ctx.dict_size(), ectx));
+    Ship(n, coordinator_, kBytesPerTriple * partials.back().size(), 1, ectx);
   }
-  core::QueryResult result;
-  result.column_names = {"prop", "obj", "count"};
-  for (const auto& [group, count] : counts) {
-    if (count > 1) result.rows.push_back({group.first, group.second, count});
-  }
+  core::QueryResult result =
+      core::PairCountRowsOverOne(core::SumPairCounts(partials));
   span.set_rows_out(result.rows.size());
   return result;
 }
@@ -313,42 +276,33 @@ core::QueryResult ShardedBackend::RunQ5(const core::QueryContext& ctx,
 
   const std::vector<uint64_t> a_keys =
       GatherSubjectFilter(v.origin, v.dlc, rec_nodes, ectx);
-  const std::unordered_set<uint64_t> a(a_keys.begin(), a_keys.end());
 
-  // Bindings (b.subject, b.object) per records holder.
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> bindings(
-      static_cast<size_t>(options_.nodes));
-  uint64_t total_bindings = 0;
-  std::vector<uint64_t> join_keys;  // distinct b.object
-  for (int node : rec_nodes) {
-    rdf::TriplePattern pattern;
-    pattern.property = v.records;
-    for (const rdf::Triple& b :
-         inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-      if (a.count(b.subject) == 0) continue;
-      bindings[static_cast<size_t>(node)].emplace_back(b.subject, b.object);
-      join_keys.push_back(b.object);
-    }
-    total_bindings += bindings[static_cast<size_t>(node)].size();
+  // Bindings (b.subject, b.object) at the records holders, with each
+  // holder's row and distinct-key (b.object) counts for its ship legs.
+  const size_t n_nodes = static_cast<size_t>(options_.nodes);
+  std::vector<uint64_t> holder_rows(n_nodes, 0), holder_keys(n_nodes, 0);
+  core::SubjectObjects bindings;
+  for (int rn : rec_nodes) {
+    const core::SubjectObjects local =
+        node(rn).SubjectObjectPairs(v.records, a_keys, ectx);
+    holder_rows[static_cast<size_t>(rn)] = local.size();
+    holder_keys[static_cast<size_t>(rn)] =
+        core::DistinctFirsts(core::ByObject(local)).size();
+    bindings.insert(bindings.end(), local.begin(), local.end());
   }
-  SortUnique(&join_keys);
-  const std::unordered_set<uint64_t> key_set(join_keys.begin(),
-                                             join_keys.end());
+  const core::SubjectObjects by_object = core::ByObject(bindings);
+  const std::vector<uint64_t> join_keys = core::DistinctFirsts(by_object);
 
   // Matching (subject, type-object) pairs at the type holders.
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> matches(
-      static_cast<size_t>(options_.nodes));
-  uint64_t total_matches = 0;
-  for (int node : type_nodes) {
-    rdf::TriplePattern pattern;
-    pattern.property = v.type;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-      if (key_set.count(t.subject) == 0) continue;
-      matches[static_cast<size_t>(node)].emplace_back(t.subject, t.object);
-    }
-    total_matches += matches[static_cast<size_t>(node)].size();
+  std::vector<uint64_t> match_rows(n_nodes, 0);
+  core::SubjectObjects types;
+  for (int tn : type_nodes) {
+    const core::SubjectObjects local =
+        node(tn).SubjectObjectPairs(v.type, join_keys, ectx);
+    match_rows[static_cast<size_t>(tn)] = local.size();
+    types.insert(types.end(), local.begin(), local.end());
   }
+  std::sort(types.begin(), types.end());
 
   // Ship-mode decision on modeled cost. Bindings mode: every records
   // holder ships its full bindings to every type holder, results return
@@ -361,6 +315,8 @@ core::QueryResult ShardedBackend::RunQ5(const core::QueryContext& ctx,
     return static_cast<double>(bytes) / bw + static_cast<double>(msgs) * lat;
   };
   const uint64_t fanout = type_nodes.size();
+  const uint64_t total_bindings = bindings.size();
+  const uint64_t total_matches = types.size();
   const double bindings_cost =
       model_cost(kBytesPerPair * total_bindings * fanout,
                  rec_nodes.size() * fanout) +
@@ -376,101 +332,24 @@ core::QueryResult ShardedBackend::RunQ5(const core::QueryContext& ctx,
                  semijoin ? "shard.q5.semijoin" : "shard.q5.bindings");
   span.set_rows_in(total_bindings);
   for (int rn : rec_nodes) {
-    const uint64_t local_bindings = bindings[static_cast<size_t>(rn)].size();
+    const uint64_t rows = holder_rows[static_cast<size_t>(rn)];
     for (int tn : type_nodes) {
-      if (semijoin) {
-        // The key set is global (already deduplicated across holders);
-        // charge each holder its share of distinct keys.
-        uint64_t local_keys = 0;
-        std::unordered_set<uint64_t> seen;
-        for (const auto& [s, o] : bindings[static_cast<size_t>(rn)]) {
-          (void)s;
-          if (seen.insert(o).second) ++local_keys;
-        }
-        Ship(rn, tn, kBytesPerKey * local_keys, 1, ectx);
-      } else {
-        Ship(rn, tn, kBytesPerPair * local_bindings, 1, ectx);
-      }
+      // Semi-join mode charges each holder its own distinct keys (the key
+      // set is global, already deduplicated across holders).
+      Ship(rn, tn,
+           semijoin ? kBytesPerKey * holder_keys[static_cast<size_t>(rn)]
+                    : kBytesPerPair * rows,
+           1, ectx);
     }
-    if (semijoin) {
-      Ship(rn, coordinator_, kBytesPerPair * local_bindings, 1, ectx);
-    }
+    if (semijoin) Ship(rn, coordinator_, kBytesPerPair * rows, 1, ectx);
   }
   for (int tn : type_nodes) {
-    Ship(tn, coordinator_, kBytesPerPair * matches[static_cast<size_t>(tn)].size(),
+    Ship(tn, coordinator_, kBytesPerPair * match_rows[static_cast<size_t>(tn)],
          1, ectx);
   }
 
   // Final join at the coordinator: bindings x type pairs on b.object.
-  std::unordered_multimap<uint64_t, uint64_t> types;
-  for (int tn : type_nodes) {
-    for (const auto& [s, o] : matches[static_cast<size_t>(tn)]) {
-      types.emplace(s, o);
-    }
-  }
-  core::QueryResult result;
-  result.column_names = {"subj", "obj"};
-  for (int rn : rec_nodes) {
-    for (const auto& [subj, obj] : bindings[static_cast<size_t>(rn)]) {
-      auto [lo, hi] = types.equal_range(obj);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second != v.text) result.rows.push_back({subj, it->second});
-      }
-    }
-  }
-  span.set_rows_out(result.rows.size());
-  return result;
-}
-
-// q6/q6*: the union set (Text-typed subjects plus subjects recording a
-// Text-typed object) is assembled from two shipped filters, then counted
-// like q2.
-core::QueryResult ShardedBackend::RunQ6Family(
-    core::QueryId id, const core::QueryContext& ctx,
-    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), "shard.q6");
-  const core::Vocabulary& v = ctx.vocab();
-  const bool filter = UseFilter(id, ctx);
-  const std::vector<int> rec_nodes = NodesFor(v.records);
-
-  // Consumers of the Text-typed set: the records holders (to test their
-  // objects) and every node (final counting scan).
-  const std::vector<uint64_t> a_keys =
-      GatherSubjectFilter(v.type, v.text, AllNodes(), ectx);
-  const std::unordered_set<uint64_t> text_typed(a_keys.begin(), a_keys.end());
-
-  std::unordered_set<uint64_t> united = text_typed;
-  for (int node : rec_nodes) {
-    rdf::TriplePattern pattern;
-    pattern.property = v.records;
-    std::vector<uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-      if (text_typed.count(t.object) != 0) local.push_back(t.subject);
-    }
-    SortUnique(&local);
-    // Broadcast the second filter leg to every counting node.
-    for (int consumer = 0; consumer < options_.nodes; ++consumer) {
-      Ship(node, consumer, kBytesPerKey * local.size(), 1, ectx);
-    }
-    united.insert(local.begin(), local.end());
-  }
-
-  std::map<uint64_t, uint64_t> counts;
-  for (int node = 0; node < options_.nodes; ++node) {
-    std::map<uint64_t, uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(rdf::TriplePattern{}, ectx)) {
-      if (united.count(t.subject) == 0) continue;
-      if (filter && !ctx.IsInteresting(t.property)) continue;
-      ++local[t.property];
-    }
-    Ship(node, coordinator_, kBytesPerPair * local.size(), 1, ectx);
-    for (const auto& [p, count] : local) counts[p] += count;
-  }
-  core::QueryResult result;
-  result.column_names = {"prop", "count"};
-  for (const auto& [p, count] : counts) result.rows.push_back({p, count});
+  core::QueryResult result = core::JoinRecordsTypes(by_object, types, v.text);
   span.set_rows_out(result.rows.size());
   return result;
 }
@@ -490,38 +369,22 @@ core::QueryResult ShardedBackend::RunQ7(const core::QueryContext& ctx,
 
   const std::vector<uint64_t> a_keys =
       GatherSubjectFilter(v.point, v.end, consumers, ectx);
-  const std::unordered_set<uint64_t> a(a_keys.begin(), a_keys.end());
 
   const auto gather_pairs = [&](uint64_t property) {
-    std::unordered_multimap<uint64_t, uint64_t> pairs;
-    for (int node : NodesFor(property)) {
-      rdf::TriplePattern pattern;
-      pattern.property = property;
-      uint64_t local = 0;
-      for (const rdf::Triple& t :
-           inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-        if (a.count(t.subject) == 0) continue;
-        pairs.emplace(t.subject, t.object);
-        ++local;
-      }
-      Ship(node, coordinator_, kBytesPerPair * local, 1, ectx);
+    core::SubjectObjects pairs;
+    for (int n : NodesFor(property)) {
+      const core::SubjectObjects local =
+          node(n).SubjectObjectPairs(property, a_keys, ectx);
+      Ship(n, coordinator_, kBytesPerPair * local.size(), 1, ectx);
+      pairs.insert(pairs.end(), local.begin(), local.end());
     }
+    std::sort(pairs.begin(), pairs.end());
     return pairs;
   };
-  const auto encodings = gather_pairs(v.encoding);
-  const auto types = gather_pairs(v.type);
+  const core::SubjectObjects encodings = gather_pairs(v.encoding);
+  const core::SubjectObjects types = gather_pairs(v.type);
 
-  core::QueryResult result;
-  result.column_names = {"subj", "encoding", "type"};
-  for (uint64_t s : a_keys) {
-    auto [be, ee] = encodings.equal_range(s);
-    auto [bt, et] = types.equal_range(s);
-    for (auto ie = be; ie != ee; ++ie) {
-      for (auto it = bt; it != et; ++it) {
-        result.rows.push_back({s, ie->second, it->second});
-      }
-    }
-  }
+  core::QueryResult result = core::JoinOnSubject(encodings, types);
   span.set_rows_out(result.rows.size());
   return result;
 }
@@ -533,47 +396,34 @@ core::QueryResult ShardedBackend::RunQ7(const core::QueryContext& ctx,
 core::QueryResult ShardedBackend::RunQ8(const core::QueryContext& ctx,
                                         const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), "shard.q8");
-  const core::Vocabulary& v = ctx.vocab();
+  const uint64_t hub = ctx.vocab().conferences;
 
   std::vector<uint64_t> t_objects;
-  for (int node = 0; node < options_.nodes; ++node) {
-    rdf::TriplePattern pattern;
-    pattern.subject = v.conferences;
-    std::vector<uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(pattern, ectx)) {
-      local.push_back(t.object);
-    }
-    SortUnique(&local);
-    Ship(node, coordinator_, kBytesPerKey * local.size(), 1, ectx);
+  for (int n : AllNodes()) {
+    const std::vector<uint64_t> local = node(n).ObjectsOf(hub, ectx);
+    Ship(n, coordinator_, kBytesPerKey * local.size(), 1, ectx);
     t_objects.insert(t_objects.end(), local.begin(), local.end());
   }
   SortUnique(&t_objects);
-  const std::unordered_set<uint64_t> object_set(t_objects.begin(),
-                                                t_objects.end());
+  colstore::MarkSet shared(ctx.dict_size());
+  shared.MarkAll(t_objects);
   // Broadcast the build side to the probing nodes.
-  for (int node = 0; node < options_.nodes; ++node) {
-    Ship(coordinator_, node, kBytesPerKey * t_objects.size(), 1, ectx);
+  for (int n : AllNodes()) {
+    Ship(coordinator_, n, kBytesPerKey * t_objects.size(), 1, ectx);
   }
 
   std::vector<uint64_t> subjects;
-  for (int node = 0; node < options_.nodes; ++node) {
-    std::vector<uint64_t> local;
-    for (const rdf::Triple& t :
-         inner_[static_cast<size_t>(node)]->Match(rdf::TriplePattern{}, ectx)) {
-      if (t.subject != v.conferences && object_set.count(t.object) != 0) {
-        local.push_back(t.subject);
-      }
-    }
-    SortUnique(&local);
-    Ship(node, coordinator_, kBytesPerKey * local.size(), 1, ectx);
+  for (int n : AllNodes()) {
+    std::vector<uint64_t> local =
+        node(n).SubjectsWithObjectIn(shared, std::nullopt, ectx);
+    // The hub itself is not an answer; drop it before it ships.
+    local.erase(std::remove(local.begin(), local.end(), hub), local.end());
+    Ship(n, coordinator_, kBytesPerKey * local.size(), 1, ectx);
     subjects.insert(subjects.end(), local.begin(), local.end());
   }
   SortUnique(&subjects);
 
-  core::QueryResult result;
-  result.column_names = {"subj"};
-  for (uint64_t s : subjects) result.rows.push_back({s});
+  core::QueryResult result = core::SubjectRowsExcept(subjects, hub);
   span.set_rows_out(result.rows.size());
   return result;
 }

@@ -7,6 +7,7 @@
 
 #include "colstore/compression.h"
 #include "core/backend.h"
+#include "core/col_backends.h"
 #include "core/query.h"
 #include "net/topology.h"
 #include "rdf/dataset.h"
@@ -39,10 +40,16 @@ struct ShardOptions {
 // all inter-node movement is charged to the NetworkModel on the shared
 // virtual-clock discipline.
 //
+// Run is orchestration only: it gathers each query's filter across the
+// nodes, runs the partition-local phases of core::ColumnBackend on every
+// node (after that node merges its write store), and merges the sorted
+// partials at the coordinator, where HAVING applies. The phases are the
+// single-node engines' own kernels; Match serves BGPs alone.
+//
 // Equivalence contract: Run and Match return the same row bags as the
 // single-node backends at every node count and thread width. The
-// orchestration is deterministic — node loops in node order, merges
-// through ordered maps, placement a pure function of the data — so the
+// orchestration is deterministic — node loops in node order, sorted
+// partial merges, placement a pure function of the data — so the
 // serve tier's byte-identical replay guarantee survives distribution.
 //
 // Network accounting contract: Match charges only the result-return leg
@@ -110,10 +117,9 @@ class ShardedBackend : public core::Backend {
   void Ship(int src, int dst, uint64_t bytes, uint64_t messages,
             const exec::ExecContext& ectx) const;
 
-  // Sorted distinct subjects s with (s, property, object) on `node`.
-  std::vector<uint64_t> LocalSubjectsOf(int node, uint64_t property,
-                                        uint64_t object,
-                                        const exec::ExecContext& ectx) const;
+  const core::ColumnBackend& node(int n) const {
+    return *inner_[static_cast<size_t>(n)];
+  }
   // Gathers the global subject set of (?, property, object) and charges
   // its broadcast as a semi-join filter to every consumer node.
   std::vector<uint64_t> GatherSubjectFilter(
@@ -122,25 +128,23 @@ class ShardedBackend : public core::Backend {
 
   core::QueryResult RunQ1(const core::QueryContext& ctx,
                           const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ2Family(core::QueryId id, const core::QueryContext& ctx,
-                                const exec::ExecContext& ectx) const;
+  core::QueryResult RunPropertyCounts(core::QueryId id,
+                                      const core::QueryContext& ctx,
+                                      const exec::ExecContext& ectx) const;
   core::QueryResult RunQ3Family(core::QueryId id, const core::QueryContext& ctx,
                                 const exec::ExecContext& ectx) const;
   core::QueryResult RunQ5(const core::QueryContext& ctx,
                           const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ6Family(core::QueryId id, const core::QueryContext& ctx,
-                                const exec::ExecContext& ectx) const;
   core::QueryResult RunQ7(const core::QueryContext& ctx,
                           const exec::ExecContext& ectx) const;
   core::QueryResult RunQ8(const core::QueryContext& ctx,
                           const exec::ExecContext& ectx) const;
 
   ShardOptions options_;
-  const rdf::Dataset* dataset_;
   Placement placement_;
   std::unique_ptr<net::Topology> topology_;
   // One column backend per node, over the topology's borrowed storage.
-  std::vector<std::unique_ptr<core::Backend>> inner_;
+  std::vector<std::unique_ptr<core::ColumnBackend>> inner_;
   std::unique_ptr<Routing> routing_;
   // Session node affinity: written by the serve tier between queries
   // (turnstile-serialized), read during Run/Match.

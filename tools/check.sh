@@ -168,10 +168,11 @@ if [ "$run_asan" -eq 1 ]; then
   fi
 
   echo "== scaleout smoke (multi-node equivalence + scaling gates) =="
-  # Small N: ASan multiplies the host-CPU share and the equivalence
-  # section runs 12 queries x 3 node counts x 2 widths x 2 schemes; the
-  # gates themselves are scale-independent (they pass at 60k, 120k, and
-  # the default 400k in release).
+  # Small N keeps the ASan run short: the equivalence section runs 12
+  # queries x 3 node counts x 2 widths x 2 schemes. The scaling gate
+  # measures modeled I/O + network, which ASan's CPU cost does not touch,
+  # and is scale-independent (it passes at 60k, 120k, and the default
+  # 400k).
   if SWAN_TRIPLES=60000 SWAN_REPS=1 "$ASAN_BUILD/bench/scaleout" \
        >/dev/null; then
     echo "scaleout smoke: clean"

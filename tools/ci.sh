@@ -126,6 +126,12 @@ assert gates['speedup_4_nodes'] >= gates['gate_4_nodes'], gates
 assert gates['cross_net_bytes'] > 0, gates
 print('scaleout json smoke: OK')
 "; } || status=1
+    # swanbench smoke: a few seconds of every benchmark workload, each
+    # answer (the 2-node store's included) checked against the reference
+    # and every store audited at exit. Builds its own Release tree in
+    # build-swanbench/.
+    echo "=== release: swanbench smoke ==="
+    bash "$REPO_ROOT/bench/swanbench/run.sh" --smoke >/dev/null || status=1
     # Sharded querylog smoke: a 2-node serve run must emit per-node
     # dimensions that validate, spread across both gather nodes.
     echo "=== release: sharded querylog smoke ==="
