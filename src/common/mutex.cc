@@ -1,9 +1,8 @@
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
-#include <vector>
 
 #include "common/macros.h"
 
@@ -15,8 +14,14 @@ namespace {
 
 // The calling thread's currently-held swan::Mutexes, in acquisition
 // order. Ranks along the stack are strictly decreasing — that is the
-// whole invariant, checked on every push.
-thread_local std::vector<const Mutex*> t_held_locks;
+// whole invariant, checked on every push — so it never holds more
+// entries than there are ranks. A plain array, not a std::vector: it has
+// no thread_local destructor, so the stack stays valid at process exit,
+// where the main thread's thread_locals die before the static
+// destructors that still lock (the global thread pool's).
+constexpr int kMaxHeldLocks = 16;
+thread_local const Mutex* t_held_locks[kMaxHeldLocks];
+thread_local int t_held_count = 0;
 
 [[noreturn]] void RankAbort(const Mutex* acquiring, const Mutex* held) {
   if (acquiring == held) {
@@ -36,20 +41,24 @@ thread_local std::vector<const Mutex*> t_held_locks;
 }
 
 void CheckAcquire(const Mutex* mu) {
-  for (const Mutex* held : t_held_locks) {
+  for (int i = 0; i < t_held_count; ++i) {
+    const Mutex* held = t_held_locks[i];
     if (held == mu || static_cast<int>(held->rank()) <=
                           static_cast<int>(mu->rank())) {
       RankAbort(mu, held);
     }
   }
+  SWAN_CHECK(t_held_count < kMaxHeldLocks);
 }
 
 void PopHeld(const Mutex* mu) {
   // Unlock order may differ from reverse-acquisition order (MutexLock
   // supports early Unlock), so erase by search from the top.
-  for (auto it = t_held_locks.rbegin(); it != t_held_locks.rend(); ++it) {
-    if (*it == mu) {
-      t_held_locks.erase(std::next(it).base());
+  for (int i = t_held_count - 1; i >= 0; --i) {
+    if (t_held_locks[i] == mu) {
+      std::copy(t_held_locks + i + 1, t_held_locks + t_held_count,
+                t_held_locks + i);
+      --t_held_count;
       return;
     }
   }
@@ -65,7 +74,7 @@ void PopHeld(const Mutex* mu) {
 void Mutex::Lock() {
   CheckAcquire(this);
   mu_.lock();
-  t_held_locks.push_back(this);
+  t_held_locks[t_held_count++] = this;
 }
 
 void Mutex::Unlock() {
@@ -76,7 +85,7 @@ void Mutex::Unlock() {
 bool LockRankChecksEnabled() { return true; }
 
 int HeldLockCountForTesting() {
-  return static_cast<int>(t_held_locks.size());
+  return t_held_count;
 }
 
 #else  // !SWAN_LOCK_RANK_CHECKS

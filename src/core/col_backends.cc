@@ -257,14 +257,6 @@ QueryResult ColumnBackend::Run(QueryId id, const QueryContext& ctx,
   }
 }
 
-const std::vector<uint64_t>* PropertyFilter(QueryId id,
-                                            const QueryContext& ctx) {
-  if (!UsesPropertyFilter(id) || IsStar(id) || ctx.FilterCoversAll()) {
-    return nullptr;
-  }
-  return &ctx.interesting_properties();
-}
-
 SubjectObjects ByObject(const SubjectObjects& rows) {
   SubjectObjects flipped(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -101,12 +101,6 @@ class ColumnBackend : public BackendBase {
 
 // --- finalize: shared by ColumnBackend::Run and the scale-out gather ------
 
-// The property list a q2/q3/q4/q6-family query restricts to, or nullptr
-// when it visits every property (star variants, or a restriction that
-// covers the whole schema).
-const std::vector<uint64_t>* PropertyFilter(QueryId id,
-                                            const QueryContext& ctx);
-
 // q5 regroups its records bindings by the join column: ByObject flips
 // (subject, object) rows to (object, subject) and sorts them once;
 // DistinctFirsts reads the join keys off such sorted rows.

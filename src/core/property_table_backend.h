@@ -1,14 +1,12 @@
 #ifndef SWANDB_CORE_PROPERTY_TABLE_BACKEND_H_
 #define SWANDB_CORE_PROPERTY_TABLE_BACKEND_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "core/backend.h"
+#include "core/row_backends.h"
 #include "rowstore/sorted_table.h"
 #include "rowstore/triple_relation.h"
 
@@ -29,7 +27,11 @@ namespace swan::core {
 // overflow, and "proliferation of union clauses" whenever the property is
 // not bound. Read-only: property tables are notoriously update-hostile
 // (any schema re-selection rewrites the table).
-class PropertyTableBackend : public BackendBase {
+//
+// Queries run on the shared row-engine executor; a branch pass is the
+// default single serial branch (the scheme is the paper's excluded
+// extension, not a scalability subject).
+class PropertyTableBackend : public RowBackend {
  public:
   static constexpr uint64_t kNull = UINT64_MAX;
 
@@ -38,19 +40,11 @@ class PropertyTableBackend : public BackendBase {
                        size_t pool_pages = 65536);
 
   std::string name() const override { return "DBX prop. table"; }
-  using Backend::Run;
-  using Backend::Match;
-  QueryResult Run(QueryId id, const QueryContext& ctx,
-                  const exec::ExecContext& ectx) override;
-  std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
-      const exec::ExecContext& ectx) const override;
   // Inserts land in the overflow triple table (as Jena2 property tables
   // do): the wide table's schema and rows stay untouched, at the price of
   // the overflow growing — re-running the design wizard would be a full
   // rewrite.
   Status Insert(const rdf::Triple& triple) override;
-  void DropCaches() override { pool_->Clear(); }
   uint64_t disk_bytes() const override {
     return wide_->disk_bytes() + overflow_->disk_bytes();
   }
@@ -78,18 +72,7 @@ class PropertyTableBackend : public BackendBase {
  private:
   // Streams every triple matching `pattern` (wide columns + overflow).
   void ScanPattern(const rdf::TriplePattern& pattern,
-                   const std::function<void(const rdf::Triple&)>& fn) const;
-
-  std::unordered_set<uint64_t> SubjectSet(uint64_t property,
-                                          uint64_t object) const;
-
-  QueryResult RunQ1(const QueryContext& ctx) const;
-  QueryResult RunQ2Family(QueryId id, const QueryContext& ctx) const;
-  QueryResult RunQ3Family(QueryId id, const QueryContext& ctx) const;
-  QueryResult RunQ5(const QueryContext& ctx) const;
-  QueryResult RunQ6Family(QueryId id, const QueryContext& ctx) const;
-  QueryResult RunQ7(const QueryContext& ctx) const;
-  QueryResult RunQ8(const QueryContext& ctx) const;
+                   const TripleFn& fn) const override;
 
   std::vector<uint64_t> wide_props_;                 // column j -> property
   std::unordered_map<uint64_t, uint32_t> column_of_;  // property -> column j

@@ -154,6 +154,14 @@ QueryContext::QueryContext(Vocabulary vocab,
   interesting_set_.insert(interesting_.begin(), interesting_.end());
 }
 
+const std::vector<uint64_t>* PropertyFilter(QueryId id,
+                                            const QueryContext& ctx) {
+  if (!UsesPropertyFilter(id) || IsStar(id) || ctx.FilterCoversAll()) {
+    return nullptr;
+  }
+  return &ctx.interesting_properties();
+}
+
 void QueryResult::Normalize() { std::sort(rows.begin(), rows.end()); }
 
 bool QueryResult::SameRows(const QueryResult& other) const {

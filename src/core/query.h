@@ -128,6 +128,12 @@ class QueryContext {
   uint64_t total_distinct_properties_;
 };
 
+// The property list a q2/q3/q4/q6-family query restricts to, or nullptr
+// when it visits every property (q1/q5/q7/q8, the star variants, or a
+// restriction that covers the whole schema).
+const std::vector<uint64_t>* PropertyFilter(QueryId id,
+                                            const QueryContext& ctx);
+
 // A relational query result over dictionary ids. Aggregate counts are
 // stored as plain uint64 values in their column.
 struct QueryResult {

@@ -210,24 +210,33 @@ uint64_t TripleRelation::FullScanChunks(const exec::ExecContext& ectx) const {
   return (leaves + kLeavesPerFullScanChunk - 1) / kLeavesPerFullScanChunk;
 }
 
-void TripleRelation::ChargeFullScanDescent() const {
+void TripleRelation::FullScan(
+    const exec::ExecContext& ectx,
+    const std::function<void(uint64_t parts)>& start,
+    const std::function<void(uint64_t part, const rdf::Triple&)>& fn) const {
+  const uint64_t parts = FullScanChunks(ectx);
+  start(parts);
+  if (parts == 1) {
+    for (Scan scan = Open(rdf::TriplePattern{}); scan.Valid(); scan.Next()) {
+      fn(0, scan.value());
+    }
+    return;
+  }
   clustered_->ChargeScanDescent();
-}
-
-void TripleRelation::FullScanChunk(
-    uint64_t chunk, uint64_t num_chunks,
-    const std::function<void(const rdf::Triple&)>& fn) const {
   const uint32_t leaves = clustered_->num_leaves();
-  const uint32_t per =
-      static_cast<uint32_t>((leaves + num_chunks - 1) / num_chunks);
-  const uint32_t lo = static_cast<uint32_t>(chunk) * per;
-  const uint32_t hi = std::min(leaves, lo + per);
-  if (lo >= hi) return;
+  const uint32_t per = static_cast<uint32_t>((leaves + parts - 1) / parts);
   const auto comp = rdf::ComponentsOf(config_.clustered);
-  clustered_->ScanLeaves(lo, hi, [&](const BPlusTree<3>::Key& key) {
-    uint64_t spo[3];
-    for (int i = 0; i < 3; ++i) spo[comp[i]] = key[i];
-    fn(rdf::Triple{spo[0], spo[1], spo[2]});
+  ectx.ParallelFor(parts, 1, [&](uint64_t b, uint64_t e, uint64_t) {
+    for (uint64_t part = b; part < e; ++part) {
+      const uint32_t lo = static_cast<uint32_t>(part) * per;
+      const uint32_t hi = std::min(leaves, lo + per);
+      if (lo >= hi) continue;
+      clustered_->ScanLeaves(lo, hi, [&](const BPlusTree<3>::Key& key) {
+        uint64_t spo[3];
+        for (int i = 0; i < 3; ++i) spo[comp[i]] = key[i];
+        fn(part, rdf::Triple{spo[0], spo[1], spo[2]});
+      });
+    }
   });
 }
 

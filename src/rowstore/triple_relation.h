@@ -102,20 +102,18 @@ class TripleRelation {
   };
   Scan Open(const rdf::TriplePattern& pattern) const;
 
-  // Chunked full scan, the fan-out entry of a parallel whole-relation
-  // read. FullScanChunks returns how many leaf-range chunks a full scan
-  // splits into under `ectx`: 1 when the context is serial or the
-  // clustered tree's bulk-loaded leaf chain has been broken by inserts
-  // (callers then use the ordinary cursor, which is the bit-identical
-  // serial path). When chunking, callers charge the descent once, then
-  // scan each chunk — the union of pages touched equals the serial
-  // cursor's, so cold I/O bytes are width-independent.
-  uint64_t FullScanChunks(const exec::ExecContext& ectx) const;
-  void ChargeFullScanDescent() const;
-  // Emits every triple of chunk `chunk` (of `num_chunks`) in clustered key
-  // order.
-  void FullScanChunk(uint64_t chunk, uint64_t num_chunks,
-                     const std::function<void(const rdf::Triple&)>& fn) const;
+  // Full scan in clustered key order, fanned out over `ectx`. The relation
+  // picks the split itself: leaf-range parts when the context is parallel
+  // and the bulk-loaded leaf chain is intact; otherwise one part read by
+  // the ordinary cursor, the bit-identical serial path (inserts break the
+  // chain). A split scan charges the root-to-leaf descent once, so the
+  // union of pages touched — and cold I/O bytes — equals the cursor's.
+  // `start(parts)` runs once before the first triple; `fn(part, triple)`
+  // then runs concurrently across parts, in key order within each.
+  void FullScan(
+      const exec::ExecContext& ectx,
+      const std::function<void(uint64_t parts)>& start,
+      const std::function<void(uint64_t part, const rdf::Triple&)>& fn) const;
 
   // Audit walker. Audits the clustered tree and every secondary index,
   // and checks that all trees agree on the row count.
@@ -123,6 +121,8 @@ class TripleRelation {
 
  private:
   const BPlusTree<3>* TreeFor(rdf::TripleOrder order) const;
+  // Leaf-range parts of a full scan under `ectx` (1 = cursor).
+  uint64_t FullScanChunks(const exec::ExecContext& ectx) const;
 
   Config config_;
   storage::BufferPool* pool_;

@@ -16,6 +16,8 @@
 #include "core/property_table_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
+#include "exec/exec_context.h"
+#include "exec/thread_pool.h"
 
 namespace swan {
 namespace {
@@ -115,6 +117,171 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
     EXPECT_GE(from_vert.row_count(), previous);
     previous = from_vert.row_count();
   }
+}
+
+// The row engines' modeled cold cost, pinned per query: simulated-disk
+// bytes, seeks and virtual seconds after DropCaches, for every row design
+// at one and eight threads, recorded from the hand-wired per-design query
+// code that core::RowBackend replaced. 40k triples give the triple store
+// enough leaves to split its full scans into chunks. Any change to which
+// pages a plan reads, in which order, or on which lane shows up here.
+// Seconds are hex literals, so the serial comparison is bit-exact.
+TEST(RowEngineCostTest, ColdCostIsPinned) {
+  struct Cost {
+    uint64_t bytes;
+    uint64_t seeks;
+    double seconds;
+  };
+  // 12 queries (AllQueries order) per (design, threads) block.
+  const std::vector<Cost> golden = {
+      // DBX triple SPO, 1 thread
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      // DBX triple SPO, 8 threads
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 6, 0x1.1cb5bb9069e87p-9},
+      // DBX triple PSO, 1 thread
+      {237568, 2, 0x1.a5d42478d2648p-10},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      {974848, 5, 0x1.47a78a8b456e9p-8},
+      {974848, 5, 0x1.47a78a8b456e9p-8},
+      {360448, 4, 0x1.7f48bafd18ca4p-9},
+      {974848, 5, 0x1.47a78a8b456e9p-8},
+      {974848, 5, 0x1.47a78a8b456e9p-8},
+      {294912, 4, 0x1.69423591d34ep-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      // DBX triple PSO, 8 threads
+      {237568, 2, 0x1.a5d42478d2648p-10},
+      {974848, 6, 0x1.670bbdda746bcp-9},
+      {974848, 6, 0x1.670bbdda746bcp-9},
+      {974848, 6, 0x1.670bbdda746bcp-9},
+      {974848, 6, 0x1.670bbdda746bcp-9},
+      {974848, 8, 0x1.ea1e2c7201bbcp-9},
+      {974848, 8, 0x1.ea1e2c7201bbcp-9},
+      {360448, 4, 0x1.7f48bafd18ca4p-9},
+      {974848, 8, 0x1.ea1e2c7201bb8p-9},
+      {974848, 8, 0x1.ea1e2c7201bb8p-9},
+      {294912, 4, 0x1.69423591d34ep-9},
+      {974848, 2, 0x1.cab36f3336e5cp-9},
+      // DBX vert. SO, 1 thread
+      {163840, 2, 0x1.74457847760cfp-10},
+      {925696, 49, 0x1.b84bf6418773fp-6},
+      {1646592, 137, 0x1.29de937da40dp-4},
+      {925696, 49, 0x1.b84bf6418773fp-6},
+      {1646592, 137, 0x1.29de937da40dp-4},
+      {925696, 49, 0x1.b84bf6418773fp-6},
+      {1646592, 137, 0x1.29de937da40dp-4},
+      {262144, 6, 0x1.e1516173bddfcp-9},
+      {925696, 49, 0x1.b84bf6418773fp-6},
+      {1646592, 137, 0x1.29de937da40dp-4},
+      {212992, 6, 0x1.d0cc7d6349c2bp-9},
+      {1646592, 158, 0x1.54e09fc75e6c3p-4},
+      // DBX vert. SO, 8 threads
+      {163840, 2, 0x1.74457847760cfp-10},
+      {925696, 49, 0x1.5f5a2eb7e002p-8},
+      {1646592, 137, 0x1.6b78ad493231ap-7},
+      {925696, 49, 0x1.5f5a2eb7e002p-8},
+      {1646592, 137, 0x1.6b78ad493231ap-7},
+      {925696, 49, 0x1.a7c56fb52c60bp-8},
+      {1646592, 137, 0x1.8fae4dc7d861p-7},
+      {262144, 6, 0x1.e1516173bddfcp-9},
+      {925696, 49, 0x1.abe6a8b94967fp-8},
+      {1646592, 137, 0x1.91beea49e6e4ap-7},
+      {212992, 6, 0x1.d0cc7d6349c2bp-9},
+      {1646592, 158, 0x1.72e854e88fa1p-7},
+      // DBX prop. table, 1 thread
+      {434176, 3, 0x1.5686d9ca004e5p-9},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 6, 0x1.65ab5583c0132p-8},
+      {958464, 6, 0x1.65ab5583c0132p-8},
+      {491520, 5, 0x1.ecdefd1f6a6a5p-9},
+      {958464, 6, 0x1.65ab5583c0131p-8},
+      {958464, 6, 0x1.65ab5583c0131p-8},
+      {491520, 5, 0x1.ecdefd1f6a69fp-9},
+      {958464, 12, 0x1.15237db38a054p-7},
+      // DBX prop. table, 8 threads
+      {434176, 3, 0x1.5686d9ca004e5p-9},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 3, 0x1.035d829216173p-8},
+      {958464, 6, 0x1.65ab5583c0132p-8},
+      {958464, 6, 0x1.65ab5583c0132p-8},
+      {491520, 5, 0x1.ecdefd1f6a6a5p-9},
+      {958464, 6, 0x1.65ab5583c0131p-8},
+      {958464, 6, 0x1.65ab5583c0131p-8},
+      {491520, 5, 0x1.ecdefd1f6a69fp-9},
+      {958464, 12, 0x1.15237db38a054p-7},
+  };
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
+  core::RowTripleBackend row_spo(barton.dataset,
+                                 rowstore::TripleRelation::SpoConfig());
+  core::RowTripleBackend row_pso(barton.dataset,
+                                 rowstore::TripleRelation::PsoConfig());
+  core::RowVerticalBackend row_vert(barton.dataset);
+  core::PropertyTableBackend property_table(barton.dataset, 4);
+
+  exec::SetThreads(8);
+  size_t cell = 0;
+  for (core::Backend* backend : std::vector<core::Backend*>{
+           &row_spo, &row_pso, &row_vert, &property_table}) {
+    for (int threads : {1, 8}) {
+      const exec::ExecContext ectx(threads);
+      for (QueryId id : core::AllQueries()) {
+        ASSERT_LT(cell, golden.size());
+        const Cost& want = golden[cell++];
+        backend->DropCaches();
+        backend->disk()->ResetStats();
+        (void)backend->Run(id, ctx, ectx);
+        EXPECT_EQ(backend->TotalBytesRead(), want.bytes)
+            << backend->name() << " " << ToString(id) << " x" << threads;
+        EXPECT_EQ(backend->TotalSeeks(), want.seeks)
+            << backend->name() << " " << ToString(id) << " x" << threads;
+        if (threads == 1) {
+          EXPECT_EQ(backend->VirtualSeconds(), want.seconds)
+              << backend->name() << " " << ToString(id);
+        } else {
+          // Lane clocks add the same per-read costs in an order that
+          // depends on scheduling, so they agree only up to rounding.
+          EXPECT_NEAR(backend->VirtualSeconds(), want.seconds,
+                      want.seconds * 1e-12)
+              << backend->name() << " " << ToString(id) << " x" << threads;
+        }
+      }
+    }
+  }
+  exec::SetThreads(1);
+  EXPECT_EQ(cell, golden.size());
 }
 
 }  // namespace

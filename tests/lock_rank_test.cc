@@ -1,7 +1,8 @@
 // Tests for the runtime lock-rank checker (common/mutex.{h,cc}): ordered
 // acquisition is silent, out-of-order / recursive / equal-rank
-// acquisition aborts with a diagnostic, and CondVar::Wait keeps the
-// held-lock stack consistent across the block.
+// acquisition aborts with a diagnostic, CondVar::Wait keeps the
+// held-lock stack consistent across the block, and the stack stays
+// usable by static destructors at process exit.
 //
 // The violation helpers are marked SWAN_NO_THREAD_SAFETY_ANALYSIS: they
 // exist to trip the *runtime* checker, and clang's static analysis would
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -117,6 +119,24 @@ TEST_F(LockRankTest, UnlockingAMutexNotHeldAborts) {
   if (!LockRankChecksEnabled()) GTEST_SKIP() << "checker compiled out";
   EXPECT_DEATH(UnlockNotHeld(),
                "lock-rank violation: unlocking mutex 'test.unheld'");
+}
+
+// At process exit the main thread's thread_locals are destroyed before
+// static destructors run, and some of those still lock (the global
+// thread pool's joins its workers). The held-lock stack must survive
+// that; under a sanitizer a dangling stack aborts the exit.
+void LockInStaticDestructorAtExit() {
+  static struct LocksOnDestruction {
+    Mutex mu{LockRank::kMetrics, "test.at-exit"};
+    ~LocksOnDestruction() { MutexLock lock(&mu); }
+  } locks_at_exit;
+  { MutexLock lock(&locks_at_exit.mu); }  // touch this thread's stack
+  std::exit(0);
+}
+
+TEST_F(LockRankTest, LockingFromStaticDestructorAtExitIsSafe) {
+  EXPECT_EXIT(LockInStaticDestructorAtExit(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 // --- CondVar interplay ------------------------------------------------

@@ -10,6 +10,7 @@
 #include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/profiling.h"
+#include "core/property_table_backend.h"
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
@@ -214,12 +215,16 @@ TEST_F(ObsProfileTest, SpanTreeShapeInvariantAcrossWidths) {
   core::ColVerticalBackend col(barton_.dataset);
   core::RowTripleBackend row(barton_.dataset,
                              rowstore::TripleRelation::PsoConfig());
+  core::RowVerticalBackend row_vert(barton_.dataset);
+  core::PropertyTableBackend property_table(barton_.dataset, 20);
   const std::vector<core::QueryId> queries = {
       core::QueryId::kQ1, core::QueryId::kQ2, core::QueryId::kQ5,
       core::QueryId::kQ2Star, core::QueryId::kQ6Star};
   for (core::BackendBase* backend :
        {static_cast<core::BackendBase*>(&col),
-        static_cast<core::BackendBase*>(&row)}) {
+        static_cast<core::BackendBase*>(&row),
+        static_cast<core::BackendBase*>(&row_vert),
+        static_cast<core::BackendBase*>(&property_table)}) {
     for (core::QueryId q : queries) {
       if (!backend->Supports(q)) continue;
       std::string reference;
@@ -238,6 +243,34 @@ TEST_F(ObsProfileTest, SpanTreeShapeInvariantAcrossWidths) {
               << width;
         }
       }
+    }
+  }
+}
+
+// Every row engine's query root span carries the rows the query returned,
+// so the text/JSON profile and the profile aggregator report them.
+TEST_F(ObsProfileTest, RowEngineRootSpanReportsRowsOut) {
+  core::RowTripleBackend row_triple(barton_.dataset,
+                                    rowstore::TripleRelation::PsoConfig());
+  core::RowVerticalBackend row_vert(barton_.dataset);
+  core::PropertyTableBackend property_table(barton_.dataset, 20);
+  const exec::ExecContext ectx(8);
+  for (core::BackendBase* backend :
+       {static_cast<core::BackendBase*>(&row_triple),
+        static_cast<core::BackendBase*>(&row_vert),
+        static_cast<core::BackendBase*>(&property_table)}) {
+    for (core::QueryId q : core::AllQueries()) {
+      const Measurement m =
+          bench_support::MeasureColdProfiled(backend, q, *ctx_, ectx, 1);
+      ASSERT_NE(m.profile, nullptr);
+      const obs::SpanNode& session = m.profile->root();
+      ASSERT_EQ(session.children.size(), 1u)
+          << backend->name() << " " << core::ToString(q);
+      EXPECT_GT(m.rows_returned, 0u)
+          << backend->name() << " " << core::ToString(q);
+      EXPECT_EQ(session.children[0]->rows_out, m.rows_returned)
+          << backend->name() << " " << core::ToString(q) << " span "
+          << session.children[0]->name;
     }
   }
 }

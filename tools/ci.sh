@@ -108,6 +108,12 @@ print('bench json smoke: OK')
     echo "=== release: planner smoke ==="
     SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
       >/dev/null || status=1
+    # Row-design smoke: the only bench that checks all three row designs
+    # (triple PSO, vertical, property table) against the reference on
+    # all 12 queries; it exits non-zero on any disagreement.
+    echo "=== release: row designs smoke ==="
+    SWAN_TRIPLES=20000 SWAN_REPS=1 "$RELEASE_DIR/bench/beyond_property_table" \
+      >/dev/null || status=1
     # Scale-out smoke, at the full default scale (release is fast
     # enough): 12-query equivalence at nodes {1,2,4} x threads {1,8},
     # the >=1.7x / >=3.0x cold-throughput gates, and the
