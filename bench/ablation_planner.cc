@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   const auto ectx = swan::bench::InitThreads(argc, argv);
   swan::bench::PrintHeader(
       "Ablation: cost-based planner vs hand-wired and heuristic orders",
-      "query planning layer (join ordering + star gather), q1-q8", config,
-      ectx);
+      "query planning layer (join ordering + run-time scan-join), q1-q8",
+      config, ectx);
 
   const auto barton = swan::bench_support::GenerateBarton(config);
   const auto vocab = swan::core::Vocabulary::Resolve(barton.dataset);
@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
       "columns are Backend::Match calls per plan mode (one cold run each).\n"
       "expected shape: cost-based <= as-written <= worst-order everywhere;\n"
       "the heuristic sits between — it fixes the pathological textual "
-      "orders\n(q2-q4, q6) but cannot see skew or pick star gathers.\n");
+      "orders\n(q2-q4, q6) but, without statistics, never annotates the "
+      "extents\nthe run-time scan-join needs.\n");
   char raw[96];
   std::snprintf(raw, sizeof(raw), "{\"losses\":%d,\"gates_passed\":%s}",
                 losses, losses == 0 ? "true" : "false");

@@ -41,7 +41,10 @@ int main(int argc, char** argv) {
   for (const auto& var : result.value().vars) std::printf("%-28s", var.c_str());
   std::printf("\n");
   for (const auto& row : result.value().rows) {
-    for (const auto& text : row.text) std::printf("%-28s", text.c_str());
+    for (uint64_t id : row) {
+      std::printf("%-28s",
+                  swan::sparql::TermText(barton.dataset, id).c_str());
+    }
     std::printf("\n");
   }
   std::printf("(%llu rows)\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -14,27 +15,68 @@ namespace swan::core {
 
 namespace {
 
+// Binding rows of one width, row-major in one buffer. The count is kept
+// apart from the buffer because a row may have no cells at all (the empty
+// binding every branch starts from, or a pattern of constants only).
+struct Rows {
+  std::vector<uint64_t> cells;
+  size_t count = 0;
+
+  // Appends a row of `width` cells: the first `n` copied from `row`, the
+  // rest kUnbound. Returns the new row's cells.
+  uint64_t* Append(const uint64_t* row, size_t n, size_t width) {
+    const size_t base = cells.size();
+    cells.insert(cells.end(), row, row + n);
+    cells.resize(base + width, kUnbound);
+    ++count;
+    return cells.data() + base;
+  }
+  void PopBack(size_t width) {
+    cells.resize(cells.size() - width);
+    --count;
+  }
+};
+
 // The binding table a branch builds up: one column per variable, in the
 // order the interpreter first binds them (the final remap to
-// PhysicalPlan::all_vars restores textual order).
+// PhysicalPlan::all_vars restores textual order). A step may add names to
+// `vars` before it writes rows of the new width, so `width` is the width
+// of the rows currently held.
 struct Table {
   static constexpr size_t npos = static_cast<size_t>(-1);
 
   std::vector<std::string> vars;
-  std::unordered_map<std::string, size_t> var_index;
-  std::vector<std::vector<uint64_t>> rows;
+  size_t width = 0;
+  Rows rows;
+
+  const uint64_t* Row(size_t i) const { return rows.cells.data() + i * width; }
 
   size_t Find(const std::string& v) const {
-    const auto it = var_index.find(v);
-    return it == var_index.end() ? npos : it->second;
+    const auto it = std::find(vars.begin(), vars.end(), v);
+    return it == vars.end() ? npos : static_cast<size_t>(it - vars.begin());
   }
   size_t AddVar(const std::string& v) {
-    const size_t idx = vars.size();
     vars.push_back(v);
-    var_index.emplace(v, idx);
-    return idx;
+    return vars.size() - 1;
+  }
+  void Replace(Rows next) {
+    rows = std::move(next);
+    width = vars.size();
   }
 };
+
+// Re-lays the rows at the table's current variable count, padding the new
+// cells with kUnbound.
+void Widen(Table* table) {
+  const size_t width = table->vars.size();
+  if (width == table->width) return;
+  Rows next;
+  next.cells.reserve(table->rows.count * width);
+  for (size_t i = 0; i < table->rows.count; ++i) {
+    next.Append(table->Row(i), table->width, width);
+  }
+  table->Replace(std::move(next));
+}
 
 // Index of a variable in the binding table, or nullopt for constants.
 struct SlotRef {
@@ -62,6 +104,14 @@ std::string StepSpanName(const char* base, double est_out) {
          std::to_string(static_cast<long long>(std::llround(est_out)));
 }
 
+// A filter with its variables resolved to binding-table columns once per
+// application, not once per row.
+struct BoundFilter {
+  const plan::FilterExpr* expr;
+  size_t lhs_col;
+  std::vector<size_t> operand_cols;  // npos for constant operands
+};
+
 // Evaluates filters against binding rows. Dictionary-id comparisons are
 // direct; numeric comparisons go through the plan's NumericResolver with
 // per-query memoization. SPARQL error semantics throughout: a comparison
@@ -72,21 +122,18 @@ class FilterEvaluator {
   explicit FilterEvaluator(const plan::NumericResolver& numeric)
       : numeric_(numeric) {}
 
-  bool Passes(const plan::FilterExpr& filter, const Table& table,
-              const std::vector<uint64_t>& row) {
-    const size_t lhs_col = table.Find(filter.var);
-    if (lhs_col == Table::npos || lhs_col >= row.size()) return false;
-    const uint64_t lhs = row[lhs_col];
+  bool Passes(const BoundFilter& bound, const uint64_t* row) {
+    const plan::FilterExpr& filter = *bound.expr;
+    if (bound.lhs_col == Table::npos) return false;
+    const uint64_t lhs = row[bound.lhs_col];
     if (lhs == kUnbound) return false;
 
-    auto operand_id =
-        [&](const plan::FilterOperand& v) -> std::optional<uint64_t> {
+    auto operand_id = [&](size_t i) -> std::optional<uint64_t> {
+      const plan::FilterOperand& v = filter.values[i];
       if (!v.is_var()) return v.id;
-      const size_t c = table.Find(v.var);
-      if (c == Table::npos || c >= row.size()) return std::nullopt;
-      const uint64_t val = row[c];
-      if (val == kUnbound) return std::nullopt;
-      return val;
+      const size_t c = bound.operand_cols[i];
+      if (c == Table::npos || row[c] == kUnbound) return std::nullopt;
+      return row[c];
     };
 
     // Equality against one operand. `defined` is false when the
@@ -94,10 +141,11 @@ class FilterEvaluator {
     // numeric operand against a non-numeric lhs) — then both `=` and
     // `!=` are false. An operand absent from the dictionary is a valid
     // term that simply equals nothing in the store.
-    auto equals = [&](const plan::FilterOperand& v, bool* defined) {
+    auto equals = [&](size_t i, bool* defined) {
+      const plan::FilterOperand& v = filter.values[i];
       *defined = true;
       if (v.is_var()) {
-        const auto rid = operand_id(v);
+        const auto rid = operand_id(i);
         if (!rid) {
           *defined = false;
           return false;
@@ -119,17 +167,17 @@ class FilterEvaluator {
     switch (filter.op) {
       case plan::FilterOp::kEq: {
         bool defined = false;
-        return equals(filter.values[0], &defined) && defined;
+        return equals(0, &defined) && defined;
       }
       case plan::FilterOp::kNe: {
         bool defined = false;
-        const bool eq = equals(filter.values[0], &defined);
+        const bool eq = equals(0, &defined);
         return defined && !eq;
       }
       case plan::FilterOp::kIn: {
-        for (const plan::FilterOperand& v : filter.values) {
+        for (size_t i = 0; i < filter.values.size(); ++i) {
           bool defined = false;
-          if (equals(v, &defined) && defined) return true;
+          if (equals(i, &defined) && defined) return true;
         }
         return false;
       }
@@ -143,7 +191,7 @@ class FilterEvaluator {
     const plan::FilterOperand& v = filter.values[0];
     std::optional<double> rn;
     if (v.is_var()) {
-      const auto rid = operand_id(v);
+      const auto rid = operand_id(0);
       if (rid) rn = NumberOf(*rid);
     } else if (v.number) {
       rn = v.number;
@@ -179,282 +227,248 @@ class FilterEvaluator {
   std::unordered_map<uint64_t, std::optional<double>> memo_;
 };
 
-// Drops the rows failing any of `filters`, preserving row order.
+// Drops the rows failing any of `filters`, compacting the survivors in
+// place and preserving their order.
 void ApplyFilters(const std::vector<plan::FilterExpr>& filters,
                   FilterEvaluator* eval, Table* table) {
-  if (filters.empty() || table->rows.empty()) return;
-  std::vector<std::vector<uint64_t>> kept;
-  kept.reserve(table->rows.size());
-  for (auto& row : table->rows) {
-    bool ok = true;
-    for (const plan::FilterExpr& f : filters) {
-      if (!eval->Passes(f, *table, row)) {
-        ok = false;
-        break;
-      }
+  if (filters.empty() || table->rows.count == 0) return;
+  std::vector<BoundFilter> bound;
+  for (const plan::FilterExpr& f : filters) {
+    BoundFilter b{&f, table->Find(f.var), {}};
+    for (const plan::FilterOperand& v : f.values) {
+      b.operand_cols.push_back(v.is_var() ? table->Find(v.var) : Table::npos);
     }
-    if (ok) kept.push_back(std::move(row));
+    bound.push_back(std::move(b));
   }
-  table->rows = std::move(kept);
+  const size_t width = table->width;
+  uint64_t* cells = table->rows.cells.data();
+  size_t kept = 0;
+  for (size_t i = 0; i < table->rows.count; ++i) {
+    const uint64_t* row = cells + i * width;
+    const bool ok = std::all_of(
+        bound.begin(), bound.end(),
+        [&](const BoundFilter& b) { return eval->Passes(b, row); });
+    if (!ok) continue;
+    if (kept != i) std::copy_n(row, width, cells + kept * width);
+    ++kept;
+  }
+  table->rows.count = kept;
+  table->rows.cells.resize(kept * width);
 }
 
 // Bindings per extension batch: one Match per binding dominates the work,
 // so small batches balance skewed fan-outs across lanes.
 constexpr uint64_t kBindingsPerBatch = 16;
 
-// Extends every binding row with the matches of one instantiated pattern
-// — the classic index-nested-loop step, unchanged by the planner refactor
-// (ordering decisions moved out; the mechanics stayed).
+// Whether a step is answered by one pass over its property's extent
+// instead of one Match per binding row. Eligible: a constant property
+// whose extent the planner annotated, and a subject variable bound by an
+// earlier step. Priced with the plan's access hints: each probe pays a
+// seek and materializes its estimated matches; the scan-join pays one
+// seek and one sequential pass over the extent, its triples priced as
+// scanned. The row count is the actual one — a skewed constant the
+// planner's uniform estimate missed still gets the one-pass join — so the
+// cheaper side wins outright, with no safety margin.
+bool ChooseScanJoin(const plan::PhysStep& step, const plan::AccessHints& h,
+                    const SlotRef& s, size_t known_vars, uint64_t rows) {
+  if (step.extent < 0 || step.est_matches < 0 ||
+      step.pattern.property.is_var || !s.var_index ||
+      *s.var_index >= known_vars) {
+    return false;
+  }
+  const double probe_cost =
+      static_cast<double>(rows) *
+      (h.seek_cost + step.est_matches * h.result_row_cost);
+  const double scan_cost = h.seek_cost + step.extent * h.scan_row_cost;
+  return scan_cost < probe_cost;
+}
+
+// Forward ship leg for annotated scale-out probe steps: the binding table
+// (or its distinct-key semi-join filter) travels coordinator -> home
+// before the probes run there. Charged from actual row counts — the
+// estimates only picked the strategy. The result-return leg is charged
+// per Match by the sharded backend, so it is not repeated here.
+void ChargeShipLeg(const Backend& backend, const plan::PhysStep& step,
+                   const exec::ExecContext& ectx, const Table& table,
+                   std::initializer_list<const SlotRef*> refs,
+                   size_t known_vars) {
+  const uint64_t n = table.rows.count;
+  if (step.ship == plan::ShipMode::kLocal || step.home_node < 0 || n == 0) {
+    return;
+  }
+  DistRouting* dist = backend.dist();
+  if (dist == nullptr) return;
+  const int src = dist->Coordinator();
+  if (step.ship == plan::ShipMode::kShipBindings) {
+    const uint64_t width = std::max<size_t>(known_vars, 1);
+    dist->Ship(src, step.home_node, n * width * plan::kBytesPerBindingCell,
+               (n + plan::kBindingsPerMessage - 1) / plan::kBindingsPerMessage,
+               ectx);
+    return;
+  }
+  // The filter is the distinct values of the already-bound variable terms
+  // this pattern joins on.
+  std::set<uint64_t> keys;
+  for (const SlotRef* ref : refs) {
+    if (!ref->var_index || *ref->var_index >= known_vars) continue;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t v = table.Row(i)[*ref->var_index];
+      if (v != kUnbound) keys.insert(v);
+    }
+  }
+  const uint64_t distinct = std::max<uint64_t>(keys.size(), 1);
+  dist->Ship(src, step.home_node, distinct * plan::kBytesPerKey, 1, ectx);
+}
+
+// Extends every binding row with the matches of one instantiated pattern.
+// Two strategies, chosen per step at run time (ChooseScanJoin): probing —
+// the classic index-nested-loop step, one Match per row — or a scan-join,
+// one Match for the property's extent joined on the subject through
+// binary search over the subject-ordered extent. Both emit each input
+// row's extensions contiguously and in table order, which the OPTIONAL
+// merge relies on.
 void ExtendStep(const Backend& backend, const plan::PhysStep& step,
-                const exec::ExecContext& ectx, obs::Histogram* batch_hist,
-                Table* table) {
+                const plan::AccessHints& hints, const exec::ExecContext& ectx,
+                obs::Histogram* batch_hist, Table* table) {
   const plan::BgpPattern& pattern = step.pattern;
-  // One span per extension step, opened on the control thread; the
-  // Match spans inside worker lanes are suppressed automatically.
-  obs::Span extend_span(ectx.trace(), StepSpanName("bgp.extend", step.est_out));
-  extend_span.set_rows_in(table->rows.size());
-  const size_t known_vars = table->vars.size();
+  const size_t known_vars = table->width;
   const SlotRef s = ResolveTerm(pattern.subject, table);
   const SlotRef p = ResolveTerm(pattern.property, table);
   const SlotRef o = ResolveTerm(pattern.object, table);
+  const size_t width = table->vars.size();
+  const uint64_t n = table->rows.count;
+  const bool scan_join = ChooseScanJoin(step, hints, s, known_vars, n);
 
-  // Forward ship leg for annotated scale-out steps: the binding table
-  // (or its distinct-key semi-join filter) travels coordinator -> home
-  // before the probes run there. Charged from actual row counts — the
-  // estimates only picked the strategy. The result-return leg is charged
-  // per Match by the sharded backend, so it is not repeated here.
-  if (step.ship != plan::ShipMode::kLocal && step.home_node >= 0 &&
-      !table->rows.empty()) {
-    if (DistRouting* dist = backend.dist()) {
-      const int src = dist->Coordinator();
-      const uint64_t n = table->rows.size();
-      if (step.ship == plan::ShipMode::kShipBindings) {
-        const uint64_t width = std::max<size_t>(known_vars, 1);
-        dist->Ship(src, step.home_node,
-                   n * width * plan::kBytesPerBindingCell,
-                   (n + plan::kBindingsPerMessage - 1) /
-                       plan::kBindingsPerMessage,
-                   ectx);
-      } else {
-        // The filter is the distinct values of the already-bound
-        // variable terms this pattern joins on.
-        std::set<uint64_t> keys;
-        for (const SlotRef* ref : {&s, &p, &o}) {
-          if (!ref->var_index || *ref->var_index >= known_vars) continue;
-          for (const auto& row : table->rows) {
-            if (*ref->var_index < row.size() &&
-                row[*ref->var_index] != kUnbound) {
-              keys.insert(row[*ref->var_index]);
-            }
-          }
-        }
-        const uint64_t distinct = std::max<uint64_t>(keys.size(), 1);
-        dist->Ship(src, step.home_node, distinct * plan::kBytesPerKey, 1,
-                   ectx);
-      }
+  // One span per step, opened on the control thread; the Match spans
+  // inside worker lanes are suppressed automatically.
+  obs::Span span(ectx.trace(),
+                 StepSpanName(scan_join ? "bgp.scan_join" : "bgp.extend",
+                              step.est_out));
+  span.set_rows_in(n);
+
+  // Appends `row` extended by `t`, unless a variable repeated within the
+  // pattern (e.g. (?x, p, ?x)) or one an earlier OPTIONAL left unbound
+  // disagrees. Fresh cells start kUnbound, so one rule covers both: an
+  // unbound cell takes the value, a bound one must equal it.
+  auto emit = [&](const uint64_t* row, const rdf::Triple& t, Rows* out) {
+    uint64_t* cells = out->Append(row, known_vars, width);
+    auto bind = [cells](const SlotRef& ref, uint64_t value) {
+      if (!ref.var_index) return true;
+      uint64_t& cell = cells[*ref.var_index];
+      if (cell == kUnbound) cell = value;
+      return cell == value;
+    };
+    if (!bind(s, t.subject) || !bind(p, t.property) || !bind(o, t.object)) {
+      out->PopBack(width);
     }
-  }
+  };
 
-  auto bound_value = [&](const SlotRef& ref, const std::vector<uint64_t>& row)
-      -> std::optional<uint64_t> {
+  // A variable padded to kUnbound by an earlier OPTIONAL is free again
+  // (SPARQL compatible-binding semantics), as is one this pattern
+  // introduces.
+  auto bound_value = [&](const SlotRef& ref,
+                         const uint64_t* row) -> std::optional<uint64_t> {
     if (!ref.var_index) return ref.const_id;
-    // A variable padded to kUnbound by an earlier OPTIONAL is free again
-    // (SPARQL compatible-binding semantics), as is one this pattern
-    // introduces.
-    if (*ref.var_index < row.size() && row[*ref.var_index] != kUnbound) {
+    if (*ref.var_index < known_vars && row[*ref.var_index] != kUnbound) {
       return row[*ref.var_index];
     }
     return std::nullopt;
   };
-
-  // Extends one binding row with every match of the instantiated
-  // pattern, appending the surviving extensions to *out in match order.
-  auto extend_row = [&](const std::vector<uint64_t>& row,
-                        std::vector<std::vector<uint64_t>>* out) {
+  auto probe = [&](const uint64_t* row, Rows* out) {
     rdf::TriplePattern tp;
     tp.subject = bound_value(s, row);
     tp.property = bound_value(p, row);
     tp.object = bound_value(o, row);
-
     ++ectx.counters().match_calls;
-    for (const rdf::Triple& t : backend.Match(tp, ectx)) {
-      // Extend the binding; enforce consistency for variables repeated
-      // *within* this pattern (e.g. (?x, p, ?x)).
-      std::vector<uint64_t> extended = row;
-      extended.resize(table->vars.size(), 0);
-      std::vector<bool> set_now(table->vars.size() - known_vars, false);
-      bool consistent = true;
-      auto bind = [&](const SlotRef& ref, uint64_t value) {
-        if (!ref.var_index) return;
-        if (*ref.var_index < known_vars) {
-          // A known variable may still be unbound in this row (OPTIONAL
-          // padding): Match did not enforce it, so bind/check it here.
-          uint64_t& cell = extended[*ref.var_index];
-          if (cell == kUnbound) {
-            cell = value;
-          } else if (cell != value) {
-            consistent = false;
-          }
-          return;
-        }
-        const size_t local = *ref.var_index - known_vars;
-        if (set_now[local] && extended[*ref.var_index] != value) {
-          consistent = false;
-          return;
-        }
-        extended[*ref.var_index] = value;
-        set_now[local] = true;
-      };
-      bind(s, t.subject);
-      bind(p, t.property);
-      bind(o, t.object);
-      if (consistent) out->push_back(std::move(extended));
-    }
+    for (const rdf::Triple& t : backend.Match(tp, ectx)) emit(row, t, out);
   };
 
-  std::vector<std::vector<uint64_t>> next_rows;
-  const uint64_t n = table->rows.size();
-  if (batch_hist != nullptr) {
-    // Observe the *logical* batch split (a function of n alone), not the
-    // executed one, so the distribution matches at every thread width.
-    if (n >= 2 * kBindingsPerBatch) {
-      for (uint64_t lo = 0; lo < n; lo += kBindingsPerBatch) {
-        batch_hist->Observe(std::min(n, lo + kBindingsPerBatch) - lo);
-      }
-    } else {
-      batch_hist->Observe(n);
-    }
-  }
-  const uint64_t batches = ectx.parallel() && n >= 2 * kBindingsPerBatch
-                               ? (n + kBindingsPerBatch - 1) / kBindingsPerBatch
-                               : 1;
-  if (batches <= 1) {
-    for (const auto& row : table->rows) extend_row(row, &next_rows);
-  } else {
-    // Order-preserving stitch: batch b covers a contiguous row range,
-    // and batch outputs concatenate in batch order — the exact serial
-    // extension sequence regardless of lane interleaving.
-    ectx.counters().bgp_batches += batches;
-    std::vector<std::vector<std::vector<uint64_t>>> batch_out(batches);
-    ectx.ParallelFor(batches, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-      for (uint64_t batch = b; batch < e; ++batch) {
-        const uint64_t lo = batch * kBindingsPerBatch;
-        const uint64_t hi = std::min<uint64_t>(n, lo + kBindingsPerBatch);
-        for (uint64_t i = lo; i < hi; ++i) {
-          extend_row(table->rows[i], &batch_out[batch]);
-        }
-      }
-    });
-    size_t total = 0;
-    for (const auto& out : batch_out) total += out.size();
-    next_rows.reserve(total);
-    for (auto& out : batch_out) {
-      for (auto& row : out) next_rows.push_back(std::move(row));
-    }
-  }
-  table->rows = std::move(next_rows);
-  extend_span.set_rows_out(table->rows.size());
-}
-
-// Same-subject star elimination: reads each arm's property partition once
-// (one Match per arm, instead of one per binding row per arm) and joins
-// the arms on the subject. Row order stays deterministic — existing rows
-// are walked in order, and fresh subjects follow the first arm's match
-// order — so results are bit-identical to the probing plan's set at any
-// thread width.
-void StarGatherStep(const Backend& backend, const plan::PhysStep& step,
-                    const exec::ExecContext& ectx, Table* table) {
-  obs::Span span(ectx.trace(), StepSpanName("bgp.star", step.est_out));
-  span.set_rows_in(table->rows.size());
-  ++ectx.counters().star_gathers;
-
-  struct Arm {
-    std::optional<size_t> out_col;  // set when the object is a variable
-    std::unordered_map<uint64_t, std::vector<uint64_t>> by_subject;
-  };
-  std::vector<Arm> arms(step.arms.size());
-  std::vector<uint64_t> subject_order;  // first-occurrence order in arm 0
-
-  for (size_t a = 0; a < step.arms.size(); ++a) {
-    const plan::BgpPattern& p = step.arms[a];
+  Rows next;
+  if (scan_join) {
+    // Nothing ships forward on a scale-out backend: Match returns the
+    // extent to the coordinator and charges that leg itself.
+    ++ectx.counters().star_gathers;
+    ++ectx.counters().match_calls;
     rdf::TriplePattern tp;
-    tp.property = p.property.id;
-    if (!p.object.is_var) tp.object = p.object.id;
-    ++ectx.counters().match_calls;
-    for (const rdf::Triple& t : backend.Match(tp, ectx)) {
-      auto [it, fresh] = arms[a].by_subject.try_emplace(t.subject);
-      if (fresh && a == 0) subject_order.push_back(t.subject);
-      it->second.push_back(t.object);
+    tp.property = p.const_id;
+    if (!o.var_index) tp.object = o.const_id;
+    std::vector<rdf::Triple> extent = backend.Match(tp, ectx);
+    const auto by_subject = [](const rdf::Triple& a, const rdf::Triple& b) {
+      return a.subject < b.subject;
+    };
+    if (!std::is_sorted(extent.begin(), extent.end(), by_subject)) {
+      std::stable_sort(extent.begin(), extent.end(), by_subject);
     }
-  }
-
-  const std::string& subj_name = step.arms[0].subject.var;
-  const size_t existing = table->Find(subj_name);
-  const bool subj_bound = existing != Table::npos;
-  const size_t subj_col = subj_bound ? existing : table->AddVar(subj_name);
-  for (size_t a = 0; a < step.arms.size(); ++a) {
-    if (step.arms[a].object.is_var) {
-      arms[a].out_col = table->AddVar(step.arms[a].object.var);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t* row = table->Row(i);
+      const uint64_t subject = row[*s.var_index];
+      if (subject == kUnbound) {  // OPTIONAL padding: probe this row
+        probe(row, &next);
+        continue;
+      }
+      const auto [lo, hi] =
+          std::equal_range(extent.begin(), extent.end(),
+                           rdf::Triple{subject, 0, 0}, by_subject);
+      for (auto it = lo; it != hi; ++it) emit(row, *it, &next);
     }
-  }
-  const size_t width = table->vars.size();
-
-  // Emits the cross product of the arms' objects for one subject, earlier
-  // arms varying slowest. Constant-object arms are presence checks only.
-  auto emit = [&](uint64_t subject, const std::vector<uint64_t>& base,
-                  std::vector<std::vector<uint64_t>>* out) {
-    std::vector<const std::vector<uint64_t>*> lists;
-    std::vector<size_t> cols;
-    for (const Arm& arm : arms) {
-      const auto it = arm.by_subject.find(subject);
-      if (it == arm.by_subject.end()) return;  // subject misses this arm
-      if (arm.out_col) {
-        lists.push_back(&it->second);
-        cols.push_back(*arm.out_col);
+  } else {
+    ChargeShipLeg(backend, step, ectx, *table, {&s, &p, &o}, known_vars);
+    if (batch_hist != nullptr) {
+      // Observe the *logical* batch split (a function of n alone), not the
+      // executed one, so the distribution matches at every thread width.
+      if (n >= 2 * kBindingsPerBatch) {
+        for (uint64_t lo = 0; lo < n; lo += kBindingsPerBatch) {
+          batch_hist->Observe(std::min(n, lo + kBindingsPerBatch) - lo);
+        }
+      } else {
+        batch_hist->Observe(n);
       }
     }
-    uint64_t total = 1;
-    for (const auto* l : lists) total *= l->size();
-    for (uint64_t t = 0; t < total; ++t) {
-      std::vector<uint64_t> row = base;
-      row.resize(width, 0);
-      row[subj_col] = subject;
-      uint64_t rem = t;
-      for (size_t k = lists.size(); k-- > 0;) {
-        row[cols[k]] = (*lists[k])[rem % lists[k]->size()];
-        rem /= lists[k]->size();
-      }
-      out->push_back(std::move(row));
-    }
-  };
-
-  std::vector<std::vector<uint64_t>> next_rows;
-  for (const auto& row : table->rows) {
-    if (subj_bound) {
-      if (subj_col < row.size() && row[subj_col] != kUnbound) {
-        emit(row[subj_col], row, &next_rows);
-      }
+    const uint64_t batches =
+        ectx.parallel() && n >= 2 * kBindingsPerBatch
+            ? (n + kBindingsPerBatch - 1) / kBindingsPerBatch
+            : 1;
+    if (batches <= 1) {
+      for (uint64_t i = 0; i < n; ++i) probe(table->Row(i), &next);
     } else {
-      for (uint64_t subject : subject_order) emit(subject, row, &next_rows);
+      // Order-preserving stitch: batch b covers a contiguous row range,
+      // and batch outputs concatenate in batch order — the exact serial
+      // extension sequence regardless of lane interleaving.
+      ectx.counters().bgp_batches += batches;
+      std::vector<Rows> batch_out(batches);
+      ectx.ParallelFor(batches, 1, [&](uint64_t b, uint64_t e, uint64_t) {
+        for (uint64_t batch = b; batch < e; ++batch) {
+          const uint64_t lo = batch * kBindingsPerBatch;
+          const uint64_t hi = std::min<uint64_t>(n, lo + kBindingsPerBatch);
+          for (uint64_t i = lo; i < hi; ++i) {
+            probe(table->Row(i), &batch_out[batch]);
+          }
+        }
+      });
+      size_t total = 0;
+      for (const Rows& out : batch_out) total += out.cells.size();
+      next.cells.reserve(total);
+      for (const Rows& out : batch_out) {
+        next.cells.insert(next.cells.end(), out.cells.begin(),
+                          out.cells.end());
+        next.count += out.count;
+      }
     }
   }
-  table->rows = std::move(next_rows);
-  span.set_rows_out(table->rows.size());
+  table->Replace(std::move(next));
+  span.set_rows_out(table->rows.count);
 }
 
-// Runs a pipeline's steps (extensions and star gathers) plus their
-// attached filters over the table.
+// Runs a pipeline's extension steps plus their attached filters over the
+// table.
 void RunSteps(const Backend& backend, const std::vector<plan::PhysStep>& steps,
-              const exec::ExecContext& ectx, obs::Histogram* batch_hist,
-              FilterEvaluator* eval, Table* table) {
+              const plan::AccessHints& hints, const exec::ExecContext& ectx,
+              obs::Histogram* batch_hist, FilterEvaluator* eval,
+              Table* table) {
   for (const plan::PhysStep& step : steps) {
-    if (step.kind == plan::StepKind::kExtend) {
-      ExtendStep(backend, step, ectx, batch_hist, table);
-    } else {
-      StarGatherStep(backend, step, ectx, table);
-    }
+    ExtendStep(backend, step, hints, ectx, batch_hist, table);
     ApplyFilters(step.filters, eval, table);
-    if (table->rows.empty()) break;
+    if (table->rows.count == 0) break;
   }
 }
 
@@ -464,65 +478,69 @@ void RunSteps(const Backend& backend, const std::vector<plan::PhysStep>& steps,
 // versions, the rest are padded with kUnbound for the optional's fresh
 // variables.
 void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
+                   const plan::AccessHints& hints,
                    const exec::ExecContext& ectx, obs::Histogram* batch_hist,
                    FilterEvaluator* eval, Table* table) {
-  if (optional.always_empty || table->rows.empty()) {
-    // Nothing to join; the fresh columns still exist, all-unbound.
+  const auto add_fresh_vars = [&] {
+    std::vector<size_t> cols;
     for (const std::string& v : optional.vars) {
-      if (table->Find(v) == Table::npos) table->AddVar(v);
+      const size_t c = table->Find(v);
+      cols.push_back(c != Table::npos ? c : table->AddVar(v));
     }
-    for (auto& row : table->rows) row.resize(table->vars.size(), kUnbound);
+    return cols;
+  };
+  if (optional.always_empty || table->rows.count == 0) {
+    // Nothing to join; the fresh columns still exist, all-unbound.
+    add_fresh_vars();
+    Widen(table);
     return;
   }
   obs::Span span(ectx.trace(), "bgp.optional");
-  span.set_rows_in(table->rows.size());
+  span.set_rows_in(table->rows.count);
 
   // Parser variables are alphanumeric, so "#src" cannot collide.
-  Table work = *table;
-  const size_t src_col = work.AddVar("#src");
-  for (size_t i = 0; i < work.rows.size(); ++i) {
-    work.rows[i].push_back(static_cast<uint64_t>(i));
+  const size_t in_width = table->width;
+  const size_t src_col = in_width;
+  Table work;
+  work.vars = table->vars;
+  work.AddVar("#src");
+  Rows tagged;
+  tagged.cells.reserve(table->rows.count * (in_width + 1));
+  for (size_t i = 0; i < table->rows.count; ++i) {
+    tagged.Append(table->Row(i), in_width, in_width + 1)[src_col] = i;
   }
-  RunSteps(backend, optional.steps, ectx, batch_hist, eval, &work);
+  work.Replace(std::move(tagged));
+  RunSteps(backend, optional.steps, hints, ectx, batch_hist, eval, &work);
 
-  std::vector<size_t> fresh_out, fresh_work;
-  for (const std::string& v : optional.vars) {
-    size_t out = table->Find(v);
-    if (out == Table::npos) out = table->AddVar(v);
-    fresh_out.push_back(out);
-    fresh_work.push_back(work.Find(v));
-  }
+  const std::vector<size_t> fresh_out = add_fresh_vars();
+  std::vector<size_t> fresh_work;
+  for (const std::string& v : optional.vars) fresh_work.push_back(work.Find(v));
   const size_t width = table->vars.size();
 
   // Extension steps are order-preserving, so the surviving work rows stay
   // grouped in ascending provenance order: one forward merge pass.
-  std::vector<std::vector<uint64_t>> merged;
+  Rows merged;
+  merged.cells.reserve(std::max(work.rows.count, table->rows.count) * width);
   size_t next = 0;
-  for (size_t i = 0; i < table->rows.size(); ++i) {
+  for (size_t i = 0; i < table->rows.count; ++i) {
     bool any = false;
-    while (next < work.rows.size() && work.rows[next][src_col] == i) {
-      const std::vector<uint64_t>& wrow = work.rows[next];
-      std::vector<uint64_t> out(width, kUnbound);
+    while (next < work.rows.count && work.Row(next)[src_col] == i) {
+      const uint64_t* wrow = work.Row(next);
       // Required columns ride along in the work table (the optional may
       // even have bound a previously-unbound one).
-      for (size_t c = 0; c < src_col; ++c) out[c] = wrow[c];
+      uint64_t* out = merged.Append(wrow, src_col, width);
       for (size_t k = 0; k < fresh_out.size(); ++k) {
-        out[fresh_out[k]] = fresh_work[k] == Table::npos
-                                ? kUnbound
-                                : wrow[fresh_work[k]];
+        if (fresh_work[k] != Table::npos) {
+          out[fresh_out[k]] = wrow[fresh_work[k]];
+        }
       }
-      merged.push_back(std::move(out));
       any = true;
       ++next;
     }
-    if (!any) {
-      std::vector<uint64_t> out = table->rows[i];
-      out.resize(width, kUnbound);
-      merged.push_back(std::move(out));
-    }
+    if (!any) merged.Append(table->Row(i), in_width, width);
   }
-  table->rows = std::move(merged);
-  span.set_rows_out(table->rows.size());
+  table->Replace(std::move(merged));
+  span.set_rows_out(table->rows.count);
 }
 
 }  // namespace
@@ -530,12 +548,9 @@ void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
 Result<BgpResult> ExecutePlan(const Backend& backend,
                               const plan::PhysicalPlan& plan,
                               const exec::ExecContext& ectx) {
-  BgpResult result;
-  result.vars = plan.all_vars;
-
-  // Binding-batch size distribution across all extension steps. Batch
-  // sizes depend only on binding counts, never on the thread budget, so
-  // the histogram is width-invariant.
+  // Binding-batch size distribution across all probe steps. Batch sizes
+  // depend only on binding counts, never on the thread budget, so the
+  // histogram is width-invariant.
   obs::Histogram* batch_hist = nullptr;
   if (obs::TraceSession* session = ectx.trace()) {
     batch_hist = session->metrics().GetHistogram(
@@ -543,27 +558,38 @@ Result<BgpResult> ExecutePlan(const Backend& backend,
   }
   FilterEvaluator eval(plan.numeric);
 
+  std::vector<Table> tables;
+  size_t total_rows = 0;
   for (const plan::PhysPipeline& branch : plan.branches) {
     if (branch.always_empty) continue;
     Table table;
-    table.rows.push_back({});  // one empty binding
-    RunSteps(backend, branch.steps, ectx, batch_hist, &eval, &table);
+    table.rows.count = 1;  // one empty binding
+    RunSteps(backend, branch.steps, plan.hints, ectx, batch_hist, &eval,
+             &table);
     for (const plan::PhysPipeline& optional : branch.optionals) {
-      ApplyOptional(backend, optional, ectx, batch_hist, &eval, &table);
+      ApplyOptional(backend, optional, plan.hints, ectx, batch_hist, &eval,
+                    &table);
     }
     ApplyFilters(branch.post_filters, &eval, &table);
+    total_rows += table.rows.count;
+    tables.push_back(std::move(table));
+  }
 
-    // Align this branch's columns to the query-wide textual order.
-    std::vector<size_t> col(plan.all_vars.size(), Table::npos);
-    for (size_t j = 0; j < plan.all_vars.size(); ++j) {
+  // Align every branch's columns to the query-wide textual order.
+  BgpResult result;
+  result.vars = plan.all_vars;
+  result.rows.reserve(total_rows);
+  for (const Table& table : tables) {
+    std::vector<size_t> col(plan.all_vars.size());
+    for (size_t j = 0; j < col.size(); ++j) {
       col[j] = table.Find(plan.all_vars[j]);
     }
-    for (const auto& row : table.rows) {
-      std::vector<uint64_t> out(plan.all_vars.size(), kUnbound);
-      for (size_t j = 0; j < out.size(); ++j) {
-        if (col[j] != Table::npos && col[j] < row.size()) out[j] = row[col[j]];
+    for (size_t i = 0; i < table.rows.count; ++i) {
+      const uint64_t* row = table.Row(i);
+      std::vector<uint64_t>& out = result.rows.emplace_back(col.size());
+      for (size_t j = 0; j < col.size(); ++j) {
+        out[j] = col[j] == Table::npos ? kUnbound : row[col[j]];
       }
-      result.rows.push_back(std::move(out));
     }
   }
   return result;

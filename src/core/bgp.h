@@ -22,8 +22,8 @@ namespace swan::core {
 // Since the planner refactor this file is the *interpreter* half of query
 // processing: pattern lists (or full logical plans, via the sparql layer)
 // are lowered by plan::Optimize into an annotated physical plan, and
-// ExecutePlan runs that plan — extension steps, star gathers, filters,
-// optionals, unions — against a backend.
+// ExecutePlan runs that plan — extension steps, filters, optionals,
+// unions — against a backend.
 
 // Term and BgpPattern live in plan/algebra.h so the planner layer stays
 // independent of the backends; re-exported here for the existing callers.
@@ -40,21 +40,24 @@ struct BgpResult {
   std::vector<std::vector<uint64_t>> rows;
 };
 
-// Interprets a physical plan against `backend`. Each branch runs by
-// iterative binding extension (index-nested-loop at the logical level):
-// for every partial binding the step's pattern is instantiated and matched
-// through Backend::Match; star-gather steps instead read each arm's
-// property partition once and hash-join on the subject. Filters attached
-// to a step apply right after it; OPTIONAL pipelines left-join after the
-// required steps; branch results concatenate in branch order with columns
-// aligned to plan.all_vars.
+// Interprets a physical plan against `backend`, a batch at a time: each
+// branch's binding table is one flat row-major buffer that every step
+// rewrites whole. A step extends every row with the matches of its
+// pattern by one of two strategies, chosen at run time from the actual
+// row count: probing (one Backend::Match per row, the instantiated
+// pattern) or, for a constant-property step whose subject an earlier step
+// bound, a scan-join (one Match for the property's extent, joined on the
+// subject) when the plan's cost model prices that cheaper.
+// Filters attached to a step apply right after it; OPTIONAL pipelines
+// left-join after the required steps; branch results concatenate in
+// branch order with columns aligned to plan.all_vars.
 //
-// Under a parallel ExecContext the binding table of each extension step is
+// Under a parallel ExecContext the binding table of each probe step is
 // range-partitioned into batches whose extensions run concurrently (each
 // batch issues its own Match calls); batch outputs concatenate in batch
 // order, so the binding rows come out in exactly the serial sequence at
 // every thread count. ectx.counters() records match_calls, bgp_batches and
-// star_gathers.
+// star_gathers (the steps run as scan-joins).
 Result<BgpResult> ExecutePlan(const Backend& backend,
                               const plan::PhysicalPlan& plan,
                               const exec::ExecContext& ectx);

@@ -21,7 +21,7 @@ struct OpCounters {
   std::atomic<uint64_t> merge_join_partitions{0};  // key-range join partitions
   std::atomic<uint64_t> match_calls{0};       // Backend::Match invocations
   std::atomic<uint64_t> bgp_batches{0};       // parallel binding-extension batches
-  std::atomic<uint64_t> star_gathers{0};      // same-subject star joins gathered
+  std::atomic<uint64_t> star_gathers{0};      // BGP steps run as scan-joins
   // Disk-cost snapshots, accumulated by the harness from the simulated
   // disk's deltas around each measured run (the disk itself never writes
   // here), so scheduler counters and I/O cost report side by side.

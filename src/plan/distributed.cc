@@ -9,44 +9,21 @@ namespace swan::plan {
 
 namespace {
 
-// Adds the step's variable terms to `vars`, returning how many cells a
-// binding row holds after the step.
+// Adds the step's variable terms to `vars`.
 void CollectVars(const PhysStep& step, std::set<std::string>* vars) {
-  auto add = [&](const Term& term) {
-    if (term.is_var) vars->insert(term.var);
-  };
-  if (step.kind == StepKind::kExtend) {
-    add(step.pattern.subject);
-    add(step.pattern.property);
-    add(step.pattern.object);
-  } else {
-    for (const BgpPattern& arm : step.arms) {
-      add(arm.subject);
-      add(arm.property);
-      add(arm.object);
-    }
+  for (const Term* term : {&step.pattern.subject, &step.pattern.property,
+                           &step.pattern.object}) {
+    if (term->is_var) vars->insert(term->var);
   }
 }
 
+// A step the interpreter runs as a scan-join ships nothing forward (its
+// one Match returns the extent and charges that leg itself); the
+// annotation prices the probe strategy.
 void AnnotateStep(PhysStep* step, const DistCostModel& model,
                   size_t width_in, size_t width_out) {
   step->home_node = -1;
   step->ship = ShipMode::kLocal;
-
-  if (step->kind == StepKind::kStarGather) {
-    // Each arm gathers its whole partition (Match-level shipping); the
-    // step is "local" to wherever the bindings are. Record a home only
-    // when every arm lives on the same node, for EXPLAIN.
-    int common = -2;
-    for (const BgpPattern& arm : step->arms) {
-      if (arm.property.is_var) return;
-      const int home = model.home_node(arm.property.id);
-      if (common == -2) common = home;
-      if (home != common) return;
-    }
-    if (common >= 0) step->home_node = common;
-    return;
-  }
 
   // An unbound property probes every node's partitions; a sub-split
   // property (-1) fans out regardless. Neither gains from shipping a

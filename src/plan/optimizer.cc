@@ -34,11 +34,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // conjunctions fall back to greedy minimum-cardinality ordering.
 constexpr size_t kDpLimit = 8;
 
-// Commit to a star gather only when the modeled probing cost exceeds the
-// gather cost by this factor — estimates are means over skewed data, so
-// the rewrite must be clearly, not marginally, cheaper.
-constexpr double kStarGatherMargin = 2.0;
-
 // --- Variable bitmaps -----------------------------------------------------
 // Join ordering tracks bound-variable sets as uint64 bitmaps. Groups with
 // more than 64 distinct variables (never the paper's workload) fall back
@@ -353,19 +348,6 @@ std::vector<size_t> CostOrder(const std::vector<BgpPattern>& patterns,
 
 // --- Group compilation ----------------------------------------------------
 
-struct OccurrenceCount {
-  std::unordered_map<std::string, int> count;
-  void AddPattern(const BgpPattern& p) {
-    for (const Term* t : {&p.subject, &p.property, &p.object}) {
-      if (t->is_var) ++count[t->var];
-    }
-  }
-  int Of(const std::string& var) const {
-    auto it = count.find(var);
-    return it == count.end() ? 0 : it->second;
-  }
-};
-
 void PatternVarsInto(const BgpPattern& p,
                      std::unordered_set<std::string>* vars) {
   for (const Term* t : {&p.subject, &p.property, &p.object}) {
@@ -374,13 +356,10 @@ void PatternVarsInto(const BgpPattern& p,
 }
 
 // Compiles one group (required or optional) into ordered physical steps.
-// `outer` holds the variables bound before the group runs; `occurrences`
-// counts variable uses across the whole branch (for the single-use test
-// of star-gather object columns).
+// `outer` holds the variables bound before the group runs.
 PhysPipeline CompileGroup(const GroupSpec& group,
                           const std::unordered_set<std::string>& outer,
-                          double est_in, const OccurrenceCount& occurrences,
-                          const PlannerOptions& opts) {
+                          double est_in, const PlannerOptions& opts) {
   PhysPipeline out;
   for (const BgpPattern& p : group.patterns) {
     std::vector<std::string> vs;
@@ -453,142 +432,35 @@ PhysPipeline CompileGroup(const GroupSpec& group,
 
   for (size_t i : order) {
     PhysStep step;
-    step.kind = StepKind::kExtend;
     step.pattern = group.patterns[i];
     step.source_index = group.sources[i];
     out.steps.push_back(std::move(step));
   }
 
-  // Cardinality annotations along the chosen order.
+  // Cardinality annotations along the chosen order, plus each
+  // constant-property step's extent for the interpreter's run-time choice
+  // between probing and one scan over the extent.
   double rows = std::max(est_in, 0.0);
   if (cost_mode || worst_mode) {
+    const StoreStats& stats = *opts.stats;
     uint64_t bound = outer_mask;
     for (size_t k = 0; k < out.steps.size(); ++k) {
       const size_t i = order[k];
-      const double fanout =
-          EstFanout(group.patterns[i], bound, &vars, *opts.stats);
+      const BgpPattern& p = group.patterns[i];
+      const double fanout = EstFanout(p, bound, &vars, stats);
       out.steps[k].est_in = rows;
       out.steps[k].est_matches = fanout;
       rows *= fanout;
       out.steps[k].est_out = rows;
+      if (cost_mode && !p.property.is_var) {
+        out.steps[k].extent = stats.EstimateMatches(
+            std::nullopt, p.property.id,
+            p.object.is_var ? std::nullopt
+                            : std::optional<uint64_t>(p.object.id));
+      }
       bound |= masks[i];
     }
     out.est_rows = rows;
-  }
-
-  // Same-subject self-join elimination: a maximal run of consecutive
-  // steps probing one subject variable through constant properties, whose
-  // object is a constant or a variable used nowhere else, collapses into
-  // a star gather when the modeled probe cost clearly exceeds reading the
-  // arms' extents once.
-  if (cost_mode) {
-    const StoreStats& stats = *opts.stats;
-    auto is_arm = [&](const PhysStep& step) {
-      if (step.kind != StepKind::kExtend) return false;
-      const BgpPattern& p = step.pattern;
-      if (!p.subject.is_var || p.property.is_var) return false;
-      if (!p.object.is_var) return true;
-      return p.object.var != p.subject.var &&
-             occurrences.Of(p.object.var) == 1 &&
-             outer.count(p.object.var) == 0;
-    };
-    std::vector<PhysStep> rewritten;
-    size_t k = 0;
-    while (k < out.steps.size()) {
-      size_t end = k;
-      while (end < out.steps.size() && is_arm(out.steps[end]) &&
-             out.steps[end].pattern.subject.var ==
-                 out.steps[k].pattern.subject.var) {
-        ++end;
-      }
-      const size_t run = end - k;
-      bool gathered = false;
-      if (run >= 2) {
-        // Decide arm by arm: an arm is gathered when reading its whole
-        // extent once clearly beats probing it per binding row. Mixed
-        // outcomes are fine — gathered arms collapse into one star step,
-        // the rest stay probes behind it.
-        std::vector<size_t> gather_idx, keep_idx;
-        for (size_t j = k; j < end; ++j) {
-          const PhysStep& step = out.steps[j];
-          // Probe side: one Match per binding row for this arm.
-          const double probe_cost =
-              std::max(step.est_in, 1.0) *
-              (opts.hints.seek_cost +
-               step.est_matches * opts.hints.result_row_cost);
-          // Gather side: read the arm's whole extent once.
-          const auto it = stats.by_property.find(step.pattern.property.id);
-          const double extent =
-              it == stats.by_property.end()
-                  ? 0.0
-                  : static_cast<double>(it->second.count);
-          const double gather_cost = opts.hints.seek_cost +
-                                     extent * opts.hints.result_row_cost;
-          if (gather_cost * kStarGatherMargin < probe_cost) {
-            gather_idx.push_back(j);
-          } else {
-            keep_idx.push_back(j);
-          }
-        }
-        if (!gather_idx.empty()) {
-          PhysStep star;
-          star.kind = StepKind::kStarGather;
-          for (size_t j : gather_idx) {
-            star.arms.push_back(out.steps[j].pattern);
-            star.arm_sources.push_back(out.steps[j].source_index);
-          }
-          // Textual arm order keeps EXPLAIN and the gathered column
-          // order independent of the probe order the DP picked.
-          std::vector<size_t> perm(star.arms.size());
-          for (size_t j = 0; j < perm.size(); ++j) perm[j] = j;
-          std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-            return star.arm_sources[a] < star.arm_sources[b];
-          });
-          PhysStep sorted = star;
-          for (size_t j = 0; j < perm.size(); ++j) {
-            sorted.arms[j] = star.arms[perm[j]];
-            sorted.arm_sources[j] = star.arm_sources[perm[j]];
-          }
-          sorted.source_index = sorted.arm_sources[0];
-          // The star replaces the gathered arms at the position of the
-          // first one, so cheaper probe arms the DP put before it keep
-          // filtering the bindings first. Re-anchor the cardinality
-          // annotations along the rewritten sequence.
-          double run_rows = std::max(out.steps[k].est_in, 0.0);
-          bool star_emitted = false;
-          for (size_t j = k; j < end; ++j) {
-            const bool gather_here =
-                std::find(gather_idx.begin(), gather_idx.end(), j) !=
-                gather_idx.end();
-            if (gather_here && !star_emitted) {
-              sorted.est_in = run_rows;
-              for (size_t g : gather_idx) run_rows *= out.steps[g].est_matches;
-              sorted.est_out = run_rows;
-              rewritten.push_back(std::move(sorted));
-              star_emitted = true;
-            } else if (!gather_here) {
-              PhysStep step = std::move(out.steps[j]);
-              step.est_in = run_rows;
-              run_rows *= step.est_matches;
-              step.est_out = run_rows;
-              rewritten.push_back(std::move(step));
-            }
-          }
-          gathered = true;
-        }
-      }
-      if (!gathered) {
-        for (size_t j = k; j < end; ++j) {
-          rewritten.push_back(std::move(out.steps[j]));
-        }
-        if (run == 0) {
-          rewritten.push_back(std::move(out.steps[k]));
-          ++end;
-        }
-      }
-      k = std::max(end, k + 1);
-    }
-    out.steps = std::move(rewritten);
   }
 
   // Push each filter to the earliest step after which its variables are
@@ -598,13 +470,7 @@ PhysPipeline CompileGroup(const GroupSpec& group,
   std::vector<bool> placed(group.filters.size(), false);
   for (size_t k = 0; k < out.steps.size(); ++k) {
     PhysStep& step = out.steps[k];
-    if (step.kind == StepKind::kExtend) {
-      PatternVarsInto(step.pattern, &bound_vars);
-    } else {
-      for (const BgpPattern& arm : step.arms) {
-        PatternVarsInto(arm, &bound_vars);
-      }
-    }
+    PatternVarsInto(step.pattern, &bound_vars);
     for (size_t f = 0; f < group.filters.size(); ++f) {
       if (placed[f]) continue;
       const auto fvars = group.filters[f].Variables();
@@ -632,6 +498,7 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
   PhysicalPlan plan;
   plan.numeric = logical.numeric;
   plan.distinct = logical.distinct;
+  plan.hints = opts.hints;
 
   // Peel the solution modifiers off the top of the tree.
   const LogicalNode* node = logical.root.get();
@@ -674,16 +541,7 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
       opts.mode != PlanMode::kHeuristic && opts.stats != nullptr;
   for (const LogicalNode* branch_node : branch_nodes) {
     const BranchSpec spec = FlattenBranch(*branch_node);
-    OccurrenceCount occurrences;
-    for (const BgpPattern& p : spec.required.patterns) {
-      occurrences.AddPattern(p);
-    }
-    for (const GroupSpec& optional : spec.optionals) {
-      for (const BgpPattern& p : optional.patterns) occurrences.AddPattern(p);
-    }
-
-    PhysPipeline branch =
-        CompileGroup(spec.required, {}, 1.0, occurrences, opts);
+    PhysPipeline branch = CompileGroup(spec.required, {}, 1.0, opts);
 
     // Optionals run after the required steps, in textual order; each sees
     // the variables of the required group and of earlier optionals.
@@ -692,7 +550,7 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
     std::vector<std::string> branch_vars = branch.vars;
     for (const GroupSpec& optional : spec.optionals) {
       PhysPipeline compiled =
-          CompileGroup(optional, outer, branch.est_rows, occurrences, opts);
+          CompileGroup(optional, outer, branch.est_rows, opts);
       for (const std::string& v : compiled.vars) {
         outer.insert(v);
         branch_vars.push_back(v);

@@ -14,10 +14,10 @@ namespace swan::plan {
 enum class PlanMode {
   // Selectivity-estimated ordering from StoreStats: exhaustive dynamic
   // programming over linear join orders up to 8 patterns, greedy
-  // minimum-cardinality beyond, plus same-subject self-join elimination
-  // (star arms collapse into one gather per arm) and constant folding of
-  // unsatisfiable patterns. Falls back to kHeuristic when no stats are
-  // supplied.
+  // minimum-cardinality beyond, plus constant folding of unsatisfiable
+  // patterns and per-step extent annotations (which let the interpreter
+  // replace per-row probes with one scan-join at run time). Falls back to
+  // kHeuristic when no stats are supplied.
   kCostBased,
   // The statistics-free greedy scoring (3*constants + 2*joined - fresh)
   // that predates the planner — the "hand-wired" order every cost-based

@@ -59,22 +59,13 @@ void RenderPipeline(const PhysPipeline& pipeline, const std::string& indent,
     return;
   }
   for (const PhysStep& step : pipeline.steps) {
-    *out << indent;
-    if (step.kind == StepKind::kExtend) {
-      *out << "extend " << PatternText(step.pattern, term_name);
-    } else {
-      *out << "star-gather ?" << step.arms[0].subject.var << " [";
-      for (size_t i = 0; i < step.arms.size(); ++i) {
-        if (i > 0) *out << ", ";
-        *out << TermText(step.arms[i].property, term_name);
-      }
-      *out << "]";
-    }
+    *out << indent << "extend " << PatternText(step.pattern, term_name);
     if (step.est_out >= 0) {
       *out << "  (est " << EstText(step.est_out) << " rows";
-      if (step.est_matches >= 0 && step.kind == StepKind::kExtend) {
+      if (step.est_matches >= 0) {
         *out << ", " << EstText(step.est_matches) << " matches/probe";
       }
+      if (step.extent >= 0) *out << ", extent " << EstText(step.extent);
       *out << ")";
     }
     // Distribution annotations only appear on annotated (scale-out)

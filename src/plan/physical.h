@@ -8,12 +8,17 @@
 #include <vector>
 
 #include "plan/algebra.h"
+#include "plan/stats.h"
 
 namespace swan::plan {
 
 // The annotated physical plan the optimizer emits and core::ExecutePlan
 // interprets. A plan is a union of branches; each branch is a pipeline of
 // binding-extension steps followed by left-joined optional pipelines.
+// How a step joins — one probe per binding row or one pass over the
+// property's extent — is decided at run time from the actual row count
+// (see core::ExecutePlan); the plan carries the estimates that decision
+// prices.
 // Every step carries the planner's cardinality estimate, which the
 // interpreter surfaces through the span tree — EXPLAIN shows the
 // estimates, EXPLAIN ANALYZE (a profiled run) shows them next to the
@@ -39,28 +44,13 @@ enum class ShipMode {
 
 std::string ToString(ShipMode mode);
 
-enum class StepKind {
-  // Extend every binding row with the matches of one instantiated
-  // pattern (index-nested-loop at the logical level).
-  kExtend,
-  // Self-join elimination for a same-subject star: all arms share one
-  // subject variable and a constant property, so instead of probing once
-  // per binding per arm, each arm's partition is gathered whole and the
-  // arms are hash-joined on the subject (match_calls: one per arm).
-  kStarGather,
-};
-
 struct PhysStep {
-  StepKind kind = StepKind::kExtend;
-
-  // kExtend: the single pattern. kStarGather: the arms, in textual order.
+  // The pattern each binding row is extended with.
   BgpPattern pattern;
-  std::vector<BgpPattern> arms;
 
-  // Index of the pattern (or each arm) in the caller's textual pattern
-  // list, for EXPLAIN and order-inspection tests.
+  // Index of the pattern in the caller's textual pattern list, for
+  // EXPLAIN and order-inspection tests.
   size_t source_index = 0;
-  std::vector<size_t> arm_sources;
 
   // Filters that become evaluable once this step's variables are bound;
   // the interpreter applies them to the table right after the step.
@@ -72,6 +62,11 @@ struct PhysStep {
   double est_in = -1.0;
   double est_out = -1.0;
   double est_matches = -1.0;
+  // Cost-based plans, constant-property steps only: the estimated triples
+  // of the property's extent (object included when constant) — what one
+  // Match(?, p, o?) returns. core::ExecutePlan weighs reading it once
+  // against probing per binding row, with the actual row count.
+  double extent = -1.0;
 
   // Scale-out annotations (AnnotateDistribution): the node owning this
   // step's property partition (-1 = unbound property, sub-split, or
@@ -115,6 +110,10 @@ struct PhysicalPlan {
   std::optional<uint64_t> limit;
 
   NumericResolver numeric;  // for numeric filters; may be null
+
+  // The access costs the plan was priced with (PlannerOptions::hints);
+  // core::ExecutePlan prices its run-time join choice with them too.
+  AccessHints hints;
 
   // One-line description of how the plan was chosen, e.g.
   // "cost-based (stats: 400000 triples, 221 properties)".

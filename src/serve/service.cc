@@ -369,10 +369,7 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
     } else {
       record->plan_mode = output.value().plan_note;
       completion->result.column_names = std::move(output.value().vars);
-      completion->result.rows.reserve(output.value().rows.size());
-      for (sparql::Row& row : output.value().rows) {
-        completion->result.rows.push_back(std::move(row.ids));
-      }
+      completion->result.rows = std::move(output.value().rows);
     }
   }
 

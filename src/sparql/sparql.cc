@@ -907,58 +907,49 @@ Result<QueryOutput> Execute(const core::Backend& backend,
   SWAN_ASSIGN_OR_RETURN(core::BgpResult bgp,
                         core::ExecutePlan(backend, physical, ectx));
 
-  // Binding columns are located by name against the result's variable
-  // list (textual order, shared by every branch).
-  std::vector<size_t> column_of;
-  for (const std::string& var : projection) {
-    const auto it = std::find(bgp.vars.begin(), bgp.vars.end(), var);
-    SWAN_CHECK_MSG(it != bgp.vars.end(), "projected variable lost by BGP");
-    column_of.push_back(static_cast<size_t>(it - bgp.vars.begin()));
-  }
-
-  // Project, optionally deduplicate, apply OFFSET/LIMIT, decode.
+  // Project, optionally deduplicate, apply OFFSET/LIMIT. Binding columns
+  // are located by name against the result's variable list (textual
+  // order, shared by every branch); the identity projection moves the
+  // rows instead of copying them.
   obs::Span project_span(ectx.trace(), "sparql.project");
   project_span.set_rows_in(bgp.rows.size());
-  std::vector<std::vector<uint64_t>> projected;
-  projected.reserve(bgp.rows.size());
-  for (const auto& row : bgp.rows) {
-    std::vector<uint64_t> out_row;
-    out_row.reserve(column_of.size());
-    for (size_t c : column_of) out_row.push_back(row[c]);
-    projected.push_back(std::move(out_row));
+  std::vector<std::vector<uint64_t>>& rows = output.rows;
+  if (projection == bgp.vars) {
+    rows = std::move(bgp.rows);
+  } else {
+    std::vector<size_t> column_of;
+    for (const std::string& var : projection) {
+      const auto it = std::find(bgp.vars.begin(), bgp.vars.end(), var);
+      SWAN_CHECK_MSG(it != bgp.vars.end(), "projected variable lost by BGP");
+      column_of.push_back(static_cast<size_t>(it - bgp.vars.begin()));
+    }
+    rows.reserve(bgp.rows.size());
+    for (const auto& row : bgp.rows) {
+      std::vector<uint64_t>& out_row = rows.emplace_back();
+      out_row.reserve(column_of.size());
+      for (size_t c : column_of) out_row.push_back(row[c]);
+    }
   }
   if (parsed.distinct) {
-    std::sort(projected.begin(), projected.end());
-    projected.erase(std::unique(projected.begin(), projected.end()),
-                    projected.end());
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
   if (parsed.offset) {
-    if (*parsed.offset >= projected.size()) {
-      projected.clear();
-    } else {
-      projected.erase(projected.begin(),
-                      projected.begin() +
-                          static_cast<ptrdiff_t>(*parsed.offset));
-    }
+    rows.erase(rows.begin(),
+               rows.begin() + static_cast<ptrdiff_t>(
+                                  std::min<uint64_t>(*parsed.offset,
+                                                     rows.size())));
   }
-  if (parsed.limit && projected.size() > *parsed.limit) {
-    projected.resize(*parsed.limit);
+  if (parsed.limit && rows.size() > *parsed.limit) {
+    rows.resize(*parsed.limit);
   }
-  for (const auto& ids : projected) {
-    Row row;
-    row.ids = ids;
-    for (uint64_t id : ids) {
-      // kUnbound (an OPTIONAL with no match) decodes to the empty string.
-      if (id == plan::kUnbound) {
-        row.text.emplace_back();
-      } else {
-        row.text.emplace_back(dataset.dict().Lookup(id));
-      }
-    }
-    output.rows.push_back(std::move(row));
-  }
-  project_span.set_rows_out(output.rows.size());
+  project_span.set_rows_out(rows.size());
   return output;
+}
+
+std::string TermText(const rdf::Dataset& dataset, uint64_t id) {
+  if (id == plan::kUnbound) return "";
+  return std::string(dataset.dict().Lookup(id));
 }
 
 }  // namespace swan::sparql

@@ -125,24 +125,24 @@ std::vector<core::BgpPattern> Bind(const ParsedQuery& parsed,
 
 // --- Execution ------------------------------------------------------------
 
-struct Row {
-  std::vector<uint64_t> ids;      // dictionary ids, aligned with vars
-  std::vector<std::string> text;  // decoded terms, aligned with vars
-};
-
 struct QueryOutput {
   std::vector<std::string> vars;
-  std::vector<Row> rows;
+  // Dictionary ids, one row per solution, aligned with vars; a variable
+  // left unbound by an OPTIONAL holds plan::kUnbound. TermText decodes.
+  std::vector<std::vector<uint64_t>> rows;
   // The planner's mode note for the executed physical plan (e.g.
   // "cost-based (sampled statistics)") — surfaced into the query log.
   std::string plan_note;
 };
 
-// Parses and runs `query` against `backend`, decoding results through the
-// dataset's dictionary. A constant term that is not in the dictionary
-// yields an empty result (standard SPARQL semantics), not an error. A
-// variable left unbound by an OPTIONAL decodes to the empty string (its
-// id is plan::kUnbound).
+// The term text of a result cell: the dictionary entry for `id`, or the
+// empty string for plan::kUnbound.
+std::string TermText(const rdf::Dataset& dataset, uint64_t id);
+
+// Parses and runs `query` against `backend`. Results stay dictionary ids;
+// decoding is the caller's, through TermText, for the cells it shows. A
+// constant term that is not in the dictionary yields an empty result
+// (standard SPARQL semantics), not an error.
 Result<QueryOutput> Execute(const core::Backend& backend,
                             const rdf::Dataset& dataset,
                             std::string_view query);

@@ -5,8 +5,11 @@
 
 #include "core/bgp.h"
 #include "core/col_backends.h"
+#include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "core/store.h"
+#include "plan/optimizer.h"
+#include "plan/stats.h"
 #include "rdf/dataset.h"
 
 namespace swan::core {
@@ -238,6 +241,128 @@ TEST_F(BgpTest, MatchCoversAllEightPatterns) {
     EXPECT_EQ(a, c) << pattern.ToString();
     EXPECT_FALSE(a.empty()) << pattern.ToString();
   }
+}
+
+// --- Run-time probe-or-scan join -----------------------------------------
+
+// A graph where one pass over an extent beats probing per binding row:
+// 40 people typed <Person>, each knowing the next two, the even ones
+// owning a named pet, plus one mutual pair, one self-loop and one named
+// non-pet.
+class ScanJoinTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    constexpr int kPeople = 40;
+    auto person = [](int i) { return "<p" + std::to_string(i) + ">"; };
+    for (int i = 0; i < kPeople; ++i) {
+      data_.Add(person(i), "<type>", "<Person>");
+      data_.Add(person(i), "<knows>", person((i + 1) % kPeople));
+      data_.Add(person(i), "<knows>", person((i + 2) % kPeople));
+      if (i % 2 == 0) {
+        const std::string pet = "<d" + std::to_string(i) + ">";
+        data_.Add(person(i), "<pet>", pet);
+        data_.Add(pet, "<name>", "\"dog " + std::to_string(i) + "\"");
+      }
+    }
+    data_.Add(person(1), "<knows>", person(0));  // mutual with p0 -> p1
+    data_.Add(person(0), "<knows>", person(0));  // the only self-loop
+    data_.Add(person(1), "<name>", "\"Bob\"");
+    stats_ = plan::StoreStats::Collect(data_);
+  }
+
+  Term C(const std::string& term) const {
+    return Term::Const(data_.dict().Find(term).value());
+  }
+
+  struct Run {
+    std::vector<std::vector<uint64_t>> rows;  // sorted
+    uint64_t match_calls = 0;
+    uint64_t scan_joins = 0;
+  };
+
+  // Cost-based on `backend` when `cost`, else the statistics-free
+  // heuristic plan, which never annotates an extent and so only probes.
+  Run Execute(const Backend& backend, const plan::LogicalPlan& logical,
+              int width, bool cost) const {
+    plan::PlannerOptions options;
+    if (cost) {
+      options.mode = plan::PlanMode::kCostBased;
+      options.stats = &stats_;
+      options.hints = backend.PlannerHints();
+    }
+    const exec::ExecContext ectx(width);
+    auto result = ExecutePlan(backend, plan::Optimize(logical, options), ectx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    Run run;
+    if (result.ok()) run.rows = std::move(result.value().rows);
+    std::sort(run.rows.begin(), run.rows.end());
+    run.match_calls = ectx.counters().Snap().match_calls;
+    run.scan_joins = ectx.counters().Snap().star_gathers;
+    return run;
+  }
+
+  // Runs `logical` cost-based on a column and a row engine at widths 1
+  // and 8 against the probing plan on the reference backend, expecting
+  // `scan_joins` scan-join steps and `match_calls` Match calls.
+  void ExpectScanJoin(const plan::LogicalPlan& logical, uint64_t scan_joins,
+                      uint64_t match_calls, size_t rows) const {
+    ReferenceBackend reference(data_);
+    const Run expected = Execute(reference, logical, 1, /*cost=*/false);
+    EXPECT_EQ(expected.scan_joins, 0u);
+    EXPECT_EQ(expected.rows.size(), rows);
+    ColVerticalBackend col(data_);
+    RowTripleBackend row(data_, rowstore::TripleRelation::PsoConfig());
+    for (const Backend* backend : {static_cast<const Backend*>(&col),
+                                   static_cast<const Backend*>(&row)}) {
+      for (int width : {1, 8}) {
+        SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
+        const Run got = Execute(*backend, logical, width, /*cost=*/true);
+        EXPECT_EQ(got.rows, expected.rows);
+        EXPECT_EQ(got.scan_joins, scan_joins);
+        EXPECT_EQ(got.match_calls, match_calls);
+      }
+    }
+  }
+
+  rdf::Dataset data_;
+  plan::StoreStats stats_;
+};
+
+// ?x <type> <Person> OPTIONAL { ?x <pet> ?d } OPTIONAL { ?d <name> ?n }:
+// the second optional's subject is kUnbound in the 20 rows without a pet.
+// Its scan-join must probe those rows one by one — a padded variable is
+// free again, so each matches every <name> triple — exactly as the
+// probing plan does.
+TEST_F(ScanJoinTest, UnboundSubjectInsideOptionalFallsBackToProbe) {
+  plan::LogicalPlan logical;
+  logical.root = plan::MakeLeftJoin(
+      plan::MakeLeftJoin(
+          plan::MakeScan({Term::Var("x"), C("<type>"), C("<Person>")}),
+          plan::MakeScan({Term::Var("x"), C("<pet>"), Term::Var("d")})),
+      plan::MakeScan({Term::Var("d"), C("<name>"), Term::Var("n")}));
+  // type + one scan-join per optional + one probe per petless row; each
+  // petless row binds ?d to every one of the 21 named subjects.
+  ExpectScanJoin(logical, /*scan_joins=*/2, /*match_calls=*/3 + 20,
+                 /*rows=*/20 + 20 * 21);
+}
+
+// ?x <knows> ?y . ?y <knows> ?x: the scan-join reads <knows> once and must
+// check the already-bound ?x against every extent row of ?y.
+TEST_F(ScanJoinTest, AlreadyBoundObjectVariableIsChecked) {
+  const plan::LogicalPlan logical = plan::BuildBgpLogical(
+      {{Term::Var("x"), C("<knows>"), Term::Var("y")},
+       {Term::Var("y"), C("<knows>"), Term::Var("x")}});
+  // (p0, p0), (p0, p1), (p1, p0).
+  ExpectScanJoin(logical, /*scan_joins=*/1, /*match_calls=*/2, /*rows=*/3);
+}
+
+// ?x <type> <Person> . (?x <knows> ?x): subject and object are one
+// variable, so only a self-loop survives the join.
+TEST_F(ScanJoinTest, RepeatedVariableWithinScanJoinedPattern) {
+  const plan::LogicalPlan logical = plan::BuildBgpLogical(
+      {{Term::Var("x"), C("<type>"), C("<Person>")},
+       {Term::Var("x"), C("<knows>"), Term::Var("x")}});
+  ExpectScanJoin(logical, /*scan_joins=*/1, /*match_calls=*/2, /*rows=*/1);
 }
 
 }  // namespace

@@ -108,7 +108,8 @@ TEST_F(SparqlTest, FilterComparesNumericLiterals) {
       "SELECT ?who WHERE { ?who ex:age ?a . FILTER(?a < 30) }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 1u);
-  EXPECT_EQ(result.value().rows[0].text[0], "<http://ex.org/carol>");
+  EXPECT_EQ(TermText(data_, result.value().rows[0][0]),
+            "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, FilterNotEqualsAndIn) {
@@ -117,13 +118,13 @@ TEST_F(SparqlTest, FilterNotEqualsAndIn) {
       "SELECT ?x WHERE { ?x ex:knows ?y . FILTER(?y != ex:bob) }");
   ASSERT_TRUE(ne.ok()) << ne.status().ToString();
   ASSERT_EQ(ne.value().rows.size(), 1u);
-  EXPECT_EQ(ne.value().rows[0].text[0], "<http://ex.org/bob>");
+  EXPECT_EQ(TermText(data_, ne.value().rows[0][0]), "<http://ex.org/bob>");
   auto in = Run(
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x WHERE { ?x ex:age ?v . FILTER(?v IN (\"25\")) }");
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   ASSERT_EQ(in.value().rows.size(), 1u);
-  EXPECT_EQ(in.value().rows[0].text[0], "<http://ex.org/carol>");
+  EXPECT_EQ(TermText(data_, in.value().rows[0][0]), "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, FilterAgainstUnknownTermIsNotAnError) {
@@ -153,13 +154,19 @@ TEST_F(SparqlTest, OptionalPadsNonMatchesWithEmptyBinding) {
   ASSERT_EQ(result.value().rows.size(), 3u);  // alice, bob, dave
   size_t padded = 0;
   for (const auto& row : result.value().rows) {
-    if (row.text[1].empty()) {
+    if (row[1] == plan::kUnbound) {
       ++padded;
-      EXPECT_EQ(row.ids[1], plan::kUnbound);
-      EXPECT_EQ(row.text[0], "<http://ex.org/dave>");
+      EXPECT_EQ(TermText(data_, row[1]), "");
+      EXPECT_EQ(TermText(data_, row[0]), "<http://ex.org/dave>");
     }
   }
   EXPECT_EQ(padded, 1u);
+}
+
+TEST_F(SparqlTest, TermTextDecodesIdsAndUnboundIsEmpty) {
+  const uint64_t bob = data_.dict().Find("<http://ex.org/bob>").value();
+  EXPECT_EQ(TermText(data_, bob), "<http://ex.org/bob>");
+  EXPECT_EQ(TermText(data_, plan::kUnbound), "");
 }
 
 TEST_F(SparqlTest, UnionConcatenatesBranches) {
@@ -170,7 +177,9 @@ TEST_F(SparqlTest, UnionConcatenatesBranches) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 2u);
   std::vector<std::string> names;
-  for (const auto& row : result.value().rows) names.push_back(row.text[0]);
+  for (const auto& row : result.value().rows) {
+    names.push_back(TermText(data_, row[0]));
+  }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"<http://ex.org/bob>",
                                              "<http://ex.org/carol>"}));
@@ -182,7 +191,7 @@ TEST_F(SparqlTest, OffsetSkipsRows) {
   auto sliced = Run("SELECT * WHERE { ?s ?p ?o } OFFSET 2 LIMIT 2");
   ASSERT_TRUE(sliced.ok());
   ASSERT_EQ(sliced.value().rows.size(), 2u);
-  EXPECT_EQ(sliced.value().rows[0].ids, all.value().rows[2].ids);
+  EXPECT_EQ(sliced.value().rows[0], all.value().rows[2]);
   auto past_end = Run("SELECT * WHERE { ?s ?p ?o } OFFSET 100");
   ASSERT_TRUE(past_end.ok());
   EXPECT_TRUE(past_end.value().rows.empty());
@@ -238,7 +247,9 @@ TEST_F(SparqlTest, ExecutesSingleTriplePattern) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 2u);
   std::vector<std::string> names;
-  for (const auto& row : result.value().rows) names.push_back(row.text[0]);
+  for (const auto& row : result.value().rows) {
+    names.push_back(TermText(data_, row[0]));
+  }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"<http://ex.org/alice>",
                                              "<http://ex.org/bob>"}));
@@ -250,8 +261,10 @@ TEST_F(SparqlTest, ExecutesJoin) {
       "SELECT ?a ?c WHERE { ?a ex:knows ?b . ?b ex:knows ?c . }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().rows.size(), 1u);
-  EXPECT_EQ(result.value().rows[0].text[0], "<http://ex.org/alice>");
-  EXPECT_EQ(result.value().rows[0].text[1], "<http://ex.org/carol>");
+  EXPECT_EQ(TermText(data_, result.value().rows[0][0]),
+            "<http://ex.org/alice>");
+  EXPECT_EQ(TermText(data_, result.value().rows[0][1]),
+            "<http://ex.org/carol>");
 }
 
 TEST_F(SparqlTest, DistinctDeduplicates) {
@@ -305,11 +318,9 @@ TEST_F(SparqlTest, SameAnswersOnEveryBackend) {
   auto b = Execute(reference, data_, query);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto key = [](const QueryOutput& out) {
-    std::vector<std::vector<uint64_t>> rows;
-    for (const auto& row : out.rows) rows.push_back(row.ids);
-    std::sort(rows.begin(), rows.end());
-    return rows;
+  auto key = [](QueryOutput out) {
+    std::sort(out.rows.begin(), out.rows.end());
+    return out.rows;
   };
   EXPECT_EQ(key(a.value()), key(b.value()));
 }

@@ -48,7 +48,8 @@ esac
 
 failures=0
 
-# Small deterministic serve mix used by the ASan and TSan smoke legs.
+# Small deterministic serve mix used by the ASan and TSan smoke legs (the
+# same script as tools/ci.sh's, with both BGP join strategies in it).
 write_serve_smoke() {
   cat > "$1" <<'EOF'
 session alice threads=2
@@ -57,6 +58,8 @@ bench alice q1
 bench alice repeat=2 q5
 query bob SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5
 query bob repeat=2 SELECT ?s ?o WHERE { ?s <origin> ?o } LIMIT 5
+query alice SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }
+query bob SELECT ?r ?l WHERE { <curated_0> <records> ?r OPTIONAL { ?r <language> ?l } }
 bench bob q2
 EOF
 }

@@ -20,6 +20,9 @@ REPO_ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-all}"
 
+# The two multi-pattern queries put both BGP join strategies through the
+# smokes: the star probes <type> once and scan-joins <language>; the
+# OPTIONAL probes its inner step once per (single) outer row.
 write_serve_smoke() {
   cat > "$1" <<'EOF'
 session alice threads=2
@@ -28,6 +31,8 @@ bench alice q1
 bench alice repeat=2 q5
 query bob SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5
 query bob repeat=2 SELECT ?s ?o WHERE { ?s <origin> ?o } LIMIT 5
+query alice SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }
+query bob SELECT ?r ?l WHERE { <curated_0> <records> ?r OPTIONAL { ?r <language> ?l } }
 bench bob q2
 EOF
 }

@@ -23,7 +23,7 @@
 // (followed by ';') does the same.
 //
 // --explain prints the cost-based planner's annotated physical plan (join
-// order, star gathers, filter placement, estimated cardinalities) before
+// order, step extents, filter placement, estimated cardinalities) before
 // each query's rows. Interactively, `explain SELECT ...` prints just the
 // plan, and `explain analyze SELECT ...` prints the plan followed by the
 // profiled execution — the span tree's `est=` annotations sit next to the
@@ -172,7 +172,7 @@ bool ParseArgs(int argc, char** argv, ShellOptions* options) {
 // EXPLAIN: lowers the query through the logical algebra and the
 // cost-based planner (the store's load-time statistics and the backend's
 // access hints) and prints the annotated physical plan — join order,
-// star gathers, filter placement, estimated cardinalities.
+// step extents, filter placement, estimated cardinalities.
 void ExplainQuery(const swan::core::RdfStore& store,
                   const swan::rdf::Dataset& dataset,
                   const std::string& query) {
@@ -456,8 +456,8 @@ int RunQuery(swan::core::RdfStore& store,
   }
   std::printf("\n");
   for (const auto& row : result.value().rows) {
-    for (const auto& text_cell : row.text) {
-      std::printf("%-28s", text_cell.c_str());
+    for (uint64_t id : row) {
+      std::printf("%-28s", swan::sparql::TermText(dataset, id).c_str());
     }
     std::printf("\n");
   }
