@@ -284,5 +284,220 @@ TEST(RowEngineCostTest, ColdCostIsPinned) {
   EXPECT_EQ(cell, golden.size());
 }
 
+// The column engines' modeled cold cost, pinned the same way: bytes, seeks
+// and virtual seconds after DropCaches for the vertical scheme and the
+// triple store in PSO and SPO order, raw and auto-compressed, at one and
+// eight threads. A refactor of the column query path that adds or drops a
+// page read, or moves one to another lane, fails here.
+TEST(ColumnEngineCostTest, ColdCostIsPinned) {
+  struct Cost {
+    uint64_t bytes;
+    uint64_t seeks;
+    double seconds;
+  };
+  // 12 queries (AllQueries order) per (design, codec, threads) block.
+  const std::vector<Cost> golden = {
+      // MonetDB vert. SO, raw, 1 thread
+      {81920, 1, 0x1.74457847760c6p-11},
+      {516096, 29, 0x1.033fd3c848871p-6},
+      {1236992, 117, 0x1.f93715bea8a2fp-5},
+      {868352, 56, 0x1.ef3b500c19ad6p-6},
+      {2310144, 232, 0x1.f365ffdd8acd7p-4},
+      {868352, 56, 0x1.ef3b500c19ad6p-6},
+      {2310144, 232, 0x1.f365ffdd8acd7p-4},
+      {262144, 6, 0x1.e1516173bddfep-9},
+      {548864, 30, 0x1.0cd1630875b3dp-6},
+      {1269760, 118, 0x1.fdffdd5ebf395p-5},
+      {196608, 6, 0x1.cb4adc087863bp-9},
+      {2310144, 232, 0x1.f365ffdd8acddp-4},
+      // MonetDB vert. SO, raw, 8 threads
+      {81920, 1, 0x1.74457847760c6p-11},
+      {516096, 29, 0x1.dbcfc018ec814p-9},
+      {1236992, 117, 0x1.32bf85f37d50ep-7},
+      {868352, 56, 0x1.7ebe62070efe2p-8},
+      {2310144, 232, 0x1.1b7b2e6f05f02p-6},
+      {868352, 56, 0x1.c5c93aada7051p-8},
+      {2310144, 232, 0x1.2d3de498abf1ep-6},
+      {262144, 6, 0x1.e1516173bddfep-9},
+      {548864, 30, 0x1.3a745a0ddfa6ap-8},
+      {1269760, 118, 0x1.5905c2f43203ep-7},
+      {196608, 6, 0x1.cb4adc087863bp-9},
+      {2310144, 232, 0x1.06f7a797f73edp-6},
+      // MonetDB triple PSO, raw, 1 thread
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      // MonetDB triple PSO, raw, 8 threads
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      // MonetDB triple SPO, raw, 1 thread
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      // MonetDB triple SPO, raw, 8 threads
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {983040, 3, 0x1.077ebb96331e7p-8},
+      {655360, 2, 0x1.5f53a4c84428fp-9},
+      // MonetDB vert. SO, auto, 1 thread
+      {8192, 1, 0x1.11281fe4bd5ddp-11},
+      {245760, 29, 0x1.efc8edf9f1662p-7},
+      {966656, 117, 0x1.f389675900b9p-5},
+      {475136, 56, 0x1.deb66bfba5905p-6},
+      {1916928, 232, 0x1.ef44c6d96dc62p-4},
+      {475136, 56, 0x1.deb66bfba5905p-6},
+      {1916928, 232, 0x1.ef44c6d96dc62p-4},
+      {57344, 6, 0x1.9c7d008484bc3p-9},
+      {253952, 30, 0x1.006db7fc1e9ep-6},
+      {974848, 118, 0x1.f7ce07d893ae7p-5},
+      {57344, 6, 0x1.9c7d008484bc3p-9},
+      {1916928, 232, 0x1.ef44c6d96dc63p-4},
+      // MonetDB vert. SO, auto, 8 threads
+      {8192, 1, 0x1.11281fe4bd5ddp-11},
+      {245760, 29, 0x1.9c7d008484bc4p-9},
+      {966656, 117, 0x1.22ead60e635fap-7},
+      {475136, 56, 0x1.5832f88b5564cp-8},
+      {1916928, 232, 0x1.11d854101789dp-6},
+      {475136, 56, 0x1.9c7d008484bc4p-8},
+      {1916928, 232, 0x1.22ead60e635fbp-6},
+      {57344, 6, 0x1.9c7d008484bc3p-9},
+      {253952, 30, 0x1.1288883b71b59p-8},
+      {974848, 118, 0x1.450fda0afb0b5p-7},
+      {57344, 6, 0x1.9c7d008484bc3p-9},
+      {1916928, 232, 0x1.006db7fc1e9ep-6},
+      // MonetDB triple PSO, auto, 1 thread
+      {90112, 2, 0x1.42b6cc1619b56p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {131072, 2, 0x1.5e3ef2dc30909p-10},
+      // MonetDB triple PSO, auto, 8 threads
+      {90112, 2, 0x1.42b6cc1619b56p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {139264, 3, 0x1.e6d302ce8f3f9p-10},
+      {131072, 2, 0x1.5e3ef2dc30909p-10},
+      // MonetDB triple SPO, auto, 1 thread
+      {122880, 2, 0x1.58bd51815f318p-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {122880, 2, 0x1.58bd51815f318p-10},
+      // MonetDB triple SPO, auto, 8 threads
+      {122880, 2, 0x1.58bd51815f318p-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {163840, 3, 0x1.f757e6df035cap-10},
+      {122880, 2, 0x1.58bd51815f318p-10},
+  };
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
+
+  exec::SetThreads(8);
+  size_t cell = 0;
+  for (colstore::ColumnCodec codec :
+       {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
+    core::ColVerticalBackend col_vert(barton.dataset, {}, 4096, codec);
+    core::ColTripleBackend col_pso(barton.dataset, rdf::TripleOrder::kPSO, {},
+                                   4096, codec);
+    core::ColTripleBackend col_spo(barton.dataset, rdf::TripleOrder::kSPO, {},
+                                   4096, codec);
+    for (core::Backend* backend :
+         std::vector<core::Backend*>{&col_vert, &col_pso, &col_spo}) {
+      for (int threads : {1, 8}) {
+        const exec::ExecContext ectx(threads);
+        for (QueryId id : core::AllQueries()) {
+          ASSERT_LT(cell, golden.size());
+          const Cost& want = golden[cell++];
+          backend->DropCaches();
+          backend->disk()->ResetStats();
+          (void)backend->Run(id, ctx, ectx);
+          EXPECT_EQ(backend->TotalBytesRead(), want.bytes)
+              << backend->name() << " " << ToString(id) << " x" << threads;
+          EXPECT_EQ(backend->TotalSeeks(), want.seeks)
+              << backend->name() << " " << ToString(id) << " x" << threads;
+          if (threads == 1) {
+            EXPECT_EQ(backend->VirtualSeconds(), want.seconds)
+                << backend->name() << " " << ToString(id);
+          } else {
+            EXPECT_NEAR(backend->VirtualSeconds(), want.seconds,
+                        want.seconds * 1e-12)
+                << backend->name() << " " << ToString(id) << " x" << threads;
+          }
+        }
+      }
+    }
+  }
+  exec::SetThreads(1);
+  EXPECT_EQ(cell, golden.size());
+}
+
 }  // namespace
 }  // namespace swan
