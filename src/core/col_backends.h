@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -22,13 +23,12 @@ using KeyCounts = std::vector<std::pair<uint64_t, uint64_t>>;
 // (subject, object) rows of one property, ascending.
 using SubjectObjects = std::vector<std::pair<uint64_t, uint64_t>>;
 
-// The partition-local query phases of a column engine. Every phase reads
-// only this backend's merged base columns and takes its filter as an
-// argument, so one implementation serves both a single node (filter
-// computed locally, by the Run below) and one node of a scale-out store
-// (filter gathered across nodes by shard::ShardedBackend). Outputs are
-// sorted and duplicate-free, so partials from several nodes merge
-// linearly at a coordinator.
+// A column engine as one partition of the 12 benchmark queries. Every
+// phase reads only this backend's merged base columns and takes its
+// filter as an argument, so one scatter/gather routine (RunPartitioned)
+// serves a single node, which is one partition, and the nodes of a
+// scale-out store alike. Outputs are sorted and duplicate-free, so
+// partials from several nodes merge linearly at a coordinator.
 //
 // Property lists (`props`) are sorted; nullptr means every property.
 // `universe` bounds the dictionary ids (dense MarkSet / counter sizing).
@@ -42,17 +42,38 @@ class ColumnBackend : public BackendBase {
                 storage::BufferPool* pool)
       : BackendBase(disk, pool), tag_(std::move(tag)) {}
 
-  // The 12 benchmark queries, once for both column schemes: compute the
-  // filter locally, run the phase, finalize.
+  // The 12 benchmark queries over this backend alone: RunPartitioned
+  // with one partition and no network.
   using Backend::Run;
   QueryResult Run(QueryId id, const QueryContext& ctx,
                   const exec::ExecContext& ectx) final;
 
-  // Applies buffered inserts and deletes to the base columns. Run calls
-  // it first; a scale-out coordinator calls it on every node before the
-  // phases, which never see the write store.
-  void MergeDelta(const exec::ExecContext& ectx);
+  // The 12 benchmark queries over `parts`, partition n on node n of
+  // `routing` (nullptr: one partition, no network). Every partition first
+  // folds its write store into its base columns. Each query then gathers
+  // its filter from the nodes holding it and ships it to the nodes that
+  // consume it, runs its phase on every holder, and merges the sorted
+  // partials at the routing's coordinator, where HAVING applies. A single
+  // partial is the answer as it stands. The root span is
+  // "<tag>.<FamilyName(id)>".
+  static QueryResult RunPartitioned(std::span<ColumnBackend* const> parts,
+                                    DistRouting* routing,
+                                    std::string_view tag, QueryId id,
+                                    const QueryContext& ctx,
+                                    const exec::ExecContext& ectx);
+
   uint64_t merge_count() const { return merge_count_; }
+
+ protected:
+  // Rows waiting in the write store (inserts + tombstones).
+  virtual uint64_t PendingWrites() const = 0;
+  // Rebuilds the read-optimized columns from base + write store.
+  virtual void EnsureMerged() = 0;
+
+ private:
+  // Applies buffered inserts and deletes to the base columns; the phases
+  // never see the write store.
+  void MergeDelta(const exec::ExecContext& ectx);
 
   // --- filters ------------------------------------------------------------
   // Subjects s with (s, property, object).
@@ -88,45 +109,9 @@ class ColumnBackend : public BackendBase {
       const colstore::MarkSet& objects, std::optional<uint64_t> property,
       const exec::ExecContext& ectx) const = 0;
 
- protected:
-  // Rows waiting in the write store (inserts + tombstones).
-  virtual uint64_t PendingWrites() const = 0;
-  // Rebuilds the read-optimized columns from base + write store.
-  virtual void EnsureMerged() = 0;
-
- private:
   std::string tag_;
   uint64_t merge_count_ = 0;
 };
-
-// --- finalize: shared by ColumnBackend::Run and the scale-out gather ------
-
-// q5 regroups its records bindings by the join column: ByObject flips
-// (subject, object) rows to (object, subject) and sorts them once;
-// DistinctFirsts reads the join keys off such sorted rows.
-SubjectObjects ByObject(const SubjectObjects& rows);
-std::vector<uint64_t> DistinctFirsts(const SubjectObjects& sorted);
-
-// Sums per-node partials key by key.
-KeyCounts SumKeyCounts(const std::vector<KeyCounts>& partials);
-std::vector<colstore::PairCount> SumPairCounts(
-    const std::vector<std::vector<colstore::PairCount>>& partials);
-
-// Final QueryResults. KeyCountRows emits (key, count); the pair form
-// applies the q3/q4 HAVING count > 1.
-QueryResult KeyCountRows(std::vector<std::string> names,
-                         const KeyCounts& counts);
-QueryResult PairCountRowsOverOne(const std::vector<colstore::PairCount>& groups);
-// q5: bindings (o, s) (ByObject) merge-joined with type rows (o, t) on
-// o, keeping t != `text`. Both sorted.
-QueryResult JoinRecordsTypes(const SubjectObjects& by_object,
-                             const SubjectObjects& types, uint64_t text);
-// q7: encodings (s, e) x types (s, t) on s; both sorted.
-QueryResult JoinOnSubject(const SubjectObjects& encodings,
-                          const SubjectObjects& types);
-// q8: sorted subjects minus the hub subject.
-QueryResult SubjectRowsExcept(const std::vector<uint64_t>& subjects,
-                              uint64_t hub);
 
 // "MonetDB triple SPO/PSO" of Tables 6/7: the triple-store scheme on the
 // column engine. Plans are vectorized full-column operations; cold runs
@@ -172,6 +157,7 @@ class ColTripleBackend : public ColumnBackend {
 
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
+ private:
   std::vector<uint64_t> SubjectsOf(
       uint64_t property, uint64_t object,
       const exec::ExecContext& ectx) const override;
@@ -193,7 +179,6 @@ class ColTripleBackend : public ColumnBackend {
       const colstore::MarkSet& objects, std::optional<uint64_t> property,
       const exec::ExecContext& ectx) const override;
 
- private:
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
 
@@ -264,6 +249,7 @@ class ColVerticalBackend : public ColumnBackend {
 
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
+ private:
   std::vector<uint64_t> SubjectsOf(
       uint64_t property, uint64_t object,
       const exec::ExecContext& ectx) const override;
@@ -285,7 +271,6 @@ class ColVerticalBackend : public ColumnBackend {
       const colstore::MarkSet& objects, std::optional<uint64_t> property,
       const exec::ExecContext& ectx) const override;
 
- private:
   uint64_t PendingWrites() const override {
     return delta_set_.size() + tombstones_.size();
   }

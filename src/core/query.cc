@@ -78,6 +78,26 @@ QueryId BaseOf(QueryId id) {
   }
 }
 
+const char* FamilyName(QueryId id) {
+  switch (BaseOf(id)) {
+    case QueryId::kQ1:
+      return "q1";
+    case QueryId::kQ2:
+      return "q2_family";
+    case QueryId::kQ3:
+    case QueryId::kQ4:
+      return "q3_family";
+    case QueryId::kQ5:
+      return "q5";
+    case QueryId::kQ6:
+      return "q6_family";
+    case QueryId::kQ7:
+      return "q7";
+    default:
+      return "q8";
+  }
+}
+
 bool UsesPropertyFilter(QueryId id) {
   switch (BaseOf(id)) {
     case QueryId::kQ2:

@@ -46,6 +46,11 @@ bool IsStar(QueryId id);
 // Maps a star query to its restricted form (identity otherwise).
 QueryId BaseOf(QueryId id);
 
+// The family a query's engine root span is named after, "<tag>.<family>":
+// q1, q2_family (q2, q2*), q3_family (q3, q3*, q4, q4*), q5, q6_family
+// (q6, q6*), q7 or q8.
+const char* FamilyName(QueryId id);
+
 // Whether the query takes the "interesting properties" restriction at all
 // (q1, q5, q7, q8 do not).
 bool UsesPropertyFilter(QueryId id);

@@ -23,27 +23,6 @@ uint64_t PackPair(uint64_t a, uint64_t b) {
   return (a << 32) | b;
 }
 
-// The root span of each query family: "<tag>.<family>".
-const char* FamilyName(QueryId id) {
-  switch (BaseOf(id)) {
-    case QueryId::kQ1:
-      return "q1";
-    case QueryId::kQ2:
-      return "q2_family";
-    case QueryId::kQ3:
-    case QueryId::kQ4:
-      return "q3_family";
-    case QueryId::kQ5:
-      return "q5";
-    case QueryId::kQ6:
-      return "q6_family";
-    case QueryId::kQ7:
-      return "q7";
-    default:
-      return "q8";
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------

@@ -32,10 +32,13 @@ struct DistCostModel {
   int coordinator = 0;
 };
 
-// Modeled wire widths, shared with the sharded backend's orchestrations
-// (shard/sharded_backend.cc) so planner estimates and executed charges
-// agree.
+// Modeled wire widths, shared with the column scatter/gather routine
+// (core::ColumnBackend::RunPartitioned) and the sharded backend's Match
+// and writes, so planner estimates and executed charges agree: 8 bytes
+// per id, 16 per keyed count or id pair, 24 per triple or (property,
+// object) count.
 inline constexpr uint64_t kBytesPerKey = 8;
+inline constexpr uint64_t kBytesPerPair = 16;
 inline constexpr uint64_t kBytesPerBindingCell = 8;
 inline constexpr uint64_t kBytesPerTriple = 24;
 // Bindings ship in the interpreter's extension batches.

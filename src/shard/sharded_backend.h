@@ -33,39 +33,34 @@ struct ShardOptions {
 };
 
 // The scale-out backend: N column-store partitions over a simulated
-// multi-node topology, orchestrated by scatter/gather with semi-join
-// filter shipping. Placement is by property (vertical partitions are the
-// shards) with a subject-hash sub-split for dominant properties; every
-// node owns a private disk + buffer pool inside the net::Topology, and
-// all inter-node movement is charged to the NetworkModel on the shared
-// virtual-clock discipline.
+// multi-node topology. Placement is by property (vertical partitions are
+// the shards) with a subject-hash sub-split for dominant properties;
+// every node owns a private disk + buffer pool inside the net::Topology,
+// and all inter-node movement is charged to the NetworkModel on the
+// shared virtual-clock discipline.
 //
-// Run is orchestration only: it gathers each query's filter across the
-// nodes, runs the partition-local phases of core::ColumnBackend on every
-// node (after that node merges its write store), and merges the sorted
-// partials at the coordinator, where HAVING applies. The phases are the
-// single-node engines' own kernels; Match serves BGPs alone.
+// Run is core::ColumnBackend::RunPartitioned over the node partitions and
+// this backend's DistRouting: the q1–q8 a single column backend runs as
+// one partition. Match serves BGPs alone.
 //
 // Equivalence contract: Run and Match return the same row bags as the
-// single-node backends at every node count and thread width. The
-// orchestration is deterministic — node loops in node order, sorted
-// partial merges, placement a pure function of the data — so the
-// serve tier's byte-identical replay guarantee survives distribution.
+// single-node backends at every node count and thread width. Node loops
+// run in node order, partials merge sorted, and placement is a pure
+// function of the data, so the serve tier's byte-identical replay
+// guarantee survives distribution.
 //
 // Network accounting contract: Match charges only the result-return leg
 // (owner -> coordinator, 24 bytes/triple, one message per remote part).
-// The request/shipping leg — scattered bindings or a shipped semi-join
-// filter — belongs to the caller's discipline: Run's orchestration
-// charges it per phase, and the BGP interpreter charges it per annotated
-// step (plan::AnnotateDistribution decides bindings vs semi-join from
-// modeled network cost).
+// The request/shipping leg belongs to the caller: RunPartitioned charges
+// its filters and partials per phase, and the BGP interpreter charges
+// per annotated step (plan::AnnotateDistribution decides bindings vs
+// semi-join from modeled network cost).
 class ShardedBackend : public core::Backend {
  public:
   ShardedBackend(const rdf::Dataset& dataset, ShardOptions options);
   ~ShardedBackend() override;
 
   std::string name() const override;
-  bool Supports(core::QueryId id) const override;
 
   using core::Backend::Run;
   using core::Backend::Match;
@@ -117,34 +112,13 @@ class ShardedBackend : public core::Backend {
   void Ship(int src, int dst, uint64_t bytes, uint64_t messages,
             const exec::ExecContext& ectx) const;
 
-  const core::ColumnBackend& node(int n) const {
-    return *inner_[static_cast<size_t>(n)];
-  }
-  // Gathers the global subject set of (?, property, object) and charges
-  // its broadcast as a semi-join filter to every consumer node.
-  std::vector<uint64_t> GatherSubjectFilter(
-      uint64_t property, uint64_t object, const std::vector<int>& consumers,
-      const exec::ExecContext& ectx) const;
-
-  core::QueryResult RunQ1(const core::QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  core::QueryResult RunPropertyCounts(core::QueryId id,
-                                      const core::QueryContext& ctx,
-                                      const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ3Family(core::QueryId id, const core::QueryContext& ctx,
-                                const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ5(const core::QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ7(const core::QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-  core::QueryResult RunQ8(const core::QueryContext& ctx,
-                          const exec::ExecContext& ectx) const;
-
   ShardOptions options_;
   Placement placement_;
   std::unique_ptr<net::Topology> topology_;
-  // One column backend per node, over the topology's borrowed storage.
+  // One column backend per node, over the topology's borrowed storage;
+  // parts_ views them as RunPartitioned's partitions.
   std::vector<std::unique_ptr<core::ColumnBackend>> inner_;
+  std::vector<core::ColumnBackend*> parts_;
   std::unique_ptr<Routing> routing_;
   // Session node affinity: written by the serve tier between queries
   // (turnstile-serialized), read during Run/Match.

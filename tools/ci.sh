@@ -179,9 +179,11 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
     # TSan is incompatible with ASan, so it gets its own tree. The full
     # suite is slow under TSan; the concurrency-focused tests are the ones
     # that exercise cross-thread interleavings, so CI runs just those,
-    # plus a small parallel_speedup smoke whose built-in equivalence gate
-    # (same rows and cold I/O bytes as the 1-thread run) aborts the
-    # process on any divergence.
+    # plus the scale-out equivalence suites (every column Run goes through
+    # one scatter/gather routine, which only they drive at nodes > 1 and
+    # 8 threads) and a small parallel_speedup smoke whose built-in
+    # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
+    # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
     TSAN_DIR="$REPO_ROOT/build-ci-tsan"
     { cmake -B "$TSAN_DIR" -S "$REPO_ROOT" \
@@ -189,9 +191,9 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
         -DSWAN_SANITIZE=thread &&
       cmake --build "$TSAN_DIR" -j "$JOBS" \
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
-                 serve_test parallel_speedup swandb_shell &&
+                 serve_test scaleout_test parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       write_serve_smoke "$TSAN_DIR/serve-smoke.serve" &&
