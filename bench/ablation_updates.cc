@@ -7,7 +7,9 @@
 //   (a) triples over existing properties, and
 //   (b) triples that introduce new properties (schema growth),
 // followed by a query (which forces the column engines to merge their
-// delta stores).
+// delta stores). Each batch is replayed on the reference backend too, and
+// every backend's post-merge q2* rows must equal the reference's; the
+// binary exits 1 on a mismatch.
 
 #include <cstdio>
 #include <memory>
@@ -63,6 +65,22 @@ int main() {
   const Workload workload = BuildWorkload(&barton.dataset, inserts);
   const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
 
+  // The reference's q2* after the first batch and after both.
+  swan::core::ReferenceBackend reference(barton.dataset);
+  swan::core::QueryResult expected[2];
+  for (const bool new_props : {false, true}) {
+    for (const auto& t : new_props ? workload.new_properties
+                                   : workload.existing_properties) {
+      const auto st = reference.Insert(t);
+      if (!st.ok() && st.code() != swan::StatusCode::kAlreadyExists) {
+        std::fprintf(stderr, "reference insert failed: %s\n",
+                     st.ToString().c_str());
+        return 1;
+      }
+    }
+    expected[new_props] = reference.Run(QueryId::kQ2Star, ctx);
+  }
+
   struct Candidate {
     std::string label;
     std::unique_ptr<Backend> backend;
@@ -99,8 +117,18 @@ int main() {
       const double insert_seconds = timer.ElapsedSeconds();
       // The first query after the batch pays any merge cost.
       timer.Restart();
-      candidate.backend->Run(QueryId::kQ2Star, ctx);
+      const swan::core::QueryResult got =
+          candidate.backend->Run(QueryId::kQ2Star, ctx);
       const double query_seconds = timer.ElapsedSeconds();
+      if (!got.SameRows(expected[new_props])) {
+        std::fprintf(stderr,
+                     "%s: q2* after the %s batch disagrees with the "
+                     "reference (%zu vs %zu rows)\n",
+                     candidate.label.c_str(),
+                     new_props ? "new-property" : "existing-property",
+                     got.rows.size(), expected[new_props].rows.size());
+        return 1;
+      }
 
       uint64_t partitions = 0;
       if (auto* rv = dynamic_cast<swan::core::RowVerticalBackend*>(

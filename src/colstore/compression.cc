@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "common/macros.h"
 
@@ -73,16 +74,23 @@ bool GetVarint(std::span<const uint8_t> bytes, size_t* pos, uint64_t* v) {
   }
 }
 
-// Packs `values` (each < 2^width) at `width` bits per value into `words`,
-// which must be zero-initialized and sized (count*width + 63) / 64.
-void PackInto(std::span<const uint64_t> values, int width, uint64_t* words) {
-  for (uint64_t i = 0; i < values.size(); ++i) {
+// Packs `count` values (value_at(i) < 2^width each) at `width` bits per
+// value into `words`, which must be zero-initialized and sized
+// (count*width + 63) / 64.
+template <typename ValueAt>
+void PackInto(uint64_t count, int width, uint64_t* words, ValueAt value_at) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t v = value_at(i);
     const uint64_t bit = i * static_cast<uint64_t>(width);
     const uint64_t word = bit >> 6;
     const int off = static_cast<int>(bit & 63);
-    words[word] |= values[i] << off;
-    if (off + width > 64) words[word + 1] |= values[i] >> (64 - off);
+    words[word] |= v << off;
+    if (off + width > 64) words[word + 1] |= v >> (64 - off);
   }
+}
+
+uint64_t PackedWords(uint64_t count, int width) {
+  return (count * static_cast<uint64_t>(width) + 63) / 64;
 }
 
 void AppendWords(std::vector<uint8_t>* out, std::span<const uint64_t> words) {
@@ -93,12 +101,15 @@ void AppendWords(std::vector<uint8_t>* out, std::span<const uint64_t> words) {
 }
 
 std::vector<uint8_t> EncodeRaw(std::span<const uint64_t> values) {
-  std::vector<uint8_t> out;
-  out.reserve(1 + values.size() * 8);
-  out.push_back(kTagRaw);
-  for (uint64_t v : values) PutU64(&out, v);
+  std::vector<uint8_t> out(1 + values.size() * 8);
+  out[0] = kTagRaw;
+  if (!values.empty()) {
+    std::memcpy(out.data() + 1, values.data(), values.size() * 8);
+  }
   return out;
 }
+
+constexpr uint64_t kMaxRleRun = 0xFFFFFFFFull;
 
 std::vector<uint8_t> EncodeRle(std::span<const uint64_t> values) {
   std::vector<uint8_t> out;
@@ -107,7 +118,7 @@ std::vector<uint8_t> EncodeRle(std::span<const uint64_t> values) {
   while (i < values.size()) {
     size_t j = i + 1;
     while (j < values.size() && values[j] == values[i] &&
-           j - i < 0xFFFFFFFFull) {
+           j - i < kMaxRleRun) {
       ++j;
     }
     PutU64(&out, values[i]);
@@ -132,44 +143,180 @@ std::vector<uint8_t> EncodeBitPack(std::span<const uint64_t> values) {
   uint64_t max_value = 0;
   for (uint64_t v : values) max_value = std::max(max_value, v);
   const int width = BitWidthFor(max_value);
-  const uint64_t word_count =
-      (values.size() * static_cast<uint64_t>(width) + 63) / 64;
-  std::vector<uint64_t> words(word_count, 0);
-  PackInto(values, width, words.data());
+  std::vector<uint64_t> words(PackedWords(values.size(), width), 0);
+  PackInto(values.size(), width, words.data(),
+           [&](uint64_t i) { return values[i]; });
   std::vector<uint8_t> out;
-  out.reserve(2 + word_count * 8);
+  out.reserve(2 + words.size() * 8);
   out.push_back(kTagBitPack);
   out.push_back(static_cast<uint8_t>(width));
   AppendWords(&out, words);
   return out;
 }
 
-std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values) {
-  std::vector<uint64_t> palette(values.begin(), values.end());
-  std::sort(palette.begin(), palette.end());
-  palette.erase(std::unique(palette.begin(), palette.end()), palette.end());
-  SWAN_CHECK_MSG(palette.size() < (1ull << 32),
-                 "dictionary codec requires < 2^32 distinct values");
-  const int width =
-      BitWidthFor(palette.empty() ? 0 : palette.size() - 1);
-  std::vector<uint64_t> codes(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    codes[i] = static_cast<uint64_t>(
-        std::lower_bound(palette.begin(), palette.end(), values[i]) -
-        palette.begin());
+// The distinct values of a column, then their dictionary codes: an
+// open-addressing hash set (linear probing, load <= 1/2). A slot's tag is
+// 0 when empty, 1 once filled, and code + 1 after NumberSorted().
+class DistinctIndex {
+ public:
+  DistinctIndex() { Rehash(64); }
+
+  // Adds `v`; true if it was not present yet.
+  bool Insert(uint64_t v) {
+    const size_t slot = Find(v);
+    if (tags_[slot] != 0) return false;
+    keys_[slot] = v;
+    tags_[slot] = 1;
+    if (2 * ++size_ > keys_.size()) Rehash(2 * keys_.size());
+    return true;
   }
-  const uint64_t word_count =
-      (codes.size() * static_cast<uint64_t>(width) + 63) / 64;
-  std::vector<uint64_t> words(word_count, 0);
-  PackInto(codes, width, words.data());
+
+  size_t size() const { return size_; }
+
+  // The distinct values ascending (the palette); numbers each by its
+  // palette position for CodeOf.
+  std::vector<uint64_t> NumberSorted() {
+    std::vector<uint64_t> palette;
+    palette.reserve(size_);
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (tags_[i] != 0) palette.push_back(keys_[i]);
+    }
+    std::sort(palette.begin(), palette.end());
+    for (size_t code = 0; code < palette.size(); ++code) {
+      tags_[Find(palette[code])] = static_cast<uint32_t>(code + 1);
+    }
+    return palette;
+  }
+
+  uint64_t CodeOf(uint64_t v) const { return tags_[Find(v)] - 1; }
+
+ private:
+  size_t Find(uint64_t v) const {
+    const size_t mask = keys_.size() - 1;
+    size_t slot = (v * 0x9E3779B97F4A7C15ull) >> shift_;
+    while (tags_[slot] != 0 && keys_[slot] != v) slot = (slot + 1) & mask;
+    return slot;
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<uint64_t> keys = std::move(keys_);
+    std::vector<uint32_t> tags = std::move(tags_);
+    keys_.assign(capacity, 0);
+    tags_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (tags[i] == 0) continue;
+      const size_t slot = Find(keys[i]);
+      keys_[slot] = keys[i];
+      tags_[slot] = tags[i];
+    }
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> tags_;
+  int shift_ = 0;
+  size_t size_ = 0;
+};
+
+// Encodes with `index`, which holds exactly the distinct `values`.
+std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values,
+                                       DistinctIndex* index) {
+  SWAN_CHECK_MSG(index->size() < (1ull << 32),
+                 "dictionary codec requires < 2^32 distinct values");
+  const std::vector<uint64_t> palette = index->NumberSorted();
+  const int width = BitWidthFor(palette.empty() ? 0 : palette.size() - 1);
+  std::vector<uint64_t> words(PackedWords(values.size(), width), 0);
+  PackInto(values.size(), width, words.data(),
+           [&](uint64_t i) { return index->CodeOf(values[i]); });
   std::vector<uint8_t> out;
-  out.reserve(2 + 4 + palette.size() * 8 + word_count * 8);
+  out.reserve(2 + 4 + palette.size() * 8 + words.size() * 8);
   out.push_back(kTagDictBitPack);
   out.push_back(static_cast<uint8_t>(width));
   PutU32(&out, static_cast<uint32_t>(palette.size()));
   AppendWords(&out, palette);
   AppendWords(&out, words);
   return out;
+}
+
+std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values) {
+  DistinctIndex index;
+  for (uint64_t v : values) index.Insert(v);
+  return EncodeDictBitPack(values, &index);
+}
+
+int VarintBytes(uint64_t v) {
+  return v == 0 ? 1 : (static_cast<int>(std::bit_width(v)) + 6) / 7;
+}
+
+uint64_t DictBitPackBytes(uint64_t count, uint64_t distinct) {
+  const int width = BitWidthFor(distinct == 0 ? 0 : distinct - 1);
+  return 6 + 8 * distinct + 8 * PackedWords(count, width);
+}
+
+// kAuto: the exact encoded size of every candidate from one statistics
+// pass, then one encode of the smallest (ties to the earlier of raw, rle,
+// delta, bitpack, dict) — the same bytes as encoding all five and keeping
+// the smallest.
+std::vector<uint8_t> EncodeAuto(std::span<const uint64_t> values) {
+  const uint64_t n = values.size();
+  uint64_t runs = 0;
+  uint64_t run_length = 0;
+  uint64_t changes = 0;  // adjacent unequal pairs
+  uint64_t delta_bytes = 0;
+  uint64_t max_value = 0;
+  bool ascending = true;
+  bool descending = true;
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t v = values[i];
+    delta_bytes += VarintBytes(ZigZag(static_cast<int64_t>(v - prev)));
+    max_value = std::max(max_value, v);
+    if (i > 0 && v != prev) {
+      ++changes;
+      ascending = ascending && v > prev;
+      descending = descending && v < prev;
+    }
+    if (i == 0 || v != prev || run_length == kMaxRleRun) {
+      ++runs;
+      run_length = 0;
+    }
+    ++run_length;
+    prev = v;
+  }
+
+  const uint64_t sizes[] = {
+      1 + 8 * n,
+      1 + 12 * runs,
+      1 + delta_bytes,
+      2 + 8 * PackedWords(n, BitWidthFor(max_value)),
+  };
+  const ColumnCodec codecs[] = {ColumnCodec::kRaw, ColumnCodec::kRle,
+                                ColumnCodec::kDelta, ColumnCodec::kBitPack};
+  size_t best = 0;
+  for (size_t c = 1; c < std::size(sizes); ++c) {
+    if (sizes[c] < sizes[best]) best = c;
+  }
+
+  // The dictionary codec must beat the best strictly. A monotone column's
+  // distinct count is its number of value changes plus one; any other
+  // column counts its distinct values until the dictionary cannot win.
+  if (ascending || descending) {
+    if (DictBitPackBytes(n, n == 0 ? 0 : changes + 1) < sizes[best]) {
+      return EncodeDictBitPack(values);
+    }
+  } else {
+    DistinctIndex index;
+    bool dict_wins = true;
+    for (uint64_t v : values) {
+      if (index.Insert(v) &&
+          DictBitPackBytes(n, index.size()) >= sizes[best]) {
+        dict_wins = false;
+        break;
+      }
+    }
+    if (dict_wins) return EncodeDictBitPack(values, &index);
+  }
+  return CompressU64(values, codecs[best]);
 }
 
 Status Corrupt(const char* what) { return Status::Corruption(what); }
@@ -239,17 +386,8 @@ std::vector<uint8_t> CompressU64(std::span<const uint64_t> values,
       return EncodeBitPack(values);
     case ColumnCodec::kDictBitPack:
       return EncodeDictBitPack(values);
-    case ColumnCodec::kAuto: {
-      // Smallest wins; ties keep the earlier candidate, so the choice is
-      // deterministic for a given input.
-      std::vector<uint8_t> best = EncodeRaw(values);
-      for (auto candidate :
-           {EncodeRle(values), EncodeDelta(values), EncodeBitPack(values),
-            EncodeDictBitPack(values)}) {
-        if (candidate.size() < best.size()) best = std::move(candidate);
-      }
-      return best;
-    }
+    case ColumnCodec::kAuto:
+      return EncodeAuto(values);
   }
   SWAN_CHECK(false);
   return {};

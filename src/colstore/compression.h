@@ -29,7 +29,7 @@ enum class ColumnCodec {
   kDelta,        // first value + zigzag-varint deltas — ideal for sorted ids
   kBitPack,      // fixed-width bit-packing, width = bits(max value)
   kDictBitPack,  // sorted palette of distinct values + bit-packed codes
-  kAuto,         // smallest of the five
+  kAuto,         // smallest of the five; see CompressU64
 };
 
 std::string ToString(ColumnCodec codec);
@@ -88,7 +88,12 @@ struct ParsedEncoding {
                                       uint64_t count, ParsedEncoding* out);
 
 // Encodes `values`. The first output byte records the codec actually used
-// (kAuto resolves to a concrete one).
+// (kAuto resolves to a concrete one). kAuto writes the smallest of the five
+// encodings, ties going to the earlier of raw, rle, delta, bitpack,
+// dictbitpack. It does not try them: one statistics pass (run count, varint
+// bytes, max bit width, and the distinct count, which an unsorted column
+// counts only while the dictionary could still win) gives every
+// candidate's exact size, and only the winner is encoded.
 std::vector<uint8_t> CompressU64(std::span<const uint64_t> values,
                                  ColumnCodec codec);
 

@@ -20,10 +20,13 @@ void TripleTable::Load(std::vector<rdf::Triple> triples) {
   SWAN_CHECK_MSG(size_ == 0, "TripleTable::Load called twice");
   SWAN_CHECK_MSG(triples.size() < (1ull << 32),
                  "column store limited to 2^32 rows");
-  std::sort(triples.begin(), triples.end(),
-            [this](const rdf::Triple& a, const rdf::Triple& b) {
-              return KeyOf(a, order_) < KeyOf(b, order_);
-            });
+  const auto less = [this](const rdf::Triple& a, const rdf::Triple& b) {
+    return KeyOf(a, order_) < KeyOf(b, order_);
+  };
+  // A write-store merge hands over rows already in key order.
+  if (!std::is_sorted(triples.begin(), triples.end(), less)) {
+    std::sort(triples.begin(), triples.end(), less);
+  }
   size_ = triples.size();
 
   std::vector<uint64_t> buf(triples.size());
@@ -44,6 +47,17 @@ const std::vector<uint64_t>& TripleTable::ComponentColumn(
       return properties();
     default:
       return objects();
+  }
+}
+
+const Column& TripleTable::column(int component_index) const {
+  switch (component_index) {
+    case 0:
+      return *subj_;
+    case 1:
+      return *prop_;
+    default:
+      return *obj_;
   }
 }
 

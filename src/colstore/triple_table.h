@@ -33,7 +33,8 @@ class TripleTable {
   TripleTable(const TripleTable&) = delete;
   TripleTable& operator=(const TripleTable&) = delete;
 
-  // Sorts `triples` by `order` and builds the three columns.
+  // Sorts `triples` by `order` (unless already in order) and builds the
+  // three columns.
   void Load(std::vector<rdf::Triple> triples);
 
   // Role-named accessors (each triggers a lazy load of that column only).
@@ -47,6 +48,9 @@ class TripleTable {
   const EncodedColumn& encoded_subjects() const { return subj_->Encoded(); }
   const EncodedColumn& encoded_properties() const { return prop_->Encoded(); }
   const EncodedColumn& encoded_objects() const { return obj_->Encoded(); }
+
+  // The stored column of a component (0 subject, 1 property, 2 object).
+  const Column& column(int component_index) const;
 
   rdf::TripleOrder order() const { return order_; }
   uint64_t size() const { return size_; }

@@ -59,6 +59,14 @@ class VerticalTable {
   const EncodedColumn& EncodedSubjects(uint64_t property) const;
   const EncodedColumn& EncodedObjects(uint64_t property) const;
 
+  // The stored columns themselves (codec, stored bytes).
+  const Column& SubjectColumn(uint64_t property) const {
+    return *Require(property).subj;
+  }
+  const Column& ObjectColumn(uint64_t property) const {
+    return *Require(property).obj;
+  }
+
   // Row range within the partition where subject == s.
   std::pair<uint32_t, uint32_t> SubjectRange(uint64_t property,
                                              uint64_t s) const;

@@ -1,6 +1,7 @@
 #include "core/col_backends.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <tuple>
@@ -312,6 +313,31 @@ QueryResult SubjectRows(const std::vector<uint64_t>& subjects) {
   return result;
 }
 
+// Folds a write store into sorted base rows in one linear pass: the base
+// rows (row_at(i) for i < base_rows, ascending by `less`) minus `gone`,
+// plus `fresh`, which holds no base row (Insert rejects those). Only the
+// two small write-store runs are sorted.
+template <typename Row, typename RowAt, typename Less>
+std::vector<Row> MergeSortedRuns(size_t base_rows, RowAt row_at,
+                                 std::vector<Row> gone,
+                                 std::vector<Row> fresh, Less less) {
+  std::sort(gone.begin(), gone.end(), less);
+  std::sort(fresh.begin(), fresh.end(), less);
+  std::vector<Row> out;
+  out.reserve(base_rows + fresh.size());
+  size_t g = 0;
+  size_t f = 0;
+  for (size_t i = 0; i < base_rows; ++i) {
+    const Row row = row_at(i);
+    while (f < fresh.size() && less(fresh[f], row)) out.push_back(fresh[f++]);
+    while (g < gone.size() && less(gone[g], row)) ++g;
+    if (g < gone.size() && !less(row, gone[g])) continue;
+    out.push_back(row);
+  }
+  out.insert(out.end(), fresh.begin() + f, fresh.end());
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -323,7 +349,7 @@ void ColumnBackend::MergeDelta(const exec::ExecContext& ectx) {
   if (pending == 0) return;
   obs::Span span(ectx.trace(), tag_ + ".merge_delta");
   span.set_rows_in(pending);
-  EnsureMerged();
+  span.set_rows_out(EnsureMerged());
   ++merge_count_;
 }
 
@@ -804,27 +830,30 @@ Status ColTripleBackend::Delete(const rdf::Triple& triple) {
   return Status::OK();
 }
 
-void ColTripleBackend::EnsureMerged() {
+uint64_t ColTripleBackend::EnsureMerged() {
   // Merge the write store into the read-optimized columns: read the base
-  // columns back, drop tombstoned rows, append the delta, and rebuild —
+  // columns back, drop tombstoned rows, merge in the delta, and rebuild —
   // the full cost a sorted-column store pays for updates.
-  std::vector<rdf::Triple> all;
-  all.reserve(table_->size() + delta_.size());
   const auto& subj = table_->subjects();
   const auto& prop = table_->properties();
   const auto& obj = table_->objects();
-  for (size_t i = 0; i < subj.size(); ++i) {
-    const rdf::Triple t{subj[i], prop[i], obj[i]};
-    if (!tombstones_.empty() && tombstones_.count(t) != 0) continue;
-    all.push_back(t);
-  }
-  all.insert(all.end(), delta_.begin(), delta_.end());
-  table_ = std::make_unique<colstore::TripleTable>(pool_, disk_,
-                                                   table_->order(), codec_);
+  const rdf::TripleOrder order = table_->order();
+  std::vector<rdf::Triple> all = MergeSortedRuns(
+      subj.size(),
+      [&](size_t i) { return rdf::Triple{subj[i], prop[i], obj[i]}; },
+      std::vector<rdf::Triple>(tombstones_.begin(), tombstones_.end()),
+      std::move(delta_),
+      [order](const rdf::Triple& a, const rdf::Triple& b) {
+        return rdf::KeyOf(a, order) < rdf::KeyOf(b, order);
+      });
+  const uint64_t rows = all.size();
+  table_ = std::make_unique<colstore::TripleTable>(pool_, disk_, order,
+                                                   codec_);
   table_->Load(std::move(all));
   delta_.clear();
   delta_set_.clear();
   tombstones_.clear();
+  return rows;
 }
 
 std::vector<rdf::Triple> ColTripleBackend::Match(
@@ -966,7 +995,11 @@ Status ColVerticalBackend::Delete(const rdf::Triple& triple) {
     const auto pos = std::find(it->second.begin(), it->second.end(), row);
     SWAN_CHECK(pos != it->second.end());
     it->second.erase(pos);
-    if (it->second.empty()) delta_.erase(it);
+    if (it->second.empty()) {
+      delta_.erase(it);
+      // The cancelled insert was the only claim on a new partition.
+      if (!table_->HasPartition(triple.property)) --partitions_created_;
+    }
     return Status::OK();
   }
   if (tombstones_.count(triple) != 0) {
@@ -988,37 +1021,37 @@ Status ColVerticalBackend::Delete(const rdf::Triple& triple) {
   return Status::OK();
 }
 
-void ColVerticalBackend::EnsureMerged() {
+uint64_t ColVerticalBackend::EnsureMerged() {
   // Every partition touched by an insert or a delete is rebuilt in full —
   // the data-driven vertical schema's update cost the paper warns about.
-  std::unordered_set<uint64_t> touched;
-  for (const auto& [property, fresh] : delta_) touched.insert(property);
-  for (const rdf::Triple& t : tombstones_) touched.insert(t.property);
-  for (uint64_t property : touched) {
-    std::vector<std::pair<uint64_t, uint64_t>> rows;
-    if (table_->HasPartition(property)) {
-      const auto& subj = table_->Subjects(property);
-      const auto& obj = table_->Objects(property);
-      rows.reserve(subj.size());
-      for (size_t i = 0; i < subj.size(); ++i) {
-        if (!tombstones_.empty() &&
-            tombstones_.count({subj[i], property, obj[i]}) != 0) {
-          continue;
-        }
-        rows.emplace_back(subj[i], obj[i]);
-      }
-    }
-    const auto it = delta_.find(property);
-    if (it != delta_.end()) {
-      rows.insert(rows.end(), it->second.begin(), it->second.end());
-    }
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  using Row = std::pair<uint64_t, uint64_t>;
+  // Per touched property: its tombstoned rows and its buffered inserts.
+  std::unordered_map<uint64_t, std::pair<std::vector<Row>, std::vector<Row>>>
+      touched;
+  for (const rdf::Triple& t : tombstones_) {
+    touched[t.property].first.emplace_back(t.subject, t.object);
+  }
+  for (auto& [property, fresh] : delta_) {
+    touched[property].second = std::move(fresh);
+  }
+  uint64_t rewritten = 0;
+  for (auto& [property, writes] : touched) {
+    const bool has_base = table_->HasPartition(property);
+    const std::vector<uint64_t>* subj =
+        has_base ? &table_->Subjects(property) : nullptr;
+    const std::vector<uint64_t>* obj =
+        has_base ? &table_->Objects(property) : nullptr;
+    const std::vector<Row> rows = MergeSortedRuns(
+        has_base ? subj->size() : 0,
+        [&](size_t i) { return Row{(*subj)[i], (*obj)[i]}; },
+        std::move(writes.first), std::move(writes.second), std::less<Row>());
+    rewritten += rows.size();
     table_->ReplacePartition(property, rows);
   }
   delta_.clear();
   delta_set_.clear();
   tombstones_.clear();
+  return rewritten;
 }
 
 std::string ColVerticalBackend::name() const { return "MonetDB vert. SO"; }

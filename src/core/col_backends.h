@@ -67,8 +67,9 @@ class ColumnBackend : public BackendBase {
  protected:
   // Rows waiting in the write store (inserts + tombstones).
   virtual uint64_t PendingWrites() const = 0;
-  // Rebuilds the read-optimized columns from base + write store.
-  virtual void EnsureMerged() = 0;
+  // Rebuilds the read-optimized columns from base + write store; returns
+  // the rows rewritten (every rebuilt partition, or the whole table).
+  virtual uint64_t EnsureMerged() = 0;
 
  private:
   // Applies buffered inserts and deletes to the base columns; the phases
@@ -187,7 +188,7 @@ class ColTripleBackend : public ColumnBackend {
   uint64_t PendingWrites() const override {
     return delta_.size() + tombstones_.size();
   }
-  void EnsureMerged() override;
+  uint64_t EnsureMerged() override;
 
   bool pso_;
   colstore::ColumnCodec codec_;
@@ -274,7 +275,7 @@ class ColVerticalBackend : public ColumnBackend {
   uint64_t PendingWrites() const override {
     return delta_set_.size() + tombstones_.size();
   }
-  void EnsureMerged() override;
+  uint64_t EnsureMerged() override;
 
   colstore::ColumnCodec codec_;
   const rdf::Dataset* dataset_ = nullptr;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "bench_support/barton_generator.h"
 #include "colstore/column.h"
 #include "colstore/compression.h"
 #include "common/random.h"
+#include "core/col_backends.h"
 
 namespace swan::colstore {
 namespace {
@@ -134,6 +137,108 @@ TEST(CompressionTest, AutoPicksSmallestOfAllFive) {
                        ColumnCodec::kDictBitPack}) {
       EXPECT_LE(auto_size, CompressU64(values, codec).size());
     }
+  }
+}
+
+// The original kAuto rule, kept as the oracle: encode all five, keep the
+// smallest, ties to the earlier codec.
+std::vector<uint8_t> EncodeAllOracle(std::span<const uint64_t> values) {
+  std::vector<uint8_t> best = CompressU64(values, ColumnCodec::kRaw);
+  for (auto codec : {ColumnCodec::kRle, ColumnCodec::kDelta,
+                     ColumnCodec::kBitPack, ColumnCodec::kDictBitPack}) {
+    std::vector<uint8_t> candidate = CompressU64(values, codec);
+    if (candidate.size() < best.size()) best = std::move(candidate);
+  }
+  return best;
+}
+
+TEST(CompressionTest, AutoMatchesEncodeAllOracle) {
+  std::vector<std::vector<uint64_t>> columns;
+
+  // Every column of both column schemes over a generated Barton dataset.
+  bench_support::BartonConfig config;
+  config.target_triples = 20000;
+  const auto barton = bench_support::GenerateBarton(config);
+  for (auto order : {rdf::TripleOrder::kPSO, rdf::TripleOrder::kSPO}) {
+    const core::ColTripleBackend triple(barton.dataset, order);
+    for (int c = 0; c < 3; ++c) {
+      columns.push_back(triple.table().column(c).Get());
+    }
+  }
+  const core::ColVerticalBackend vertical(barton.dataset);
+  for (uint64_t p : vertical.table().properties()) {
+    columns.push_back(vertical.table().Subjects(p));
+    columns.push_back(vertical.table().Objects(p));
+  }
+
+  // Sorted and unsorted random columns over narrow and wide universes.
+  for (uint64_t seed = 30; seed < 38; ++seed) {
+    const uint64_t universe = seed % 4 < 2 ? 1000 : 1ull << 40;
+    auto values = RandomValues(3000 + 500 * (seed % 3), universe, seed);
+    if (seed % 2 == 0) std::sort(values.begin(), values.end());
+    columns.push_back(std::move(values));
+  }
+
+  // Empty, a single value, a constant column, descending values.
+  columns.push_back({});
+  columns.push_back({0xDEADBEEFull});
+  columns.push_back(std::vector<uint64_t>(4000, 77));
+  auto descending = RandomValues(4000, 1 << 20, 40);
+  std::sort(descending.rbegin(), descending.rend());
+  columns.push_back(descending);
+
+  // Values near 2^64: zigzagged deltas need 10-byte varints.
+  Rng rng(41);
+  std::vector<uint64_t> huge(2000);
+  for (auto& v : huge) v = UINT64_MAX - rng.Uniform(1 << 10);
+  columns.push_back(huge);
+  for (size_t i = 0; i < huge.size(); i += 2) huge[i] = rng.Uniform(16);
+  columns.push_back(huge);
+
+  // Palettes of exactly 2^k and 2^k + 1 distinct values, where the code
+  // width steps up; dense and wide ids.
+  for (int k = 1; k <= 9; ++k) {
+    for (uint64_t size : {1ull << k, (1ull << k) + 1}) {
+      for (uint64_t spread : {1ull, 1ull << 30}) {
+        std::vector<uint64_t> palette(size);
+        for (uint64_t i = 0; i < size; ++i) palette[i] = (i + 1) * spread;
+        std::vector<uint64_t> values(palette);
+        while (values.size() < 3000) {
+          values.push_back(palette[rng.Uniform(size)]);
+        }
+        for (size_t j = values.size(); j > 1; --j) {
+          std::swap(values[j - 1], values[rng.Uniform(j)]);
+        }
+        columns.push_back(std::move(values));
+      }
+    }
+  }
+
+  // A sweep that lands columns within a few bytes of every decision
+  // boundary: d distinct values, each repeated r times, in order and
+  // shuffled, over dense and wide ids (a delta of 2^56 takes 9 varint
+  // bytes).
+  for (uint64_t spread : {1ull, 1ull << 20, 1ull << 56}) {
+    for (uint64_t d = 1; d <= 64; ++d) {
+      for (uint64_t r = 1; r <= 8; ++r) {
+        std::vector<uint64_t> values;
+        for (uint64_t i = 0; i < d; ++i) {
+          values.insert(values.end(), r, (i + 1) * spread);
+        }
+        columns.push_back(values);
+        for (size_t j = values.size(); j > 1; --j) {
+          std::swap(values[j - 1], values[rng.Uniform(j)]);
+        }
+        columns.push_back(std::move(values));
+      }
+    }
+  }
+
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const auto& values = columns[i];
+    EXPECT_EQ(CompressU64(values, ColumnCodec::kAuto),
+              EncodeAllOracle(values))
+        << "column " << i << " (" << values.size() << " values)";
   }
 }
 

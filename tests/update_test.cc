@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
 #include "bench_support/harness.h"
+#include "colstore/column.h"
 #include "core/col_backends.h"
 #include "core/cstore_backend.h"
 #include "core/reference_backend.h"
@@ -21,6 +25,7 @@
 #include "core/store.h"
 #include "serve/request.h"
 #include "serve/service.h"
+#include "storage/node_storage.h"
 
 namespace swan::core {
 namespace {
@@ -127,6 +132,16 @@ TEST_F(UpdateTest, NewPropertyCreatesPartition) {
   pattern.property = p;
   EXPECT_EQ(row.Match(pattern).size(), 1u);
   EXPECT_EQ(col.Match(pattern).size(), 1u);
+
+  // Cancelling the only insert on the new property withdraws its
+  // partition; inserting it again claims one partition, not a second.
+  ASSERT_TRUE(col.Delete({s, p, o}).ok());
+  EXPECT_EQ(col.partitions_created(), 0u);
+  ASSERT_TRUE(col.Insert({s, p, o}).ok());
+  EXPECT_EQ(col.partitions_created(), 1u);
+  col.Run(QueryId::kQ1, bench_support::MakeBartonContext(barton_.dataset, 28));
+  EXPECT_TRUE(col.table().HasPartition(p));
+  EXPECT_EQ(col.partitions_created(), 1u);
 }
 
 TEST_F(UpdateTest, ColumnBackendMergesOnNextRun) {
@@ -181,6 +196,103 @@ TEST_F(UpdateTest, AllBackendsAgreeAfterMixedInsertWorkload) {
   for (auto& backend : backends) {
     const auto report = backend->Audit(audit::AuditLevel::kFull);
     EXPECT_TRUE(report.ok()) << backend->name() << "\n" << report.ToString();
+  }
+}
+
+void ExpectSameColumn(const colstore::Column& merged,
+                      const colstore::Column& fresh, const std::string& what) {
+  EXPECT_EQ(merged.Get(), fresh.Get()) << what;
+  EXPECT_EQ(merged.resolved_codec(), fresh.resolved_codec()) << what;
+  EXPECT_EQ(merged.stored_bytes(), fresh.stored_bytes()) << what;
+  EXPECT_EQ(merged.disk_bytes(), fresh.disk_bytes()) << what;
+}
+
+// A write-store merge rebuilds exactly what a fresh load of the final
+// triple set builds: every column has the same values, resolved codec and
+// stored bytes.
+TEST_F(UpdateTest, MergedColumnsEqualFreshLoad) {
+  auto& dict = barton_.dataset.dict();
+  const uint64_t type = *dict.Find("<type>");
+  const uint64_t text = *dict.Find("<Text>");
+  const uint64_t new_p = dict.Intern("<merge-new-property>");
+  const std::vector<rdf::Triple> base = barton_.dataset.triples();
+
+  // Inserts on an existing and on a new property, and one between the
+  // base rows of an existing subject.
+  std::vector<rdf::Triple> inserts;
+  for (int i = 0; i < 40; ++i) {
+    const uint64_t s =
+        dict.Intern("<merge-subject-" + std::to_string(i) + ">");
+    inserts.push_back({s, type, text});
+    inserts.push_back(
+        {s, new_p, dict.Intern("\"m" + std::to_string(i % 5) + "\"")});
+  }
+  inserts.push_back(
+      {base[7].subject, base[7].property, dict.Intern("\"merge-extra\"")});
+  // Deletes of base rows, never a property's last row (a fresh load has
+  // no empty partitions).
+  std::unordered_map<uint64_t, uint64_t> left;
+  for (const rdf::Triple& t : base) ++left[t.property];
+  std::vector<rdf::Triple> base_deletes;
+  for (size_t i = 3; i < base.size(); i += 61) {
+    if (left[base[i].property] > 1) {
+      --left[base[i].property];
+      base_deletes.push_back(base[i]);
+    }
+  }
+  const rdf::Triple revived = base[1];  // tombstoned, then re-inserted
+  const std::vector<rdf::Triple> cancelled = {inserts[0], inserts[1]};
+
+  std::set<rdf::Triple> final_set(base.begin(), base.end());
+  for (const rdf::Triple& t : base_deletes) final_set.erase(t);
+  final_set.insert(inserts.begin(), inserts.end());
+  for (const rdf::Triple& t : cancelled) final_set.erase(t);
+  const std::vector<rdf::Triple> final_triples(final_set.begin(),
+                                               final_set.end());
+  const auto ctx = bench_support::MakeBartonContext(barton_.dataset, 28);
+  const auto apply = [&](Backend* backend) {
+    for (const rdf::Triple& t : inserts) {
+      ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
+    }
+    for (const rdf::Triple& t : base_deletes) {
+      ASSERT_TRUE(backend->Delete(t).ok()) << backend->name();
+    }
+    for (const rdf::Triple& t : cancelled) {
+      ASSERT_TRUE(backend->Delete(t).ok()) << backend->name();
+    }
+    ASSERT_TRUE(backend->Delete(revived).ok()) << backend->name();
+    ASSERT_TRUE(backend->Insert(revived).ok()) << backend->name();
+    backend->Run(QueryId::kQ1, ctx);
+    const auto report = backend->Audit(audit::AuditLevel::kFull);
+    EXPECT_TRUE(report.ok()) << backend->name() << "\n" << report.ToString();
+  };
+
+  const auto codec = colstore::ColumnCodec::kAuto;
+  const storage::NodeStorage node = storage::MakeNodeStorage({}, 4096);
+  for (auto order : {rdf::TripleOrder::kPSO, rdf::TripleOrder::kSPO}) {
+    ColTripleBackend merged(barton_.dataset, order, {}, 4096, codec);
+    apply(&merged);
+    EXPECT_EQ(merged.merge_count(), 1u);
+    const ColTripleBackend fresh(barton_.dataset, order, node.disk.get(),
+                                 node.pool.get(), final_triples, codec);
+    for (int c = 0; c < 3; ++c) {
+      ExpectSameColumn(merged.table().column(c), fresh.table().column(c),
+                       merged.name() + " component " + std::to_string(c));
+    }
+  }
+
+  ColVerticalBackend merged(barton_.dataset, {}, 4096, codec);
+  apply(&merged);
+  EXPECT_EQ(merged.merge_count(), 1u);
+  const ColVerticalBackend fresh(barton_.dataset, node.disk.get(),
+                                 node.pool.get(), final_triples, codec);
+  ASSERT_EQ(merged.table().properties(), fresh.table().properties());
+  for (uint64_t p : fresh.table().properties()) {
+    const std::string what = "property " + std::to_string(p);
+    ExpectSameColumn(merged.table().SubjectColumn(p),
+                     fresh.table().SubjectColumn(p), what + " subjects");
+    ExpectSameColumn(merged.table().ObjectColumn(p),
+                     fresh.table().ObjectColumn(p), what + " objects");
   }
 }
 

@@ -113,6 +113,13 @@ print('bench json smoke: OK')
     echo "=== release: planner smoke ==="
     SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
       >/dev/null || status=1
+    # Updates smoke: insert batches on existing and on new properties,
+    # then q2*, which makes both column schemes merge their write stores;
+    # every backend's rows are checked against the reference and the
+    # binary exits non-zero on any disagreement.
+    echo "=== release: updates smoke ==="
+    SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_updates" \
+      >/dev/null || status=1
     # Row-design smoke: the only bench that checks all three row designs
     # (triple PSO, vertical, property table) against the reference on
     # all 12 queries; it exits non-zero on any disagreement.
