@@ -15,6 +15,7 @@
 #include "colstore/compression.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
+#include "obs/export.h"
 
 namespace swan::bench {
 
@@ -139,14 +140,14 @@ class BenchJsonWriter {
 
   std::string ToJson() const {
     std::string out = "{\"bench\":\"";
-    out += Escape(bench_);
+    out += obs::JsonEscape(bench_);
     out += "\",\"workloads\":{";
     bool first_workload = true;
     for (const auto& [workload, backends] : cells_) {
       if (!first_workload) out += ',';
       first_workload = false;
       out += '"';
-      out += Escape(workload);
+      out += obs::JsonEscape(workload);
       out += "\":{";
       bool first_backend = true;
       for (const auto& [backend, cell] : backends) {
@@ -159,7 +160,7 @@ class BenchJsonWriter {
         if (!first_backend) out += ',';
         first_backend = false;
         out += '"';
-        out += Escape(backend);
+        out += obs::JsonEscape(backend);
         out += "\":";
         out += buf;
       }
@@ -168,7 +169,7 @@ class BenchJsonWriter {
     out += '}';
     for (const auto& [key, json] : raw_) {
       out += ",\"";
-      out += Escape(key);
+      out += obs::JsonEscape(key);
       out += "\":";
       out += json;
     }
@@ -198,16 +199,6 @@ class BenchJsonWriter {
     double modeled_seconds = 0.0;
     double speedup = 1.0;
   };
-
-  static std::string Escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
 
   std::string bench_;
   std::map<std::string, std::map<std::string, Cell>> cells_;

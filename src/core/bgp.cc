@@ -543,6 +543,14 @@ void ApplyOptional(const Backend& backend, const plan::PhysPipeline& optional,
   span.set_rows_out(table->rows.count);
 }
 
+// Triple patterns in a logical subtree: what a planning span reports as
+// its input.
+size_t CountScans(const plan::LogicalNode& node) {
+  size_t scans = node.op == plan::LogicalOp::kScan ? 1 : 0;
+  for (const auto& child : node.children) scans += CountScans(*child);
+  return scans;
+}
+
 }  // namespace
 
 Result<BgpResult> ExecutePlan(const Backend& backend,
@@ -595,29 +603,16 @@ Result<BgpResult> ExecutePlan(const Backend& backend,
   return result;
 }
 
-Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& raw_patterns,
-                             const exec::ExecContext& ectx,
-                             const plan::PlannerOptions& options) {
-  if (raw_patterns.empty()) {
-    return Status::InvalidArgument("empty basic graph pattern");
-  }
-  for (const BgpPattern& p : raw_patterns) {
-    for (const Term* t : {&p.subject, &p.property, &p.object}) {
-      if (t->is_var && t->var.empty()) {
-        return Status::InvalidArgument("variable term with empty name");
-      }
-    }
-  }
+plan::PhysicalPlan PlanQuery(const Backend& backend,
+                             const plan::LogicalPlan& logical,
+                             const plan::PlannerOptions& options,
+                             const exec::ExecContext& ectx) {
   plan::PhysicalPlan physical;
   {
     obs::Span plan_span(ectx.trace(), "bgp.plan");
-    plan_span.set_rows_in(raw_patterns.size());
-    physical = plan::OptimizeBgp(raw_patterns, options);
+    plan_span.set_rows_in(CountScans(*logical.root));
+    physical = plan::Optimize(logical, options);
   }
-  // Distributed physical layer: price the chosen order against the
-  // topology. Annotation never reorders, so rows stay bit-identical to
-  // the single-node plan.
   if (const DistRouting* dist = backend.dist(); dist && dist->nodes() > 1) {
     obs::Span dist_span(ectx.trace(), "bgp.distribute");
     plan::DistCostModel model;
@@ -630,18 +625,27 @@ Result<BgpResult> ExecuteBgp(const Backend& backend,
     };
     plan::AnnotateDistribution(&physical, model);
   }
-  return ExecutePlan(backend, physical, ectx);
+  return physical;
 }
 
 Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& raw_patterns,
-                             const exec::ExecContext& ectx) {
-  return ExecuteBgp(backend, raw_patterns, ectx, plan::PlannerOptions{});
-}
-
-Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& raw_patterns) {
-  return ExecuteBgp(backend, raw_patterns, exec::ExecContext());
+                             const std::vector<BgpPattern>& patterns,
+                             const exec::ExecContext& ectx,
+                             const plan::PlannerOptions& options) {
+  if (patterns.empty()) {
+    return Status::InvalidArgument("empty basic graph pattern");
+  }
+  for (const BgpPattern& p : patterns) {
+    for (const Term* t : {&p.subject, &p.property, &p.object}) {
+      if (t->is_var && t->var.empty()) {
+        return Status::InvalidArgument("variable term with empty name");
+      }
+    }
+  }
+  return ExecutePlan(
+      backend,
+      PlanQuery(backend, plan::BuildBgpLogical(patterns), options, ectx),
+      ectx);
 }
 
 }  // namespace swan::core

@@ -62,25 +62,31 @@ Result<BgpResult> ExecutePlan(const Backend& backend,
                               const plan::PhysicalPlan& plan,
                               const exec::ExecContext& ectx);
 
-// Plans and evaluates the conjunction of `patterns`: lowers the list to
-// Join(Scan...), runs plan::Optimize with `options`, then interprets the
-// result. The two-/three-argument overloads use the statistics-free
-// heuristic ordering (the pre-planner behavior, bit-identical); pass
-// PlannerOptions{kCostBased, &store.stats(), backend.PlannerHints()} for
-// the cost-based plan.
-Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& patterns,
-                             const exec::ExecContext& ectx,
-                             const plan::PlannerOptions& options);
-
-Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& patterns,
+// The one planning step from a logical plan to the physical plan
+// ExecutePlan interprets, shared by ExecuteBgp, sparql::Execute and the
+// shell's EXPLAIN: plan::Optimize with `options`, then — on a scale-out
+// backend (Backend::dist() with more than one node) — the distributed
+// physical layer, plan::AnnotateDistribution, which prices the chosen
+// order against the topology and annotates each step with its partition's
+// home node and how its probe traffic ships. Annotation never reorders,
+// so rows stay bit-identical to the single-node plan. The planning spans
+// (bgp.plan, bgp.distribute) record into ectx's trace.
+plan::PhysicalPlan PlanQuery(const Backend& backend,
+                             const plan::LogicalPlan& logical,
+                             const plan::PlannerOptions& options,
                              const exec::ExecContext& ectx);
 
-// Convenience overload under a default context (the globally configured
-// thread width).
-Result<BgpResult> ExecuteBgp(const Backend& backend,
-                             const std::vector<BgpPattern>& patterns);
+// Plans and evaluates the conjunction of `patterns`: lowers the list to
+// Join(Scan...), plans it with PlanQuery, then interprets the result.
+// The default options give the statistics-free heuristic ordering (the
+// pre-planner behavior, bit-identical); pass
+// PlannerOptions{kCostBased, &store.stats(), backend.PlannerHints()} (or
+// RdfStore::planner_options()) for the cost-based plan. The default
+// context runs at the globally configured thread width.
+Result<BgpResult> ExecuteBgp(
+    const Backend& backend, const std::vector<BgpPattern>& patterns,
+    const exec::ExecContext& ectx = exec::ExecContext(),
+    const plan::PlannerOptions& options = plan::PlannerOptions{});
 
 }  // namespace swan::core
 

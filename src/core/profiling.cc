@@ -79,4 +79,32 @@ std::shared_ptr<obs::TraceSession> ScopedProfile::FinishWithCpu(
   return session_;
 }
 
+CostMeter::CostMeter(const Backend& backend, const exec::ExecContext& ectx)
+    : backend_(&backend),
+      ectx_(&ectx),
+      counters_before_(ectx.counters().Snap()),
+      bytes_before_(backend.TotalBytesRead()),
+      seeks_before_(backend.TotalSeeks()),
+      net_seconds_before_(backend.NetSeconds()),
+      io_before_(backend.VirtualSeconds()) {}
+
+double CostMeter::Fill(obs::QueryLogRecord* record) const {
+  const exec::OpCounters::Snapshot after = ectx_->counters().Snap();
+  record->io_seconds = backend_->VirtualSeconds() - io_before_;
+  record->bytes_read = backend_->TotalBytesRead() - bytes_before_;
+  record->seeks = backend_->TotalSeeks() - seeks_before_;
+  record->match_calls = after.match_calls - counters_before_.match_calls;
+  record->morsels = after.morsels - counters_before_.morsels;
+  record->bgp_batches = after.bgp_batches - counters_before_.bgp_batches;
+  record->star_gathers = after.star_gathers - counters_before_.star_gathers;
+  if (const DistRouting* dist = backend_->dist()) {
+    record->node = dist->Coordinator();
+    record->nodes = dist->nodes();
+  }
+  record->net_bytes = after.net_bytes - counters_before_.net_bytes;
+  record->net_messages = after.net_messages - counters_before_.net_messages;
+  record->net_seconds = backend_->NetSeconds() - net_seconds_before_;
+  return record->io_seconds;
+}
+
 }  // namespace swan::core

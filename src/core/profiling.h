@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "core/backend.h"
 #include "exec/exec_context.h"
+#include "obs/querylog.h"
 #include "obs/trace.h"
 
 namespace swan::core {
@@ -54,6 +55,35 @@ class ScopedProfile {
   std::vector<double> lanes_cpu_before_;
   CpuTimer cpu_timer_;
   bool finished_ = false;
+};
+
+// The whole-store cost of one execution as a query-log record carries it,
+// measured the same way by the serve tier and the shell: virtual time,
+// bytes and seeks over every node's disk (the backend's aggregate
+// virtuals), modeled network time, the topology, and the deltas of the
+// context's operator counters. Construction takes the snapshot; Fill
+// records the deltas since.
+class CostMeter {
+ public:
+  CostMeter(const Backend& backend, const exec::ExecContext& ectx);
+
+  // The backend's virtual time at construction.
+  double io_start() const { return io_before_; }
+
+  // Sets the record's io_seconds, bytes_read, seeks, match_calls,
+  // morsels, bgp_batches, star_gathers and net_* fields, and on a
+  // scale-out backend node (the coordinator) and nodes. Returns
+  // io_seconds.
+  double Fill(obs::QueryLogRecord* record) const;
+
+ private:
+  const Backend* backend_;
+  const exec::ExecContext* ectx_;
+  exec::OpCounters::Snapshot counters_before_;
+  uint64_t bytes_before_;
+  uint64_t seeks_before_;
+  double net_seconds_before_;
+  double io_before_;
 };
 
 }  // namespace swan::core

@@ -105,13 +105,11 @@ class RdfStore {
   // Conjunctive pattern (BGP) query. The store facade always plans
   // cost-based: the statistics are collected once at open time and the
   // backend supplies its access-path hints. (Call core::ExecuteBgp
-  // directly for the statistics-free heuristic order.)
-  Result<BgpResult> ExecuteBgp(const std::vector<BgpPattern>& patterns) const {
-    return core::ExecuteBgp(*backend_, patterns, exec::ExecContext(),
-                            planner_options());
-  }
-  Result<BgpResult> ExecuteBgp(const std::vector<BgpPattern>& patterns,
-                               const exec::ExecContext& ectx) const {
+  // directly for the statistics-free heuristic order.) The default
+  // context runs at the globally configured thread width.
+  Result<BgpResult> ExecuteBgp(
+      const std::vector<BgpPattern>& patterns,
+      const exec::ExecContext& ectx = exec::ExecContext()) const {
     return core::ExecuteBgp(*backend_, patterns, ectx, planner_options());
   }
 

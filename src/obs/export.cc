@@ -8,11 +8,6 @@
 
 namespace swan::obs {
 
-namespace {
-
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
 void AppendF(std::string* out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -43,6 +38,8 @@ std::string JsonEscape(const std::string& text) {
   }
   return out;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Text profile

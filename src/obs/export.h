@@ -8,6 +8,19 @@
 
 namespace swan::obs {
 
+// The JSON primitives every emitter shares (the exporters below, the query
+// log, the telemetry snapshot and the bench JSON writer).
+
+// Escapes `text` for a JSON string body: quote and backslash, \n \r \t by
+// name, every other control character as \u00XX.
+std::string JsonEscape(const std::string& text);
+
+// printf-style append; one call adds at most 511 bytes.
+#if defined(__GNUC__)
+__attribute__((format(printf, 2, 3)))
+#endif
+void AppendF(std::string* out, const char* fmt, ...);
+
 // Exporters over a finished TraceSession. All numeric output uses fixed
 // formatting, so two sessions with identical recorded state produce
 // byte-identical strings.

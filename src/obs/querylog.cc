@@ -1,47 +1,12 @@
 #include "obs/querylog.h"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+
+#include "obs/export.h"
 
 namespace swan::obs {
 
 namespace {
-
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, std::min<size_t>(static_cast<size_t>(n),
-                                               sizeof(buf) - 1));
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void CollectOps(const SpanNode& node, std::vector<QueryLogOp>* out) {
   QueryLogOp op;

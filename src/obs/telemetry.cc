@@ -3,28 +3,15 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <utility>
 
 #include "common/mutex.h"
+#include "obs/export.h"
 
 namespace swan::obs {
 
 namespace {
-
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, std::min<size_t>(static_cast<size_t>(n),
-                                               sizeof(buf) - 1));
-}
 
 uint64_t ToNanos(double seconds) {
   if (seconds <= 0.0) return 0;

@@ -119,10 +119,11 @@ struct LogicalNode {
   std::vector<std::unique_ptr<LogicalNode>> children;
 };
 
-// A rooted logical plan plus the value-level context execution needs.
+// A rooted logical plan plus the value-level context execution needs. The
+// solution modifiers live only in the tree, as Distinct/Project/Slice
+// nodes.
 struct LogicalPlan {
   std::unique_ptr<LogicalNode> root;
-  bool distinct = false;
   NumericResolver numeric;  // may be null (no numeric filters)
 };
 

@@ -497,7 +497,6 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
   SWAN_CHECK_MSG(logical.root != nullptr, "logical plan without a root");
   PhysicalPlan plan;
   plan.numeric = logical.numeric;
-  plan.distinct = logical.distinct;
   plan.hints = opts.hints;
 
   // Peel the solution modifiers off the top of the tree.

@@ -57,7 +57,9 @@ std::vector<size_t> PlanPatternOrder(const std::vector<BgpPattern>& patterns);
 // Filter*/LeftJoin/Join/Scan branch.
 PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts);
 
-// Convenience for plain pattern lists (the ExecuteBgp entry point).
+// Optimize over BuildBgpLogical(patterns), for callers that inspect the
+// single-node plan of a pattern list (join-order tests). Execution plans
+// through core::PlanQuery, which also distributes the plan.
 PhysicalPlan OptimizeBgp(const std::vector<BgpPattern>& patterns,
                          const PlannerOptions& opts = {});
 

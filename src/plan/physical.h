@@ -102,8 +102,10 @@ struct PhysicalPlan {
   // the planner chose.
   std::vector<std::string> all_vars;
 
-  // Solution modifiers, applied by the sparql layer in this order:
-  // projection, DISTINCT, OFFSET, LIMIT.
+  // Solution modifiers, peeled off the logical tree by Optimize and
+  // applied by sparql::Execute in this order: projection, DISTINCT,
+  // OFFSET, LIMIT. core::ExecutePlan ignores them and returns the full
+  // binding table.
   std::vector<std::string> projection;  // empty = all_vars
   bool distinct = false;
   std::optional<uint64_t> offset;

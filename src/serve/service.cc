@@ -337,14 +337,9 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
           std::string(" #") + std::to_string(ticket.ticket),
       backend, ticket.session->ectx());
 
-  const exec::OpCounters::Snapshot counters_before =
-      ticket.session->ectx().counters().Snap();
-  const uint64_t disk_bytes_before = backend.TotalBytesRead();
-  const uint64_t disk_seeks_before = backend.TotalSeeks();
-  const double net_seconds_before = backend.NetSeconds();
   const std::vector<double> lanes_before = exec::LaneCpuSnapshot();
+  const core::CostMeter meter(backend, ticket.session->ectx());
   CpuTimer timer;
-  const double io_before = backend.VirtualSeconds();
 
   if (ticket.request.kind == Request::Kind::kBench) {
     if (!bench_ctx_.has_value()) {
@@ -376,26 +371,11 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
   const double user = timer.ElapsedSeconds();
   const double modeled_cpu =
       exec::ModeledCpuSeconds(lanes_before, exec::LaneCpuSnapshot(), user);
-  const double io = backend.VirtualSeconds() - io_before;
+  const double io = meter.Fill(record);
   completion->service_seconds =
       modeled_cpu + io + options_.request_overhead_seconds;
-
-  record->io_seconds = io;
   record->latency_seconds = io + options_.request_overhead_seconds;
   record->cpu_seconds = modeled_cpu;
-  record->bytes_read = backend.TotalBytesRead() - disk_bytes_before;
-  record->seeks = backend.TotalSeeks() - disk_seeks_before;
-  const exec::OpCounters::Snapshot counters_after =
-      ticket.session->ectx().counters().Snap();
-  record->match_calls = counters_after.match_calls - counters_before.match_calls;
-  record->morsels = counters_after.morsels - counters_before.morsels;
-  record->bgp_batches = counters_after.bgp_batches - counters_before.bgp_batches;
-  record->star_gathers =
-      counters_after.star_gathers - counters_before.star_gathers;
-  record->net_bytes = counters_after.net_bytes - counters_before.net_bytes;
-  record->net_messages =
-      counters_after.net_messages - counters_before.net_messages;
-  record->net_seconds = backend.NetSeconds() - net_seconds_before;
 
   std::shared_ptr<obs::TraceSession> session =
       profile->FinishWithCpu(modeled_cpu);

@@ -7,6 +7,14 @@
 
 namespace swan::shard {
 
+namespace {
+
+// A property is sub-split once it holds more than
+// total_triples / (kSplitFactor * nodes) triples.
+constexpr double kSplitFactor = 2.0;
+
+}  // namespace
+
 uint64_t Placement::HashId(uint64_t id) {
   uint64_t z = id + 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -14,11 +22,10 @@ uint64_t Placement::HashId(uint64_t id) {
   return z ^ (z >> 31);
 }
 
-Placement::Placement(std::span<const rdf::Triple> triples,
-                     PlacementConfig config)
-    : config_(config) {
-  SWAN_CHECK_MSG(config_.nodes >= 1, "placement needs at least one node");
-  loads_.assign(static_cast<size_t>(config_.nodes), 0);
+Placement::Placement(std::span<const rdf::Triple> triples, int nodes)
+    : nodes_(nodes) {
+  SWAN_CHECK_MSG(nodes_ >= 1, "placement needs at least one node");
+  loads_.assign(static_cast<size_t>(nodes_), 0);
 
   // std::map: frequency table in ascending property-id order, so the
   // sort below breaks frequency ties deterministically by id.
@@ -33,19 +40,19 @@ Placement::Placement(std::span<const rdf::Triple> triples,
                    });
 
   const uint64_t split_threshold =
-      config_.nodes == 1
+      nodes_ == 1
           ? ~0ull
           : static_cast<uint64_t>(
                 static_cast<double>(triples.size()) /
-                (config_.split_factor * static_cast<double>(config_.nodes)));
+                (kSplitFactor * static_cast<double>(nodes_)));
 
   for (const auto& [prop, count] : props) {
-    if (config_.nodes > 1 && count > split_threshold) {
+    if (nodes_ > 1 && count > split_threshold) {
       split_.push_back(prop);
       continue;  // sub-split: load accounted per triple below
     }
     int best = 0;
-    for (int n = 1; n < config_.nodes; ++n) {
+    for (int n = 1; n < nodes_; ++n) {
       if (loads_[static_cast<size_t>(n)] < loads_[static_cast<size_t>(best)]) {
         best = n;
       }
@@ -66,13 +73,13 @@ Placement::Placement(std::span<const rdf::Triple> triples,
 }
 
 int Placement::HomeNode(uint64_t property) const {
-  if (config_.nodes == 1) return 0;
+  if (nodes_ == 1) return 0;
   if (std::binary_search(split_.begin(), split_.end(), property)) return -1;
   const auto it = home_.find(property);
   if (it != home_.end()) return it->second;
   // Unknown property (first seen via a post-load insert): stable hash.
   return static_cast<int>(HashId(property) %
-                          static_cast<uint64_t>(config_.nodes));
+                          static_cast<uint64_t>(nodes_));
 }
 
 int Placement::NodeOf(const rdf::Triple& triple) const {

@@ -10,29 +10,23 @@
 
 namespace swan::shard {
 
-struct PlacementConfig {
-  int nodes = 1;
-  // A property holding more than total_triples / (split_factor * nodes)
-  // triples is subject-hash sub-split across every node instead of living
-  // on one: without the sub-split a dominant property (Barton's <type> is
-  // ~a third of the data) pins its whole partition to one node and caps
-  // scale-out at that node's disk.
-  double split_factor = 2.0;
-};
-
 // Deterministic property-to-node placement: vertical partitions are the
 // shards (the paper's own storage scheme doubling as the distribution
 // key). Properties are placed by greedy bin-packing — sorted by triple
 // count descending (id ascending on ties), each assigned to the currently
 // least-loaded node — and oversized properties are sub-split by subject
-// hash. The plan is a pure function of the triple multiset and the
-// config, so every node count yields one placement, reproducible across
-// runs and machines.
+// hash. A property holding more than half a node's fair share of the
+// triples (total / (2 * nodes)) is oversized: without the sub-split a
+// dominant property (Barton's <type> is ~a third of the data) pins its
+// whole partition to one node and caps scale-out at that node's disk.
+// The plan is a pure function of the triple multiset and the node count,
+// so every node count yields one placement, reproducible across runs and
+// machines.
 class Placement {
  public:
-  Placement(std::span<const rdf::Triple> triples, PlacementConfig config);
+  Placement(std::span<const rdf::Triple> triples, int nodes);
 
-  int nodes() const { return config_.nodes; }
+  int nodes() const { return nodes_; }
 
   // The node owning `property`'s partition, or -1 when sub-split across
   // all nodes. Properties never seen at placement time (post-load
@@ -46,7 +40,7 @@ class Placement {
   // Node for a (sub-split property, subject) pair.
   int SubjectNode(uint64_t subject) const {
     return static_cast<int>(HashId(subject) %
-                            static_cast<uint64_t>(config_.nodes));
+                            static_cast<uint64_t>(nodes_));
   }
 
   // Triples placed per node (for the bench's balance report).
@@ -60,7 +54,7 @@ class Placement {
   static uint64_t HashId(uint64_t id);
 
  private:
-  PlacementConfig config_;
+  int nodes_;
   std::unordered_map<uint64_t, int> home_;  // pinned properties only
   std::vector<uint64_t> loads_;
   std::vector<uint64_t> split_;

@@ -44,8 +44,7 @@ class ShardedBackend::Routing : public core::DistRouting {
 ShardedBackend::ShardedBackend(const rdf::Dataset& dataset,
                                ShardOptions options)
     : options_(options),
-      placement_(dataset.triples(),
-                 PlacementConfig{options.nodes, options.split_factor}) {
+      placement_(dataset.triples(), options.nodes) {
   SWAN_CHECK_MSG(options_.nodes >= 1, "sharded backend needs >= 1 node");
   net::TopologyConfig topo;
   topo.nodes = options_.nodes;

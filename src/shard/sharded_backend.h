@@ -29,7 +29,6 @@ struct ShardOptions {
   size_t pool_pages = 65536;
   net::NetworkConfig network;
   colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw;
-  double split_factor = 2.0;
 };
 
 // The scale-out backend: N column-store partitions over a simulated

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/macros.h"
 #include "core/bgp.h"
@@ -39,10 +38,17 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
+  // The token's source text, except that a variable's drops its '?'.
   std::string text;
+  size_t offset = 0;  // byte offset of the token's first character
   int line = 1;
   int column = 1;
 };
+
+// The token's length in the source text.
+size_t SourceLength(const Token& token) {
+  return token.text.size() + (token.kind == TokenKind::kVariable ? 1 : 0);
+}
 
 class Lexer {
  public:
@@ -53,6 +59,7 @@ class Lexer {
     for (;;) {
       SkipWhitespaceAndComments();
       Token token;
+      token.offset = pos_;
       token.line = line_;
       token.column = column_;
       if (AtEnd()) {
@@ -351,7 +358,6 @@ class Parser {
     for (const ParsedBranch& branch : query.branches) {
       if (branch.required.patterns.empty()) return Error("empty WHERE block");
     }
-    query.patterns = query.branches.front().required.patterns;
     return query;
   }
 
@@ -665,8 +671,18 @@ Result<plan::LogicalPlan> BuildLogicalPlan(const ParsedQuery& parsed,
     logical.root = plan::MakeUnion(std::move(branches));
   }
 
+  // Every projected variable must occur in WHERE; checking it here makes
+  // EXPLAIN reject what Execute rejects.
+  const std::vector<std::string> where_vars = plan::CollectVars(*logical.root);
+  for (const std::string& var : parsed.projection) {
+    if (std::find(where_vars.begin(), where_vars.end(), var) ==
+        where_vars.end()) {
+      return Status::InvalidArgument("projected variable ?" + var +
+                                     " does not occur in WHERE");
+    }
+  }
+
   // Solution modifiers, innermost first: Distinct, Project, Slice.
-  logical.distinct = parsed.distinct;
   if (parsed.distinct) {
     auto distinct = std::make_unique<plan::LogicalNode>();
     distinct->op = plan::LogicalOp::kDistinct;
@@ -698,153 +714,35 @@ Result<plan::LogicalPlan> BuildLogicalPlan(const ParsedQuery& parsed,
   return logical;
 }
 
-std::vector<core::BgpPattern> Bind(const ParsedQuery& parsed,
-                                   const rdf::Dataset& dataset,
-                                   bool* unmatchable) {
-  *unmatchable = false;
-  std::vector<core::BgpPattern> patterns;
-  auto bind = [&](const ParsedTerm& term) -> core::Term {
-    if (term.kind == ParsedTerm::Kind::kVariable) {
-      return core::Term::Var(term.text);
-    }
-    const auto id = dataset.dict().Find(term.text);
-    if (!id) {
-      *unmatchable = true;
-      return core::Term::Const(0);
-    }
-    return core::Term::Const(*id);
-  };
-  for (const ParsedPattern& p : parsed.patterns) {
-    core::BgpPattern pattern;
-    pattern.subject = bind(p.subject);
-    pattern.property = bind(p.property);
-    pattern.object = bind(p.object);
-    patterns.push_back(std::move(pattern));
-  }
-  return patterns;
-}
-
 std::string CanonicalQueryText(std::string_view query) {
-  // Bare words that are keywords in the grammar; upper-cased so casing
-  // variants share one cache entry. Variables, prefixed names, IRIs and
-  // literals are copied verbatim (a word followed by ':' is a prefixed
-  // name, and `?select` is a variable, never a keyword).
-  static const std::unordered_set<std::string>* const kKeywords =
-      new std::unordered_set<std::string>{
-          "PREFIX", "SELECT", "DISTINCT", "WHERE",    "LIMIT",
-          "OFFSET", "FILTER", "OPTIONAL", "UNION",    "IN"};
+  Result<std::vector<Token>> tokens = Lexer(query).Tokenize();
+  if (!tokens.ok()) {
+    // The query fails to parse, and failed queries are never cached.
+    const size_t begin = query.find_first_not_of(" \t\r\n");
+    if (begin == std::string_view::npos) return "";
+    const size_t end = query.find_last_not_of(" \t\r\n");
+    return std::string(query.substr(begin, end - begin + 1));
+  }
   std::string out;
   out.reserve(query.size());
-  bool pending_space = false;
-  size_t i = 0;
-  const auto emit = [&](char c) {
-    if (pending_space && !out.empty()) out.push_back(' ');
-    pending_space = false;
-    out.push_back(c);
-  };
-  const auto is_word_char = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
-  };
-  while (i < query.size()) {
-    const char c = query[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = true;
-      ++i;
-      continue;
-    }
-    if (c == '#') {  // comment to end of line
-      while (i < query.size() && query[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '"') {  // quoted literal: copy verbatim, honoring \-escapes
-      emit(c);
-      ++i;
-      while (i < query.size()) {
-        const char q = query[i++];
-        out.push_back(q);
-        if (q == '\\' && i < query.size()) {
-          out.push_back(query[i++]);
-        } else if (q == '"') {
-          break;
-        }
+  size_t prev_end = 0;
+  for (const Token& token : tokens.value()) {
+    if (token.kind == TokenKind::kEnd) break;
+    // One space where the source separated two tokens by whitespace or a
+    // comment.
+    if (!out.empty() && token.offset > prev_end) out += ' ';
+    const std::string_view source =
+        query.substr(token.offset, SourceLength(token));
+    if (token.kind == TokenKind::kKeyword) {
+      for (const char c : source) {
+        out += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
       }
-      continue;
+    } else {
+      out += source;
     }
-    if (c == '<') {
-      // IRI (same lookahead as the lexer): copy verbatim so an IRI like
-      // <http://ex.org/select> is never keyword-cased.
-      size_t close = std::string_view::npos;
-      for (size_t j = i + 1; j < query.size(); ++j) {
-        const char ch = query[j];
-        if (ch == '>') {
-          close = j;
-          break;
-        }
-        if (std::isspace(static_cast<unsigned char>(ch)) || ch == '<' ||
-            ch == '"' || ch == '(' || ch == ')' || ch == ',' || ch == '?') {
-          break;
-        }
-      }
-      if (close != std::string_view::npos) {
-        emit(c);
-        for (size_t j = i + 1; j <= close; ++j) out.push_back(query[j]);
-        i = close + 1;
-        continue;
-      }
-    }
-    if (c == '?') {  // variable: '?' plus name, verbatim
-      emit(c);
-      ++i;
-      while (i < query.size() &&
-             (std::isalnum(static_cast<unsigned char>(query[i])) ||
-              query[i] == '_')) {
-        out.push_back(query[i++]);
-      }
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string word;
-      size_t j = i;
-      while (j < query.size() && is_word_char(query[j])) word += query[j++];
-      if (j < query.size() && query[j] == ':') {
-        // Prefixed name: word, ':' and the local part, all verbatim.
-        word += query[j++];
-        while (j < query.size() &&
-               (is_word_char(query[j]) || query[j] == '.' ||
-                query[j] == '/')) {
-          word += query[j++];
-        }
-        for (char w : word) emit(w);
-        i = j;
-        continue;
-      }
-      std::string upper = word;
-      for (char& w : upper) {
-        w = static_cast<char>(std::toupper(static_cast<unsigned char>(w)));
-      }
-      const std::string& text =
-          kKeywords->count(upper) != 0 ? upper : word;
-      for (char w : text) emit(w);
-      i = j;
-      continue;
-    }
-    emit(c);
-    ++i;
+    prev_end = token.offset + source.size();
   }
   return out;
-}
-
-Result<QueryOutput> Execute(const core::Backend& backend,
-                            const rdf::Dataset& dataset,
-                            std::string_view query) {
-  return Execute(backend, dataset, query, exec::ExecContext());
-}
-
-Result<QueryOutput> Execute(const core::Backend& backend,
-                            const rdf::Dataset& dataset,
-                            std::string_view query,
-                            const exec::ExecContext& ectx) {
-  return Execute(backend, dataset, query, ectx, nullptr);
 }
 
 Result<QueryOutput> Execute(const core::Backend& backend,
@@ -852,22 +750,20 @@ Result<QueryOutput> Execute(const core::Backend& backend,
                             std::string_view query,
                             const exec::ExecContext& ectx,
                             const plan::StoreStats* stats) {
-  std::optional<ParsedQuery> parsed_opt;
+  std::optional<ParsedQuery> parsed;
   {
     obs::Span parse_span(ectx.trace(), "sparql.parse");
-    SWAN_ASSIGN_OR_RETURN(ParsedQuery parsed, Parse(query));
-    parsed_opt = std::move(parsed);
+    SWAN_ASSIGN_OR_RETURN(parsed, Parse(query));
   }
-  ParsedQuery& parsed = *parsed_opt;
 
   // Lower to the logical algebra: constants bound, filters compiled,
-  // unsatisfiable scans marked for constant folding.
+  // unsatisfiable scans marked for constant folding, projection checked.
   plan::LogicalPlan logical;
   {
     obs::Span bind_span(ectx.trace(), "sparql.bind");
-    SWAN_ASSIGN_OR_RETURN(logical, BuildLogicalPlan(parsed, dataset));
+    SWAN_ASSIGN_OR_RETURN(logical, BuildLogicalPlan(*parsed, dataset));
     size_t pattern_count = 0;
-    for (const ParsedBranch& branch : parsed.branches) {
+    for (const ParsedBranch& branch : parsed->branches) {
       pattern_count += branch.required.patterns.size();
       for (const ParsedGroup& optional : branch.optionals) {
         pattern_count += optional.patterns.size();
@@ -876,49 +772,33 @@ Result<QueryOutput> Execute(const core::Backend& backend,
     bind_span.set_rows_out(pattern_count);
   }
 
-  // Projection validation happens even for constant-folded-empty queries.
-  const std::vector<std::string> all_vars = plan::CollectVars(*logical.root);
-  const std::vector<std::string>& projection =
-      parsed.projection.empty() ? all_vars : parsed.projection;
-  for (const std::string& var : projection) {
-    if (std::find(all_vars.begin(), all_vars.end(), var) == all_vars.end()) {
-      return Status::InvalidArgument("projected variable ?" + var +
-                                     " does not occur in WHERE");
-    }
+  plan::PlannerOptions options;
+  if (stats != nullptr) {
+    options.mode = plan::PlanMode::kCostBased;
+    options.stats = stats;
+    options.hints = backend.PlannerHints();
   }
-
-  plan::PhysicalPlan physical;
-  {
-    obs::Span plan_span(ectx.trace(), "bgp.plan");
-    plan::PlannerOptions options;
-    if (stats != nullptr) {
-      options.mode = plan::PlanMode::kCostBased;
-      options.stats = stats;
-      options.hints = backend.PlannerHints();
-    }
-    physical = plan::Optimize(logical, options);
-    plan_span.set_rows_in(physical.branches.size());
-  }
-
-  QueryOutput output;
-  output.vars = projection;
-  output.plan_note = physical.mode_note;
-
+  const plan::PhysicalPlan physical =
+      core::PlanQuery(backend, logical, options, ectx);
   SWAN_ASSIGN_OR_RETURN(core::BgpResult bgp,
                         core::ExecutePlan(backend, physical, ectx));
 
-  // Project, optionally deduplicate, apply OFFSET/LIMIT. Binding columns
-  // are located by name against the result's variable list (textual
-  // order, shared by every branch); the identity projection moves the
-  // rows instead of copying them.
+  // The solution modifiers of the plan that ran, in order: projection,
+  // DISTINCT, OFFSET, LIMIT. Binding columns are located by name against
+  // the result's variable list (textual order, shared by every branch);
+  // the identity projection moves the rows instead of copying them.
   obs::Span project_span(ectx.trace(), "sparql.project");
   project_span.set_rows_in(bgp.rows.size());
+  QueryOutput output;
+  output.vars =
+      physical.projection.empty() ? physical.all_vars : physical.projection;
+  output.plan_note = physical.mode_note;
   std::vector<std::vector<uint64_t>>& rows = output.rows;
-  if (projection == bgp.vars) {
+  if (output.vars == bgp.vars) {
     rows = std::move(bgp.rows);
   } else {
     std::vector<size_t> column_of;
-    for (const std::string& var : projection) {
+    for (const std::string& var : output.vars) {
       const auto it = std::find(bgp.vars.begin(), bgp.vars.end(), var);
       SWAN_CHECK_MSG(it != bgp.vars.end(), "projected variable lost by BGP");
       column_of.push_back(static_cast<size_t>(it - bgp.vars.begin()));
@@ -930,18 +810,18 @@ Result<QueryOutput> Execute(const core::Backend& backend,
       for (size_t c : column_of) out_row.push_back(row[c]);
     }
   }
-  if (parsed.distinct) {
+  if (physical.distinct) {
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
-  if (parsed.offset) {
+  if (physical.offset) {
     rows.erase(rows.begin(),
                rows.begin() + static_cast<ptrdiff_t>(
-                                  std::min<uint64_t>(*parsed.offset,
+                                  std::min<uint64_t>(*physical.offset,
                                                      rows.size())));
   }
-  if (parsed.limit && rows.size() > *parsed.limit) {
-    rows.resize(*parsed.limit);
+  if (physical.limit && rows.size() > *physical.limit) {
+    rows.resize(*physical.limit);
   }
   project_span.set_rows_out(rows.size());
   return output;

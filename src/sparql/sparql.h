@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "core/backend.h"
-#include "core/bgp.h"
 #include "exec/exec_context.h"
 #include "plan/algebra.h"
 #include "plan/stats.h"
@@ -82,24 +81,23 @@ struct ParsedQuery {
   std::vector<ParsedBranch> branches;
   std::optional<uint64_t> limit;
   std::optional<uint64_t> offset;
-
-  // Legacy view kept for BGP-only callers: the first branch's required
-  // patterns (every pre-planner query had exactly one branch and no
-  // filters/optionals).
-  std::vector<ParsedPattern> patterns;
 };
 
 // Parses the query text. Errors carry 1-based line:column positions.
 Result<ParsedQuery> Parse(std::string_view query);
 
 // Canonical form of a query's text, used by the serving layer as the
-// lexical part of its result-cache key: '#' comments stripped, runs of
-// whitespace outside quoted literals collapsed to a single space, bare
-// keywords upper-cased (so `select` and `SELECT` share one cache entry),
-// and the ends trimmed. IRIs, literals, variables and prefixed names are
-// copied verbatim. Two texts with the same canonical form tokenize
-// identically (so they parse to the same query); no semantic
-// normalization (variable renaming, pattern reordering) is attempted.
+// lexical part of its result-cache key and defined by the lexer Parse
+// uses: the query's tokens in order, keyword tokens upper-cased (so
+// `select` and `SELECT` share one cache entry), every other token (IRI,
+// literal with its @lang or ^^ suffix, variable, prefixed name, number,
+// punctuation) copied from its source span, and one space between two
+// tokens wherever the source separated them by whitespace or a comment.
+// Two texts with the same canonical form therefore tokenize identically
+// (so they parse to the same query); no semantic normalization (variable
+// renaming, pattern reordering) is attempted. Text the lexer rejects is
+// returned trimmed: such a query fails, and failed queries are never
+// cached.
 std::string CanonicalQueryText(std::string_view query);
 
 // --- Lowering -------------------------------------------------------------
@@ -108,20 +106,14 @@ std::string CanonicalQueryText(std::string_view query);
 // against the dataset's dictionary (a miss marks the scan unsatisfiable —
 // the planner constant-folds it to the empty result), filters are
 // compiled to id / numeric comparisons, OPTIONAL becomes LeftJoin and
-// branches become a Union, wrapped in Distinct/Project/Slice modifiers.
-// The plan's NumericResolver decodes numeric literals through the
-// dictionary. Exported for the shell's EXPLAIN.
+// branches become a Union, wrapped in Distinct/Project/Slice modifiers —
+// the only record of the solution modifiers from here on. A projected
+// variable that occurs nowhere in WHERE is an InvalidArgument error. The
+// plan's NumericResolver decodes numeric literals through the
+// dictionary. Exported for the shell's EXPLAIN, which plans the result
+// through core::PlanQuery exactly as Execute does.
 Result<plan::LogicalPlan> BuildLogicalPlan(const ParsedQuery& parsed,
                                            const rdf::Dataset& dataset);
-
-// Binds a parsed query's constant terms against the dataset's dictionary,
-// producing executable BGP patterns (legacy first-branch view; filters
-// and optionals are ignored). A constant absent from the dictionary
-// cannot match anything: *unmatchable is set and the caller should return
-// the empty result (standard SPARQL semantics).
-std::vector<core::BgpPattern> Bind(const ParsedQuery& parsed,
-                                   const rdf::Dataset& dataset,
-                                   bool* unmatchable);
 
 // --- Execution ------------------------------------------------------------
 
@@ -139,31 +131,24 @@ struct QueryOutput {
 // empty string for plan::kUnbound.
 std::string TermText(const rdf::Dataset& dataset, uint64_t id);
 
-// Parses and runs `query` against `backend`. Results stay dictionary ids;
-// decoding is the caller's, through TermText, for the cells it shows. A
-// constant term that is not in the dictionary yields an empty result
-// (standard SPARQL semantics), not an error.
-Result<QueryOutput> Execute(const core::Backend& backend,
-                            const rdf::Dataset& dataset,
-                            std::string_view query);
-
-// As above, under an explicit execution context: the BGP evaluation fans
-// its binding-extension batches out across the context's thread budget
-// (see core::ExecutePlan); results are identical at every width.
-Result<QueryOutput> Execute(const core::Backend& backend,
-                            const rdf::Dataset& dataset,
-                            std::string_view query,
-                            const exec::ExecContext& ectx);
-
-// As above with planner statistics: non-null `stats` selects the
-// cost-based planner (with the backend's access hints); null falls back
-// to the statistics-free heuristic order. RdfStore::stats() supplies the
-// load-time statistics.
+// Parses and runs `query` against `backend`: Parse, BuildLogicalPlan,
+// core::PlanQuery (which also distributes the plan on a scale-out
+// backend), core::ExecutePlan, then the physical plan's projection,
+// DISTINCT, OFFSET and LIMIT. Results stay dictionary ids; decoding is
+// the caller's, through TermText, for the cells it shows. A constant term
+// that is not in the dictionary yields an empty result (standard SPARQL
+// semantics), not an error.
+//
+// The BGP evaluation fans its binding-extension batches out across the
+// thread budget of `ectx` (see core::ExecutePlan); results are identical
+// at every width. Non-null `stats` selects the cost-based planner (with
+// the backend's access hints); null falls back to the statistics-free
+// heuristic order. RdfStore::stats() supplies the load-time statistics.
 Result<QueryOutput> Execute(const core::Backend& backend,
                             const rdf::Dataset& dataset,
                             std::string_view query,
-                            const exec::ExecContext& ectx,
-                            const plan::StoreStats* stats);
+                            const exec::ExecContext& ectx = exec::ExecContext(),
+                            const plan::StoreStats* stats = nullptr);
 
 }  // namespace swan::sparql
 

@@ -25,6 +25,7 @@
 #include "net/topology.h"
 #include "shard/placement.h"
 #include "shard/sharded_backend.h"
+#include "sparql/sparql.h"
 
 namespace swan {
 namespace {
@@ -235,8 +236,8 @@ TEST(PlacementTest, DeterministicAndBalanced) {
   config.target_triples = 12000;
   const auto barton = GenerateBarton(config);
 
-  shard::Placement a(barton.dataset.triples(), {4, 2.0});
-  shard::Placement b(barton.dataset.triples(), {4, 2.0});
+  shard::Placement a(barton.dataset.triples(), 4);
+  shard::Placement b(barton.dataset.triples(), 4);
   EXPECT_EQ(a.node_loads(), b.node_loads());
   EXPECT_EQ(a.split_properties(), b.split_properties());
 
@@ -354,6 +355,76 @@ TEST(ScaleoutNetworkTest, WireAccountingIsPinned) {
             << sharded.name() << " " << ToString(w.id);
       }
     }
+  }
+}
+
+// SPARQL plans through the same step as ExecuteBgp (core::PlanQuery), so
+// on a sharded store it ships the same forward legs: every benchmark BGP,
+// written as SELECT * text, returns the same rows and charges the same
+// network at every node count and coordinator. EXPLAIN plans through that
+// step too, so a 2-node plan shows where its steps run.
+TEST(ScaleoutNetworkTest, SparqlShipsWhatExecuteBgpShips) {
+  BartonConfig config;
+  config.target_triples = 20000;
+  const auto barton = GenerateBarton(config);
+  const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
+  const auto term_text = [&](const core::Term& term) {
+    return term.is_var ? "?" + term.var
+                       : sparql::TermText(barton.dataset, term.id);
+  };
+  const auto sparql_text = [&](const bench_support::NamedBgp& bgp) {
+    std::string text = "SELECT * WHERE {";
+    for (const core::BgpPattern& p : bgp.patterns) {
+      text += " " + term_text(p.subject) + " " + term_text(p.property) + " " +
+              term_text(p.object) + " .";
+    }
+    return text + " }";
+  };
+  const auto bgps = bench_support::BenchmarkBgps(ctx.vocab());
+
+  for (int nodes : {2, 4}) {
+    core::StoreOptions options;
+    options.nodes = nodes;
+    auto store = core::RdfStore::Open(barton.dataset, options);
+    core::DistRouting* dist = store->backend().dist();
+    ASSERT_NE(dist, nullptr);
+    uint64_t shipped = 0;
+    for (int coordinator = 0; coordinator < nodes; ++coordinator) {
+      dist->SetCoordinator(coordinator);
+      for (const auto& bgp : bgps) {
+        const std::string text = sparql_text(bgp);
+        const std::string cell = bgp.name + " at " + std::to_string(nodes) +
+                                 " nodes, coordinator " +
+                                 std::to_string(coordinator);
+        const exec::ExecContext bgp_ectx(1);
+        const exec::ExecContext sparql_ectx(1);
+        auto expected = store->ExecuteBgp(bgp.patterns, bgp_ectx);
+        auto got = sparql::Execute(store->backend(), barton.dataset, text,
+                                   sparql_ectx, &store->stats());
+        ASSERT_TRUE(expected.ok()) << cell;
+        ASSERT_TRUE(got.ok()) << cell << ": " << got.status().ToString();
+        EXPECT_EQ(got.value().vars, expected.value().vars) << cell;
+        EXPECT_EQ(got.value().rows, expected.value().rows) << cell;
+        const auto want = bgp_ectx.counters().Snap();
+        const auto have = sparql_ectx.counters().Snap();
+        shipped += want.net_bytes;
+        EXPECT_EQ(have.net_bytes, want.net_bytes) << cell;
+        EXPECT_EQ(have.net_messages, want.net_messages) << cell;
+      }
+    }
+    EXPECT_GT(shipped, 0u) << nodes << " nodes";
+    if (nodes != 2) continue;
+    dist->SetCoordinator(0);
+    auto parsed = sparql::Parse(sparql_text(bgps[4]));  // q5
+    ASSERT_TRUE(parsed.ok());
+    auto logical = sparql::BuildLogicalPlan(parsed.value(), barton.dataset);
+    ASSERT_TRUE(logical.ok());
+    const std::string explain = plan::ExplainText(
+        core::PlanQuery(store->backend(), logical.value(),
+                        store->planner_options(), exec::ExecContext(1)));
+    EXPECT_TRUE(explain.find("[node ") != std::string::npos ||
+                explain.find("[ship-") != std::string::npos)
+        << explain;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "bench_support/barton_generator.h"
 #include "core/store.h"
 #include "obs/metrics.h"
+#include "rdf/dataset.h"
 #include "serve/admission.h"
 #include "serve/request.h"
 #include "serve/result_cache.h"
@@ -431,6 +432,43 @@ TEST_F(ServeTest, CacheCoherenceAcrossTheWritePath) {
   // The registered audit hook checks the cache against the live store.
   const auto report = store->Audit(audit::AuditLevel::kQuick);
   EXPECT_TRUE(report.ok()) << report.ToString();
+  service.Stop();
+}
+
+// Regression: the cache key is the lexer's canonical text, so a prefixed
+// name or a language tag that spells a keyword in another case is its
+// own query. A second tokenizer once upper-cased `:select` and the `in`
+// of `"chat"@in`, and the second query of each pair got the first one's
+// rows from the cache.
+TEST(ServeCacheKeyTest, CaseVariantsOfNamesAndTagsAreDistinctQueries) {
+  rdf::Dataset data;
+  data.Add("<lower>", "<http://x/select>", "<o>");
+  data.Add("<upper>", "<http://x/SELECT>", "<o>");
+  data.Add("<in>", "<label>", "\"chat\"@in");
+  data.Add("<IN>", "<label>", "\"chat\"@IN");
+  auto store = core::RdfStore::Open(data, core::StoreOptions{});
+  QueryService service(store.get(), std::nullopt, {});
+  ASSERT_NE(service.cache(), nullptr);
+  const auto script = ParseScript(
+      "session a\n"
+      "query a PREFIX : <http://x/> SELECT ?s WHERE { ?s :select ?o }\n"
+      "query a PREFIX : <http://x/> SELECT ?s WHERE { ?s :SELECT ?o }\n"
+      "query a SELECT ?s WHERE { ?s <label> \"chat\"@in }\n"
+      "query a SELECT ?s WHERE { ?s <label> \"chat\"@IN }\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  auto run = RunScript(&service, script.value());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const auto& completions = run.value().completions;
+  ASSERT_EQ(completions.size(), 4u);
+  const char* expected[] = {"<lower>", "<upper>", "<in>", "<IN>"};
+  for (size_t i = 0; i < completions.size(); ++i) {
+    const Completion& c = completions[i];
+    ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+    EXPECT_FALSE(c.cache_hit) << "query " << i;
+    ASSERT_EQ(c.result.rows.size(), 1u) << "query " << i;
+    EXPECT_EQ(c.result.rows[0][0], data.dict().Find(expected[i]).value())
+        << "query " << i;
+  }
   service.Stop();
 }
 

@@ -36,8 +36,10 @@ TEST_F(SparqlTest, ParsesMinimalQuery) {
   auto parsed = Parse("SELECT ?s WHERE { ?s <p> ?o }");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().projection, (std::vector<std::string>{"s"}));
-  ASSERT_EQ(parsed.value().patterns.size(), 1u);
-  EXPECT_EQ(parsed.value().patterns[0].property.text, "<p>");
+  ASSERT_EQ(parsed.value().branches.size(), 1u);
+  const auto& patterns = parsed.value().branches[0].required.patterns;
+  ASSERT_EQ(patterns.size(), 1u);
+  EXPECT_EQ(patterns[0].property.text, "<p>");
 }
 
 TEST_F(SparqlTest, ParsesStarDistinctAndLimit) {
@@ -59,7 +61,8 @@ TEST_F(SparqlTest, ExpandsPrefixedNames) {
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x WHERE { ?x ex:knows ?y }");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().patterns[0].property.text, "<http://ex.org/knows>");
+  EXPECT_EQ(parsed.value().branches[0].required.patterns[0].property.text,
+            "<http://ex.org/knows>");
 }
 
 TEST_F(SparqlTest, RejectsUndeclaredPrefix) {
@@ -225,6 +228,22 @@ TEST_F(SparqlTest, CanonicalTextUppercasesKeywordsOnly) {
       "{ ?limit where:union ?o }");
 }
 
+TEST_F(SparqlTest, CanonicalTextFollowsTheLexer) {
+  // A prefixed name and a language tag are single tokens, copied verbatim
+  // even when they spell a keyword.
+  EXPECT_EQ(
+      CanonicalQueryText("PREFIX : <x:> SELECT ?s WHERE { ?s :select ?o }"),
+      "PREFIX : <x:> SELECT ?s WHERE { ?s :select ?o }");
+  EXPECT_NE(CanonicalQueryText("SELECT ?s WHERE { ?s <p> \"chat\"@in }"),
+            CanonicalQueryText("SELECT ?s WHERE { ?s <p> \"chat\"@IN }"));
+  // Adjacent tokens stay adjacent; a comment separates like whitespace.
+  EXPECT_EQ(CanonicalQueryText("select ?s where{?s <p> ?o}#c\nlimit 1"),
+            "SELECT ?s WHERE{?s <p> ?o} LIMIT 1");
+  // Text the lexer rejects comes back trimmed.
+  EXPECT_EQ(CanonicalQueryText("  SELECT ?s WHERE { ?s <p> \"open }  "),
+            "SELECT ?s WHERE { ?s <p> \"open }");
+}
+
 TEST_F(SparqlTest, ErrorsCarryPositions) {
   auto parsed = Parse("SELECT ?x\nWHERE ?x <p> ?y }");
   ASSERT_FALSE(parsed.ok());
@@ -238,6 +257,10 @@ TEST_F(SparqlTest, RejectsLiteralSubject) {
 TEST_F(SparqlTest, RejectsProjectionOfUnboundVariable) {
   auto result = Run("SELECT ?nope WHERE { ?s ?p ?o }");
   EXPECT_FALSE(result.ok());
+  // Lowering rejects it too, so EXPLAIN fails where Execute fails.
+  auto parsed = Parse("SELECT ?nope WHERE { ?s ?p ?o }");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(BuildLogicalPlan(parsed.value(), data_).ok());
 }
 
 TEST_F(SparqlTest, ExecutesSingleTriplePattern) {
@@ -325,29 +348,42 @@ TEST_F(SparqlTest, SameAnswersOnEveryBackend) {
   EXPECT_EQ(key(a.value()), key(b.value()));
 }
 
-TEST_F(SparqlTest, BindResolvesConstantsAgainstDictionary) {
+// The scan leaves of a lowered plan, in textual order.
+void CollectScans(const plan::LogicalNode& node,
+                  std::vector<const plan::LogicalNode*>* scans) {
+  if (node.op == plan::LogicalOp::kScan) scans->push_back(&node);
+  for (const auto& child : node.children) CollectScans(*child, scans);
+}
+
+TEST_F(SparqlTest, BuildLogicalPlanResolvesConstantsAgainstDictionary) {
   auto parsed = Parse(
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x WHERE { ?x ex:knows ex:bob }");
   ASSERT_TRUE(parsed.ok());
-  bool unmatchable = true;
-  const auto patterns = Bind(parsed.value(), data_, &unmatchable);
-  EXPECT_FALSE(unmatchable);
-  ASSERT_EQ(patterns.size(), 1u);
-  EXPECT_TRUE(patterns[0].subject.is_var);
-  EXPECT_FALSE(patterns[0].property.is_var);
-  EXPECT_EQ(patterns[0].property.id,
+  auto logical = BuildLogicalPlan(parsed.value(), data_);
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  std::vector<const plan::LogicalNode*> scans;
+  CollectScans(*logical.value().root, &scans);
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_FALSE(scans[0]->unsatisfiable);
+  const plan::BgpPattern& pattern = scans[0]->pattern;
+  EXPECT_TRUE(pattern.subject.is_var);
+  EXPECT_FALSE(pattern.property.is_var);
+  EXPECT_EQ(pattern.property.id,
             data_.dict().Find("<http://ex.org/knows>").value());
-  EXPECT_EQ(patterns[0].object.id,
+  EXPECT_EQ(pattern.object.id,
             data_.dict().Find("<http://ex.org/bob>").value());
 }
 
-TEST_F(SparqlTest, BindFlagsUnknownConstants) {
+TEST_F(SparqlTest, BuildLogicalPlanMarksUnknownConstantsUnsatisfiable) {
   auto parsed = Parse("SELECT ?x WHERE { ?x <http://nowhere/p> ?y }");
   ASSERT_TRUE(parsed.ok());
-  bool unmatchable = false;
-  Bind(parsed.value(), data_, &unmatchable);
-  EXPECT_TRUE(unmatchable);
+  auto logical = BuildLogicalPlan(parsed.value(), data_);
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  std::vector<const plan::LogicalNode*> scans;
+  CollectScans(*logical.value().root, &scans);
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_TRUE(scans[0]->unsatisfiable);
 }
 
 TEST_F(SparqlTest, LanguageTaggedLiteralRoundTrips) {

@@ -151,8 +151,13 @@ print('scaleout json smoke: OK')
     echo "=== release: swanbench smoke ==="
     bash "$REPO_ROOT/bench/swanbench/run.sh" --smoke >/dev/null || status=1
     # Sharded querylog smoke: a 2-node serve run must emit per-node
-    # dimensions that validate, spread across both gather nodes.
+    # dimensions that validate, spread across both gather nodes. The
+    # shell's own record of a 2-node one-shot query must carry the
+    # topology and its BGP work, and a 2-node EXPLAIN must show where the
+    # plan's steps run.
     echo "=== release: sharded querylog smoke ==="
+    SHARDED_QUERY='SELECT ?s ?t WHERE { ?s <origin> <info:marcorg/DLC> .
+      ?s <records> ?o2 . ?o2 <type> ?t }'
     { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
         --serve "$RELEASE_DIR/serve-smoke.serve" \
         --querylog="$RELEASE_DIR/querylog-sharded.jsonl" >/dev/null &&
@@ -164,7 +169,23 @@ records = [json.loads(l) for l in open('$RELEASE_DIR/querylog-sharded.jsonl')]
 assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
 assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
 print('sharded querylog: %d records over 2 nodes' % len(records))
-"; } || status=1
+" &&
+      "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
+        --query "$SHARDED_QUERY" \
+        --querylog="$RELEASE_DIR/querylog-shell-sharded.jsonl" >/dev/null &&
+      python3 "$REPO_ROOT/tools/validate_querylog.py" \
+        "$RELEASE_DIR/querylog-shell-sharded.jsonl" &&
+      python3 -c "
+import json
+[record] = [json.loads(l) for l in open('$RELEASE_DIR/querylog-shell-sharded.jsonl')]
+assert record['nodes'] == 2, 'shell record lost the topology: %r' % record
+assert record['match_calls'] > 0, 'shell record lost the BGP work: %r' % record
+print('shell sharded record: %d match calls, %d net bytes'
+      % (record['match_calls'], record['net_bytes']))
+" &&
+      printf 'explain %s\n' "$SHARDED_QUERY" |
+        "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
+          2>/dev/null | grep -E '\[(node [0-9]+|ship-)'; } || status=1
     # Every example must keep building and running (they double as living
     # API documentation).
     echo "=== release: examples ==="

@@ -23,11 +23,13 @@
 // (followed by ';') does the same.
 //
 // --explain prints the cost-based planner's annotated physical plan (join
-// order, step extents, filter placement, estimated cardinalities) before
-// each query's rows. Interactively, `explain SELECT ...` prints just the
-// plan, and `explain analyze SELECT ...` prints the plan followed by the
-// profiled execution — the span tree's `est=` annotations sit next to the
-// actual row counts, so estimate quality is readable in one place.
+// order, step extents, filter placement, estimated cardinalities, and on
+// a --nodes N store each step's node and ship mode) before each query's
+// rows. Interactively, `explain SELECT ...` prints just the plan (or the
+// parse error, exiting 1), and `explain analyze SELECT ...` prints the
+// plan followed by the profiled execution — the span tree's `est=`
+// annotations sit next to the actual row counts, so estimate quality is
+// readable in one place.
 //
 // --profile attaches a trace session to every query and prints the text
 // profile (EXPLAIN ANALYZE: span tree with virtual times, rows, bytes,
@@ -169,23 +171,27 @@ bool ParseArgs(int argc, char** argv, ShellOptions* options) {
   return true;
 }
 
-// EXPLAIN: lowers the query through the logical algebra and the
-// cost-based planner (the store's load-time statistics and the backend's
-// access hints) and prints the annotated physical plan — join order,
-// step extents, filter placement, estimated cardinalities.
-void ExplainQuery(const swan::core::RdfStore& store,
-                  const swan::rdf::Dataset& dataset,
-                  const std::string& query) {
-  auto parsed = swan::sparql::Parse(query);
-  if (!parsed.ok()) return;  // RunQuery reports the parse error
-  auto logical = swan::sparql::BuildLogicalPlan(parsed.value(), dataset);
-  if (!logical.ok()) return;
+// EXPLAIN: lowers the query through the logical algebra and plans it the
+// way execution does (core::PlanQuery under the store's cost-based
+// planner options, so a sharded store's plan carries its node and ship
+// annotations), then prints the annotated physical plan — join order,
+// step extents, filter placement, estimated cardinalities. A parse or
+// lowering error is returned for the caller to report.
+swan::Status ExplainQuery(const swan::core::RdfStore& store,
+                          const swan::rdf::Dataset& dataset,
+                          const std::string& query) {
+  SWAN_ASSIGN_OR_RETURN(swan::sparql::ParsedQuery parsed,
+                        swan::sparql::Parse(query));
+  SWAN_ASSIGN_OR_RETURN(swan::plan::LogicalPlan logical,
+                        swan::sparql::BuildLogicalPlan(parsed, dataset));
   const auto physical =
-      swan::plan::Optimize(logical.value(), store.planner_options());
+      swan::core::PlanQuery(store.backend(), logical, store.planner_options(),
+                            swan::exec::ExecContext());
   auto term_name = [&](uint64_t id) -> std::string {
     return std::string(dataset.dict().Lookup(id));
   };
   std::printf("%s", swan::plan::ExplainText(physical, term_name).c_str());
+  return swan::Status::OK();
 }
 
 // Deep invariant audit of the open store; returns 1 if anything is wrong.
@@ -397,29 +403,32 @@ int RunQuery(swan::core::RdfStore& store,
     text = trimmed.substr(std::strlen("explain analyze "));
   } else if (trimmed.rfind("explain ", 0) == 0) {
     // EXPLAIN: print the annotated plan without executing.
-    ExplainQuery(store, dataset, trimmed.substr(std::strlen("explain ")));
-    return 0;
+    const swan::Status status =
+        ExplainQuery(store, dataset, trimmed.substr(std::strlen("explain ")));
+    if (status.ok()) return 0;
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 1;
   }
-  if (explain) ExplainQuery(store, dataset, text);
+  // A query that fails to plan fails the same way when it runs below,
+  // which reports and logs the error.
+  if (explain) (void)ExplainQuery(store, dataset, text);
+  const swan::core::Backend& backend = store.backend();
   const swan::exec::ExecContext ectx;
   // Profiling is always on so the fleet telemetry gets operator-level
   // estimated-vs-actual cardinalities for every query; the `profile` flag
   // only controls whether the text profile is *printed*.
-  swan::core::ScopedProfile scoped("query", store.backend(), ectx);
+  swan::core::ScopedProfile scoped("query", backend, ectx);
+  const swan::core::CostMeter meter(backend, ectx);
   swan::CpuTimer timer;
-  const double io_before = store.backend().disk()->clock().now();
-  const uint64_t bytes_before = store.backend().disk()->total_bytes_read();
-  const uint64_t seeks_before = store.backend().disk()->total_seeks();
-  auto result = swan::sparql::Execute(store.backend(), dataset, text, ectx,
+  auto result = swan::sparql::Execute(backend, dataset, text, ectx,
                                       &store.stats());
   const double user = timer.ElapsedSeconds();
-  const double io_after = store.backend().disk()->clock().now();
-  const double real = user + (io_after - io_before);
   std::shared_ptr<swan::obs::TraceSession> session = scoped.Finish();
 
-  // One structured query-log record per executed query. The latency on the
-  // deterministic surface is the virtual-disk delta; host CPU rides along
-  // in the host-time fields only.
+  // One structured query-log record per executed query, its costs
+  // measured over the whole store as the serve tier measures them. The
+  // latency on the deterministic surface is the virtual-clock delta; host
+  // CPU rides along in the host-time fields only.
   swan::obs::QueryLogRecord record;
   record.seq = fleet->records();
   record.session = "shell";
@@ -430,12 +439,11 @@ int RunQuery(swan::core::RdfStore& store,
   record.ok = result.ok();
   if (!result.ok()) record.error = result.status().message();
   record.snapshot_version = store.snapshot_version();
-  record.vt_start = io_before;
-  record.vt_finish = io_after;
-  record.io_seconds = io_after - io_before;
-  record.latency_seconds = record.io_seconds;
-  record.bytes_read = store.backend().disk()->total_bytes_read() - bytes_before;
-  record.seeks = store.backend().disk()->total_seeks() - seeks_before;
+  const double io = meter.Fill(&record);
+  const double real = user + io;
+  record.vt_start = meter.io_start();
+  record.vt_finish = backend.VirtualSeconds();
+  record.latency_seconds = io;
   record.cpu_seconds = user;
   record.service_seconds = real;
   if (result.ok()) {
