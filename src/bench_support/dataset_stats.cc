@@ -1,7 +1,9 @@
 #include "bench_support/dataset_stats.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <utility>
+
+#include "rdf/term_counts.h"
 
 namespace swan::bench_support {
 
@@ -10,49 +12,36 @@ Table1Stats ComputeTable1Stats(const rdf::Dataset& dataset) {
   stats.total_triples = dataset.size();
   stats.strings_in_dictionary = dataset.dict().size();
 
-  std::unordered_set<uint64_t> subjects;
-  std::unordered_set<uint64_t> properties;
-  std::unordered_set<uint64_t> objects;
-  uint64_t term_bytes = 0;
-  const auto& dict = dataset.dict();
-  for (const rdf::Triple& t : dataset.triples()) {
-    subjects.insert(t.subject);
-    properties.insert(t.property);
-    objects.insert(t.object);
-    term_bytes += dict.Lookup(t.subject).size() +
-                  dict.Lookup(t.property).size() +
-                  dict.Lookup(t.object).size() + 5;  // " " x3 + ". \n"
+  // Every occurrence of a term in a triple contributes its text once.
+  uint64_t term_bytes = 5 * dataset.size();  // " " x3 + ". \n" per triple
+  const rdf::TermCounts terms(dataset.triples());
+  const std::span<const rdf::TermCounts::Roles> roles = terms.roles();
+  for (uint64_t id = 0; id < roles.size(); ++id) {
+    const rdf::TermCounts::Roles& r = roles[id];
+    const uint64_t uses = r.subject + r.property + r.object;
+    if (uses == 0) continue;
+    term_bytes += uses * dataset.dict().Lookup(id).size();
+    stats.distinct_subjects += r.subject != 0;
+    stats.distinct_properties += r.property != 0;
+    stats.distinct_objects += r.object != 0;
+    stats.subjects_also_objects += r.subject != 0 && r.object != 0;
   }
-  stats.distinct_subjects = subjects.size();
-  stats.distinct_properties = properties.size();
-  stats.distinct_objects = objects.size();
   stats.dataset_bytes = term_bytes;
-
-  uint64_t both = 0;
-  for (uint64_t s : subjects) {
-    if (objects.count(s) != 0) ++both;
-  }
-  stats.subjects_also_objects = both;
   return stats;
 }
 
 Figure1Curves ComputeFigure1Curves(const rdf::Dataset& dataset, int points) {
-  std::unordered_map<uint64_t, uint64_t> subj, prop, obj;
-  for (const rdf::Triple& t : dataset.triples()) {
-    ++subj[t.subject];
-    ++prop[t.property];
-    ++obj[t.object];
+  std::vector<uint64_t> subj, prop, obj;
+  const rdf::TermCounts terms(dataset.triples());
+  for (const rdf::TermCounts::Roles& r : terms.roles()) {
+    if (r.subject != 0) subj.push_back(r.subject);
+    if (r.property != 0) prop.push_back(r.property);
+    if (r.object != 0) obj.push_back(r.object);
   }
-  auto counts_of = [](const std::unordered_map<uint64_t, uint64_t>& map) {
-    std::vector<uint64_t> out;
-    out.reserve(map.size());
-    for (const auto& [k, c] : map) out.push_back(c);
-    return out;
-  };
   Figure1Curves curves;
-  curves.properties = CumulativeFrequency(counts_of(prop), points);
-  curves.subjects = CumulativeFrequency(counts_of(subj), points);
-  curves.objects = CumulativeFrequency(counts_of(obj), points);
+  curves.properties = CumulativeFrequency(std::move(prop), points);
+  curves.subjects = CumulativeFrequency(std::move(subj), points);
+  curves.objects = CumulativeFrequency(std::move(obj), points);
   return curves;
 }
 

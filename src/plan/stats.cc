@@ -1,44 +1,67 @@
 #include "plan/stats.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
-#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "rdf/term_counts.h"
 
 namespace swan::plan {
 
 StoreStats StoreStats::Collect(const rdf::Dataset& dataset) {
+  const std::vector<rdf::Triple>& triples = dataset.triples();
+  const rdf::TermCounts terms(triples);
+  const std::span<const rdf::TermCounts::Roles> roles = terms.roles();
+  const uint64_t universe = roles.size();
+
   StoreStats stats;
-  // Per-property frequency maps exist only during collection; the stats
-  // object keeps the aggregates (distinct counts + heaviest key).
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint64_t>>
-      subj_freq;
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint64_t>>
-      obj_freq;
-  std::unordered_set<uint64_t> subjects;
-  std::unordered_set<uint64_t> objects;
-  for (const rdf::Triple& t : dataset.triples()) {
-    ++stats.total_triples;
-    ++stats.by_property[t.property].count;
-    ++subj_freq[t.property][t.subject];
-    ++obj_freq[t.property][t.object];
-    subjects.insert(t.subject);
-    objects.insert(t.object);
+  stats.total_triples = triples.size();
+  // Global distinct counts, and each property's first slot in a counting
+  // sort of the triples by property.
+  std::vector<uint64_t> next(universe);
+  uint64_t offset = 0;
+  uint64_t properties = 0;
+  for (uint64_t id = 0; id < universe; ++id) {
+    stats.distinct_subjects += roles[id].subject != 0;
+    stats.distinct_objects += roles[id].object != 0;
+    properties += roles[id].property != 0;
+    next[id] = offset;
+    offset += roles[id].property;
   }
-  stats.distinct_subjects = subjects.size();
-  stats.distinct_objects = objects.size();
-  for (auto& [property, ps] : stats.by_property) {
-    const auto& sf = subj_freq[property];
-    const auto& of = obj_freq[property];
-    ps.distinct_subjects = sf.size();
-    ps.distinct_objects = of.size();
-    for (const auto& [key, n] : sf) {
-      (void)key;
-      ps.max_subject_freq = std::max(ps.max_subject_freq, n);
+  // (subject, object) of every triple, grouped by property. Afterwards
+  // next[p] is one past the end of property p's run.
+  std::vector<std::pair<uint64_t, uint64_t>> runs(triples.size());
+  for (const rdf::Triple& t : triples) {
+    runs[next[t.property]++] = {t.subject, t.object};
+  }
+
+  // Per-property key frequencies, tallied in id-indexed arrays that every
+  // property's run resets behind itself, touching only its own slots.
+  std::vector<uint64_t> subject_freq(universe);
+  std::vector<uint64_t> object_freq(universe);
+  stats.by_property.reserve(properties);
+  for (uint64_t property = 0; property < universe; ++property) {
+    const uint64_t count = roles[property].property;
+    if (count == 0) continue;
+    const std::span<const std::pair<uint64_t, uint64_t>> run(
+        runs.data() + next[property] - count, count);
+    PropertyStats ps;
+    ps.count = count;
+    for (const auto& [subject, object] : run) {
+      const uint64_t s = ++subject_freq[subject];
+      const uint64_t o = ++object_freq[object];
+      ps.distinct_subjects += s == 1;
+      ps.distinct_objects += o == 1;
+      ps.max_subject_freq = std::max(ps.max_subject_freq, s);
+      ps.max_object_freq = std::max(ps.max_object_freq, o);
     }
-    for (const auto& [key, n] : of) {
-      (void)key;
-      ps.max_object_freq = std::max(ps.max_object_freq, n);
+    for (const auto& [subject, object] : run) {
+      subject_freq[subject] = 0;
+      object_freq[object] = 0;
     }
+    stats.by_property.emplace(property, ps);
   }
   return stats;
 }

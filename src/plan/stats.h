@@ -65,7 +65,9 @@ struct StoreStats {
 
   uint64_t distinct_properties() const { return by_property.size(); }
 
-  // One pass over the dataset's triples.
+  // Linear counting passes over the dataset's triples, indexed by
+  // dictionary id: per-term counts, a counting sort by property, then one
+  // frequency tally per property run.
   static StoreStats Collect(const rdf::Dataset& dataset);
 
   // Estimated number of triples matching the pattern shape (nullopt =

@@ -1,28 +1,11 @@
 #include "rowstore/stats.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace swan::rowstore {
 
 TripleStats TripleStats::Compute(std::span<const rdf::Triple> triples) {
   TripleStats stats;
   stats.total_triples = triples.size();
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> prop_objects;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> prop_subjects;
-  for (const rdf::Triple& t : triples) {
-    ++stats.subject_count[t.subject];
-    ++stats.property_count[t.property];
-    ++stats.object_count[t.object];
-    prop_objects[t.property].insert(t.object);
-    prop_subjects[t.property].insert(t.subject);
-  }
-  for (const auto& [p, objs] : prop_objects) {
-    stats.property_distinct_objects[p] = objs.size();
-  }
-  for (const auto& [p, subjs] : prop_subjects) {
-    stats.property_distinct_subjects[p] = subjs.size();
-  }
+  stats.terms = rdf::TermCounts(triples);
   return stats;
 }
 
@@ -31,17 +14,14 @@ double TripleStats::EstimateMatches(const rdf::TriplePattern& pattern) const {
   const double total = static_cast<double>(total_triples);
   double estimate = total;
   if (pattern.subject) {
-    estimate *= static_cast<double>(CountOf(subject_count, *pattern.subject)) /
-                total;
+    estimate *= static_cast<double>(terms.of(*pattern.subject).subject) / total;
   }
   if (pattern.property) {
     estimate *=
-        static_cast<double>(CountOf(property_count, *pattern.property)) /
-        total;
+        static_cast<double>(terms.of(*pattern.property).property) / total;
   }
   if (pattern.object) {
-    estimate *= static_cast<double>(CountOf(object_count, *pattern.object)) /
-                total;
+    estimate *= static_cast<double>(terms.of(*pattern.object).object) / total;
   }
   return estimate;
 }

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 #include "rdf/pattern.h"
+#include "rdf/term_counts.h"
 #include "rdf/triple.h"
 
 namespace swan::rowstore {
@@ -15,24 +15,21 @@ namespace swan::rowstore {
 // scan, a secondary-index range scan with row fetches, and a full scan.
 struct TripleStats {
   uint64_t total_triples = 0;
-  std::unordered_map<uint64_t, uint64_t> subject_count;
-  std::unordered_map<uint64_t, uint64_t> property_count;
-  std::unordered_map<uint64_t, uint64_t> object_count;
-  std::unordered_map<uint64_t, uint64_t> property_distinct_objects;
-  std::unordered_map<uint64_t, uint64_t> property_distinct_subjects;
+  // Per-subject, per-property and per-object triple counts.
+  rdf::TermCounts terms;
 
   static TripleStats Compute(std::span<const rdf::Triple> triples);
+
+  // Counts one inserted triple.
+  void Add(const rdf::Triple& triple) {
+    ++total_triples;
+    terms.Add(triple);
+  }
 
   // Estimated number of triples matching `pattern`, using per-component
   // frequencies and an attribute-independence assumption — the textbook
   // System-R style estimate.
   double EstimateMatches(const rdf::TriplePattern& pattern) const;
-
-  uint64_t CountOf(const std::unordered_map<uint64_t, uint64_t>& map,
-                   uint64_t key) const {
-    auto it = map.find(key);
-    return it == map.end() ? 0 : it->second;
-  }
 };
 
 }  // namespace swan::rowstore

@@ -116,10 +116,7 @@ bool TripleRelation::Insert(const rdf::Triple& triple) {
     const bool fresh = tree->Insert(KeyOf(triple, order));
     SWAN_CHECK_MSG(fresh, "secondary index out of sync with clustered tree");
   }
-  ++stats_.total_triples;
-  ++stats_.subject_count[triple.subject];
-  ++stats_.property_count[triple.property];
-  ++stats_.object_count[triple.object];
+  stats_.Add(triple);
   return true;
 }
 

@@ -49,9 +49,8 @@ class TripleRelation {
   void Load(std::span<const rdf::Triple> triples);
 
   // Inserts one triple into the clustered tree and every secondary index;
-  // returns false for duplicates. Frequency statistics are updated, but
-  // distinct-value counts go stale until the next Load — just like real
-  // optimizer statistics between ANALYZE runs.
+  // returns false for duplicates. The frequency statistics count it, so
+  // ChoosePath sees the insert at once.
   bool Insert(const rdf::Triple& triple);
 
   uint64_t size() const { return clustered_->size(); }

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "plan/stats.h"
+#include "rdf/dataset.h"
 #include "rowstore/stats.h"
 #include "rowstore/triple_relation.h"
 #include "rowstore/vertical_relation.h"
@@ -42,10 +44,14 @@ std::vector<rdf::Triple> Collect(VerticalRelation::Scan scan) {
 TEST(TripleStatsTest, CountsComponents) {
   const auto stats = TripleStats::Compute(SmallGraph());
   EXPECT_EQ(stats.total_triples, 100011u);
-  EXPECT_EQ(stats.CountOf(stats.property_count, 100), 60000u);
-  EXPECT_EQ(stats.CountOf(stats.property_count, 200), 10u);
-  EXPECT_EQ(stats.CountOf(stats.property_count, 300), 1u);
-  EXPECT_EQ(stats.CountOf(stats.property_distinct_objects, 100), 50u);
+  EXPECT_EQ(stats.terms.of(100).property, 60000u);
+  EXPECT_EQ(stats.terms.of(200).property, 10u);
+  EXPECT_EQ(stats.terms.of(300).property, 1u);
+  // Distinct counts per property are the planner's (plan::StoreStats).
+  rdf::Dataset dataset;
+  for (const rdf::Triple& t : SmallGraph()) dataset.Add(t);
+  const auto store_stats = plan::StoreStats::Collect(dataset);
+  EXPECT_EQ(store_stats.by_property.at(100).distinct_objects, 50u);
 }
 
 TEST(TripleStatsTest, EstimateUsesIndependence) {

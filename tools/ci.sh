@@ -59,6 +59,18 @@ case "$mode" in
         --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' >/dev/null &&
       python3 "$REPO_ROOT/tools/validate_trace.py" \
         "$RELEASE_DIR/trace-smoke.json"; } || status=1
+    # Audit smoke: the shell's full (kFull) audit, which recollects the
+    # load-time statistics and compares them field by field and walks
+    # every B+tree and column, on a row design, a column design and a
+    # 2-node column store; it exits 1 on any finding.
+    echo "=== release: audit smoke ==="
+    for design in "--engine row --scheme triple --clustering pso" \
+                  "--engine column --scheme vertical" \
+                  "--engine column --scheme vertical --nodes 2"; do
+      # $design is unquoted on purpose: it is a list of flags.
+      "$RELEASE_DIR/tools/swandb_shell" --generate 20000 $design --audit \
+        >/dev/null || { echo "audit failed: $design"; status=1; }
+    done
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
