@@ -21,6 +21,10 @@ swan_add_bench(table5_query_footprint)
 swan_add_bench(figure5_io_history)
 swan_add_bench(table6_cold_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
 swan_add_bench(table7_hot_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
+# The Table 6 cold-shape gates, at a scale that runs in about a second.
+add_test(NAME table6_cold_runs_gates COMMAND table6_cold_runs)
+set_tests_properties(table6_cold_runs_gates PROPERTIES
+  ENVIRONMENT "SWAN_TRIPLES=20000")
 swan_add_bench(figure6_property_sweep)
 swan_add_bench(figure7_scaleup)
 swan_add_bench(ablation_buffer_pool)

@@ -25,9 +25,10 @@ struct GridRow {
   Backend* backend;
 };
 
-void AppendBackendRows(const GridRow& row, bool hot,
-                       const core::QueryContext& ctx, int reps,
-                       TablePrinter* table, BenchJsonWriter* json) {
+GridRowMeans AppendBackendRows(const GridRow& row, bool hot,
+                               const core::QueryContext& ctx, int reps,
+                               TablePrinter* table, BenchJsonWriter* json) {
+  GridRowMeans means{row.store, row.cluster};
   std::vector<double> real_times, user_times;
   std::vector<double> real_initial, user_initial;
 
@@ -60,11 +61,13 @@ void AppendBackendRows(const GridRow& row, bool hot,
 
   const double g_real = GeometricMean(real_initial);
   const double g_user = GeometricMean(user_initial);
+  means.g = g_real;
   real_cells.push_back(TablePrinter::Fixed(g_real, 3));
   user_cells.push_back(TablePrinter::Fixed(g_user, 3));
   if (real_times.size() == core::AllQueries().size()) {
     const double gstar_real = GeometricMean(real_times);
     const double gstar_user = GeometricMean(user_times);
+    means.gstar = gstar_real;
     real_cells.push_back(TablePrinter::Fixed(gstar_real, 3));
     real_cells.push_back(TablePrinter::Fixed(gstar_real / g_real, 1));
     user_cells.push_back(TablePrinter::Fixed(gstar_user, 3));
@@ -75,12 +78,14 @@ void AppendBackendRows(const GridRow& row, bool hot,
   }
   table->AddRow(real_cells);
   table->AddRow(user_cells);
+  return means;
 }
 
 }  // namespace
 
-void RunGrid(bool hot, const std::string& title,
-             colstore::ColumnCodec codec, const std::string& json_path) {
+std::vector<GridRowMeans> RunGrid(bool hot, const std::string& title,
+                                  colstore::ColumnCodec codec,
+                                  const std::string& json_path) {
   const auto config = DefaultConfig();
   PrintHeader(title,
               hot ? "Table 7 (hot runs) of Sidirourgos et al., VLDB 2008"
@@ -150,11 +155,12 @@ void RunGrid(bool hot, const std::string& title,
 
   BenchJsonWriter json(hot ? "table7_hot_runs" : "table6_cold_runs");
   const int reps = Repetitions();
+  std::vector<GridRowMeans> means;
   for (const GridRow& row : rows) {
     std::printf("measuring %s %s (%s)...\n", row.store.c_str(),
                 row.cluster.c_str(), hot ? "hot" : "cold");
-    AppendBackendRows(row, hot, ctx, reps, &table,
-                      json_path.empty() ? nullptr : &json);
+    means.push_back(AppendBackendRows(row, hot, ctx, reps, &table,
+                                      json_path.empty() ? nullptr : &json));
     table.AddSeparator();
   }
 
@@ -174,6 +180,7 @@ void RunGrid(bool hot, const std::string& title,
       "while q2*, q3*, q6*, q8 remain\n\"black swans\" where a triple-store "
       "clustering is faster; column engines beat the\nrow engine by roughly "
       "an order of magnitude; C-Store and MonetDB are comparable.\n");
+  return means;
 }
 
 }  // namespace swan::bench

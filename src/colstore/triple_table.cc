@@ -20,22 +20,24 @@ void TripleTable::Load(std::vector<rdf::Triple> triples) {
   SWAN_CHECK_MSG(size_ == 0, "TripleTable::Load called twice");
   SWAN_CHECK_MSG(triples.size() < (1ull << 32),
                  "column store limited to 2^32 rows");
-  const auto less = [this](const rdf::Triple& a, const rdf::Triple& b) {
-    return KeyOf(a, order_) < KeyOf(b, order_);
-  };
-  // A write-store merge hands over rows already in key order.
-  if (!std::is_sorted(triples.begin(), triples.end(), less)) {
-    std::sort(triples.begin(), triples.end(), less);
+  std::vector<std::array<uint64_t, 3>> keys(triples.size());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    keys[i] = KeyOf(triples[i], order_);
   }
-  size_ = triples.size();
+  // A write-store merge hands over rows already in key order.
+  if (!std::is_sorted(keys.begin(), keys.end())) rdf::SortKeys(&keys);
+  size_ = keys.size();
 
-  std::vector<uint64_t> buf(triples.size());
-  for (size_t i = 0; i < triples.size(); ++i) buf[i] = triples[i].subject;
-  subj_->Build(buf);
-  for (size_t i = 0; i < triples.size(); ++i) buf[i] = triples[i].property;
-  prop_->Build(buf);
-  for (size_t i = 0; i < triples.size(); ++i) buf[i] = triples[i].object;
-  obj_->Build(buf);
+  // Key position of each of subject, property, object.
+  std::array<int, 3> position;
+  const auto comp = ComponentsOf(order_);
+  for (int i = 0; i < 3; ++i) position[comp[i]] = i;
+  Column* const columns[3] = {subj_.get(), prop_.get(), obj_.get()};
+  std::vector<uint64_t> buf(keys.size());
+  for (int c = 0; c < 3; ++c) {
+    for (size_t i = 0; i < keys.size(); ++i) buf[i] = keys[i][position[c]];
+    columns[c]->Build(buf);
+  }
 }
 
 const std::vector<uint64_t>& TripleTable::ComponentColumn(

@@ -15,31 +15,34 @@ VerticalTable::VerticalTable(storage::BufferPool* pool,
 void VerticalTable::Load(std::span<const rdf::Triple> triples) {
   SWAN_CHECK_MSG(partitions_.empty(), "VerticalTable::Load called twice");
 
-  // Group triples by property, then sort each group by (subject, object).
-  std::unordered_map<uint64_t, std::vector<std::pair<uint64_t, uint64_t>>>
-      groups;
-  for (const rdf::Triple& t : triples) {
-    groups[t.property].emplace_back(t.subject, t.object);
+  // Sort once as (p, s, o); each property's run is its partition, already
+  // in (subject, object) order. Partitions are built in ascending
+  // property order.
+  std::vector<std::array<uint64_t, 3>> pso(triples.size());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    pso[i] = KeyOf(triples[i], rdf::TripleOrder::kPSO);
   }
+  rdf::SortKeys(&pso);
 
-  properties_.reserve(groups.size());
-  for (auto& [prop, rows] : groups) {
+  std::vector<uint64_t> buf;
+  for (size_t begin = 0, end; begin < pso.size(); begin = end) {
+    const uint64_t prop = pso[begin][0];
+    end = begin;
+    while (end < pso.size() && pso[end][0] == prop) ++end;
+    SWAN_CHECK_LT(end - begin, 1ull << 32);
     properties_.push_back(prop);
-    std::sort(rows.begin(), rows.end());
-    SWAN_CHECK_LT(rows.size(), 1ull << 32);
 
     Partition part;
-    part.rows = rows.size();
+    part.rows = end - begin;
     part.subj = std::make_unique<Column>(pool_, disk_, codec_);
     part.obj = std::make_unique<Column>(pool_, disk_, codec_);
-    std::vector<uint64_t> buf(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) buf[i] = rows[i].first;
+    buf.resize(end - begin);
+    for (size_t i = begin; i < end; ++i) buf[i - begin] = pso[i][1];
     part.subj->Build(buf);
-    for (size_t i = 0; i < rows.size(); ++i) buf[i] = rows[i].second;
+    for (size_t i = begin; i < end; ++i) buf[i - begin] = pso[i][2];
     part.obj->Build(buf);
     partitions_.emplace(prop, std::move(part));
   }
-  std::sort(properties_.begin(), properties_.end());
 }
 
 void VerticalTable::ReplacePartition(

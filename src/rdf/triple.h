@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace swan::rdf {
 
@@ -29,6 +30,13 @@ std::array<int, 3> ComponentsOf(TripleOrder order);
 
 // Permutes a triple into the key layout of `order`.
 std::array<uint64_t, 3> KeyOf(const Triple& t, TripleOrder order);
+
+// Sorts triple keys ascending, in the order std::sort gives them. Ids are
+// dense, so a key's three components usually fit one uint64 together:
+// each is packed at its bit width (that of the largest id it holds) and
+// the packed words are LSD-radix-sorted 11 bits a pass. Falls back to
+// std::sort when the packed width exceeds 64 bits.
+void SortKeys(std::vector<std::array<uint64_t, 3>>* keys);
 
 // Reassembles a Triple from a permuted key.
 Triple TripleFromKey(const std::array<uint64_t, 3>& key, TripleOrder order);

@@ -98,7 +98,7 @@ void TripleRelation::Load(std::span<const rdf::Triple> triples) {
     for (size_t i = 0; i < triples.size(); ++i) {
       keys[i] = KeyOf(triples[i], order);
     }
-    std::sort(keys.begin(), keys.end());
+    rdf::SortKeys(&keys);
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     tree->BulkLoad(keys);
     keys.resize(triples.size());

@@ -25,44 +25,51 @@ VerticalRelation::VerticalRelation(storage::BufferPool* pool,
 void VerticalRelation::Load(std::span<const rdf::Triple> triples) {
   SWAN_CHECK_MSG(partitions_.empty(), "VerticalRelation::Load called twice");
 
-  std::unordered_map<uint64_t, std::vector<std::array<uint64_t, 2>>> groups;
-  for (const rdf::Triple& t : triples) {
-    groups[t.property].push_back({t.subject, t.object});
-  }
+  // The triples sorted as (p, s, o) and as (p, o, s), deduplicated: one
+  // property's run of the first is its SO tree's keys, the same run of the
+  // second its OS tree's. Partitions are built in ascending property order.
+  const auto sorted_keys = [&](rdf::TripleOrder order) {
+    std::vector<std::array<uint64_t, 3>> keys(triples.size());
+    for (size_t i = 0; i < triples.size(); ++i) {
+      keys[i] = KeyOf(triples[i], order);
+    }
+    rdf::SortKeys(&keys);
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+  };
+  const auto pso = sorted_keys(rdf::TripleOrder::kPSO);
+  const auto pos = sorted_keys(rdf::TripleOrder::kPOS);
+  const auto distinct_leading = [](const auto& rows) {
+    uint64_t distinct = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i == 0 || rows[i][0] != rows[i - 1][0]) ++distinct;
+    }
+    return distinct;
+  };
 
-  for (auto& [prop, rows] : groups) {
+  std::vector<std::array<uint64_t, 2>> so, os;
+  for (size_t begin = 0, end; begin < pso.size(); begin = end) {
+    const uint64_t prop = pso[begin][0];
+    end = begin;
+    while (end < pso.size() && pso[end][0] == prop) ++end;
+    so.clear();
+    os.clear();
+    for (size_t i = begin; i < end; ++i) {
+      SWAN_DCHECK_EQ(pos[i][0], prop);
+      so.push_back({pso[i][1], pso[i][2]});
+      os.push_back({pos[i][1], pos[i][2]});
+    }
     properties_.push_back(prop);
     Partition part;
     part.clustered_so = std::make_unique<BPlusTree<2>>(pool_, disk_);
     part.secondary_os = std::make_unique<BPlusTree<2>>(pool_, disk_);
-
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    part.rows = rows.size();
-    part.clustered_so->BulkLoad(rows);
-    {
-      uint64_t distinct = 0;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (i == 0 || rows[i][0] != rows[i - 1][0]) ++distinct;
-      }
-      part.distinct_subjects = distinct;
-    }
-
-    std::vector<std::array<uint64_t, 2>> os(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) os[i] = {rows[i][1], rows[i][0]};
-    std::sort(os.begin(), os.end());
+    part.rows = so.size();
+    part.clustered_so->BulkLoad(so);
+    part.distinct_subjects = distinct_leading(so);
     part.secondary_os->BulkLoad(os);
-    {
-      uint64_t distinct = 0;
-      for (size_t i = 0; i < os.size(); ++i) {
-        if (i == 0 || os[i][0] != os[i - 1][0]) ++distinct;
-      }
-      part.distinct_objects = distinct;
-    }
-
+    part.distinct_objects = distinct_leading(os);
     partitions_.emplace(prop, std::move(part));
   }
-  std::sort(properties_.begin(), properties_.end());
 }
 
 bool VerticalRelation::Insert(const rdf::Triple& triple) {

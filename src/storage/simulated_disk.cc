@@ -1,6 +1,7 @@
 #include "storage/simulated_disk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -11,15 +12,39 @@ namespace swan::storage {
 
 SimulatedDisk::SimulatedDisk(DiskConfig config) : config_(config) {}
 
+namespace {
+
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+
+// xxHash64's round. For a fixed accumulator it is a bijection of the
+// word (multiplying by an odd constant, adding and rotating all are), and
+// for a fixed word a bijection of the accumulator.
+inline uint64_t ChecksumRound(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+}  // namespace
+
 uint64_t SimulatedDisk::PageChecksum(const void* data) {
-  // FNV-1a 64 over the full page. Fast, deterministic, and sensitive to
-  // single-byte flips anywhere in the image.
+  // Four independent lanes over interleaved 64-bit words, so the
+  // multiplies of neighbouring words overlap instead of forming one
+  // dependent chain; the lanes then fold through the same round. A change
+  // confined to one word (in particular any single-byte flip) alters that
+  // word's lane, every later round of the lane preserves the difference,
+  // and so does every fold round: it always changes the checksum.
+  static_assert(kPageSize % (4 * sizeof(uint64_t)) == 0);
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < kPageSize; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
+  uint64_t lanes[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  for (size_t i = 0; i < kPageSize; i += sizeof(lanes)) {
+    for (int l = 0; l < 4; ++l) {
+      uint64_t word;
+      std::memcpy(&word, bytes + i + l * sizeof(uint64_t), sizeof(word));
+      lanes[l] = ChecksumRound(lanes[l], word);
+    }
   }
+  uint64_t hash = kPageSize;
+  for (const uint64_t lane : lanes) hash = ChecksumRound(hash, lane);
   return hash;
 }
 
@@ -169,11 +194,7 @@ void SimulatedDisk::CorruptPageForTesting(PageId id, size_t offset,
 void SimulatedDisk::AuditInto(audit::AuditLevel level,
                               audit::AuditReport* report) const {
   if (level < audit::AuditLevel::kFull) return;
-  uint32_t file_count;
-  {
-    MutexLock lock(&mutex_);
-    file_count = static_cast<uint32_t>(files_.size());
-  }
+  const uint32_t file_count = FileCount();
   for (uint32_t f = 0; f < file_count; ++f) {
     const uint32_t pages = PageCount(f);
     for (uint32_t p = 0; p < pages; ++p) {
@@ -190,6 +211,11 @@ uint32_t SimulatedDisk::PageCount(uint32_t file_id) const {
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(file_id, files_.size());
   return static_cast<uint32_t>(files_[file_id].bytes.size() / kPageSize);
+}
+
+uint32_t SimulatedDisk::FileCount() const {
+  MutexLock lock(&mutex_);
+  return static_cast<uint32_t>(files_.size());
 }
 
 void SimulatedDisk::ResetStats() {

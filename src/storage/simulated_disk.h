@@ -97,7 +97,11 @@ class SimulatedDisk {
   // VerifyPage over every page of `file_id`.
   [[nodiscard]] Status VerifyFile(uint32_t file_id) const;
 
-  // Checksum of one kPageSize page image (FNV-1a 64).
+  // Checksum of one kPageSize page image: xxHash64-style rounds over the
+  // page's 64-bit words in four interleaved lanes, folded through the same
+  // round. Every round is bijective in both the word and the accumulator,
+  // so any change confined to one word — any single corrupted byte — is
+  // always caught.
   static uint64_t PageChecksum(const void* data);
 
   // Byte-flips `xor_mask` into the stored image at `offset` WITHOUT
@@ -109,6 +113,7 @@ class SimulatedDisk {
   void AuditInto(audit::AuditLevel level, audit::AuditReport* report) const;
 
   uint32_t PageCount(uint32_t file_id) const;
+  uint32_t FileCount() const;
 
   // --- accounting -------------------------------------------------------
   uint64_t total_bytes_read() const {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/random.h"
 #include "exec/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -14,6 +15,13 @@ namespace {
 
 std::vector<uint8_t> PatternPage(uint8_t fill) {
   return std::vector<uint8_t>(kPageSize, fill);
+}
+
+std::vector<uint8_t> RandomPage(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Next());
+  return page;
 }
 
 TEST(SimulatedDiskTest, RoundTripsPages) {
@@ -155,6 +163,71 @@ TEST(SimulatedDiskTest, ResetStatsClearsCounters) {
   EXPECT_EQ(disk.total_bytes_read(), 0u);
   EXPECT_EQ(disk.total_seeks(), 0u);
   EXPECT_DOUBLE_EQ(disk.clock().now(), 0.0);
+}
+
+TEST(PageChecksumTest, EverySingleByteFlipChangesTheChecksum) {
+  std::vector<uint8_t> page = RandomPage(1);
+  const uint64_t clean = SimulatedDisk::PageChecksum(page.data());
+  for (size_t offset = 0; offset < kPageSize; ++offset) {
+    for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}}) {
+      page[offset] ^= mask;
+      EXPECT_NE(SimulatedDisk::PageChecksum(page.data()), clean)
+          << "offset " << offset << " mask " << int{mask};
+      page[offset] ^= mask;
+    }
+  }
+}
+
+TEST(PageChecksumTest, TopBitFlipsInTwoWordsOfOneLaneAreCaught) {
+  // Words w and w + 4 feed the same lane. Word-wise FNV-1a misses this
+  // pair: multiplying by an odd constant keeps a bit-63 difference at bit
+  // 63, so the second word's flip cancels the first.
+  const auto word_fnv = [](const std::vector<uint8_t>& page) {
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (size_t i = 0; i < kPageSize; i += 8) {
+      uint64_t word;
+      std::memcpy(&word, page.data() + i, 8);
+      hash = (hash ^ word) * 0x100000001b3ull;
+    }
+    return hash;
+  };
+  std::vector<uint8_t> page = RandomPage(2);
+  const uint64_t clean = SimulatedDisk::PageChecksum(page.data());
+  const uint64_t clean_fnv = word_fnv(page);
+  // Bit 63 of a little-endian word is the top bit of its last byte.
+  const auto flip_top_bits = [&page](size_t word) {
+    for (const size_t w : {word, word + 4}) page[w * 8 + 7] ^= 0x80;
+  };
+  for (size_t word = 0; word + 4 < kPageSize / 8; ++word) {
+    flip_top_bits(word);
+    EXPECT_EQ(word_fnv(page), clean_fnv) << "word " << word;
+    EXPECT_NE(SimulatedDisk::PageChecksum(page.data()), clean)
+        << "word " << word;
+    flip_top_bits(word);
+  }
+}
+
+TEST(PageChecksumTest, RewrittenPageStillVerifies) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  disk.AppendPage(f, RandomPage(3).data());
+  const std::vector<uint8_t> rewritten = RandomPage(4);
+  disk.WritePage({f, 0}, rewritten.data());
+  EXPECT_TRUE(disk.VerifyPage({f, 0}).ok());
+  std::vector<uint8_t> buf(kPageSize);
+  ASSERT_TRUE(disk.ReadPage({f, 0}, buf.data(), nullptr).ok());
+  EXPECT_EQ(buf, rewritten);
+}
+
+TEST(PageChecksumTest, CorruptedPageFailsRead) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  disk.AppendPage(f, RandomPage(5).data());
+  disk.CorruptPageForTesting({f, 0}, 4095, 0x80);
+  std::vector<uint8_t> buf(kPageSize);
+  EXPECT_EQ(disk.ReadPage({f, 0}, buf.data(), nullptr).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(disk.VerifyPage({f, 0}).code(), StatusCode::kCorruption);
 }
 
 TEST(BufferPoolTest, MissThenHit) {
