@@ -25,6 +25,11 @@ swan_add_bench(table7_hot_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
 add_test(NAME table6_cold_runs_gates COMMAND table6_cold_runs)
 set_tests_properties(table6_cold_runs_gates PROPERTIES
   ENVIRONMENT "SWAN_TRIPLES=20000")
+# The Table 7 grid's correctness gate (every design's hot rows must agree)
+# at the same scale; its timings gate nothing.
+add_test(NAME table7_hot_runs COMMAND table7_hot_runs)
+set_tests_properties(table7_hot_runs PROPERTIES
+  ENVIRONMENT "SWAN_TRIPLES=20000")
 swan_add_bench(figure6_property_sweep)
 swan_add_bench(figure7_scaleup)
 swan_add_bench(ablation_buffer_pool)

@@ -1,14 +1,22 @@
-// google-benchmark microbenchmarks for the row store's B+tree and the two
-// storage-path kernels under it: the page checksum every disk read
-// verifies, and the key sort every bulk load runs.
+// google-benchmark microbenchmarks for the row store's B+tree, the two
+// storage-path kernels under it (the page checksum every disk read
+// verifies, and the key sort every bulk load runs), and the row engine's
+// hot path above it: a whole hot q3, and the id hash probe its full scan
+// runs per triple.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <unordered_set>
 #include <vector>
 
+#include "bench_support/barton_generator.h"
+#include "common/id_hash.h"
 #include "common/random.h"
+#include "core/row_backends.h"
+#include "exec/exec_context.h"
+#include "exec/thread_pool.h"
 #include "rdf/triple.h"
 #include "rowstore/bplus_tree.h"
 
@@ -124,6 +132,80 @@ void BM_SortKeys(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortKeys)->ArgsProduct({{1 << 12, 1 << 15, 1 << 18}, {0, 1}});
+
+// A 200k-triple generated Barton dataset loaded into DBX triple PSO, built
+// once for the row-engine benchmarks.
+struct RowEngineFixture {
+  RowEngineFixture()
+      : barton(swan::bench_support::GenerateBarton(Config())),
+        ctx(swan::bench_support::MakeBartonContext(barton.dataset, 28)),
+        backend(barton.dataset, swan::rowstore::TripleRelation::PsoConfig()) {}
+
+  static swan::bench_support::BartonConfig Config() {
+    swan::bench_support::BartonConfig config;
+    config.target_triples = 200000;
+    return config;
+  }
+
+  swan::bench_support::BartonDataset barton;
+  swan::core::QueryContext ctx;
+  swan::core::RowTripleBackend backend;
+};
+
+RowEngineFixture& RowEngine() {
+  static RowEngineFixture* fixture = new RowEngineFixture();
+  return *fixture;
+}
+
+// The row engine's hot q3 (Text-typed subjects, then a full scan that
+// group-counts their (property, object) pairs), at width arg 0; wall time,
+// since width 2 runs on pool lanes.
+void BM_RowEngineQ3Hot(benchmark::State& state) {
+  RowEngineFixture& fixture = RowEngine();
+  const int width = static_cast<int>(state.range(0));
+  swan::exec::SetThreads(width);
+  const swan::exec::ExecContext ectx(width);
+  (void)fixture.backend.Run(swan::core::QueryId::kQ3, fixture.ctx, ectx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fixture.backend.Run(swan::core::QueryId::kQ3, fixture.ctx, ectx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          fixture.barton.dataset.triples().size());
+}
+BENCHMARK(BM_RowEngineQ3Hot)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The semi-join probe of q2-q4's full scan: every triple's subject looked
+// up in the Text-typed subject set. Arg 1 = swan::IdSet, 0 =
+// std::unordered_set.
+void BM_SubjectSetProbe(benchmark::State& state) {
+  const swan::rdf::Dataset& data = RowEngine().barton.dataset;
+  const swan::core::Vocabulary& v = RowEngine().ctx.vocab();
+  std::vector<uint64_t> subjects;
+  for (const swan::rdf::Triple& t : data.triples()) {
+    if (t.property == v.type && t.object == v.text) {
+      subjects.push_back(t.subject);
+    }
+  }
+  swan::IdSet id_set;
+  for (uint64_t s : subjects) id_set.Insert(s);
+  const std::unordered_set<uint64_t> std_set(subjects.begin(),
+                                             subjects.end());
+  const bool flat = state.range(0) != 0;
+  for (auto _ : state) {
+    uint64_t hits = 0;
+    for (const swan::rdf::Triple& t : data.triples()) {
+      hits += flat ? id_set.contains(t.subject) : std_set.count(t.subject);
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * data.triples().size());
+}
+BENCHMARK(BM_SubjectSetProbe)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iterator>
 
+#include "common/id_hash.h"
 #include "common/macros.h"
 
 namespace swan::colstore {
@@ -154,80 +155,29 @@ std::vector<uint8_t> EncodeBitPack(std::span<const uint64_t> values) {
   return out;
 }
 
-// The distinct values of a column, then their dictionary codes: an
-// open-addressing hash set (linear probing, load <= 1/2). A slot's tag is
-// 0 when empty, 1 once filled, and code + 1 after NumberSorted().
-class DistinctIndex {
- public:
-  DistinctIndex() { Rehash(64); }
-
-  // Adds `v`; true if it was not present yet.
-  bool Insert(uint64_t v) {
-    const size_t slot = Find(v);
-    if (tags_[slot] != 0) return false;
-    keys_[slot] = v;
-    tags_[slot] = 1;
-    if (2 * ++size_ > keys_.size()) Rehash(2 * keys_.size());
-    return true;
+// The distinct values of `index` (a column's) ascending: the palette.
+// Maps each value to its palette position, its dictionary code.
+std::vector<uint64_t> NumberSorted(IdMap<uint32_t>* index) {
+  std::vector<uint64_t> palette;
+  palette.reserve(index->size());
+  index->ForEach([&](uint64_t v, uint32_t) { palette.push_back(v); });
+  std::sort(palette.begin(), palette.end());
+  for (size_t code = 0; code < palette.size(); ++code) {
+    (*index)[palette[code]] = static_cast<uint32_t>(code);
   }
-
-  size_t size() const { return size_; }
-
-  // The distinct values ascending (the palette); numbers each by its
-  // palette position for CodeOf.
-  std::vector<uint64_t> NumberSorted() {
-    std::vector<uint64_t> palette;
-    palette.reserve(size_);
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (tags_[i] != 0) palette.push_back(keys_[i]);
-    }
-    std::sort(palette.begin(), palette.end());
-    for (size_t code = 0; code < palette.size(); ++code) {
-      tags_[Find(palette[code])] = static_cast<uint32_t>(code + 1);
-    }
-    return palette;
-  }
-
-  uint64_t CodeOf(uint64_t v) const { return tags_[Find(v)] - 1; }
-
- private:
-  size_t Find(uint64_t v) const {
-    const size_t mask = keys_.size() - 1;
-    size_t slot = (v * 0x9E3779B97F4A7C15ull) >> shift_;
-    while (tags_[slot] != 0 && keys_[slot] != v) slot = (slot + 1) & mask;
-    return slot;
-  }
-
-  void Rehash(size_t capacity) {
-    std::vector<uint64_t> keys = std::move(keys_);
-    std::vector<uint32_t> tags = std::move(tags_);
-    keys_.assign(capacity, 0);
-    tags_.assign(capacity, 0);
-    shift_ = 64 - std::countr_zero(capacity);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (tags[i] == 0) continue;
-      const size_t slot = Find(keys[i]);
-      keys_[slot] = keys[i];
-      tags_[slot] = tags[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> tags_;
-  int shift_ = 0;
-  size_t size_ = 0;
-};
+  return palette;
+}
 
 // Encodes with `index`, which holds exactly the distinct `values`.
 std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values,
-                                       DistinctIndex* index) {
+                                       IdMap<uint32_t>* index) {
   SWAN_CHECK_MSG(index->size() < (1ull << 32),
                  "dictionary codec requires < 2^32 distinct values");
-  const std::vector<uint64_t> palette = index->NumberSorted();
+  const std::vector<uint64_t> palette = NumberSorted(index);
   const int width = BitWidthFor(palette.empty() ? 0 : palette.size() - 1);
   std::vector<uint64_t> words(PackedWords(values.size(), width), 0);
   PackInto(values.size(), width, words.data(),
-           [&](uint64_t i) { return index->CodeOf(values[i]); });
+           [&](uint64_t i) { return *index->Find(values[i]); });
   std::vector<uint8_t> out;
   out.reserve(2 + 4 + palette.size() * 8 + words.size() * 8);
   out.push_back(kTagDictBitPack);
@@ -239,7 +189,7 @@ std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values,
 }
 
 std::vector<uint8_t> EncodeDictBitPack(std::span<const uint64_t> values) {
-  DistinctIndex index;
+  IdMap<uint32_t> index;
   for (uint64_t v : values) index.Insert(v);
   return EncodeDictBitPack(values, &index);
 }
@@ -305,7 +255,7 @@ std::vector<uint8_t> EncodeAuto(std::span<const uint64_t> values) {
       return EncodeDictBitPack(values);
     }
   } else {
-    DistinctIndex index;
+    IdMap<uint32_t> index;
     bool dict_wins = true;
     for (uint64_t v : values) {
       if (index.Insert(v) &&

@@ -1,6 +1,8 @@
 #include "core/row_backends.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/macros.h"
 #include "obs/trace.h"
@@ -30,7 +32,7 @@ uint64_t PackPair(uint64_t a, uint64_t b) {
 // ---------------------------------------------------------------------------
 
 bool RowBackend::Pass::Keeps(const rdf::Triple& t) const {
-  if (subjects != nullptr && subjects->count(t.subject) == 0) return false;
+  if (subjects != nullptr && !subjects->contains(t.subject)) return false;
   return props == nullptr ||
          std::binary_search(props->begin(), props->end(), t.property);
 }
@@ -47,14 +49,14 @@ void RowBackend::ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
   });
 }
 
-std::unordered_set<uint64_t> RowBackend::SubjectSet(
-    uint64_t property, uint64_t object, const exec::ExecContext& ectx,
-    const std::unordered_set<uint64_t>* within) const {
+IdSet RowBackend::SubjectSet(uint64_t property, uint64_t object,
+                             const exec::ExecContext& ectx,
+                             const IdSet* within) const {
   obs::Span span(ectx.trace(), tag_ + ".index_scan");
-  std::unordered_set<uint64_t> out;
+  IdSet out;
   ScanPattern(PatternPO(property, object), [&](const rdf::Triple& t) {
-    if (within == nullptr || within->count(t.subject) != 0) {
-      out.insert(t.subject);
+    if (within == nullptr || within->contains(t.subject)) {
+      out.Insert(t.subject);
     }
   });
   span.set_rows_out(out.size());
@@ -73,46 +75,43 @@ RowBackend::Counts RowBackend::CountPass(const Pass& pass,
       [&](uint64_t branch, const rdf::Triple& t) {
         if (const std::optional<uint64_t> k = key(t)) ++partials[branch][*k];
       });
-  // Partial counts are additive, so the totals are width-independent. The
-  // largest partial becomes the total; keys new to it move over node by
-  // node, and the rest add up.
+  // Partial counts are additive, so the totals are width-independent: the
+  // first partial becomes the total and the others add to it key by key.
   Counts counts;
-  if (!partials.empty()) {
-    counts.swap(*std::max_element(
-        partials.begin(), partials.end(),
-        [](const Counts& x, const Counts& y) { return x.size() < y.size(); }));
-  }
-  for (Counts& part : partials) {
-    counts.merge(part);
-    for (const auto& [k, n] : part) counts[k] += n;
+  if (!partials.empty()) counts = std::move(partials.front());
+  for (size_t i = 1; i < partials.size(); ++i) {
+    partials[i].ForEach([&](uint64_t k, uint64_t n) { counts[k] += n; });
   }
   span.set_rows_out(counts.size());
   return counts;
 }
 
 void RowBackend::JoinWithTypes(
-    uint64_t build, bool key_by_object, const std::unordered_set<uint64_t>& a,
-    uint64_t type, const exec::ExecContext& ectx,
+    uint64_t build, bool key_by_object, const IdSet& a, uint64_t type,
+    const exec::ExecContext& ectx,
     const std::function<void(uint64_t, const rdf::Triple&)>& emit,
     QueryResult* result) const {
-  std::unordered_map<uint64_t, std::vector<uint64_t>> table;
+  // The build rows' values, chained per key: head[key] is 1 + the index of
+  // its last row, next[i] that of the row before row i (0 ends a chain).
+  IdMap<uint64_t> head;
+  std::vector<uint64_t> values;
+  std::vector<uint64_t> next;
   {
     obs::Span span(ectx.trace(), tag_ + ".hash_build");
     ScanPattern(PatternPO(build), [&](const rdf::Triple& t) {
-      if (a.count(t.subject) == 0) return;
-      if (key_by_object) {
-        table[t.object].push_back(t.subject);
-      } else {
-        table[t.subject].push_back(t.object);
-      }
+      if (!a.contains(t.subject)) return;
+      uint64_t& last = head[key_by_object ? t.object : t.subject];
+      values.push_back(key_by_object ? t.subject : t.object);
+      next.push_back(last);
+      last = values.size();
     });
-    span.set_rows_out(table.size());
+    span.set_rows_out(head.size());
   }
   obs::Span span(ectx.trace(), tag_ + ".hash_probe");
   ScanPattern(PatternPO(type), [&](const rdf::Triple& t) {
-    auto it = table.find(t.subject);
-    if (it == table.end()) return;
-    for (uint64_t value : it->second) emit(value, t);
+    const uint64_t* last = head.Find(t.subject);
+    if (last == nullptr) return;
+    for (uint64_t i = *last; i != 0; i = next[i - 1]) emit(values[i - 1], t);
   });
   span.set_rows_out(result->rows.size());
 }
@@ -124,7 +123,9 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
   const std::vector<uint64_t>* props = PropertyFilter(id, ctx);
   QueryResult result;
   const auto emit_counts = [&](const Counts& counts) {
-    for (const auto& [key, count] : counts) result.rows.push_back({key, count});
+    counts.ForEach([&](uint64_t key, uint64_t count) {
+      result.rows.push_back({key, count});
+    });
   };
   switch (BaseOf(id)) {
     case QueryId::kQ1: {
@@ -137,14 +138,14 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
     }
     case QueryId::kQ2:
     case QueryId::kQ6: {
-      std::unordered_set<uint64_t> a = SubjectSet(v.type, v.text, ectx);
+      IdSet a = SubjectSet(v.type, v.text, ectx);
       if (BaseOf(id) == QueryId::kQ6) {
         // Union: plus the subjects whose records-object is Text-typed.
         std::vector<uint64_t> via_records;
         ScanPattern(PatternPO(v.records), [&](const rdf::Triple& t) {
-          if (a.count(t.object) != 0) via_records.push_back(t.subject);
+          if (a.contains(t.object)) via_records.push_back(t.subject);
         });
-        a.insert(via_records.begin(), via_records.end());
+        for (uint64_t s : via_records) a.Insert(s);
       }
       result.column_names = {"prop", "count"};
       emit_counts(CountPass({.props = props, .subjects = &a}, ectx,
@@ -153,7 +154,7 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
     }
     case QueryId::kQ3:
     case QueryId::kQ4: {
-      std::unordered_set<uint64_t> a = SubjectSet(v.type, v.text, ectx);
+      IdSet a = SubjectSet(v.type, v.text, ectx);
       // q4/q4*: the subject must also carry (language, fre).
       if (BaseOf(id) == QueryId::kQ4) {
         a = SubjectSet(v.language, v.french, ectx, &a);
@@ -164,15 +165,15 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
                       return PackPair(t.property, t.object);
                     });
       result.column_names = {"prop", "obj", "count"};
-      for (const auto& [packed, count] : groups) {
+      groups.ForEach([&](uint64_t packed, uint64_t count) {
         if (count > 1) {
           result.rows.push_back({packed >> 32, packed & 0xFFFFFFFFull, count});
         }
-      }
+      });
       break;
     }
     case QueryId::kQ5: {
-      const std::unordered_set<uint64_t> a = SubjectSet(v.origin, v.dlc, ectx);
+      const IdSet a = SubjectSet(v.origin, v.dlc, ectx);
       result.column_names = {"subj", "obj"};
       JoinWithTypes(
           v.records, /*key_by_object=*/true, a, v.type, ectx,
@@ -185,7 +186,7 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
       break;
     }
     case QueryId::kQ7: {
-      const std::unordered_set<uint64_t> a = SubjectSet(v.point, v.end, ectx);
+      const IdSet a = SubjectSet(v.point, v.end, ectx);
       result.column_names = {"subj", "encoding", "type"};
       JoinWithTypes(
           v.encoding, /*key_by_object=*/false, a, v.type, ectx,
@@ -203,13 +204,15 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
                     [](const rdf::Triple& t) { return t.object; });
       const Counts subjects = CountPass(
           {}, ectx, [&](const rdf::Triple& t) -> std::optional<uint64_t> {
-            if (t.subject == v.conferences || t_objects.count(t.object) == 0) {
+            if (t.subject == v.conferences || !t_objects.contains(t.object)) {
               return std::nullopt;
             }
             return t.subject;
           });
       result.column_names = {"subj"};
-      for (const auto& [subject, n] : subjects) result.rows.push_back({subject});
+      subjects.ForEach([&](uint64_t subject, uint64_t) {
+        result.rows.push_back({subject});
+      });
       break;
     }
     default:
@@ -317,7 +320,8 @@ void RowVerticalBackend::ScanBranches(
   std::vector<uint64_t> temp_table;
   if (semi_join) {
     obs::Span span(ectx.trace(), "row_vert.temp_table");
-    temp_table.assign(pass.subjects->begin(), pass.subjects->end());
+    temp_table.reserve(pass.subjects->size());
+    pass.subjects->ForEach([&](uint64_t s) { temp_table.push_back(s); });
     span.set_rows_out(temp_table.size());
   }
   // The branches are independent, so they fan out across the context's

@@ -5,11 +5,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/id_hash.h"
 #include "core/backend.h"
 #include "rowstore/triple_relation.h"
 #include "rowstore/vertical_relation.h"
@@ -23,8 +22,9 @@ namespace swan::core {
 // the column engine does, which is one half of the order-of-magnitude gap
 // the paper measures; the other half is page-at-a-time I/O through the
 // buffer pool. That is why the family does not reuse ColumnBackend's
-// dense, universe-sized phases: filters here are unordered hash sets and
-// every branch of a pass keeps its own hash partial.
+// dense, universe-sized phases: filters, group counts and join build sides
+// here are hash tables over 64-bit ids (IdSet/IdMap, probed per tuple),
+// and every branch of a pass keeps its own hash partial.
 class RowBackend : public BackendBase {
  public:
   // `tag` prefixes the engine's span names ("row_triple", "row_vert",
@@ -53,7 +53,7 @@ class RowBackend : public BackendBase {
   // `subjects` when non-null (a semi-join), else any.
   struct Pass {
     const std::vector<uint64_t>* props = nullptr;
-    const std::unordered_set<uint64_t>* subjects = nullptr;
+    const IdSet* subjects = nullptr;
     std::optional<uint64_t> subject = std::nullopt;
 
     // The props/subjects test, for engines that scan wider than the pass.
@@ -71,13 +71,13 @@ class RowBackend : public BackendBase {
                             const BranchFn& fn) const;
 
  private:
-  using Counts = std::unordered_map<uint64_t, uint64_t>;
+  using Counts = IdMap<uint64_t>;
 
   // Subjects s with (s, property, object), restricted to `within` when
   // non-null.
-  std::unordered_set<uint64_t> SubjectSet(
-      uint64_t property, uint64_t object, const exec::ExecContext& ectx,
-      const std::unordered_set<uint64_t>* within = nullptr) const;
+  IdSet SubjectSet(uint64_t property, uint64_t object,
+                   const exec::ExecContext& ectx,
+                   const IdSet* within = nullptr) const;
   // Group-counts the triples of `pass` by `key(triple)` (an optional:
   // nullopt drops the triple), one hash partial per branch, summed in
   // branch order.
@@ -88,9 +88,8 @@ class RowBackend : public BackendBase {
   // `a`, keyed by their object (q5) or subject (q7), probed with the type
   // triples on their subject; `emit(build value, type triple)` appends the
   // match's row, if any, to `result`.
-  void JoinWithTypes(uint64_t build, bool key_by_object,
-                     const std::unordered_set<uint64_t>& a, uint64_t type,
-                     const exec::ExecContext& ectx,
+  void JoinWithTypes(uint64_t build, bool key_by_object, const IdSet& a,
+                     uint64_t type, const exec::ExecContext& ectx,
                      const std::function<void(uint64_t, const rdf::Triple&)>&
                          emit,
                      QueryResult* result) const;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -118,6 +119,74 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
     previous = from_vert.row_count();
   }
 }
+
+// The row engine's rows at widths 1, 2 and 8, for all four row designs,
+// against the reference. On a fresh load the triple stores' full scans
+// split into leaf-range chunks with one hash partial each; after an insert
+// batch has split leaves, the chain is no longer contiguous and they fall
+// back to the serial cursor. The inserts clone every triple of every 40th
+// subject onto a fresh subject, so each query's patterns see new rows.
+class RowEngineWidthTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
+  const bool after_inserts = GetParam();
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 11;
+  auto barton = GenerateBarton(config);
+  rdf::Dataset& data = barton.dataset;
+  std::vector<rdf::Triple> inserts;
+  if (after_inserts) {
+    for (const rdf::Triple& t : data.triples()) {
+      if (t.subject % 40 != 0) continue;
+      const uint64_t clone =
+          data.dict().Intern("<clone-" + std::to_string(t.subject) + ">");
+      inserts.push_back({clone, t.property, t.object});
+    }
+  }
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+
+  core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
+  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
+  core::RowVerticalBackend row_vert(data);
+  core::PropertyTableBackend property_table(data, 20);
+  core::ReferenceBackend reference(data);
+  const std::vector<core::Backend*> row_backends = {&row_spo, &row_pso,
+                                                    &row_vert, &property_table};
+  for (const rdf::Triple& t : inserts) {
+    ASSERT_TRUE(reference.Insert(t).ok());
+    for (core::Backend* backend : row_backends) {
+      ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
+    }
+  }
+
+  exec::SetThreads(8);
+  for (int width : {1, 2, 8}) {
+    const exec::ExecContext ectx(width);
+    for (const core::RowTripleBackend* triple : {&row_spo, &row_pso}) {
+      uint64_t parts = 0;
+      triple->relation().FullScan(
+          ectx, [&](uint64_t n) { parts = n; },
+          [](uint64_t, const rdf::Triple&) {});
+      EXPECT_EQ(parts > 1, width > 1 && !after_inserts)
+          << triple->name() << " x" << width << ": " << parts << " parts";
+    }
+    for (QueryId id : core::AllQueries()) {
+      const core::QueryResult want = reference.Run(id, ctx);
+      EXPECT_GT(want.row_count(), 0u) << ToString(id);
+      for (core::Backend* backend : row_backends) {
+        EXPECT_TRUE(backend->Run(id, ctx, ectx).SameRows(want))
+            << backend->name() << " " << ToString(id) << " x" << width;
+      }
+    }
+  }
+  exec::SetThreads(1);
+}
+
+INSTANTIATE_TEST_SUITE_P(LoadStates, RowEngineWidthTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "after_inserts" : "fresh_load";
+                         });
 
 // The row engines' modeled cold cost, pinned per query: simulated-disk
 // bytes, seeks and virtual seconds after DropCaches, for every row design

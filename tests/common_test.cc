@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/id_hash.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -202,6 +206,99 @@ TEST(TimerTest, CpuTimerAdvancesUnderWork) {
     sink = sink + std::sqrt(static_cast<double>(i));
   }
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
+}
+
+// Keys for the id hash tests: mostly a small id range, so repeats and
+// increments are common; some from the full 64-bit range; and the edge
+// keys 0, 2^32 - 1 and the largest packed id pair, (2^32 - 1) << 32 |
+// (2^32 - 1) = 2^64 - 1, which a table that reserves it as its empty
+// marker must still store.
+constexpr uint64_t kPackedMax = (uint64_t{0xFFFFFFFF} << 32) | 0xFFFFFFFF;
+const uint64_t kEdgeKeys[] = {0, 0xFFFFFFFF, kPackedMax};
+
+uint64_t RandomIdKey(Rng* rng) {
+  switch (rng->Uniform(4)) {
+    case 0:
+      return kEdgeKeys[rng->Uniform(std::size(kEdgeKeys))];
+    case 1:
+      return rng->Next();
+    default:
+      return rng->Uniform(5000);
+  }
+}
+
+TEST(IdHashTest, EmptyTableHoldsNoKey) {
+  IdMap<uint64_t> map;
+  IdSet set;
+  for (uint64_t key : kEdgeKeys) {
+    EXPECT_FALSE(map.contains(key));
+    EXPECT_EQ(map.Find(key), nullptr);
+    EXPECT_FALSE(set.contains(key));
+  }
+  EXPECT_EQ(map.size(), 0u);
+  set.ForEach([](uint64_t key) { ADD_FAILURE() << key; });
+}
+
+// Random insert / lookup / increment sequences against std::unordered_map,
+// growing through many rehashes; every few thousand operations, ForEach
+// must visit each key exactly once, with its value.
+TEST(IdHashTest, MapMatchesUnorderedMap) {
+  Rng rng(17);
+  IdMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> want;
+  for (int op = 1; op <= 60000; ++op) {
+    const uint64_t key = RandomIdKey(&rng);
+    switch (rng.Uniform(3)) {
+      case 0:
+        ASSERT_EQ(map.Insert(key), want.emplace(key, 0).second) << key;
+        break;
+      case 1:
+        ASSERT_EQ(++map[key], ++want[key]) << key;
+        break;
+      default: {
+        const auto it = want.find(key);
+        ASSERT_EQ(map.contains(key), it != want.end()) << key;
+        const uint64_t* got = map.Find(key);
+        ASSERT_EQ(got != nullptr, it != want.end()) << key;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << key;
+        }
+      }
+    }
+    ASSERT_EQ(map.size(), want.size());
+    if (op % 5000 == 0) {
+      std::unordered_map<uint64_t, uint64_t> seen;
+      map.ForEach([&](uint64_t k, uint64_t v) {
+        EXPECT_TRUE(seen.emplace(k, v).second) << "visited twice: " << k;
+      });
+      ASSERT_EQ(seen, want) << "after " << op << " operations";
+    }
+  }
+  for (uint64_t key : kEdgeKeys) EXPECT_TRUE(map.contains(key)) << key;
+  EXPECT_GT(map.size(), 10000u);  // grown from 8 slots: many rehashes
+}
+
+TEST(IdHashTest, SetMatchesUnorderedSet) {
+  Rng rng(23);
+  IdSet set;
+  std::unordered_set<uint64_t> want;
+  for (int op = 1; op <= 60000; ++op) {
+    const uint64_t key = RandomIdKey(&rng);
+    if (rng.Chance(0.5)) {
+      ASSERT_EQ(set.Insert(key), want.insert(key).second) << key;
+    } else {
+      ASSERT_EQ(set.contains(key), want.count(key) != 0) << key;
+    }
+    ASSERT_EQ(set.size(), want.size());
+    if (op % 5000 == 0) {
+      std::unordered_set<uint64_t> seen;
+      set.ForEach([&](uint64_t k) {
+        EXPECT_TRUE(seen.insert(k).second) << "visited twice: " << k;
+      });
+      ASSERT_EQ(seen, want) << "after " << op << " operations";
+    }
+  }
+  for (uint64_t key : kEdgeKeys) EXPECT_TRUE(set.contains(key)) << key;
 }
 
 }  // namespace
