@@ -41,7 +41,8 @@ void BM_SparqlExecute(benchmark::State& state) {
   auto store = swan::core::RdfStore::Open(barton.dataset);
   for (auto _ : state) {
     auto result =
-        swan::sparql::Execute(store->backend(), barton.dataset, kJoinQuery);
+        swan::sparql::Execute(store->backend(), barton.dataset, kJoinQuery,
+                              swan::exec::ExecContext(), &store->stats());
     benchmark::DoNotOptimize(result.ok());
   }
   state.SetItemsProcessed(state.iterations());

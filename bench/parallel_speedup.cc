@@ -38,6 +38,7 @@
 #include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/row_backends.h"
+#include "plan/stats.h"
 
 namespace {
 
@@ -118,9 +119,11 @@ int main(int argc, char** argv) {
   const std::vector<QueryId> queries = {QueryId::kQ2Star, QueryId::kQ3Star,
                                         QueryId::kQ4Star, QueryId::kQ6Star};
 
-  // The BGP workload: the seed pattern binds every subject carrying
-  // <origin>, then each binding row is extended through a point Match —
-  // the batched step, and the bulk of the work.
+  // The BGP workload, planned cost-based: the seed pattern binds every
+  // subject carrying <origin>, then each binding row is extended with its
+  // <type> — by point Matches in batches, or one scan-join, whichever the
+  // run-time choice prices cheaper.
+  const swan::plan::StoreStats stats = swan::plan::StoreStats::Collect(data);
   const auto vocab = ctx.vocab();
   const std::vector<BgpPattern> bgp_query = {
       {Term::Var("s"), Term::Const(vocab.origin), Term::Var("o")},
@@ -162,21 +165,25 @@ int main(int argc, char** argv) {
         backend == static_cast<swan::core::BackendBase*>(&col_vert)
             ? "bgp col-vert"
             : "bgp row-pso";
+    const swan::plan::PlannerOptions options{
+        swan::plan::PlanMode::kCostBased, &stats, backend->PlannerHints()};
     const ExecContext serial(1);
-    const auto ref = swan::core::ExecuteBgp(*backend, bgp_query, serial);
+    const auto ref =
+        swan::core::ExecuteBgp(*backend, bgp_query, serial, options);
     SWAN_CHECK_MSG(ref.ok(), "BGP reference run failed");
     const auto ref_rows = ref.value().rows;
     entries.push_back(Entry{
         label, group,
-        [backend, &bgp_query, reps](const ExecContext& ectx) {
+        [backend, &bgp_query, options, reps](const ExecContext& ectx) {
           return swan::bench_support::MeasureBgpHot(backend, bgp_query, ectx,
-                                                    reps)
+                                                    options, reps)
               .real_seconds;
         },
-        [backend, &bgp_query, ref_rows](const ExecContext& ectx) {
+        [backend, &bgp_query, options, ref_rows](const ExecContext& ectx) {
           // Bit-identical binding table: batch stitching preserves the
           // exact serial row order.
-          const auto result = swan::core::ExecuteBgp(*backend, bgp_query, ectx);
+          const auto result =
+              swan::core::ExecuteBgp(*backend, bgp_query, ectx, options);
           return result.ok() && result.value().rows == ref_rows;
         }});
   }

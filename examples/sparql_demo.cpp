@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
       "LIMIT 10";
 
   std::printf("query:\n%s\n\n", query);
-  auto result = swan::sparql::Execute(store->backend(), barton.dataset, query);
+  auto result = swan::sparql::Execute(store->backend(), barton.dataset, query,
+                                      swan::exec::ExecContext(),
+                                      &store->stats());
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;

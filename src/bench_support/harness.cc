@@ -180,13 +180,6 @@ Measurement MeasureHotProfiled(core::Backend* backend, core::QueryId id,
 
 Measurement MeasureBgpHot(core::Backend* backend,
                           const std::vector<core::BgpPattern>& patterns,
-                          const exec::ExecContext& ectx, int repetitions) {
-  return MeasureBgpHot(backend, patterns, ectx, plan::PlannerOptions{},
-                       repetitions);
-}
-
-Measurement MeasureBgpHot(core::Backend* backend,
-                          const std::vector<core::BgpPattern>& patterns,
                           const exec::ExecContext& ectx,
                           const plan::PlannerOptions& options,
                           int repetitions) {

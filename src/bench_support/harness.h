@@ -87,13 +87,7 @@ Measurement MeasureHotProfiled(core::Backend* backend, core::QueryId id,
 
 // Hot-protocol measurement of a BGP evaluation under an explicit context
 // (one unmeasured warm-up, then averaged measured runs). rows_returned is
-// the binding-table row count. The three-argument form plans with the
-// statistics-free heuristic; pass PlannerOptions to measure a specific
-// planning mode (cost-based, heuristic, worst-order — the planner
-// ablation compares exactly these).
-Measurement MeasureBgpHot(core::Backend* backend,
-                          const std::vector<core::BgpPattern>& patterns,
-                          const exec::ExecContext& ectx, int repetitions = 3);
+// the binding-table row count, planned under `options`.
 Measurement MeasureBgpHot(core::Backend* backend,
                           const std::vector<core::BgpPattern>& patterns,
                           const exec::ExecContext& ectx,

@@ -95,9 +95,10 @@ SlotRef ResolveTerm(const Term& term, Table* table) {
   return SlotRef{table->AddVar(term.var), 0};
 }
 
-// Span name for a step: plain in heuristic mode, "<base> est=N" when the
-// planner annotated an estimate — EXPLAIN ANALYZE reads the estimate from
-// the span name and the actual cardinality from rows_out.
+// Span name for a step: plain when the step carries no estimate (the
+// as-written order), "<base> est=N" when the planner annotated one —
+// EXPLAIN ANALYZE reads the estimate from the span name and the actual
+// cardinality from rows_out.
 std::string StepSpanName(const char* base, double est_out) {
   if (est_out < 0) return base;
   return std::string(base) + " est=" +

@@ -78,15 +78,14 @@ plan::PhysicalPlan PlanQuery(const Backend& backend,
 
 // Plans and evaluates the conjunction of `patterns`: lowers the list to
 // Join(Scan...), plans it with PlanQuery, then interprets the result.
-// The default options give the statistics-free heuristic ordering (the
-// pre-planner behavior, bit-identical); pass
-// PlannerOptions{kCostBased, &store.stats(), backend.PlannerHints()} (or
-// RdfStore::planner_options()) for the cost-based plan. The default
-// context runs at the globally configured thread width.
-Result<BgpResult> ExecuteBgp(
-    const Backend& backend, const std::vector<BgpPattern>& patterns,
-    const exec::ExecContext& ectx = exec::ExecContext(),
-    const plan::PlannerOptions& options = plan::PlannerOptions{});
+// The cost-based plan takes
+// PlannerOptions{kCostBased, &stats, backend.PlannerHints()} with the
+// statistics of the backend's dataset (RdfStore::planner_options() for a
+// store); kAsWritten runs the patterns in textual order.
+Result<BgpResult> ExecuteBgp(const Backend& backend,
+                             const std::vector<BgpPattern>& patterns,
+                             const exec::ExecContext& ectx,
+                             const plan::PlannerOptions& options);
 
 }  // namespace swan::core
 

@@ -35,10 +35,15 @@ class ReferenceBackend : public BackendBase {
   void DropCaches() override {}
   uint64_t disk_bytes() const override { return 0; }
 
+  // Every Match is a full loop over the triples, so one call costs a
+  // full pass: priced that way, the planner gathers star arms in one scan
+  // instead of looping per binding row.
   plan::AccessHints PlannerHints() const override {
     plan::AccessHints hints;
-    hints.clustered_by_property = false;  // every Match is a full loop
+    hints.clustered_by_property = false;
     hints.subject_indexed = false;
+    hints.seek_cost =
+        static_cast<double>(triples_.size()) * hints.scan_row_cost;
     return hints;
   }
 

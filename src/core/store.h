@@ -102,19 +102,18 @@ class RdfStore {
     return backend_->Match(pattern, ectx);
   }
 
-  // Conjunctive pattern (BGP) query. The store facade always plans
-  // cost-based: the statistics are collected once at open time and the
-  // backend supplies its access-path hints. (Call core::ExecuteBgp
-  // directly for the statistics-free heuristic order.) The default
-  // context runs at the globally configured thread width.
+  // Conjunctive pattern (BGP) query, planned cost-based: the statistics
+  // are collected once at open time and the backend supplies its
+  // access-path hints. The default context runs at the globally
+  // configured thread width.
   Result<BgpResult> ExecuteBgp(
       const std::vector<BgpPattern>& patterns,
       const exec::ExecContext& ectx = exec::ExecContext()) const {
     return core::ExecuteBgp(*backend_, patterns, ectx, planner_options());
   }
 
-  // Load-time statistics over the dataset (per-property cardinalities,
-  // distinct subject/object counts, skew maxima) and the planner options
+  // Load-time statistics over the dataset (per-property cardinalities and
+  // distinct subject/object counts) and the planner options
   // every store-level query runs under.
   const plan::StoreStats& stats() const { return stats_; }
   plan::PlannerOptions planner_options() const {

@@ -1,9 +1,9 @@
 #include "plan/optimizer.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,8 +16,6 @@ const char* ToString(PlanMode mode) {
   switch (mode) {
     case PlanMode::kCostBased:
       return "cost-based";
-    case PlanMode::kHeuristic:
-      return "heuristic";
     case PlanMode::kWorstOrder:
       return "worst-order";
     case PlanMode::kAsWritten:
@@ -36,8 +34,8 @@ constexpr size_t kDpLimit = 8;
 
 // --- Variable bitmaps -----------------------------------------------------
 // Join ordering tracks bound-variable sets as uint64 bitmaps. Groups with
-// more than 64 distinct variables (never the paper's workload) fall back
-// to the heuristic ordering.
+// more than 64 distinct variables (never the paper's workload) run in
+// textual order.
 
 class VarBits {
  public:
@@ -217,50 +215,6 @@ BranchSpec FlattenBranch(const LogicalNode& node) {
 
 // --- Ordering strategies --------------------------------------------------
 
-// The pre-planner greedy scoring, with `bound` seeding the join-connected
-// set (empty for a required group, the outer variables for an optional).
-std::vector<size_t> HeuristicOrder(const std::vector<BgpPattern>& patterns,
-                                   std::unordered_map<std::string, bool> bound) {
-  std::vector<size_t> order;
-  std::vector<bool> used(patterns.size(), false);
-
-  auto score = [&](const BgpPattern& p) {
-    int constants = 0, joined = 0, fresh = 0;
-    for (const Term* t : {&p.subject, &p.property, &p.object}) {
-      if (!t->is_var) {
-        ++constants;
-      } else if (bound.count(t->var) != 0) {
-        ++joined;
-      } else {
-        ++fresh;
-      }
-    }
-    // Constants narrow the match most; variables already bound turn the
-    // step into a join; fresh variables widen the binding table.
-    return 3 * constants + 2 * joined - fresh;
-  };
-
-  for (size_t step = 0; step < patterns.size(); ++step) {
-    int best_score = INT_MIN;
-    size_t best = 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      if (used[i]) continue;
-      const int s = score(patterns[i]);
-      if (s > best_score) {
-        best_score = s;
-        best = i;
-      }
-    }
-    used[best] = true;
-    order.push_back(best);
-    for (const Term* t : {&patterns[best].subject, &patterns[best].property,
-                          &patterns[best].object}) {
-      if (t->is_var) bound[t->var] = true;
-    }
-  }
-  return order;
-}
-
 // Cost-based ordering: exhaustive DP over linear join orders (≤ kDpLimit
 // patterns), greedy minimum-cardinality beyond. `outer_mask` holds the
 // variables bound before the group starts.
@@ -356,10 +310,12 @@ void PatternVarsInto(const BgpPattern& p,
 }
 
 // Compiles one group (required or optional) into ordered physical steps.
-// `outer` holds the variables bound before the group runs.
+// `outer` holds the variables bound before the group runs. Bumps
+// `*wide_groups` when the group has too many variables to order by cost.
 PhysPipeline CompileGroup(const GroupSpec& group,
                           const std::unordered_set<std::string>& outer,
-                          double est_in, const PlannerOptions& opts) {
+                          double est_in, const PlannerOptions& opts,
+                          size_t* wide_groups) {
   PhysPipeline out;
   for (const BgpPattern& p : group.patterns) {
     std::vector<std::string> vs;
@@ -413,21 +369,15 @@ PhysPipeline CompileGroup(const GroupSpec& group,
   for (size_t i = 0; bitmaps_ok && i < group.patterns.size(); ++i) {
     bitmaps_ok = vars.PatternMask(group.patterns[i], &masks[i]);
   }
-  const bool cost_mode = opts.mode == PlanMode::kCostBased &&
-                         opts.stats != nullptr && bitmaps_ok;
-  const bool worst_mode = opts.mode == PlanMode::kWorstOrder &&
-                          opts.stats != nullptr && bitmaps_ok;
-  std::vector<size_t> order;
-  if (cost_mode || worst_mode) {
+  if (!bitmaps_ok && opts.mode != PlanMode::kAsWritten) ++*wide_groups;
+  const bool by_stats = opts.mode != PlanMode::kAsWritten && bitmaps_ok;
+  std::vector<size_t> order(group.patterns.size());
+  if (by_stats) {
     order = CostOrder(group.patterns, masks, outer_mask, est_in, &vars,
-                      *opts.stats, opts.hints, worst_mode);
-  } else if (opts.mode == PlanMode::kAsWritten) {
-    order.resize(group.patterns.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+                      *opts.stats, opts.hints,
+                      opts.mode == PlanMode::kWorstOrder);
   } else {
-    std::unordered_map<std::string, bool> bound;
-    for (const std::string& v : outer) bound[v] = true;
-    order = HeuristicOrder(group.patterns, std::move(bound));
+    std::iota(order.begin(), order.end(), size_t{0});
   }
 
   for (size_t i : order) {
@@ -441,7 +391,7 @@ PhysPipeline CompileGroup(const GroupSpec& group,
   // constant-property step's extent for the interpreter's run-time choice
   // between probing and one scan over the extent.
   double rows = std::max(est_in, 0.0);
-  if (cost_mode || worst_mode) {
+  if (by_stats) {
     const StoreStats& stats = *opts.stats;
     uint64_t bound = outer_mask;
     for (size_t k = 0; k < out.steps.size(); ++k) {
@@ -452,7 +402,7 @@ PhysPipeline CompileGroup(const GroupSpec& group,
       out.steps[k].est_matches = fanout;
       rows *= fanout;
       out.steps[k].est_out = rows;
-      if (cost_mode && !p.property.is_var) {
+      if (opts.mode == PlanMode::kCostBased && !p.property.is_var) {
         out.steps[k].extent = stats.EstimateMatches(
             std::nullopt, p.property.id,
             p.object.is_var ? std::nullopt
@@ -489,12 +439,10 @@ PhysPipeline CompileGroup(const GroupSpec& group,
 
 }  // namespace
 
-std::vector<size_t> PlanPatternOrder(const std::vector<BgpPattern>& patterns) {
-  return HeuristicOrder(patterns, {});
-}
-
 PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
   SWAN_CHECK_MSG(logical.root != nullptr, "logical plan without a root");
+  SWAN_CHECK_MSG(opts.mode == PlanMode::kAsWritten || opts.stats != nullptr,
+                 "cost-ordered plan without statistics");
   PhysicalPlan plan;
   plan.numeric = logical.numeric;
   plan.hints = opts.hints;
@@ -536,11 +484,11 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
     }
   }
 
-  const bool have_stats =
-      opts.mode != PlanMode::kHeuristic && opts.stats != nullptr;
+  size_t wide_groups = 0;
   for (const LogicalNode* branch_node : branch_nodes) {
     const BranchSpec spec = FlattenBranch(*branch_node);
-    PhysPipeline branch = CompileGroup(spec.required, {}, 1.0, opts);
+    PhysPipeline branch =
+        CompileGroup(spec.required, {}, 1.0, opts, &wide_groups);
 
     // Optionals run after the required steps, in textual order; each sees
     // the variables of the required group and of earlier optionals.
@@ -549,7 +497,7 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
     std::vector<std::string> branch_vars = branch.vars;
     for (const GroupSpec& optional : spec.optionals) {
       PhysPipeline compiled =
-          CompileGroup(optional, outer, branch.est_rows, opts);
+          CompileGroup(optional, outer, branch.est_rows, opts, &wide_groups);
       for (const std::string& v : compiled.vars) {
         outer.insert(v);
         branch_vars.push_back(v);
@@ -576,22 +524,18 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
     plan.branches.push_back(std::move(branch));
   }
 
-  if (opts.mode == PlanMode::kCostBased && opts.stats == nullptr) {
-    plan.mode_note = "heuristic (no statistics)";
-  } else if (have_stats) {
-    plan.mode_note =
-        std::string(ToString(opts.mode)) + " (stats: " +
-        std::to_string(opts.stats->total_triples) + " triples, " +
-        std::to_string(opts.stats->distinct_properties()) + " properties)";
-  } else {
-    plan.mode_note = ToString(opts.mode);
+  plan.mode_note = ToString(opts.mode);
+  if (opts.mode != PlanMode::kAsWritten) {
+    plan.mode_note +=
+        " (stats: " + std::to_string(opts.stats->total_triples) +
+        " triples, " + std::to_string(opts.stats->distinct_properties()) +
+        " properties)";
+  }
+  if (wide_groups > 0) {
+    plan.mode_note += "; " + std::to_string(wide_groups) +
+                      " group(s) over 64 variables as written";
   }
   return plan;
-}
-
-PhysicalPlan OptimizeBgp(const std::vector<BgpPattern>& patterns,
-                         const PlannerOptions& opts) {
-  return Optimize(BuildBgpLogical(patterns), opts);
 }
 
 }  // namespace swan::plan

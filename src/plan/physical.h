@@ -57,8 +57,9 @@ struct PhysStep {
   std::vector<FilterExpr> filters;
 
   // Planner annotations: estimated binding rows flowing in and out, and
-  // the estimated matches of one instantiated probe. Negative when no
-  // statistics were available (heuristic mode).
+  // the estimated matches of one instantiated probe. Negative when the
+  // step runs in textual order (kAsWritten, or a group over 64
+  // variables).
   double est_in = -1.0;
   double est_out = -1.0;
   double est_matches = -1.0;

@@ -1,6 +1,5 @@
 #include "plan/stats.h"
 
-#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
@@ -37,10 +36,10 @@ StoreStats StoreStats::Collect(const rdf::Dataset& dataset) {
     runs[next[t.property]++] = {t.subject, t.object};
   }
 
-  // Per-property key frequencies, tallied in id-indexed arrays that every
-  // property's run resets behind itself, touching only its own slots.
-  std::vector<uint64_t> subject_freq(universe);
-  std::vector<uint64_t> object_freq(universe);
+  // Per-property distinct keys, marked in id-indexed arrays that every
+  // property's run clears behind itself, touching only its own slots.
+  std::vector<uint8_t> subject_seen(universe);
+  std::vector<uint8_t> object_seen(universe);
   stats.by_property.reserve(properties);
   for (uint64_t property = 0; property < universe; ++property) {
     const uint64_t count = roles[property].property;
@@ -50,16 +49,12 @@ StoreStats StoreStats::Collect(const rdf::Dataset& dataset) {
     PropertyStats ps;
     ps.count = count;
     for (const auto& [subject, object] : run) {
-      const uint64_t s = ++subject_freq[subject];
-      const uint64_t o = ++object_freq[object];
-      ps.distinct_subjects += s == 1;
-      ps.distinct_objects += o == 1;
-      ps.max_subject_freq = std::max(ps.max_subject_freq, s);
-      ps.max_object_freq = std::max(ps.max_object_freq, o);
+      ps.distinct_subjects += !std::exchange(subject_seen[subject], 1);
+      ps.distinct_objects += !std::exchange(object_seen[object], 1);
     }
     for (const auto& [subject, object] : run) {
-      subject_freq[subject] = 0;
-      object_freq[object] = 0;
+      subject_seen[subject] = 0;
+      object_seen[object] = 0;
     }
     stats.by_property.emplace(property, ps);
   }
@@ -109,11 +104,6 @@ void StoreStats::AuditInto(audit::AuditLevel level, audit::AuditReport* report,
                   "property " + std::to_string(property) +
                       " has more distinct keys than triples");
     }
-    if (ps.max_subject_freq > ps.count || ps.max_object_freq > ps.count) {
-      report->Add(audit::FindingClass::kStructure, "plan.stats",
-                  "property " + std::to_string(property) +
-                      " skew maximum exceeds its cardinality");
-    }
   }
   if (sum != total_triples) {
     report->Add(audit::FindingClass::kStructure, "plan.stats",
@@ -139,9 +129,7 @@ void StoreStats::AuditInto(audit::AuditLevel level, audit::AuditReport* report,
     const auto it = by_property.find(property);
     if (it == by_property.end() || it->second.count != ps.count ||
         it->second.distinct_subjects != ps.distinct_subjects ||
-        it->second.distinct_objects != ps.distinct_objects ||
-        it->second.max_subject_freq != ps.max_subject_freq ||
-        it->second.max_object_freq != ps.max_object_freq) {
+        it->second.distinct_objects != ps.distinct_objects) {
       report->Add(audit::FindingClass::kStructure, "plan.stats",
                   "stale statistics for property " + std::to_string(property));
       return;

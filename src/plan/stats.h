@@ -41,15 +41,12 @@ struct AccessHints {
   bool property_fanout = false;
 };
 
-// Per-property summaries of the triple relation: cardinality, distinct
-// counts on both sides, and the heaviest single key on each side (the
-// skew the Barton generator's Zipf marginals produce).
+// Per-property summaries of the triple relation: cardinality and distinct
+// counts on both sides.
 struct PropertyStats {
   uint64_t count = 0;
   uint64_t distinct_subjects = 0;
   uint64_t distinct_objects = 0;
-  uint64_t max_subject_freq = 0;  // triples of the most frequent subject
-  uint64_t max_object_freq = 0;   // triples of the most frequent object
 };
 
 // Dataset-level optimizer statistics, collected once at load time
@@ -67,7 +64,7 @@ struct StoreStats {
 
   // Linear counting passes over the dataset's triples, indexed by
   // dictionary id: per-term counts, a counting sort by property, then one
-  // frequency tally per property run.
+  // distinct-key marking pass per property run.
   static StoreStats Collect(const rdf::Dataset& dataset);
 
   // Estimated number of triples matching the pattern shape (nullopt =
@@ -78,7 +75,7 @@ struct StoreStats {
                          std::optional<uint64_t> object) const;
 
   // Audit walker (RdfStore::Audit): kQuick checks internal consistency
-  // (per-property sums vs the total, distinct/max bounds); kFull
+  // (per-property sums vs the total, distinct bounds); kFull
   // recollects from the dataset and compares.
   void AuditInto(audit::AuditLevel level, audit::AuditReport* report,
                  const rdf::Dataset& dataset) const;

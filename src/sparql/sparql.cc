@@ -772,14 +772,11 @@ Result<QueryOutput> Execute(const core::Backend& backend,
     bind_span.set_rows_out(pattern_count);
   }
 
-  plan::PlannerOptions options;
-  if (stats != nullptr) {
-    options.mode = plan::PlanMode::kCostBased;
-    options.stats = stats;
-    options.hints = backend.PlannerHints();
-  }
-  const plan::PhysicalPlan physical =
-      core::PlanQuery(backend, logical, options, ectx);
+  const plan::PhysicalPlan physical = core::PlanQuery(
+      backend, logical,
+      plan::PlannerOptions{plan::PlanMode::kCostBased, stats,
+                           backend.PlannerHints()},
+      ectx);
   SWAN_ASSIGN_OR_RETURN(core::BgpResult bgp,
                         core::ExecutePlan(backend, physical, ectx));
 

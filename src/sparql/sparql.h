@@ -123,7 +123,8 @@ struct QueryOutput {
   // left unbound by an OPTIONAL holds plan::kUnbound. TermText decodes.
   std::vector<std::vector<uint64_t>> rows;
   // The planner's mode note for the executed physical plan (e.g.
-  // "cost-based (sampled statistics)") — surfaced into the query log.
+  // "cost-based (stats: 400000 triples, 221 properties)") — surfaced into
+  // the query log.
   std::string plan_note;
 };
 
@@ -141,14 +142,14 @@ std::string TermText(const rdf::Dataset& dataset, uint64_t id);
 //
 // The BGP evaluation fans its binding-extension batches out across the
 // thread budget of `ectx` (see core::ExecutePlan); results are identical
-// at every width. Non-null `stats` selects the cost-based planner (with
-// the backend's access hints); null falls back to the statistics-free
-// heuristic order. RdfStore::stats() supplies the load-time statistics.
+// at every width. The plan is cost-based over `stats` (required) with the
+// backend's access hints; RdfStore::stats() supplies a store's load-time
+// statistics, plan::StoreStats::Collect those of a bare backend's dataset.
 Result<QueryOutput> Execute(const core::Backend& backend,
                             const rdf::Dataset& dataset,
                             std::string_view query,
-                            const exec::ExecContext& ectx = exec::ExecContext(),
-                            const plan::StoreStats* stats = nullptr);
+                            const exec::ExecContext& ectx,
+                            const plan::StoreStats* stats);
 
 }  // namespace swan::sparql
 

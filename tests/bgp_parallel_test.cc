@@ -11,6 +11,8 @@
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
+#include "plan/optimizer.h"
+#include "plan/stats.h"
 #include "rdf/dataset.h"
 
 namespace swan::core {
@@ -33,6 +35,7 @@ class BgpParallelTest : public ::testing::Test {
       data_.Add(person(i), "<knows>", person((i + 2) % kPeople));
       data_.Add(person(i), "<age>", ages[i % 3]);
     }
+    stats_ = plan::StoreStats::Collect(data_);
     exec::SetThreads(8);
   }
 
@@ -41,6 +44,12 @@ class BgpParallelTest : public ::testing::Test {
 
   uint64_t Id(const std::string& term) const {
     return data_.dict().Find(term).value();
+  }
+
+  plan::PlannerOptions Options(
+      const Backend& backend,
+      plan::PlanMode mode = plan::PlanMode::kCostBased) const {
+    return {mode, &stats_, backend.PlannerHints()};
   }
 
   // The two-hop query: ?x knows ?y . ?y knows ?z . ?z age ?a — three
@@ -52,56 +61,50 @@ class BgpParallelTest : public ::testing::Test {
   }
 
   // Exact-equality check (vars and row order, not just the sorted set):
-  // order preservation is part of the contract.
+  // order preservation is part of the contract, whether a step runs as a
+  // scan-join (as the cost-based plan chooses here) or probes every
+  // binding row in batches (the as-written plan).
   void ExpectIdenticalAcrossWidths(const Backend& backend) {
     const auto query = TwoHopQuery();
-    const exec::ExecContext serial(1);
-    auto reference = ExecuteBgp(backend, query, serial);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(reference.value().rows.size(), 4u * 64u);
-    for (int width : {2, 8}) {
-      const exec::ExecContext ectx(width);
-      auto result = ExecuteBgp(backend, query, ectx);
-      ASSERT_TRUE(result.ok()) << backend.name() << " width " << width;
-      EXPECT_EQ(result.value().vars, reference.value().vars)
-          << backend.name() << " width " << width;
-      EXPECT_EQ(result.value().rows, reference.value().rows)
-          << backend.name() << " width " << width;
+    for (plan::PlanMode mode :
+         {plan::PlanMode::kCostBased, plan::PlanMode::kAsWritten}) {
+      SCOPED_TRACE(backend.name() + " " + plan::ToString(mode));
+      const exec::ExecContext serial(1);
+      auto reference =
+          ExecuteBgp(backend, query, serial, Options(backend, mode));
+      ASSERT_TRUE(reference.ok());
+      EXPECT_EQ(reference.value().rows.size(), 4u * 64u);
+      for (int width : {2, 8}) {
+        const exec::ExecContext ectx(width);
+        auto result = ExecuteBgp(backend, query, ectx, Options(backend, mode));
+        ASSERT_TRUE(result.ok()) << "width " << width;
+        EXPECT_EQ(result.value().vars, reference.value().vars)
+            << "width " << width;
+        EXPECT_EQ(result.value().rows, reference.value().rows)
+            << "width " << width;
+      }
     }
   }
 
   rdf::Dataset data_;
+  plan::StoreStats stats_;
 };
-
-// Join order as the planner chose it, read off the physical plan's
-// source_index annotations (the heuristic mode, no statistics).
-std::vector<size_t> HeuristicOrder(const std::vector<BgpPattern>& patterns) {
-  const plan::PhysicalPlan physical = plan::OptimizeBgp(patterns);
-  std::vector<size_t> order;
-  for (const auto& step : physical.branches.at(0).steps) {
-    order.push_back(step.source_index);
-  }
-  return order;
-}
-
-TEST_F(BgpParallelTest, PlanOrderPutsMostBoundPatternFirst) {
-  const std::vector<BgpPattern> patterns = {
-      {Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("y")},
-      {Term::Var("x"), Term::Const(Id("<age>")), Term::Const(Id("\"30\""))}};
-  const auto order = HeuristicOrder(patterns);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 0u);
-}
 
 TEST_F(BgpParallelTest, PlanOrderBreaksTiesByJoinedVariables) {
   // Both candidate second patterns have one constant; the one sharing ?a
-  // with the seed must beat the disconnected one.
+  // with the seed (two matches per bound ?a) must beat the disconnected
+  // one (all 128 <knows> triples per row).
   const std::vector<BgpPattern> patterns = {
       {Term::Var("c"), Term::Const(Id("<knows>")), Term::Var("d")},
       {Term::Var("a"), Term::Const(Id("<age>")), Term::Const(Id("\"25\""))},
       {Term::Var("a"), Term::Const(Id("<knows>")), Term::Var("b")}};
-  const auto order = HeuristicOrder(patterns);
+  ColVerticalBackend backend(data_);
+  const plan::PhysicalPlan physical =
+      plan::Optimize(plan::BuildBgpLogical(patterns), Options(backend));
+  std::vector<size_t> order;
+  for (const auto& step : physical.branches.at(0).steps) {
+    order.push_back(step.source_index);
+  }
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
@@ -133,17 +136,21 @@ TEST_F(BgpParallelTest, ReferenceBackendIdenticalAcrossWidths) {
   ExpectIdenticalAcrossWidths(backend);
 }
 
+// Batches split probing steps, so this runs the as-written plan, which
+// probes every step (the cost-based one scan-joins here).
 TEST_F(BgpParallelTest, ParallelContextRecordsBatchesAndMatchCalls) {
   ColVerticalBackend backend(data_);
   const auto query = TwoHopQuery();
+  const plan::PlannerOptions options =
+      Options(backend, plan::PlanMode::kAsWritten);
 
   const exec::ExecContext serial(1);
-  auto serial_result = ExecuteBgp(backend, query, serial);
+  auto serial_result = ExecuteBgp(backend, query, serial, options);
   ASSERT_TRUE(serial_result.ok());
   EXPECT_EQ(serial.counters().bgp_batches.load(), 0u);
 
   const exec::ExecContext parallel(8);
-  auto parallel_result = ExecuteBgp(backend, query, parallel);
+  auto parallel_result = ExecuteBgp(backend, query, parallel, options);
   ASSERT_TRUE(parallel_result.ok());
   EXPECT_GT(parallel.counters().bgp_batches.load(), 0u);
   // The same logical work: one Match per binding row per step, regardless
@@ -157,8 +164,8 @@ TEST_F(BgpParallelTest, WidthBeyondGlobalBudgetStillCorrect) {
   exec::SetThreads(2);
   ColVerticalBackend backend(data_);
   const auto query = TwoHopQuery();
-  auto a = ExecuteBgp(backend, query, exec::ExecContext(1));
-  auto b = ExecuteBgp(backend, query, exec::ExecContext(16));
+  auto a = ExecuteBgp(backend, query, exec::ExecContext(1), Options(backend));
+  auto b = ExecuteBgp(backend, query, exec::ExecContext(16), Options(backend));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().rows, b.value().rows);

@@ -32,12 +32,37 @@ class BgpTest : public ::testing::Test {
     return data_.dict().Find(term).value();
   }
 
+  // Cost-based over the statistics of data_ as it is now.
+  Result<BgpResult> Run(const Backend& backend,
+                        const std::vector<BgpPattern>& patterns) const {
+    const plan::StoreStats stats = plan::StoreStats::Collect(data_);
+    return ExecuteBgp(backend, patterns, exec::ExecContext(),
+                      plan::PlannerOptions{plan::PlanMode::kCostBased, &stats,
+                                           backend.PlannerHints()});
+  }
+
+  // The planner's cost-based join order, read off the physical plan: each
+  // step's source_index names the input pattern it executes.
+  std::vector<size_t> PlanOrder(const std::vector<BgpPattern>& patterns) const {
+    const plan::StoreStats stats = plan::StoreStats::Collect(data_);
+    const plan::PhysicalPlan physical =
+        plan::Optimize(plan::BuildBgpLogical(patterns),
+                       plan::PlannerOptions{plan::PlanMode::kCostBased, &stats,
+                                            ColVerticalBackend(data_)
+                                                .PlannerHints()});
+    std::vector<size_t> order;
+    for (const auto& step : physical.branches.at(0).steps) {
+      order.push_back(step.source_index);
+    }
+    return order;
+  }
+
   rdf::Dataset data_;
 };
 
 TEST_F(BgpTest, SinglePatternAllVariables) {
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend, {{Term::Var("s"), Term::Var("p"), Term::Var("o")}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows.size(), 6u);
@@ -47,7 +72,7 @@ TEST_F(BgpTest, SinglePatternAllVariables) {
 TEST_F(BgpTest, JoinPatternA_SharedSubject) {
   // ?x knows ?y . ?x age "30"  -> alice, bob
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend,
       {{Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("y")},
        {Term::Var("x"), Term::Const(Id("<age>")), Term::Const(Id("\"30\""))}});
@@ -58,7 +83,7 @@ TEST_F(BgpTest, JoinPatternA_SharedSubject) {
 TEST_F(BgpTest, JoinPatternC_PathOfLengthTwo) {
   // ?x knows ?y . ?y knows ?z  (object-subject chain)
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend, {{Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("y")},
                 {Term::Var("y"), Term::Const(Id("<knows>")), Term::Var("z")}});
   ASSERT_TRUE(result.ok());
@@ -70,7 +95,7 @@ TEST_F(BgpTest, JoinPatternB_SharedObject) {
   // ?x age ?a . ?y age ?a  -> all (x, y) with equal age: 4 with "30"
   // (alice/alice, alice/bob, bob/alice, bob/bob) + 1 with "25".
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend, {{Term::Var("x"), Term::Const(Id("<age>")), Term::Var("a")},
                 {Term::Var("y"), Term::Const(Id("<age>")), Term::Var("a")}});
   ASSERT_TRUE(result.ok());
@@ -80,14 +105,14 @@ TEST_F(BgpTest, JoinPatternB_SharedObject) {
 TEST_F(BgpTest, RepeatedVariableWithinPattern) {
   // ?x knows ?x -> nobody knows themselves here.
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend, {{Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("x")}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().rows.empty());
 
   data_.Add("<narcissus>", "<knows>", "<narcissus>");
   ColVerticalBackend backend2(data_);
-  auto result2 = ExecuteBgp(
+  auto result2 = Run(
       backend2, {{Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("x")}});
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2.value().rows.size(), 1u);
@@ -95,20 +120,20 @@ TEST_F(BgpTest, RepeatedVariableWithinPattern) {
 
 TEST_F(BgpTest, EmptyBgpIsInvalid) {
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(backend, {});
+  auto result = Run(backend, {});
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(BgpTest, UnnamedVariableIsInvalid) {
   ColVerticalBackend backend(data_);
   auto result =
-      ExecuteBgp(backend, {{Term::Var(""), Term::Var("p"), Term::Var("o")}});
+      Run(backend, {{Term::Var(""), Term::Var("p"), Term::Var("o")}});
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(BgpTest, NoMatchesYieldsEmptyRows) {
   ColVerticalBackend backend(data_);
-  auto result = ExecuteBgp(
+  auto result = Run(
       backend, {{Term::Var("x"), Term::Const(Id("<age>")), Term::Var("a")},
                 {Term::Var("x"), Term::Const(Id("<knows>")),
                  Term::Const(Id("\"25\""))}});
@@ -130,7 +155,7 @@ TEST_F(BgpTest, AllBackendsGiveSameBindingCount) {
   std::vector<size_t> counts;
   for (Backend* backend : std::initializer_list<Backend*>{
            &spo, &pso, &vert, &row_spo, &row_vert}) {
-    auto result = ExecuteBgp(*backend, query);
+    auto result = Run(*backend, query);
     ASSERT_TRUE(result.ok());
     auto rows = result.value().rows;
     std::sort(rows.begin(), rows.end());
@@ -140,37 +165,26 @@ TEST_F(BgpTest, AllBackendsGiveSameBindingCount) {
   EXPECT_EQ(counts[0], 3u);
 }
 
-// The planner's chosen join order is read off the physical plan: each
-// step's source_index names the input pattern it executes.
-std::vector<size_t> HeuristicOrder(const std::vector<BgpPattern>& patterns) {
-  const plan::PhysicalPlan physical = plan::OptimizeBgp(patterns);
-  std::vector<size_t> order;
-  for (const auto& step : physical.branches.at(0).steps) {
-    order.push_back(step.source_index);
-  }
-  return order;
-}
-
 TEST_F(BgpTest, PlanOrderPutsMostBoundPatternFirst) {
-  // (?x age "30") has two constants; (?x knows ?y) only one.
+  // (?x age "30") is estimated at 1.5 matches, (?x knows ?y) at 3.
   const std::vector<BgpPattern> patterns = {
       {Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("y")},
       {Term::Var("x"), Term::Const(Id("<age>")), Term::Const(Id("\"30\""))}};
-  const auto order = HeuristicOrder(patterns);
+  const auto order = PlanOrder(patterns);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);
 }
 
 TEST_F(BgpTest, PlanOrderPrefersConnectedPatterns) {
-  // After the seed pattern about ?a, the ?a-connected pattern should come
-  // before the disconnected ?c one.
+  // After the seed pattern about ?a, the ?a-connected pattern (one match
+  // per bound ?a) should come before the disconnected ?c one (three).
   const std::vector<BgpPattern> patterns = {
       {Term::Var("c"), Term::Const(Id("<knows>")), Term::Var("d")},
       {Term::Var("a"), Term::Const(Id("<age>")), Term::Const(Id("\"30\""))},
       {Term::Var("a"), Term::Const(Id("<knows>")), Term::Var("b")}};
-  const auto order = HeuristicOrder(patterns);
-  EXPECT_EQ(order[0], 1u);  // most constants
+  const auto order = PlanOrder(patterns);
+  EXPECT_EQ(order[0], 1u);  // most selective
   EXPECT_EQ(order[1], 2u);  // joins on ?a
   EXPECT_EQ(order[2], 0u);  // cartesian-ish pattern last
 }
@@ -182,8 +196,8 @@ TEST_F(BgpTest, ReorderingDoesNotChangeResults) {
                             Term::Var("y")};
   const BgpPattern age = {Term::Var("y"), Term::Const(Id("<age>")),
                           Term::Var("v")};
-  auto forward = ExecuteBgp(backend, {knows, age});
-  auto reversed = ExecuteBgp(backend, {age, knows});
+  auto forward = Run(backend, {knows, age});
+  auto reversed = Run(backend, {age, knows});
   ASSERT_TRUE(forward.ok());
   ASSERT_TRUE(reversed.ok());
   auto canonical = [](const BgpResult& r) {
@@ -280,16 +294,13 @@ class ScanJoinTest : public ::testing::Test {
     uint64_t scan_joins = 0;
   };
 
-  // Cost-based on `backend` when `cost`, else the statistics-free
-  // heuristic plan, which never annotates an extent and so only probes.
+  // Cost-based on `backend` when `cost`, else the as-written plan, which
+  // never annotates an extent and so only probes.
   Run Execute(const Backend& backend, const plan::LogicalPlan& logical,
               int width, bool cost) const {
-    plan::PlannerOptions options;
-    if (cost) {
-      options.mode = plan::PlanMode::kCostBased;
-      options.stats = &stats_;
-      options.hints = backend.PlannerHints();
-    }
+    plan::PlannerOptions options{plan::PlanMode::kCostBased, &stats_,
+                                 backend.PlannerHints()};
+    if (!cost) options.mode = plan::PlanMode::kAsWritten;
     const exec::ExecContext ectx(width);
     auto result = ExecutePlan(backend, plan::Optimize(logical, options), ectx);
     EXPECT_TRUE(result.ok()) << result.status().ToString();

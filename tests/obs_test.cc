@@ -17,6 +17,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan/stats.h"
 
 namespace swan {
 namespace {
@@ -351,11 +352,15 @@ TEST_F(ObsProfileTest, BgpBatchHistogramWidthInvariant) {
        core::Term::Var("o")},
       {core::Term::Var("s"), core::Term::Const(vocab.type),
        core::Term::Var("t")}};
+  const plan::StoreStats stats = plan::StoreStats::Collect(barton_.dataset);
 
   auto run = [&](int width) {
     const exec::ExecContext ectx(width);
     core::ScopedProfile scoped("bgp", col, ectx);
-    auto result = core::ExecuteBgp(col, query, ectx);
+    auto result = core::ExecuteBgp(
+        col, query, ectx,
+        plan::PlannerOptions{plan::PlanMode::kCostBased, &stats,
+                             col.PlannerHints()});
     EXPECT_TRUE(result.ok());
     return scoped.Finish();
   };

@@ -5,6 +5,7 @@
 
 #include "core/col_backends.h"
 #include "core/reference_backend.h"
+#include "plan/stats.h"
 #include "rdf/dataset.h"
 #include "sparql/sparql.h"
 
@@ -24,8 +25,14 @@ class SparqlTest : public ::testing::Test {
     backend_ = std::make_unique<core::ColVerticalBackend>(data_);
   }
 
-  Result<QueryOutput> Run(const std::string& query) {
-    return Execute(*backend_, data_, query);
+  // Cost-based over the statistics of data_ as it is now.
+  Result<QueryOutput> Run(const core::Backend& backend,
+                          const std::string& query) const {
+    const plan::StoreStats stats = plan::StoreStats::Collect(data_);
+    return Execute(backend, data_, query, exec::ExecContext(), &stats);
+  }
+  Result<QueryOutput> Run(const std::string& query) const {
+    return Run(*backend_, query);
   }
 
   rdf::Dataset data_;
@@ -337,8 +344,8 @@ TEST_F(SparqlTest, SameAnswersOnEveryBackend) {
   const char* query =
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT DISTINCT ?x ?v WHERE { ?x ex:knows ?y . ?x ex:age ?v }";
-  auto a = Execute(*backend_, data_, query);
-  auto b = Execute(reference, data_, query);
+  auto a = Run(query);
+  auto b = Run(reference, query);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   auto key = [](QueryOutput out) {
@@ -390,9 +397,9 @@ TEST_F(SparqlTest, LanguageTaggedLiteralRoundTrips) {
   data_.Add("<http://ex.org/alice>", "<http://ex.org/motto>",
             "\"carpe diem\"@la");
   core::ReferenceBackend reference(data_);
-  auto result = Execute(
-      reference, data_,
-      "SELECT ?s WHERE { ?s <http://ex.org/motto> \"carpe diem\"@la }");
+  auto result =
+      Run(reference,
+          "SELECT ?s WHERE { ?s <http://ex.org/motto> \"carpe diem\"@la }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().rows.size(), 1u);
 }

@@ -47,12 +47,6 @@ plan::StoreStats HashCollect(const rdf::Dataset& dataset) {
   for (auto& [property, ps] : stats.by_property) {
     ps.distinct_subjects = subj_freq[property].size();
     ps.distinct_objects = obj_freq[property].size();
-    for (const auto& [key, n] : subj_freq[property]) {
-      ps.max_subject_freq = std::max(ps.max_subject_freq, n);
-    }
-    for (const auto& [key, n] : obj_freq[property]) {
-      ps.max_object_freq = std::max(ps.max_object_freq, n);
-    }
   }
   return stats;
 }
@@ -166,8 +160,6 @@ void ExpectSameStoreStats(const rdf::Dataset& dataset) {
     EXPECT_EQ(got.count, want.count);
     EXPECT_EQ(got.distinct_subjects, want.distinct_subjects);
     EXPECT_EQ(got.distinct_objects, want.distinct_objects);
-    EXPECT_EQ(got.max_subject_freq, want.max_subject_freq);
-    EXPECT_EQ(got.max_object_freq, want.max_object_freq);
   }
   ForEveryShape(SampleProbes(dataset.triples(), 64),
                 [&](const rdf::TriplePattern& p) {

@@ -162,7 +162,8 @@ if [ "$run_asan" -eq 1 ]; then
   echo "== planner smoke (plan modes must agree; planner must not lose) =="
   # Small scale: the adversarial worst-order mode is quadratic in the
   # dataset and the ASan build multiplies that; 8k triples still runs all
-  # four modes over the full backend grid.
+  # three modes over the full backend grid (the pinned 20k heuristic
+  # baseline does not apply here; the release leg gates on it).
   if SWAN_TRIPLES=8000 "$ASAN_BUILD/bench/ablation_planner" >/dev/null; then
     echo "planner smoke: clean"
   else

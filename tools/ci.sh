@@ -136,12 +136,22 @@ print('micro bench json smoke: OK')
     echo "=== release: codec smoke ==="
     SWAN_TRIPLES=40000 "$RELEASE_DIR/bench/ablation_compression" \
       >/dev/null || status=1
-    # Planner smoke: the planner ablation equivalence-gates all four plan
+    # Planner smoke: the planner ablation equivalence-gates all three plan
     # modes on q1-q8 across the backend grid and exits non-zero if the
-    # cost-based plan ever loses to the hand-wired order.
+    # cost-based plan ever loses to the hand-wired order or to the pinned
+    # heuristic baseline (bench/baselines/), which must have applied at
+    # this scale rather than been skipped.
     echo "=== release: planner smoke ==="
-    SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
-      >/dev/null || status=1
+    { SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
+        --json="$RELEASE_DIR/BENCH_ablation_planner.json" >/dev/null &&
+      python3 -c "
+import json
+doc = json.load(open('$RELEASE_DIR/BENCH_ablation_planner.json'))
+planner = doc['planner']
+assert planner['gates_passed'] is True, planner
+assert planner['heuristic_baseline'] == 'applied', planner
+print('planner smoke: OK')
+"; } || status=1
     # Updates smoke: insert batches on existing and on new properties,
     # then q2*, which makes both column schemes merge their write stores;
     # every backend's rows are checked against the reference and the

@@ -23,11 +23,6 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     kernels: they must read columns through the encoded
                     reps (ValueAt, MaterializeInto, runs(), words()), never
                     force a full raw materialization with Column::Get().
-  plan-order        PlanPatternOrder() is the planner's internal heuristic
-                    seed and may only be called inside src/plan/. Every
-                    other layer goes through plan::Optimize /
-                    plan::OptimizeBgp (or core::ExecuteBgp), so join
-                    ordering decisions stay in one place.
   serve-telemetry   No ad-hoc stdout/stderr telemetry (printf, fprintf,
                     puts, std::cout, std::cerr) inside src/serve/ or
                     src/obs/: those layers report through the structured
@@ -75,7 +70,6 @@ RULES = [
     "const-cast",
     "include-locks",
     "ops-column-get",
-    "plan-order",
     "serve-telemetry",
     "node-disk",
 ]
@@ -116,7 +110,6 @@ RAW_MUTEX_RE = re.compile(
 EXEC_THREADS_RE = re.compile(r"\bexec::Threads\s*\(")
 COLUMN_GET_RE = re.compile(r"(?:\.|->)\s*Get\s*\(")
 CONST_CAST_RE = re.compile(r"\bconst_cast\s*<")
-PLAN_ORDER_RE = re.compile(r"\bPlanPatternOrder\s*\(")
 # Direct stream output only: snprintf/vsnprintf (buffer formatting) do not
 # match — `\b` cannot split the identifier — and neither does the
 # `format(printf, ...)` attribute (no opening paren after the name).
@@ -343,13 +336,6 @@ def lint_file(path, display_path, lines, status_names):
         if CONST_CAST_RE.search(code):
             report(idx, "const-cast",
                    "const_cast is banned; fix the constness model")
-
-        if (not display_path.startswith("src/plan/")
-                and PLAN_ORDER_RE.search(code)):
-            report(idx, "plan-order",
-                   "PlanPatternOrder() outside src/plan/; go through "
-                   "plan::Optimize / plan::OptimizeBgp so join ordering "
-                   "stays inside the planner")
 
         if display_path in OPS_COLUMN_GET_PATHS and COLUMN_GET_RE.search(code):
             report(idx, "ops-column-get",
