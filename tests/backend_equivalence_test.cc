@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -350,6 +353,308 @@ TEST(RowEngineCostTest, ColdCostIsPinned) {
     }
   }
   exec::SetThreads(1);
+  EXPECT_EQ(cell, golden.size());
+}
+
+// Backend::Match on the row designs, pinned per pattern at width 1: the
+// rows (count and an order-sensitive hash), cold bytes, seeks, virtual
+// seconds, buffer-pool misses and page fetches after DropCaches. The
+// patterns reach every access path of the row store: a clustered prefix,
+// a prefix with a residual constant, a secondary index with one clustered
+// row fetch per match, the full-scan fallback for a subject with many
+// triples, whole-store scans and absent constants. The second block of
+// each design runs after inserts have split leaves and broken the
+// bulk-loaded leaf chain. Any change to which pages a scan fetches, or in
+// which order, shows up here.
+TEST(RowMatchCostTest, ColdMatchIsPinned) {
+  struct Cost {
+    uint64_t rows;
+    uint64_t hash;
+    uint64_t bytes;
+    uint64_t seeks;
+    double seconds;
+    uint64_t misses;
+    uint64_t fetches;
+  };
+  // 15 patterns (in `patterns` order) per (design, load state) block.
+  const std::vector<Cost> golden = {
+      // DBX triple SPO
+      {1326, 0x98b05cc4329551ae, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {9251, 0x9a34f4fd07db7320, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {465, 0xdc80efc4043016ae, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {477, 0xf7cbf0a7d47d380d, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {19, 0xb72873e62ff5f344, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 32768, 4, 0x1.11281fe4bd5ddp-9, 4, 5},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1326, 0x98b05cc4329551ae, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {3, 0xe1fa882bf85213a5, 49152, 6, 0x1.99bc2fd71c0cbp-9, 6, 9},
+      {3, 0xe1fa882bf85213a5, 49152, 6, 0x1.99bc2fd71c0cbp-9, 6, 9},
+      {40000, 0x15ef9ce20f2834ec, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX triple PSO
+      {1326, 0x98b05cc4329551ae, 237568, 2, 0x1.a5d42478d2648p-10, 29, 30},
+      {9251, 0x9a34f4fd07db7320, 237568, 2, 0x1.a5d42478d2648p-10, 29, 30},
+      {465, 0xdc80efc4043016ae, 49152, 2, 0x1.272ea55002da1p-10, 6, 7},
+      {477, 0xf7cbf0a7d47d380d, 49152, 2, 0x1.272ea55002da1p-10, 6, 7},
+      {19, 0xb72873e62ff5f344, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 32768, 4, 0x1.11281fe4bd5ddp-9, 4, 5},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {1326, 0x98b05cc4329551ae, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {3, 0xe1fa882bf85213a5, 49152, 6, 0x1.99bc2fd71c0cbp-9, 6, 9},
+      {3, 0xe1fa882bf85213a5, 49152, 6, 0x1.99bc2fd71c0cbp-9, 6, 9},
+      {40000, 0xb5fa5779db6cb448, 974848, 2, 0x1.cab36f3336e5cp-9, 119, 120},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX vert. SO
+      {1326, 0x98b05cc4329551ae, 163840, 2, 0x1.74457847760cfp-10, 20, 21},
+      {9251, 0x9a34f4fd07db7320, 163840, 2, 0x1.74457847760cfp-10, 20, 21},
+      {465, 0xdc80efc4043016ae, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 5},
+      {477, 0xf7cbf0a7d47d380d, 40960, 2, 0x1.21ad03f5317bp-10, 5, 6},
+      {19, 0xb72873e62ff5f344, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1326, 0x98b05cc4329551ae, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {3, 0xe1fa882bf85213a5, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {3, 0xe1fa882bf85213a5, 65536, 2, 0x1.3231e805a5983p-10, 8, 9},
+      {40000, 0xb5fa5779db6cb448, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX prop. table
+      {1326, 0x4d1ec90e5ed66cbe, 434176, 3, 0x1.5686d9ca004e5p-9, 53, 54},
+      {9251, 0xffe915cf043ab9f6, 434176, 3, 0x1.5686d9ca004e5p-9, 53, 54},
+      {465, 0xdc80efc4043016ae, 49152, 2, 0x1.272ea55002da1p-10, 6, 7},
+      {477, 0xf7cbf0a7d47d380d, 57344, 2, 0x1.2cb046aad4392p-10, 7, 8},
+      {19, 0x1c827a77726200a6, 647168, 7, 0x1.5220744ade601p-8, 79, 90},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 73728, 9, 0x1.334d23e155099p-8, 9, 20},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 655360, 8, 0x1.74457847760bdp-8, 80, 89},
+      {1326, 0x4d1ec90e5ed66cbe, 958464, 3, 0x1.035d829216173p-8, 117, 118},
+      {3, 0xe1fa882bf85213a5, 368640, 3, 0x1.4080545ebad25p-9, 45, 46},
+      {3, 0xe1fa882bf85213a5, 368640, 3, 0x1.4080545ebad25p-9, 45, 46},
+      {40000, 0xa468eeffdbd5ca6, 958464, 3, 0x1.035d829216173p-8, 117, 118},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 73728, 6, 0x1.a1fea1df561b3p-9, 9, 16},
+      // DBX triple SPO, after inserts
+      {1365, 0xdab6610a1db8ab7d, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {9505, 0x176aa8c94cfc229, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {482, 0x3b3ce82418d9a1a9, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {489, 0xe56898a26652f01b, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {19, 0xb72873e62ff5f344, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 32768, 4, 0x1.11281fe4bd5ddp-9, 4, 5},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1365, 0xdab6610a1db8ab7d, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {4, 0xc20c723950033709, 57344, 7, 0x1.de0637d04b642p-9, 7, 11},
+      {4, 0xc20c723950033709, 57344, 7, 0x1.de0637d04b642p-9, 7, 11},
+      {41097, 0x19d1249af76ce21d, 1024000, 6, 0x1.70ae983962d16p-8, 125, 126},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX triple PSO, after inserts
+      {1365, 0xdab6610a1db8ab7d, 245760, 3, 0x1.17341a359889bp-9, 30, 31},
+      {9505, 0x176aa8c94cfc229, 245760, 3, 0x1.17341a359889bp-9, 30, 31},
+      {482, 0x3b3ce82418d9a1a9, 49152, 3, 0x1.aa4113e79029fp-10, 6, 7},
+      {489, 0xe56898a26652f01b, 65536, 5, 0x1.5db499e626c3cp-9, 8, 9},
+      {19, 0xb72873e62ff5f344, 1236992, 63, 0x1.1c07fb1eea2dap-5, 151, 152},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 32768, 4, 0x1.11281fe4bd5ddp-9, 4, 5},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 1236992, 63, 0x1.1c07fb1eea2dap-5, 151, 152},
+      {1365, 0xdab6610a1db8ab7d, 1236992, 63, 0x1.1c07fb1eea2dap-5, 151, 152},
+      {4, 0xc20c723950033709, 57344, 7, 0x1.de0637d04b642p-9, 7, 11},
+      {4, 0xc20c723950033709, 57344, 7, 0x1.de0637d04b642p-9, 7, 11},
+      {41097, 0x8d8f29949f57e6fd, 1236992, 63, 0x1.1c07fb1eea2dap-5, 151, 152},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX vert. SO, after inserts
+      {1365, 0xdab6610a1db8ab7d, 163840, 2, 0x1.74457847760cfp-10, 20, 21},
+      {9505, 0x176aa8c94cfc229, 163840, 2, 0x1.74457847760cfp-10, 20, 21},
+      {482, 0x3b3ce82418d9a1a9, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 5},
+      {489, 0xe56898a26652f01b, 40960, 2, 0x1.21ad03f5317bp-10, 5, 6},
+      {19, 0xb72873e62ff5f344, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 1122304, 137, 0x1.245cf222d2adfp-4, 137, 253},
+      {1365, 0xdab6610a1db8ab7d, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {4, 0xc20c723950033709, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {4, 0xc20c723950033709, 65536, 2, 0x1.3231e805a5983p-10, 8, 9},
+      {41097, 0x8d8f29949f57e6fd, 1646592, 137, 0x1.29de937da40dp-4, 201, 317},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      // DBX prop. table, after inserts
+      {1365, 0x14447e0d617a382d, 450560, 5, 0x1.df1ae9bc5efd3p-9, 55, 56},
+      {9505, 0xd36eb100c3f084f, 450560, 5, 0x1.df1ae9bc5efd3p-9, 55, 56},
+      {482, 0x3b3ce82418d9a1a9, 49152, 3, 0x1.aa4113e79029fp-10, 6, 7},
+      {489, 0xe56898a26652f01b, 65536, 4, 0x1.1c2b629a601bfp-9, 8, 9},
+      {19, 0x1c827a77726200a6, 901120, 67, 0x1.255c32357f95dp-5, 110, 121},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {1, 0xbfbd881222286b0d, 73728, 9, 0x1.334d23e155099p-8, 9, 20},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {12, 0xe2862a07489af289, 909312, 68, 0x1.29a0d2b5128b4p-5, 111, 120},
+      {1365, 0x14447e0d617a382d, 1212416, 63, 0x1.1b83d3fe668ccp-5, 148, 149},
+      {4, 0xc20c723950033709, 385024, 5, 0x1.c914645119813p-9, 47, 48},
+      {4, 0xc20c723950033709, 385024, 5, 0x1.c914645119813p-9, 47, 48},
+      {41097, 0xac9a78ead4ec521, 1212416, 63, 0x1.1b83d3fe668ccp-5, 148, 149},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 3},
+      {0, 0xcbf29ce484222325, 73728, 6, 0x1.a1fea1df561b3p-9, 9, 16},
+  };
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  auto barton = GenerateBarton(config);
+  rdf::Dataset& data = barton.dataset;
+  // Inserts that split leaves: every triple of every 40th subject cloned
+  // onto a fresh subject.
+  std::vector<rdf::Triple> inserts;
+  for (const rdf::Triple& t : data.triples()) {
+    if (t.subject % 40 != 0) continue;
+    const uint64_t clone =
+        data.dict().Intern("<clone-" + std::to_string(t.subject) + ">");
+    inserts.push_back({clone, t.property, t.object});
+  }
+
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  const core::Vocabulary& v = ctx.vocab();
+
+  // The subject with the most triples, and one of its triples.
+  std::map<uint64_t, uint64_t> per_subject;
+  for (const rdf::Triple& t : data.triples()) ++per_subject[t.subject];
+  const uint64_t hub =
+      std::max_element(per_subject.begin(), per_subject.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })
+          ->first;
+  rdf::Triple hub_triple{};
+  for (const rdf::Triple& t : data.triples()) {
+    if (t.subject == hub) hub_triple = t;
+  }
+  // An object of three or four triples, and one of its triples: few
+  // enough matches that the secondary indexes win.
+  std::map<uint64_t, uint64_t> per_object;
+  for (const rdf::Triple& t : data.triples()) ++per_object[t.object];
+  rdf::Triple few{};
+  for (const rdf::Triple& t : data.triples()) {
+    const uint64_t n = per_object[t.object];
+    if (n >= 3 && n <= 4) {
+      few = t;
+      break;
+    }
+  }
+  ASSERT_NE(few.object, 0u);
+  const uint64_t absent = data.dict().size() + 5;
+  const auto pattern = [](std::optional<uint64_t> s, std::optional<uint64_t> p,
+                          std::optional<uint64_t> o) {
+    rdf::TriplePattern tp;
+    tp.subject = s;
+    tp.property = p;
+    tp.object = o;
+    return tp;
+  };
+  const std::vector<rdf::TriplePattern> patterns = {
+      pattern(std::nullopt, v.type, v.text),
+      pattern(std::nullopt, v.type, std::nullopt),
+      pattern(std::nullopt, v.origin, v.dlc),
+      pattern(std::nullopt, v.language, v.french),
+      pattern(hub, std::nullopt, std::nullopt),
+      pattern(hub, hub_triple.property, std::nullopt),
+      pattern(hub, std::nullopt, hub_triple.object),
+      pattern(hub, hub_triple.property, hub_triple.object),
+      pattern(v.conferences, std::nullopt, std::nullopt),
+      pattern(std::nullopt, std::nullopt, v.text),
+      pattern(std::nullopt, std::nullopt, few.object),
+      pattern(std::nullopt, few.property, few.object),
+      pattern(std::nullopt, std::nullopt, std::nullopt),
+      pattern(std::nullopt, absent, std::nullopt),
+      pattern(absent, v.type, std::nullopt),
+  };
+
+  // The PSO triple store's paths for the patterns above.
+  {
+    core::RowTripleBackend pso(data, rowstore::TripleRelation::PsoConfig());
+    using Kind = rowstore::TripleRelation::AccessPath::Kind;
+    const auto path = [&](size_t i) {
+      return pso.relation().ChoosePath(patterns[i]);
+    };
+    EXPECT_EQ(path(0).kind, Kind::kClusteredPrefix);
+    EXPECT_EQ(path(0).prefix_len, 1);  // residual object filter
+    EXPECT_EQ(path(4).kind, Kind::kFullScan);
+    EXPECT_EQ(path(5).kind, Kind::kClusteredPrefix);
+    EXPECT_EQ(path(5).prefix_len, 2);
+    EXPECT_EQ(path(6).kind, Kind::kSecondaryPrefix);
+    EXPECT_EQ(path(10).kind, Kind::kSecondaryPrefix);
+    EXPECT_EQ(path(11).kind, Kind::kSecondaryPrefix);
+  }
+
+  const exec::ExecContext ectx(1);
+  size_t cell = 0;
+  for (bool after_inserts : {false, true}) {
+    core::RowTripleBackend row_spo(data,
+                                   rowstore::TripleRelation::SpoConfig());
+    core::RowTripleBackend row_pso(data,
+                                   rowstore::TripleRelation::PsoConfig());
+    core::RowVerticalBackend row_vert(data);
+    core::PropertyTableBackend property_table(data, 4);
+    const std::vector<core::Backend*> backends = {&row_spo, &row_pso,
+                                                  &row_vert, &property_table};
+    if (after_inserts) {
+      for (core::Backend* backend : backends) {
+        for (const rdf::Triple& t : inserts) {
+          ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
+        }
+      }
+      uint64_t parts = 0;
+      row_pso.relation().FullScan(
+          exec::ExecContext(8), [&](uint64_t n) { parts = n; },
+          [](uint64_t, const auto&) {});
+      EXPECT_EQ(parts, 1u);  // the chain is broken: one serial part
+    }
+    for (core::Backend* backend : backends) {
+      const storage::BufferPool* pool = backend->buffer_pool();
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        backend->DropCaches();
+        backend->disk()->ResetStats();
+        const uint64_t hits = pool->hits();
+        const uint64_t misses = pool->misses();
+        const std::vector<rdf::Triple> rows =
+            backend->Match(patterns[i], ectx);
+        uint64_t hash = 14695981039346656037ull;
+        for (const rdf::Triple& t : rows) {
+          for (uint64_t id : {t.subject, t.property, t.object}) {
+            hash = (hash ^ id) * 1099511628211ull;
+          }
+        }
+        const Cost got{rows.size(),
+                       hash,
+                       backend->TotalBytesRead(),
+                       backend->TotalSeeks(),
+                       backend->VirtualSeconds(),
+                       pool->misses() - misses,
+                       pool->hits() - hits + pool->misses() - misses};
+        ASSERT_LT(cell, golden.size());
+        const Cost& want = golden[cell++];
+        const std::string where = backend->name() + " pattern " +
+                                  std::to_string(i) +
+                                  (after_inserts ? " after inserts" : "");
+        EXPECT_EQ(got.rows, want.rows) << where;
+        EXPECT_EQ(got.hash, want.hash) << where;
+        EXPECT_EQ(got.bytes, want.bytes) << where;
+        EXPECT_EQ(got.seeks, want.seeks) << where;
+        EXPECT_EQ(got.seconds, want.seconds) << where;
+        EXPECT_EQ(got.misses, want.misses) << where;
+        EXPECT_EQ(got.fetches, want.fetches) << where;
+      }
+    }
+  }
   EXPECT_EQ(cell, golden.size());
 }
 
