@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks for the row store's B+tree, the two
 // storage-path kernels under it (the page checksum every disk read
 // verifies, and the key sort every bulk load runs), and the row engine's
-// hot path above it: a whole hot q3, and the id hash probe its full scan
-// runs per triple.
+// hot path above it: a whole hot q3, the id hash probe its full scan runs
+// per triple, and the leaf-at-a-time scans behind Backend::Match.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -67,7 +69,10 @@ void BM_FullScanHot(benchmark::State& state) {
   tree.BulkLoad(SortedKeys(state.range(0)));
   for (auto _ : state) {
     uint64_t count = 0;
-    for (auto it = tree.Begin(); it.Valid(); it.Next()) ++count;
+    tree.Walk({}, [&](std::span<const Tree::Key> keys) {
+      count += keys.size();
+      return true;
+    });
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -178,6 +183,53 @@ BENCHMARK(BM_RowEngineQ3Hot)
     ->Arg(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The id that occurs most often as `field(t)` over the triples `t` for
+// which `keep(t)` holds.
+template <typename Keep, typename Field>
+uint64_t MostFrequent(const swan::rdf::Dataset& data, const Keep& keep,
+                      const Field& field) {
+  std::unordered_map<uint64_t, uint64_t> counts;
+  for (const swan::rdf::Triple& t : data.triples()) {
+    if (keep(t)) ++counts[field(t)];
+  }
+  return std::max_element(counts.begin(), counts.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.second < b.second;
+                          })
+      ->first;
+}
+
+// Backend::Match on the row engine, hot, at width 1. Arg 0 =
+// `?s <type> <class>` for the most frequent class (a clustered prefix
+// with a residual object filter); arg 1 = describing the subject with the
+// most triples (`<s> ?p ?o`, which falls back to a full scan on PSO).
+void BM_RowMatchScan(benchmark::State& state) {
+  RowEngineFixture& fixture = RowEngine();
+  const swan::rdf::Dataset& data = fixture.barton.dataset;
+  const uint64_t type = fixture.ctx.vocab().type;
+  swan::rdf::TriplePattern pattern;
+  if (state.range(0) == 0) {
+    pattern.property = type;
+    pattern.object = MostFrequent(
+        data, [&](const swan::rdf::Triple& t) { return t.property == type; },
+        [](const swan::rdf::Triple& t) { return t.object; });
+  } else {
+    pattern.subject = MostFrequent(
+        data, [](const swan::rdf::Triple&) { return true; },
+        [](const swan::rdf::Triple& t) { return t.subject; });
+  }
+  const swan::exec::ExecContext ectx(1);
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    const std::vector<swan::rdf::Triple> matches =
+        fixture.backend.Match(pattern, ectx);
+    rows += matches.size();
+    benchmark::DoNotOptimize(matches.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_RowMatchScan)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The semi-join probe of q2-q4's full scan: every triple's subject looked
 // up in the Text-typed subject set. Arg 1 = swan::IdSet, 0 =

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -321,13 +322,64 @@ void ChargeShipLeg(const Backend& backend, const plan::PhysStep& step,
   dist->Ship(src, step.home_node, distinct * plan::kBytesPerKey, 1, ectx);
 }
 
+// A forward cursor over an extent sorted by subject: Seek(subject)
+// returns the extent's run of that subject. Binding rows often arrive
+// with their subjects ascending (a prior step walked a subject-ordered
+// index), so while they do the cursor gallops forward from its last
+// position — doubling steps, then a binary search inside the last one —
+// at a cost logarithmic in the distance moved rather than in the extent.
+// A descent restarts it with a binary search over the whole extent, so
+// any row order gets the same runs as std::equal_range would give.
+class SubjectCursor {
+ public:
+  explicit SubjectCursor(std::span<const rdf::Triple> extent)
+      : extent_(extent) {}
+
+  std::span<const rdf::Triple> Seek(uint64_t subject) {
+    const size_t n = extent_.size();
+    if (subject < subject_) {
+      pos_ = LowerBound(0, n, subject);
+    } else if (subject > subject_) {
+      // Gallop: find a bound past the run, then search the last step.
+      size_t lo = pos_;
+      size_t step = 1;
+      size_t hi = pos_;
+      while (hi < n && extent_[hi].subject < subject) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+      }
+      pos_ = LowerBound(lo, std::min(hi, n), subject);
+    }
+    subject_ = subject;
+    size_t end = pos_;
+    while (end < n && extent_[end].subject == subject) ++end;
+    return extent_.subspan(pos_, end - pos_);
+  }
+
+ private:
+  // The first index in [lo, hi) whose subject is >= `subject`, else hi.
+  size_t LowerBound(size_t lo, size_t hi, uint64_t subject) const {
+    return static_cast<size_t>(
+        std::partition_point(extent_.begin() + lo, extent_.begin() + hi,
+                             [subject](const rdf::Triple& t) {
+                               return t.subject < subject;
+                             }) -
+        extent_.begin());
+  }
+
+  std::span<const rdf::Triple> extent_;
+  size_t pos_ = 0;       // the first extent row of subject_'s run
+  uint64_t subject_ = 0;  // the last subject sought
+};
+
 // Extends every binding row with the matches of one instantiated pattern.
 // Two strategies, chosen per step at run time (ChooseScanJoin): probing —
 // the classic index-nested-loop step, one Match per row — or a scan-join,
-// one Match for the property's extent joined on the subject through
-// binary search over the subject-ordered extent. Both emit each input
-// row's extensions contiguously and in table order, which the OPTIONAL
-// merge relies on.
+// one Match for the property's extent joined on the subject by a
+// SubjectCursor over the subject-ordered extent, which merges forward
+// while the rows' subjects ascend. Both emit each input row's extensions
+// contiguously and in table order, which the OPTIONAL merge relies on.
 void ExtendStep(const Backend& backend, const plan::PhysStep& step,
                 const plan::AccessHints& hints, const exec::ExecContext& ectx,
                 obs::Histogram* batch_hist, Table* table) {
@@ -400,6 +452,7 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     if (!std::is_sorted(extent.begin(), extent.end(), by_subject)) {
       std::stable_sort(extent.begin(), extent.end(), by_subject);
     }
+    SubjectCursor cursor(extent);
     for (uint64_t i = 0; i < n; ++i) {
       const uint64_t* row = table->Row(i);
       const uint64_t subject = row[*s.var_index];
@@ -407,10 +460,7 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
         probe(row, &next);
         continue;
       }
-      const auto [lo, hi] =
-          std::equal_range(extent.begin(), extent.end(),
-                           rdf::Triple{subject, 0, 0}, by_subject);
-      for (auto it = lo; it != hi; ++it) emit(row, *it, &next);
+      for (const rdf::Triple& t : cursor.Seek(subject)) emit(row, t, &next);
     }
   } else {
     ChargeShipLeg(backend, step, ectx, *table, {&s, &p, &o}, known_vars);

@@ -186,16 +186,44 @@ std::vector<T> Concat(std::vector<std::vector<T>> partials) {
   return all;
 }
 
-// Merges sorted partials: several concatenate and re-sort, dropping
-// repeats when `distinct`; a single one is already merged.
+// Merges partials that are each sorted by `less` — one per node, each
+// node sorting its own — in one linear k-way pass: the output takes the
+// least of the k heads each time (k is the node count, a handful). A
+// single partial is already merged.
+template <typename T, typename Less = std::less<>>
+std::vector<T> MergeRuns(std::vector<std::vector<T>> partials,
+                         const Less& less = {}) {
+  if (partials.size() == 1) return std::move(partials.front());
+  size_t total = 0;
+  for (const std::vector<T>& p : partials) {
+    SWAN_DCHECK(std::is_sorted(p.begin(), p.end(), less));
+    total += p.size();
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  std::vector<size_t> head(partials.size(), 0);
+  for (;;) {
+    size_t best = partials.size();
+    for (size_t k = 0; k < partials.size(); ++k) {
+      if (head[k] == partials[k].size()) continue;
+      if (best == partials.size() ||
+          less(partials[k][head[k]], partials[best][head[best]])) {
+        best = k;
+      }
+    }
+    if (best == partials.size()) return out;
+    out.push_back(partials[best][head[best]++]);
+  }
+}
+
+// Merges sorted partials, dropping repeats when `distinct`.
 template <typename T>
 std::vector<T> MergeSorted(std::vector<std::vector<T>> partials,
                            bool distinct) {
   const bool several = partials.size() > 1;
-  std::vector<T> all = Concat(std::move(partials));
-  if (several) {
-    std::sort(all.begin(), all.end());
-    if (distinct) all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::vector<T> all = MergeRuns(std::move(partials));
+  if (several && distinct) {
+    all.erase(std::unique(all.begin(), all.end()), all.end());
   }
   return all;
 }
@@ -204,7 +232,7 @@ std::vector<T> MergeSorted(std::vector<std::vector<T>> partials,
 KeyCounts SumKeyCounts(std::vector<KeyCounts> partials) {
   if (partials.size() == 1) return std::move(partials.front());
   KeyCounts out;
-  for (const auto& [key, count] : MergeSorted(std::move(partials), false)) {
+  for (const auto& [key, count] : MergeRuns(std::move(partials))) {
     if (!out.empty() && out.back().first == key) {
       out.back().second += count;
     } else {
@@ -217,12 +245,11 @@ KeyCounts SumKeyCounts(std::vector<KeyCounts> partials) {
 std::vector<PairCount> SumPairCounts(
     std::vector<std::vector<PairCount>> partials) {
   if (partials.size() == 1) return std::move(partials.front());
-  std::vector<PairCount> all = Concat(std::move(partials));
-  std::sort(all.begin(), all.end(), [](const PairCount& x, const PairCount& y) {
+  const auto by_group = [](const PairCount& x, const PairCount& y) {
     return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
+  };
   std::vector<PairCount> out;
-  for (const PairCount& g : all) {
+  for (const PairCount& g : MergeRuns(std::move(partials), by_group)) {
     if (!out.empty() && out.back().a == g.a && out.back().b == g.b) {
       out.back().count += g.count;
     } else {

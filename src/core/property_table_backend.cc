@@ -68,41 +68,50 @@ void PropertyTableBackend::ScanPattern(const rdf::TriplePattern& pattern,
       pattern.property && !property_is_wide;
 
   if (!property_in_overflow_only) {
-    auto emit_row = [&](std::span<const uint64_t> row) {
-      const uint64_t subject = row[0];
-      if (property_is_wide) {
-        const uint32_t col = column_of_.at(*pattern.property);
-        const uint64_t value = row[1 + col];
-        if (value != kNull && (!pattern.object || *pattern.object == value)) {
-          fn({subject, *pattern.property, value});
+    // One batch per wide-table page: the matching cells of its rows.
+    const uint32_t width = wide_->row_width();
+    const uint32_t wide_col =
+        property_is_wide ? column_of_.at(*pattern.property) : 0;
+    std::vector<rdf::Triple> batch;
+    auto emit_rows = [&](const uint64_t* rows, uint64_t n) {
+      batch.clear();
+      for (const uint64_t* row = rows; row < rows + n * width; row += width) {
+        const uint64_t subject = row[0];
+        if (property_is_wide) {
+          const uint64_t value = row[1 + wide_col];
+          if (value != kNull && (!pattern.object || *pattern.object == value)) {
+            batch.push_back({subject, *pattern.property, value});
+          }
+          continue;
         }
-        return;
+        for (uint32_t col = 0; col < wide_props_.size(); ++col) {
+          const uint64_t value = row[1 + col];
+          if (value == kNull) continue;
+          if (pattern.object && *pattern.object != value) continue;
+          batch.push_back({subject, wide_props_[col], value});
+        }
       }
-      for (uint32_t col = 0; col < wide_props_.size(); ++col) {
-        const uint64_t value = row[1 + col];
-        if (value == kNull) continue;
-        if (pattern.object && *pattern.object != value) continue;
-        fn({subject, wide_props_[col], value});
-      }
+      if (!batch.empty()) fn(batch);
     };
     if (pattern.subject) {
       // Clustered point access by subject.
       if (auto index = wide_->FindRow(*pattern.subject)) {
-        auto cursor = wide_->SeekRow(*index);
-        emit_row(cursor.row());
+        wide_->Walk(*index, [&](const uint64_t* rows, uint64_t) {
+          emit_rows(rows, 1);
+          return false;
+        });
       }
     } else {
-      for (auto cursor = wide_->Begin(); cursor.Valid(); cursor.Next()) {
-        emit_row(cursor.row());
-      }
+      wide_->Walk(0, [&](const uint64_t* rows, uint64_t n) {
+        emit_rows(rows, n);
+        return true;
+      });
     }
   }
 
   // Overflow part (always consulted: it holds rare properties and the
   // spill-over of multi-valued wide properties).
-  for (auto scan = overflow_->Open(pattern); scan.Valid(); scan.Next()) {
-    fn(scan.value());
-  }
+  overflow_->ScanMatches(pattern, fn);
 }
 
 Status PropertyTableBackend::Insert(const rdf::Triple& triple) {
@@ -112,7 +121,8 @@ Status PropertyTableBackend::Insert(const rdf::Triple& triple) {
   exact.property = triple.property;
   exact.object = triple.object;
   bool present = false;
-  ScanPattern(exact, [&](const rdf::Triple&) { present = true; });
+  ScanPattern(exact,
+              [&](std::span<const rdf::Triple>) { present = true; });
   if (present) return Status::AlreadyExists("triple already present");
   const bool inserted = overflow_->Insert(triple);
   SWAN_CHECK(inserted);

@@ -19,6 +19,19 @@ rdf::TriplePattern PatternPO(uint64_t p,
   return pattern;
 }
 
+// Calls fn with the triples of `batch` that satisfy `keep`, as one batch
+// (no call when none does).
+template <typename Keep, typename Fn>
+void ForKept(std::span<const rdf::Triple> batch, const Keep& keep,
+             const Fn& fn) {
+  std::vector<rdf::Triple> kept;
+  kept.reserve(batch.size());
+  for (const rdf::Triple& t : batch) {
+    if (keep(t)) kept.push_back(t);
+  }
+  if (!kept.empty()) fn(std::span<const rdf::Triple>(kept));
+}
+
 uint64_t PackPair(uint64_t a, uint64_t b) {
   SWAN_CHECK_MSG(a < (1ull << 32) && b < (1ull << 32),
                  "group keys must be 32-bit dictionary ids");
@@ -44,8 +57,10 @@ void RowBackend::ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
   start(1);
   rdf::TriplePattern pattern;
   pattern.subject = pass.subject;
-  ScanPattern(pattern, [&](const rdf::Triple& t) {
-    if (pass.Keeps(t)) fn(0, t);
+  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
+    ForKept(
+        batch, [&](const rdf::Triple& t) { return pass.Keeps(t); },
+        [&](std::span<const rdf::Triple> kept) { fn(0, kept); });
   });
 }
 
@@ -54,11 +69,14 @@ IdSet RowBackend::SubjectSet(uint64_t property, uint64_t object,
                              const IdSet* within) const {
   obs::Span span(ectx.trace(), tag_ + ".index_scan");
   IdSet out;
-  ScanPattern(PatternPO(property, object), [&](const rdf::Triple& t) {
-    if (within == nullptr || within->contains(t.subject)) {
-      out.Insert(t.subject);
-    }
-  });
+  ScanPattern(PatternPO(property, object),
+              [&](std::span<const rdf::Triple> batch) {
+                for (const rdf::Triple& t : batch) {
+                  if (within == nullptr || within->contains(t.subject)) {
+                    out.Insert(t.subject);
+                  }
+                }
+              });
   span.set_rows_out(out.size());
   return out;
 }
@@ -72,8 +90,11 @@ RowBackend::Counts RowBackend::CountPass(const Pass& pass,
   std::vector<Counts> partials;
   ScanBranches(
       pass, ectx, [&](uint64_t branches) { partials.resize(branches); },
-      [&](uint64_t branch, const rdf::Triple& t) {
-        if (const std::optional<uint64_t> k = key(t)) ++partials[branch][*k];
+      [&](uint64_t branch, std::span<const rdf::Triple> batch) {
+        Counts& partial = partials[branch];
+        for (const rdf::Triple& t : batch) {
+          if (const std::optional<uint64_t> k = key(t)) ++partial[*k];
+        }
       });
   // Partial counts are additive, so the totals are width-independent: the
   // first partial becomes the total and the others add to it key by key.
@@ -98,20 +119,24 @@ void RowBackend::JoinWithTypes(
   std::vector<uint64_t> next;
   {
     obs::Span span(ectx.trace(), tag_ + ".hash_build");
-    ScanPattern(PatternPO(build), [&](const rdf::Triple& t) {
-      if (!a.contains(t.subject)) return;
-      uint64_t& last = head[key_by_object ? t.object : t.subject];
-      values.push_back(key_by_object ? t.subject : t.object);
-      next.push_back(last);
-      last = values.size();
+    ScanPattern(PatternPO(build), [&](std::span<const rdf::Triple> batch) {
+      for (const rdf::Triple& t : batch) {
+        if (!a.contains(t.subject)) continue;
+        uint64_t& last = head[key_by_object ? t.object : t.subject];
+        values.push_back(key_by_object ? t.subject : t.object);
+        next.push_back(last);
+        last = values.size();
+      }
     });
     span.set_rows_out(head.size());
   }
   obs::Span span(ectx.trace(), tag_ + ".hash_probe");
-  ScanPattern(PatternPO(type), [&](const rdf::Triple& t) {
-    const uint64_t* last = head.Find(t.subject);
-    if (last == nullptr) return;
-    for (uint64_t i = *last; i != 0; i = next[i - 1]) emit(values[i - 1], t);
+  ScanPattern(PatternPO(type), [&](std::span<const rdf::Triple> batch) {
+    for (const rdf::Triple& t : batch) {
+      const uint64_t* last = head.Find(t.subject);
+      if (last == nullptr) continue;
+      for (uint64_t i = *last; i != 0; i = next[i - 1]) emit(values[i - 1], t);
+    }
   });
   span.set_rows_out(result->rows.size());
 }
@@ -130,8 +155,9 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
   switch (BaseOf(id)) {
     case QueryId::kQ1: {
       Counts counts;
-      ScanPattern(PatternPO(v.type),
-                  [&](const rdf::Triple& t) { ++counts[t.object]; });
+      ScanPattern(PatternPO(v.type), [&](std::span<const rdf::Triple> batch) {
+        for (const rdf::Triple& t : batch) ++counts[t.object];
+      });
       result.column_names = {"obj", "count"};
       emit_counts(counts);
       break;
@@ -142,9 +168,14 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
       if (BaseOf(id) == QueryId::kQ6) {
         // Union: plus the subjects whose records-object is Text-typed.
         std::vector<uint64_t> via_records;
-        ScanPattern(PatternPO(v.records), [&](const rdf::Triple& t) {
-          if (a.contains(t.object)) via_records.push_back(t.subject);
-        });
+        ScanPattern(PatternPO(v.records),
+                    [&](std::span<const rdf::Triple> batch) {
+                      for (const rdf::Triple& t : batch) {
+                        if (a.contains(t.object)) {
+                          via_records.push_back(t.subject);
+                        }
+                      }
+                    });
         for (uint64_t s : via_records) a.Insert(s);
       }
       result.column_names = {"prop", "count"};
@@ -228,7 +259,9 @@ std::vector<rdf::Triple> RowBackend::Match(
   // worker lane.
   obs::Span span(ectx.trace(), match_span_);
   std::vector<rdf::Triple> out;
-  ScanPattern(pattern, [&](const rdf::Triple& t) { out.push_back(t); });
+  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
+    out.insert(out.end(), batch.begin(), batch.end());
+  });
   span.set_rows_out(out.size());
   return out;
 }
@@ -254,9 +287,7 @@ std::string RowTripleBackend::name() const {
 
 void RowTripleBackend::ScanPattern(const rdf::TriplePattern& pattern,
                                    const TripleFn& fn) const {
-  for (auto scan = relation_->Open(pattern); scan.Valid(); scan.Next()) {
-    fn(scan.value());
-  }
+  relation_->ScanMatches(pattern, fn);
 }
 
 void RowTripleBackend::ScanBranches(const Pass& pass,
@@ -267,10 +298,12 @@ void RowTripleBackend::ScanBranches(const Pass& pass,
     RowBackend::ScanBranches(pass, ectx, start, fn);
     return;
   }
-  relation_->FullScan(ectx, start,
-                      [&](uint64_t part, const rdf::Triple& t) {
-                        if (pass.Keeps(t)) fn(part, t);
-                      });
+  relation_->FullScan(
+      ectx, start, [&](uint64_t part, std::span<const rdf::Triple> batch) {
+        ForKept(
+            batch, [&](const rdf::Triple& t) { return pass.Keeps(t); },
+            [&](std::span<const rdf::Triple> kept) { fn(part, kept); });
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -291,11 +324,7 @@ std::string RowVerticalBackend::name() const { return "DBX vert. SO"; }
 void RowVerticalBackend::ScanPattern(const rdf::TriplePattern& pattern,
                                      const TripleFn& fn) const {
   const auto scan_partition = [&](uint64_t property) {
-    for (auto scan = relation_->OpenPartition(property, pattern.subject,
-                                              pattern.object);
-         scan.Valid(); scan.Next()) {
-      fn(scan.value());
-    }
+    relation_->ScanPartition(property, pattern.subject, pattern.object, fn);
   };
   if (pattern.property) {
     scan_partition(*pattern.property);
@@ -335,11 +364,9 @@ void RowVerticalBackend::ScanBranches(
         JoinPartitionWithTempTable(props[k], temp_table, k, fn);
         continue;
       }
-      for (auto scan =
-               relation_->OpenPartition(props[k], pass.subject, std::nullopt);
-           scan.Valid(); scan.Next()) {
-        fn(k, scan.value());
-      }
+      relation_->ScanPartition(
+          props[k], pass.subject, std::nullopt,
+          [&](std::span<const rdf::Triple> batch) { fn(k, batch); });
     }
   });
 }
@@ -353,26 +380,32 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     // Build on the partition side, probe with the temp table.
     std::unordered_multimap<uint64_t, uint64_t> build;
     build.reserve(partition_rows);
-    for (auto scan = relation_->OpenPartition(property, std::nullopt,
-                                              std::nullopt);
-         scan.Valid(); scan.Next()) {
-      build.emplace(scan.value().subject, scan.value().object);
-    }
+    relation_->ScanPartition(property, std::nullopt, std::nullopt,
+                             [&](std::span<const rdf::Triple> batch) {
+                               for (const rdf::Triple& t : batch) {
+                                 build.emplace(t.subject, t.object);
+                               }
+                             });
+    std::vector<rdf::Triple> matches;
     for (uint64_t key : temp_table) {
       auto [lo, hi] = build.equal_range(key);
       for (auto it = lo; it != hi; ++it) {
-        fn(branch, rdf::Triple{key, property, it->second});
+        matches.push_back({key, property, it->second});
       }
     }
+    if (!matches.empty()) fn(branch, matches);
   } else {
     // Build on the temp-table side, probe with the partition scan.
     const std::unordered_set<uint64_t> build(temp_table.begin(),
                                              temp_table.end());
-    for (auto scan = relation_->OpenPartition(property, std::nullopt,
-                                              std::nullopt);
-         scan.Valid(); scan.Next()) {
-      if (build.count(scan.value().subject) != 0) fn(branch, scan.value());
-    }
+    relation_->ScanPartition(
+        property, std::nullopt, std::nullopt,
+        [&](std::span<const rdf::Triple> batch) {
+          ForKept(
+              batch,
+              [&](const rdf::Triple& t) { return build.count(t.subject) != 0; },
+              [&](std::span<const rdf::Triple> kept) { fn(branch, kept); });
+        });
   }
 }
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,11 +18,13 @@ namespace swan::core {
 
 // The row engine ("DBX" of Tables 6/7): one executor answers the 12
 // benchmark queries for every physical design, which differ only in two
-// scan primitives. Plans are tuple-at-a-time cursor pipelines with generic
-// hash join/aggregation — the row store cannot assume dense ids the way
-// the column engine does, which is one half of the order-of-magnitude gap
-// the paper measures; the other half is page-at-a-time I/O through the
-// buffer pool. That is why the family does not reuse ColumnBackend's
+// scan primitives. Plans are pipelines over leaf-at-a-time scans: each
+// B+tree leaf a scan walks arrives as one batch of its decoded matches,
+// and the operators above — generic hash join/aggregation — take the
+// batch apart tuple by tuple. The row store cannot assume dense ids the
+// way the column engine does, which is one half of the order-of-magnitude
+// gap the paper measures; the other half is page-at-a-time I/O through
+// the buffer pool. That is why the family does not reuse ColumnBackend's
 // dense, universe-sized phases: filters, group counts and join build sides
 // here are hash tables over 64-bit ids (IdSet/IdMap, probed per tuple),
 // and every branch of a pass keeps its own hash partial.
@@ -45,8 +48,11 @@ class RowBackend : public BackendBase {
   void DropCaches() override { pool_->Clear(); }
 
  protected:
-  using TripleFn = std::function<void(const rdf::Triple&)>;
-  using BranchFn = std::function<void(uint64_t branch, const rdf::Triple&)>;
+  // A scan's output arrives in batches (one B+tree leaf's matches each),
+  // valid only during the call.
+  using TripleFn = std::function<void(std::span<const rdf::Triple>)>;
+  using BranchFn =
+      std::function<void(uint64_t branch, std::span<const rdf::Triple>)>;
 
   // The triples a branch pass visits: those of `props` (sorted; nullptr =
   // every property) whose subject is `subject` when bound, else is in
@@ -60,12 +66,14 @@ class RowBackend : public BackendBase {
     bool Keeps(const rdf::Triple& t) const;
   };
 
-  // Streams every triple matching `pattern`, serially, in canonical order.
+  // Streams every triple matching `pattern`, serially, in canonical order,
+  // in batches.
   virtual void ScanPattern(const rdf::TriplePattern& pattern,
                            const TripleFn& fn) const = 0;
   // Runs `pass` as independent branches that fan out over `ectx`:
-  // `start(branches)` runs once, then `fn(branch, triple)` concurrently
-  // across branches. The default is one serial branch over ScanPattern.
+  // `start(branches)` runs once, then `fn(branch, batch)` concurrently
+  // across branches, each batch holding only the pass's triples. The
+  // default is one serial branch over ScanPattern.
   virtual void ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
                             const std::function<void(uint64_t)>& start,
                             const BranchFn& fn) const;
@@ -185,8 +193,8 @@ class RowVerticalBackend : public RowBackend {
                     const std::function<void(uint64_t)>& start,
                     const BranchFn& fn) const override;
   // One union branch: hash-joins a partition with `temp_table` (distinct
-  // subjects), building on the smaller side, and calls
-  // `fn(branch, triple)` for every matching partition row.
+  // subjects), building on the smaller side, and calls `fn(branch, batch)`
+  // with the matching partition rows.
   void JoinPartitionWithTempTable(uint64_t property,
                                   const std::vector<uint64_t>& temp_table,
                                   uint64_t branch, const BranchFn& fn) const;

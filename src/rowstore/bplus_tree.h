@@ -1,12 +1,15 @@
 #ifndef SWANDB_ROWSTORE_BPLUS_TREE_H_
 #define SWANDB_ROWSTORE_BPLUS_TREE_H_
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.h"
@@ -17,6 +20,61 @@
 namespace swan::rowstore {
 
 inline constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
+
+// Equality constraints on some slots of a W-word key, tested with masks
+// instead of branches: whether a scanned key matches is data-dependent,
+// and a mispredicted branch per key costs more than the whole test.
+template <int W>
+struct KeyMatch {
+  std::array<uint64_t, W> want{};
+  std::array<uint64_t, W> mask{};  // all ones on a constrained slot
+
+  void Bind(int slot, uint64_t value) {
+    want[slot] = value;
+    mask[slot] = ~uint64_t{0};
+  }
+  bool Matches(const std::array<uint64_t, W>& key) const {
+    uint64_t diff = 0;
+    for (int i = 0; i < W; ++i) diff |= (key[i] ^ want[i]) & mask[i];
+    return diff == 0;
+  }
+};
+
+// Calls take(key) for the keys of one walked leaf that lie inside the
+// bound `prefix` and match the `residual` constraints, in key order.
+// Returns whether the prefix run reaches the leaf's end, i.e. whether the
+// walk goes on. The prefix leads the key order, so its run is the leaf's
+// leading keys: one test of the last key, else a binary search. Residual
+// tests run eight keys at a time into a bit mask, with no branch per key,
+// and only the set bits are visited — cheap both when few keys match
+// (most blocks are skipped on a well-predicted branch) and when many do.
+template <int W, typename Take>
+bool ForEachMatch(std::span<const std::array<uint64_t, W>> keys,
+                  const KeyMatch<W>& prefix, const KeyMatch<W>& residual,
+                  const Take& take) {
+  SWAN_DCHECK(!keys.empty());
+  const size_t end =
+      prefix.Matches(keys.back())
+          ? keys.size()
+          : static_cast<size_t>(
+                std::partition_point(keys.begin(), keys.end(),
+                                     [&](const std::array<uint64_t, W>& k) {
+                                       return prefix.Matches(k);
+                                     }) -
+                keys.begin());
+  for (size_t i = 0; i < end; i += 8) {
+    const size_t block = std::min<size_t>(8, end - i);
+    uint32_t bits = 0;
+    for (size_t j = 0; j < block; ++j) {
+      bits |= static_cast<uint32_t>(residual.Matches(keys[i + j])) << j;
+    }
+    while (bits != 0) {
+      take(keys[i + static_cast<size_t>(std::countr_zero(bits))]);
+      bits &= bits - 1;
+    }
+  }
+  return end == keys.size();
+}
 
 // Disk-resident B+tree over fixed-width tuples of uint64 ids, compared
 // lexicographically. The tuple *is* the record (covering index): this is
@@ -91,10 +149,11 @@ class BPlusTree {
   uint32_t first_leaf_page() const { return first_leaf_page_; }
   uint32_t num_leaves() const { return num_leaves_; }
 
-  // Calls fn(key) for every key in leaves [leaf_begin, leaf_end) of the
-  // contiguous bulk-loaded chain, in key order. Only valid while
-  // LeafChainContiguous(). Pages are fetched through the buffer pool, so
-  // the I/O model observes one sequential page run per chunk.
+  // Calls fn(keys) once per leaf in [leaf_begin, leaf_end) of the
+  // contiguous bulk-loaded chain, in key order, with the leaf's keys. Only
+  // valid while LeafChainContiguous(). Pages are fetched through the
+  // buffer pool, so the I/O model observes one sequential page run per
+  // chunk.
   template <typename Fn>
   void ScanLeaves(uint32_t leaf_begin, uint32_t leaf_end, const Fn& fn) const {
     SWAN_DCHECK(leaf_chain_contiguous_);
@@ -102,16 +161,45 @@ class BPlusTree {
     for (uint32_t leaf = leaf_begin; leaf < leaf_end; ++leaf) {
       storage::PageGuard guard =
           pool_->Fetch(file_.page_id(first_leaf_page_ + leaf));
-      const uint8_t* p = guard.data();
-      const uint16_t count = ReadU16(p + 2);
-      for (uint16_t i = 0; i < count; ++i) fn(LeafKeyAt(p, i));
+      fn(LeafKeys(guard.data(), 0));
+    }
+  }
+
+  // Walks the keys >= `lower` in key order, a leaf at a time: calls
+  // fn(keys) with the first leaf's keys from the lower bound on, then
+  // with each following leaf's keys along the sibling chain, until fn
+  // returns false or the chain ends. The span points into the pinned
+  // page and is valid only during the call. The walk fetches the pages a
+  // key-at-a-time cursor would, in the same order: the root-to-leaf
+  // descent, that leaf again to hold it, then each next leaf — fetched
+  // while its predecessor is still pinned — once fn has taken all of the
+  // previous one. A range that ends on a leaf's last key therefore still
+  // reads the next leaf, where its end shows.
+  template <typename Fn>
+  void Walk(const Key& lower, const Fn& fn) const {
+    uint32_t leaf;
+    uint16_t slot;
+    bool found;
+    FindLeaf(lower, &leaf, &slot, &found);
+    storage::PageGuard guard = pool_->Fetch(file_.page_id(leaf));
+    if (slot < ReadU16(guard.data() + 2) && !fn(LeafKeys(guard.data(), slot))) {
+      return;
+    }
+    for (;;) {
+      const uint32_t next = ReadU32(guard.data() + 4);
+      if (next == kInvalidPage) return;
+      storage::PageGuard next_guard = pool_->Fetch(file_.page_id(next));
+      guard = std::move(next_guard);
+      // An empty leaf can only be an empty chain's tail.
+      if (ReadU16(guard.data() + 2) == 0) return;
+      if (!fn(LeafKeys(guard.data(), 0))) return;
     }
   }
 
   // Charges the root-to-leftmost-leaf descent to the I/O model without
   // producing keys. A chunked scan issues this once before fanning out so
   // its set of touched pages — and therefore its cold I/O bytes — is
-  // identical to the serial cursor's Seek-then-chain walk.
+  // identical to the serial Walk from the smallest key.
   void ChargeScanDescent() const {
     Key min{};
     min.fill(0);
@@ -127,62 +215,7 @@ class BPlusTree {
     return static_cast<uint64_t>(file_.page_count()) * storage::kPageSize;
   }
 
-  // Forward iterator over keys, starting at the first key >= lower bound.
-  class Iterator {
-   public:
-    Iterator() = default;
-
-    bool Valid() const { return tree_ != nullptr; }
-    const Key& key() const { return key_; }
-
-    void Next() {
-      SWAN_DCHECK(Valid());
-      ++slot_;
-      if (slot_ >= count_) {
-        if (next_leaf_ == kInvalidPage) {
-          tree_ = nullptr;
-          return;
-        }
-        LoadLeaf(next_leaf_);
-        if (count_ == 0) {  // can only happen on an empty chain tail
-          tree_ = nullptr;
-          return;
-        }
-      }
-      LoadKey();
-    }
-
-   private:
-    friend class BPlusTree;
-
-    void LoadLeaf(uint32_t page_no) {
-      guard_ = tree_->pool_->Fetch(tree_->file_.page_id(page_no));
-      const uint8_t* p = guard_.data();
-      count_ = ReadU16(p + 2);
-      next_leaf_ = ReadU32(p + 4);
-      slot_ = 0;
-    }
-
-    void LoadKey() {
-      std::memcpy(key_.data(), guard_.data() + kHeaderSize + slot_ * kKeyBytes,
-                  kKeyBytes);
-    }
-
-    const BPlusTree* tree_ = nullptr;
-    storage::PageGuard guard_;
-    uint16_t slot_ = 0;
-    uint16_t count_ = 0;
-    uint32_t next_leaf_ = kInvalidPage;
-    Key key_;
-  };
-
-  // First key >= `lower`. Iterator is invalid if no such key exists.
-  Iterator Seek(const Key& lower) const;
-
-  // Iterator over the whole tree in key order.
-  Iterator Begin() const;
-
-  // Number of keys whose first `prefix_len` components equal `prefix`.
+  // Number of keys whose first `prefix.size()` components equal `prefix`.
   // Walks the leaf range (used by tests; plans use statistics instead).
   uint64_t CountPrefix(std::span<const uint64_t> prefix) const;
 
@@ -214,6 +247,12 @@ class BPlusTree {
     Key k;
     std::memcpy(k.data(), page + kHeaderSize + slot * kKeyBytes, kKeyBytes);
     return k;
+  }
+  // The keys of a leaf page from `slot` on, read in place.
+  static std::span<const Key> LeafKeys(const uint8_t* page, uint16_t slot) {
+    const uint16_t count = ReadU16(page + 2);
+    return {reinterpret_cast<const Key*>(page + kHeaderSize) + slot,
+            static_cast<size_t>(count - slot)};
   }
   static Key InternalKeyAt(const uint8_t* page, uint16_t slot) {
     Key k;
@@ -422,51 +461,19 @@ bool BPlusTree<W>::Contains(const Key& key) const {
 }
 
 template <int W>
-typename BPlusTree<W>::Iterator BPlusTree<W>::Seek(const Key& lower) const {
-  uint32_t leaf;
-  uint16_t slot;
-  bool found;
-  FindLeaf(lower, &leaf, &slot, &found);
-
-  Iterator it;
-  it.tree_ = this;
-  it.LoadLeaf(leaf);
-  it.slot_ = slot;
-  if (slot >= it.count_) {
-    // Lower bound falls past the end of this leaf; move to the next one.
-    if (it.next_leaf_ == kInvalidPage) return Iterator();
-    it.LoadLeaf(it.next_leaf_);
-    if (it.count_ == 0) return Iterator();
-  }
-  it.LoadKey();
-  return it;
-}
-
-template <int W>
-typename BPlusTree<W>::Iterator BPlusTree<W>::Begin() const {
-  Key min{};
-  min.fill(0);
-  return Seek(min);
-}
-
-template <int W>
 uint64_t BPlusTree<W>::CountPrefix(std::span<const uint64_t> prefix) const {
   SWAN_CHECK_LE(prefix.size(), static_cast<size_t>(W));
   Key lower{};
   lower.fill(0);
   std::copy(prefix.begin(), prefix.end(), lower.begin());
   uint64_t count = 0;
-  for (Iterator it = Seek(lower); it.Valid(); it.Next()) {
-    bool match = true;
-    for (size_t i = 0; i < prefix.size(); ++i) {
-      if (it.key()[i] != prefix[i]) {
-        match = false;
-        break;
-      }
+  Walk(lower, [&](std::span<const Key> keys) {
+    for (const Key& key : keys) {
+      if (!std::equal(prefix.begin(), prefix.end(), key.begin())) return false;
+      ++count;
     }
-    if (!match) break;
-    ++count;
-  }
+    return true;
+  });
   return count;
 }
 

@@ -60,39 +60,6 @@ std::optional<uint64_t> SortedTable::FindRow(uint64_t key) const {
   return std::nullopt;
 }
 
-void SortedTable::Cursor::LoadRow() {
-  const uint64_t rows_per_page = table_->RowsPerPage();
-  const uint32_t page_no = static_cast<uint32_t>(index_ / rows_per_page);
-  if (page_no != page_no_) {
-    guard_ = table_->pool_->Fetch(table_->file_.page_id(page_no));
-    page_no_ = page_no;
-  }
-  const uint64_t slot = index_ % rows_per_page;
-  values_ = reinterpret_cast<const uint64_t*>(
-      guard_.data() + slot * table_->row_width_ * sizeof(uint64_t));
-}
-
-void SortedTable::Cursor::Next() {
-  SWAN_DCHECK(Valid());
-  ++index_;
-  if (index_ >= table_->row_count_) {
-    table_ = nullptr;
-    values_ = nullptr;
-    return;
-  }
-  LoadRow();
-}
-
-SortedTable::Cursor SortedTable::SeekRow(uint64_t index) const {
-  SWAN_CHECK_MSG(built_, "SortedTable not loaded");
-  Cursor cursor;
-  if (index >= row_count_) return cursor;
-  cursor.table_ = this;
-  cursor.index_ = index;
-  cursor.LoadRow();
-  return cursor;
-}
-
 void SortedTable::AuditInto(audit::AuditLevel level,
                             audit::AuditReport* report) const {
   if (!built_) return;

@@ -1,9 +1,11 @@
 #ifndef SWANDB_ROWSTORE_SORTED_TABLE_H_
 #define SWANDB_ROWSTORE_SORTED_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.h"
@@ -42,36 +44,28 @@ class SortedTable {
   // accesses through the buffer pool.
   std::optional<uint64_t> FindRow(uint64_t key) const;
 
-  // Sequential cursor; holds the current page pinned.
-  class Cursor {
-   public:
-    Cursor() = default;
-
-    bool Valid() const { return table_ != nullptr; }
-    // The current row's values (row_width entries). The span is valid
-    // until Next() or destruction.
-    std::span<const uint64_t> row() const {
-      SWAN_DCHECK(Valid());
-      return {values_, table_->row_width_};
+  // Walks rows [first, row_count()) a page at a time: calls fn(rows, n)
+  // with the next n rows of one page, row-major at row_width() values
+  // each, until fn returns false or the table ends. The rows point into
+  // the pinned page and are valid only during the call; each page is
+  // fetched once, while its predecessor is still pinned.
+  template <typename Fn>
+  void Walk(uint64_t first, const Fn& fn) const {
+    SWAN_CHECK_MSG(built_, "SortedTable not loaded");
+    const uint64_t rows_per_page = RowsPerPage();
+    storage::PageGuard guard;
+    for (uint64_t row = first; row < row_count_;) {
+      const uint32_t page_no = static_cast<uint32_t>(row / rows_per_page);
+      const uint64_t slot = row % rows_per_page;
+      const uint64_t n = std::min(rows_per_page - slot, row_count_ - row);
+      storage::PageGuard next = pool_->Fetch(file_.page_id(page_no));
+      guard = std::move(next);
+      const uint64_t* rows = reinterpret_cast<const uint64_t*>(guard.data()) +
+                             slot * row_width_;
+      if (!fn(rows, n)) return;
+      row += n;
     }
-    void Next();
-
-   private:
-    friend class SortedTable;
-
-    void LoadRow();
-
-    const SortedTable* table_ = nullptr;
-    uint64_t index_ = 0;
-    storage::PageGuard guard_;
-    uint32_t page_no_ = UINT32_MAX;
-    const uint64_t* values_ = nullptr;
-  };
-
-  // Cursor positioned at row `index` (e.g. from FindRow); invalid if past
-  // the end.
-  Cursor SeekRow(uint64_t index) const;
-  Cursor Begin() const { return SeekRow(0); }
+  }
 
   // Audit walker. Verifies the page count covers the declared row count
   // and (at kFull) sweeps every page tolerantly, checking that keys

@@ -59,6 +59,24 @@ rdf::TriplePattern PrefixPattern(const rdf::TriplePattern& pattern,
   return out;
 }
 
+// Decodes the keys of a tree in one order into triples: slot_[c] is the
+// key slot holding triple component c (0 = subject, 1 = property,
+// 2 = object).
+class KeyDecoder {
+ public:
+  explicit KeyDecoder(rdf::TripleOrder order) {
+    const auto comp = rdf::ComponentsOf(order);
+    for (int i = 0; i < 3; ++i) slot_[comp[i]] = i;
+  }
+  int slot(int component) const { return slot_[component]; }
+  rdf::Triple operator()(const BPlusTree<3>::Key& key) const {
+    return {key[slot_[0]], key[slot_[1]], key[slot_[2]]};
+  }
+
+ private:
+  int slot_[3];
+};
+
 }  // namespace
 
 TripleRelation::Config TripleRelation::PsoConfig() {
@@ -210,88 +228,81 @@ uint64_t TripleRelation::FullScanChunks(const exec::ExecContext& ectx) const {
 void TripleRelation::FullScan(
     const exec::ExecContext& ectx,
     const std::function<void(uint64_t parts)>& start,
-    const std::function<void(uint64_t part, const rdf::Triple&)>& fn) const {
+    const std::function<void(uint64_t part, std::span<const rdf::Triple>)>&
+        fn) const {
   const uint64_t parts = FullScanChunks(ectx);
   start(parts);
   if (parts == 1) {
-    for (Scan scan = Open(rdf::TriplePattern{}); scan.Valid(); scan.Next()) {
-      fn(0, scan.value());
-    }
+    ScanMatches(rdf::TriplePattern{},
+                [&](std::span<const rdf::Triple> batch) { fn(0, batch); });
     return;
   }
   clustered_->ChargeScanDescent();
   const uint32_t leaves = clustered_->num_leaves();
   const uint32_t per = static_cast<uint32_t>((leaves + parts - 1) / parts);
-  const auto comp = rdf::ComponentsOf(config_.clustered);
+  const KeyDecoder decode(config_.clustered);
   ectx.ParallelFor(parts, 1, [&](uint64_t b, uint64_t e, uint64_t) {
+    rdf::Triple batch[BPlusTree<3>::kLeafCapacity];
     for (uint64_t part = b; part < e; ++part) {
       const uint32_t lo = static_cast<uint32_t>(part) * per;
       const uint32_t hi = std::min(leaves, lo + per);
       if (lo >= hi) continue;
-      clustered_->ScanLeaves(lo, hi, [&](const BPlusTree<3>::Key& key) {
-        uint64_t spo[3];
-        for (int i = 0; i < 3; ++i) spo[comp[i]] = key[i];
-        fn(part, rdf::Triple{spo[0], spo[1], spo[2]});
-      });
+      clustered_->ScanLeaves(
+          lo, hi, [&](std::span<const BPlusTree<3>::Key> keys) {
+            for (size_t i = 0; i < keys.size(); ++i) {
+              batch[i] = decode(keys[i]);
+            }
+            fn(part, {batch, keys.size()});
+          });
     }
   });
 }
 
-TripleRelation::Scan TripleRelation::Open(
-    const rdf::TriplePattern& pattern) const {
+void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
+                                 const BatchFn& fn) const {
   const AccessPath path = ChoosePath(pattern);
-
-  Scan scan;
-  scan.relation_ = this;
-  scan.tree_ = TreeFor(path.order);
-  SWAN_CHECK(scan.tree_ != nullptr);
-  scan.tree_order_ = path.order;
-  scan.components_ = rdf::ComponentsOf(path.order);
-  scan.charge_row_fetch_ =
-      path.kind == AccessPath::Kind::kSecondaryPrefix;
-  scan.prefix_len_ = path.prefix_len;
-  scan.pattern_ = pattern;
-
-  std::array<uint64_t, 3> lower{};
-  lower.fill(0);
-  BoundPrefix(pattern, path.order, &scan.prefix_);
-  for (int i = 0; i < path.prefix_len; ++i) lower[i] = scan.prefix_[i];
-  scan.it_ = scan.tree_->Seek(lower);
-  scan.Advance();
-  return scan;
-}
-
-void TripleRelation::Scan::Advance() {
-  valid_ = false;
-  while (it_.Valid()) {
-    const auto& key = it_.key();
-    // Stop once past the bound prefix.
-    for (int i = 0; i < prefix_len_; ++i) {
-      if (key[i] != prefix_[i]) return;
+  const BPlusTree<3>* tree = TreeFor(path.order);
+  SWAN_CHECK(tree != nullptr);
+  const KeyDecoder decode(path.order);
+  const bool fetch_rows = path.kind == AccessPath::Kind::kSecondaryPrefix;
+  // The pattern's constants on the key slots: the first prefix_len bound
+  // the walk, the others are residual filters.
+  const std::optional<uint64_t> spo[3] = {pattern.subject, pattern.property,
+                                          pattern.object};
+  KeyMatch<3> prefix;
+  KeyMatch<3> residual;
+  BPlusTree<3>::Key lower{};
+  for (int c = 0; c < 3; ++c) {
+    if (!spo[c]) continue;
+    const int slot = decode.slot(c);
+    if (slot < path.prefix_len) {
+      prefix.Bind(slot, *spo[c]);
+      lower[slot] = *spo[c];
+    } else {
+      residual.Bind(slot, *spo[c]);
     }
-    uint64_t spo[3];
-    for (int i = 0; i < 3; ++i) spo[components_[i]] = key[i];
-    const rdf::Triple t{spo[0], spo[1], spo[2]};
-    if (pattern_.Matches(t)) {
-      if (charge_row_fetch_) {
-        // Non-covering secondary: fetch the base row from the clustered
-        // tree (pays the random descent the cost model anticipated).
-        const bool present = relation_->clustered_->Contains(
-            KeyOf(t, relation_->config_.clustered));
-        SWAN_CHECK_MSG(present, "secondary points at missing row");
-      }
-      current_ = t;
-      valid_ = true;
-      return;
-    }
-    it_.Next();
   }
-}
 
-void TripleRelation::Scan::Next() {
-  SWAN_DCHECK(valid_);
-  it_.Next();
-  Advance();
+  rdf::Triple batch[BPlusTree<3>::kLeafCapacity];
+  tree->Walk(lower, [&](std::span<const BPlusTree<3>::Key> keys) {
+    SWAN_DCHECK_LE(keys.size(), BPlusTree<3>::kLeafCapacity);
+    size_t n = 0;
+    const bool more = ForEachMatch<3>(
+        keys, prefix, residual, [&](const BPlusTree<3>::Key& key) {
+          batch[n] = decode(key);
+          if (fetch_rows) {
+            // Non-covering secondary: fetch the base row from the
+            // clustered tree (pays the random descent the cost model
+            // anticipated).
+            const bool present =
+                clustered_->Contains(KeyOf(batch[n], config_.clustered));
+            SWAN_CHECK_MSG(present, "secondary points at missing row");
+          }
+          ++n;
+        });
+    if (n > 0) fn({batch, n});
+    return more;
+  });
 }
 
 void TripleRelation::AuditInto(audit::AuditLevel level,

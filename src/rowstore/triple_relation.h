@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,47 +73,31 @@ class TripleRelation {
   };
   AccessPath ChoosePath(const rdf::TriplePattern& pattern) const;
 
-  // Tuple-at-a-time cursor over the triples matching `pattern`.
-  class Scan {
-   public:
-    Scan() = default;
+  // A batch of decoded triples: one leaf's worth, valid only during the
+  // call that receives it.
+  using BatchFn = std::function<void(std::span<const rdf::Triple>)>;
 
-    bool Valid() const { return valid_; }
-    const rdf::Triple& value() const { return current_; }
-    void Next();
-
-   private:
-    friend class TripleRelation;
-
-    void Advance();
-
-    const TripleRelation* relation_ = nullptr;
-    const BPlusTree<3>* tree_ = nullptr;
-    rdf::TripleOrder tree_order_ = rdf::TripleOrder::kSPO;
-    // Cached ComponentsOf(tree_order_): maps key slots to (s, p, o) roles.
-    std::array<int, 3> components_{0, 1, 2};
-    bool charge_row_fetch_ = false;
-    int prefix_len_ = 0;
-    std::array<uint64_t, 3> prefix_{};
-    rdf::TriplePattern pattern_;
-    BPlusTree<3>::Iterator it_;
-    rdf::Triple current_{};
-    bool valid_ = false;
-  };
-  Scan Open(const rdf::TriplePattern& pattern) const;
+  // Streams the triples matching `pattern`, in the key order of the path
+  // ChoosePath picks, a leaf at a time: the walk checks the bound prefix
+  // and the residual constants on the raw key words and hands fn only
+  // the matches of each leaf. On a secondary path every match first pays
+  // its point lookup in the clustered tree (the non-covering row fetch).
+  void ScanMatches(const rdf::TriplePattern& pattern, const BatchFn& fn) const;
 
   // Full scan in clustered key order, fanned out over `ectx`. The relation
   // picks the split itself: leaf-range parts when the context is parallel
-  // and the bulk-loaded leaf chain is intact; otherwise one part read by
-  // the ordinary cursor, the bit-identical serial path (inserts break the
-  // chain). A split scan charges the root-to-leaf descent once, so the
-  // union of pages touched — and cold I/O bytes — equals the cursor's.
-  // `start(parts)` runs once before the first triple; `fn(part, triple)`
-  // then runs concurrently across parts, in key order within each.
-  void FullScan(
-      const exec::ExecContext& ectx,
-      const std::function<void(uint64_t parts)>& start,
-      const std::function<void(uint64_t part, const rdf::Triple&)>& fn) const;
+  // and the bulk-loaded leaf chain is intact; otherwise one part walked
+  // along the sibling chain, the bit-identical serial path (inserts break
+  // the chain). A split scan charges the root-to-leaf descent once, so the
+  // union of pages touched — and cold I/O bytes — equals the serial walk's.
+  // `start(parts)` runs once before the first triple; `fn(part, batch)`
+  // then runs concurrently across parts, one leaf's triples a call, in
+  // key order within each part.
+  void FullScan(const exec::ExecContext& ectx,
+                const std::function<void(uint64_t parts)>& start,
+                const std::function<void(uint64_t part,
+                                         std::span<const rdf::Triple>)>& fn)
+      const;
 
   // Audit walker. Audits the clustered tree and every secondary index,
   // and checks that all trees agree on the row count.
@@ -120,7 +105,7 @@ class TripleRelation {
 
  private:
   const BPlusTree<3>* TreeFor(rdf::TripleOrder order) const;
-  // Leaf-range parts of a full scan under `ectx` (1 = cursor).
+  // Leaf-range parts of a full scan under `ectx` (1 = the serial walk).
   uint64_t FullScanChunks(const exec::ExecContext& ectx) const;
 
   Config config_;

@@ -110,29 +110,23 @@ uint64_t VerticalRelation::disk_bytes() const {
   return total;
 }
 
-VerticalRelation::Scan VerticalRelation::OpenPartition(
-    uint64_t property, std::optional<uint64_t> subject,
-    std::optional<uint64_t> object) const {
+void VerticalRelation::ScanPartition(uint64_t property,
+                                     std::optional<uint64_t> subject,
+                                     std::optional<uint64_t> object,
+                                     const BatchFn& fn) const {
   auto pit = partitions_.find(property);
-  if (pit == partitions_.end()) return Scan();
+  if (pit == partitions_.end()) return;
   const Partition& part = pit->second;
-
-  Scan scan;
-  scan.clustered_ = part.clustered_so.get();
-  scan.subject_filter_ = subject;
-  scan.object_filter_ = object;
-  scan.property_ = property;
-
   const double rows = static_cast<double>(part.rows);
 
   // Access-path choice: clustered (s[,o]) prefix when the subject is
   // bound; otherwise, for a bound object, the OS secondary if the expected
   // match count is small enough to beat a full partition scan.
+  const BPlusTree<2>* tree = part.clustered_so.get();
+  bool object_order = false;
+  int prefix_len = 0;
   if (subject.has_value()) {
-    scan.tree_ = part.clustered_so.get();
-    scan.object_order_ = false;
-    scan.prefix_len_ = object.has_value() ? 2 : 1;
-    scan.prefix_ = {*subject, object.value_or(0)};
+    prefix_len = object.has_value() ? 2 : 1;
   } else if (object.has_value()) {
     const double est =
         rows / static_cast<double>(std::max<uint64_t>(1, part.distinct_objects));
@@ -140,57 +134,48 @@ VerticalRelation::Scan VerticalRelation::OpenPartition(
         kRandomPenaltyPages + PagesFor(est) + est * kRandomPenaltyPages;
     const double full_cost = kRandomPenaltyPages + PagesFor(rows);
     if (secondary_cost < full_cost) {
-      scan.tree_ = part.secondary_os.get();
-      scan.object_order_ = true;
-      scan.charge_row_fetch_ = true;
-      scan.prefix_len_ = 1;
-      scan.prefix_ = {*object, 0};
+      tree = part.secondary_os.get();
+      object_order = true;
+      prefix_len = 1;
+    }
+  }
+  // The bounds on the key slots: the first prefix_len bound the walk, the
+  // other is a residual filter.
+  const int subject_slot = object_order ? 1 : 0;
+  const int object_slot = 1 - subject_slot;
+  KeyMatch<2> prefix;
+  KeyMatch<2> residual;
+  BPlusTree<2>::Key lower{};
+  const auto bind = [&](int slot, std::optional<uint64_t> value) {
+    if (!value) return;
+    if (slot < prefix_len) {
+      prefix.Bind(slot, *value);
+      lower[slot] = *value;
     } else {
-      scan.tree_ = part.clustered_so.get();
-      scan.object_order_ = false;
-      scan.prefix_len_ = 0;
+      residual.Bind(slot, *value);
     }
-  } else {
-    scan.tree_ = part.clustered_so.get();
-    scan.object_order_ = false;
-    scan.prefix_len_ = 0;
-  }
+  };
+  bind(subject_slot, subject);
+  bind(object_slot, object);
 
-  std::array<uint64_t, 2> lower{};
-  lower.fill(0);
-  for (int i = 0; i < scan.prefix_len_; ++i) lower[i] = scan.prefix_[i];
-  scan.it_ = scan.tree_->Seek(lower);
-  scan.Advance();
-  return scan;
-}
-
-void VerticalRelation::Scan::Advance() {
-  valid_ = false;
-  while (it_.Valid()) {
-    const auto& key = it_.key();
-    for (int i = 0; i < prefix_len_; ++i) {
-      if (key[i] != prefix_[i]) return;
-    }
-    const uint64_t s = object_order_ ? key[1] : key[0];
-    const uint64_t o = object_order_ ? key[0] : key[1];
-    if ((!subject_filter_ || *subject_filter_ == s) &&
-        (!object_filter_ || *object_filter_ == o)) {
-      if (charge_row_fetch_) {
-        const bool present = clustered_->Contains({s, o});
-        SWAN_CHECK_MSG(present, "OS index points at missing row");
-      }
-      current_ = rdf::Triple{s, property_, o};
-      valid_ = true;
-      return;
-    }
-    it_.Next();
-  }
-}
-
-void VerticalRelation::Scan::Next() {
-  SWAN_DCHECK(valid_);
-  it_.Next();
-  Advance();
+  rdf::Triple batch[BPlusTree<2>::kLeafCapacity];
+  tree->Walk(lower, [&](std::span<const BPlusTree<2>::Key> keys) {
+    SWAN_DCHECK_LE(keys.size(), BPlusTree<2>::kLeafCapacity);
+    size_t n = 0;
+    const bool more = ForEachMatch<2>(
+        keys, prefix, residual, [&](const BPlusTree<2>::Key& key) {
+          batch[n] = {key[subject_slot], property, key[object_slot]};
+          if (object_order) {
+            // Non-covering secondary: fetch the row from the SO tree.
+            const bool present = part.clustered_so->Contains(
+                {batch[n].subject, batch[n].object});
+            SWAN_CHECK_MSG(present, "OS index points at missing row");
+          }
+          ++n;
+        });
+    if (n > 0) fn({batch, n});
+    return more;
+  });
 }
 
 void VerticalRelation::AuditInto(audit::AuditLevel level,

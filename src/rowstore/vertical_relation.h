@@ -1,8 +1,10 @@
 #ifndef SWANDB_ROWSTORE_VERTICAL_RELATION_H_
 #define SWANDB_ROWSTORE_VERTICAL_RELATION_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,41 +44,18 @@ class VerticalRelation {
   }
   uint64_t disk_bytes() const;
 
-  // Cursor over one partition's (subject, object) pairs matching the
-  // optional bounds, emitted as full triples.
-  class Scan {
-   public:
-    Scan() = default;
+  // A batch of decoded triples: one leaf's worth, valid only during the
+  // call that receives it.
+  using BatchFn = std::function<void(std::span<const rdf::Triple>)>;
 
-    bool Valid() const { return valid_; }
-    const rdf::Triple& value() const { return current_; }
-    void Next();
-
-   private:
-    friend class VerticalRelation;
-
-    void Advance();
-
-    const BPlusTree<2>* tree_ = nullptr;       // tree being scanned
-    const BPlusTree<2>* clustered_ = nullptr;  // for row fetches
-    bool object_order_ = false;                // scanning the OS index
-    bool charge_row_fetch_ = false;
-    int prefix_len_ = 0;
-    std::array<uint64_t, 2> prefix_{};
-    std::optional<uint64_t> subject_filter_;
-    std::optional<uint64_t> object_filter_;
-    uint64_t property_ = 0;
-    BPlusTree<2>::Iterator it_;
-    rdf::Triple current_{};
-    bool valid_ = false;
-  };
-
-  // Opens a scan of `property`'s partition with optional subject/object
-  // equality bounds, picking clustered-prefix / secondary / full-scan by
-  // the same cost heuristics as TripleRelation. Returns an invalid scan if
-  // the partition does not exist.
-  Scan OpenPartition(uint64_t property, std::optional<uint64_t> subject,
-                     std::optional<uint64_t> object) const;
+  // Streams the rows of `property`'s partition that match the optional
+  // subject/object equality bounds, as full triples, a leaf at a time.
+  // Picks clustered-prefix / secondary / full-scan by the same cost
+  // heuristics as TripleRelation; a secondary match pays its row fetch
+  // from the SO tree first. Streams nothing if the partition does not
+  // exist.
+  void ScanPartition(uint64_t property, std::optional<uint64_t> subject,
+                     std::optional<uint64_t> object, const BatchFn& fn) const;
 
   // Audit walker. Audits both B+trees of every partition and checks that
   // the SO and OS trees agree with the partition's declared row count and

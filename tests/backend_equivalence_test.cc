@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -170,7 +171,7 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
       uint64_t parts = 0;
       triple->relation().FullScan(
           ectx, [&](uint64_t n) { parts = n; },
-          [](uint64_t, const rdf::Triple&) {});
+          [](uint64_t, std::span<const rdf::Triple>) {});
       EXPECT_EQ(parts > 1, width > 1 && !after_inserts)
           << triple->name() << " x" << width << ": " << parts << " parts";
     }

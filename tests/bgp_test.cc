@@ -376,5 +376,87 @@ TEST_F(ScanJoinTest, RepeatedVariableWithinScanJoinedPattern) {
   ExpectScanJoin(logical, /*scan_joins=*/1, /*match_calls=*/2, /*rows=*/1);
 }
 
+// ?y <knows> ?x OPTIONAL { ?x <pet> ?d } OPTIONAL { ?d <name> ?n } over
+// people who each know the people three and seven places on: the first
+// step's rows hand the scan-joined <pet> step subjects that ascend within
+// one ?y, descend between two, interleave and repeat, and the <name> step
+// sees kUnbound subjects in the rows without a pet. The triples are added
+// in id order, so every backend's Match returns them in one order, and
+// both scan-joins must give the as-written probing plan's rows in its
+// order — on the same backend and on the reference.
+TEST_F(ScanJoinTest, RowOrderSurvivesUnorderedSubjects) {
+  constexpr int kPeople = 10;
+  rdf::Dataset data;
+  dict::Dictionary& dict = data.dict();
+  const uint64_t knows = dict.Intern("<knows>");
+  const uint64_t pet = dict.Intern("<pet>");
+  const uint64_t name = dict.Intern("<name>");
+  std::vector<uint64_t> person;
+  for (int i = 0; i < kPeople; ++i) {
+    person.push_back(dict.Intern("<p" + std::to_string(i) + ">"));
+  }
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < kPeople; ++i) {
+    triples.push_back({person[i], knows, person[(i + 3) % kPeople]});
+    triples.push_back({person[i], knows, person[(i + 7) % kPeople]});
+    if (i % 2 == 0) {
+      const uint64_t dog = dict.Intern("<d" + std::to_string(i) + ">");
+      triples.push_back({person[i], pet, dog});
+      if (i % 4 == 0) {
+        triples.push_back(
+            {dog, name, dict.Intern("\"dog " + std::to_string(i) + "\"")});
+      }
+    }
+  }
+  std::sort(triples.begin(), triples.end());
+  for (const rdf::Triple& t : triples) data.Add(t);
+  const plan::StoreStats stats = plan::StoreStats::Collect(data);
+
+  plan::LogicalPlan logical;
+  logical.root = plan::MakeLeftJoin(
+      plan::MakeLeftJoin(
+          plan::MakeScan({Term::Var("y"), Term::Const(knows), Term::Var("x")}),
+          plan::MakeScan({Term::Var("x"), Term::Const(pet), Term::Var("d")})),
+      plan::MakeScan({Term::Var("d"), Term::Const(name), Term::Var("n")}));
+  struct Run {
+    std::vector<std::vector<uint64_t>> rows;  // in execution order
+    uint64_t scan_joins = 0;
+  };
+  const auto execute = [&](const Backend& backend, plan::PlanMode mode,
+                           int width) {
+    const exec::ExecContext ectx(width);
+    auto result = ExecutePlan(
+        backend,
+        plan::Optimize(logical, {mode, &stats, backend.PlannerHints()}),
+        ectx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    Run run;
+    if (result.ok()) run.rows = std::move(result.value().rows);
+    run.scan_joins = ectx.counters().Snap().star_gathers;
+    return run;
+  };
+
+  ReferenceBackend reference(data);
+  const Run expected = execute(reference, plan::PlanMode::kAsWritten, 1);
+  // Ten rows reach a pet (three of the five are named); each of the ten
+  // petless rows matches all three names.
+  ASSERT_EQ(expected.rows.size(), 10u + 10u * 3u);
+  EXPECT_EQ(expected.scan_joins, 0u);
+  ColVerticalBackend col(data);
+  RowTripleBackend row(data, rowstore::TripleRelation::PsoConfig());
+  for (const Backend* backend : {static_cast<const Backend*>(&col),
+                                 static_cast<const Backend*>(&row)}) {
+    for (int width : {1, 8}) {
+      SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
+      const Run probed = execute(*backend, plan::PlanMode::kAsWritten, width);
+      const Run joined = execute(*backend, plan::PlanMode::kCostBased, width);
+      EXPECT_EQ(probed.scan_joins, 0u);
+      EXPECT_EQ(joined.scan_joins, 2u);
+      EXPECT_EQ(probed.rows, expected.rows);
+      EXPECT_EQ(joined.rows, expected.rows);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace swan::core

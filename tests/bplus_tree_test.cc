@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <set>
 #include <vector>
 
@@ -18,6 +20,34 @@ struct TreeFixture {
   storage::BufferPool pool{&disk, 1 << 14};  // swan-lint: allow(node-disk)
 };
 
+// The keys >= `lower` in the order the leaf walk yields them.
+template <int W>
+std::vector<typename BPlusTree<W>::Key> KeysFrom(
+    const BPlusTree<W>& tree, const typename BPlusTree<W>::Key& lower) {
+  std::vector<typename BPlusTree<W>::Key> out;
+  tree.Walk(lower, [&](std::span<const typename BPlusTree<W>::Key> keys) {
+    out.insert(out.end(), keys.begin(), keys.end());
+    return true;
+  });
+  return out;
+}
+
+template <int W>
+std::vector<typename BPlusTree<W>::Key> AllKeys(const BPlusTree<W>& tree) {
+  return KeysFrom(tree, typename BPlusTree<W>::Key{});
+}
+
+// The first key >= `lower`, if any: where a walk from `lower` starts.
+std::optional<Tree3::Key> FirstKeyFrom(const Tree3& tree,
+                                       const Tree3::Key& lower) {
+  std::optional<Tree3::Key> first;
+  tree.Walk(lower, [&](std::span<const Tree3::Key> keys) {
+    first = keys.front();
+    return false;
+  });
+  return first;
+}
+
 std::vector<Tree3::Key> SequentialKeys(uint64_t n) {
   std::vector<Tree3::Key> keys;
   keys.reserve(n);
@@ -30,7 +60,7 @@ TEST(BPlusTreeTest, EmptyTreeIteratesNothing) {
   Tree3 tree(&f.pool, &f.disk);
   tree.BulkLoad({});
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_FALSE(tree.Begin().Valid());
+  EXPECT_TRUE(AllKeys(tree).empty());
   EXPECT_FALSE(tree.Contains({1, 2, 3}));
 }
 
@@ -41,11 +71,10 @@ TEST(BPlusTreeTest, SingleKey) {
   tree.BulkLoad(std::span<const Tree3::Key>(&k, 1));
   EXPECT_TRUE(tree.Contains(k));
   EXPECT_FALSE(tree.Contains({7, 8, 10}));
-  auto it = tree.Begin();
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.key(), k);
-  it.Next();
-  EXPECT_FALSE(it.Valid());
+  const auto all = AllKeys(tree);
+  ASSERT_FALSE(all.empty());
+  EXPECT_EQ(all[0], k);
+  EXPECT_EQ(all.size(), 1u);
 }
 
 class BulkLoadSizeTest : public ::testing::TestWithParam<uint64_t> {};
@@ -59,8 +88,8 @@ TEST_P(BulkLoadSizeTest, FullScanReturnsAllKeysInOrder) {
   EXPECT_EQ(tree.size(), n);
 
   uint64_t count = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.key(), keys[count]);
+  for (const Tree3::Key& key : AllKeys(tree)) {
+    ASSERT_EQ(key, keys[count]);
     ++count;
   }
   EXPECT_EQ(count, n);
@@ -83,14 +112,14 @@ TEST_P(BulkLoadSizeTest, SeekFindsLowerBound) {
   TreeFixture f;
   Tree3 tree(&f.pool, &f.disk);
   tree.BulkLoad(SequentialKeys(n));
-  // Seek between keys i and i+1.
+  // A walk from between keys i and i+1 starts at key i+1.
   for (uint64_t i = 0; i + 1 < n; i += std::max<uint64_t>(1, n / 13)) {
-    auto it = tree.Seek({i, i * 2, i * 3 + 1});
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key()[0], i + 1);
+    const auto first = FirstKeyFrom(tree, {i, i * 2, i * 3 + 1});
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ((*first)[0], i + 1);
   }
-  // Seek past the end.
-  EXPECT_FALSE(tree.Seek({n, 0, 0}).Valid());
+  // One from past the end yields nothing.
+  EXPECT_FALSE(FirstKeyFrom(tree, {n, 0, 0}).has_value());
 }
 
 // Exercise single-leaf, multi-leaf, and multi-level shapes (leaf capacity
@@ -113,7 +142,10 @@ TEST(BPlusTreeTest, BulkLoadedLeavesAreSequentialOnDisk) {
   f.pool.Clear();
   f.disk.ResetStats();
   uint64_t count = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) ++count;
+  tree.Walk({}, [&](std::span<const Tree3::Key> keys) {
+    count += keys.size();
+    return true;
+  });
   EXPECT_EQ(count, 50000u);
   // A full scan must be nearly seek-free: descent plus one long run.
   EXPECT_LE(f.disk.total_seeks(), 8u);
@@ -142,9 +174,9 @@ TEST(BPlusTreeTest, InsertManyRandomKeysSplitsCorrectly) {
   EXPECT_EQ(tree.size(), reference.size());
   // Iteration order must equal the reference set's order.
   auto expected = reference.begin();
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
+  for (const Tree2::Key& key : AllKeys(tree)) {
     ASSERT_NE(expected, reference.end());
-    EXPECT_EQ(it.key(), *expected);
+    EXPECT_EQ(key, *expected);
     ++expected;
   }
   EXPECT_EQ(expected, reference.end());
@@ -160,8 +192,8 @@ TEST(BPlusTreeTest, InsertAscendingTriggersRightmostSplits) {
   EXPECT_EQ(tree.size(), 3000u);
   EXPECT_GE(tree.height(), 2);
   uint64_t expected = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.key()[0], expected++);
+  for (const Tree3::Key& key : AllKeys(tree)) {
+    ASSERT_EQ(key[0], expected++);
   }
   EXPECT_EQ(expected, 3000u);
 }
@@ -174,8 +206,8 @@ TEST(BPlusTreeTest, InsertDescendingTriggersLeftmostSplits) {
     ASSERT_TRUE(tree.Insert({i, 0, 0}));
   }
   uint64_t expected = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.key()[0], expected++);
+  for (const Tree3::Key& key : AllKeys(tree)) {
+    ASSERT_EQ(key[0], expected++);
   }
   EXPECT_EQ(expected, 3000u);
 }
@@ -192,8 +224,8 @@ TEST(BPlusTreeTest, InsertAfterBulkLoad) {
   }
   EXPECT_EQ(tree.size(), 2000u);
   uint64_t expected = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.key()[0], expected++);
+  for (const Tree3::Key& key : AllKeys(tree)) {
+    ASSERT_EQ(key[0], expected++);
   }
 }
 
@@ -220,15 +252,13 @@ TEST(BPlusTreeTest, ColdScanChargesDiskTime) {
   tree.BulkLoad(SequentialKeys(50000));
   f.pool.Clear();
   f.disk.ResetStats();
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-  }
+  AllKeys(tree);
   EXPECT_GT(f.disk.clock().now(), 0.0);
   EXPECT_GT(f.disk.total_bytes_read(), 50000 * 24u);
 
   // Hot rescan: everything cached, no further disk traffic.
   const uint64_t bytes_after_cold = f.disk.total_bytes_read();
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-  }
+  AllKeys(tree);
   EXPECT_EQ(f.disk.total_bytes_read(), bytes_after_cold);
 }
 

@@ -24,6 +24,20 @@ struct TableFixture {
   storage::BufferPool pool{&disk, 1 << 12};  // swan-lint: allow(node-disk)
 };
 
+// Rows [first, row_count) as the page walk yields them.
+std::vector<std::vector<uint64_t>> Rows(const rowstore::SortedTable& table,
+                                        uint64_t first) {
+  std::vector<std::vector<uint64_t>> out;
+  const uint32_t width = table.row_width();
+  table.Walk(first, [&](const uint64_t* rows, uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      out.emplace_back(rows + i * width, rows + (i + 1) * width);
+    }
+    return true;
+  });
+  return out;
+}
+
 TEST(SortedTableTest, RoundTripsRows) {
   TableFixture f;
   rowstore::SortedTable table(&f.pool, &f.disk, 3);
@@ -35,8 +49,7 @@ TEST(SortedTableTest, RoundTripsRows) {
   EXPECT_EQ(table.row_count(), 5000u);
 
   uint64_t count = 0;
-  for (auto cursor = table.Begin(); cursor.Valid(); cursor.Next()) {
-    const auto row = cursor.row();
+  for (const auto& row : Rows(table, 0)) {
     ASSERT_EQ(row[0], count * 2);
     ASSERT_EQ(row[1], count + 100);
     ++count;
@@ -62,7 +75,7 @@ TEST(SortedTableTest, EmptyTable) {
   TableFixture f;
   rowstore::SortedTable table(&f.pool, &f.disk, 4);
   table.BulkLoad({}, 0);
-  EXPECT_FALSE(table.Begin().Valid());
+  EXPECT_TRUE(Rows(table, 0).empty());
   EXPECT_FALSE(table.FindRow(7).has_value());
 }
 
@@ -75,11 +88,10 @@ TEST(SortedTableTest, WideRowsSpanPagesCorrectly) {
     for (uint64_t c = 0; c < 100; ++c) flat.push_back(i * 1000 + c);
   }
   table.BulkLoad(flat, 95);
-  auto cursor = table.SeekRow(94);
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.row()[99], 94 * 1000 + 99u);
-  cursor.Next();
-  EXPECT_FALSE(cursor.Valid());
+  const auto rows = Rows(table, 94);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0][99], 94 * 1000 + 99u);
+  EXPECT_EQ(rows.size(), 1u);
 }
 
 // --- PropertyTableBackend --------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -29,15 +31,24 @@ std::vector<rdf::Triple> SmallGraph() {
   return triples;
 }
 
-std::vector<rdf::Triple> Collect(TripleRelation::Scan scan) {
+std::vector<rdf::Triple> Collect(const TripleRelation& rel,
+                                 const rdf::TriplePattern& pattern) {
   std::vector<rdf::Triple> out;
-  for (; scan.Valid(); scan.Next()) out.push_back(scan.value());
+  rel.ScanMatches(pattern, [&](std::span<const rdf::Triple> batch) {
+    out.insert(out.end(), batch.begin(), batch.end());
+  });
   return out;
 }
 
-std::vector<rdf::Triple> Collect(VerticalRelation::Scan scan) {
+std::vector<rdf::Triple> Collect(const VerticalRelation& rel,
+                                 uint64_t property,
+                                 std::optional<uint64_t> subject,
+                                 std::optional<uint64_t> object) {
   std::vector<rdf::Triple> out;
-  for (; scan.Valid(); scan.Next()) out.push_back(scan.value());
+  rel.ScanPartition(property, subject, object,
+                    [&](std::span<const rdf::Triple> batch) {
+                      out.insert(out.end(), batch.begin(), batch.end());
+                    });
   return out;
 }
 
@@ -86,7 +97,7 @@ TEST_P(TripleRelationConfigTest, FullScanReturnsEverything) {
   const auto triples = SmallGraph();
   rel.Load(triples);
   EXPECT_EQ(rel.size(), triples.size());
-  auto all = Collect(rel.Open(rdf::TriplePattern{}));
+  auto all = Collect(rel, rdf::TriplePattern{});
   EXPECT_EQ(all.size(), triples.size());
 }
 
@@ -124,7 +135,7 @@ TEST_P(TripleRelationConfigTest, PatternScansMatchOracle) {
     for (const auto& t : triples) {
       if (pattern.Matches(t)) expected.push_back(t);
     }
-    auto got = Collect(rel.Open(pattern));
+    auto got = Collect(rel, pattern);
     std::sort(expected.begin(), expected.end());
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << pattern.ToString();
@@ -187,7 +198,7 @@ TEST(TripleRelationTest, SecondaryScanChargesRowFetches) {
   f.disk.ResetStats();
   rdf::TriplePattern pattern;
   pattern.property = 200;  // 10 rows via POS secondary
-  const auto got = Collect(rel.Open(pattern));
+  const auto got = Collect(rel, pattern);
   EXPECT_EQ(got.size(), 10u);
   // Ten row fetches -> at least ten random descents' worth of pages.
   EXPECT_GT(f.disk.total_seeks(), 5u);
@@ -217,7 +228,7 @@ TEST(VerticalRelationTest, PartitionScansMatchOracle) {
         expected.push_back(t);
       }
     }
-    auto got = Collect(rel.OpenPartition(c.property, c.s, c.o));
+    auto got = Collect(rel, c.property, c.s, c.o);
     std::sort(expected.begin(), expected.end());
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected);
@@ -228,7 +239,7 @@ TEST(VerticalRelationTest, MissingPartitionScanIsInvalid) {
   RowFixture f;
   VerticalRelation rel(&f.pool, &f.disk);
   rel.Load(SmallGraph());
-  EXPECT_FALSE(rel.OpenPartition(999, std::nullopt, std::nullopt).Valid());
+  EXPECT_TRUE(Collect(rel, 999, std::nullopt, std::nullopt).empty());
 }
 
 TEST(VerticalRelationTest, RandomizedEquivalenceWithTripleRelation) {
@@ -251,9 +262,9 @@ TEST(VerticalRelationTest, RandomizedEquivalenceWithTripleRelation) {
     pattern.property = rng.Uniform(12);
     if (rng.Chance(0.5)) pattern.subject = rng.Uniform(300);
     if (rng.Chance(0.5)) pattern.object = rng.Uniform(100);
-    auto a = Collect(triple.Open(pattern));
-    auto b = Collect(vertical.OpenPartition(*pattern.property, pattern.subject,
-                                            pattern.object));
+    auto a = Collect(triple, pattern);
+    auto b = Collect(vertical, *pattern.property, pattern.subject,
+                     pattern.object);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << pattern.ToString();

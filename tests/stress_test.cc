@@ -1,11 +1,15 @@
 // Stress tests: correctness under severe buffer-pool pressure (constant
-// eviction), long mixed workloads against shadow models, and interleaved
-// iterators holding pins.
+// eviction), long mixed workloads against shadow models, and nested leaf
+// walks holding pins.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,18 @@
 
 namespace swan {
 namespace {
+
+// Every key of `tree`, in the order the leaf walk yields them.
+template <int W>
+std::vector<std::array<uint64_t, W>> AllKeys(
+    const rowstore::BPlusTree<W>& tree) {
+  std::vector<std::array<uint64_t, W>> out;
+  tree.Walk({}, [&](std::span<const std::array<uint64_t, W>> keys) {
+    out.insert(out.end(), keys.begin(), keys.end());
+    return true;
+  });
+  return out;
+}
 
 TEST(BufferPoolStressTest, RandomAccessMatchesShadowModel) {
   storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
@@ -77,8 +93,8 @@ TEST(BPlusTreeStressTest, TinyPoolFullScanAndLookups) {
   tree.BulkLoad(keys);
 
   uint64_t count = 0;
-  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.key()[1], it.key()[0] * 3);
+  for (const auto& key : AllKeys(tree)) {
+    ASSERT_EQ(key[1], key[0] * 3);
     ++count;
   }
   EXPECT_EQ(count, 60000u);
@@ -98,23 +114,42 @@ TEST(BPlusTreeStressTest, InterleavedIteratorsUnderEviction) {
   for (uint64_t i = 0; i < 20000; ++i) keys.push_back({i, 0});
   tree.BulkLoad(keys);
 
-  // Four iterators advanced round-robin, each pinning its current leaf
-  // while the others force evictions around it.
-  auto a = tree.Begin();
-  auto b = tree.Seek({5000, 0});
-  auto c = tree.Seek({10000, 0});
-  auto d = tree.Seek({15000, 0});
-  for (int step = 0; step < 4000; ++step) {
-    ASSERT_TRUE(a.Valid() && b.Valid() && c.Valid() && d.Valid());
-    ASSERT_EQ(a.key()[0], static_cast<uint64_t>(step));
-    ASSERT_EQ(b.key()[0], static_cast<uint64_t>(5000 + step));
-    ASSERT_EQ(c.key()[0], static_cast<uint64_t>(10000 + step));
-    ASSERT_EQ(d.key()[0], static_cast<uint64_t>(15000 + step));
-    a.Next();
-    b.Next();
-    c.Next();
-    d.Next();
-  }
+  // Four walks over steps [0, 4000), from keys 0, 5000, 10000 and 15000,
+  // nested so each keeps its current leaf pinned while the ones inside it
+  // fetch theirs and force evictions around it: inside each leaf of walk
+  // w, walk w + 1 covers that leaf's steps, and the innermost walk checks
+  // all four keys of every step.
+  using Key = std::array<uint64_t, 2>;
+  constexpr uint64_t kSteps = 4000;
+  const uint64_t starts[4] = {0, 5000, 10000, 15000};
+  std::span<const Key> leaf[4];
+  uint64_t leaf_step[4] = {};  // the step of leaf[w].front()
+  uint64_t steps_checked = 0;
+  std::function<void(int, uint64_t, uint64_t)> walk = [&](int w, uint64_t lo,
+                                                          uint64_t hi) {
+    uint64_t step = lo;
+    tree.Walk({starts[w] + lo, 0}, [&](std::span<const Key> keys) {
+      const uint64_t take = std::min<uint64_t>(keys.size(), hi - step);
+      leaf[w] = keys.first(take);
+      leaf_step[w] = step;
+      if (w < 3) {
+        walk(w + 1, step, step + take);
+      } else {
+        for (uint64_t s = step; s < step + take; ++s) {
+          const auto key = [&](int v) { return leaf[v][s - leaf_step[v]]; };
+          EXPECT_EQ(key(0)[0], s);
+          EXPECT_EQ(key(1)[0], 5000 + s);
+          EXPECT_EQ(key(2)[0], 10000 + s);
+          EXPECT_EQ(key(3)[0], 15000 + s);
+          ++steps_checked;
+        }
+      }
+      step += take;
+      return step < hi;
+    });
+  };
+  walk(0, 0, kSteps);
+  EXPECT_EQ(steps_checked, kSteps);
 }
 
 TEST(BPlusTreeStressTest, MixedInsertAndScanAgainstShadowSet) {
@@ -132,9 +167,9 @@ TEST(BPlusTreeStressTest, MixedInsertAndScanAgainstShadowSet) {
     }
     // Periodic full verification.
     auto expected = shadow.begin();
-    for (auto it = tree.Begin(); it.Valid(); it.Next()) {
+    for (const auto& key : AllKeys(tree)) {
       ASSERT_NE(expected, shadow.end());
-      ASSERT_EQ(it.key(), *expected);
+      ASSERT_EQ(key, *expected);
       ++expected;
     }
     ASSERT_EQ(expected, shadow.end());

@@ -113,11 +113,12 @@ for backend_map in doc['workloads'].values():
 assert doc.get('telemetry_reconciled') is True, doc
 print('bench json smoke: OK')
 "; } || status=1
-    # Micro-bench JSON smoke: a brief run of the row engine's hot q3 and
-    # the subject-set probe must leave google-benchmark JSON naming both.
+    # Micro-bench JSON smoke: a brief run of the row engine's hot q3, the
+    # subject-set probe and the Match scans must leave google-benchmark
+    # JSON naming all three.
     echo "=== release: micro bench json smoke ==="
     { "$RELEASE_DIR/bench/micro_bplus_tree" \
-        --benchmark_filter='RowEngineQ3Hot|SubjectSetProbe' \
+        --benchmark_filter='RowEngineQ3Hot|SubjectSetProbe|RowMatchScan' \
         --benchmark_min_time=0.01 \
         --benchmark_out="$RELEASE_DIR/BENCH_micro_rowstore.json" \
         --benchmark_out_format=json >/dev/null &&
@@ -126,7 +127,8 @@ import json
 doc = json.load(open('$RELEASE_DIR/BENCH_micro_rowstore.json'))
 names = [b['name'] for b in doc['benchmarks']]
 for want in ('BM_RowEngineQ3Hot/1/', 'BM_RowEngineQ3Hot/2/',
-             'BM_SubjectSetProbe/0', 'BM_SubjectSetProbe/1'):
+             'BM_SubjectSetProbe/0', 'BM_SubjectSetProbe/1',
+             'BM_RowMatchScan/0', 'BM_RowMatchScan/1'):
     assert any(n.startswith(want) for n in names), (want, names)
 print('micro bench json smoke: OK')
 "; } || status=1
