@@ -266,25 +266,20 @@ void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
   const KeyDecoder decode(path.order);
   const bool fetch_rows = path.kind == AccessPath::Kind::kSecondaryPrefix;
   // The pattern's constants on the key slots: the first prefix_len bound
-  // the walk, the others are residual filters.
+  // the walk (the walk starts at the prefix, zeros after it), the others
+  // are residual filters.
   const std::optional<uint64_t> spo[3] = {pattern.subject, pattern.property,
                                           pattern.object};
   KeyMatch<3> prefix;
   KeyMatch<3> residual;
-  BPlusTree<3>::Key lower{};
   for (int c = 0; c < 3; ++c) {
     if (!spo[c]) continue;
     const int slot = decode.slot(c);
-    if (slot < path.prefix_len) {
-      prefix.Bind(slot, *spo[c]);
-      lower[slot] = *spo[c];
-    } else {
-      residual.Bind(slot, *spo[c]);
-    }
+    (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
   }
 
   rdf::Triple batch[BPlusTree<3>::kLeafCapacity];
-  tree->Walk(lower, [&](std::span<const BPlusTree<3>::Key> keys) {
+  tree->Walk(prefix.want, [&](std::span<const BPlusTree<3>::Key> keys) {
     SWAN_DCHECK_LE(keys.size(), BPlusTree<3>::kLeafCapacity);
     size_t n = 0;
     const bool more = ForEachMatch<3>(

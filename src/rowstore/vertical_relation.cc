@@ -139,27 +139,21 @@ void VerticalRelation::ScanPartition(uint64_t property,
       prefix_len = 1;
     }
   }
-  // The bounds on the key slots: the first prefix_len bound the walk, the
-  // other is a residual filter.
+  // The bounds on the key slots: the first prefix_len bound the walk (the
+  // walk starts at the prefix, zeros after it), the other is a residual
+  // filter.
   const int subject_slot = object_order ? 1 : 0;
   const int object_slot = 1 - subject_slot;
   KeyMatch<2> prefix;
   KeyMatch<2> residual;
-  BPlusTree<2>::Key lower{};
   const auto bind = [&](int slot, std::optional<uint64_t> value) {
-    if (!value) return;
-    if (slot < prefix_len) {
-      prefix.Bind(slot, *value);
-      lower[slot] = *value;
-    } else {
-      residual.Bind(slot, *value);
-    }
+    if (value) (slot < prefix_len ? prefix : residual).Bind(slot, *value);
   };
   bind(subject_slot, subject);
   bind(object_slot, object);
 
   rdf::Triple batch[BPlusTree<2>::kLeafCapacity];
-  tree->Walk(lower, [&](std::span<const BPlusTree<2>::Key> keys) {
+  tree->Walk(prefix.want, [&](std::span<const BPlusTree<2>::Key> keys) {
     SWAN_DCHECK_LE(keys.size(), BPlusTree<2>::kLeafCapacity);
     size_t n = 0;
     const bool more = ForEachMatch<2>(

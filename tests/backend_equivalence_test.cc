@@ -128,7 +128,7 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
 // against the reference. On a fresh load the triple stores' full scans
 // split into leaf-range chunks with one hash partial each; after an insert
 // batch has split leaves, the chain is no longer contiguous and they fall
-// back to the serial cursor. The inserts clone every triple of every 40th
+// back to the serial leaf walk. The inserts clone every triple of every 40th
 // subject onto a fresh subject, so each query's patterns see new rows.
 class RowEngineWidthTest : public ::testing::TestWithParam<bool> {};
 
