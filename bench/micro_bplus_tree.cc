@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -69,7 +68,7 @@ void BM_FullScanHot(benchmark::State& state) {
   tree.BulkLoad(SortedKeys(state.range(0)));
   for (auto _ : state) {
     uint64_t count = 0;
-    tree.Walk({}, [&](std::span<const Tree::Key> keys) {
+    tree.Walk({}, [&](const swan::rowstore::LeafKeys<3>& keys) {
       count += keys.size();
       return true;
     });

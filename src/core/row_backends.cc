@@ -32,6 +32,15 @@ void ForKept(std::span<const rdf::Triple> batch, const Keep& keep,
   if (!kept.empty()) fn(std::span<const rdf::Triple>(kept));
 }
 
+// Adapts a per-triple callback to a scan's batches: the callback inlines
+// into the batch loop, so the scan pays one indirect call per batch.
+template <typename Fn>
+auto EachTriple(const Fn& fn) {
+  return [&fn](std::span<const rdf::Triple> batch) {
+    for (const rdf::Triple& t : batch) fn(t);
+  };
+}
+
 uint64_t PackPair(uint64_t a, uint64_t b) {
   SWAN_CHECK_MSG(a < (1ull << 32) && b < (1ull << 32),
                  "group keys must be 32-bit dictionary ids");
@@ -70,13 +79,11 @@ IdSet RowBackend::SubjectSet(uint64_t property, uint64_t object,
   obs::Span span(ectx.trace(), tag_ + ".index_scan");
   IdSet out;
   ScanPattern(PatternPO(property, object),
-              [&](std::span<const rdf::Triple> batch) {
-                for (const rdf::Triple& t : batch) {
-                  if (within == nullptr || within->contains(t.subject)) {
-                    out.Insert(t.subject);
-                  }
+              EachTriple([&](const rdf::Triple& t) {
+                if (within == nullptr || within->contains(t.subject)) {
+                  out.Insert(t.subject);
                 }
-              });
+              }));
   span.set_rows_out(out.size());
   return out;
 }
@@ -119,25 +126,23 @@ void RowBackend::JoinWithTypes(
   std::vector<uint64_t> next;
   {
     obs::Span span(ectx.trace(), tag_ + ".hash_build");
-    ScanPattern(PatternPO(build), [&](std::span<const rdf::Triple> batch) {
-      for (const rdf::Triple& t : batch) {
-        if (!a.contains(t.subject)) continue;
-        uint64_t& last = head[key_by_object ? t.object : t.subject];
-        values.push_back(key_by_object ? t.subject : t.object);
-        next.push_back(last);
-        last = values.size();
-      }
-    });
+    ScanPattern(PatternPO(build), EachTriple([&](const rdf::Triple& t) {
+                  if (!a.contains(t.subject)) return;
+                  uint64_t& last = head[key_by_object ? t.object : t.subject];
+                  values.push_back(key_by_object ? t.subject : t.object);
+                  next.push_back(last);
+                  last = values.size();
+                }));
     span.set_rows_out(head.size());
   }
   obs::Span span(ectx.trace(), tag_ + ".hash_probe");
-  ScanPattern(PatternPO(type), [&](std::span<const rdf::Triple> batch) {
-    for (const rdf::Triple& t : batch) {
-      const uint64_t* last = head.Find(t.subject);
-      if (last == nullptr) continue;
-      for (uint64_t i = *last; i != 0; i = next[i - 1]) emit(values[i - 1], t);
-    }
-  });
+  ScanPattern(PatternPO(type), EachTriple([&](const rdf::Triple& t) {
+                const uint64_t* last = head.Find(t.subject);
+                if (last == nullptr) return;
+                for (uint64_t i = *last; i != 0; i = next[i - 1]) {
+                  emit(values[i - 1], t);
+                }
+              }));
   span.set_rows_out(result->rows.size());
 }
 
@@ -155,9 +160,9 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
   switch (BaseOf(id)) {
     case QueryId::kQ1: {
       Counts counts;
-      ScanPattern(PatternPO(v.type), [&](std::span<const rdf::Triple> batch) {
-        for (const rdf::Triple& t : batch) ++counts[t.object];
-      });
+      ScanPattern(PatternPO(v.type), EachTriple([&](const rdf::Triple& t) {
+                    ++counts[t.object];
+                  }));
       result.column_names = {"obj", "count"};
       emit_counts(counts);
       break;
@@ -169,13 +174,11 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
         // Union: plus the subjects whose records-object is Text-typed.
         std::vector<uint64_t> via_records;
         ScanPattern(PatternPO(v.records),
-                    [&](std::span<const rdf::Triple> batch) {
-                      for (const rdf::Triple& t : batch) {
-                        if (a.contains(t.object)) {
-                          via_records.push_back(t.subject);
-                        }
+                    EachTriple([&](const rdf::Triple& t) {
+                      if (a.contains(t.object)) {
+                        via_records.push_back(t.subject);
                       }
-                    });
+                    }));
         for (uint64_t s : via_records) a.Insert(s);
       }
       result.column_names = {"prop", "count"};
@@ -380,12 +383,11 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     // Build on the partition side, probe with the temp table.
     std::unordered_multimap<uint64_t, uint64_t> build;
     build.reserve(partition_rows);
-    relation_->ScanPartition(property, std::nullopt, std::nullopt,
-                             [&](std::span<const rdf::Triple> batch) {
-                               for (const rdf::Triple& t : batch) {
-                                 build.emplace(t.subject, t.object);
-                               }
-                             });
+    relation_->ScanPartition(
+        property, std::nullopt, std::nullopt,
+        EachTriple([&](const rdf::Triple& t) {
+          build.emplace(t.subject, t.object);
+        }));
     std::vector<rdf::Triple> matches;
     for (uint64_t key : temp_table) {
       auto [lo, hi] = build.equal_range(key);

@@ -40,6 +40,31 @@ struct KeyMatch {
   }
 };
 
+// The keys of one walked leaf, from some slot on, read in place from the
+// pinned page: each access copies one key's words out, which compiles to
+// plain loads and never reads the page through a pointer of another type.
+template <int W>
+class LeafKeys {
+ public:
+  using Key = std::array<uint64_t, W>;
+
+  LeafKeys(const uint8_t* keys, size_t size) : keys_(keys), size_(size) {}
+
+  size_t size() const { return size_; }
+  Key operator[](size_t i) const {
+    Key key;
+    for (int w = 0; w < W; ++w) {
+      std::memcpy(&key[w], keys_ + (i * W + w) * sizeof(uint64_t),
+                  sizeof(uint64_t));
+    }
+    return key;
+  }
+
+ private:
+  const uint8_t* keys_;
+  size_t size_;
+};
+
 // Calls take(key) for the keys of one walked leaf that lie inside the
 // bound `prefix` and match the `residual` constraints, in key order.
 // Returns whether the prefix run reaches the leaf's end, i.e. whether the
@@ -49,19 +74,23 @@ struct KeyMatch {
 // and only the set bits are visited — cheap both when few keys match
 // (most blocks are skipped on a well-predicted branch) and when many do.
 template <int W, typename Take>
-bool ForEachMatch(std::span<const std::array<uint64_t, W>> keys,
-                  const KeyMatch<W>& prefix, const KeyMatch<W>& residual,
-                  const Take& take) {
-  SWAN_DCHECK(!keys.empty());
-  const size_t end =
-      prefix.Matches(keys.back())
-          ? keys.size()
-          : static_cast<size_t>(
-                std::partition_point(keys.begin(), keys.end(),
-                                     [&](const std::array<uint64_t, W>& k) {
-                                       return prefix.Matches(k);
-                                     }) -
-                keys.begin());
+bool ForEachMatch(const LeafKeys<W>& keys, const KeyMatch<W>& prefix,
+                  const KeyMatch<W>& residual, const Take& take) {
+  SWAN_DCHECK(keys.size() > 0);
+  size_t end = keys.size();
+  if (!prefix.Matches(keys[end - 1])) {
+    size_t lo = 0;
+    size_t hi = end - 1;  // keys[hi] is past the prefix
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (prefix.Matches(keys[mid])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    end = lo;
+  }
   for (size_t i = 0; i < end; i += 8) {
     const size_t block = std::min<size_t>(8, end - i);
     uint32_t bits = 0;
@@ -161,15 +190,15 @@ class BPlusTree {
     for (uint32_t leaf = leaf_begin; leaf < leaf_end; ++leaf) {
       storage::PageGuard guard =
           pool_->Fetch(file_.page_id(first_leaf_page_ + leaf));
-      fn(LeafKeys(guard.data(), 0));
+      fn(KeysOf(guard.data(), 0));
     }
   }
 
   // Walks the keys >= `lower` in key order, a leaf at a time: calls
   // fn(keys) with the first leaf's keys from the lower bound on, then
   // with each following leaf's keys along the sibling chain, until fn
-  // returns false or the chain ends. The span points into the pinned
-  // page and is valid only during the call. The walk fetches the pages a
+  // returns false or the chain ends. The keys are valid only during the
+  // call; the leaf stays pinned while fn runs. The walk fetches the pages a
   // key-at-a-time cursor would, in the same order: the root-to-leaf
   // descent, that leaf again to hold it, then each next leaf — fetched
   // while its predecessor is still pinned — once fn has taken all of the
@@ -182,7 +211,7 @@ class BPlusTree {
     bool found;
     FindLeaf(lower, &leaf, &slot, &found);
     storage::PageGuard guard = pool_->Fetch(file_.page_id(leaf));
-    if (slot < ReadU16(guard.data() + 2) && !fn(LeafKeys(guard.data(), slot))) {
+    if (slot < ReadU16(guard.data() + 2) && !fn(KeysOf(guard.data(), slot))) {
       return;
     }
     for (;;) {
@@ -192,7 +221,7 @@ class BPlusTree {
       guard = std::move(next_guard);
       // An empty leaf can only be an empty chain's tail.
       if (ReadU16(guard.data() + 2) == 0) return;
-      if (!fn(LeafKeys(guard.data(), 0))) return;
+      if (!fn(KeysOf(guard.data(), 0))) return;
     }
   }
 
@@ -248,10 +277,11 @@ class BPlusTree {
     std::memcpy(k.data(), page + kHeaderSize + slot * kKeyBytes, kKeyBytes);
     return k;
   }
-  // The keys of a leaf page from `slot` on, read in place.
-  static std::span<const Key> LeafKeys(const uint8_t* page, uint16_t slot) {
+  // The keys of a leaf page from `slot` on.
+  static LeafKeys<W> KeysOf(const uint8_t* page, uint16_t slot) {
     const uint16_t count = ReadU16(page + 2);
-    return {reinterpret_cast<const Key*>(page + kHeaderSize) + slot,
+    SWAN_CHECK_LE(count, kLeafCapacity);
+    return {page + kHeaderSize + slot * kKeyBytes,
             static_cast<size_t>(count - slot)};
   }
   static Key InternalKeyAt(const uint8_t* page, uint16_t slot) {
@@ -467,8 +497,9 @@ uint64_t BPlusTree<W>::CountPrefix(std::span<const uint64_t> prefix) const {
   lower.fill(0);
   std::copy(prefix.begin(), prefix.end(), lower.begin());
   uint64_t count = 0;
-  Walk(lower, [&](std::span<const Key> keys) {
-    for (const Key& key : keys) {
+  Walk(lower, [&](const LeafKeys<W>& keys) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Key key = keys[i];
       if (!std::equal(prefix.begin(), prefix.end(), key.begin())) return false;
       ++count;
     }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -46,13 +47,14 @@ class SortedTable {
 
   // Walks rows [first, row_count()) a page at a time: calls fn(rows, n)
   // with the next n rows of one page, row-major at row_width() values
-  // each, until fn returns false or the table ends. The rows point into
-  // the pinned page and are valid only during the call; each page is
-  // fetched once, while its predecessor is still pinned.
+  // each, until fn returns false or the table ends. The rows are valid
+  // only during the call; each page is fetched once, while its
+  // predecessor is still pinned.
   template <typename Fn>
   void Walk(uint64_t first, const Fn& fn) const {
     SWAN_CHECK_MSG(built_, "SortedTable not loaded");
     const uint64_t rows_per_page = RowsPerPage();
+    uint64_t values[storage::kPageSize / sizeof(uint64_t)] = {};
     storage::PageGuard guard;
     for (uint64_t row = first; row < row_count_;) {
       const uint32_t page_no = static_cast<uint32_t>(row / rows_per_page);
@@ -60,9 +62,9 @@ class SortedTable {
       const uint64_t n = std::min(rows_per_page - slot, row_count_ - row);
       storage::PageGuard next = pool_->Fetch(file_.page_id(page_no));
       guard = std::move(next);
-      const uint64_t* rows = reinterpret_cast<const uint64_t*>(guard.data()) +
-                             slot * row_width_;
-      if (!fn(rows, n)) return;
+      std::memcpy(values, guard.data() + slot * row_width_ * sizeof(uint64_t),
+                  n * row_width_ * sizeof(uint64_t));
+      if (!fn(values, n)) return;
       row += n;
     }
   }

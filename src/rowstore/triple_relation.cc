@@ -242,18 +242,15 @@ void TripleRelation::FullScan(
   const uint32_t per = static_cast<uint32_t>((leaves + parts - 1) / parts);
   const KeyDecoder decode(config_.clustered);
   ectx.ParallelFor(parts, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    rdf::Triple batch[BPlusTree<3>::kLeafCapacity];
+    rdf::Triple batch[BPlusTree<3>::kLeafCapacity] = {};
     for (uint64_t part = b; part < e; ++part) {
       const uint32_t lo = static_cast<uint32_t>(part) * per;
       const uint32_t hi = std::min(leaves, lo + per);
       if (lo >= hi) continue;
-      clustered_->ScanLeaves(
-          lo, hi, [&](std::span<const BPlusTree<3>::Key> keys) {
-            for (size_t i = 0; i < keys.size(); ++i) {
-              batch[i] = decode(keys[i]);
-            }
-            fn(part, {batch, keys.size()});
-          });
+      clustered_->ScanLeaves(lo, hi, [&](const LeafKeys<3>& keys) {
+        for (size_t i = 0; i < keys.size(); ++i) batch[i] = decode(keys[i]);
+        fn(part, {batch, keys.size()});
+      });
     }
   });
 }
@@ -278,8 +275,8 @@ void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
     (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
   }
 
-  rdf::Triple batch[BPlusTree<3>::kLeafCapacity];
-  tree->Walk(prefix.want, [&](std::span<const BPlusTree<3>::Key> keys) {
+  rdf::Triple batch[BPlusTree<3>::kLeafCapacity] = {};
+  tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
     SWAN_DCHECK_LE(keys.size(), BPlusTree<3>::kLeafCapacity);
     size_t n = 0;
     const bool more = ForEachMatch<3>(

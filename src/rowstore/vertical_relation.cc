@@ -152,8 +152,8 @@ void VerticalRelation::ScanPartition(uint64_t property,
   bind(subject_slot, subject);
   bind(object_slot, object);
 
-  rdf::Triple batch[BPlusTree<2>::kLeafCapacity];
-  tree->Walk(prefix.want, [&](std::span<const BPlusTree<2>::Key> keys) {
+  rdf::Triple batch[BPlusTree<2>::kLeafCapacity] = {};
+  tree->Walk(prefix.want, [&](const LeafKeys<2>& keys) {
     SWAN_DCHECK_LE(keys.size(), BPlusTree<2>::kLeafCapacity);
     size_t n = 0;
     const bool more = ForEachMatch<2>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <set>
 #include <vector>
 
@@ -25,8 +24,8 @@ template <int W>
 std::vector<typename BPlusTree<W>::Key> KeysFrom(
     const BPlusTree<W>& tree, const typename BPlusTree<W>::Key& lower) {
   std::vector<typename BPlusTree<W>::Key> out;
-  tree.Walk(lower, [&](std::span<const typename BPlusTree<W>::Key> keys) {
-    out.insert(out.end(), keys.begin(), keys.end());
+  tree.Walk(lower, [&](const LeafKeys<W>& keys) {
+    for (size_t i = 0; i < keys.size(); ++i) out.push_back(keys[i]);
     return true;
   });
   return out;
@@ -41,8 +40,8 @@ std::vector<typename BPlusTree<W>::Key> AllKeys(const BPlusTree<W>& tree) {
 std::optional<Tree3::Key> FirstKeyFrom(const Tree3& tree,
                                        const Tree3::Key& lower) {
   std::optional<Tree3::Key> first;
-  tree.Walk(lower, [&](std::span<const Tree3::Key> keys) {
-    first = keys.front();
+  tree.Walk(lower, [&](const LeafKeys<3>& keys) {
+    first = keys[0];
     return false;
   });
   return first;
@@ -142,7 +141,7 @@ TEST(BPlusTreeTest, BulkLoadedLeavesAreSequentialOnDisk) {
   f.pool.Clear();
   f.disk.ResetStats();
   uint64_t count = 0;
-  tree.Walk({}, [&](std::span<const Tree3::Key> keys) {
+  tree.Walk({}, [&](const LeafKeys<3>& keys) {
     count += keys.size();
     return true;
   });

@@ -9,7 +9,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -30,8 +29,8 @@ template <int W>
 std::vector<std::array<uint64_t, W>> AllKeys(
     const rowstore::BPlusTree<W>& tree) {
   std::vector<std::array<uint64_t, W>> out;
-  tree.Walk({}, [&](std::span<const std::array<uint64_t, W>> keys) {
-    out.insert(out.end(), keys.begin(), keys.end());
+  tree.Walk({}, [&](const rowstore::LeafKeys<W>& keys) {
+    for (size_t i = 0; i < keys.size(); ++i) out.push_back(keys[i]);
     return true;
   });
   return out;
@@ -122,15 +121,16 @@ TEST(BPlusTreeStressTest, InterleavedIteratorsUnderEviction) {
   using Key = std::array<uint64_t, 2>;
   constexpr uint64_t kSteps = 4000;
   const uint64_t starts[4] = {0, 5000, 10000, 15000};
-  std::span<const Key> leaf[4];
+  std::vector<Key> leaf[4];    // each walk's keys for its current steps
   uint64_t leaf_step[4] = {};  // the step of leaf[w].front()
   uint64_t steps_checked = 0;
   std::function<void(int, uint64_t, uint64_t)> walk = [&](int w, uint64_t lo,
                                                           uint64_t hi) {
     uint64_t step = lo;
-    tree.Walk({starts[w] + lo, 0}, [&](std::span<const Key> keys) {
+    tree.Walk({starts[w] + lo, 0}, [&](const rowstore::LeafKeys<2>& keys) {
       const uint64_t take = std::min<uint64_t>(keys.size(), hi - step);
-      leaf[w] = keys.first(take);
+      leaf[w].clear();
+      for (uint64_t i = 0; i < take; ++i) leaf[w].push_back(keys[i]);
       leaf_step[w] = step;
       if (w < 3) {
         walk(w + 1, step, step + take);
