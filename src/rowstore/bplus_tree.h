@@ -52,7 +52,7 @@ class LeafKeys {
 
   size_t size() const { return size_; }
   Key operator[](size_t i) const {
-    Key key;
+    Key key{};
     for (int w = 0; w < W; ++w) {
       std::memcpy(&key[w], keys_ + (i * W + w) * sizeof(uint64_t),
                   sizeof(uint64_t));
