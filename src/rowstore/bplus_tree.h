@@ -198,12 +198,13 @@ class BPlusTree {
   // fn(keys) with the first leaf's keys from the lower bound on, then
   // with each following leaf's keys along the sibling chain, until fn
   // returns false or the chain ends. The keys are valid only during the
-  // call; the leaf stays pinned while fn runs. The walk fetches the pages a
-  // key-at-a-time cursor would, in the same order: the root-to-leaf
-  // descent, that leaf again to hold it, then each next leaf — fetched
-  // while its predecessor is still pinned — once fn has taken all of the
-  // previous one. A range that ends on a leaf's last key therefore still
-  // reads the next leaf, where its end shows.
+  // call; the leaf stays pinned while fn runs. Page fetches, in order: the
+  // root-to-leaf descent, that leaf again to hold it, then each next leaf
+  // — fetched while its predecessor is still pinned — once fn has taken
+  // all of the previous one. A range that ends on a leaf's last key
+  // therefore still reads the next leaf, where its end shows. The pinned
+  // cold costs of the row engine (RowMatchCostTest, RowEngineCostTest)
+  // depend on exactly this sequence.
   template <typename Fn>
   void Walk(const Key& lower, const Fn& fn) const {
     uint32_t leaf;

@@ -242,14 +242,18 @@ void TripleRelation::FullScan(
   const uint32_t per = static_cast<uint32_t>((leaves + parts - 1) / parts);
   const KeyDecoder decode(config_.clustered);
   ectx.ParallelFor(parts, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    rdf::Triple batch[BPlusTree<3>::kLeafCapacity] = {};
+    std::vector<rdf::Triple> batch;
+    batch.reserve(BPlusTree<3>::kLeafCapacity);
     for (uint64_t part = b; part < e; ++part) {
       const uint32_t lo = static_cast<uint32_t>(part) * per;
       const uint32_t hi = std::min(leaves, lo + per);
       if (lo >= hi) continue;
       clustered_->ScanLeaves(lo, hi, [&](const LeafKeys<3>& keys) {
-        for (size_t i = 0; i < keys.size(); ++i) batch[i] = decode(keys[i]);
-        fn(part, {batch, keys.size()});
+        batch.clear();
+        for (size_t i = 0; i < keys.size(); ++i) {
+          batch.push_back(decode(keys[i]));
+        }
+        fn(part, batch);
       });
     }
   });
@@ -275,24 +279,24 @@ void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
     (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
   }
 
-  rdf::Triple batch[BPlusTree<3>::kLeafCapacity] = {};
+  std::vector<rdf::Triple> batch;
+  batch.reserve(BPlusTree<3>::kLeafCapacity);
   tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
-    SWAN_DCHECK_LE(keys.size(), BPlusTree<3>::kLeafCapacity);
-    size_t n = 0;
+    batch.clear();
     const bool more = ForEachMatch<3>(
         keys, prefix, residual, [&](const BPlusTree<3>::Key& key) {
-          batch[n] = decode(key);
+          const rdf::Triple t = decode(key);
           if (fetch_rows) {
             // Non-covering secondary: fetch the base row from the
             // clustered tree (pays the random descent the cost model
             // anticipated).
             const bool present =
-                clustered_->Contains(KeyOf(batch[n], config_.clustered));
+                clustered_->Contains(KeyOf(t, config_.clustered));
             SWAN_CHECK_MSG(present, "secondary points at missing row");
           }
-          ++n;
+          batch.push_back(t);
         });
-    if (n > 0) fn({batch, n});
+    if (!batch.empty()) fn(batch);
     return more;
   });
 }

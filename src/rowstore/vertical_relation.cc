@@ -152,22 +152,22 @@ void VerticalRelation::ScanPartition(uint64_t property,
   bind(subject_slot, subject);
   bind(object_slot, object);
 
-  rdf::Triple batch[BPlusTree<2>::kLeafCapacity] = {};
+  std::vector<rdf::Triple> batch;
+  batch.reserve(BPlusTree<2>::kLeafCapacity);
   tree->Walk(prefix.want, [&](const LeafKeys<2>& keys) {
-    SWAN_DCHECK_LE(keys.size(), BPlusTree<2>::kLeafCapacity);
-    size_t n = 0;
+    batch.clear();
     const bool more = ForEachMatch<2>(
         keys, prefix, residual, [&](const BPlusTree<2>::Key& key) {
-          batch[n] = {key[subject_slot], property, key[object_slot]};
+          const uint64_t s = key[subject_slot];
+          const uint64_t o = key[object_slot];
           if (object_order) {
             // Non-covering secondary: fetch the row from the SO tree.
-            const bool present = part.clustered_so->Contains(
-                {batch[n].subject, batch[n].object});
+            const bool present = part.clustered_so->Contains({s, o});
             SWAN_CHECK_MSG(present, "OS index points at missing row");
           }
-          ++n;
+          batch.push_back({s, property, o});
         });
-    if (n > 0) fn({batch, n});
+    if (!batch.empty()) fn(batch);
     return more;
   });
 }
