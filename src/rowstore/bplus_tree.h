@@ -69,18 +69,27 @@ class LeafKeys {
 // bound `prefix` and match the `residual` constraints, in key order.
 // Returns whether the prefix run reaches the leaf's end, i.e. whether the
 // walk goes on. The prefix leads the key order, so its run is the leaf's
-// leading keys: one test of the last key, else a binary search. Residual
-// tests run eight keys at a time into a bit mask, with no branch per key,
-// and only the set bits are visited — cheap both when few keys match
-// (most blocks are skipped on a well-predicted branch) and when many do.
+// leading keys: one test of the last key, else a galloping search from
+// the front. Residual tests run eight keys at a time into a bit mask,
+// with no branch per key, and only the set bits are visited — cheap both
+// when few keys match (most blocks are skipped on a well-predicted
+// branch) and when many do.
 template <int W, typename Take>
 bool ForEachMatch(const LeafKeys<W>& keys, const KeyMatch<W>& prefix,
                   const KeyMatch<W>& residual, const Take& take) {
   SWAN_DCHECK(keys.size() > 0);
   size_t end = keys.size();
   if (!prefix.Matches(keys[end - 1])) {
+    // The run ends inside the leaf, usually after a few keys: gallop from
+    // the front to bracket its end, then binary-search the bracket.
+    const size_t last = end - 1;  // past the prefix
     size_t lo = 0;
-    size_t hi = end - 1;  // keys[hi] is past the prefix
+    size_t probe = 0;
+    while (probe < last && prefix.Matches(keys[probe])) {
+      lo = probe + 1;
+      probe = 2 * probe + 1;
+    }
+    size_t hi = std::min(probe, last);  // keys[hi] is past the prefix
     while (lo < hi) {
       const size_t mid = lo + (hi - lo) / 2;
       if (prefix.Matches(keys[mid])) {

@@ -279,8 +279,7 @@ void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
     (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
   }
 
-  std::vector<rdf::Triple> batch;
-  batch.reserve(BPlusTree<3>::kLeafCapacity);
+  std::vector<rdf::Triple> batch;  // grows to its largest leaf once
   tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
     batch.clear();
     const bool more = ForEachMatch<3>(

@@ -152,8 +152,7 @@ void VerticalRelation::ScanPartition(uint64_t property,
   bind(subject_slot, subject);
   bind(object_slot, object);
 
-  std::vector<rdf::Triple> batch;
-  batch.reserve(BPlusTree<2>::kLeafCapacity);
+  std::vector<rdf::Triple> batch;  // grows to its largest leaf once
   tree->Walk(prefix.want, [&](const LeafKeys<2>& keys) {
     batch.clear();
     const bool more = ForEachMatch<2>(
