@@ -216,9 +216,9 @@ class BPlusTree {
   // depend on exactly this sequence.
   template <typename Fn>
   void Walk(const Key& lower, const Fn& fn) const {
-    uint32_t leaf;
-    uint16_t slot;
-    bool found;
+    uint32_t leaf = kInvalidPage;
+    uint16_t slot = 0;
+    bool found = false;
     FindLeaf(lower, &leaf, &slot, &found);
     storage::PageGuard guard = pool_->Fetch(file_.page_id(leaf));
     if (slot < ReadU16(guard.data() + 2) && !fn(KeysOf(guard.data(), slot))) {
