@@ -659,6 +659,400 @@ TEST(RowMatchCostTest, ColdMatchIsPinned) {
   EXPECT_EQ(cell, golden.size());
 }
 
+// Backend::Match on the column designs, pinned per pattern at width 1
+// like RowMatchCostTest: rows (count and order hash), cold bytes, seeks,
+// virtual seconds, pool misses and page fetches after DropCaches. Covers
+// the vertical store and the triple store in PSO and SPO order under raw
+// and auto codecs, plus the C-Store engine (always auto-compressed, the
+// 28 loaded properties only). The patterns bind the subject, the object,
+// both, the property alone, nothing (the whole store) and a subject alone
+// (describe), plus absent constants. The two column backends repeat them
+// with unmerged inserts and tombstoned deletes in the write store, then
+// after a merge; the merge itself is pinned as the cold cost of the q1 run
+// that triggers it. Any change to which columns a Match reads, in which
+// order, or to the rows it returns shows up here.
+TEST(ColumnMatchCostTest, ColdMatchIsPinned) {
+  struct Cost {
+    uint64_t rows;
+    uint64_t hash;
+    uint64_t bytes;
+    uint64_t seeks;
+    double seconds;
+    uint64_t misses;
+    uint64_t fetches;
+  };
+  // 11 patterns (in `patterns` order) per block; one cell per merge.
+  const std::vector<Cost> golden = {
+      // C-Store vert. SO
+      {6, 0x984200f61ca7b8af, 24576, 2, 0x1.0a46163337a7p-8, 3, 3},
+      {19, 0xb72873e62ff5f344, 475136, 56, 0x1.cfbdfd4cbc561p-4, 58, 58},
+      {1326, 0x98b05cc4329551ae, 24576, 2, 0x1.0a46163337a7p-8, 3, 3},
+      {1326, 0x98b05cc4329551ae, 475136, 56, 0x1.cfbdfd4cbc561p-4, 58, 58},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.08e5addc834f4p-8, 2, 2},
+      {1, 0xbfbd881222286b0d, 475136, 56, 0x1.cfbdfd4cbc561p-4, 58, 58},
+      {9251, 0x9a34f4fd07db7320, 24576, 2, 0x1.0a46163337a7p-8, 3, 3},
+      {1588, 0x1133b53afdb63f2, 16384, 2, 0x1.08e5addc834f4p-8, 2, 2},
+      {39150, 0x537d38984b88f279, 475136, 56, 0x1.cfbdfd4cbc561p-4, 58, 58},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 475136, 56, 0x1.cfbdfd4cbc561p-4, 58, 58},
+      // MonetDB vert. SO, raw
+      {6, 0x984200f61ca7b8af, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {19, 0xb72873e62ff5f344, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {1326, 0x98b05cc4329551ae, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1326, 0x98b05cc4329551ae, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {1, 0xbfbd881222286b0d, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {1, 0xbfbd881222286b0d, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {9251, 0x9a34f4fd07db7320, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1588, 0x1133b53afdb63f2, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {40000, 0xb5fa5779db6cb448, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      // MonetDB vert. SO, raw, unmerged writes
+      {6, 0x984200f61ca7b8af, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {18, 0xe19ff8f61279042e, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {1326, 0x74dafec59c605cc2, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1326, 0x74dafec59c605cc2, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {0, 0xcbf29ce484222325, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {0, 0xcbf29ce484222325, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {9239, 0xda6bb38d49de0c7a, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1580, 0x7de4ad7409241234, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {39886, 0x3b567e10d16f6de0, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      // MonetDB vert. SO, raw, merge + q1
+      {30, 0xb985cde0c3da5529, 1327104, 103, 0x1.c1c394d392ca4p-5, 162, 162},
+      // MonetDB vert. SO, raw, merged
+      {6, 0x984200f61ca7b8af, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {18, 0xe19ff8f61279042e, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {1326, 0x8bcd7aaf31b11960, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1326, 0x8bcd7aaf31b11960, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {0, 0xcbf29ce484222325, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {0, 0xcbf29ce484222325, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {9239, 0x3200eb331f40f9be, 163840, 2, 0x1.74457847760cbp-10, 20, 20},
+      {1580, 0x764c61c64a63bbde, 32768, 2, 0x1.1c2b629a601bfp-10, 4, 4},
+      {39886, 0xc7e7c58d4ffc0b44, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 2310144, 232, 0x1.f365ffdd8acd7p-4, 282, 282},
+      // MonetDB triple PSO, raw
+      {6, 0x984200f61ca7b8af, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {19, 0xb72873e62ff5f344, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x98b05cc4329551ae, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x98b05cc4329551ae, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1, 0xbfbd881222286b0d, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1, 0xbfbd881222286b0d, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {9251, 0x9a34f4fd07db7320, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1588, 0x1133b53afdb63f2, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {40000, 0xb5fa5779db6cb448, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      // MonetDB triple PSO, raw, unmerged writes
+      {6, 0x984200f61ca7b8af, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {18, 0xe19ff8f61279042e, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x53233a6c95efbffa, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x53233a6c95efbffa, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {9239, 0x36dfc433609442d6, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1580, 0x6a01df361a2c5598, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {39886, 0x94bd0e4a1cbb322c, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      // MonetDB triple PSO, raw, merge + q1
+      {30, 0xb985cde0c3da5529, 1622016, 5, 0x1.b467bd4cec82fp-8, 198, 198},
+      // MonetDB triple PSO, raw, merged
+      {6, 0x984200f61ca7b8af, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {18, 0xe19ff8f61279042e, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1326, 0x8bcd7aaf31b11960, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1326, 0x8bcd7aaf31b11960, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {9239, 0x3200eb331f40f9be, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1580, 0x764c61c64a63bbde, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {39886, 0xc7e7c58d4ffc0b44, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      // MonetDB triple SPO, raw
+      {6, 0x984200f61ca7b8af, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {19, 0xb72873e62ff5f344, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x98b05cc4329551ae, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x98b05cc4329551ae, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1, 0xbfbd881222286b0d, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1, 0xbfbd881222286b0d, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {9251, 0x9a34f4fd07db7320, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1588, 0x1133b53afdb63f2, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {40000, 0x15ef9ce20f2834ec, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      // MonetDB triple SPO, raw, unmerged writes
+      {6, 0x984200f61ca7b8af, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {18, 0xe19ff8f61279042e, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x53233a6c95efbffa, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1326, 0x53233a6c95efbffa, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {9239, 0x36dfc433609442d6, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {1580, 0x6a01df361a2c5598, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {39886, 0xdab798f59f970cc6, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      {0, 0xcbf29ce484222325, 983040, 3, 0x1.077ebb96331e7p-8, 120, 120},
+      // MonetDB triple SPO, raw, merge + q1
+      {30, 0xb985cde0c3da5529, 1622016, 5, 0x1.b467bd4cec82fp-8, 198, 198},
+      // MonetDB triple SPO, raw, merged
+      {6, 0x984200f61ca7b8af, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {18, 0xe19ff8f61279042e, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1326, 0x8bcd7aaf31b11960, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1326, 0x8bcd7aaf31b11960, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {9239, 0x3200eb331f40f9be, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {1580, 0x764c61c64a63bbde, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {39886, 0x80f64c71db480e9a, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      {0, 0xcbf29ce484222325, 958464, 3, 0x1.035d829216173p-8, 117, 117},
+      // MonetDB vert. SO, auto
+      {6, 0x984200f61ca7b8af, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {19, 0xb72873e62ff5f344, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {1326, 0x98b05cc4329551ae, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1326, 0x98b05cc4329551ae, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {1, 0xbfbd881222286b0d, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {1, 0xbfbd881222286b0d, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {9251, 0x9a34f4fd07db7320, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1588, 0x1133b53afdb63f2, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {40000, 0xb5fa5779db6cb448, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      // MonetDB vert. SO, auto, unmerged writes
+      {6, 0x984200f61ca7b8af, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {18, 0xe19ff8f61279042e, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {1326, 0x74dafec59c605cc2, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1326, 0x74dafec59c605cc2, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {0, 0xcbf29ce484222325, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {9239, 0xda6bb38d49de0c7a, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1580, 0x7de4ad7409241234, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {39886, 0x3b567e10d16f6de0, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      // MonetDB vert. SO, auto, merge + q1
+      {30, 0xb985cde0c3da5529, 860160, 103, 0x1.b7f4ad69cdd7ep-5, 105, 105},
+      // MonetDB vert. SO, auto, merged
+      {6, 0x984200f61ca7b8af, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {18, 0xe19ff8f61279042e, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {1326, 0x8bcd7aaf31b11960, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1326, 0x8bcd7aaf31b11960, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {0, 0xcbf29ce484222325, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {0, 0xcbf29ce484222325, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {9239, 0x3200eb331f40f9be, 24576, 2, 0x1.16a9c13f8ebcep-10, 3, 3},
+      {1580, 0x764c61c64a63bbde, 16384, 2, 0x1.11281fe4bd5ddp-10, 2, 2},
+      {39886, 0xc7e7c58d4ffc0b44, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      {0, 0xcbf29ce484222325, 0, 0, 0x0p+0, 0, 0},
+      {0, 0xcbf29ce484222325, 1916928, 232, 0x1.ef44c6d96dc62p-4, 234, 234},
+      // MonetDB triple PSO, auto
+      {6, 0x984200f61ca7b8af, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {19, 0xb72873e62ff5f344, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {1326, 0x98b05cc4329551ae, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1326, 0x98b05cc4329551ae, 139264, 3, 0x1.e6d302ce8f3f6p-10, 17, 17},
+      {1, 0xbfbd881222286b0d, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {1, 0xbfbd881222286b0d, 139264, 3, 0x1.e6d302ce8f3f8p-10, 17, 17},
+      {9251, 0x9a34f4fd07db7320, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1588, 0x1133b53afdb63f2, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {40000, 0xb5fa5779db6cb448, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      // MonetDB triple PSO, auto, unmerged writes
+      {6, 0x984200f61ca7b8af, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {18, 0xe19ff8f61279042e, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {1326, 0x53233a6c95efbffa, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1326, 0x53233a6c95efbffa, 139264, 3, 0x1.e6d302ce8f3f6p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f8p-10, 17, 17},
+      {9239, 0x36dfc433609442d6, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1580, 0x6a01df361a2c5598, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {39886, 0x94bd0e4a1cbb322c, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      // MonetDB triple PSO, auto, merge + q1
+      {30, 0xb985cde0c3da5529, 229376, 5, 0x1.94c4e772547a2p-9, 28, 28},
+      // MonetDB triple PSO, auto, merged
+      {6, 0x984200f61ca7b8af, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {18, 0xe19ff8f61279042e, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {1326, 0x8bcd7aaf31b11960, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1326, 0x8bcd7aaf31b11960, 139264, 3, 0x1.e6d302ce8f3f6p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f8p-10, 17, 17},
+      {9239, 0x3200eb331f40f9be, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {1580, 0x764c61c64a63bbde, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {39886, 0xc7e7c58d4ffc0b44, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f9p-10, 17, 17},
+      {0, 0xcbf29ce484222325, 139264, 3, 0x1.e6d302ce8f3f7p-10, 17, 17},
+      // MonetDB triple SPO, auto
+      {6, 0x984200f61ca7b8af, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {19, 0xb72873e62ff5f344, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1326, 0x98b05cc4329551ae, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {1326, 0x98b05cc4329551ae, 163840, 3, 0x1.f757e6df035c8p-10, 20, 20},
+      {1, 0xbfbd881222286b0d, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1, 0xbfbd881222286b0d, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {9251, 0x9a34f4fd07db7320, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1588, 0x1133b53afdb63f2, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {40000, 0x15ef9ce20f2834ec, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      // MonetDB triple SPO, auto, unmerged writes
+      {6, 0x984200f61ca7b8af, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {18, 0xe19ff8f61279042e, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1326, 0x53233a6c95efbffa, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {1326, 0x53233a6c95efbffa, 163840, 3, 0x1.f757e6df035c8p-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {9239, 0x36dfc433609442d6, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1580, 0x6a01df361a2c5598, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {39886, 0xdab798f59f970cc6, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      // MonetDB triple SPO, auto, merge + q1
+      {30, 0xb985cde0c3da5529, 286720, 5, 0x1.a80a9c303146cp-9, 35, 35},
+      // MonetDB triple SPO, auto, merged
+      {6, 0x984200f61ca7b8af, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {18, 0xe19ff8f61279042e, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1326, 0x8bcd7aaf31b11960, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {1326, 0x8bcd7aaf31b11960, 163840, 3, 0x1.f757e6df035c8p-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cap-10, 20, 20},
+      {9239, 0x3200eb331f40f9be, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {1580, 0x764c61c64a63bbde, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {39886, 0x80f64c71db480e9a, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+      {0, 0xcbf29ce484222325, 163840, 3, 0x1.f757e6df035cbp-10, 20, 20},
+  };
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  auto barton = GenerateBarton(config);
+  rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  const core::Vocabulary& v = ctx.vocab();
+
+  // The subject with the most triples, and one of its triples.
+  std::map<uint64_t, uint64_t> per_subject;
+  for (const rdf::Triple& t : data.triples()) ++per_subject[t.subject];
+  const uint64_t hub =
+      std::max_element(per_subject.begin(), per_subject.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })
+          ->first;
+  rdf::Triple hub_triple{};
+  for (const rdf::Triple& t : data.triples()) {
+    if (t.subject == hub) hub_triple = t;
+  }
+  // Writes: every triple of every 40th subject cloned onto a fresh
+  // subject, and every triple of every 35th subject deleted (the hub's
+  // triple and some <type> <Text> rows among them).
+  std::vector<rdf::Triple> inserts;
+  std::vector<rdf::Triple> deletes = {hub_triple};
+  for (const rdf::Triple& t : data.triples()) {
+    if (t.subject % 35 == 0 && t.subject != hub) deletes.push_back(t);
+    if (t.subject % 40 != 0) continue;
+    const uint64_t clone =
+        data.dict().Intern("<col-clone-" + std::to_string(t.subject) + ">");
+    inserts.push_back({clone, t.property, t.object});
+  }
+  const uint64_t absent = data.dict().size() + 5;
+  const auto pattern = [](std::optional<uint64_t> s, std::optional<uint64_t> p,
+                          std::optional<uint64_t> o) {
+    rdf::TriplePattern tp;
+    tp.subject = s;
+    tp.property = p;
+    tp.object = o;
+    return tp;
+  };
+  const std::vector<rdf::TriplePattern> patterns = {
+      pattern(hub, v.type, std::nullopt),
+      pattern(hub, std::nullopt, std::nullopt),
+      pattern(std::nullopt, v.type, v.text),
+      pattern(std::nullopt, std::nullopt, v.text),
+      pattern(hub, hub_triple.property, hub_triple.object),
+      pattern(hub, std::nullopt, hub_triple.object),
+      pattern(std::nullopt, v.type, std::nullopt),
+      pattern(std::nullopt, v.language, std::nullopt),
+      pattern(std::nullopt, std::nullopt, std::nullopt),
+      pattern(std::nullopt, absent, std::nullopt),
+      pattern(absent, std::nullopt, std::nullopt),
+  };
+
+  const exec::ExecContext ectx(1);
+  size_t cell = 0;
+  const auto pin = [&](core::Backend* backend, const std::string& where,
+                       const auto& op) {
+    const storage::BufferPool* pool = backend->buffer_pool();
+    backend->DropCaches();
+    backend->disk()->ResetStats();
+    const uint64_t hits = pool->hits();
+    const uint64_t misses = pool->misses();
+    const std::vector<std::vector<uint64_t>> rows = op();
+    uint64_t hash = 14695981039346656037ull;
+    for (const std::vector<uint64_t>& row : rows) {
+      for (uint64_t id : row) hash = (hash ^ id) * 1099511628211ull;
+    }
+    const Cost got{rows.size(),
+                   hash,
+                   backend->TotalBytesRead(),
+                   backend->TotalSeeks(),
+                   backend->VirtualSeconds(),
+                   pool->misses() - misses,
+                   pool->hits() - hits + pool->misses() - misses};
+    ASSERT_LT(cell, golden.size()) << where;
+    const Cost& want = golden[cell++];
+    EXPECT_EQ(got.rows, want.rows) << where;
+    EXPECT_EQ(got.hash, want.hash) << where;
+    EXPECT_EQ(got.bytes, want.bytes) << where;
+    EXPECT_EQ(got.seeks, want.seeks) << where;
+    EXPECT_EQ(got.seconds, want.seconds) << where;
+    EXPECT_EQ(got.misses, want.misses) << where;
+    EXPECT_EQ(got.fetches, want.fetches) << where;
+  };
+  const auto match_all = [&](core::Backend* backend, const std::string& when) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      pin(backend, backend->name() + " pattern " + std::to_string(i) + when,
+          [&] {
+            std::vector<std::vector<uint64_t>> rows;
+            for (const rdf::Triple& t : backend->Match(patterns[i], ectx)) {
+              rows.push_back({t.subject, t.property, t.object});
+            }
+            return rows;
+          });
+    }
+  };
+
+  core::CStoreBackend cstore(data, ctx.interesting_properties());
+  match_all(&cstore, "");
+  for (colstore::ColumnCodec codec :
+       {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
+    const std::string tag = ", " + colstore::ToString(codec);
+    core::ColVerticalBackend col_vert(data, {}, 4096, codec);
+    core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                   codec);
+    core::ColTripleBackend col_spo(data, rdf::TripleOrder::kSPO, {}, 4096,
+                                   codec);
+    for (core::Backend* backend :
+         std::vector<core::Backend*>{&col_vert, &col_pso, &col_spo}) {
+      match_all(backend, tag);
+      for (const rdf::Triple& t : inserts) {
+        ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
+      }
+      for (const rdf::Triple& t : deletes) {
+        ASSERT_TRUE(backend->Delete(t).ok()) << backend->name();
+      }
+      match_all(backend, tag + ", unmerged writes");
+      pin(backend, backend->name() + tag + " merge", [&] {
+        return backend->Run(QueryId::kQ1, ctx, ectx).rows;
+      });
+      match_all(backend, tag + ", merged");
+    }
+  }
+  EXPECT_EQ(cell, golden.size());
+}
+
 // The column engines' modeled cold cost, pinned the same way: bytes, seeks
 // and virtual seconds after DropCaches for the vertical scheme and the
 // triple store in PSO and SPO order, raw and auto-compressed, at one and
