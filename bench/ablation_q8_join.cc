@@ -89,9 +89,11 @@ int main() {
   const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
   swan::core::ColTripleBackend backend(barton.dataset,
                                        swan::rdf::TripleOrder::kPSO);
-  const auto& table_ref = backend.table();
-  const auto& subjects = table_ref.subjects();
-  const auto& objects = table_ref.objects();
+  // The strategies compare on the decoded columns.
+  const std::vector<uint64_t> subjects =
+      backend.table().encoded_subjects().Materialize();
+  const std::vector<uint64_t> objects =
+      backend.table().encoded_objects().Materialize();
   const uint64_t conferences = ctx.vocab().conferences;
 
   // t = objects of the conferences subject.

@@ -25,6 +25,10 @@ swan_add_bench(table7_hot_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
 add_test(NAME table6_cold_runs_gates COMMAND table6_cold_runs)
 set_tests_properties(table6_cold_runs_gates PROPERTIES
   ENVIRONMENT "SWAN_TRIPLES=20000")
+# The q8 join ablation exits 1 when its three join strategies disagree.
+add_test(NAME ablation_q8_join COMMAND ablation_q8_join)
+set_tests_properties(ablation_q8_join PROPERTIES
+  ENVIRONMENT "SWAN_TRIPLES=20000")
 # The Table 7 grid's correctness gate (every design's hot rows must agree)
 # at the same scale; its timings gate nothing.
 add_test(NAME table7_hot_runs COMMAND table7_hot_runs)

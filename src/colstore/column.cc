@@ -147,54 +147,30 @@ void Column::Build(std::span<const uint64_t> values) {
   writer.Finish();
 }
 
-const EncodedColumn& Column::EncodedLocked() const {
-  if (!encoded_loaded_.load(std::memory_order_relaxed)) {
-    if (codec_ == ColumnCodec::kRaw) {
-      std::vector<uint64_t> values;
-      storage::ReadU64File(pool_, file_, size_, &values);
-      encoded_ = EncodedColumn::FromRaw(std::move(values));
-    } else {
-      std::vector<uint8_t> encoded;
-      storage::ReadByteFile(pool_, file_, stored_bytes_, &encoded);
-      encoded_ = EncodedColumn::Parse(encoded, size_);
-    }
-    encoded_loaded_.store(true, std::memory_order_release);
-  }
-  return encoded_;
-}
-
 const EncodedColumn& Column::Encoded() const {
   SWAN_CHECK_MSG(built_, "Column::Encoded before Build");
-  if (!encoded_loaded_.load(std::memory_order_acquire)) {
-    MutexLock lock(&load_mutex_);
-    EncodedLocked();
-  }
-  return encoded_;
-}
-
-const std::vector<uint64_t>& Column::Get() const {
-  SWAN_CHECK_MSG(built_, "Column::Get before Build");
   if (!loaded_.load(std::memory_order_acquire)) {
     MutexLock lock(&load_mutex_);
     if (!loaded_.load(std::memory_order_relaxed)) {
-      const EncodedColumn& enc = EncodedLocked();
-      // A flat encoded image *is* the raw materialization; only run- and
-      // bit-compressed reps need a second buffer.
-      if (enc.rep() != EncodedColumn::Rep::kFlat) cache_ = enc.Materialize();
+      if (codec_ == ColumnCodec::kRaw) {
+        std::vector<uint64_t> values;
+        storage::ReadU64File(pool_, file_, size_, &values);
+        encoded_ = EncodedColumn::FromRaw(std::move(values));
+      } else {
+        std::vector<uint8_t> encoded;
+        storage::ReadByteFile(pool_, file_, stored_bytes_, &encoded);
+        encoded_ = EncodedColumn::Parse(encoded, size_);
+      }
       loaded_.store(true, std::memory_order_release);
     }
   }
-  return encoded_.rep() == EncodedColumn::Rep::kFlat ? encoded_.flat()
-                                                     : cache_;
+  return encoded_;
 }
 
 void Column::DropCache() const {
   MutexLock lock(&load_mutex_);
-  cache_.clear();
-  cache_.shrink_to_fit();
   encoded_ = EncodedColumn();
   loaded_.store(false, std::memory_order_release);
-  encoded_loaded_.store(false, std::memory_order_release);
 }
 
 bool Column::AuditRead(const std::string& label, std::vector<uint64_t>* out,
@@ -248,30 +224,19 @@ void Column::AuditInto(audit::AuditLevel level,
                     " pages, on-disk file has " +
                     std::to_string(file_.page_count()));
   }
-  // The raw in-memory image, when one exists (a flat encoded cache *is*
-  // the raw image; see Get()).
-  const std::vector<uint64_t>* cached_raw = nullptr;
-  if (loaded_.load(std::memory_order_relaxed)) {
-    cached_raw = encoded_.rep() == EncodedColumn::Rep::kFlat
-                     ? &encoded_.flat()
-                     : &cache_;
-  }
-  if (encoded_loaded_.load(std::memory_order_relaxed) &&
-      encoded_.size() != size_) {
+  // The cached image, decoded for the value checks.
+  const bool cached = loaded_.load(std::memory_order_relaxed);
+  const std::vector<uint64_t> cached_values =
+      cached ? encoded_.Materialize() : std::vector<uint64_t>();
+  if (cached && cached_values.size() != size_) {
     report->Add(audit::FindingClass::kColumn, label,
-                "cached encoded image has " + std::to_string(encoded_.size()) +
-                    " values, declared size is " + std::to_string(size_));
-  }
-  if (cached_raw != nullptr && cached_raw->size() != size_) {
-    report->Add(audit::FindingClass::kColumn, label,
-                "cached image has " + std::to_string(cached_raw->size()) +
+                "cached image has " + std::to_string(cached_values.size()) +
                     " values, declared size is " + std::to_string(size_));
   }
   if (level == audit::AuditLevel::kQuick) {
     // Quick audits verify whatever is already in memory, without paying
     // for a disk sweep.
-    if (cached_raw == nullptr) return;
-    AuditValues(label, *cached_raw, options, report);
+    if (cached) AuditValues(label, cached_values, options, report);
     return;
   }
   std::vector<uint64_t> disk_values;
@@ -283,7 +248,7 @@ void Column::AuditInto(audit::AuditLevel level,
                     " values, declared size is " + std::to_string(size_));
     return;
   }
-  if (cached_raw != nullptr && *cached_raw != disk_values) {
+  if (cached && cached_values != disk_values) {
     report->Add(audit::FindingClass::kColumn, label,
                 "in-memory cache diverges from on-disk image");
   }

@@ -67,7 +67,7 @@ class EncodedColumn {
   // decompression primitive: kernels call it per cache-sized chunk.
   void MaterializeInto(uint64_t lo, uint64_t hi, uint64_t* out) const;
 
-  // Full raw materialization (the legacy Column::Get image).
+  // Full raw materialization, for tests and audits.
   std::vector<uint64_t> Materialize() const;
 
   // Rep-specific accessors; only valid for the matching rep().
@@ -108,12 +108,9 @@ class EncodedColumn {
 // measures (triple-store must read the complete triples table; the
 // vertical scheme only the partitions a query touches, §4.3).
 //
-// Two cached images exist, both built lazily and dropped together:
-//   - Encoded(): the parsed compressed representation, populated by the
-//     cold load (this is all compressed execution needs), and
-//   - Get(): the full raw array, materialized on demand *from the cached
-//     encoded image* (no second disk read) for code that still wants
-//     flat spans.
+// The one in-memory image is Encoded(): the parsed compressed
+// representation the cold load produces. Every reader runs the encoded
+// kernels of ops.h on it, which decode only the rows they project.
 class Column {
  public:
   // `codec` controls the on-disk representation: compressed columns read
@@ -126,23 +123,20 @@ class Column {
   Column(const Column&) = delete;
   Column& operator=(const Column&) = delete;
 
-  // Writes `values` to disk. May only be called once, before any Get().
+  // Writes `values` to disk. May only be called once, before any
+  // Encoded().
   void Build(std::span<const uint64_t> values);
 
-  // Materialized view of the column; loads from disk if not cached.
-  // Thread-safe: concurrent first accesses serialize on a load mutex so
-  // the column is streamed from disk exactly once. Excluded from static
-  // analysis: the double-checked fast path returns the cache without the
-  // lock, published safely by the loaded_ acquire/release pair.
-  const std::vector<uint64_t>& Get() const SWAN_NO_THREAD_SAFETY_ANALYSIS;
-
   // Encoded view of the column; cold-loads (and parses) the compressed
-  // image if not cached, without materializing raw values. Same
-  // publication protocol as Get().
+  // image if not cached. Thread-safe: concurrent first accesses serialize
+  // on a load mutex so the column is streamed from disk exactly once.
+  // Excluded from static analysis: the double-checked fast path returns
+  // the cache without the lock, published safely by the loaded_
+  // acquire/release pair.
   const EncodedColumn& Encoded() const SWAN_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Drops both in-memory images (cold-run protocol). Not safe against
-  // concurrent Get() — the harness only drops caches between runs.
+  // Drops the in-memory image (cold-run protocol). Not safe against
+  // concurrent Encoded() — the harness only drops caches between runs.
   void DropCache() const SWAN_EXCLUDES(load_mutex_);
 
   bool loaded() const { return loaded_.load(std::memory_order_acquire); }
@@ -161,12 +155,13 @@ class Column {
   // The concrete codec Build wrote (kAuto resolves per column).
   ColumnCodec resolved_codec() const { return resolved_codec_; }
 
-  // Audit walker. At kFull, re-reads the column from disk (tolerantly:
-  // checksum mismatches and malformed encodings become findings) and
-  // verifies the declared size, sortedness and id-range constraints of
-  // `options`, plus agreement between the in-memory cache (if loaded)
-  // and the on-disk image. At every level, checks that the recorded
-  // encoded size is consistent with the on-disk page count.
+  // Audit walker. At kQuick, verifies the declared size, sortedness and
+  // id-range constraints of `options` on the cached image, if loaded. At
+  // kFull, re-reads the column from disk (tolerantly: checksum mismatches
+  // and malformed encodings become findings), verifies the same
+  // constraints on it and compares it with the cached image. At every
+  // level, checks that the recorded encoded size is consistent with the
+  // on-disk page count.
   void AuditInto(audit::AuditLevel level, const ColumnAuditOptions& options,
                  audit::AuditReport* report) const SWAN_EXCLUDES(load_mutex_);
 
@@ -194,10 +189,6 @@ class Column {
                           const ColumnAuditOptions& options,
                           audit::AuditReport* report);
 
-  // Loads + parses the encoded on-disk image if needed. Callers hold
-  // load_mutex_; publication to lock-free readers is via encoded_loaded_.
-  const EncodedColumn& EncodedLocked() const SWAN_REQUIRES(load_mutex_);
-
   storage::BufferPool* pool_;
   storage::PagedFile file_;
   ColumnCodec codec_;
@@ -206,16 +197,13 @@ class Column {
   uint64_t stored_bytes_ = 0;  // exact on-disk payload bytes
   bool built_ = false;
 
-  // Cache state is logically not part of the column's value. loaded_ /
-  // encoded_loaded_ are the double-checked-locking publication flags for
-  // cache_ / encoded_: set with release order after the load completes
-  // under load_mutex_, read with acquire order on the fast path.
-  // load_mutex_ outranks the buffer pool and disk because the load
-  // streams pages while holding it.
+  // Cache state is logically not part of the column's value. loaded_ is
+  // the double-checked-locking publication flag for encoded_: set with
+  // release order after the load completes under load_mutex_, read with
+  // acquire order on the fast path. load_mutex_ outranks the buffer pool
+  // and disk because the load streams pages while holding it.
   mutable Mutex load_mutex_{LockRank::kColumnLoad, "colstore.column-load"};
   mutable EncodedColumn encoded_ SWAN_GUARDED_BY(load_mutex_);
-  mutable std::vector<uint64_t> cache_ SWAN_GUARDED_BY(load_mutex_);
-  mutable std::atomic<bool> encoded_loaded_{false};
   mutable std::atomic<bool> loaded_{false};
 };
 

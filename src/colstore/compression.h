@@ -44,14 +44,16 @@ bool CodecFromString(std::string_view name, ColumnCodec* out);
 int BitWidthFor(uint64_t v);
 
 // Reads packed value `i` from a fixed-width word stream. `words` must be
-// padded with one zero word past the last data word so the straddling
-// two-word read never runs off the end.
+// padded with one zero word past the last data word so the two-word read
+// never runs off the end. The read is branch-free: the next word's bits
+// shift in by 64 - off in two steps, which is 0 bits when off == 0, and
+// bits past `width` are masked off.
 inline uint64_t PackedValueAt(const uint64_t* words, int width, uint64_t i) {
   const uint64_t bit = i * static_cast<uint64_t>(width);
   const uint64_t word = bit >> 6;
   const int off = static_cast<int>(bit & 63);
-  uint64_t v = words[word] >> off;
-  if (off + width > 64) v |= words[word + 1] << (64 - off);
+  const uint64_t v =
+      (words[word] >> off) | ((words[word + 1] << 1) << (63 - off));
   const uint64_t mask =
       width >= 64 ? ~0ull : (1ull << width) - 1;
   return v & mask;

@@ -799,39 +799,55 @@ void MarkSet::MarkAll(const EncodedColumn& col) {
         for (uint64_t v : col.palette()) Mark(v);
         return;
       }
-      ForEachDecodedBatch(col, 0, col.size(),
-                          [&](uint64_t, const uint64_t* values, uint64_t n) {
-                            for (uint64_t i = 0; i < n; ++i) Mark(values[i]);
-                          });
+      ForEachDecodedRows<1>({&col}, 0, col.size(),
+                            [&](uint64_t, const auto& v, uint64_t n) {
+                              for (uint64_t i = 0; i < n; ++i) Mark(v[0][i]);
+                            });
       return;
   }
 }
 
 PositionVector SelectEq(const EncodedColumn& col, uint64_t value,
                         const exec::ExecContext& ctx) {
+  return SelectEq(col, 0, col.size(), value, ctx);
+}
+
+PositionVector SelectEq(const EncodedColumn& col, uint64_t lo, uint64_t hi,
+                        uint64_t value, const exec::ExecContext& ctx) {
+  SWAN_DCHECK_LE(lo, hi);
+  SWAN_DCHECK_LE(hi, col.size());
   if (col.rep() == Rep::kFlat) {
-    return SelectEq(std::span<const uint64_t>(col.flat()), value, ctx);
+    PositionVector out = SelectEq(
+        std::span<const uint64_t>(col.flat()).subspan(lo, hi - lo), value,
+        ctx);
+    for (uint32_t& p : out) p += static_cast<uint32_t>(lo);
+    return out;
   }
   obs::Span span(ctx.trace(), "ops.select_eq_enc");
-  span.set_rows_in(col.size());
+  span.set_rows_in(hi - lo);
   PositionVector out;
+  if (lo == hi) return out;
   if (col.rep() == Rep::kRle) {
-    // One comparison per run; a matching run emits its whole position
-    // range. Chunk order is run order is position order.
+    // One comparison per run; a matching run emits its position range,
+    // clipped to [lo, hi). Chunk order is run order is position order.
     const auto& runs = col.runs();
-    out = MorselSelect(ctx, runs.size(),
-                       [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         for (uint64_t r = b; r < e; ++r) {
-                           if (runs[r].value != value) continue;
-                           const uint64_t end = runs[r].start + runs[r].length;
-                           for (uint64_t p = runs[r].start; p < end; ++p) {
-                             out->push_back(static_cast<uint32_t>(p));
-                           }
-                         }
-                       });
+    const uint64_t first = col.RunIndexOf(lo);
+    out = MorselSelect(
+        ctx, col.RunIndexOf(hi - 1) + 1 - first,
+        [&](uint64_t b, uint64_t e, PositionVector* out) {
+          for (uint64_t r = first + b; r < first + e; ++r) {
+            if (runs[r].value != value) continue;
+            const uint64_t start = std::max<uint64_t>(runs[r].start, lo);
+            const uint64_t end =
+                std::min<uint64_t>(runs[r].start + runs[r].length, hi);
+            for (uint64_t p = start; p < end; ++p) {
+              out->push_back(static_cast<uint32_t>(p));
+            }
+          }
+        });
   } else {
     // Compare in the code domain: the probe value is mapped once and no
-    // row is ever decoded. kMorsel chunks start on pack-word edges.
+    // row is ever decoded.
     uint64_t code;
     if (!col.CodeFor(value, &code)) {
       span.set_rows_out(0);
@@ -839,9 +855,9 @@ PositionVector SelectEq(const EncodedColumn& col, uint64_t value,
     }
     const uint64_t* words = col.words().data();
     const int width = col.bit_width();
-    out = MorselSelect(ctx, col.size(),
+    out = MorselSelect(ctx, hi - lo,
                        [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         for (uint64_t i = b; i < e; ++i) {
+                         for (uint64_t i = lo + b; i < lo + e; ++i) {
                            if (PackedValueAt(words, width, i) == code) {
                              out->push_back(static_cast<uint32_t>(i));
                            }

@@ -2,6 +2,7 @@
 #define SWANDB_COLSTORE_OPS_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -176,36 +177,47 @@ std::vector<uint64_t> SortDistinct(std::vector<uint64_t> values);
 //
 // Parallel chunking matches the span kernels: RLE work splits at run
 // boundaries and packed work at kMorsel (= 2^16, a multiple of 64, so
-// every chunk starts on a pack-word edge); chunk outputs concatenate in
-// chunk order. Results are therefore bit-identical to the span kernels at
-// every thread width.
+// every whole-column chunk starts on a pack-word edge); chunk outputs
+// concatenate in chunk order. Results are therefore bit-identical to the
+// span kernels at every thread width.
 
 // Batch size for projection-time decompression: 4096 values (32 KB) stay
 // cache-resident while amortizing per-batch dispatch.
 inline constexpr uint64_t kDecodeBatch = 4096;
 
-// Decodes [lo, hi) of `enc` in kDecodeBatch-sized chunks and invokes
-// body(base, values, count), base being the global position of values[0].
-// Flat columns pass their cached array through without copying. Serial —
+// Decodes rows [lo, hi) of N aligned encoded columns kDecodeBatch rows at
+// a time and invokes body(base, values, count), base being the global
+// position of the batch's first row and values[k] pointing at the batch
+// of cols[k]. Flat columns pass their cached array through without
+// copying; the others decode into one batch buffer each. Serial —
 // callers fan out per morsel and run one batch stream per chunk.
-template <typename Body>
-void ForEachDecodedBatch(const EncodedColumn& enc, uint64_t lo, uint64_t hi,
-                         const Body& body) {
-  if (lo >= hi) return;
-  if (enc.rep() == EncodedColumn::Rep::kFlat) {
-    body(lo, enc.flat().data() + lo, hi - lo);
-    return;
-  }
-  std::vector<uint64_t> buf(std::min(kDecodeBatch, hi - lo));
+template <size_t N, typename Body>
+void ForEachDecodedRows(const std::array<const EncodedColumn*, N>& cols,
+                        uint64_t lo, uint64_t hi, const Body& body) {
+  std::array<std::vector<uint64_t>, N> bufs;
+  std::array<const uint64_t*, N> values;
   for (uint64_t b = lo; b < hi; b += kDecodeBatch) {
     const uint64_t e = std::min(b + kDecodeBatch, hi);
-    enc.MaterializeInto(b, e, buf.data());
-    body(b, buf.data(), e - b);
+    for (size_t k = 0; k < N; ++k) {
+      if (cols[k]->rep() == EncodedColumn::Rep::kFlat) {
+        values[k] = cols[k]->flat().data() + b;
+        continue;
+      }
+      bufs[k].resize(e - b);
+      cols[k]->MaterializeInto(b, e, bufs[k].data());
+      values[k] = bufs[k].data();
+    }
+    body(b, values, e - b);
   }
 }
 
 // Positions where col[i] == value, without materializing col.
 PositionVector SelectEq(const EncodedColumn& col, uint64_t value,
+                        const exec::ExecContext& ctx = exec::ExecContext());
+
+// Positions i in [lo, hi) where col[i] == value.
+PositionVector SelectEq(const EncodedColumn& col, uint64_t lo, uint64_t hi,
+                        uint64_t value,
                         const exec::ExecContext& ctx = exec::ExecContext());
 
 // Positions i in `sel` where col[i] == value.

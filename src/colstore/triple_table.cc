@@ -40,18 +40,6 @@ void TripleTable::Load(std::vector<rdf::Triple> triples) {
   }
 }
 
-const std::vector<uint64_t>& TripleTable::ComponentColumn(
-    int component_index) const {
-  switch (component_index) {
-    case 0:
-      return subjects();
-    case 1:
-      return properties();
-    default:
-      return objects();
-  }
-}
-
 const Column& TripleTable::column(int component_index) const {
   switch (component_index) {
     case 0:
@@ -63,28 +51,17 @@ const Column& TripleTable::column(int component_index) const {
   }
 }
 
-const EncodedColumn& TripleTable::ComponentEncoded(int component_index) const {
-  switch (component_index) {
-    case 0:
-      return encoded_subjects();
-    case 1:
-      return encoded_properties();
-    default:
-      return encoded_objects();
-  }
-}
-
 std::pair<uint32_t, uint32_t> TripleTable::PrimaryRange(uint64_t v) const {
   // Binary search on the encoded view: a cold PrimaryRange probe reads the
   // compressed column but never materializes it.
   const auto comp = ComponentsOf(order_);
-  return EqRangeSorted(ComponentEncoded(comp[0]), v);
+  return EqRangeSorted(column(comp[0]).Encoded(), v);
 }
 
 std::pair<uint32_t, uint32_t> TripleTable::PrimarySecondaryRange(
     uint64_t v1, uint64_t v2) const {
   const auto comp = ComponentsOf(order_);
-  return EqRangeSorted2(ComponentEncoded(comp[0]), ComponentEncoded(comp[1]),
+  return EqRangeSorted2(column(comp[0]).Encoded(), column(comp[1]).Encoded(),
                         v1, v2);
 }
 

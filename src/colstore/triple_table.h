@@ -37,14 +37,8 @@ class TripleTable {
   // three columns.
   void Load(std::vector<rdf::Triple> triples);
 
-  // Role-named accessors (each triggers a lazy load of that column only).
-  const std::vector<uint64_t>& subjects() const { return subj_->Get(); }
-  const std::vector<uint64_t>& properties() const { return prop_->Get(); }
-  const std::vector<uint64_t>& objects() const { return obj_->Get(); }
-
-  // Encoded views: the cold load stops here — kernels execute on the
-  // compressed image and raw materialization never happens unless some
-  // caller also asks for the span accessors above.
+  // Role-named encoded views (each triggers a lazy load of that column
+  // only): kernels execute on the compressed image.
   const EncodedColumn& encoded_subjects() const { return subj_->Encoded(); }
   const EncodedColumn& encoded_properties() const { return prop_->Encoded(); }
   const EncodedColumn& encoded_objects() const { return obj_->Encoded(); }
@@ -77,9 +71,6 @@ class TripleTable {
                  audit::AuditReport* report) const;
 
  private:
-  const std::vector<uint64_t>& ComponentColumn(int component_index) const;
-  const EncodedColumn& ComponentEncoded(int component_index) const;
-
   rdf::TripleOrder order_;
   uint64_t size_ = 0;
   std::unique_ptr<Column> subj_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/macros.h"
@@ -84,20 +85,36 @@ const VerticalTable::Partition& VerticalTable::Require(
   return it->second;
 }
 
-const std::vector<uint64_t>& VerticalTable::Subjects(uint64_t property) const {
-  return Require(property).subj->Get();
-}
-
-const std::vector<uint64_t>& VerticalTable::Objects(uint64_t property) const {
-  return Require(property).obj->Get();
-}
-
 const EncodedColumn& VerticalTable::EncodedSubjects(uint64_t property) const {
   return Require(property).subj->Encoded();
 }
 
 const EncodedColumn& VerticalTable::EncodedObjects(uint64_t property) const {
   return Require(property).obj->Encoded();
+}
+
+void MatchPartition(const EncodedColumn& subj, const EncodedColumn& obj,
+                    uint64_t property, const rdf::TriplePattern& pattern,
+                    const exec::ExecContext& ectx,
+                    std::vector<rdf::Triple>* out) {
+  uint32_t lo = 0;
+  uint32_t hi = static_cast<uint32_t>(subj.size());
+  if (pattern.subject) {
+    std::tie(lo, hi) = EqRangeSorted(subj, *pattern.subject);
+  }
+  if (!pattern.object) {
+    ForEachDecodedRows<2>({&subj, &obj}, lo, hi,
+                          [&](uint64_t, const auto& v, uint64_t n) {
+                            for (uint64_t i = 0; i < n; ++i) {
+                              out->push_back({v[0][i], property, v[1][i]});
+                            }
+                          });
+    return;
+  }
+  const PositionVector sel = SelectEq(obj, lo, hi, *pattern.object, ectx);
+  for (uint64_t s : Gather(subj, sel, ectx)) {
+    out->push_back({s, property, *pattern.object});
+  }
 }
 
 std::pair<uint32_t, uint32_t> VerticalTable::SubjectRange(uint64_t property,

@@ -11,6 +11,7 @@
 #include "audit/audit.h"
 #include "colstore/column.h"
 #include "colstore/ops.h"
+#include "rdf/pattern.h"
 #include "rdf/triple.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
@@ -49,13 +50,9 @@ class VerticalTable {
     return partitions_.count(property) != 0;
   }
 
-  // Column accessors; the partition must exist. Subject columns are
-  // sorted; object columns are in subject order.
-  const std::vector<uint64_t>& Subjects(uint64_t property) const;
-  const std::vector<uint64_t>& Objects(uint64_t property) const;
-
-  // Encoded views of the same columns: the cold load stops at the parsed
-  // compressed image, kernels execute on it directly.
+  // Encoded column views; the partition must exist. Subject columns are
+  // sorted; object columns are in subject order. The cold load stops at
+  // the parsed compressed image, kernels execute on it directly.
   const EncodedColumn& EncodedSubjects(uint64_t property) const;
   const EncodedColumn& EncodedObjects(uint64_t property) const;
 
@@ -100,6 +97,20 @@ class VerticalTable {
   std::vector<uint64_t> properties_;
   std::unordered_map<uint64_t, Partition> partitions_;
 };
+
+// The per-partition scan of a vertical store: appends the triples of one
+// (subject, object)-sorted partition of `property` whose subject and
+// object match `pattern`, in row order. The bound subject narrows the
+// rows to a range by binary search. Without a bound object the range
+// decodes batch by batch; with one, a ranged SelectEq on the encoded
+// object column picks the rows (comparing packed codes, decoding none)
+// and only their subjects are gathered. Both columns must already be
+// loaded, subject first, by the caller, which fixes the order of the
+// cold reads.
+void MatchPartition(const EncodedColumn& subj, const EncodedColumn& obj,
+                    uint64_t property, const rdf::TriplePattern& pattern,
+                    const exec::ExecContext& ectx,
+                    std::vector<rdf::Triple>* out);
 
 }  // namespace swan::colstore
 

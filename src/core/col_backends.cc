@@ -1,8 +1,10 @@
 #include "core/col_backends.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <tuple>
 
@@ -17,7 +19,7 @@ namespace {
 using colstore::CountByKeyDense;
 using colstore::CountByPair;
 using colstore::EncodedColumn;
-using colstore::ForEachDecodedBatch;
+using colstore::ForEachDecodedRows;
 using colstore::Gather;
 using colstore::MarkSet;
 using colstore::MergeCountMatches;
@@ -59,10 +61,10 @@ std::vector<uint64_t> CountPropsOfMarkedSubjects(
         const uint64_t lo = std::max<uint64_t>(run.start, b);
         const uint64_t hi = std::min<uint64_t>(run.start + run.length, e);
         uint64_t hits = 0;
-        ForEachDecodedBatch(
-            subj, lo, hi, [&](uint64_t, const uint64_t* vals, uint64_t cnt) {
+        ForEachDecodedRows<1>(
+            {&subj}, lo, hi, [&](uint64_t, const auto& v, uint64_t cnt) {
               for (uint64_t i = 0; i < cnt; ++i) {
-                if (subjects.Test(vals[i])) ++hits;
+                if (subjects.Test(v[0][i])) ++hits;
               }
             });
         (*counts)[run.value] += hits;
@@ -70,15 +72,10 @@ std::vector<uint64_t> CountPropsOfMarkedSubjects(
       }
       return;
     }
-    // Sized per batch: the flat fast path hands the whole range over as
-    // one batch, which can exceed kDecodeBatch.
-    std::vector<uint64_t> pbuf;
-    ForEachDecodedBatch(
-        subj, b, e, [&](uint64_t base, const uint64_t* vals, uint64_t cnt) {
-          if (pbuf.size() < cnt) pbuf.resize(cnt);
-          prop.MaterializeInto(base, base + cnt, pbuf.data());
+    ForEachDecodedRows<2>(
+        {&subj, &prop}, b, e, [&](uint64_t, const auto& v, uint64_t cnt) {
           for (uint64_t i = 0; i < cnt; ++i) {
-            if (subjects.Test(vals[i])) ++(*counts)[pbuf[i]];
+            if (subjects.Test(v[0][i])) ++(*counts)[v[1][i]];
           }
         });
   };
@@ -115,14 +112,10 @@ PositionVector ScanPairPositions(const exec::ExecContext& ectx,
   const uint64_t n = a.size();
   span.set_rows_in(n);
   const auto fill = [&](uint64_t lo, uint64_t hi, PositionVector* out) {
-    if (lo >= hi) return;
-    std::vector<uint64_t> bbuf;
-    ForEachDecodedBatch(
-        a, lo, hi, [&](uint64_t base, const uint64_t* av, uint64_t cnt) {
-          if (bbuf.size() < cnt) bbuf.resize(cnt);
-          b.MaterializeInto(base, base + cnt, bbuf.data());
+    ForEachDecodedRows<2>(
+        {&a, &b}, lo, hi, [&](uint64_t base, const auto& v, uint64_t cnt) {
           for (uint64_t i = 0; i < cnt; ++i) {
-            if (pred(av[i], bbuf[i])) {
+            if (pred(v[0][i], v[1][i])) {
               out->push_back(static_cast<uint32_t>(base + i));
             }
           }
@@ -341,11 +334,11 @@ QueryResult SubjectRows(const std::vector<uint64_t>& subjects) {
 }
 
 // Folds a write store into sorted base rows in one linear pass: the base
-// rows (row_at(i) for i < base_rows, ascending by `less`) minus `gone`,
-// plus `fresh`, which holds no base row (Insert rejects those). Only the
-// two small write-store runs are sorted.
-template <typename Row, typename RowAt, typename Less>
-std::vector<Row> MergeSortedRuns(size_t base_rows, RowAt row_at,
+// rows (each_base(emit) calls emit(row) for every one, ascending by
+// `less`) minus `gone`, plus `fresh`, which holds no base row (Insert
+// rejects those). Only the two small write-store runs are sorted.
+template <typename Row, typename EachBase, typename Less>
+std::vector<Row> MergeSortedRuns(size_t base_rows, const EachBase& each_base,
                                  std::vector<Row> gone,
                                  std::vector<Row> fresh, Less less) {
   std::sort(gone.begin(), gone.end(), less);
@@ -354,13 +347,12 @@ std::vector<Row> MergeSortedRuns(size_t base_rows, RowAt row_at,
   out.reserve(base_rows + fresh.size());
   size_t g = 0;
   size_t f = 0;
-  for (size_t i = 0; i < base_rows; ++i) {
-    const Row row = row_at(i);
+  each_base([&](const Row& row) {
     while (f < fresh.size() && less(fresh[f], row)) out.push_back(fresh[f++]);
     while (g < gone.size() && less(gone[g], row)) ++g;
-    if (g < gone.size() && !less(row, gone[g])) continue;
+    if (g < gone.size() && !less(row, gone[g])) return;
     out.push_back(row);
-  }
+  });
   out.insert(out.end(), fresh.begin() + f, fresh.end());
   return out;
 }
@@ -858,16 +850,24 @@ Status ColTripleBackend::Delete(const rdf::Triple& triple) {
 }
 
 uint64_t ColTripleBackend::EnsureMerged() {
-  // Merge the write store into the read-optimized columns: read the base
-  // columns back, drop tombstoned rows, merge in the delta, and rebuild —
-  // the full cost a sorted-column store pays for updates.
-  const auto& subj = table_->subjects();
-  const auto& prop = table_->properties();
-  const auto& obj = table_->objects();
+  // Merge the write store into the read-optimized columns: decode the base
+  // columns batch by batch, drop tombstoned rows, merge in the delta, and
+  // rebuild — the full cost a sorted-column store pays for updates.
+  const EncodedColumn& subj = table_->encoded_subjects();
+  const EncodedColumn& prop = table_->encoded_properties();
+  const EncodedColumn& obj = table_->encoded_objects();
   const rdf::TripleOrder order = table_->order();
   std::vector<rdf::Triple> all = MergeSortedRuns(
       subj.size(),
-      [&](size_t i) { return rdf::Triple{subj[i], prop[i], obj[i]}; },
+      [&](const auto& emit) {
+        ForEachDecodedRows<3>(
+            {&subj, &prop, &obj}, 0, subj.size(),
+            [&](uint64_t, const auto& v, uint64_t n) {
+              for (uint64_t i = 0; i < n; ++i) {
+                emit(rdf::Triple{v[0][i], v[1][i], v[2][i]});
+              }
+            });
+      },
       std::vector<rdf::Triple>(tombstones_.begin(), tombstones_.end()),
       std::move(delta_),
       [order](const rdf::Triple& a, const rdf::Triple& b) {
@@ -887,62 +887,69 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
     const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
   // Suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_triple.match");
-  PositionVector sel;
-  bool have_sel = false;
+  // The bound leading components of the sort order narrow the rows to a
+  // range; every other bound component is a residual filter, applied in
+  // subject, property, object order.
+  const std::array<std::optional<uint64_t>, 3> bound = {
+      pattern.subject, pattern.property, pattern.object};
+  const auto comp = rdf::ComponentsOf(table_->order());
+  int prefix = 0;
+  if (bound[comp[0]]) prefix = bound[comp[1]] ? 2 : 1;
+  uint32_t lo = 0;
+  uint32_t hi = static_cast<uint32_t>(table_->size());
+  if (prefix == 2) {
+    std::tie(lo, hi) =
+        table_->PrimarySecondaryRange(*bound[comp[0]], *bound[comp[1]]);
+  } else if (prefix == 1) {
+    std::tie(lo, hi) = table_->PrimaryRange(*bound[comp[0]]);
+  }
+  const auto residual = [&](int c) {
+    const bool in_range =
+        (prefix >= 1 && c == comp[0]) || (prefix == 2 && c == comp[1]);
+    return bound[c] && !in_range;
+  };
 
-  // Exploit the physical sort order for the leading bound component.
-  rdf::TriplePattern residual = pattern;
-  if (pso_ && pattern.property) {
-    uint32_t lo = 0, hi = 0;
-    if (pattern.subject) {
-      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.property,
-                                                       *pattern.subject);
-      residual.subject.reset();
-    } else {
-      std::tie(lo, hi) = table_->PrimaryRange(*pattern.property);
-    }
-    residual.property.reset();
-    sel.resize(hi - lo);
-    std::iota(sel.begin(), sel.end(), lo);
-    have_sel = true;
-  } else if (!pso_ && pattern.subject) {
-    uint32_t lo = 0, hi = 0;
-    if (pattern.property) {
-      std::tie(lo, hi) = table_->PrimarySecondaryRange(*pattern.subject,
-                                                       *pattern.property);
-      residual.property.reset();
-    } else {
-      std::tie(lo, hi) = table_->PrimaryRange(*pattern.subject);
-    }
-    residual.subject.reset();
-    sel.resize(hi - lo);
-    std::iota(sel.begin(), sel.end(), lo);
-    have_sel = true;
-  }
-
-  if (!have_sel) {
-    sel.resize(table_->size());
-    std::iota(sel.begin(), sel.end(), 0);
-  }
-  if (residual.subject) {
-    sel = SelectEq(table_->subjects(), sel, *residual.subject, ectx);
-  }
-  if (residual.property) {
-    sel = SelectEq(table_->properties(), sel, *residual.property, ectx);
-  }
-  if (residual.object) {
-    sel = SelectEq(table_->objects(), sel, *residual.object, ectx);
-  }
-
+  // A triple store reads all three columns.
   std::vector<rdf::Triple> out;
-  out.reserve(sel.size());
-  const auto& subj = table_->subjects();
-  const auto& prop = table_->properties();
-  const auto& obj = table_->objects();
-  for (uint32_t i : sel) {
-    const rdf::Triple t{subj[i], prop[i], obj[i]};
-    if (!tombstones_.empty() && tombstones_.count(t) != 0) continue;
-    out.push_back(t);
+  if (!residual(0) && !residual(1) && !residual(2)) {
+    // Every row of the range matches: decode it batch by batch.
+    const EncodedColumn& subj = table_->encoded_subjects();
+    const EncodedColumn& prop = table_->encoded_properties();
+    const EncodedColumn& obj = table_->encoded_objects();
+    out.reserve(hi - lo);
+    ForEachDecodedRows<3>({&subj, &prop, &obj}, lo, hi,
+                          [&](uint64_t, const auto& v, uint64_t n) {
+                            for (uint64_t i = 0; i < n; ++i) {
+                              out.push_back({v[0][i], v[1][i], v[2][i]});
+                            }
+                          });
+  } else {
+    // Filter the range on the encoded residual columns, then decode only
+    // the matching rows.
+    PositionVector sel;
+    bool filtered = false;
+    for (int c = 0; c < 3; ++c) {
+      if (!residual(c)) continue;
+      const EncodedColumn& col = table_->column(c).Encoded();
+      sel = filtered ? SelectEq(col, sel, *bound[c], ectx)
+                     : SelectEq(col, lo, hi, *bound[c], ectx);
+      filtered = true;
+    }
+    const std::vector<uint64_t> subj =
+        Gather(table_->encoded_subjects(), sel, ectx);
+    const std::vector<uint64_t> prop =
+        Gather(table_->encoded_properties(), sel, ectx);
+    const std::vector<uint64_t> obj =
+        Gather(table_->encoded_objects(), sel, ectx);
+    out.resize(sel.size());
+    for (size_t i = 0; i < sel.size(); ++i) {
+      out[i] = {subj[i], prop[i], obj[i]};
+    }
+  }
+  if (!tombstones_.empty()) {
+    std::erase_if(out, [&](const rdf::Triple& t) {
+      return tombstones_.count(t) != 0;
+    });
   }
   // Unmerged inserts are visible to pattern lookups via a delta scan.
   for (const rdf::Triple& t : delta_) {
@@ -1064,13 +1071,20 @@ uint64_t ColVerticalBackend::EnsureMerged() {
   uint64_t rewritten = 0;
   for (auto& [property, writes] : touched) {
     const bool has_base = table_->HasPartition(property);
-    const std::vector<uint64_t>* subj =
-        has_base ? &table_->Subjects(property) : nullptr;
-    const std::vector<uint64_t>* obj =
-        has_base ? &table_->Objects(property) : nullptr;
+    const EncodedColumn* subj =
+        has_base ? &table_->EncodedSubjects(property) : nullptr;
+    const EncodedColumn* obj =
+        has_base ? &table_->EncodedObjects(property) : nullptr;
     const std::vector<Row> rows = MergeSortedRuns(
         has_base ? subj->size() : 0,
-        [&](size_t i) { return Row{(*subj)[i], (*obj)[i]}; },
+        [&](const auto& emit) {
+          if (!has_base) return;
+          ForEachDecodedRows<2>(
+              {subj, obj}, 0, subj->size(),
+              [&](uint64_t, const auto& v, uint64_t n) {
+                for (uint64_t i = 0; i < n; ++i) emit(Row{v[0][i], v[1][i]});
+              });
+        },
         std::move(writes.first), std::move(writes.second), std::less<Row>());
     rewritten += rows.size();
     table_->ReplacePartition(property, rows);
@@ -1260,21 +1274,16 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
       });
   std::vector<std::vector<uint64_t>> hits(morsels.size());
   ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    std::vector<uint64_t> obuf;
     for (uint64_t m = b; m < e; ++m) {
       const PropMorsel& ms = morsels[m];
       const EncodedColumn& subj =
           table_->EncodedSubjects(all_props[ms.prop_idx]);
       const EncodedColumn& obj = table_->EncodedObjects(all_props[ms.prop_idx]);
-      ForEachDecodedBatch(
-          subj, ms.lo, ms.hi,
-          [&](uint64_t base, const uint64_t* s, uint64_t cnt) {
-            // Flat columns hand the whole morsel through as one batch, so
-            // the side buffer sizes to the callback, not kDecodeBatch.
-            if (obuf.size() < cnt) obuf.resize(cnt);
-            obj.MaterializeInto(base, base + cnt, obuf.data());
+      ForEachDecodedRows<2>(
+          {&subj, &obj}, ms.lo, ms.hi,
+          [&](uint64_t, const auto& v, uint64_t cnt) {
             for (uint64_t i = 0; i < cnt; ++i) {
-              if (objects.Test(obuf[i])) hits[m].push_back(s[i]);
+              if (objects.Test(v[1][i])) hits[m].push_back(v[0][i]);
             }
           });
     }
@@ -1300,21 +1309,14 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
 
   std::vector<rdf::Triple> out;
   for (uint64_t p : props) {
-    if (!table_->HasPartition(p)) continue;
-    const auto& subj = table_->Subjects(p);
-    const auto& obj = table_->Objects(p);
-    uint32_t lo = 0, hi = static_cast<uint32_t>(subj.size());
-    if (pattern.subject) {
-      std::tie(lo, hi) = table_->SubjectRange(p, *pattern.subject);
-    }
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (pattern.object && obj[i] != *pattern.object) continue;
-      if (!tombstones_.empty() &&
-          tombstones_.count({subj[i], p, obj[i]}) != 0) {
-        continue;
-      }
-      out.push_back({subj[i], p, obj[i]});
-    }
+    const EncodedColumn& subj = table_->EncodedSubjects(p);
+    const EncodedColumn& obj = table_->EncodedObjects(p);
+    colstore::MatchPartition(subj, obj, p, pattern, ectx, &out);
+  }
+  if (!tombstones_.empty()) {
+    std::erase_if(out, [&](const rdf::Triple& t) {
+      return tombstones_.count(t) != 0;
+    });
   }
   // Unmerged inserts are visible via a delta scan.
   for (const rdf::Triple& t : delta_set_) {

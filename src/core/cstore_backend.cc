@@ -1,5 +1,6 @@
 #include "core/cstore_backend.h"
 
+#include "colstore/vertical_table.h"
 #include "common/macros.h"
 #include "obs/trace.h"
 
@@ -104,8 +105,8 @@ QueryResult CStoreBackend::Run(QueryId id, const QueryContext& ctx,
 
 std::vector<rdf::Triple> CStoreBackend::Match(
     const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
-  // Per-property scans below are cheap and stay serial; the span is
-  // suppressed automatically inside BGP worker lanes.
+  // The vertical store's per-partition scan, serial in property order;
+  // the span is suppressed automatically inside BGP worker lanes.
   obs::Span span(ectx.trace(), "cstore.match");
   std::vector<uint64_t> props;
   if (pattern.property) {
@@ -117,13 +118,9 @@ std::vector<rdf::Triple> CStoreBackend::Match(
   }
   std::vector<rdf::Triple> out;
   for (uint64_t p : props) {
-    const auto& subj = engine_->Subjects(p);
-    const auto& obj = engine_->Objects(p);
-    for (size_t i = 0; i < subj.size(); ++i) {
-      if (pattern.subject && subj[i] != *pattern.subject) continue;
-      if (pattern.object && obj[i] != *pattern.object) continue;
-      out.push_back({subj[i], p, obj[i]});
-    }
+    const colstore::EncodedColumn& subj = engine_->Subjects(p);
+    const colstore::EncodedColumn& obj = engine_->Objects(p);
+    colstore::MatchPartition(subj, obj, p, pattern, ectx, &out);
   }
   span.set_rows_out(out.size());
   return out;

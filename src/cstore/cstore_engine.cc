@@ -9,6 +9,7 @@
 namespace swan::cstore {
 
 using colstore::CountByKeyDense;
+using colstore::EncodedColumn;
 using colstore::Gather;
 using colstore::MarkSet;
 using colstore::MergeCountMatches;
@@ -16,6 +17,7 @@ using colstore::MergeJoin;
 using colstore::MergeSelectPositions;
 using colstore::PositionVector;
 using colstore::SelectEq;
+using colstore::SelectMarked;
 using colstore::SortedIntersect;
 using colstore::UnionDistinct;
 
@@ -62,16 +64,16 @@ void CStoreEngine::Load(std::span<const rdf::Triple> triples,
   }
 }
 
-const std::vector<uint64_t>& CStoreEngine::Subjects(uint64_t property) const {
+const EncodedColumn& CStoreEngine::Subjects(uint64_t property) const {
   auto it = partitions_.find(property);
   SWAN_CHECK_MSG(it != partitions_.end(), "property not loaded in C-Store");
-  return it->second.subj->Get();
+  return it->second.subj->Encoded();
 }
 
-const std::vector<uint64_t>& CStoreEngine::Objects(uint64_t property) const {
+const EncodedColumn& CStoreEngine::Objects(uint64_t property) const {
   auto it = partitions_.find(property);
   SWAN_CHECK_MSG(it != partitions_.end(), "property not loaded in C-Store");
-  return it->second.obj->Get();
+  return it->second.obj->Encoded();
 }
 
 std::vector<uint64_t> CStoreEngine::SubjectsWhereObjEq(
@@ -100,7 +102,8 @@ CStoreEngine::Rows CStoreEngine::CountMatchesPerProperty(
   ectx.ParallelFor(
       properties_.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
         for (uint64_t k = b; k < e; ++k) {
-          counts[k] = MergeCountMatches(Subjects(properties_[k]), keys, ectx);
+          const EncodedColumn& subj = Subjects(properties_[k]);
+          counts[k] = MergeCountMatches(subj, 0, subj.size(), keys, ectx);
         }
       });
   Rows rows;
@@ -117,8 +120,9 @@ CStoreEngine::Rows CStoreEngine::GroupObjectsPerProperty(
       properties_.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
         for (uint64_t k = b; k < e; ++k) {
           const uint64_t p = properties_[k];
+          const EncodedColumn& subj = Subjects(p);
           const PositionVector sel =
-              MergeSelectPositions(Subjects(p), keys, ectx);
+              MergeSelectPositions(subj, 0, subj.size(), keys, ectx);
           std::vector<uint64_t> objs = Gather(Objects(p), sel, ectx);
           std::sort(objs.begin(), objs.end());
           size_t i = 0;
@@ -165,23 +169,29 @@ CStoreEngine::Rows CStoreEngine::Q5(const CStoreConstants& c,
   if (!HasProperty(c.records) || !HasProperty(c.type)) return rows;
   const std::vector<uint64_t> a = SubjectsWhereObjEq(c.origin, c.dlc, ectx);
 
+  const EncodedColumn& rs = Subjects(c.records);
   const PositionVector rec_sel =
-      MergeSelectPositions(Subjects(c.records), a, ectx);
-  std::vector<std::pair<uint64_t, uint64_t>> b_pairs;
-  {
-    const auto& rs = Subjects(c.records);
-    const auto& ro = Objects(c.records);
-    for (uint32_t i : rec_sel) b_pairs.emplace_back(ro[i], rs[i]);
+      MergeSelectPositions(rs, 0, rs.size(), a, ectx);
+  const std::vector<uint64_t> rec_subjects = Gather(rs, rec_sel, ectx);
+  const std::vector<uint64_t> rec_objects =
+      Gather(Objects(c.records), rec_sel, ectx);
+  std::vector<std::pair<uint64_t, uint64_t>> b_pairs(rec_sel.size());
+  for (size_t i = 0; i < b_pairs.size(); ++i) {
+    b_pairs[i] = {rec_objects[i], rec_subjects[i]};
   }
   std::sort(b_pairs.begin(), b_pairs.end());
   std::vector<uint64_t> b_objects(b_pairs.size());
   for (size_t i = 0; i < b_pairs.size(); ++i) b_objects[i] = b_pairs[i].first;
 
-  const auto& c_subjects = Subjects(c.type);
-  const auto& c_objects = Objects(c.type);
-  for (const auto& [bi, ci] : MergeJoin(b_objects, c_subjects, ectx)) {
-    if (c_objects[ci] != c.text) {
-      rows.push_back({b_pairs[bi].second, c_objects[ci]});
+  const EncodedColumn& c_subjects = Subjects(c.type);
+  const auto pairs =
+      MergeJoin(b_objects, c_subjects, 0, c_subjects.size(), ectx);
+  PositionVector c_sel(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) c_sel[i] = pairs[i].second;
+  const std::vector<uint64_t> c_objects = Gather(Objects(c.type), c_sel, ectx);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (c_objects[i] != c.text) {
+      rows.push_back({b_pairs[pairs[i].first].second, c_objects[i]});
     }
   }
   return rows;
@@ -195,11 +205,9 @@ CStoreEngine::Rows CStoreEngine::Q6(const CStoreConstants& c,
 
   std::vector<uint64_t> via_records;
   if (HasProperty(c.records)) {
-    const auto& rs = Subjects(c.records);
-    const auto& ro = Objects(c.records);
-    for (size_t i = 0; i < ro.size(); ++i) {
-      if (text_typed.Test(ro[i])) via_records.push_back(rs[i]);
-    }
+    const EncodedColumn& rs = Subjects(c.records);
+    via_records =
+        Gather(rs, SelectMarked(Objects(c.records), text_typed, ectx), ectx);
   }
   const std::vector<uint64_t> united = UnionDistinct({a1, via_records}, ectx);
   return CountMatchesPerProperty(united, ectx);
@@ -213,9 +221,10 @@ CStoreEngine::Rows CStoreEngine::Q7(const CStoreConstants& c,
 
   auto collect = [&](uint64_t property, std::vector<uint64_t>* subjects,
                      std::vector<uint64_t>* objects) {
+    const EncodedColumn& subj = Subjects(property);
     const PositionVector sel =
-        MergeSelectPositions(Subjects(property), a, ectx);
-    *subjects = Gather(Subjects(property), sel, ectx);
+        MergeSelectPositions(subj, 0, subj.size(), a, ectx);
+    *subjects = Gather(subj, sel, ectx);
     *objects = Gather(Objects(property), sel, ectx);
   };
   std::vector<uint64_t> b_subj, b_obj, c_subj, c_obj;

@@ -82,8 +82,10 @@ class CStoreEngine {
 
   const std::vector<uint64_t>& properties() const { return properties_; }
   bool HasProperty(uint64_t p) const { return partitions_.count(p) != 0; }
-  const std::vector<uint64_t>& Subjects(uint64_t property) const;
-  const std::vector<uint64_t>& Objects(uint64_t property) const;
+  // Encoded columns of a loaded property; plans and Match run the encoded
+  // kernels on them, decoding only the rows they project.
+  const colstore::EncodedColumn& Subjects(uint64_t property) const;
+  const colstore::EncodedColumn& Objects(uint64_t property) const;
 
   // Audit walker: per-partition sorted-subject and id-range checks, plus
   // property-index / partition-map agreement.

@@ -23,11 +23,6 @@ struct TriplePattern {
            (!object || *object == t.object);
   }
 
-  // Number of bound components (0..3).
-  int BoundCount() const {
-    return (subject ? 1 : 0) + (property ? 1 : 0) + (object ? 1 : 0);
-  }
-
   // The paper's pattern number 1..8 (Figure 2, left table):
   //   p1 (s,p,o)   p2 (?s,p,o)  p3 (s,?p,o)  p4 (s,p,?o)
   //   p5 (?s,?p,o) p6 (s,?p,?o) p7 (?s,p,?o) p8 (?s,?p,?o)

@@ -24,7 +24,7 @@ TEST(ColumnTest, BuildAndGetRoundTrip) {
   std::vector<uint64_t> values(5000);
   for (size_t i = 0; i < values.size(); ++i) values[i] = i * i;
   col.Build(values);
-  EXPECT_EQ(col.Get(), values);
+  EXPECT_EQ(col.Encoded().Materialize(), values);
   EXPECT_EQ(col.size(), values.size());
 }
 
@@ -35,10 +35,10 @@ TEST(ColumnTest, LazyLoadChargesOnceThenCaches) {
   col.Build(values);
   EXPECT_FALSE(col.loaded());
   f.disk.ResetStats();
-  col.Get();
+  col.Encoded();
   const uint64_t after_first = f.disk.total_bytes_read();
   EXPECT_GT(after_first, 0u);
-  col.Get();
+  col.Encoded();
   EXPECT_EQ(f.disk.total_bytes_read(), after_first);
 }
 
@@ -46,11 +46,11 @@ TEST(ColumnTest, DropCacheForcesReload) {
   ColFixture f;
   Column col(&f.pool, &f.disk);
   col.Build(std::vector<uint64_t>(10000, 7));
-  col.Get();
+  col.Encoded();
   col.DropCache();
   f.pool.Clear();
   f.disk.ResetStats();
-  col.Get();
+  col.Encoded();
   EXPECT_GT(f.disk.total_bytes_read(), 0u);
 }
 
@@ -61,7 +61,7 @@ TEST(ColumnTest, ColdLoadIsSequential) {
   col.DropCache();
   f.pool.Clear();
   f.disk.ResetStats();
-  col.Get();
+  col.Encoded();
   EXPECT_LE(f.disk.total_seeks(), 2u);
 }
 
@@ -219,9 +219,10 @@ TEST(TripleTableTest, SortsByOrderAndAnswersRanges) {
   TripleTable table(&f.pool, &f.disk, rdf::TripleOrder::kPSO);
   table.Load({{3, 10, 7}, {1, 11, 8}, {2, 10, 9}, {1, 10, 6}});
   // PSO order: (10,1,6), (10,2,9), (10,3,7), (11,1,8)
-  EXPECT_EQ(table.properties(),
+  EXPECT_EQ(table.encoded_properties().Materialize(),
             (std::vector<uint64_t>{10, 10, 10, 11}));
-  EXPECT_EQ(table.subjects(), (std::vector<uint64_t>{1, 2, 3, 1}));
+  EXPECT_EQ(table.encoded_subjects().Materialize(),
+            (std::vector<uint64_t>{1, 2, 3, 1}));
   EXPECT_EQ(table.PrimaryRange(10), (std::pair<uint32_t, uint32_t>{0, 3}));
   EXPECT_EQ(table.PrimarySecondaryRange(10, 2),
             (std::pair<uint32_t, uint32_t>{1, 2}));
@@ -236,7 +237,7 @@ TEST(TripleTableTest, ColumnsLoadIndependently) {
   table.DropCaches();
   f.pool.Clear();
   f.disk.ResetStats();
-  table.properties();  // touch only the property column
+  table.encoded_properties();  // touch only the property column
   const uint64_t one_column = f.disk.total_bytes_read();
   EXPECT_GT(one_column, 0u);
   EXPECT_LT(one_column, table.disk_bytes() / 2);
@@ -254,8 +255,10 @@ TEST(VerticalTableTest, PartitionsByProperty) {
   EXPECT_EQ(table.PartitionSize(99), 0u);
   EXPECT_TRUE(table.HasPartition(10));
   EXPECT_FALSE(table.HasPartition(99));
-  EXPECT_EQ(table.Subjects(10), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(table.Objects(10), (std::vector<uint64_t>{5, 6, 5}));
+  EXPECT_EQ(table.EncodedSubjects(10).Materialize(),
+            (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(table.EncodedObjects(10).Materialize(),
+            (std::vector<uint64_t>{5, 6, 5}));
   EXPECT_EQ(table.SubjectRange(10, 2), (std::pair<uint32_t, uint32_t>{1, 2}));
 }
 
@@ -268,8 +271,8 @@ TEST(VerticalTableTest, TouchingOnePartitionLeavesOthersCold) {
   table.DropCaches();
   f.pool.Clear();
   f.disk.ResetStats();
-  table.Subjects(0);
-  table.Objects(0);
+  table.EncodedSubjects(0);
+  table.EncodedObjects(0);
   // Roughly a quarter of the data (one of four equally-sized partitions).
   EXPECT_LT(f.disk.total_bytes_read(), table.disk_bytes() / 3);
 }

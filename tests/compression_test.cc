@@ -162,13 +162,14 @@ TEST(CompressionTest, AutoMatchesEncodeAllOracle) {
   for (auto order : {rdf::TripleOrder::kPSO, rdf::TripleOrder::kSPO}) {
     const core::ColTripleBackend triple(barton.dataset, order);
     for (int c = 0; c < 3; ++c) {
-      columns.push_back(triple.table().column(c).Get());
+      columns.push_back(
+          triple.table().column(c).Encoded().Materialize());
     }
   }
   const core::ColVerticalBackend vertical(barton.dataset);
   for (uint64_t p : vertical.table().properties()) {
-    columns.push_back(vertical.table().Subjects(p));
-    columns.push_back(vertical.table().Objects(p));
+    columns.push_back(vertical.table().EncodedSubjects(p).Materialize());
+    columns.push_back(vertical.table().EncodedObjects(p).Materialize());
   }
 
   // Sorted and unsorted random columns over narrow and wide universes.
@@ -380,7 +381,8 @@ TEST(CompressedColumnTest, CompressedColumnReadsSameValues) {
   Column packed(&pool, &disk, ColumnCodec::kAuto);
   packed.Build(values);
 
-  EXPECT_EQ(raw.Get(), packed.Get());
+  EXPECT_EQ(raw.Encoded().Materialize(),
+            packed.Encoded().Materialize());
   EXPECT_LT(packed.disk_bytes(), raw.disk_bytes());
 }
 
@@ -397,11 +399,11 @@ TEST(CompressedColumnTest, ColdLoadReadsFewerBytes) {
 
   pool.Clear();
   disk.ResetStats();
-  raw.Get();
+  raw.Encoded();
   const uint64_t raw_bytes = disk.total_bytes_read();
   pool.Clear();
   disk.ResetStats();
-  packed.Get();
+  packed.Encoded();
   const uint64_t packed_bytes = disk.total_bytes_read();
   EXPECT_LT(packed_bytes, raw_bytes / 2);
 }
@@ -448,10 +450,10 @@ TEST(CompressedColumnTest, DropCacheAndReloadStillCorrect) {
   const auto values = RandomValues(5000, 100, 7);
   Column col(&pool, &disk, ColumnCodec::kAuto);
   col.Build(values);
-  const auto first = col.Get();
+  const auto first = col.Encoded().Materialize();
   col.DropCache();
   pool.Clear();
-  EXPECT_EQ(col.Get(), first);
+  EXPECT_EQ(col.Encoded().Materialize(), first);
 }
 
 }  // namespace

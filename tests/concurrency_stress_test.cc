@@ -139,7 +139,7 @@ TEST(ConcurrencyStressTest, ConcurrentColumnGetLoadsOnce) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      const std::vector<uint64_t>& got = column.Get();
+      const std::vector<uint64_t> got = column.Encoded().Materialize();
       if (got.size() != values.size() || got[123] != 123 * 7 + 3 ||
           got.back() != (values.size() - 1) * 7 + 3) {
         failures.fetch_add(1, std::memory_order_relaxed);
@@ -151,7 +151,7 @@ TEST(ConcurrencyStressTest, ConcurrentColumnGetLoadsOnce) {
   // The load mutex serializes first access: the column streamed from disk
   // exactly once, not once per thread.
   EXPECT_EQ(disk.total_bytes_read(), column.disk_bytes());
-  EXPECT_TRUE(column.Get() == values);
+  EXPECT_TRUE(column.Encoded().Materialize() == values);
 }
 
 // Engine-level determinism: identical rows and identical cold-run I/O

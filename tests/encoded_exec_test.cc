@@ -133,6 +133,25 @@ TEST_P(EncodedKernelTest, SelectEqMatchesSpanKernel) {
   }
 }
 
+TEST_P(EncodedKernelTest, RangedSelectEqMatchesSpanKernel) {
+  const auto values = RunColumn(97, 40);
+  const EncodedColumn enc = EncodedColumn::FromValues(values, GetParam());
+  const uint64_t n = values.size();
+  // Empty, run-straddling, single-row and whole-column ranges.
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {0, 0}, {0, n}, {17, 95}, {40, 41}, {n - 3, n}, {1000, 2300}};
+  for (const auto& [lo, hi] : ranges) {
+    for (uint64_t probe : {2ull, 52ull, 477ull, 999ull}) {
+      PositionVector want;
+      for (uint32_t p : SelectEq(values, probe)) {
+        if (p >= lo && p < hi) want.push_back(p);
+      }
+      EXPECT_EQ(SelectEq(enc, lo, hi, probe), want)
+          << "value " << probe << " in [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
 TEST_P(EncodedKernelTest, EqRangeSortedMatchesSpanKernel) {
   auto values = RunColumn(97, 40);
   std::sort(values.begin(), values.end());

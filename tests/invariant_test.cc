@@ -30,7 +30,7 @@ TEST(InvariantDeathTest, ColumnGetBeforeBuildAborts) {
   storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
   storage::BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
   colstore::Column col(&pool, &disk);
-  EXPECT_DEATH(col.Get(), "before Build");
+  EXPECT_DEATH(col.Encoded(), "before Build");
 }
 
 TEST(InvariantDeathTest, BulkLoadOnNonEmptyTreeAborts) {

@@ -195,7 +195,7 @@ TEST(ColumnStressTest, CompressedColumnsUnderTinyPool) {
     for (int round = 0; round < 3; ++round) {
       col.DropCache();
       pool.Clear();
-      ASSERT_EQ(col.Get(), values) << ToString(codec);
+      ASSERT_EQ(col.Encoded().Materialize(), values) << ToString(codec);
     }
     colstore::ColumnAuditOptions opts;
     opts.label = std::string("stress.") + ToString(codec);

@@ -201,7 +201,8 @@ TEST_F(UpdateTest, AllBackendsAgreeAfterMixedInsertWorkload) {
 
 void ExpectSameColumn(const colstore::Column& merged,
                       const colstore::Column& fresh, const std::string& what) {
-  EXPECT_EQ(merged.Get(), fresh.Get()) << what;
+  EXPECT_EQ(merged.Encoded().Materialize(), fresh.Encoded().Materialize())
+      << what;
   EXPECT_EQ(merged.resolved_codec(), fresh.resolved_codec()) << what;
   EXPECT_EQ(merged.stored_bytes(), fresh.stored_bytes()) << what;
   EXPECT_EQ(merged.disk_bytes(), fresh.disk_bytes()) << what;

@@ -19,10 +19,6 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     SWAN_* thread-safety macros must include
                     "common/thread_annotations.h" or "common/mutex.h"
                     directly — not transitively.
-  ops-column-get    src/colstore/ops.cc holds the compressed-execution
-                    kernels: they must read columns through the encoded
-                    reps (ValueAt, MaterializeInto, runs(), words()), never
-                    force a full raw materialization with Column::Get().
   serve-telemetry   No ad-hoc stdout/stderr telemetry (printf, fprintf,
                     puts, std::cout, std::cerr) inside src/serve/ or
                     src/obs/: those layers report through the structured
@@ -69,7 +65,6 @@ RULES = [
     "discarded-status",
     "const-cast",
     "include-locks",
-    "ops-column-get",
     "serve-telemetry",
     "node-disk",
 ]
@@ -81,12 +76,6 @@ NODE_DISK_ALLOWED_PREFIX = "src/storage/"
 # Layers that must never print: everything they observe flows through the
 # structured telemetry surface.
 SERVE_TELEMETRY_PREFIXES = ("src/serve/", "src/obs/")
-
-# Files where Column::Get() is banned: the encoded kernels. Decoding is
-# the caller's decision at projection time, never the kernel's.
-OPS_COLUMN_GET_PATHS = {
-    "src/colstore/ops.cc",
-}
 
 # Files allowed to touch the raw std::mutex machinery: the wrapper itself.
 RAW_MUTEX_ALLOWLIST = {
@@ -108,7 +97,6 @@ RAW_MUTEX_RE = re.compile(
     r"|\bstd::condition_variable(?:_any)?\b"
 )
 EXEC_THREADS_RE = re.compile(r"\bexec::Threads\s*\(")
-COLUMN_GET_RE = re.compile(r"(?:\.|->)\s*Get\s*\(")
 CONST_CAST_RE = re.compile(r"\bconst_cast\s*<")
 # Direct stream output only: snprintf/vsnprintf (buffer formatting) do not
 # match — `\b` cannot split the identifier — and neither does the
@@ -336,11 +324,6 @@ def lint_file(path, display_path, lines, status_names):
         if CONST_CAST_RE.search(code):
             report(idx, "const-cast",
                    "const_cast is banned; fix the constness model")
-
-        if display_path in OPS_COLUMN_GET_PATHS and COLUMN_GET_RE.search(code):
-            report(idx, "ops-column-get",
-                   "encoded kernels must not call Column::Get(); operate on "
-                   "the encoded rep and decompress only at projection")
 
         if (display_path.startswith(SERVE_TELEMETRY_PREFIXES)
                 and SERVE_TELEMETRY_RE.search(code)):
