@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
@@ -89,12 +90,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto stats = swan::plan::StoreStats::Collect(barton.dataset);
-  const auto pinned = swan::bench_support::LoadHeuristicPlanBaseline();
+  const auto pinned = swan::bench_support::LoadLedger(
+      swan::bench_support::BaselinePath("planner_heuristic_20k.csv"));
   if (!pinned.ok()) {
     std::fprintf(stderr, "baseline: %s\n", pinned.status().ToString().c_str());
     return 1;
   }
-  const bool pinned_applies = pinned.value().AppliesTo(config);
+  const bool pinned_applies = pinned.value().triples == config.target_triples &&
+                              pinned.value().seed == config.seed;
   const auto bgps = swan::bench_support::BenchmarkBgps(vocab.value());
 
   swan::core::ColTripleBackend col_triple(barton.dataset,
@@ -145,21 +148,20 @@ int main(int argc, char** argv) {
       std::string heuristic_calls = "-";
       std::string cold_kb = TablePrinter::Int(cost.cold_bytes / 1024) + "/-";
       if (pinned_applies) {
-        const auto it = pinned.value().cells.find({backend->name(), bgp.name});
-        if (it == pinned.value().cells.end()) {
+        const auto calls =
+            pinned.value().Count({backend->name(), bgp.name}, "match_calls");
+        const auto bytes =
+            pinned.value().Count({backend->name(), bgp.name}, "cold_bytes");
+        if (!calls || !bytes) {
           std::fprintf(stderr, "baseline: no pinned cell for %s %s\n",
                        backend->name().c_str(), bgp.name.c_str());
           return 1;
         }
-        const swan::bench_support::PinnedPlanCost& heuristic = it->second;
-        beats_hand_wired =
-            beats_hand_wired && cost.match_calls <= heuristic.match_calls;
-        io_ok = io_ok &&
-                cost.cold_bytes <=
-                    heuristic.cold_bytes + heuristic.cold_bytes / 20 + 4096;
-        heuristic_calls = TablePrinter::Int(heuristic.match_calls);
+        beats_hand_wired = beats_hand_wired && cost.match_calls <= *calls;
+        io_ok = io_ok && cost.cold_bytes <= *bytes + *bytes / 20 + 4096;
+        heuristic_calls = TablePrinter::Int(*calls);
         cold_kb = TablePrinter::Int(cost.cold_bytes / 1024) + "/" +
-                  TablePrinter::Int(heuristic.cold_bytes / 1024);
+                  TablePrinter::Int(*bytes / 1024);
       }
       const char* verdict = "ok";
       if (!beats_hand_wired) {
@@ -199,8 +201,8 @@ int main(int argc, char** argv) {
         "(recorded at %llu, seed %llu)\n",
         static_cast<unsigned long long>(config.target_triples),
         static_cast<unsigned long long>(config.seed),
-        static_cast<unsigned long long>(pinned.value().config.target_triples),
-        static_cast<unsigned long long>(pinned.value().config.seed));
+        static_cast<unsigned long long>(pinned.value().triples),
+        static_cast<unsigned long long>(pinned.value().seed));
   }
   char raw[128];
   std::snprintf(raw, sizeof(raw),

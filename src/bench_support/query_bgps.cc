@@ -1,8 +1,5 @@
 #include "bench_support/query_bgps.h"
 
-#include <cstdio>
-#include <fstream>
-
 namespace swan::bench_support {
 
 std::vector<NamedBgp> BenchmarkBgps(const core::Vocabulary& vocab) {
@@ -38,42 +35,6 @@ std::vector<NamedBgp> BenchmarkBgps(const core::Vocabulary& vocab) {
                  {{c(vocab.conferences), v("p1"), v("o")},
                   {v("s2"), v("p2"), v("o")}}});
   return out;
-}
-
-bool PlanBaseline::AppliesTo(const BartonConfig& other) const {
-  return other.target_triples == config.target_triples &&
-         other.seed == config.seed &&
-         other.num_properties == config.num_properties &&
-         other.num_interesting == config.num_interesting;
-}
-
-// The file: '#' comment lines, one of them "# triples=N seed=S", a
-// "backend,query,match_calls,cold_bytes" header, then one line per cell.
-Result<PlanBaseline> LoadHeuristicPlanBaseline() {
-  const std::string path =
-      std::string(SWAN_BASELINE_DIR) + "/planner_heuristic_20k.csv";
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  PlanBaseline baseline;
-  baseline.config.target_triples = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    unsigned long long a = 0, b = 0;
-    char backend[64], query[16];
-    if (line.starts_with('#')) {
-      if (std::sscanf(line.c_str(), "# triples=%llu seed=%llu", &a, &b) == 2) {
-        baseline.config.target_triples = a;
-        baseline.config.seed = b;
-      }
-    } else if (std::sscanf(line.c_str(), "%63[^,],%15[^,],%llu,%llu", backend,
-                           query, &a, &b) == 4) {
-      baseline.cells[{backend, query}] = PinnedPlanCost{a, b};
-    }
-  }
-  if (baseline.config.target_triples == 0 || baseline.cells.empty()) {
-    return Status::Corruption(path + ": no config line or no cells");
-  }
-  return baseline;
 }
 
 }  // namespace swan::bench_support

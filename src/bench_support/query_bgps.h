@@ -1,14 +1,9 @@
 #ifndef SWANDB_BENCH_SUPPORT_QUERY_BGPS_H_
 #define SWANDB_BENCH_SUPPORT_QUERY_BGPS_H_
 
-#include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_support/barton_generator.h"
-#include "common/status.h"
 #include "core/bgp.h"
 #include "core/query.h"
 
@@ -41,29 +36,6 @@ struct NamedBgp {
 //       (?s type ?t)                       same-subject star (gatherable)
 //   q8  (conferences ?p1 ?o) (?s2 ?p2 ?o)  C-join (object-object)
 std::vector<NamedBgp> BenchmarkBgps(const core::Vocabulary& vocab);
-
-// One pinned cell of a planner baseline: the Match calls and cold bytes
-// of one width-1 run of a BenchmarkBgps query after DropCaches.
-struct PinnedPlanCost {
-  uint64_t match_calls = 0;
-  uint64_t cold_bytes = 0;
-};
-
-// A per-(backend name, query name) planner cost table committed under
-// bench/baselines/, with the generator config it was recorded at.
-struct PlanBaseline {
-  BartonConfig config;
-  std::map<std::pair<std::string, std::string>, PinnedPlanCost> cells;
-
-  // True when `other` generates the dataset the table was recorded on.
-  bool AppliesTo(const BartonConfig& other) const;
-};
-
-// The statistics-free heuristic join order's costs on the four ablation
-// backends at 20,000 triples (bench/baselines/planner_heuristic_20k.csv),
-// recorded before that planner mode was deleted. The planner ablation and
-// OptimizerTest bound the cost-based plan by them.
-Result<PlanBaseline> LoadHeuristicPlanBaseline();
 
 }  // namespace swan::bench_support
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "core/col_backends.h"
 #include "core/property_table_backend.h"
@@ -118,9 +119,11 @@ TEST_F(OptimizerTest, StatsSurviveTheStoreAudit) {
 // five of them), so it is allowed up to one extra structure's worth of
 // cold pages (2x) — bounded, never unbounded.
 TEST_F(OptimizerTest, CostPlannerEqualsOrBeatsHandWiredOrderEverywhere) {
-  const auto pinned = bench_support::LoadHeuristicPlanBaseline();
+  const auto pinned = bench_support::LoadLedger(
+      bench_support::BaselinePath("planner_heuristic_20k.csv"));
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  ASSERT_TRUE(pinned.value().AppliesTo(config_));
+  ASSERT_EQ(pinned.value().triples, config_.target_triples);
+  ASSERT_EQ(pinned.value().seed, config_.seed);
 
   core::ColTripleBackend col_triple(barton_.dataset, rdf::TripleOrder::kPSO);
   core::ColVerticalBackend col_vert(barton_.dataset);
@@ -135,16 +138,18 @@ TEST_F(OptimizerTest, CostPlannerEqualsOrBeatsHandWiredOrderEverywhere) {
       SCOPED_TRACE(backend->name() + " " + bgp.name);
       const RunCost as_written =
           RunWithMode(backend, bgp.patterns, AsWrittenOptions());
-      const auto it = pinned.value().cells.find({backend->name(), bgp.name});
-      ASSERT_NE(it, pinned.value().cells.end());
-      const bench_support::PinnedPlanCost& heuristic = it->second;
+      const auto heuristic_calls =
+          pinned.value().Count({backend->name(), bgp.name}, "match_calls");
+      const auto heuristic_bytes =
+          pinned.value().Count({backend->name(), bgp.name}, "cold_bytes");
+      ASSERT_TRUE(heuristic_calls && heuristic_bytes);
       const RunCost cost =
           RunWithMode(backend, bgp.patterns, CostOptions(*backend));
       EXPECT_EQ(cost.rows, as_written.rows);
       EXPECT_LE(cost.match_calls, as_written.match_calls);
-      EXPECT_LE(cost.match_calls, heuristic.match_calls);
+      EXPECT_LE(cost.match_calls, *heuristic_calls);
       EXPECT_LE(cost.cold_bytes,
-                heuristic.cold_bytes + heuristic.cold_bytes / 20 + 4096);
+                *heuristic_bytes + *heuristic_bytes / 20 + 4096);
       EXPECT_LE(cost.cold_bytes, as_written.cold_bytes * 2 + 4096);
     }
   }

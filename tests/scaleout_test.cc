@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -310,51 +311,38 @@ TEST(ScaleoutNetworkTest, SingleNodeTopologyShipsNothing) {
 
 // The network model prices partial sizes, so the wire bytes and messages
 // of every query are a fingerprint of the orchestration: what each node
-// ships and how often. Pinned at 12k triples, seed 7; both schemes ship
-// the same partials.
+// ships and how often. Pinned at 12k triples, seed 7
+// (bench/baselines/scaleout_wire.csv); both schemes ship the same
+// partials.
 TEST(ScaleoutNetworkTest, WireAccountingIsPinned) {
-  struct Wire {
-    QueryId id;
-    uint64_t bytes_n2, messages_n2, bytes_n4, messages_n4;
-  };
-  const std::vector<Wire> golden = {
-      {QueryId::kQ1, 0, 0, 1440, 3},
-      {QueryId::kQ2, 3328, 2, 9680, 15},
-      {QueryId::kQ2Star, 3456, 2, 9936, 15},
-      {QueryId::kQ3, 20968, 2, 30168, 15},
-      {QueryId::kQ3Star, 21256, 2, 30864, 15},
-      {QueryId::kQ4, 6072, 3, 15456, 18},
-      {QueryId::kQ4Star, 6120, 3, 15528, 18},
-      {QueryId::kQ5, 1104, 1, 5424, 7},
-      {QueryId::kQ6, 4304, 3, 12608, 18},
-      {QueryId::kQ6Star, 4464, 3, 12896, 18},
-      {QueryId::kQ7, 1232, 2, 4368, 7},
-      {QueryId::kQ8, 192, 3, 448, 9},
-  };
   BartonConfig config;
   config.target_triples = 12000;
   config.seed = 7;
   const auto barton = GenerateBarton(config);
   const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
 
+  bench_support::Ledger got(
+      config, {"backend", "query", "net_bytes", "net_messages"});
   for (bool vertical : {true, false}) {
     for (int nodes : {2, 4}) {
       shard::ShardOptions options;
       options.nodes = nodes;
       options.vertical = vertical;
       shard::ShardedBackend sharded(barton.dataset, options);
-      for (const Wire& w : golden) {
+      for (QueryId id : core::AllQueries()) {
         const uint64_t bytes = sharded.TotalNetBytes();
         const uint64_t messages = sharded.TotalNetMessages();
-        (void)sharded.Run(w.id, ctx, exec::ExecContext(1));
-        EXPECT_EQ(sharded.TotalNetBytes() - bytes,
-                  nodes == 2 ? w.bytes_n2 : w.bytes_n4)
-            << sharded.name() << " " << ToString(w.id);
-        EXPECT_EQ(sharded.TotalNetMessages() - messages,
-                  nodes == 2 ? w.messages_n2 : w.messages_n4)
-            << sharded.name() << " " << ToString(w.id);
+        (void)sharded.Run(id, ctx, exec::ExecContext(1));
+        got.rows.push_back(
+            {sharded.name(), ToString(id),
+             std::to_string(sharded.TotalNetBytes() - bytes),
+             std::to_string(sharded.TotalNetMessages() - messages)});
       }
     }
+  }
+  for (const std::string& diff :
+       bench_support::CheckPinnedLedger("scaleout_wire", std::move(got))) {
+    ADD_FAILURE() << diff;
   }
 }
 

@@ -41,7 +41,16 @@ build_and_test() {
   local dir="$1"; shift
   cmake -B "$dir" -S "$REPO_ROOT" "$@" || return 1
   cmake --build "$dir" -j "$JOBS" || return 1
-  (cd "$dir" && ctest --output-on-failure -j "$JOBS")
+  (cd "$dir" && ctest --output-on-failure -j "$JOBS") || return 1
+  # Tests write the cost ledgers they measure into the build tree; the
+  # committed ones in bench/baselines/ must come out of ctest untouched
+  # (no change against the index, no new file).
+  if ! git -C "$REPO_ROOT" diff --quiet -- bench/baselines ||
+     [ -n "$(git -C "$REPO_ROOT" ls-files --others -- bench/baselines)" ]; then
+    echo "ctest left bench/baselines/ modified or untracked:"
+    git -C "$REPO_ROOT" status --short --untracked-files=all -- bench/baselines
+    return 1
+  fi
 }
 
 status=0
