@@ -15,14 +15,19 @@ struct NoValue {};
 }  // namespace id_hash_internal
 
 // A flat hash table keyed by 64-bit ids (dictionary ids, packed id pairs,
-// column values): open addressing with linear probing, load <= 1/2 and a
-// Fibonacci hash, so a probe is one multiply and usually one cache line.
-// Every key is valid. The slot array marks an empty slot with the key
-// 2^64 - 1, so that one key lives in a side slot instead.
+// column values): open addressing with linear probing and a Fibonacci
+// hash, so a probe is one multiply and usually one cache line. Every key
+// is valid. The slot array marks an empty slot with the key 2^64 - 1, so
+// that one key lives in a side slot instead.
 //
-// IdMap<V> maps each key to a V, value-initialized on first use; IdSet is
-// the same table without values. ForEach visits every key exactly once,
-// in unspecified order.
+// IdMap<V> maps each key to a V, value-initialized on first use, and grows
+// at load 1/2. IdSet is the same table without values; it grows at load
+// 1/4. A set is built once and then probed once per scanned tuple, mostly
+// for keys it does not hold, and a miss walks the probe run to its end:
+// the sparser table keeps those runs short, and its slots are half the
+// size of a map's. Reserve(n) sizes the table for n keys at once, so a
+// merge of known size never rehashes part way. ForEach visits every key
+// exactly once, in unspecified order.
 template <typename V>
 class IdMap {
   static constexpr bool kIsSet = std::is_same_v<V, id_hash_internal::NoValue>;
@@ -31,6 +36,16 @@ class IdMap {
   IdMap() { Rehash(kMinCapacity); }
 
   size_t size() const { return size_; }
+  // Slots in the table, a power of two.
+  size_t capacity() const { return slots_.size(); }
+
+  // Grows the table so that `n` keys fit without a rehash; does nothing
+  // when they already do. Keys and values are kept.
+  void Reserve(size_t n) {
+    size_t capacity = slots_.size();
+    while (kLoadInverse * n > capacity) capacity *= 2;
+    if (capacity != slots_.size()) Rehash(capacity);
+  }
 
   // Adds `key` (with a value-initialized V); true if it was not present.
   bool Insert(uint64_t key) {
@@ -79,6 +94,8 @@ class IdMap {
  private:
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};
   static constexpr size_t kMinCapacity = 8;
+  // The table grows past load 1 / kLoadInverse.
+  static constexpr size_t kLoadInverse = kIsSet ? 4 : 2;
 
   struct Slot {
     uint64_t key = kEmptyKey;
@@ -105,7 +122,7 @@ class IdMap {
     }
     size_t slot = SlotOf(key);
     if (slots_[slot].key == key) return slots_[slot];
-    if (2 * (size_ + 1) > slots_.size()) {
+    if (kLoadInverse * (size_ + 1) > slots_.size()) {
       Rehash(2 * slots_.size());
       slot = SlotOf(key);
     }

@@ -104,9 +104,13 @@ RowBackend::Counts RowBackend::CountPass(const Pass& pass,
         }
       });
   // Partial counts are additive, so the totals are width-independent: the
-  // first partial becomes the total and the others add to it key by key.
+  // first partial becomes the total and the others add to it key by key,
+  // into a table sized up front for every partial's keys.
   Counts counts;
   if (!partials.empty()) counts = std::move(partials.front());
+  size_t keys = counts.size();
+  for (size_t i = 1; i < partials.size(); ++i) keys += partials[i].size();
+  counts.Reserve(keys);
   for (size_t i = 1; i < partials.size(); ++i) {
     partials[i].ForEach([&](uint64_t k, uint64_t n) { counts[k] += n; });
   }
@@ -301,12 +305,7 @@ void RowTripleBackend::ScanBranches(const Pass& pass,
     RowBackend::ScanBranches(pass, ectx, start, fn);
     return;
   }
-  relation_->FullScan(
-      ectx, start, [&](uint64_t part, std::span<const rdf::Triple> batch) {
-        ForKept(
-            batch, [&](const rdf::Triple& t) { return pass.Keeps(t); },
-            [&](std::span<const rdf::Triple> kept) { fn(part, kept); });
-      });
+  relation_->FullScan(ectx, pass.props, pass.subjects, start, fn);
 }
 
 // ---------------------------------------------------------------------------

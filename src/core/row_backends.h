@@ -107,8 +107,9 @@ class RowBackend : public BackendBase {
 };
 
 // "DBX triple SPO/PSO": the triple-store scheme. A branch pass is a full
-// scan of the clustered tree, split into leaf-range chunks; a subject
-// probe is one index descent.
+// scan of the clustered tree, split into leaf-range chunks, that tests the
+// pass's filters on the raw key words; a subject probe is one index
+// descent.
 class RowTripleBackend : public RowBackend {
  public:
   RowTripleBackend(const rdf::Dataset& dataset,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/macros.h"
 
@@ -226,34 +227,69 @@ uint64_t TripleRelation::FullScanChunks(const exec::ExecContext& ectx) const {
 }
 
 void TripleRelation::FullScan(
-    const exec::ExecContext& ectx,
-    const std::function<void(uint64_t parts)>& start,
+    const exec::ExecContext& ectx, const std::vector<uint64_t>* props,
+    const IdSet* subjects, const std::function<void(uint64_t parts)>& start,
     const std::function<void(uint64_t part, std::span<const rdf::Triple>)>&
         fn) const {
+  const KeyDecoder decode(config_.clustered);
+  const int subject_slot = decode.slot(0);
+  const int property_slot = decode.slot(1);
+  // The property verdict of the last key tested, reused while the
+  // property repeats: in PSO order it is tested once per property run.
+  struct PropertyRun {
+    std::optional<uint64_t> property;
+    bool keep = false;
+  };
+  // Decodes the keys of one leaf that pass the filters into `kept`. Every
+  // key pays its subject probe, as the semi-join does; the property list
+  // is searched only for the keys the probe keeps.
+  const auto keep_leaf = [&](const LeafKeys<3>& keys, PropertyRun* run,
+                             std::vector<rdf::Triple>* kept) {
+    kept->clear();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const BPlusTree<3>::Key key = keys[i];
+      if (subjects != nullptr && !subjects->contains(key[subject_slot])) {
+        continue;
+      }
+      if (props != nullptr) {
+        const uint64_t property = key[property_slot];
+        if (run->property != property) {
+          run->property = property;
+          run->keep =
+              std::binary_search(props->begin(), props->end(), property);
+        }
+        if (!run->keep) continue;
+      }
+      kept->push_back(decode(key));
+    }
+  };
+
   const uint64_t parts = FullScanChunks(ectx);
   start(parts);
   if (parts == 1) {
-    ScanMatches(rdf::TriplePattern{},
-                [&](std::span<const rdf::Triple> batch) { fn(0, batch); });
+    PropertyRun run;
+    std::vector<rdf::Triple> kept;  // grows to its largest leaf once
+    clustered_->Walk(BPlusTree<3>::Key{}, [&](const LeafKeys<3>& keys) {
+      keep_leaf(keys, &run, &kept);
+      if (!kept.empty()) fn(0, kept);
+      return true;
+    });
     return;
   }
   clustered_->ChargeScanDescent();
   const uint32_t leaves = clustered_->num_leaves();
   const uint32_t per = static_cast<uint32_t>((leaves + parts - 1) / parts);
-  const KeyDecoder decode(config_.clustered);
   ectx.ParallelFor(parts, 1, [&](uint64_t b, uint64_t e, uint64_t) {
-    std::vector<rdf::Triple> batch;
-    batch.reserve(BPlusTree<3>::kLeafCapacity);
+    PropertyRun run;
+    std::vector<rdf::Triple> kept;
+    kept.reserve(BPlusTree<3>::kLeafCapacity);
     for (uint64_t part = b; part < e; ++part) {
       const uint32_t lo = static_cast<uint32_t>(part) * per;
       const uint32_t hi = std::min(leaves, lo + per);
       if (lo >= hi) continue;
       clustered_->ScanLeaves(lo, hi, [&](const LeafKeys<3>& keys) {
-        batch.clear();
-        for (size_t i = 0; i < keys.size(); ++i) {
-          batch.push_back(decode(keys[i]));
-        }
-        fn(part, batch);
+        keep_leaf(keys, &run, &kept);
+        if (!kept.empty()) fn(part, kept);
       });
     }
   });

@@ -10,6 +10,7 @@
 #include "exec/exec_context.h"
 
 #include "audit/audit.h"
+#include "common/id_hash.h"
 #include "rdf/pattern.h"
 #include "rdf/triple.h"
 #include "rowstore/bplus_tree.h"
@@ -84,16 +85,24 @@ class TripleRelation {
   // its point lookup in the clustered tree (the non-covering row fetch).
   void ScanMatches(const rdf::TriplePattern& pattern, const BatchFn& fn) const;
 
-  // Full scan in clustered key order, fanned out over `ectx`. The relation
-  // picks the split itself: leaf-range parts when the context is parallel
-  // and the bulk-loaded leaf chain is intact; otherwise one part walked
-  // along the sibling chain, the bit-identical serial path (inserts break
-  // the chain). A split scan charges the root-to-leaf descent once, so the
-  // union of pages touched — and cold I/O bytes — equals the serial walk's.
-  // `start(parts)` runs once before the first triple; `fn(part, batch)`
-  // then runs concurrently across parts, one leaf's triples a call, in
-  // key order within each part.
+  // Full scan in clustered key order, fanned out over `ectx`, keeping the
+  // triples whose property is in `props` (sorted) and whose subject is in
+  // `subjects`; a null filter keeps every triple. The filters are tested
+  // on each leaf's raw key words: `subjects` with one probe per key, then
+  // `props` once per run of equal properties among the keys the probe
+  // keeps. Only the kept keys are decoded. Every leaf is fetched whatever
+  // it keeps, so the pages read do not depend on the filters. The
+  // relation picks the split itself: leaf-range parts when the context is
+  // parallel and the bulk-loaded leaf chain is intact; otherwise one part,
+  // the walk from the smallest key that ScanMatches does for the empty
+  // pattern (inserts break the chain). A split scan charges the
+  // root-to-leaf descent once, so the union of pages touched — and cold
+  // I/O bytes — equals the serial walk's. `start(parts)` runs once before
+  // the first triple; `fn(part, batch)` then runs concurrently across
+  // parts, one leaf's kept triples a call, in key order within each part.
+  // A leaf that keeps no triple gets no call.
   void FullScan(const exec::ExecContext& ectx,
+                const std::vector<uint64_t>* props, const IdSet* subjects,
                 const std::function<void(uint64_t parts)>& start,
                 const std::function<void(uint64_t part,
                                          std::span<const rdf::Triple>)>& fn)

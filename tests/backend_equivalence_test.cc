@@ -171,7 +171,7 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
     for (const core::RowTripleBackend* triple : {&row_spo, &row_pso}) {
       uint64_t parts = 0;
       triple->relation().FullScan(
-          ectx, [&](uint64_t n) { parts = n; },
+          ectx, nullptr, nullptr, [&](uint64_t n) { parts = n; },
           [](uint64_t, std::span<const rdf::Triple>) {});
       EXPECT_EQ(parts > 1, width > 1 && !after_inserts)
           << triple->name() << " x" << width << ": " << parts << " parts";
@@ -422,7 +422,8 @@ TEST(RowMatchCostTest, ColdMatchIsPinned) {
       }
       uint64_t parts = 0;
       row_pso.relation().FullScan(
-          exec::ExecContext(8), [&](uint64_t n) { parts = n; },
+          exec::ExecContext(8), nullptr, nullptr,
+          [&](uint64_t n) { parts = n; },
           [](uint64_t, const auto&) {});
       EXPECT_EQ(parts, 1u);  // the chain is broken: one serial part
     }

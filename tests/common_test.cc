@@ -301,5 +301,69 @@ TEST(IdHashTest, SetMatchesUnorderedSet) {
   for (uint64_t key : kEdgeKeys) EXPECT_TRUE(set.contains(key)) << key;
 }
 
+// A map grows past load 1/2 and a set past load 1/4; Reserve(n) makes
+// room for n keys at that load in one step.
+TEST(IdHashTest, ReserveOnEmptyTableSkipsEveryRehash) {
+  IdMap<uint64_t> map;
+  IdSet set;
+  map.Reserve(1000);
+  set.Reserve(1000);
+  EXPECT_EQ(map.capacity(), 2048u);
+  EXPECT_EQ(set.capacity(), 4096u);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    map[key * 7919] = key;
+    set.Insert(key * 7919);
+  }
+  EXPECT_EQ(map.capacity(), 2048u);
+  EXPECT_EQ(set.capacity(), 4096u);
+  EXPECT_EQ(map.size(), 1000u);
+  EXPECT_EQ(set.size(), 1000u);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    ASSERT_NE(map.Find(key * 7919), nullptr) << key;
+    EXPECT_EQ(*map.Find(key * 7919), key);
+    EXPECT_TRUE(set.contains(key * 7919)) << key;
+  }
+}
+
+TEST(IdHashTest, ReserveKeepsKeysAndValues) {
+  Rng rng(29);
+  IdMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> want;
+  for (int i = 0; i < 300; ++i) {
+    const uint64_t key = RandomIdKey(&rng);
+    map[key] += 3;
+    want[key] += 3;
+  }
+  for (uint64_t key : kEdgeKeys) {
+    map[key] += 5;
+    want[key] += 5;
+  }
+  const size_t before = map.capacity();
+  map.Reserve(10 * map.size());
+  EXPECT_GT(map.capacity(), before);
+  EXPECT_GE(map.capacity(), 20 * map.size());
+  ASSERT_EQ(map.size(), want.size());
+  std::unordered_map<uint64_t, uint64_t> seen;
+  map.ForEach([&](uint64_t k, uint64_t v) {
+    EXPECT_TRUE(seen.emplace(k, v).second) << "visited twice: " << k;
+  });
+  EXPECT_EQ(seen, want);
+}
+
+TEST(IdHashTest, ReserveBelowSizeDoesNothing) {
+  IdMap<uint64_t> map;
+  for (uint64_t key = 0; key < 100; ++key) map[key] = key + 1;
+  std::vector<std::pair<uint64_t, uint64_t>> order;
+  map.ForEach([&](uint64_t k, uint64_t v) { order.emplace_back(k, v); });
+  const size_t capacity = map.capacity();
+  for (size_t n : {size_t{0}, size_t{1}, size_t{50}, size_t{100}}) {
+    map.Reserve(n);
+    EXPECT_EQ(map.capacity(), capacity) << n;
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> after;
+  map.ForEach([&](uint64_t k, uint64_t v) { after.emplace_back(k, v); });
+  EXPECT_EQ(after, order);  // same slots: no rehash
+}
+
 }  // namespace
 }  // namespace swan

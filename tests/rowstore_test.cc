@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/id_hash.h"
 #include "common/random.h"
+#include "exec/thread_pool.h"
 #include "plan/stats.h"
 #include "rdf/dataset.h"
 #include "rowstore/stats.h"
@@ -203,6 +207,120 @@ TEST(TripleRelationTest, SecondaryScanChargesRowFetches) {
   // Ten row fetches -> at least ten random descents' worth of pages.
   EXPECT_GT(f.disk.total_seeks(), 5u);
 }
+
+// FullScan's property and subject filters, tested on the raw key words,
+// against filtering the unfiltered scan: per clustering, at widths 1 and 8
+// (leaf-range parts), fresh and after inserts that split leaves (the
+// serial walk). Each filter keeps exactly the unfiltered scan's passing
+// triples, never hands fn an empty batch, splits the scan into the same
+// parts and reads the same cold pages: bytes and seeks.
+class FullScanFilterTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+ protected:
+  void SetUp() override { exec::SetThreads(8); }
+  void TearDown() override { exec::SetThreads(1); }
+};
+
+TEST_P(FullScanFilterTest, KeepsExactlyThePassingTriples) {
+  const auto [pso, after_inserts] = GetParam();
+  RowFixture f;
+  TripleRelation rel(&f.pool, &f.disk,
+                     pso ? TripleRelation::PsoConfig()
+                         : TripleRelation::SpoConfig());
+  rel.Load(SmallGraph());
+  if (after_inserts) {
+    for (uint64_t s = 0; s < 60000; s += 97) {
+      ASSERT_TRUE(rel.Insert({s, 101, 1000 + s}));
+      ASSERT_TRUE(rel.Insert({s, 200, 1000 + s}));
+    }
+  }
+
+  const std::vector<uint64_t> props = {100, 200, 250};  // 250 is absent
+  IdSet subjects;
+  for (uint64_t s = 0; s < 50000; s += 3) subjects.Insert(s);
+  subjects.Insert(uint64_t{1} << 40);  // absent
+  const IdSet no_subjects;
+  struct Filter {
+    const char* name;
+    const std::vector<uint64_t>* props;
+    const IdSet* subjects;
+  };
+  const Filter filters[] = {{"none", nullptr, nullptr},
+                            {"props", &props, nullptr},
+                            {"subjects", nullptr, &subjects},
+                            {"both", &props, &subjects},
+                            {"empty subject set", nullptr, &no_subjects}};
+
+  struct Scan {
+    uint64_t parts = 0;
+    std::vector<rdf::Triple> triples;  // sorted
+    uint64_t cold_bytes = 0;
+    uint64_t seeks = 0;
+  };
+  const auto scan = [&](const exec::ExecContext& ectx, const Filter& filter) {
+    f.pool.Clear();
+    f.disk.ResetStats();
+    Scan out;
+    std::vector<std::vector<rdf::Triple>> by_part;
+    bool empty_batch = false;
+    rel.FullScan(
+        ectx, filter.props, filter.subjects,
+        [&](uint64_t parts) {
+          out.parts = parts;
+          by_part.resize(parts);
+        },
+        [&](uint64_t part, std::span<const rdf::Triple> batch) {
+          if (batch.empty()) empty_batch = true;
+          by_part[part].insert(by_part[part].end(), batch.begin(),
+                               batch.end());
+        });
+    EXPECT_FALSE(empty_batch) << filter.name;
+    out.cold_bytes = f.disk.total_bytes_read();
+    out.seeks = f.disk.total_seeks();
+    for (const auto& part : by_part) {
+      out.triples.insert(out.triples.end(), part.begin(), part.end());
+    }
+    std::sort(out.triples.begin(), out.triples.end());
+    return out;
+  };
+
+  for (int width : {1, 8}) {
+    const exec::ExecContext ectx(width);
+    const Scan all = scan(ectx, filters[0]);
+    EXPECT_EQ(all.triples.size(), rel.size());
+    EXPECT_EQ(all.parts > 1, width > 1 && !after_inserts) << all.parts;
+    for (const Filter& filter : filters) {
+      std::vector<rdf::Triple> want;
+      for (const rdf::Triple& t : all.triples) {
+        if (filter.props != nullptr &&
+            !std::binary_search(filter.props->begin(), filter.props->end(),
+                                t.property)) {
+          continue;
+        }
+        if (filter.subjects != nullptr &&
+            !filter.subjects->contains(t.subject)) {
+          continue;
+        }
+        want.push_back(t);
+      }
+      const Scan got = scan(ectx, filter);
+      const std::string at = std::string(filter.name) + " x" +
+                             std::to_string(width);
+      EXPECT_EQ(got.triples, want) << at;
+      EXPECT_EQ(got.parts, all.parts) << at;
+      EXPECT_EQ(got.cold_bytes, all.cold_bytes) << at;
+      EXPECT_EQ(got.seeks, all.seeks) << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClusteringsAndLoadStates, FullScanFilterTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "PSO" : "SPO") +
+             (std::get<1>(info.param) ? "_after_inserts" : "_fresh_load");
+    });
 
 TEST(VerticalRelationTest, PartitionScansMatchOracle) {
   RowFixture f;

@@ -259,7 +259,9 @@ print('shell sharded record: %d match calls, %d net bytes'
     # that exercise cross-thread interleavings, so CI runs just those,
     # plus the scale-out equivalence suites (every column Run goes through
     # one scatter/gather routine, which only they drive at nodes > 1 and
-    # 8 threads) and a small parallel_speedup smoke whose built-in
+    # 8 threads), the row engine's width suite (the triple store's chunked
+    # FullScan and its per-chunk hash partials at 8 threads) and a small
+    # parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
@@ -269,9 +271,10 @@ print('shell sharded record: %d match calls, %d net bytes'
         -DSWAN_SANITIZE=thread &&
       cmake --build "$TSAN_DIR" -j "$JOBS" \
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
-                 serve_test scaleout_test parallel_speedup swandb_shell &&
+                 serve_test scaleout_test backend_equivalence_test \
+                 parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       write_serve_smoke "$TSAN_DIR/serve-smoke.serve" &&
