@@ -39,7 +39,6 @@ swan_add_bench(figure7_scaleup)
 swan_add_bench(ablation_buffer_pool)
 swan_add_bench(ablation_compression)
 swan_add_bench(ablation_updates)
-swan_add_bench(beyond_property_table)
 swan_add_bench(scale_sensitivity)
 swan_add_bench(ablation_q8_join)
 swan_add_bench(ablation_planner)

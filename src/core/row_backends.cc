@@ -53,26 +53,6 @@ uint64_t PackPair(uint64_t a, uint64_t b) {
 // RowBackend: the 12 queries over ScanPattern and ScanBranches
 // ---------------------------------------------------------------------------
 
-bool RowBackend::Pass::Keeps(const rdf::Triple& t) const {
-  if (subjects != nullptr && !subjects->contains(t.subject)) return false;
-  return props == nullptr ||
-         std::binary_search(props->begin(), props->end(), t.property);
-}
-
-void RowBackend::ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
-                              const std::function<void(uint64_t)>& start,
-                              const BranchFn& fn) const {
-  (void)ectx;
-  start(1);
-  rdf::TriplePattern pattern;
-  pattern.subject = pass.subject;
-  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
-    ForKept(
-        batch, [&](const rdf::Triple& t) { return pass.Keeps(t); },
-        [&](std::span<const rdf::Triple> kept) { fn(0, kept); });
-  });
-}
-
 IdSet RowBackend::SubjectSet(uint64_t property, uint64_t object,
                              const exec::ExecContext& ectx,
                              const IdSet* within) const {
@@ -301,11 +281,25 @@ void RowTripleBackend::ScanBranches(const Pass& pass,
                                     const exec::ExecContext& ectx,
                                     const std::function<void(uint64_t)>& start,
                                     const BranchFn& fn) const {
-  if (pass.subject) {
-    RowBackend::ScanBranches(pass, ectx, start, fn);
+  if (!pass.subject) {
+    relation_->FullScan(ectx, pass.props, pass.subjects, start, fn);
     return;
   }
-  relation_->FullScan(ectx, pass.props, pass.subjects, start, fn);
+  start(1);
+  rdf::TriplePattern pattern;
+  pattern.subject = pass.subject;
+  const auto keeps = [&pass](const rdf::Triple& t) {
+    if (pass.subjects != nullptr && !pass.subjects->contains(t.subject)) {
+      return false;
+    }
+    return pass.props == nullptr ||
+           std::binary_search(pass.props->begin(), pass.props->end(),
+                              t.property);
+  };
+  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
+    ForKept(batch, keeps,
+            [&](std::span<const rdf::Triple> kept) { fn(0, kept); });
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ namespace swan::core {
 // and every branch of a pass keeps its own hash partial.
 class RowBackend : public BackendBase {
  public:
-  // `tag` prefixes the engine's span names ("row_triple", "row_vert",
-  // "prop_table").
+  // `tag` prefixes the engine's span names ("row_triple", "row_vert").
   RowBackend(std::string tag, storage::DiskConfig disk_config,
              size_t pool_pages)
       : BackendBase(disk_config, pool_pages),
@@ -61,9 +60,6 @@ class RowBackend : public BackendBase {
     const std::vector<uint64_t>* props = nullptr;
     const IdSet* subjects = nullptr;
     std::optional<uint64_t> subject = std::nullopt;
-
-    // The props/subjects test, for engines that scan wider than the pass.
-    bool Keeps(const rdf::Triple& t) const;
   };
 
   // Streams every triple matching `pattern`, serially, in canonical order,
@@ -72,11 +68,10 @@ class RowBackend : public BackendBase {
                            const TripleFn& fn) const = 0;
   // Runs `pass` as independent branches that fan out over `ectx`:
   // `start(branches)` runs once, then `fn(branch, batch)` concurrently
-  // across branches, each batch holding only the pass's triples. The
-  // default is one serial branch over ScanPattern.
+  // across branches, each batch holding only the pass's triples.
   virtual void ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
                             const std::function<void(uint64_t)>& start,
-                            const BranchFn& fn) const;
+                            const BranchFn& fn) const = 0;
 
  private:
   using Counts = IdMap<uint64_t>;
@@ -109,7 +104,7 @@ class RowBackend : public BackendBase {
 // "DBX triple SPO/PSO": the triple-store scheme. A branch pass is a full
 // scan of the clustered tree, split into leaf-range chunks, that tests the
 // pass's filters on the raw key words; a subject probe is one index
-// descent.
+// descent, one serial branch.
 class RowTripleBackend : public RowBackend {
  public:
   RowTripleBackend(const rdf::Dataset& dataset,

@@ -3,7 +3,6 @@
 #include "common/macros.h"
 #include "core/col_backends.h"
 #include "core/cstore_backend.h"
-#include "core/property_table_backend.h"
 #include "core/row_backends.h"
 #include "shard/sharded_backend.h"
 
@@ -15,8 +14,6 @@ std::string ToString(StorageScheme scheme) {
       return "triple-store";
     case StorageScheme::kVerticalPartitioned:
       return "vertically-partitioned";
-    case StorageScheme::kPropertyTable:
-      return "property-table";
   }
   return "?";
 }
@@ -41,8 +38,6 @@ std::unique_ptr<RdfStore> RdfStore::Open(const rdf::Dataset& dataset,
   std::unique_ptr<Backend> backend;
   switch (options.engine) {
     case EngineKind::kColumnStore:
-      SWAN_CHECK_MSG(options.scheme != StorageScheme::kPropertyTable,
-                     "the property-table scheme is row-store only");
       if (options.nodes > 1) {
         shard::ShardOptions sharded;
         sharded.nodes = options.nodes;
@@ -66,12 +61,6 @@ std::unique_ptr<RdfStore> RdfStore::Open(const rdf::Dataset& dataset,
       }
       break;
     case EngineKind::kRowStore: {
-      if (options.scheme == StorageScheme::kPropertyTable) {
-        backend = std::make_unique<PropertyTableBackend>(
-            dataset, options.property_table_width, options.disk,
-            options.pool_pages);
-        break;
-      }
       if (options.scheme == StorageScheme::kTripleStore) {
         rowstore::TripleRelation::Config config =
             options.clustering == rdf::TripleOrder::kSPO

@@ -18,10 +18,8 @@
 
 namespace swan::core {
 
-// Which relational RDF storage scheme to materialize. kPropertyTable is
-// an extension beyond the paper (which excludes that scheme; §1) and is
-// only available on the row engine.
-enum class StorageScheme { kTripleStore, kVerticalPartitioned, kPropertyTable };
+// Which relational RDF storage scheme to materialize.
+enum class StorageScheme { kTripleStore, kVerticalPartitioned };
 
 // Which engine architecture executes the queries.
 enum class EngineKind { kRowStore, kColumnStore, kCStore };
@@ -50,10 +48,6 @@ struct StoreOptions {
   // For EngineKind::kCStore: the property subset to load. Empty means all
   // distinct properties of the dataset.
   std::vector<uint64_t> cstore_properties;
-
-  // For StorageScheme::kPropertyTable: how many of the most frequent
-  // properties the design wizard flattens into the wide table.
-  uint32_t property_table_width = 20;
 
   // Scale-out: simulated node count. 1 opens the exact single-node
   // backends; > 1 materializes the column-store schemes as a sharded

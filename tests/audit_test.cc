@@ -21,7 +21,6 @@
 #include "colstore/column.h"
 #include "core/col_backends.h"
 #include "core/cstore_backend.h"
-#include "core/property_table_backend.h"
 #include "core/row_backends.h"
 #include "core/store.h"
 #include "dict/dictionary.h"
@@ -332,8 +331,6 @@ TEST(CleanStoreAuditTest, AllBackendsAuditCleanAfterBuildAndQueries) {
   backends.push_back(std::make_unique<core::RowTripleBackend>(
       barton.dataset, rowstore::TripleRelation::SpoConfig()));
   backends.push_back(std::make_unique<core::RowVerticalBackend>(barton.dataset));
-  backends.push_back(
-      std::make_unique<core::PropertyTableBackend>(barton.dataset, 4));
   backends.push_back(std::make_unique<core::CStoreBackend>(
       barton.dataset, ctx.interesting_properties()));
 

@@ -19,7 +19,6 @@
 #include "bench_support/ledger.h"
 #include "core/col_backends.h"
 #include "core/cstore_backend.h"
-#include "core/property_table_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
@@ -55,14 +54,13 @@ TEST_P(EquivalenceTest, AllBackendsAgreeOnAllQueries) {
   core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(data);
   core::CStoreBackend cstore(data, ctx.interesting_properties());
-  core::PropertyTableBackend property_table(data, 20);
   core::ReferenceBackend reference(data);
 
   // The naive reference oracle goes first so every optimized backend is
   // compared against it, not just against each other.
   std::vector<core::Backend*> backends = {&reference, &col_spo, &col_pso,
                                           &col_vert, &row_spo, &row_pso,
-                                          &row_vert, &property_table, &cstore};
+                                          &row_vert, &cstore};
   const std::vector<uint64_t> rows = bench_support::VerifyBackendsAgree(
       backends, core::AllQueries(), ctx);
 
@@ -125,7 +123,7 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
   }
 }
 
-// The row engine's rows at widths 1, 2 and 8, for all four row designs,
+// The row engine's rows at widths 1, 2 and 8, for all three row designs,
 // against the reference. On a fresh load the triple stores' full scans
 // split into leaf-range chunks with one hash partial each; after an insert
 // batch has split leaves, the chain is no longer contiguous and they fall
@@ -154,10 +152,9 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
   core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
   core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(data);
-  core::PropertyTableBackend property_table(data, 20);
   core::ReferenceBackend reference(data);
   const std::vector<core::Backend*> row_backends = {&row_spo, &row_pso,
-                                                    &row_vert, &property_table};
+                                                    &row_vert};
   for (const rdf::Triple& t : inserts) {
     ASSERT_TRUE(reference.Insert(t).ok());
     for (core::Backend* backend : row_backends) {
@@ -252,12 +249,11 @@ TEST_F(RowEngineCostTest, ColdCostIsPinned) {
   core::RowTripleBackend row_pso(barton.dataset,
                                  rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(barton.dataset);
-  core::PropertyTableBackend property_table(barton.dataset, 4);
 
   bench_support::Ledger got(
       config, {"backend", "query", "width", "cold_bytes", "seeks", "seconds"});
-  for (core::Backend* backend : std::vector<core::Backend*>{
-           &row_spo, &row_pso, &row_vert, &property_table}) {
+  for (core::Backend* backend :
+       std::vector<core::Backend*>{&row_spo, &row_pso, &row_vert}) {
     AddColdRuns(got, backend, {backend->name()}, ctx);
   }
   ExpectPinned("row_engine_cold", std::move(got));
@@ -411,9 +407,8 @@ TEST(RowMatchCostTest, ColdMatchIsPinned) {
     core::RowTripleBackend row_pso(data,
                                    rowstore::TripleRelation::PsoConfig());
     core::RowVerticalBackend row_vert(data);
-    core::PropertyTableBackend property_table(data, 4);
     const std::vector<core::Backend*> backends = {&row_spo, &row_pso,
-                                                  &row_vert, &property_table};
+                                                  &row_vert};
     if (after_inserts) {
       for (core::Backend* backend : backends) {
         for (const rdf::Triple& t : inserts) {

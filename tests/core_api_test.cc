@@ -151,8 +151,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{StorageScheme::kVerticalPartitioned, EngineKind::kRowStore},
         std::pair{StorageScheme::kVerticalPartitioned,
                   EngineKind::kColumnStore},
-        std::pair{StorageScheme::kVerticalPartitioned, EngineKind::kCStore},
-        std::pair{StorageScheme::kPropertyTable, EngineKind::kRowStore}),
+        std::pair{StorageScheme::kVerticalPartitioned, EngineKind::kCStore}),
     [](const auto& info) {
       std::string name = ToString(info.param.first) + "_" +
                          ToString(info.param.second);
@@ -166,7 +165,6 @@ TEST(StoreOptionsTest, SchemeAndEngineNames) {
   EXPECT_EQ(ToString(StorageScheme::kTripleStore), "triple-store");
   EXPECT_EQ(ToString(StorageScheme::kVerticalPartitioned),
             "vertically-partitioned");
-  EXPECT_EQ(ToString(StorageScheme::kPropertyTable), "property-table");
   EXPECT_EQ(ToString(EngineKind::kRowStore), "row-store");
   EXPECT_EQ(ToString(EngineKind::kColumnStore), "column-store");
   EXPECT_EQ(ToString(EngineKind::kCStore), "c-store");

@@ -13,7 +13,6 @@
 #include "audit/audit.h"
 #include "common/random.h"
 #include "core/col_backends.h"
-#include "core/property_table_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "rdf/ntriples.h"
@@ -89,7 +88,6 @@ TEST_P(GraphFuzzTest, AllBackendsMatchReferenceOnRandomGraphs) {
   backends.push_back(std::make_unique<core::RowTripleBackend>(
       data, rowstore::TripleRelation::SpoConfig()));
   backends.push_back(std::make_unique<core::RowVerticalBackend>(data));
-  backends.push_back(std::make_unique<core::PropertyTableBackend>(data, 4));
 
   for (core::QueryId id : core::AllQueries()) {
     core::QueryResult expected = reference.Run(id, ctx);
@@ -117,7 +115,7 @@ TEST_P(GraphFuzzTest, RandomPatternsMatchReference) {
   core::ColVerticalBackend col_vert(data);
   core::RowTripleBackend row_pso(data,
                                  rowstore::TripleRelation::PsoConfig());
-  core::PropertyTableBackend ptable(data, 3);
+  core::RowVerticalBackend row_vert(data);
 
   const uint64_t dict_size = data.dict().size();
   for (int round = 0; round < 40; ++round) {
@@ -129,8 +127,8 @@ TEST_P(GraphFuzzTest, RandomPatternsMatchReference) {
 
     auto expected = reference.Match(pattern);
     std::sort(expected.begin(), expected.end());
-    for (core::Backend* backend :
-         std::initializer_list<core::Backend*>{&col_vert, &row_pso, &ptable}) {
+    for (core::Backend* backend : std::initializer_list<core::Backend*>{
+             &col_vert, &row_pso, &row_vert}) {
       auto got = backend->Match(pattern);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expected)

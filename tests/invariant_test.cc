@@ -10,7 +10,6 @@
 #include "common/table_printer.h"
 #include "dict/dictionary.h"
 #include "rowstore/bplus_tree.h"
-#include "rowstore/sorted_table.h"
 
 namespace swan {
 namespace {
@@ -45,14 +44,6 @@ TEST(InvariantDeathTest, BulkLoadOnNonEmptyTreeAborts) {
 TEST(InvariantDeathTest, TablePrinterRowWidthMismatchAborts) {
   TablePrinter table({"a", "b"});
   EXPECT_DEATH(table.AddRow({"only-one"}), "row width");
-}
-
-TEST(InvariantDeathTest, SortedTableSizeMismatchAborts) {
-  storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
-  storage::BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
-  rowstore::SortedTable table(&pool, &disk, 3);
-  const std::vector<uint64_t> flat = {1, 2, 3, 4};  // not a multiple of 3
-  EXPECT_DEATH(table.BulkLoad(flat, 2), "");
 }
 
 TEST(InvariantDeathTest, DictionaryLookupOutOfRangeAborts) {

@@ -10,7 +10,6 @@
 #include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/profiling.h"
-#include "core/property_table_backend.h"
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
@@ -217,15 +216,13 @@ TEST_F(ObsProfileTest, SpanTreeShapeInvariantAcrossWidths) {
   core::RowTripleBackend row(barton_.dataset,
                              rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(barton_.dataset);
-  core::PropertyTableBackend property_table(barton_.dataset, 20);
   const std::vector<core::QueryId> queries = {
       core::QueryId::kQ1, core::QueryId::kQ2, core::QueryId::kQ5,
       core::QueryId::kQ2Star, core::QueryId::kQ6Star};
   for (core::BackendBase* backend :
        {static_cast<core::BackendBase*>(&col),
         static_cast<core::BackendBase*>(&row),
-        static_cast<core::BackendBase*>(&row_vert),
-        static_cast<core::BackendBase*>(&property_table)}) {
+        static_cast<core::BackendBase*>(&row_vert)}) {
     for (core::QueryId q : queries) {
       if (!backend->Supports(q)) continue;
       std::string reference;
@@ -254,12 +251,10 @@ TEST_F(ObsProfileTest, RowEngineRootSpanReportsRowsOut) {
   core::RowTripleBackend row_triple(barton_.dataset,
                                     rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(barton_.dataset);
-  core::PropertyTableBackend property_table(barton_.dataset, 20);
   const exec::ExecContext ectx(8);
   for (core::BackendBase* backend :
        {static_cast<core::BackendBase*>(&row_triple),
-        static_cast<core::BackendBase*>(&row_vert),
-        static_cast<core::BackendBase*>(&property_table)}) {
+        static_cast<core::BackendBase*>(&row_vert)}) {
     for (core::QueryId q : core::AllQueries()) {
       const Measurement m =
           bench_support::MeasureColdProfiled(backend, q, *ctx_, ectx, 1);

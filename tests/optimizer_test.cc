@@ -18,7 +18,6 @@
 #include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "core/col_backends.h"
-#include "core/property_table_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "core/store.h"
@@ -231,8 +230,6 @@ TEST_F(OptimizerTest, TopClassStarRunsAsScanJoinOnEveryBackend) {
       barton_.dataset, rowstore::TripleRelation::PsoConfig()));
   backends.push_back(
       std::make_unique<core::RowVerticalBackend>(barton_.dataset));
-  backends.push_back(
-      std::make_unique<core::PropertyTableBackend>(barton_.dataset));
   backends.push_back(std::make_unique<core::ColTripleBackend>(
       barton_.dataset, rdf::TripleOrder::kPSO));
   backends.push_back(
@@ -430,7 +427,6 @@ TEST(WideGroupTest, StarOverSixtyFourVariablesRunsAsWritten) {
   backends.push_back(std::make_unique<core::RowTripleBackend>(
       data, rowstore::TripleRelation::PsoConfig()));
   backends.push_back(std::make_unique<core::RowVerticalBackend>(data));
-  backends.push_back(std::make_unique<core::PropertyTableBackend>(data));
   for (const auto& backend : backends) {
     for (int width : {1, 8}) {
       SCOPED_TRACE(backend->name() + " width " + std::to_string(width));

@@ -80,6 +80,23 @@ case "$mode" in
       "$RELEASE_DIR/tools/swandb_shell" --generate 20000 $design --audit \
         >/dev/null || { echo "audit failed: $design"; status=1; }
     done
+    # Usage-error smoke: a bad flag value is rejected with its message
+    # and exit code 2, never mapped to some other store.
+    echo "=== release: usage error smoke ==="
+    for bad in "--clustering sop|unknown clustering 'sop'" \
+               "--nodes 2x|invalid --nodes '2x'" \
+               "--scheme ptable|unknown scheme 'ptable'"; do
+      flags="${bad%%|*}"
+      want="${bad#*|}"
+      # $flags is unquoted on purpose: it is a flag and its value.
+      err="$("$RELEASE_DIR/tools/swandb_shell" --generate 100 $flags \
+               2>&1 >/dev/null)"
+      code=$?
+      if [ "$code" -ne 2 ] || [[ "$err" != *"$want"* ]]; then
+        echo "usage error not reported: $flags (exit $code): $err"
+        status=1
+      fi
+    done
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
@@ -122,25 +139,29 @@ for backend_map in doc['workloads'].values():
 assert doc.get('telemetry_reconciled') is True, doc
 print('bench json smoke: OK')
 "; } || status=1
-    # Micro-bench JSON smoke: a brief run of the row engine's hot q3, the
-    # subject-set probe and the Match scans must leave google-benchmark
-    # JSON naming all three.
+    # Micro-bench JSON smoke: a brief run of every micro bench must leave
+    # google-benchmark JSON with a non-empty benchmark list, and the
+    # B+tree file must name the row engine's hot q3, the subject-set probe
+    # and the Match scans.
     echo "=== release: micro bench json smoke ==="
-    { "$RELEASE_DIR/bench/micro_bplus_tree" \
-        --benchmark_filter='RowEngineQ3Hot|SubjectSetProbe|RowMatchScan' \
-        --benchmark_min_time=0.01 \
-        --benchmark_out="$RELEASE_DIR/BENCH_micro_rowstore.json" \
-        --benchmark_out_format=json >/dev/null &&
-      python3 -c "
+    for micro in "$RELEASE_DIR"/bench/micro_*; do
+      name="$(basename "$micro")"
+      { "$micro" --benchmark_min_time=0.01 \
+          --benchmark_out="$RELEASE_DIR/BENCH_$name.json" \
+          --benchmark_out_format=json >/dev/null &&
+        python3 -c "
 import json
-doc = json.load(open('$RELEASE_DIR/BENCH_micro_rowstore.json'))
+doc = json.load(open('$RELEASE_DIR/BENCH_$name.json'))
 names = [b['name'] for b in doc['benchmarks']]
-for want in ('BM_RowEngineQ3Hot/1/', 'BM_RowEngineQ3Hot/2/',
-             'BM_SubjectSetProbe/0', 'BM_SubjectSetProbe/1',
-             'BM_RowMatchScan/0', 'BM_RowMatchScan/1'):
-    assert any(n.startswith(want) for n in names), (want, names)
-print('micro bench json smoke: OK')
-"; } || status=1
+assert names, 'no benchmarks'
+if '$name' == 'micro_bplus_tree':
+    for want in ('BM_RowEngineQ3Hot/1/', 'BM_RowEngineQ3Hot/2/',
+                 'BM_SubjectSetProbe/0', 'BM_SubjectSetProbe/1',
+                 'BM_RowMatchScan/0', 'BM_RowMatchScan/1'):
+        assert any(n.startswith(want) for n in names), (want, names)
+print('micro bench json smoke: $name OK,', len(names), 'entries')
+"; } || { echo "micro bench json failed: $name"; status=1; }
+    done
     # Codec-equivalence smoke: the compression ablation verifies every
     # codec against the row reference on all 12 queries and gates on the
     # cold-bytes reduction, at a scale small enough for CI.
@@ -169,12 +190,6 @@ print('planner smoke: OK')
     # binary exits non-zero on any disagreement.
     echo "=== release: updates smoke ==="
     SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_updates" \
-      >/dev/null || status=1
-    # Row-design smoke: the only bench that checks all three row designs
-    # (triple PSO, vertical, property table) against the reference on
-    # all 12 queries; it exits non-zero on any disagreement.
-    echo "=== release: row designs smoke ==="
-    SWAN_TRIPLES=20000 SWAN_REPS=1 "$RELEASE_DIR/bench/beyond_property_table" \
       >/dev/null || status=1
     # Scale-out smoke, at the full default scale (release is fast
     # enough): 12-query equivalence at nodes {1,2,4} x threads {1,8},

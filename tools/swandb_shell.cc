@@ -1,6 +1,6 @@
 // swandb_shell: command-line front-end over the library.
 //
-//   swandb_shell [--scheme triple|vertical|ptable] [--engine row|column]
+//   swandb_shell [--scheme triple|vertical] [--engine row|column]
 //                [--clustering spo|pso] [--nodes N]
 //                [--generate N | --load FILE.nt]
 //                [--query 'SPARQL...' | --file QUERIES.rq | --serve SCRIPT]
@@ -53,6 +53,7 @@
 //   $ ./build/tools/swandb_shell --generate 100000
 //         --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5'
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -99,7 +100,7 @@ struct ShellOptions {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: swandb_shell [--scheme triple|vertical|ptable]\n"
+      "usage: swandb_shell [--scheme triple|vertical]\n"
       "                    [--engine row|column] [--clustering spo|pso]\n"
       "                    [--codec raw|rle|delta|bitpack|dictbitpack|auto]\n"
       "                    [--nodes N]\n"
@@ -108,6 +109,15 @@ void PrintUsage() {
       "                     --serve SCRIPT]\n"
       "                    [--profile[=FILE]] [--audit]\n"
       "                    [--querylog=FILE] [--flamegraph=FILE]\n");
+}
+
+// Parses all of `text` as a decimal node count: "2x" or "" is rejected.
+bool ParseNodes(const std::string& text, int* nodes) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *nodes);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "invalid --nodes '%s'\n", text.c_str());
+  return false;
 }
 
 bool ParseArgs(int argc, char** argv, ShellOptions* options) {
@@ -155,9 +165,11 @@ bool ParseArgs(int argc, char** argv, ShellOptions* options) {
     } else if (arg == "--audit") {
       options->audit = true;
     } else if (arg == "--nodes" && (value = next())) {
-      options->nodes = std::atoi(value);
+      if (!ParseNodes(value, &options->nodes)) return false;
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      options->nodes = std::atoi(arg.c_str() + std::strlen("--nodes="));
+      if (!ParseNodes(arg.substr(std::strlen("--nodes=")), &options->nodes)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown or incomplete argument: %s\n",
                    arg.c_str());
@@ -534,26 +546,27 @@ int main(int argc, char** argv) {
     store_options.scheme = swan::core::StorageScheme::kTripleStore;
   } else if (options.scheme == "vertical") {
     store_options.scheme = swan::core::StorageScheme::kVerticalPartitioned;
-  } else if (options.scheme == "ptable") {
-    store_options.scheme = swan::core::StorageScheme::kPropertyTable;
-    store_options.engine = swan::core::EngineKind::kRowStore;
   } else {
     std::fprintf(stderr, "unknown scheme '%s'\n", options.scheme.c_str());
     return 2;
   }
-  if (options.scheme != "ptable") {
-    if (options.engine == "row") {
-      store_options.engine = swan::core::EngineKind::kRowStore;
-    } else if (options.engine == "column") {
-      store_options.engine = swan::core::EngineKind::kColumnStore;
-    } else {
-      std::fprintf(stderr, "unknown engine '%s'\n", options.engine.c_str());
-      return 2;
-    }
+  if (options.engine == "row") {
+    store_options.engine = swan::core::EngineKind::kRowStore;
+  } else if (options.engine == "column") {
+    store_options.engine = swan::core::EngineKind::kColumnStore;
+  } else {
+    std::fprintf(stderr, "unknown engine '%s'\n", options.engine.c_str());
+    return 2;
   }
-  store_options.clustering = options.clustering == "spo"
-                                 ? swan::rdf::TripleOrder::kSPO
-                                 : swan::rdf::TripleOrder::kPSO;
+  if (options.clustering == "spo") {
+    store_options.clustering = swan::rdf::TripleOrder::kSPO;
+  } else if (options.clustering == "pso") {
+    store_options.clustering = swan::rdf::TripleOrder::kPSO;
+  } else {
+    std::fprintf(stderr, "unknown clustering '%s'\n",
+                 options.clustering.c_str());
+    return 2;
+  }
   if (!swan::colstore::CodecFromString(options.codec, &store_options.codec)) {
     std::fprintf(stderr, "unknown codec '%s'\n", options.codec.c_str());
     return 2;
