@@ -6,49 +6,34 @@
 #include <cstdlib>
 
 #include "common/macros.h"
-#include "common/timer.h"
 #include "core/profiling.h"
-#include "exec/thread_pool.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace swan::bench_support {
 
 namespace {
 
-// Times one execution of `body` (which returns the row count) against
-// the backend's aggregate cost model and returns the (real, user, bytes,
-// rows) observation. The aggregate virtuals make this topology-agnostic:
-// a single-node backend reports its one disk, a sharded backend reports
-// max-over-nodes virtual time plus modeled network time.
+// Times one execution of `body` (which returns the row count) with the
+// shared cost meter. The backend's aggregate virtuals make this
+// topology-agnostic: a single-node backend reports its one disk, a
+// sharded backend reports max-over-nodes virtual time plus modeled
+// network time.
 template <typename Body>
-Measurement TimeOnce(core::Backend* backend, const Body& body) {
-  const double io_before = backend->VirtualSeconds();
-  const uint64_t bytes_before = backend->TotalBytesRead();
-  const uint64_t seeks_before = backend->TotalSeeks();
-  const uint64_t net_bytes_before = backend->TotalNetBytes();
-  const uint64_t net_messages_before = backend->TotalNetMessages();
-  const double net_seconds_before = backend->NetSeconds();
-  const std::vector<double> lanes_before = exec::LaneCpuSnapshot();
-  WallTimer wall;
-  CpuTimer timer;
+Measurement TimeOnce(core::Backend* backend, const exec::ExecContext& ectx,
+                     const Body& body) {
+  const core::CostMeter meter(*backend, ectx);
   const uint64_t rows = body();
+  const core::ExecCost cost = meter.Read();
   Measurement m;
-  m.user_seconds = timer.ElapsedSeconds();
-  m.wall_seconds = wall.ElapsedSeconds();
-
-  // Modeled parallel CPU: the portion of the process CPU charged to
-  // ParallelFor lanes progresses as its slowest lane; the serial rest
-  // runs start to finish. With no parallel work both terms are zero.
-  m.cpu_seconds = exec::ModeledCpuSeconds(
-      lanes_before, exec::LaneCpuSnapshot(), m.user_seconds);
-
-  m.real_seconds = m.cpu_seconds + (backend->VirtualSeconds() - io_before);
-  m.bytes_read = backend->TotalBytesRead() - bytes_before;
-  m.seeks = backend->TotalSeeks() - seeks_before;
-  m.net_bytes = backend->TotalNetBytes() - net_bytes_before;
-  m.net_messages = backend->TotalNetMessages() - net_messages_before;
-  m.net_seconds = backend->NetSeconds() - net_seconds_before;
+  m.real_seconds = cost.real_seconds();
+  m.cpu_seconds = cost.cpu_seconds;
+  m.user_seconds = cost.user_seconds;
+  m.io_seconds = cost.io_seconds;
+  m.bytes_read = cost.bytes_read;
+  m.seeks = cost.seeks;
+  m.net_bytes = cost.net_bytes;
+  m.net_messages = cost.net_messages;
+  m.net_seconds = cost.net_seconds;
   m.rows_returned = rows;
   return m;
 }
@@ -59,7 +44,7 @@ Measurement TimeOnce(core::Backend* backend, const Body& body) {
 Measurement RunOnce(core::Backend* backend, core::QueryId id,
                     const core::QueryContext& ctx,
                     const exec::ExecContext& ectx) {
-  Measurement m = TimeOnce(backend, [&] {
+  Measurement m = TimeOnce(backend, ectx, [&] {
     return backend->Run(id, ctx, ectx).row_count();
   });
   ectx.counters().bytes_read.fetch_add(m.bytes_read,
@@ -75,7 +60,7 @@ Measurement Average(const std::vector<Measurement>& runs) {
     avg.real_seconds += m.real_seconds;
     avg.cpu_seconds += m.cpu_seconds;
     avg.user_seconds += m.user_seconds;
-    avg.wall_seconds += m.wall_seconds;
+    avg.io_seconds += m.io_seconds;
     avg.bytes_read += m.bytes_read;
     avg.seeks += m.seeks;
     avg.net_bytes += m.net_bytes;
@@ -87,7 +72,7 @@ Measurement Average(const std::vector<Measurement>& runs) {
   avg.real_seconds /= static_cast<double>(runs.size());
   avg.cpu_seconds /= static_cast<double>(runs.size());
   avg.user_seconds /= static_cast<double>(runs.size());
-  avg.wall_seconds /= static_cast<double>(runs.size());
+  avg.io_seconds /= static_cast<double>(runs.size());
   avg.net_seconds /= static_cast<double>(runs.size());
   avg.bytes_read /= runs.size();
   avg.seeks /= runs.size();
@@ -139,16 +124,16 @@ Measurement MeasureHot(core::Backend* backend, core::QueryId id,
 namespace {
 
 // As RunOnce, but with a trace session attached for the duration of the
-// execution. The session starts on the disk's virtual clock *before*
-// TimeOnce reads it (the clock only advances on reads, so both see the
-// same instant) and finishes with the measurement's own modeled CPU, so
+// execution. The session starts on the disk's virtual clock *before* the
+// meter reads it (the clock only advances on reads, so both see the same
+// instant) and finishes with the meter's modeled CPU, so
 // profile->RootRealSeconds() equals Measurement::real_seconds exactly.
 Measurement RunOnceProfiled(core::Backend* backend, core::QueryId id,
                             const core::QueryContext& ctx,
                             const exec::ExecContext& ectx) {
   core::ScopedProfile scoped(core::ToString(id), *backend, ectx);
   Measurement m = RunOnce(backend, id, ctx, ectx);
-  m.profile = scoped.FinishWithCpu(m.cpu_seconds);
+  m.profile = scoped.Finish(m.cpu_seconds);
   return m;
 }
 
@@ -192,7 +177,7 @@ Measurement MeasureBgpHot(core::Backend* backend,
   run();  // warm-up, ignored
   std::vector<Measurement> runs;
   for (int i = 0; i < repetitions; ++i) {
-    Measurement m = TimeOnce(backend, run);
+    Measurement m = TimeOnce(backend, ectx, run);
     ectx.counters().bytes_read.fetch_add(m.bytes_read,
                                          std::memory_order_relaxed);
     ectx.counters().seeks.fetch_add(m.seeks, std::memory_order_relaxed);
@@ -230,32 +215,6 @@ std::vector<uint64_t> VerifyBackendsAgree(
     row_counts.push_back(reference != nullptr ? expected.row_count() : 0);
   }
   return row_counts;
-}
-
-void RecordMeasurement(obs::Telemetry* telemetry, const std::string& workload,
-                       const std::string& backend, const Measurement& m) {
-  SWAN_CHECK(telemetry != nullptr);
-  obs::QueryLogRecord record;
-  record.seq = telemetry->records();
-  record.session = "bench";
-  record.kind = "bench";
-  record.text = workload;
-  record.text_hash = obs::Fnv1a64(workload);
-  record.backend = backend;
-  record.rows = m.rows_returned;
-  record.bytes_read = m.bytes_read;
-  record.seeks = m.seeks;
-  record.io_seconds = m.real_seconds - m.cpu_seconds;
-  // Standalone benches have no serve epoch; the modeled real cost is both
-  // the record's latency and its position on the window axis.
-  record.latency_seconds = m.real_seconds;
-  record.vt_finish = m.real_seconds;
-  record.cpu_seconds = m.cpu_seconds;
-  record.service_seconds = m.real_seconds;
-  if (m.profile != nullptr && m.profile->finished()) {
-    record.ops = obs::CollectEstimatedOps(m.profile->root());
-  }
-  telemetry->Record(std::move(record), m.profile.get());
 }
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {

@@ -12,7 +12,6 @@
 #include "exec/exec_context.h"
 
 namespace swan::obs {
-class Telemetry;
 class TraceSession;
 }  // namespace swan::obs
 
@@ -27,11 +26,14 @@ namespace swan::bench_support {
 // likewise advances its clock by serial I/O plus the slowest I/O lane.
 // At one thread no lanes exist and the numbers reduce exactly to the
 // pre-parallel model (CPU time + virtual disk time).
+//
+// Each execution is bracketed by one core::CostMeter, the meter the serve
+// tier and the shell read too.
 struct Measurement {
   double real_seconds = 0.0;  // modeled critical-path CPU + virtual disk time
   double cpu_seconds = 0.0;   // modeled critical-path CPU alone
   double user_seconds = 0.0;  // CPU time summed over all threads
-  double wall_seconds = 0.0;  // host wall clock (diagnostic; host-dependent)
+  double io_seconds = 0.0;    // virtual disk (+ network) time alone
   // Standard deviation of real_seconds across the repetitions — the
   // paper's §3 remark ("we do not report the standard deviation ... the
   // differences were less than 30 milliseconds"), checkable here.
@@ -93,15 +95,6 @@ Measurement MeasureBgpHot(core::Backend* backend,
                           const exec::ExecContext& ectx,
                           const plan::PlannerOptions& options,
                           int repetitions = 3);
-
-// Folds one measurement into a fleet-telemetry bundle as a query-log
-// record: session "bench", kind "bench", text/hash = the workload name,
-// latency = the modeled real cost, plus byte/seek counters — and, when
-// the measurement came from a *Profiled variant, its span tree into the
-// bundle's cross-query aggregator. Lets standalone benches reuse the
-// serve tier's windowed percentiles and top-operators machinery.
-void RecordMeasurement(obs::Telemetry* telemetry, const std::string& workload,
-                       const std::string& backend, const Measurement& m);
 
 // Correctness gate run before timing: executes every supported query on
 // every backend and verifies that all backends produce identical rows.

@@ -23,6 +23,14 @@ double Mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
+double NearestRank(const std::vector<double>& sorted, double quantile) {
+  if (sorted.empty()) return 0.0;
+  const size_t n = sorted.size();
+  const auto rank =
+      static_cast<size_t>(std::ceil(quantile * static_cast<double>(n)));
+  return sorted[std::clamp<size_t>(rank, 1, n) - 1];
+}
+
 std::vector<CdfPoint> CumulativeFrequency(std::vector<uint64_t> counts,
                                           int points) {
   SWAN_CHECK(points >= 2);

@@ -14,6 +14,12 @@ double GeometricMean(const std::vector<double>& values);
 // Arithmetic mean.
 double Mean(const std::vector<double>& values);
 
+// Nearest-rank percentile of ascending `sorted` (quantile in [0, 1]): the
+// ceil(quantile * n)-th smallest, the rank clamped to [1, n]; 0 if empty.
+// The serve tier's modeled schedule and the telemetry windows both report
+// p50/p95/p99 this way.
+double NearestRank(const std::vector<double>& sorted, double quantile);
+
 // Cumulative frequency distribution used by Figure 1: given per-item
 // occurrence counts, returns (x, y) pairs where x = percentage of items
 // considered (most frequent first) and y = percentage of total occurrences

@@ -20,11 +20,12 @@ double WallTimer::ElapsedSeconds() const {
   return static_cast<double>(NowNs(CLOCK_MONOTONIC) - start_ns_) * 1e-9;
 }
 
-void CpuTimer::Restart() { start_ns_ = NowNs(CLOCK_PROCESS_CPUTIME_ID); }
+int64_t ProcessCpuNanos() { return NowNs(CLOCK_PROCESS_CPUTIME_ID); }
+
+void CpuTimer::Restart() { start_ns_ = ProcessCpuNanos(); }
 
 double CpuTimer::ElapsedSeconds() const {
-  return static_cast<double>(NowNs(CLOCK_PROCESS_CPUTIME_ID) - start_ns_) *
-         1e-9;
+  return static_cast<double>(ProcessCpuNanos() - start_ns_) * 1e-9;
 }
 
 }  // namespace swan

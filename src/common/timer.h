@@ -31,6 +31,10 @@ class CpuTimer {
   int64_t start_ns_;
 };
 
+// The process CPU clock CpuTimer reads, in nanoseconds, for a bracket that
+// keeps its start as a plain number.
+int64_t ProcessCpuNanos();
+
 // Accumulates virtual seconds charged by the simulated disk. Query
 // "real time" = CpuTimer elapsed + VirtualClock delta, reproducing the
 // paper's cold/hot real-vs-user split without needing RAID hardware.

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/timer.h"
 #include "exec/thread_pool.h"
 
 namespace swan::core {
@@ -33,25 +34,16 @@ ScopedProfile::ScopedProfile(std::string root_name, const Backend& backend,
     pool_misses_before_ = pool->misses();
   }
   disk_reads_before_ = backend.TotalReads();
-  lanes_cpu_before_ = exec::LaneCpuSnapshot();
   session_ = std::make_shared<obs::TraceSession>(
       std::move(root_name), std::move(sources), ectx.threads());
   ectx.AttachTrace(session_.get());
-  cpu_timer_.Restart();
 }
 
 ScopedProfile::~ScopedProfile() {
-  if (!finished_) Finish();
+  if (!finished_) Finish(0.0);
 }
 
-std::shared_ptr<obs::TraceSession> ScopedProfile::Finish() {
-  const double user = cpu_timer_.ElapsedSeconds();
-  return FinishWithCpu(exec::ModeledCpuSeconds(
-      lanes_cpu_before_, exec::LaneCpuSnapshot(), user));
-}
-
-std::shared_ptr<obs::TraceSession> ScopedProfile::FinishWithCpu(
-    double cpu_seconds) {
+std::shared_ptr<obs::TraceSession> ScopedProfile::Finish(double cpu_seconds) {
   if (finished_) return session_;
   finished_ = true;
   ectx_->AttachTrace(nullptr);
@@ -85,14 +77,38 @@ CostMeter::CostMeter(const Backend& backend, const exec::ExecContext& ectx)
       counters_before_(ectx.counters().Snap()),
       bytes_before_(backend.TotalBytesRead()),
       seeks_before_(backend.TotalSeeks()),
+      net_bytes_before_(backend.TotalNetBytes()),
+      net_messages_before_(backend.TotalNetMessages()),
       net_seconds_before_(backend.NetSeconds()),
-      io_before_(backend.VirtualSeconds()) {}
+      io_before_(backend.VirtualSeconds()),
+      lanes_before_(exec::LaneCpuSnapshot()),
+      cpu_start_ns_(ProcessCpuNanos()) {}
 
-double CostMeter::Fill(obs::QueryLogRecord* record) const {
+ExecCost CostMeter::Read() const {
+  ExecCost cost;
+  cost.user_seconds =
+      static_cast<double>(ProcessCpuNanos() - cpu_start_ns_) * 1e-9;
+  cost.cpu_seconds = exec::ModeledCpuSeconds(
+      lanes_before_, exec::LaneCpuSnapshot(), cost.user_seconds);
+  cost.io_seconds = backend_->VirtualSeconds() - io_before_;
+  cost.bytes_read = backend_->TotalBytesRead() - bytes_before_;
+  cost.seeks = backend_->TotalSeeks() - seeks_before_;
+  cost.net_bytes = backend_->TotalNetBytes() - net_bytes_before_;
+  cost.net_messages = backend_->TotalNetMessages() - net_messages_before_;
+  cost.net_seconds = backend_->NetSeconds() - net_seconds_before_;
+  return cost;
+}
+
+ExecCost CostMeter::Fill(obs::QueryLogRecord* record) const {
+  const ExecCost cost = Read();
   const exec::OpCounters::Snapshot after = ectx_->counters().Snap();
-  record->io_seconds = backend_->VirtualSeconds() - io_before_;
-  record->bytes_read = backend_->TotalBytesRead() - bytes_before_;
-  record->seeks = backend_->TotalSeeks() - seeks_before_;
+  record->io_seconds = cost.io_seconds;
+  record->cpu_seconds = cost.cpu_seconds;
+  record->bytes_read = cost.bytes_read;
+  record->seeks = cost.seeks;
+  record->net_bytes = cost.net_bytes;
+  record->net_messages = cost.net_messages;
+  record->net_seconds = cost.net_seconds;
   record->match_calls = after.match_calls - counters_before_.match_calls;
   record->morsels = after.morsels - counters_before_.morsels;
   record->bgp_batches = after.bgp_batches - counters_before_.bgp_batches;
@@ -101,10 +117,7 @@ double CostMeter::Fill(obs::QueryLogRecord* record) const {
     record->node = dist->Coordinator();
     record->nodes = dist->nodes();
   }
-  record->net_bytes = after.net_bytes - counters_before_.net_bytes;
-  record->net_messages = after.net_messages - counters_before_.net_messages;
-  record->net_seconds = backend_->NetSeconds() - net_seconds_before_;
-  return record->io_seconds;
+  return cost;
 }
 
 }  // namespace swan::core

@@ -63,7 +63,7 @@ struct QueryLogRecord {
   uint64_t queue_depth = 0;    // admitted-but-undispatched at dispatch
   double io_seconds = 0.0;     // virtual disk time of this execution
   // Deterministic modeled latency: io + fixed handling overhead (a cache
-  // hit or write pays overhead only). Windowed percentiles observe this.
+  // hit or write pays overhead only). The windows' percentiles read this.
   double latency_seconds = 0.0;
   // --- deterministic cost counters ---------------------------------------
   uint64_t bytes_read = 0;     // cold bytes pulled from the simulated disk

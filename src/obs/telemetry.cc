@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/mutex.h"
+#include "common/stats.h"
 #include "obs/export.h"
 
 namespace swan::obs {
@@ -18,61 +19,33 @@ uint64_t ToNanos(double seconds) {
   return static_cast<uint64_t>(std::llround(seconds * 1e9));
 }
 
-// Nearest-rank percentile over a sorted sample vector (p in [0,100]):
-// the ceil(p/100 * n)-th smallest, matching serve::ModelSchedule.
-double NearestRank(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t n = sorted.size();
-  size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // WindowedMetrics
 // ---------------------------------------------------------------------------
 
-WindowedMetrics::WindowedMetrics(double window_seconds,
-                                 double slo_latency_seconds)
-    : width_(window_seconds > 0.0 ? window_seconds : 0.1),
-      slo_(slo_latency_seconds) {}
-
-void WindowedMetrics::Observe(double finish_vt, double latency_seconds,
-                              bool cache_hit, uint64_t queue_depth) {
-  const int64_t index =
-      static_cast<int64_t>(std::floor(finish_vt / width_));
-  Window& window = windows_[index];
-  window.latencies.push_back(latency_seconds);
-  if (cache_hit) ++window.cache_hits;
-  if (latency_seconds > slo_) ++window.slo_breaches;
-  window.max_queue_depth = std::max(window.max_queue_depth, queue_depth);
-  ++total_count_;
-}
-
-void WindowedMetrics::MergeFrom(const WindowedMetrics& other) {
-  for (const auto& [index, window] : other.windows_) {
-    Window& into = windows_[index];
-    into.latencies.insert(into.latencies.end(), window.latencies.begin(),
-                          window.latencies.end());
-    into.cache_hits += window.cache_hits;
-    into.slo_breaches += window.slo_breaches;
-    into.max_queue_depth =
-        std::max(into.max_queue_depth, window.max_queue_depth);
+WindowedMetrics::WindowedMetrics(const std::vector<QueryLogRecord>& records)
+    : total_count_(records.size()) {
+  for (const QueryLogRecord& record : records) {
+    const int64_t index =
+        static_cast<int64_t>(std::floor(record.vt_finish / kWindowSeconds));
+    Window& window = windows_[index];
+    window.latencies.push_back(record.latency_seconds);
+    if (record.cache_hit) ++window.cache_hits;
+    if (record.latency_seconds > kSloLatencySeconds) ++window.slo_breaches;
+    window.max_queue_depth =
+        std::max(window.max_queue_depth, record.queue_depth);
   }
-  total_count_ += other.total_count_;
 }
 
 void WindowedMetrics::FillPercentiles(std::vector<double> latencies,
                                       WindowSnapshot* snap) {
   std::sort(latencies.begin(), latencies.end());
   snap->count = latencies.size();
-  snap->p50_seconds = NearestRank(latencies, 50.0);
-  snap->p95_seconds = NearestRank(latencies, 95.0);
-  snap->p99_seconds = NearestRank(latencies, 99.0);
+  snap->p50_seconds = NearestRank(latencies, 0.50);
+  snap->p95_seconds = NearestRank(latencies, 0.95);
+  snap->p99_seconds = NearestRank(latencies, 0.99);
 }
 
 std::vector<WindowedMetrics::WindowSnapshot> WindowedMetrics::Windows()
@@ -87,7 +60,7 @@ std::vector<WindowedMetrics::WindowSnapshot> WindowedMetrics::Windows()
     snap.max_queue_depth = window.max_queue_depth;
     FillPercentiles(window.latencies, &snap);
     snap.throughput_per_second =
-        static_cast<double>(snap.count) / width_;
+        static_cast<double>(snap.count) / kWindowSeconds;
     out.push_back(std::move(snap));
   }
   return out;
@@ -109,7 +82,8 @@ WindowedMetrics::WindowSnapshot WindowedMetrics::Pooled() const {
     // Throughput over the observed span of whole windows.
     const int64_t first = windows_.begin()->first;
     const int64_t last = windows_.rbegin()->first;
-    const double span = static_cast<double>(last - first + 1) * width_;
+    const double span =
+        static_cast<double>(last - first + 1) * kWindowSeconds;
     snap.throughput_per_second = static_cast<double>(snap.count) / span;
   }
   return snap;
@@ -118,7 +92,7 @@ WindowedMetrics::WindowSnapshot WindowedMetrics::Pooled() const {
 std::string WindowedMetrics::ToJson() const {
   std::string out;
   AppendF(&out, "{\"window_seconds\":%.9f,\"slo_seconds\":%.9f,"
-          "\"windows\":[", width_, slo_);
+          "\"windows\":[", kWindowSeconds, kSloLatencySeconds);
   const std::vector<WindowSnapshot> windows = Windows();
   for (size_t i = 0; i < windows.size(); ++i) {
     const WindowSnapshot& w = windows[i];
@@ -270,17 +244,9 @@ std::string ProfileAggregator::CollapsedStacks() const {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-Telemetry::Telemetry(TelemetryOptions options)
-    : options_(options),
-      windows_(options.window_seconds, options.slo_latency_seconds) {}
-
 void Telemetry::Record(QueryLogRecord record, const TraceSession* profile) {
-  if (record.text.size() > options_.max_text_bytes) {
-    record.text.resize(options_.max_text_bytes);
-  }
+  if (record.text.size() > kMaxTextBytes) record.text.resize(kMaxTextBytes);
   MutexLock lock(&mutex_);
-  windows_.Observe(record.vt_finish, record.latency_seconds,
-                   record.cache_hit, record.queue_depth);
   if (profile != nullptr && profile->finished()) {
     aggregator_.AddSession(*profile);
   }
@@ -291,19 +257,15 @@ void Telemetry::MergeFrom(const Telemetry& other) {
   // Snapshot the source under its own lock, release, then lock this
   // bundle: two kTelemetry mutexes are never held together.
   std::vector<QueryLogRecord> other_log;
-  WindowedMetrics other_windows(other.options_.window_seconds,
-                                other.options_.slo_latency_seconds);
   ProfileAggregator other_aggregator;
   {
     MutexLock lock(&other.mutex_);
     other_log = other.log_;
-    other_windows.MergeFrom(other.windows_);
     other_aggregator.MergeFrom(other.aggregator_);
   }
   MutexLock lock(&mutex_);
   log_.insert(log_.end(), std::make_move_iterator(other_log.begin()),
               std::make_move_iterator(other_log.end()));
-  windows_.MergeFrom(other_windows);
   aggregator_.MergeFrom(other_aggregator);
 }
 
@@ -319,17 +281,12 @@ std::string Telemetry::QueryLogJsonl(bool include_host_time) const {
 
 std::string Telemetry::WindowsJson() const {
   MutexLock lock(&mutex_);
-  return windows_.ToJson();
+  return WindowedMetrics(log_).ToJson();
 }
 
 WindowedMetrics::WindowSnapshot Telemetry::PooledWindow() const {
   MutexLock lock(&mutex_);
-  return windows_.Pooled();
-}
-
-std::vector<WindowedMetrics::WindowSnapshot> Telemetry::Windows() const {
-  MutexLock lock(&mutex_);
-  return windows_.Windows();
+  return WindowedMetrics(log_).Pooled();
 }
 
 std::vector<ProfileAggregator::OpStat> Telemetry::TopOps(size_t n) const {

@@ -1,6 +1,7 @@
 #ifndef SWANDB_OBS_TELEMETRY_H_
 #define SWANDB_OBS_TELEMETRY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -13,16 +14,17 @@
 namespace swan::obs {
 
 // Fleet telemetry: the always-on layer above the per-query span trees.
-// Three pieces, all driven by the deterministic surface of the query-log
-// record, so every export (the JSONL log, the window snapshots, the
-// top-operators table, the collapsed flamegraph stacks) is byte-identical
-// at any thread width:
+// The query log is the one store; everything else is read off it or
+// folded beside it, and every export (the JSONL log, the window
+// snapshots, the top-operators table, the collapsed flamegraph stacks) is
+// byte-identical at any thread width:
 //
-//   * WindowedMetrics — fixed-boundary windows on the virtual clock
-//     (half-open [k*w, (k+1)*w), keyed by k = floor(finish/w)) holding
-//     per-window latency percentiles (nearest-rank over the raw samples,
-//     exact — no histogram approximation), throughput, cache hit counts,
-//     the max observed queue depth, and an SLO breach counter;
+//   * WindowedMetrics — the log's records bucketed into fixed-boundary
+//     windows on the virtual clock (half-open [k*w, (k+1)*w), keyed by
+//     k = floor(vt_finish/w)) at export time: per-window latency
+//     percentiles (nearest-rank over the raw latencies, exact — no
+//     histogram approximation), throughput, cache hit counts, the max
+//     observed queue depth, and an SLO breach counter;
 //   * ProfileAggregator — merges span trees across queries by name path
 //     (the planner's per-query " est=N" suffixes stripped, so one logical
 //     operator accumulates across queries) into cumulative totals,
@@ -30,34 +32,25 @@ namespace swan::obs {
 //     stacks. Virtual times are accumulated in integer nanoseconds, so
 //     merging aggregators is exactly associative;
 //   * the Telemetry bundle — one mutex (LockRank::kTelemetry, near-leaf)
-//     over the query log, the windows and the aggregator, with a
-//     snapshot-then-merge MergeFrom so two bundles never nest their
-//     equal-rank locks.
+//     over the query log and the aggregator, with a snapshot-then-merge
+//     MergeFrom so two bundles never nest their equal-rank locks.
 
-struct TelemetryOptions {
-  // Window width on the virtual clock. Modeled latencies are milliseconds
-  // to tens of milliseconds at bench scale, so the default buckets a
-  // serve script into a handful of windows.
-  double window_seconds = 0.1;
-  // Latency above this counts as an SLO breach in its window.
-  double slo_latency_seconds = 0.05;
-  // Recorded canonical text is truncated to this many bytes (the hash
-  // always covers the full text).
-  size_t max_text_bytes = 120;
-};
+// Window width on the virtual clock. Modeled latencies are milliseconds
+// to tens of milliseconds at bench scale, so a serve script spans a
+// handful of windows.
+inline constexpr double kWindowSeconds = 0.1;
+// Latency above this counts as an SLO breach in its window.
+inline constexpr double kSloLatencySeconds = 0.05;
+// Recorded canonical text is truncated to this many bytes (the hash
+// always covers the full text).
+inline constexpr size_t kMaxTextBytes = 120;
 
-// Externally synchronized (Telemetry locks around it; tests drive it
-// single-threaded).
+// The latency windows of a set of query-log records, computed once from
+// the records (their vt_finish, latency_seconds, cache_hit and
+// queue_depth).
 class WindowedMetrics {
  public:
-  WindowedMetrics(double window_seconds, double slo_latency_seconds);
-
-  // Records one completed request: `finish_vt` places it in its window,
-  // `latency_seconds` feeds the percentile samples and the SLO check.
-  void Observe(double finish_vt, double latency_seconds, bool cache_hit,
-               uint64_t queue_depth);
-
-  void MergeFrom(const WindowedMetrics& other);
+  explicit WindowedMetrics(const std::vector<QueryLogRecord>& records);
 
   struct WindowSnapshot {
     int64_t index = 0;       // window k covers [k*w, (k+1)*w)
@@ -73,20 +66,19 @@ class WindowedMetrics {
   // Per-window snapshots in window order.
   std::vector<WindowSnapshot> Windows() const;
 
-  // Pooled over every sample regardless of window. Because the windows
-  // retain raw samples, the pooled percentiles equal a brute-force
-  // nearest-rank over all observed latencies exactly.
+  // Pooled over every record regardless of window: the pooled
+  // percentiles equal a brute-force nearest-rank over all latencies.
   WindowSnapshot Pooled() const;
 
-  // Deterministic JSON snapshot: options, per-window stats, pooled stats.
+  // Deterministic JSON snapshot: the constants, per-window stats, pooled
+  // stats.
   std::string ToJson() const;
 
   uint64_t samples() const { return total_count_; }
-  double window_seconds() const { return width_; }
 
  private:
   struct Window {
-    std::vector<double> latencies;  // raw samples, in observation order
+    std::vector<double> latencies;
     uint64_t cache_hits = 0;
     uint64_t slo_breaches = 0;
     uint64_t max_queue_depth = 0;
@@ -95,8 +87,6 @@ class WindowedMetrics {
   static void FillPercentiles(std::vector<double> latencies,
                               WindowSnapshot* snap);
 
-  double width_;
-  double slo_;
   uint64_t total_count_ = 0;
   std::map<int64_t, Window> windows_;
 };
@@ -150,47 +140,42 @@ class ProfileAggregator {
   std::map<std::string, Node> roots_;
 };
 
-// The locked bundle: the query log, the windowed metrics and the profile
-// aggregator behind one near-leaf mutex. The serve tier records under its
-// turnstile; the shell and benches record single-threaded; exports lock
-// briefly and copy.
+// The locked bundle: the query log and the profile aggregator behind one
+// near-leaf mutex. The serve tier records under its turnstile; the shell
+// records single-threaded; exports lock briefly and copy.
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = {});
+  Telemetry() = default;
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // Appends the record (text truncated to options.max_text_bytes),
-  // observes its window sample, and folds `profile` (may be null — cache
-  // hits and writes carry no span tree) into the aggregator.
+  // Appends the record (text truncated to kMaxTextBytes) and folds
+  // `profile` (may be null — cache hits and writes carry no span tree)
+  // into the aggregator.
   void Record(QueryLogRecord record, const TraceSession* profile)
       SWAN_EXCLUDES(mutex_);
 
-  // Merges another bundle's state into this one. Snapshots `other` under
-  // its own lock first, then locks this — equal-rank mutexes never nest.
+  // Appends another bundle's log and merges its aggregator. Snapshots
+  // `other` under its own lock first, then locks this — equal-rank
+  // mutexes never nest.
   void MergeFrom(const Telemetry& other) SWAN_EXCLUDES(mutex_);
 
   std::vector<QueryLogRecord> LogSnapshot() const SWAN_EXCLUDES(mutex_);
   std::string QueryLogJsonl(bool include_host_time) const
       SWAN_EXCLUDES(mutex_);
+  // The log's windows (WindowedMetrics::ToJson) and pooled snapshot.
   std::string WindowsJson() const SWAN_EXCLUDES(mutex_);
   WindowedMetrics::WindowSnapshot PooledWindow() const SWAN_EXCLUDES(mutex_);
-  std::vector<WindowedMetrics::WindowSnapshot> Windows() const
-      SWAN_EXCLUDES(mutex_);
   std::vector<ProfileAggregator::OpStat> TopOps(size_t n = 0) const
       SWAN_EXCLUDES(mutex_);
   std::string TopOpsTable(size_t n = 10) const SWAN_EXCLUDES(mutex_);
   std::string CollapsedStacks() const SWAN_EXCLUDES(mutex_);
   uint64_t records() const SWAN_EXCLUDES(mutex_);
 
-  const TelemetryOptions& options() const { return options_; }
-
  private:
-  TelemetryOptions options_;
   mutable Mutex mutex_{LockRank::kTelemetry, "obs.telemetry"};
   std::vector<QueryLogRecord> log_ SWAN_GUARDED_BY(mutex_);
-  WindowedMetrics windows_ SWAN_GUARDED_BY(mutex_);
   ProfileAggregator aggregator_ SWAN_GUARDED_BY(mutex_);
 };
 

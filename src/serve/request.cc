@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "common/stats.h"
 
 namespace swan::serve {
 
@@ -30,18 +31,6 @@ uint64_t ResultPayload::ApproxBytes() const {
   }
   return bytes;
 }
-
-namespace {
-
-double NearestRank(const std::vector<double>& sorted, double quantile) {
-  if (sorted.empty()) return 0.0;
-  const auto n = static_cast<double>(sorted.size());
-  auto rank = static_cast<size_t>(quantile * n + 0.999999);
-  rank = std::min(std::max<size_t>(rank, 1), sorted.size());
-  return sorted[rank - 1];
-}
-
-}  // namespace
 
 LatencyStats ModelSchedule(const std::vector<Completion>& completions,
                            int servers) {

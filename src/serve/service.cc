@@ -5,9 +5,7 @@
 
 #include "common/macros.h"
 #include "common/mutex.h"
-#include "common/timer.h"
 #include "core/profiling.h"
-#include "exec/thread_pool.h"
 #include "sparql/sparql.h"
 
 namespace swan::serve {
@@ -31,11 +29,9 @@ QueryService::QueryService(core::RdfStore* store,
     : store_(store),
       bench_ctx_(std::move(bench_ctx)),
       options_(options),
-      telemetry_(options.telemetry),
       admission_(AdmissionOptions{options.max_queue}) {
   SWAN_CHECK(store_ != nullptr);
   SWAN_CHECK(options_.workers >= 1);
-  if (options_.max_in_flight <= 0) options_.max_in_flight = options_.workers;
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<ResultCache>(CacheOptions{options_.cache_bytes},
                                            &metrics_);
@@ -59,8 +55,7 @@ Result<Session*> QueryService::OpenSession(const std::string& label,
                                            int priority, int threads) {
   MutexLock lock(&mutex_);
   if (threads <= 0) threads = options_.default_session_threads;
-  Session* session =
-      sessions_.Open(label, priority, threads, options_.telemetry);
+  Session* session = sessions_.Open(label, priority, threads);
   if (session == nullptr) {
     return Status::AlreadyExists("session '" + label + "' already open");
   }
@@ -79,12 +74,10 @@ Result<uint64_t> QueryService::Submit(Session* session, Request request) {
   const Status st = admission_.Admit(session, std::move(request), ticket);
   if (!st.ok()) {
     metrics_.GetCounter("serve.rejected")->Add(1);
-    session->metrics().GetCounter("session.rejected")->Add(1);
     return st;
   }
   ++next_ticket_;
   metrics_.GetCounter("serve.submitted")->Add(1);
-  session->metrics().GetCounter("session.submitted")->Add(1);
   lock.Unlock();
   work_cv_.NotifyOne();
   return ticket;
@@ -158,9 +151,7 @@ void QueryService::WorkerLoop() {
     Ticket ticket;
     {
       MutexLock lock(&mutex_);
-      while (!stopping_ &&
-             !(started_ && admission_.HasWork() &&
-               in_flight_ < options_.max_in_flight)) {
+      while (!stopping_ && !(started_ && admission_.HasWork())) {
         work_cv_.Wait(lock);
       }
       if (stopping_) return;
@@ -185,8 +176,6 @@ void QueryService::WorkerLoop() {
         drained_cv_.NotifyAll();
       }
     }
-    // A freed in-flight slot may unblock another worker.
-    work_cv_.NotifyOne();
   }
 }
 
@@ -220,7 +209,6 @@ Completion QueryService::Execute(Ticket ticket) {
   record.queue_wait_seconds = record.vt_start;
   std::shared_ptr<obs::TraceSession> profile_session;
 
-  obs::MetricsRegistry& session_metrics = ticket.session->metrics();
   switch (ticket.request.kind) {
     case Request::Kind::kInsert:
     case Request::Kind::kDelete: {
@@ -231,7 +219,8 @@ Completion QueryService::Execute(Ticket ticket) {
       if (const core::DistRouting* dist = store_->backend().dist()) {
         record.nodes = dist->nodes();
       }
-      CpuTimer timer;
+      const core::CostMeter meter(store_->backend(),
+                                  ticket.session->ectx());
       completion.status = ticket.request.kind == Request::Kind::kInsert
                               ? store_->Insert(ticket.request.triple)
                               : store_->Delete(ticket.request.triple);
@@ -240,11 +229,10 @@ Completion QueryService::Execute(Ticket ticket) {
         cache_->InvalidateOlderThan(completion.snapshot_version);
       }
       completion.service_seconds =
-          timer.ElapsedSeconds() + options_.request_overhead_seconds;
+          meter.Read().cpu_seconds + options_.request_overhead_seconds;
       // A write touches no simulated disk; its deterministic latency is
       // the fixed handling overhead.
       record.latency_seconds = options_.request_overhead_seconds;
-      session_metrics.GetCounter("session.writes")->Add(1);
       break;
     }
     case Request::Kind::kBench:
@@ -252,9 +240,6 @@ Completion QueryService::Execute(Ticket ticket) {
       RunQueryTicket(ticket, &completion, &record, &profile_session);
       break;
   }
-  session_metrics.GetCounter("session.completed")->Add(1);
-  session_metrics.GetCounter("session.rows")->Add(
-      completion.result.rows.size());
 
   record.text_hash = obs::Fnv1a64(record.text);
   record.ok = completion.status.ok();
@@ -264,16 +249,12 @@ Completion QueryService::Execute(Ticket ticket) {
   record.rows = completion.result.rows.size();
   record.vt_finish = store_->backend().VirtualSeconds() - trace_clock0_;
   record.service_seconds = completion.service_seconds;
-  record.session_cache_hits =
-      session_metrics.GetCounter("session.cache_hits")->value();
-  record.session_cache_misses =
-      session_metrics.GetCounter("session.cache_misses")->value();
-  record.session_cache_evictions =
-      session_metrics.GetCounter("session.cache_evictions")->value();
+  const Session::CacheCounts& cache_counts = ticket.session->cache_counts();
+  record.session_cache_hits = cache_counts.hits;
+  record.session_cache_misses = cache_counts.misses;
+  record.session_cache_evictions = cache_counts.evictions;
 
-  // kTelemetry ranks below the turnstile, and two bundles never nest —
-  // each Record locks one bundle at a time.
-  ticket.session->telemetry().Record(record, profile_session.get());
+  // kTelemetry ranks below the turnstile.
   telemetry_.Record(std::move(record), profile_session.get());
 
   ++exec_turn_;
@@ -321,10 +302,10 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
       // A hit never touches the backend: deterministic latency is the
       // handling overhead alone.
       record->latency_seconds = options_.request_overhead_seconds;
-      ticket.session->metrics().GetCounter("session.cache_hits")->Add(1);
+      ++ticket.session->cache_counts().hits;
       return;
     }
-    ticket.session->metrics().GetCounter("session.cache_misses")->Add(1);
+    ++ticket.session->cache_counts().misses;
   }
 
   // Profiling is always on: the fleet aggregator needs every executed
@@ -332,14 +313,11 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
   // clock, so the modeled figures are unchanged. The Chrome-trace record
   // (one track per session) is kept only under options.trace.
   const double trace_offset = backend.VirtualSeconds() - trace_clock0_;
-  auto profile = std::make_unique<core::ScopedProfile>(
-      ToString(ticket.request.kind) +
-          std::string(" #") + std::to_string(ticket.ticket),
-      backend, ticket.session->ectx());
-
-  const std::vector<double> lanes_before = exec::LaneCpuSnapshot();
+  core::ScopedProfile profile(ToString(ticket.request.kind) +
+                                  std::string(" #") +
+                                  std::to_string(ticket.ticket),
+                              backend, ticket.session->ectx());
   const core::CostMeter meter(backend, ticket.session->ectx());
-  CpuTimer timer;
 
   if (ticket.request.kind == Request::Kind::kBench) {
     if (!bench_ctx_.has_value()) {
@@ -368,17 +346,14 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
     }
   }
 
-  const double user = timer.ElapsedSeconds();
-  const double modeled_cpu =
-      exec::ModeledCpuSeconds(lanes_before, exec::LaneCpuSnapshot(), user);
-  const double io = meter.Fill(record);
+  const core::ExecCost cost = meter.Fill(record);
   completion->service_seconds =
-      modeled_cpu + io + options_.request_overhead_seconds;
-  record->latency_seconds = io + options_.request_overhead_seconds;
-  record->cpu_seconds = modeled_cpu;
+      cost.real_seconds() + options_.request_overhead_seconds;
+  record->latency_seconds =
+      cost.io_seconds + options_.request_overhead_seconds;
 
   std::shared_ptr<obs::TraceSession> session =
-      profile->FinishWithCpu(modeled_cpu);
+      profile.Finish(cost.cpu_seconds);
   record->ops = obs::CollectEstimatedOps(session->root());
   if (options_.trace) {
     // Already under turn_mutex_ (held across the whole execution).
@@ -390,11 +365,7 @@ void QueryService::RunQueryTicket(const Ticket& ticket,
   if (completion->status.ok() && cache_ != nullptr) {
     const size_t evicted =
         cache_->Put(cache_key, version, completion->result);
-    if (evicted > 0) {
-      ticket.session->metrics()
-          .GetCounter("session.cache_evictions")
-          ->Add(evicted);
-    }
+    ticket.session->cache_counts().evictions += evicted;
   }
 }
 

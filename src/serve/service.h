@@ -29,8 +29,6 @@ struct ServiceOptions {
   // Dispatch width: number of worker threads, and the server count of the
   // modeled latency schedule.
   int workers = 4;
-  // Dispatched-but-unfinished requests allowed at once; 0 means workers.
-  int max_in_flight = 0;
   // Admission queue capacity (Status::Overloaded beyond it).
   size_t max_queue = 256;
   // Result-cache byte budget; 0 disables the cache.
@@ -46,9 +44,6 @@ struct ServiceOptions {
   bool trace = false;
   // ExecContext width for sessions that do not ask for one explicitly.
   int default_session_threads = 1;
-  // Fleet-telemetry knobs (window width, SLO threshold, text truncation),
-  // shared by the service-global bundle and every session's bundle.
-  obs::TelemetryOptions telemetry;
 };
 
 // The concurrent query service: sessions submit requests, a bounded
@@ -72,9 +67,14 @@ struct ServiceOptions {
 // pool), exactly like the single-writer engines the paper measures.
 //
 // Latency is modeled, not wall-measured: each completion carries its
-// modeled service cost (critical-path CPU + simulated-disk virtual time
-// + fixed handling overhead) and ModelSchedule replays the completion
-// stream onto `workers` FCFS servers for throughput and p50/p95/p99.
+// modeled service cost (critical-path CPU + simulated-disk virtual time,
+// both read off one core::CostMeter, + fixed handling overhead) and
+// ModelSchedule replays the completion stream onto `workers` FCFS servers
+// for throughput and p50/p95/p99.
+//
+// Telemetry is kept once: every executed request appends one record to
+// the service's query log (telemetry()); windows, per-session cache
+// attribution and the latency percentiles are all read off that log.
 //
 // The service registers the result cache's audit walker with the store
 // (core::RdfStore::AddAuditHook), so store->Audit() also checks cache
@@ -128,10 +128,9 @@ class QueryService {
       SWAN_EXCLUDES(turn_mutex_);
 
   obs::MetricsRegistry& metrics() { return metrics_; }
-  // The service-global fleet-telemetry bundle: the structured query log
-  // (one record per executed request, in dispatch order), the windowed
-  // latency metrics on the virtual clock, and the cross-query profile
-  // aggregator. Per-session slices live on each Session.
+  // The fleet-telemetry bundle: the structured query log (one record per
+  // executed request, in dispatch order) and the cross-query profile
+  // aggregator; the windowed latency metrics are derived from the log.
   obs::Telemetry& telemetry() { return telemetry_; }
   const obs::Telemetry& telemetry() const { return telemetry_; }
   ResultCache* cache() { return cache_.get(); }

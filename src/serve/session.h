@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "exec/exec_context.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 
 namespace swan::serve {
 
@@ -19,13 +17,10 @@ namespace swan::serve {
 //     operator counters and trace attachment point (I/O-lane isolation:
 //     a narrow session cannot be widened by a neighbor, and per-query
 //     counters never mix across clients);
-//   * its metrics registry — submitted/completed/rejected/cache-hit/row
-//     counters accumulate per client, isolated from the service-level
-//     registry;
-//   * its telemetry bundle — the per-client slice of the fleet query log
-//     and windowed metrics, alongside the service-global bundle (the
-//     registry-global serve.cache.* counters stay global; per-session
-//     cache visibility rides the query-log records instead);
+//   * its result-cache counts — hits, misses and evictions charged to
+//     this client, which every query-log record carries cumulatively (the
+//     registry-global serve.cache.* counters only show totals). They are
+//     written and read under the service's turnstile only;
 //   * a deterministic identity: sessions are numbered 1, 2, ... in open
 //     order, so the id ("s<seq>:<label>") and every tie-break keyed on
 //     the sequence number replay identically run to run.
@@ -35,14 +30,18 @@ namespace swan::serve {
 // lives in the AdmissionController.
 class Session {
  public:
-  Session(uint64_t seq, std::string label, int priority, int threads,
-          obs::TelemetryOptions telemetry = {})
+  struct CacheCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+  };
+
+  Session(uint64_t seq, std::string label, int priority, int threads)
       : seq_(seq),
         label_(std::move(label)),
         id_("s" + std::to_string(seq) + ":" + label_),
         priority_(priority),
-        ectx_(threads),
-        telemetry_(telemetry) {}
+        ectx_(threads) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -53,10 +52,7 @@ class Session {
   int priority() const { return priority_; }
 
   const exec::ExecContext& ectx() const { return ectx_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-  obs::Telemetry& telemetry() { return telemetry_; }
-  const obs::Telemetry& telemetry() const { return telemetry_; }
+  CacheCounts& cache_counts() { return cache_counts_; }
 
  private:
   uint64_t seq_;
@@ -64,8 +60,7 @@ class Session {
   std::string id_;
   int priority_;
   exec::ExecContext ectx_;
-  obs::MetricsRegistry metrics_;
-  obs::Telemetry telemetry_;
+  CacheCounts cache_counts_;
 };
 
 // Owns the sessions of one service, in open order. Labels are unique
@@ -74,13 +69,11 @@ class Session {
 // mutex, tests drive it single-threaded.
 class SessionManager {
  public:
-  Session* Open(std::string label, int priority, int threads,
-                obs::TelemetryOptions telemetry = {}) {
+  Session* Open(std::string label, int priority, int threads) {
     if (Find(label) != nullptr) return nullptr;
     const uint64_t seq = static_cast<uint64_t>(sessions_.size()) + 1;
     sessions_.push_back(std::make_unique<Session>(seq, std::move(label),
-                                                  priority, threads,
-                                                  telemetry));
+                                                  priority, threads));
     return sessions_.back().get();
   }
 

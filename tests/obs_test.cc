@@ -352,12 +352,13 @@ TEST_F(ObsProfileTest, BgpBatchHistogramWidthInvariant) {
   auto run = [&](int width) {
     const exec::ExecContext ectx(width);
     core::ScopedProfile scoped("bgp", col, ectx);
+    const core::CostMeter meter(col, ectx);
     auto result = core::ExecuteBgp(
         col, query, ectx,
         plan::PlannerOptions{plan::PlanMode::kCostBased, &stats,
                              col.PlannerHints()});
     EXPECT_TRUE(result.ok());
-    return scoped.Finish();
+    return scoped.Finish(meter.Read().cpu_seconds);
   };
   const auto serial = run(1);
   const auto wide = run(8);

@@ -1,5 +1,6 @@
 // Fleet telemetry: the structured query log's byte-reproducibility
-// across serve worker counts (the determinism acceptance gate), the
+// across serve worker counts (the determinism acceptance gate), one cost
+// meter behind the bench harness and the serve tier, the
 // fixed-boundary windowed metrics (half-open windows, exact nearest-rank
 // percentiles vs a brute-force sort, merge correctness), and the
 // cross-query profile aggregator (est-suffix folding, exact merge
@@ -14,8 +15,11 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/harness.h"
 #include "common/macros.h"
+#include "core/query.h"
 #include "core/store.h"
+#include "exec/exec_context.h"
 #include "obs/querylog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -155,6 +159,45 @@ TEST_F(TelemetryServeTest, PerSessionCountersDivergeFromGlobal) {
   service.Stop();
 }
 
+// One meter behind both surfaces: a cold benchmark query measured by the
+// bench harness and the same query served by the query service (after
+// DropCaches) report the same virtual I/O, bytes, seeks and network, on
+// a column vertical store at 1 and 2 nodes.
+TEST_F(TelemetryServeTest, HarnessAndServiceMeterColdRunsAlike) {
+  for (const int nodes : {1, 2}) {
+    for (const core::QueryId q : {core::QueryId::kQ2, core::QueryId::kQ5}) {
+      SCOPED_TRACE(std::to_string(nodes) + " nodes, " + core::ToString(q));
+      core::StoreOptions options;
+      options.nodes = nodes;
+      auto measured_store = core::RdfStore::Open(barton_.dataset, options);
+      const bench_support::Measurement m = bench_support::MeasureCold(
+          &measured_store->backend(), q, *ctx_, exec::ExecContext(1), 1);
+
+      auto served_store = core::RdfStore::Open(barton_.dataset, options);
+      serve::QueryService service(served_store.get(), ctx_, {});
+      const auto script = serve::ParseScript(
+          "session alice\nbench alice " + core::ToString(q) + "\n");
+      ASSERT_TRUE(script.ok());
+      served_store->backend().DropCaches();
+      ASSERT_TRUE(serve::RunScript(&service, script.value()).ok());
+      const auto log = service.telemetry().LogSnapshot();
+      ASSERT_EQ(log.size(), 1u);
+      const QueryLogRecord& record = log[0];
+      EXPECT_GT(record.bytes_read, 0u);
+      EXPECT_EQ(record.io_seconds, m.io_seconds);
+      EXPECT_EQ(record.bytes_read, m.bytes_read);
+      EXPECT_EQ(record.seeks, m.seeks);
+      EXPECT_EQ(record.net_bytes, m.net_bytes);
+      EXPECT_EQ(record.net_messages, m.net_messages);
+      EXPECT_EQ(record.net_seconds, m.net_seconds);
+      if (nodes > 1) {
+        EXPECT_GT(record.net_bytes, 0u);
+      }
+      service.Stop();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Query-log JSON emission.
 
@@ -198,14 +241,27 @@ TEST(QueryLogTest, EstimatedNameSuffixSplits) {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed metrics: fixed boundaries and merge.
+// Windowed metrics: fixed boundaries and merge. Windows are 0.1 s wide on
+// the virtual clock, with a 0.05 s SLO.
+
+// A record carrying just what the windows read off the log.
+QueryLogRecord Completed(double finish_vt, double latency_seconds,
+                         bool cache_hit, uint64_t queue_depth) {
+  QueryLogRecord record;
+  record.vt_finish = finish_vt;
+  record.latency_seconds = latency_seconds;
+  record.cache_hit = cache_hit;
+  record.queue_depth = queue_depth;
+  return record;
+}
 
 TEST(WindowedMetricsTest, HalfOpenWindowBoundaries) {
-  WindowedMetrics wm(0.1, 0.05);
-  wm.Observe(0.0, 0.01, false, 0);        // window 0: [0, 0.1)
-  wm.Observe(0.0999999, 0.06, true, 3);   // window 0, SLO breach, hit
-  wm.Observe(0.1, 0.02, false, 1);        // window 1: boundary is exclusive
-  wm.Observe(0.25, 0.03, false, 0);       // window 2
+  const WindowedMetrics wm({
+      Completed(0.0, 0.01, false, 0),       // window 0: [0, 0.1)
+      Completed(0.0999999, 0.06, true, 3),  // window 0, SLO breach, hit
+      Completed(0.1, 0.02, false, 1),       // window 1: boundary exclusive
+      Completed(0.25, 0.03, false, 0),      // window 2
+  });
   const auto windows = wm.Windows();
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_EQ(windows[0].index, 0);
@@ -222,19 +278,20 @@ TEST(WindowedMetricsTest, HalfOpenWindowBoundaries) {
   EXPECT_NEAR(wm.Pooled().throughput_per_second, 4.0 / 0.3, 1e-9);
 }
 
+// Windows are derived from the log, so merging two bundles' logs yields
+// the windows of one bundle that recorded everything.
 TEST(WindowedMetricsTest, MergeEqualsInterleavedObservation) {
-  WindowedMetrics a(0.1, 0.05), b(0.1, 0.05), both(0.1, 0.05);
+  Telemetry a, b, both;
   const double finishes[] = {0.01, 0.11, 0.02, 0.35, 0.12, 0.09};
   const double latencies[] = {0.01, 0.06, 0.02, 0.01, 0.07, 0.005};
   for (int i = 0; i < 6; ++i) {
-    (i % 2 == 0 ? a : b)
-        .Observe(finishes[i], latencies[i], i % 3 == 0,
-                 static_cast<uint64_t>(i));
-    both.Observe(finishes[i], latencies[i], i % 3 == 0,
-                 static_cast<uint64_t>(i));
+    const QueryLogRecord record = Completed(
+        finishes[i], latencies[i], i % 3 == 0, static_cast<uint64_t>(i));
+    (i % 2 == 0 ? a : b).Record(record, nullptr);
+    both.Record(record, nullptr);
   }
   a.MergeFrom(b);
-  EXPECT_EQ(a.ToJson(), both.ToJson());
+  EXPECT_EQ(a.WindowsJson(), both.WindowsJson());
 }
 
 // ---------------------------------------------------------------------------
@@ -249,16 +306,17 @@ double BruteForcePercentile(std::vector<double> samples, double p) {
 }
 
 TEST(WindowedMetricsTest, PercentilesMatchBruteForceSort) {
-  WindowedMetrics wm(0.1, 1e9);
   std::vector<double> samples;
+  std::vector<QueryLogRecord> records;
   uint64_t lcg = 12345;
   for (int i = 0; i < 997; ++i) {  // odd count exercises rank rounding
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     const double latency = static_cast<double>(lcg >> 40) / 1e6;
     const double finish = static_cast<double>(i) * 0.013;
     samples.push_back(latency);
-    wm.Observe(finish, latency, false, 0);
+    records.push_back(Completed(finish, latency, false, 0));
   }
+  const WindowedMetrics wm(records);
   const auto pooled = wm.Pooled();
   EXPECT_EQ(pooled.count, samples.size());
   EXPECT_DOUBLE_EQ(pooled.p50_seconds, BruteForcePercentile(samples, 50.0));
@@ -281,8 +339,7 @@ TEST(WindowedMetricsTest, PercentilesMatchBruteForceSort) {
 }
 
 TEST(WindowedMetricsTest, SingleSampleIsEveryPercentile) {
-  WindowedMetrics wm(0.1, 0.05);
-  wm.Observe(0.01, 0.042, false, 0);
+  const WindowedMetrics wm({Completed(0.01, 0.042, false, 0)});
   const auto pooled = wm.Pooled();
   EXPECT_DOUBLE_EQ(pooled.p50_seconds, 0.042);
   EXPECT_DOUBLE_EQ(pooled.p95_seconds, 0.042);
@@ -400,13 +457,17 @@ TEST(ProfileAggregatorTest, MergeIsExactlyAssociative) {
 
 TEST(TelemetryTest, MergePreservesRecordsWindowsAndProfiles) {
   FakeClock clock;
-  TelemetryOptions options;
-  options.max_text_bytes = 16;
-  Telemetry a(options), b(options);
+  // Longer than the 120-byte limit the stored text is cut at.
+  const std::string text =
+      "SELECT ?s WHERE { ?s <a-very-long-pattern> ?o . "
+      "?o <another-rather-long-property-name> ?x . "
+      "?x <yet-another-long-property-name-right-here> ?y }";
+  ASSERT_GT(text.size(), kMaxTextBytes);
+  Telemetry a, b;
   for (int i = 0; i < 4; ++i) {
     QueryLogRecord record;
     record.seq = static_cast<uint64_t>(i);
-    record.text = "SELECT ?s WHERE { ?s <a-very-long-pattern> ?o }";
+    record.text = text;
     record.text_hash = Fnv1a64(record.text);
     record.vt_finish = 0.03 * i;
     record.latency_seconds = 0.01;
@@ -415,9 +476,9 @@ TEST(TelemetryTest, MergePreservesRecordsWindowsAndProfiles) {
   }
   EXPECT_EQ(a.records(), 2u);
   // Truncation bounds the stored text; the hash still covers all of it.
-  EXPECT_EQ(a.LogSnapshot()[0].text, "SELECT ?s WHERE ");
-  EXPECT_EQ(a.LogSnapshot()[0].text_hash,
-            Fnv1a64("SELECT ?s WHERE { ?s <a-very-long-pattern> ?o }"));
+  EXPECT_EQ(a.LogSnapshot()[0].text, text.substr(0, kMaxTextBytes));
+  EXPECT_EQ(a.LogSnapshot()[0].text.size(), 120u);
+  EXPECT_EQ(a.LogSnapshot()[0].text_hash, Fnv1a64(text));
   a.MergeFrom(b);
   EXPECT_EQ(a.records(), 4u);
   EXPECT_EQ(a.PooledWindow().count, 4u);
@@ -425,7 +486,7 @@ TEST(TelemetryTest, MergePreservesRecordsWindowsAndProfiles) {
   // Merging an empty bundle is a no-op on every export.
   const std::string before = a.QueryLogJsonl(false) + a.WindowsJson() +
                              a.CollapsedStacks();
-  Telemetry empty(options);
+  Telemetry empty;
   a.MergeFrom(empty);
   EXPECT_EQ(before, a.QueryLogJsonl(false) + a.WindowsJson() +
                         a.CollapsedStacks());

@@ -49,20 +49,8 @@ esac
 failures=0
 
 # Small deterministic serve mix used by the ASan and TSan smoke legs (the
-# same script as tools/ci.sh's, with both BGP join strategies in it).
-write_serve_smoke() {
-  cat > "$1" <<'EOF'
-session alice threads=2
-session bob
-bench alice q1
-bench alice repeat=2 q5
-query bob SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5
-query bob repeat=2 SELECT ?s ?o WHERE { ?s <origin> ?o } LIMIT 5
-query alice SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }
-query bob SELECT ?r ?l WHERE { <curated_0> <records> ?r OPTIONAL { ?r <language> ?l } }
-bench bob q2
-EOF
-}
+# script tools/ci.sh replays too, with both BGP join strategies in it).
+SERVE_SCRIPT="$REPO_ROOT/tools/serve_smoke.serve"
 
 if [ "$run_lint" -eq 1 ]; then
   echo "== swan-lint (project invariants) =="
@@ -186,9 +174,7 @@ if [ "$run_asan" -eq 1 ]; then
   fi
 
   echo "== serve smoke (multi-session script + per-session trace) =="
-  SERVE_SCRIPT="$ASAN_BUILD/serve-smoke.serve"
   SERVE_JSON="$ASAN_BUILD/serve-smoke.json"
-  write_serve_smoke "$SERVE_SCRIPT"
   if "$ASAN_BUILD/tools/swandb_shell" --generate 20000 \
        --serve "$SERVE_SCRIPT" --profile="$SERVE_JSON" >/dev/null &&
      python3 "$REPO_ROOT/tools/validate_trace.py" "$SERVE_JSON"; then
@@ -251,9 +237,8 @@ if [ "$run_tsan" -eq 1 ]; then
   fi
 
   echo "== TSan serve smoke =="
-  write_serve_smoke "$TSAN_BUILD/serve-smoke.serve"
   if "$TSAN_BUILD/tools/swandb_shell" --generate 20000 \
-       --serve "$TSAN_BUILD/serve-smoke.serve" >/dev/null; then
+       --serve "$SERVE_SCRIPT" >/dev/null; then
     echo "tsan serve smoke: clean"
   else
     echo "tsan serve smoke: FAILURES"

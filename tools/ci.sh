@@ -20,22 +20,8 @@ REPO_ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-all}"
 
-# The two multi-pattern queries put both BGP join strategies through the
-# smokes: the star probes <type> once and scan-joins <language>; the
-# OPTIONAL probes its inner step once per (single) outer row.
-write_serve_smoke() {
-  cat > "$1" <<'EOF'
-session alice threads=2
-session bob
-bench alice q1
-bench alice repeat=2 q5
-query bob SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5
-query bob repeat=2 SELECT ?s ?o WHERE { ?s <origin> ?o } LIMIT 5
-query alice SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }
-query bob SELECT ?r ?l WHERE { <curated_0> <records> ?r OPTIONAL { ?r <language> ?l } }
-bench bob q2
-EOF
-}
+# The serve mix every serve smoke replays (both BGP join strategies in it).
+SERVE_SMOKE="$REPO_ROOT/tools/serve_smoke.serve"
 
 build_and_test() {
   local dir="$1"; shift
@@ -100,28 +86,26 @@ case "$mode" in
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
-    write_serve_smoke "$RELEASE_DIR/serve-smoke.serve"
     { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$RELEASE_DIR/serve-smoke.serve" \
+        --serve "$SERVE_SMOKE" \
         --profile="$RELEASE_DIR/serve-smoke.json" >/dev/null &&
       python3 "$REPO_ROOT/tools/validate_trace.py" \
         "$RELEASE_DIR/serve-smoke.json"; } || status=1
     # Querylog smoke: the same serve script must leave a schema-valid
     # structured query log and collapsed flamegraph stacks, and the
-    # replay must be byte-reproducible run to run.
+    # replay must be byte-reproducible run to run, at 1 node and at 2.
     echo "=== release: querylog smoke ==="
-    { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$RELEASE_DIR/serve-smoke.serve" \
-        --querylog="$RELEASE_DIR/querylog-smoke.jsonl" \
-        --flamegraph="$RELEASE_DIR/querylog-smoke.folded" >/dev/null &&
-      "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$RELEASE_DIR/serve-smoke.serve" \
-        --querylog="$RELEASE_DIR/querylog-smoke-2.jsonl" >/dev/null &&
-      cmp "$RELEASE_DIR/querylog-smoke.jsonl" \
-        "$RELEASE_DIR/querylog-smoke-2.jsonl" &&
-      python3 "$REPO_ROOT/tools/validate_querylog.py" \
-        "$RELEASE_DIR/querylog-smoke.jsonl" \
-        "$RELEASE_DIR/querylog-smoke.folded"; } || status=1
+    for nodes in 1 2; do
+      log="$RELEASE_DIR/querylog-smoke-n$nodes"
+      { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes "$nodes" \
+          --serve "$SERVE_SMOKE" --querylog="$log.jsonl" \
+          --flamegraph="$log.folded" >/dev/null &&
+        "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes "$nodes" \
+          --serve "$SERVE_SMOKE" --querylog="$log-2.jsonl" >/dev/null &&
+        cmp "$log.jsonl" "$log-2.jsonl" &&
+        python3 "$REPO_ROOT/tools/validate_querylog.py" \
+          "$log.jsonl" "$log.folded"; } || status=1
+    done
     # Bench JSON smoke: --json emission must be schema-stable enough for
     # the validator-adjacent consumers (a dict with the fixed cell keys).
     echo "=== release: bench json smoke ==="
@@ -224,7 +208,7 @@ print('scaleout json smoke: OK')
     SHARDED_QUERY='SELECT ?s ?t WHERE { ?s <origin> <info:marcorg/DLC> .
       ?s <records> ?o2 . ?o2 <type> ?t }'
     { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
-        --serve "$RELEASE_DIR/serve-smoke.serve" \
+        --serve "$SERVE_SMOKE" \
         --querylog="$RELEASE_DIR/querylog-sharded.jsonl" >/dev/null &&
       python3 "$REPO_ROOT/tools/validate_querylog.py" \
         "$RELEASE_DIR/querylog-sharded.jsonl" &&
@@ -292,9 +276,8 @@ print('shell sharded record: %d match calls, %d net bytes'
         -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
-      write_serve_smoke "$TSAN_DIR/serve-smoke.serve" &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$TSAN_DIR/serve-smoke.serve" >/dev/null; } || status=1
+        --serve "$SERVE_SMOKE" >/dev/null; } || status=1
     [ "$mode" = "tsan" ] && exit "$status"
     ;;&
   tidy|all)

@@ -41,8 +41,8 @@
 //
 // Fleet telemetry is always on: every executed query (interactive, --query,
 // --file, and every request of a --serve run) lands in a shell-level
-// telemetry bundle — a structured query log, windowed latency percentiles
-// on the virtual clock, and a cross-query profile aggregator.
+// telemetry bundle — a structured query log and a cross-query profile
+// aggregator; the windowed latency percentiles are read off the log.
 //   stats;            prints the windowed-metrics JSON snapshot
 //   querylog [FILE];  prints (or writes) the query log as JSON lines
 //   topops [FILE];    prints the cumulative top-operators table (and
@@ -64,7 +64,6 @@
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
-#include "common/timer.h"
 #include "core/profiling.h"
 #include "core/store.h"
 #include "exec/exec_context.h"
@@ -431,17 +430,17 @@ int RunQuery(swan::core::RdfStore& store,
   // only controls whether the text profile is *printed*.
   swan::core::ScopedProfile scoped("query", backend, ectx);
   const swan::core::CostMeter meter(backend, ectx);
-  swan::CpuTimer timer;
   auto result = swan::sparql::Execute(backend, dataset, text, ectx,
                                       &store.stats());
-  const double user = timer.ElapsedSeconds();
-  std::shared_ptr<swan::obs::TraceSession> session = scoped.Finish();
 
   // One structured query-log record per executed query, its costs
   // measured over the whole store as the serve tier measures them. The
-  // latency on the deterministic surface is the virtual-clock delta; host
-  // CPU rides along in the host-time fields only.
+  // latency on the deterministic surface is the virtual-clock delta; the
+  // modeled CPU rides along in the host-time fields only.
   swan::obs::QueryLogRecord record;
+  const swan::core::ExecCost cost = meter.Fill(&record);
+  std::shared_ptr<swan::obs::TraceSession> session =
+      scoped.Finish(cost.cpu_seconds);
   record.seq = fleet->records();
   record.session = "shell";
   record.kind = "sparql";
@@ -451,20 +450,15 @@ int RunQuery(swan::core::RdfStore& store,
   record.ok = result.ok();
   if (!result.ok()) record.error = result.status().message();
   record.snapshot_version = store.snapshot_version();
-  const double io = meter.Fill(&record);
-  const double real = user + io;
   record.vt_start = meter.io_start();
   record.vt_finish = backend.VirtualSeconds();
-  record.latency_seconds = io;
-  record.cpu_seconds = user;
-  record.service_seconds = real;
+  record.latency_seconds = cost.io_seconds;
+  record.service_seconds = cost.real_seconds();
   if (result.ok()) {
     record.rows = result.value().rows.size();
     record.plan_mode = result.value().plan_note;
   }
-  if (session != nullptr && session->finished()) {
-    record.ops = swan::obs::CollectEstimatedOps(session->root());
-  }
+  record.ops = swan::obs::CollectEstimatedOps(session->root());
   fleet->Record(std::move(record), session.get());
 
   if (!result.ok()) {
@@ -483,8 +477,8 @@ int RunQuery(swan::core::RdfStore& store,
   }
   std::printf("-- %llu rows, real %.4fs (user %.4fs)\n\n",
               static_cast<unsigned long long>(result.value().rows.size()),
-              real, user);
-  if (profile && session != nullptr) {
+              cost.real_seconds(), cost.user_seconds);
+  if (profile) {
     std::printf("%s\n", swan::obs::TextProfile(*session).c_str());
     if (!options.profile_path.empty()) {
       std::ofstream out(options.profile_path,
