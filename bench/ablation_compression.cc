@@ -131,14 +131,11 @@ int main(int argc, char** argv) {
       "and narrows or closes\nthe cold-run gap between the triple-store and "
       "the vertical scheme.\n");
 
-  char raw[160];
-  std::snprintf(raw, sizeof(raw),
-                "{\"raw_cold_bytes\":%llu,\"auto_cold_bytes\":%llu,"
-                "\"reduction\":%.6f,\"gate\":2.0,\"gates_passed\":%s}",
-                static_cast<unsigned long long>(raw_cold_bytes),
-                static_cast<unsigned long long>(auto_cold_bytes), reduction,
-                reduction >= 2.0 ? "true" : "false");
-  json.AddRaw("compression", raw);
+  json.Extra("compression").BeginObject()
+      .Field("raw_cold_bytes", raw_cold_bytes)
+      .Field("auto_cold_bytes", auto_cold_bytes)
+      .Field("reduction", reduction, 6).Field("gate", 2.0, 1)
+      .Field("gates_passed", reduction >= 2.0).EndObject();
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "ablation_compression");
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;

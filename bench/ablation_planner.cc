@@ -204,13 +204,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(pinned.value().triples),
         static_cast<unsigned long long>(pinned.value().seed));
   }
-  char raw[128];
-  std::snprintf(raw, sizeof(raw),
-                "{\"losses\":%d,\"gates_passed\":%s,"
-                "\"heuristic_baseline\":\"%s\"}",
-                losses, losses == 0 ? "true" : "false",
-                pinned_applies ? "applied" : "not applicable");
-  json.AddRaw("planner", raw);
+  json.Extra("planner").BeginObject().Field("losses", losses)
+      .Field("gates_passed", losses == 0)
+      .Field("heuristic_baseline",
+             pinned_applies ? "applied" : "not applicable")
+      .EndObject();
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "ablation_planner");
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;

@@ -15,7 +15,7 @@
 #include "colstore/compression.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
-#include "obs/export.h"
+#include "obs/json_writer.h"
 
 namespace swan::bench {
 
@@ -113,15 +113,16 @@ inline colstore::ColumnCodec InitCodec(int argc, char** argv) {
 
 // Machine-readable bench output, written when the bench is invoked with
 // --json[=FILE]. One fixed schema across all benches so scripted
-// consumers (CI trend lines, the EXPERIMENTS.md recipes) never parse
-// bench-specific tables:
+// consumers (CI trend lines, the EXPERIMENTS.md recipes,
+// tools/validate_bench_json.py) never parse bench-specific tables:
 //
 //   {"bench": "<name>",
 //    "workloads": {"<workload>": {"<backend>":
 //        {"cold_bytes": N, "modeled_seconds": S, "speedup": X}}},
-//    <extra top-level fields via AddRaw>}
+//    <extra top-level fields, each written through Extra(key)>}
 //
-// std::map keys make the emission order deterministic.
+// std::map keys make the emission order deterministic; the document is
+// written through obs::JsonWriter.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string bench_name)
@@ -133,48 +134,25 @@ class BenchJsonWriter {
     cells_[workload][backend] = Cell{cold_bytes, modeled_seconds, speedup};
   }
 
-  // Extra top-level field; `json` must already be valid JSON.
-  void AddRaw(const std::string& key, const std::string& json) {
-    raw_[key] = json;
-  }
+  // Extra top-level field `key`: write its one value (a scalar, or an
+  // object or array) into the returned writer.
+  obs::JsonWriter& Extra(const std::string& key) { return extras_[key]; }
 
   std::string ToJson() const {
-    std::string out = "{\"bench\":\"";
-    out += obs::JsonEscape(bench_);
-    out += "\",\"workloads\":{";
-    bool first_workload = true;
+    obs::JsonWriter w;
+    w.BeginObject().Field("bench", bench_).Key("workloads").BeginObject();
     for (const auto& [workload, backends] : cells_) {
-      if (!first_workload) out += ',';
-      first_workload = false;
-      out += '"';
-      out += obs::JsonEscape(workload);
-      out += "\":{";
-      bool first_backend = true;
+      w.Key(workload).BeginObject();
       for (const auto& [backend, cell] : backends) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"cold_bytes\":%llu,\"modeled_seconds\":%.9f,"
-                      "\"speedup\":%.6f}",
-                      static_cast<unsigned long long>(cell.cold_bytes),
-                      cell.modeled_seconds, cell.speedup);
-        if (!first_backend) out += ',';
-        first_backend = false;
-        out += '"';
-        out += obs::JsonEscape(backend);
-        out += "\":";
-        out += buf;
+        w.Key(backend).BeginObject().Field("cold_bytes", cell.cold_bytes)
+            .Field("modeled_seconds", cell.modeled_seconds, 9)
+            .Field("speedup", cell.speedup, 6).EndObject();
       }
-      out += '}';
+      w.EndObject();
     }
-    out += '}';
-    for (const auto& [key, json] : raw_) {
-      out += ",\"";
-      out += obs::JsonEscape(key);
-      out += "\":";
-      out += json;
-    }
-    out += "}\n";
-    return out;
+    w.EndObject();
+    for (const auto& [key, value] : extras_) w.Field(key, value);
+    return w.EndObject().str() + "\n";
   }
 
   // Writes ToJson() to `path`. Returns false (with a stderr notice) on
@@ -202,7 +180,7 @@ class BenchJsonWriter {
 
   std::string bench_;
   std::map<std::string, std::map<std::string, Cell>> cells_;
-  std::map<std::string, std::string> raw_;
+  std::map<std::string, obs::JsonWriter> extras_;
 };
 
 // Resolves the --json flag: `--json=FILE` names the output, a bare

@@ -165,9 +165,9 @@ std::vector<GridRowMeans> RunGrid(bool hot, const std::string& title,
   }
 
   if (!json_path.empty()) {
-    json.AddRaw("triples", std::to_string(config.target_triples));
-    json.AddRaw("codec", "\"" + colstore::ToString(codec) + "\"");
-    json.AddRaw("hot", hot ? "true" : "false");
+    json.Extra("triples").Value(config.target_triples);
+    json.Extra("codec").Value(colstore::ToString(codec));
+    json.Extra("hot").Value(hot);
     if (!json.WriteTo(json_path)) std::exit(1);
   }
 

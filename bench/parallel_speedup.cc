@@ -271,38 +271,11 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Machine-readable summary.
-  std::printf("\nJSON: {\"bench\":\"parallel_speedup\",\"triples\":%llu,"
-              "\"equivalent\":true,\"threads\":[",
-              static_cast<unsigned long long>(config.target_triples));
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    std::printf("%s%d", i ? "," : "", thread_counts[i]);
-  }
-  std::printf("],\"workloads\":{");
-  for (size_t e = 0; e < entries.size(); ++e) {
-    std::printf("%s\"%s\":[", e ? "," : "", entries[e].label.c_str());
-    for (size_t i = 0; i < thread_counts.size(); ++i) {
-      std::printf("%s%.6f", i ? "," : "", hot_real[e][i]);
-    }
-    std::printf("]");
-  }
-  std::printf("},\"geomean_speedup\":{");
-  bool first_group = true;
-  for (const auto& [group, by_width] : group_speedups) {
-    std::printf("%s\"%s\":{", first_group ? "" : ",", group.c_str());
-    first_group = false;
-    for (size_t i = 1; i < thread_counts.size(); ++i) {
-      std::printf("%s\"%d\":%.3f", i > 1 ? "," : "", thread_counts[i],
-                  swan::GeometricMean(by_width[i]));
-    }
-    std::printf("}");
-  }
-  std::printf("}}\n");
-
   // Structured emitter (--json[=FILE]): workload = entry, backend = its
   // group; cold_bytes from the 1-thread hot window (parallelism must not
   // change bytes — the gate above already enforced it), modeled_seconds
-  // at the widest sweep point, speedup = serial real / widest real.
+  // at the widest sweep point, speedup = serial real / widest real; plus
+  // the per-group geomean speedup at every width above 1.
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "parallel_speedup");
   if (!json_path.empty()) {
@@ -313,13 +286,22 @@ int main(int argc, char** argv) {
                hot_counters[e][0].bytes_read, hot_real[e][last],
                hot_real[e][0] / hot_real[e][last]);
     }
-    json.AddRaw("triples", std::to_string(config.target_triples));
-    std::string widths = "[";
-    for (size_t i = 0; i < thread_counts.size(); ++i) {
-      widths += (i ? "," : "") + Key(thread_counts[i]);
+    json.Extra("triples").Value(config.target_triples);
+    swan::obs::JsonWriter& widths = json.Extra("threads").BeginArray();
+    for (const int t : thread_counts) widths.Value(t);
+    widths.EndArray();
+    json.Extra("equivalent").Value(true);
+    swan::obs::JsonWriter& geomean = json.Extra("geomean_speedup");
+    geomean.BeginObject();
+    for (const auto& [group, by_width] : group_speedups) {
+      geomean.Key(group).BeginObject();
+      for (size_t i = 1; i < thread_counts.size(); ++i) {
+        geomean.Field(Key(thread_counts[i]),
+                      swan::GeometricMean(by_width[i]), 3);
+      }
+      geomean.EndObject();
     }
-    json.AddRaw("threads", widths + "]");
-    json.AddRaw("equivalent", "true");
+    geomean.EndObject();
     if (!json.WriteTo(json_path)) return 1;
   }
   return 0;

@@ -26,7 +26,6 @@
 // I/O + network seconds and their speedup vs the 1-node baseline, and a
 // "scaleout" raw section carries the penalty table and gate verdicts.
 
-#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -195,14 +194,11 @@ int main(int argc, char** argv) {
                          "traffic at 4 nodes\n");
   }
 
-  char raw[256];
-  std::snprintf(raw, sizeof(raw),
-                "{\"speedup_2_nodes\":%.6f,\"speedup_4_nodes\":%.6f,"
-                "\"gate_2_nodes\":%.2f,\"gate_4_nodes\":%.2f,"
-                "\"cross_net_bytes\":%" PRIu64 ",\"gates_passed\":%s}",
-                speedup2, speedup4, 1.7, 3.0, cross_net_bytes,
-                scale_ok && penalty_attributed ? "true" : "false");
-  json.AddRaw("scaleout", raw);
+  json.Extra("scaleout").BeginObject()
+      .Field("speedup_2_nodes", speedup2, 6)
+      .Field("speedup_4_nodes", speedup4, 6).Field("gate_2_nodes", 1.7, 2)
+      .Field("gate_4_nodes", 3.0, 2).Field("cross_net_bytes", cross_net_bytes)
+      .Field("gates_passed", scale_ok && penalty_attributed).EndObject();
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "scaleout");
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;

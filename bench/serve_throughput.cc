@@ -294,9 +294,9 @@ int main(int argc, char** argv) {
       kWorkers);
 
   if (!json_path.empty()) {
-    json.AddRaw("triples", std::to_string(config.target_triples));
-    json.AddRaw("workers", std::to_string(kWorkers));
-    json.AddRaw("telemetry_reconciled", "true");
+    json.Extra("triples").Value(config.target_triples);
+    json.Extra("workers").Value(kWorkers);
+    json.Extra("telemetry_reconciled").Value(true);
     if (!json.WriteTo(json_path)) return 1;
   }
   return 0;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/json_writer.h"
+
 namespace swan::obs {
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -18,33 +20,9 @@ void AppendF(std::string* out, const char* fmt, ...) {
                                                sizeof(buf) - 1));
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
-// ---------------------------------------------------------------------------
-// Text profile
-// ---------------------------------------------------------------------------
-
+// One aligned row of the text profile per span, children indented.
 void TextRow(std::string* out, const SpanNode& node, int depth,
              double root_real) {
   std::string label(static_cast<size_t>(depth) * 2, ' ');
@@ -63,119 +41,51 @@ void TextRow(std::string* out, const SpanNode& node, int depth,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace
-// ---------------------------------------------------------------------------
-
-void ChromeSpanEvents(std::string* out, const SpanNode& node, int pid,
-                      double offset_us, bool* first) {
+// One Chrome event per span on the control track, plus one per lane that
+// accrued virtual I/O inside the span, on the lane's own track. Lane
+// slices start at the span's start; their duration is the lane's accrual,
+// i.e. the lane's contribution to the span's critical path.
+void ChromeSpanEvents(JsonWriter* w, const SpanNode& node, int pid,
+                      double offset_us) {
   const double ts_us = node.vt_start * 1e6 + offset_us;
-  const double dur_us = node.vt_seconds() * 1e6;
-  AppendF(out,
-          "%s{\"ph\":\"X\",\"pid\":%d,\"tid\":1,\"ts\":%.3f,\"dur\":%.3f,"
-          "\"name\":\"%s\",\"args\":{\"rows_in\":%" PRIu64
-          ",\"rows_out\":%" PRIu64 ",\"bytes\":%" PRIu64 ",\"seeks\":%" PRIu64
-          ",\"morsels\":%" PRIu64 ",\"regions\":%" PRIu64
-          ",\"net_bytes\":%" PRIu64 ",\"net_messages\":%" PRIu64 "}}",
-          *first ? "" : ",\n", pid, ts_us, dur_us,
-          JsonEscape(node.name).c_str(), node.rows_in, node.rows_out,
-          node.bytes(), node.seeks(), node.morsels(), node.regions(),
-          node.net_bytes(), node.net_messages());
-  *first = false;
-  // One slice per lane that accrued virtual I/O inside this span, on the
-  // lane's own track. Lane slices start at the span's start; their
-  // duration is the lane's accrual, i.e. the lane's contribution to the
-  // span's critical path.
+  w->BeginObject().Field("ph", "X").Field("pid", pid).Field("tid", 1)
+      .Field("ts", ts_us, 3).Field("dur", node.vt_seconds() * 1e6, 3)
+      .Field("name", node.name).Key("args").BeginObject()
+      .Field("rows_in", node.rows_in).Field("rows_out", node.rows_out)
+      .Field("bytes", node.bytes()).Field("seeks", node.seeks())
+      .Field("morsels", node.morsels()).Field("regions", node.regions())
+      .Field("net_bytes", node.net_bytes())
+      .Field("net_messages", node.net_messages()).EndObject().EndObject();
   const std::vector<double> lanes = node.LaneIoSeconds();
   for (size_t lane = 0; lane < lanes.size(); ++lane) {
     if (lanes[lane] <= 0.0) continue;
-    AppendF(out,
-            ",\n{\"ph\":\"X\",\"pid\":%d,\"tid\":%zu,\"ts\":%.3f,"
-            "\"dur\":%.3f,\"name\":\"%s\",\"args\":{\"lane\":%zu}}",
-            pid, lane + 2, ts_us, lanes[lane] * 1e6,
-            JsonEscape(node.name).c_str(), lane);
+    w->BeginObject().Field("ph", "X").Field("pid", pid)
+        .Field("tid", lane + 2).Field("ts", ts_us, 3)
+        .Field("dur", lanes[lane] * 1e6, 3).Field("name", node.name)
+        .Key("args").BeginObject().Field("lane", lane).EndObject()
+        .EndObject();
   }
   for (const auto& child : node.children) {
-    ChromeSpanEvents(out, *child, pid, offset_us, first);
+    ChromeSpanEvents(w, *child, pid, offset_us);
   }
 }
 
-// Metadata events naming one session's process and track layout.
-void ChromeTrackMeta(std::string* out, const std::string& process_name,
-                     int pid, int threads, bool* first) {
-  AppendF(out,
-          "%s{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\","
-          "\"args\":{\"name\":\"%s\"}},\n",
-          *first ? "" : ",\n", pid, JsonEscape(process_name).c_str());
-  AppendF(out,
-          "{\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"name\":\"thread_name\","
-          "\"args\":{\"name\":\"control (virtual clock)\"}}",
-          pid);
-  // One named track per lane of the session's thread budget, present even
-  // when a lane accrued no I/O, so the track layout is a function of the
-  // width alone.
-  for (int lane = 0; lane < threads; ++lane) {
-    AppendF(out,
-            ",\n{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\","
-            "\"args\":{\"name\":\"lane %d I/O\"}}",
-            pid, lane + 2, lane);
+// Metadata events naming one session's process (tid 0), its control
+// track (tid 1) and one track per lane of its thread budget, present even
+// when a lane accrued no I/O, so the track layout is a function of the
+// width alone.
+void ChromeTrackMeta(JsonWriter* w, const std::string& process_name, int pid,
+                     int threads) {
+  for (int tid = 0; tid < threads + 2; ++tid) {
+    const std::string name =
+        tid == 0   ? process_name
+        : tid == 1 ? "control (virtual clock)"
+                   : "lane " + std::to_string(tid - 2) + " I/O";
+    w->BeginObject().Field("ph", "M").Field("pid", pid).Field("tid", tid)
+        .Field("name", tid == 0 ? "process_name" : "thread_name")
+        .Key("args").BeginObject().Field("name", name).EndObject()
+        .EndObject();
   }
-  *first = false;
-}
-
-// ---------------------------------------------------------------------------
-// JSON profile
-// ---------------------------------------------------------------------------
-
-void JsonSpan(std::string* out, const SpanNode& node) {
-  AppendF(out,
-          "{\"name\":\"%s\",\"vt_start\":%.9f,\"vt_seconds\":%.9f,"
-          "\"excl_vt_seconds\":%.9f,\"rows_in\":%" PRIu64
-          ",\"rows_out\":%" PRIu64 ",\"bytes\":%" PRIu64 ",\"seeks\":%" PRIu64
-          ",\"morsels\":%" PRIu64 ",\"regions\":%" PRIu64
-          ",\"net_bytes\":%" PRIu64 ",\"net_messages\":%" PRIu64,
-          JsonEscape(node.name).c_str(), node.vt_start, node.vt_seconds(),
-          node.ExclusiveVtSeconds(), node.rows_in, node.rows_out, node.bytes(),
-          node.seeks(), node.morsels(), node.regions(), node.net_bytes(),
-          node.net_messages());
-  const std::vector<double> lanes = node.LaneIoSeconds();
-  out->append(",\"lane_io_seconds\":[");
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    AppendF(out, "%s%.9f", i ? "," : "", lanes[i]);
-  }
-  out->append("],\"children\":[");
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    if (i) out->append(",");
-    JsonSpan(out, *node.children[i]);
-  }
-  out->append("]}");
-}
-
-void JsonMetrics(std::string* out, const MetricsRegistry::Snapshot& snap) {
-  out->append("{\"counters\":{");
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    AppendF(out, "%s\"%s\":%" PRIu64, first ? "" : ",",
-            JsonEscape(name).c_str(), value);
-    first = false;
-  }
-  out->append("},\"histograms\":{");
-  first = true;
-  for (const auto& [name, hist] : snap.histograms) {
-    AppendF(out, "%s\"%s\":{\"upper_bounds\":[", first ? "" : ",",
-            JsonEscape(name).c_str());
-    first = false;
-    for (size_t i = 0; i < hist.upper_bounds.size(); ++i) {
-      AppendF(out, "%s%" PRIu64, i ? "," : "", hist.upper_bounds[i]);
-    }
-    out->append("],\"counts\":[");
-    for (size_t i = 0; i < hist.counts.size(); ++i) {
-      AppendF(out, "%s%" PRIu64, i ? "," : "", hist.counts[i]);
-    }
-    AppendF(out, "],\"total_count\":%" PRIu64 ",\"sum\":%" PRIu64 "}",
-            hist.total_count, hist.sum);
-  }
-  out->append("}}");
 }
 
 }  // namespace
@@ -220,58 +130,28 @@ std::string TextProfile(const TraceSession& session) {
 }
 
 std::string ChromeTraceJson(const TraceSession& session) {
-  std::string out;
-  out.append("{\"traceEvents\":[\n");
-  bool meta_first = true;
-  ChromeTrackMeta(&out, "swandb", /*pid=*/1, session.threads(), &meta_first);
-  out.append(",\n");
-  bool first = true;
-  ChromeSpanEvents(&out, session.root(), /*pid=*/1, /*offset_us=*/0.0, &first);
-  out.append("\n],\"displayTimeUnit\":\"ms\"}\n");
-  return out;
+  return ChromeTraceJsonMulti({{"swandb", &session, 0.0}});
 }
 
 std::string ChromeTraceJsonMulti(const std::vector<SessionTrack>& tracks) {
-  std::string out;
-  out.append("{\"traceEvents\":[\n");
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray(JsonWriter::Layout::kLines);
   // Deterministic label -> pid assignment in first-appearance order; the
   // process metadata is emitted once per label, sized by that label's
   // first track (later tracks of the same label reuse the pid).
   std::map<std::string, int> pids;
-  int next_pid = 0;
   for (const SessionTrack& track : tracks) {
     if (track.session == nullptr) continue;
-    int pid = 0;
-    const auto it = pids.find(track.label);
-    if (it == pids.end()) {
-      pid = ++next_pid;
-      pids.emplace(track.label, pid);
-      ChromeTrackMeta(&out, track.label, pid, track.session->threads(), &first);
-    } else {
-      pid = it->second;
+    const auto [it, added] =
+        pids.emplace(track.label, static_cast<int>(pids.size()) + 1);
+    if (added) {
+      ChromeTrackMeta(&w, track.label, it->second, track.session->threads());
     }
-    ChromeSpanEvents(&out, track.session->root(), pid,
-                     track.ts_offset_seconds * 1e6, &first);
+    ChromeSpanEvents(&w, track.session->root(), it->second,
+                     track.ts_offset_seconds * 1e6);
   }
-  out.append("\n],\"displayTimeUnit\":\"ms\"}\n");
-  return out;
-}
-
-std::string ProfileJson(const TraceSession& session, bool include_host_time) {
-  std::string out;
-  AppendF(&out, "{\"threads\":%d,\"io_seconds\":%.9f,", session.threads(),
-          session.root().vt_seconds());
-  if (include_host_time) {
-    AppendF(&out, "\"cpu_seconds\":%.9f,\"real_seconds\":%.9f,",
-            session.cpu_seconds(), session.RootRealSeconds());
-  }
-  out.append("\"root\":");
-  JsonSpan(&out, session.root());
-  out.append(",\"metrics\":");
-  JsonMetrics(&out, session.metrics().Snap());
-  out.append("}\n");
-  return out;
+  w.EndArray().Field("displayTimeUnit", "ms").EndObject();
+  return w.str() + "\n";
 }
 
 }  // namespace swan::obs

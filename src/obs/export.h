@@ -8,14 +8,9 @@
 
 namespace swan::obs {
 
-// The JSON primitives every emitter shares (the exporters below, the query
-// log, the telemetry snapshot and the bench JSON writer).
-
-// Escapes `text` for a JSON string body: quote and backslash, \n \r \t by
-// name, every other control character as \u00XX.
-std::string JsonEscape(const std::string& text);
-
-// printf-style append; one call adds at most 511 bytes.
+// printf-style append for the fixed-width text tables (TextProfile, the
+// top-operators table); one call adds at most 511 bytes. JSON is never
+// built with it: every JSON export goes through obs::JsonWriter.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif
@@ -29,7 +24,7 @@ void AppendF(std::string* out, const char* fmt, ...);
 // virtual time, percent of the modeled real time, row/byte/seek/morsel
 // counts, followed by the metrics registry snapshot. Contains the
 // host-measured modeled-CPU figure, so it is *not* part of the
-// byte-reproducible surface (use ProfileJson(session, false) for that).
+// byte-reproducible surface (the Chrome trace is).
 std::string TextProfile(const TraceSession& session);
 
 // Chrome trace_event JSON (chrome://tracing, Perfetto). Track (tid) 1 is
@@ -54,14 +49,6 @@ struct SessionTrack {
   double ts_offset_seconds = 0.0;
 };
 std::string ChromeTraceJsonMulti(const std::vector<SessionTrack>& tracks);
-
-// Machine-readable JSON profile: nested span objects plus the metrics
-// snapshot. With include_host_time the session-level modeled CPU and the
-// derived real_seconds are included (host-dependent); without it the
-// output is a pure function of query, data, and thread width —
-// byte-identical across runs.
-std::string ProfileJson(const TraceSession& session,
-                        bool include_host_time = true);
 
 }  // namespace swan::obs
 

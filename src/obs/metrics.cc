@@ -12,9 +12,6 @@ Histogram::Histogram(std::vector<uint64_t> upper_bounds)
   SWAN_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
                  "histogram bounds must be ascending");
   counts_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 void Histogram::Observe(uint64_t value) {

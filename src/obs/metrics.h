@@ -44,6 +44,7 @@ class Histogram {
     std::vector<uint64_t> counts;        // per bucket + trailing overflow
     uint64_t total_count = 0;
     uint64_t sum = 0;
+    bool operator==(const Snapshot&) const = default;
   };
   Snapshot Snap() const;
 

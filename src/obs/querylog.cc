@@ -1,8 +1,9 @@
 #include "obs/querylog.h"
 
 #include <cinttypes>
+#include <cstdio>
 
-#include "obs/export.h"
+#include "obs/json_writer.h"
 
 namespace swan::obs {
 
@@ -52,72 +53,45 @@ std::vector<QueryLogOp> CollectEstimatedOps(const SpanNode& root) {
 
 std::string QueryLogRecordJson(const QueryLogRecord& record,
                                bool include_host_time) {
-  std::string out;
-  AppendF(&out, "{\"seq\":%" PRIu64 ",\"session\":\"%s\",\"kind\":\"%s\"",
-          record.seq, JsonEscape(record.session).c_str(),
-          JsonEscape(record.kind).c_str());
-  AppendF(&out, ",\"text_hash\":\"%016" PRIx64 "\",\"text\":\"",
-          record.text_hash);
-  out += JsonEscape(record.text);
-  out += '"';
-  AppendF(&out, ",\"backend\":\"%s\",\"plan_mode\":\"%s\"",
-          JsonEscape(record.backend).c_str(),
-          JsonEscape(record.plan_mode).c_str());
-  AppendF(&out, ",\"ok\":%s", record.ok ? "true" : "false");
-  if (!record.ok) {
-    out += ",\"error\":\"";
-    out += JsonEscape(record.error);
-    out += '"';
+  char hash[17];
+  std::snprintf(hash, sizeof(hash), "%016" PRIx64, record.text_hash);
+  JsonWriter w;
+  w.BeginObject().Field("seq", record.seq).Field("session", record.session)
+      .Field("kind", record.kind).Field("text_hash", hash)
+      .Field("text", record.text).Field("backend", record.backend)
+      .Field("plan_mode", record.plan_mode).Field("ok", record.ok);
+  if (!record.ok) w.Field("error", record.error);
+  w.Field("cache_hit", record.cache_hit)
+      .Field("snapshot", record.snapshot_version).Field("rows", record.rows)
+      .Field("vt_start", record.vt_start, 9)
+      .Field("vt_finish", record.vt_finish, 9)
+      .Field("queue_wait", record.queue_wait_seconds, 9)
+      .Field("queue_depth", record.queue_depth)
+      .Field("io_seconds", record.io_seconds, 9)
+      .Field("latency", record.latency_seconds, 9)
+      .Field("bytes_read", record.bytes_read).Field("seeks", record.seeks)
+      .Field("match_calls", record.match_calls).Field("morsels", record.morsels)
+      .Field("bgp_batches", record.bgp_batches)
+      .Field("star_gathers", record.star_gathers)
+      .Field("node", record.node).Field("nodes", record.nodes)
+      .Field("net_bytes", record.net_bytes)
+      .Field("net_messages", record.net_messages)
+      .Field("net_seconds", record.net_seconds, 9)
+      .Key("session_cache").BeginObject()
+      .Field("hits", record.session_cache_hits)
+      .Field("misses", record.session_cache_misses)
+      .Field("evictions", record.session_cache_evictions).EndObject()
+      .Key("ops").BeginArray();
+  for (const QueryLogOp& op : record.ops) {
+    w.BeginObject().Field("op", op.op).Field("est", op.est)
+        .Field("actual", op.actual).EndObject();
   }
-  AppendF(&out, ",\"cache_hit\":%s,\"snapshot\":%" PRIu64 ",\"rows\":%" PRIu64,
-          record.cache_hit ? "true" : "false", record.snapshot_version,
-          record.rows);
-  AppendF(&out,
-          ",\"vt_start\":%.9f,\"vt_finish\":%.9f,\"queue_wait\":%.9f,"
-          "\"queue_depth\":%" PRIu64 ",\"io_seconds\":%.9f,"
-          "\"latency\":%.9f",
-          record.vt_start, record.vt_finish, record.queue_wait_seconds,
-          record.queue_depth, record.io_seconds, record.latency_seconds);
-  AppendF(&out,
-          ",\"bytes_read\":%" PRIu64 ",\"seeks\":%" PRIu64
-          ",\"match_calls\":%" PRIu64 ",\"morsels\":%" PRIu64
-          ",\"bgp_batches\":%" PRIu64 ",\"star_gathers\":%" PRIu64,
-          record.bytes_read, record.seeks, record.match_calls, record.morsels,
-          record.bgp_batches, record.star_gathers);
-  AppendF(&out,
-          ",\"node\":%d,\"nodes\":%d,\"net_bytes\":%" PRIu64
-          ",\"net_messages\":%" PRIu64 ",\"net_seconds\":%.9f",
-          record.node, record.nodes, record.net_bytes, record.net_messages,
-          record.net_seconds);
-  AppendF(&out,
-          ",\"session_cache\":{\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
-          ",\"evictions\":%" PRIu64 "}",
-          record.session_cache_hits, record.session_cache_misses,
-          record.session_cache_evictions);
-  out.append(",\"ops\":[");
-  for (size_t i = 0; i < record.ops.size(); ++i) {
-    AppendF(&out, "%s{\"op\":\"%s\",\"est\":%" PRIu64 ",\"actual\":%" PRIu64
-            "}",
-            i ? "," : "", JsonEscape(record.ops[i].op).c_str(),
-            record.ops[i].est, record.ops[i].actual);
-  }
-  out.append("]");
+  w.EndArray();
   if (include_host_time) {
-    AppendF(&out, ",\"cpu_seconds\":%.9f,\"service_seconds\":%.9f",
-            record.cpu_seconds, record.service_seconds);
+    w.Field("cpu_seconds", record.cpu_seconds, 9)
+        .Field("service_seconds", record.service_seconds, 9);
   }
-  out.append("}");
-  return out;
-}
-
-std::string QueryLogJsonl(const std::vector<QueryLogRecord>& records,
-                          bool include_host_time) {
-  std::string out;
-  for (const QueryLogRecord& record : records) {
-    out += QueryLogRecordJson(record, include_host_time);
-    out += '\n';
-  }
-  return out;
+  return w.EndObject().str();
 }
 
 }  // namespace swan::obs

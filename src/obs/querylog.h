@@ -12,7 +12,7 @@ namespace swan::obs {
 
 // The structured query log: one record per executed request, the fleet
 // counterpart of the per-query span tree. Records split into two
-// surfaces, exactly like obs::ProfileJson:
+// surfaces:
 //
 //   * the deterministic surface — everything derived from the virtual
 //     clock, the operator counters and the scheduler (vt_* times, queue
@@ -100,15 +100,11 @@ bool SplitEstimatedName(std::string_view name, std::string* op,
 // a planner estimate, in tree (pre-)order — the record's ops column.
 std::vector<QueryLogOp> CollectEstimatedOps(const SpanNode& root);
 
-// One record as a single JSON line (no trailing newline). Fixed numeric
-// formatting; text_hash is emitted as a 16-digit hex string so consumers
-// never round a uint64 through a double.
+// One record as a single JSON line (no trailing newline), written through
+// obs::JsonWriter with fixed numeric formatting; text_hash is a 16-digit
+// hex string so consumers never round a uint64 through a double.
 std::string QueryLogRecordJson(const QueryLogRecord& record,
                                bool include_host_time);
-
-// The whole log as JSON lines, one record per line, trailing newline.
-std::string QueryLogJsonl(const std::vector<QueryLogRecord>& records,
-                          bool include_host_time);
 
 }  // namespace swan::obs
 

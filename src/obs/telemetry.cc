@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/mutex.h"
 #include "common/stats.h"
 #include "obs/export.h"
+#include "obs/json_writer.h"
 
 namespace swan::obs {
 
@@ -17,6 +17,19 @@ namespace {
 uint64_t ToNanos(double seconds) {
   if (seconds <= 0.0) return 0;
   return static_cast<uint64_t>(std::llround(seconds * 1e9));
+}
+
+// One window of the windows JSON, or (without its index) the pooled one.
+void SnapshotJson(const WindowedMetrics::WindowSnapshot& snap,
+                  bool with_index, JsonWriter* w) {
+  w->BeginObject();
+  if (with_index) w->Field("index", snap.index);
+  w->Field("count", snap.count).Field("cache_hits", snap.cache_hits)
+      .Field("slo_breaches", snap.slo_breaches)
+      .Field("max_queue_depth", snap.max_queue_depth)
+      .Field("throughput", snap.throughput_per_second, 6)
+      .Field("p50", snap.p50_seconds, 9).Field("p95", snap.p95_seconds, 9)
+      .Field("p99", snap.p99_seconds, 9).EndObject();
 }
 
 }  // namespace
@@ -90,30 +103,16 @@ WindowedMetrics::WindowSnapshot WindowedMetrics::Pooled() const {
 }
 
 std::string WindowedMetrics::ToJson() const {
-  std::string out;
-  AppendF(&out, "{\"window_seconds\":%.9f,\"slo_seconds\":%.9f,"
-          "\"windows\":[", kWindowSeconds, kSloLatencySeconds);
-  const std::vector<WindowSnapshot> windows = Windows();
-  for (size_t i = 0; i < windows.size(); ++i) {
-    const WindowSnapshot& w = windows[i];
-    AppendF(&out,
-            "%s{\"index\":%lld,\"count\":%" PRIu64 ",\"cache_hits\":%" PRIu64
-            ",\"slo_breaches\":%" PRIu64 ",\"max_queue_depth\":%" PRIu64
-            ",\"throughput\":%.6f,\"p50\":%.9f,\"p95\":%.9f,\"p99\":%.9f}",
-            i ? "," : "", static_cast<long long>(w.index), w.count,
-            w.cache_hits, w.slo_breaches, w.max_queue_depth,
-            w.throughput_per_second, w.p50_seconds, w.p95_seconds,
-            w.p99_seconds);
+  JsonWriter w;
+  w.BeginObject().Field("window_seconds", kWindowSeconds, 9)
+      .Field("slo_seconds", kSloLatencySeconds, 9).Key("windows")
+      .BeginArray();
+  for (const WindowSnapshot& window : Windows()) {
+    SnapshotJson(window, /*with_index=*/true, &w);
   }
-  const WindowSnapshot pooled = Pooled();
-  AppendF(&out,
-          "],\"pooled\":{\"count\":%" PRIu64 ",\"cache_hits\":%" PRIu64
-          ",\"slo_breaches\":%" PRIu64 ",\"max_queue_depth\":%" PRIu64
-          ",\"throughput\":%.6f,\"p50\":%.9f,\"p95\":%.9f,\"p99\":%.9f}}\n",
-          pooled.count, pooled.cache_hits, pooled.slo_breaches,
-          pooled.max_queue_depth, pooled.throughput_per_second,
-          pooled.p50_seconds, pooled.p95_seconds, pooled.p99_seconds);
-  return out;
+  w.EndArray().Key("pooled");
+  SnapshotJson(Pooled(), /*with_index=*/false, &w);
+  return w.EndObject().str() + "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -134,13 +133,19 @@ std::string StrippedName(const SpanNode& span) {
 
 }  // namespace
 
+void ProfileAggregator::Totals::Add(const Totals& other) {
+  calls += other.calls;
+  incl_ns += other.incl_ns;
+  excl_ns += other.excl_ns;
+  rows_out += other.rows_out;
+  bytes += other.bytes;
+  seeks += other.seeks;
+}
+
 void ProfileAggregator::FoldSpan(const SpanNode& span, Node* into) {
-  into->calls += 1;
-  into->incl_ns += ToNanos(span.vt_seconds());
-  into->excl_ns += ToNanos(span.ExclusiveVtSeconds());
-  into->rows_out += span.rows_out;
-  into->bytes += span.bytes();
-  into->seeks += span.seeks();
+  into->Add({1, ToNanos(span.vt_seconds()),
+             ToNanos(span.ExclusiveVtSeconds()), span.rows_out, span.bytes(),
+             span.seeks()});
   for (const auto& child : span.children) {
     FoldSpan(*child, &into->children[StrippedName(*child)]);
   }
@@ -152,12 +157,7 @@ void ProfileAggregator::AddSession(const TraceSession& session) {
 }
 
 void ProfileAggregator::MergeNode(const Node& from, Node* into) {
-  into->calls += from.calls;
-  into->incl_ns += from.incl_ns;
-  into->excl_ns += from.excl_ns;
-  into->rows_out += from.rows_out;
-  into->bytes += from.bytes;
-  into->seeks += from.seeks;
+  into->Add(from);
   for (const auto& [name, child] : from.children) {
     MergeNode(child, &into->children[name]);
   }
@@ -175,23 +175,14 @@ std::vector<ProfileAggregator::OpStat> ProfileAggregator::TopOps(
   // Sum every trie node into its operator name, independent of stack
   // position.
   std::map<std::string, OpStat> by_name;
-  struct Walker {
-    std::map<std::string, OpStat>* by_name;
-    void Walk(const std::string& name, const Node& node) {
-      OpStat& stat = (*by_name)[name];
-      stat.name = name;
-      stat.calls += node.calls;
-      stat.incl_ns += node.incl_ns;
-      stat.excl_ns += node.excl_ns;
-      stat.rows_out += node.rows_out;
-      stat.bytes += node.bytes;
-      stat.seeks += node.seeks;
-      for (const auto& [child_name, child] : node.children) {
-        Walk(child_name, child);
-      }
-    }
-  } walker{&by_name};
-  for (const auto& [name, node] : roots_) walker.Walk(name, node);
+  const auto walk = [&by_name](const auto& self, const std::string& name,
+                               const Node& node) -> void {
+    OpStat& stat = by_name[name];
+    stat.name = name;
+    stat.Add(node);
+    for (const auto& [child, sub] : node.children) self(self, child, sub);
+  };
+  for (const auto& [name, node] : roots_) walk(walk, name, node);
 
   std::vector<OpStat> out;
   out.reserve(by_name.size());
@@ -225,18 +216,16 @@ std::string ProfileAggregator::CollapsedStacks() const {
   // Flatten the trie into "a;b;c <excl_ns>" lines. std::map iteration
   // gives lexicographic stack order for free.
   std::string out;
-  struct Walker {
-    std::string* out;
-    void Walk(const std::string& stack, const Node& node) {
-      if (node.excl_ns > 0) {
-        AppendF(out, "%s %" PRIu64 "\n", stack.c_str(), node.excl_ns);
-      }
-      for (const auto& [name, child] : node.children) {
-        Walk(stack + ";" + name, child);
-      }
+  const auto walk = [&out](const auto& self, const std::string& stack,
+                           const Node& node) -> void {
+    if (node.excl_ns > 0) {
+      out += stack + " " + std::to_string(node.excl_ns) + "\n";
     }
-  } walker{&out};
-  for (const auto& [name, node] : roots_) walker.Walk(name, node);
+    for (const auto& [name, child] : node.children) {
+      self(self, stack + ";" + name, child);
+    }
+  };
+  for (const auto& [name, node] : roots_) walk(walk, name, node);
   return out;
 }
 
@@ -276,7 +265,11 @@ std::vector<QueryLogRecord> Telemetry::LogSnapshot() const {
 
 std::string Telemetry::QueryLogJsonl(bool include_host_time) const {
   MutexLock lock(&mutex_);
-  return obs::QueryLogJsonl(log_, include_host_time);
+  std::string out;
+  for (const QueryLogRecord& record : log_) {
+    out += QueryLogRecordJson(record, include_host_time) + "\n";
+  }
+  return out;
 }
 
 std::string Telemetry::WindowsJson() const {

@@ -99,14 +99,18 @@ class ProfileAggregator {
 
   void MergeFrom(const ProfileAggregator& other);
 
-  struct OpStat {
-    std::string name;        // operator name, est-suffix stripped
+  // Cumulative totals of an operator over every call folded in.
+  struct Totals {
     uint64_t calls = 0;
     uint64_t incl_ns = 0;    // inclusive virtual nanoseconds
     uint64_t excl_ns = 0;    // exclusive virtual nanoseconds
     uint64_t rows_out = 0;
     uint64_t bytes = 0;
     uint64_t seeks = 0;
+    void Add(const Totals& other);
+  };
+  struct OpStat : Totals {
+    std::string name;        // operator name, est-suffix stripped
   };
   // Operators summed across all stack positions, sorted by exclusive
   // virtual time descending (name ascending on ties). n == 0 means all.
@@ -123,13 +127,7 @@ class ProfileAggregator {
   uint64_t sessions() const { return sessions_; }
 
  private:
-  struct Node {
-    uint64_t calls = 0;
-    uint64_t incl_ns = 0;
-    uint64_t excl_ns = 0;
-    uint64_t rows_out = 0;
-    uint64_t bytes = 0;
-    uint64_t seeks = 0;
+  struct Node : Totals {
     std::map<std::string, Node> children;
   };
 
@@ -162,6 +160,7 @@ class Telemetry {
   void MergeFrom(const Telemetry& other) SWAN_EXCLUDES(mutex_);
 
   std::vector<QueryLogRecord> LogSnapshot() const SWAN_EXCLUDES(mutex_);
+  // The log as JSON lines, one QueryLogRecordJson per line.
   std::string QueryLogJsonl(bool include_host_time) const
       SWAN_EXCLUDES(mutex_);
   // The log's windows (WindowedMetrics::ToJson) and pooled snapshot.

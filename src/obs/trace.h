@@ -163,9 +163,6 @@ class Span {
   void set_rows_out(uint64_t n) {
     if (node_ != nullptr) node_->rows_out = n;
   }
-  void add_rows_out(uint64_t n) {
-    if (node_ != nullptr) node_->rows_out += n;
-  }
 
  private:
   void Init(TraceSession* session, std::string_view name);

@@ -1,12 +1,16 @@
-// Byte-exact goldens for every JSON emitter: the query-log record, the
-// latency windows, the single- and multi-session Chrome traces and the
-// bench JSON document (cells plus each bench's extra fields), over fixed
-// hand-built inputs. The expected bytes live in tests/goldens/; any change
-// to an emitter's output shows up here as a diff against those files.
+// obs::JsonWriter's contract, and byte-exact goldens for every JSON
+// emitter: the query-log record, the latency windows, the single- and
+// multi-session Chrome traces and the bench JSON document (cells plus each
+// bench's extra fields), over fixed hand-built inputs. The expected bytes
+// live in tests/goldens/ (recorded before the emitters moved onto the
+// writer); any change to an emitter's output shows up as a diff against
+// those files.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +18,7 @@
 
 #include "bench_common.h"
 #include "obs/export.h"
+#include "obs/json_writer.h"
 #include "obs/querylog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -32,6 +37,34 @@ std::string ReadGolden(const std::string& name) {
 
 void ExpectGolden(const std::string& actual, const std::string& name) {
   EXPECT_EQ(actual, ReadGolden(name)) << "golden " << name;
+}
+
+// ---------------------------------------------------------------------------
+// The writer's own contract: escaping, separators, layouts and misuse.
+
+TEST(JsonWriterTest, EscapesSeparatesAndLaysOut) {
+  obs::JsonWriter w;
+  w.BeginObject().Field("a\"b", "x\\y\x7f\x1f\b").Key("list").BeginArray()
+      .Value(-3).Value(uint64_t{18446744073709551615u}).Value(0.5, 2)
+      .Value(-1e-7, 3).Value(std::nan(""), 9)
+      .Value(-std::numeric_limits<double>::infinity(), 1).BeginObject().EndObject().BeginArray().EndArray()
+      .EndArray().Key("lines").BeginArray(obs::JsonWriter::Layout::kLines)
+      .Value(true).Value(false).EndArray().EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\\\"b\":\"x\\\\y\x7f\\u001f\\u0008\",\"list\":[-3,"
+            "18446744073709551615,0.50,-0.000,null,null,{},[]],\"lines\":[\ntrue,\n"
+            "false\n]}");
+  EXPECT_TRUE(w.complete());
+}
+
+TEST(JsonWriterTest, MisuseAborts) {
+  EXPECT_DEATH(obs::JsonWriter().Key("k"), "key outside an object");
+  EXPECT_DEATH(obs::JsonWriter().BeginObject().Value(1), "without a key");
+  EXPECT_DEATH(obs::JsonWriter().BeginArray().Key("k"), "key outside");
+  EXPECT_DEATH(obs::JsonWriter().BeginArray().EndObject(), "unbalanced End");
+  EXPECT_DEATH(obs::JsonWriter().Value(1).Value(2), "second top-level");
+  EXPECT_DEATH(obs::JsonWriter().Value(obs::JsonWriter().BeginObject()),
+               "partial");
 }
 
 // ---------------------------------------------------------------------------
@@ -192,54 +225,51 @@ TEST(JsonGoldenTest, BenchJson) {
   std::string out;
   {
     auto json = WithCells("table6_cold_runs");
-    json.AddRaw("triples", std::to_string(20000));
-    json.AddRaw("codec", "\"" + std::string("auto") + "\"");
-    json.AddRaw("hot", "false");
+    json.Extra("triples").Value(uint64_t{20000});
+    json.Extra("codec").Value("auto");
+    json.Extra("hot").Value(false);
     out += json.ToJson();
   }
   {
     auto json = WithCells("parallel_speedup");
-    json.AddRaw("triples", std::to_string(400000));
-    json.AddRaw("threads", "[1,2,4,8]");
-    json.AddRaw("equivalent", "true");
+    json.Extra("triples").Value(uint64_t{400000});
+    obs::JsonWriter& widths = json.Extra("threads").BeginArray();
+    for (const int t : {1, 2, 4, 8}) widths.Value(t);
+    widths.EndArray();
+    json.Extra("equivalent").Value(true);
     out += json.ToJson();
   }
   {
     auto json = WithCells("serve_throughput");
-    json.AddRaw("triples", std::to_string(20000));
-    json.AddRaw("workers", std::to_string(4));
-    json.AddRaw("telemetry_reconciled", "true");
+    json.Extra("triples").Value(uint64_t{20000});
+    json.Extra("workers").Value(4);
+    json.Extra("telemetry_reconciled").Value(true);
     out += json.ToJson();
   }
   {
     auto json = WithCells("scaleout");
-    char raw[256];
-    std::snprintf(raw, sizeof(raw),
-                  "{\"speedup_2_nodes\":%.6f,\"speedup_4_nodes\":%.6f,"
-                  "\"gate_2_nodes\":%.2f,\"gate_4_nodes\":%.2f,"
-                  "\"cross_net_bytes\":%llu,\"gates_passed\":%s}",
-                  1.8234567, 3.0812345, 1.7, 3.0, 123456789ull, "true");
-    json.AddRaw("scaleout", raw);
+    json.Extra("scaleout").BeginObject()
+        .Field("speedup_2_nodes", 1.8234567, 6)
+        .Field("speedup_4_nodes", 3.0812345, 6).Field("gate_2_nodes", 1.7, 2)
+        .Field("gate_4_nodes", 3.0, 2)
+        .Field("cross_net_bytes", uint64_t{123456789})
+        .Field("gates_passed", true).EndObject();
     out += json.ToJson();
   }
   {
     auto json = WithCells("ablation_planner");
-    char raw[128];
-    std::snprintf(raw, sizeof(raw),
-                  "{\"losses\":%d,\"gates_passed\":%s,"
-                  "\"heuristic_baseline\":\"%s\"}",
-                  0, "true", "applied");
-    json.AddRaw("planner", raw);
+    json.Extra("planner").BeginObject().Field("losses", 0)
+        .Field("gates_passed", true).Field("heuristic_baseline", "applied")
+        .EndObject();
     out += json.ToJson();
   }
   {
     auto json = WithCells("ablation_compression");
-    char raw[160];
-    std::snprintf(raw, sizeof(raw),
-                  "{\"raw_cold_bytes\":%llu,\"auto_cold_bytes\":%llu,"
-                  "\"reduction\":%.6f,\"gate\":2.0,\"gates_passed\":%s}",
-                  9876543ull, 1234567ull, 9876543.0 / 1234567.0, "true");
-    json.AddRaw("compression", raw);
+    json.Extra("compression").BeginObject()
+        .Field("raw_cold_bytes", uint64_t{9876543})
+        .Field("auto_cold_bytes", uint64_t{1234567})
+        .Field("reduction", 9876543.0 / 1234567.0, 6).Field("gate", 2.0, 1)
+        .Field("gates_passed", true).EndObject();
     out += json.ToJson();
   }
   ExpectGolden(out, "bench.jsonl");

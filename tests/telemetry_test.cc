@@ -20,6 +20,7 @@
 #include "core/query.h"
 #include "core/store.h"
 #include "exec/exec_context.h"
+#include "obs/export.h"
 #include "obs/querylog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -93,6 +94,40 @@ TEST_F(TelemetryServeTest, QueryLogIsByteIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(topops[w], topops[0]) << "top-ops diverged at width " << w;
     EXPECT_EQ(stacks[w], stacks[0]) << "stacks diverged at width " << w;
   }
+}
+
+// A session name longer than any formatting buffer, with a quote and a
+// backslash in it: the query-log line and the multi-session Chrome trace
+// carry it whole and escaped, and each stays one closed document.
+TEST_F(TelemetryServeTest, LongSessionNameSurvivesEveryExport) {
+  const std::string tail(600, 'n');
+  const std::string name = "long\"q\\\"uote\"" + tail;
+  const std::string escaped = "long\\\"q\\\\\\\"uote\\\"" + tail;
+  const auto script =
+      serve::ParseScript("session " + name + "\nbench " + name + " q1\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  auto store = OpenStore();
+  serve::ServiceOptions options;
+  options.trace = true;
+  serve::QueryService service(store.get(), ctx_, options);
+  ASSERT_TRUE(serve::RunScript(&service, script.value()).ok());
+
+  const std::string log = service.telemetry().QueryLogJsonl(false);
+  EXPECT_NE(
+      log.find("\"session\":\"s1:" + escaped + "\",\"kind\":\"bench\","),
+      std::string::npos)
+      << log;
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  EXPECT_EQ(log.substr(log.size() - 3), "]}\n") << log;
+
+  const std::string trace = ChromeTraceJsonMulti(service.SessionTracks());
+  EXPECT_NE(trace.find("\"args\":{\"name\":\"s1:" + escaped + "\"}}"),
+            std::string::npos)
+      << trace;
+  const std::string close = "\n],\"displayTimeUnit\":\"ms\"}\n";
+  ASSERT_GT(trace.size(), close.size());
+  EXPECT_EQ(trace.substr(trace.size() - close.size()), close);
+  service.Stop();
 }
 
 TEST_F(TelemetryServeTest, RecordsCarryPlanAndCacheState) {

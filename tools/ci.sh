@@ -106,21 +106,19 @@ case "$mode" in
         python3 "$REPO_ROOT/tools/validate_querylog.py" \
           "$log.jsonl" "$log.folded"; } || status=1
     done
-    # Bench JSON smoke: --json emission must be schema-stable enough for
-    # the validator-adjacent consumers (a dict with the fixed cell keys).
+    # Bench JSON smoke: --json emission must follow the shared bench-JSON
+    # schema (tools/validate_bench_json.py: the fixed cell keys and this
+    # bench's typed extras), and the telemetry reconciliation must hold.
     echo "=== release: bench json smoke ==="
     { SWAN_TRIPLES=20000 SWAN_REPS=1 \
         "$RELEASE_DIR/bench/serve_throughput" \
         --json="$RELEASE_DIR/BENCH_serve_throughput.json" >/dev/null &&
+      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
+        "$RELEASE_DIR/BENCH_serve_throughput.json" &&
       python3 -c "
-import json, sys
+import json
 doc = json.load(open('$RELEASE_DIR/BENCH_serve_throughput.json'))
-assert doc['bench'] == 'serve_throughput', doc
-assert doc['workloads'], 'no workloads'
-for backend_map in doc['workloads'].values():
-    for cell in backend_map.values():
-        assert set(cell) == {'cold_bytes', 'modeled_seconds', 'speedup'}, cell
-assert doc.get('telemetry_reconciled') is True, doc
+assert doc['telemetry_reconciled'] is True, doc
 print('bench json smoke: OK')
 "; } || status=1
     # Micro-bench JSON smoke: a brief run of every micro bench must leave
@@ -160,6 +158,8 @@ print('micro bench json smoke: $name OK,', len(names), 'entries')
     echo "=== release: planner smoke ==="
     { SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
         --json="$RELEASE_DIR/BENCH_ablation_planner.json" >/dev/null &&
+      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
+        "$RELEASE_DIR/BENCH_ablation_planner.json" &&
       python3 -c "
 import json
 doc = json.load(open('$RELEASE_DIR/BENCH_ablation_planner.json'))
@@ -182,10 +182,11 @@ print('planner smoke: OK')
     echo "=== release: scaleout smoke ==="
     { SWAN_REPS=1 "$RELEASE_DIR/bench/scaleout" \
         --json="$RELEASE_DIR/BENCH_scaleout.json" >/dev/null &&
+      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
+        "$RELEASE_DIR/BENCH_scaleout.json" &&
       python3 -c "
 import json
 doc = json.load(open('$RELEASE_DIR/BENCH_scaleout.json'))
-assert doc['bench'] == 'scaleout', doc
 gates = doc['scaleout']
 assert gates['gates_passed'] is True, gates
 assert gates['speedup_2_nodes'] >= gates['gate_2_nodes'], gates

@@ -34,6 +34,14 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     topology aggregates, which silently corrupts the
                     max-over-nodes timing model. Holding a pointer or
                     reference to an existing disk/pool is fine.
+  json-by-hand      No hand-built JSON: a string literal holding a JSON key
+                    (`\"name\":`) passed to AppendF or to the printf
+                    family (printf, fprintf, sprintf, snprintf, vsnprintf)
+                    outside src/obs/json_writer.* and tests/. JSON is
+                    written through obs::JsonWriter, which owns escaping,
+                    separators and number formatting; a format string
+                    escapes nothing and AppendF cuts each call at 511 bytes,
+                    so a long value leaves an invalid document.
 
 Suppression: append `// swan-lint: allow(<rule>)` to the offending line,
 or place it alone on the line directly above. Suppressions are per-rule;
@@ -67,6 +75,7 @@ RULES = [
     "include-locks",
     "serve-telemetry",
     "node-disk",
+    "json-by-hand",
 ]
 
 # The only directory allowed to construct the per-node storage stack; the
@@ -115,6 +124,12 @@ NODE_DISK_RE = re.compile(
     r"|\b(?:swan::)?(?:storage::)?(?:SimulatedDisk|BufferPool)\s+"
     r"[A-Za-z_]\w*\s*[{(;=]"
 )
+# The writer itself and the tests (which pin its output) may spell JSON out.
+JSON_BY_HAND_EXEMPT_PREFIXES = ("src/obs/json_writer.", "tests/")
+JSON_BY_HAND_CALL_RE = re.compile(
+    r"\b(?:AppendF|printf|fprintf|sprintf|snprintf|vsnprintf)\s*\(")
+# A JSON key as it appears inside a C++ string literal: \"name\":
+JSON_KEY_LITERAL_RE = re.compile(r'\\"[A-Za-z_][\w.-]*\\":')
 SUPPRESS_RE = re.compile(r"//\s*swan-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*expect\(([a-z-]+)\)")
 CORPUS_PATH_RE = re.compile(r"^//\s*swan-lint-corpus-path:\s*(\S+)")
@@ -196,6 +211,54 @@ def strip_comments_and_strings(line):
         out.append(c)
         i += 1
     return "".join(out)
+
+
+def string_literals(line):
+    """The raw (still escaped) bodies of the "..." literals on a line,
+    ignoring char literals and anything after a // comment."""
+    out = []
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c == "/" and line[i + 1:i + 2] == "/":
+            break
+        if c in "\"'":
+            j = i + 1
+            while j < n and line[j] != c:
+                j += 2 if line[j] == "\\" else 1
+            if c == '"':
+                out.append(line[i + 1:j])
+            i = j + 1
+            continue
+        i += 1
+    return out
+
+
+def call_line_span(lines, idx, start):
+    """Indices of the lines a call spans, from its opening paren at column
+    `start` of lines[idx] to the balancing close (at most 20 lines)."""
+    depth = 0
+    for j in range(idx, min(idx + 20, len(lines))):
+        code = strip_comments_and_strings(lines[j])
+        for c in code[start if j == idx else 0:]:
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if depth == 0:
+                    return range(idx, j + 1)
+    return range(idx, min(idx + 20, len(lines)))
+
+
+def builds_json_by_hand(lines, idx, code):
+    """True when a printf-family/AppendF call starting on lines[idx] is
+    given a string literal that holds a JSON key."""
+    for m in JSON_BY_HAND_CALL_RE.finditer(code):
+        for j in call_line_span(lines, idx, m.end() - 1):
+            if any(JSON_KEY_LITERAL_RE.search(body)
+                   for body in string_literals(lines[j])):
+                return True
+    return False
 
 
 def suppressions_for(lines, idx):
@@ -339,6 +402,13 @@ def lint_file(path, display_path, lines, status_names):
                    "src/storage/; stamp the node's stack out through "
                    "storage::MakeNodeStorage (net::Topology) so every disk "
                    "belongs to exactly one node")
+
+        if (not display_path.startswith(JSON_BY_HAND_EXEMPT_PREFIXES)
+                and builds_json_by_hand(lines, idx, code)):
+            report(idx, "json-by-hand",
+                   "JSON key in a printf-family/AppendF format; write JSON "
+                   "through obs::JsonWriter (it escapes, separates and has "
+                   "no length cap)")
 
         for name in status_names:
             if name in code and find_bare_call(lines, idx, name):
