@@ -93,17 +93,18 @@ const EncodedColumn& VerticalTable::EncodedObjects(uint64_t property) const {
   return Require(property).obj->Encoded();
 }
 
-void MatchPartition(const EncodedColumn& subj, const EncodedColumn& obj,
-                    uint64_t property, const rdf::TriplePattern& pattern,
+void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
+                    const rdf::TriplePattern& pattern,
                     const exec::ExecContext& ectx,
                     std::vector<rdf::Triple>* out) {
   uint32_t lo = 0;
   uint32_t hi = static_cast<uint32_t>(subj.size());
   if (pattern.subject) {
-    std::tie(lo, hi) = EqRangeSorted(subj, *pattern.subject);
+    std::tie(lo, hi) = EqRangeSorted(subj.Encoded(), *pattern.subject);
+    if (lo == hi) return;
   }
   if (!pattern.object) {
-    ForEachDecodedRows<2>({&subj, &obj}, lo, hi,
+    ForEachDecodedRows<2>({&subj.Encoded(), &obj.Encoded()}, lo, hi,
                           [&](uint64_t, const auto& v, uint64_t n) {
                             for (uint64_t i = 0; i < n; ++i) {
                               out->push_back({v[0][i], property, v[1][i]});
@@ -111,8 +112,10 @@ void MatchPartition(const EncodedColumn& subj, const EncodedColumn& obj,
                           });
     return;
   }
-  const PositionVector sel = SelectEq(obj, lo, hi, *pattern.object, ectx);
-  for (uint64_t s : Gather(subj, sel, ectx)) {
+  const PositionVector sel =
+      SelectEq(obj.Encoded(), lo, hi, *pattern.object, ectx);
+  if (sel.empty()) return;
+  for (uint64_t s : Gather(subj.Encoded(), sel, ectx)) {
     out->push_back({s, property, *pattern.object});
   }
 }

@@ -100,15 +100,15 @@ class VerticalTable {
 
 // The per-partition scan of a vertical store: appends the triples of one
 // (subject, object)-sorted partition of `property` whose subject and
-// object match `pattern`, in row order. The bound subject narrows the
-// rows to a range by binary search. Without a bound object the range
-// decodes batch by batch; with one, a ranged SelectEq on the encoded
-// object column picks the rows (comparing packed codes, decoding none)
-// and only their subjects are gathered. Both columns must already be
-// loaded, subject first, by the caller, which fixes the order of the
-// cold reads.
-void MatchPartition(const EncodedColumn& subj, const EncodedColumn& obj,
-                    uint64_t property, const rdf::TriplePattern& pattern,
+// object match `pattern`, in row order. The two columns are passed
+// unloaded, and a column is read only when a row of it is needed: the
+// column that narrows the partition goes first (subjects when the pattern
+// binds a subject, by binary search to a range; otherwise objects when it
+// binds an object, by a SelectEq that compares packed codes), and the
+// other is read only when that step leaves a row. With neither bound,
+// both are read, subjects first, and decoded batch by batch.
+void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
+                    const rdf::TriplePattern& pattern,
                     const exec::ExecContext& ectx,
                     std::vector<rdf::Triple>* out);
 

@@ -909,9 +909,10 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
     return bound[c] && !in_range;
   };
 
-  // A triple store reads all three columns.
+  // A column is read only when a row of it is needed: an empty range or
+  // residual selection leaves the remaining columns unread.
   std::vector<rdf::Triple> out;
-  if (!residual(0) && !residual(1) && !residual(2)) {
+  if (lo < hi && !residual(0) && !residual(1) && !residual(2)) {
     // Every row of the range matches: decode it batch by batch.
     const EncodedColumn& subj = table_->encoded_subjects();
     const EncodedColumn& prop = table_->encoded_properties();
@@ -923,27 +924,30 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
                               out.push_back({v[0][i], v[1][i], v[2][i]});
                             }
                           });
-  } else {
+  } else if (lo < hi) {
     // Filter the range on the encoded residual columns, then decode only
     // the matching rows.
     PositionVector sel;
     bool filtered = false;
     for (int c = 0; c < 3; ++c) {
       if (!residual(c)) continue;
+      if (filtered && sel.empty()) break;
       const EncodedColumn& col = table_->column(c).Encoded();
       sel = filtered ? SelectEq(col, sel, *bound[c], ectx)
                      : SelectEq(col, lo, hi, *bound[c], ectx);
       filtered = true;
     }
-    const std::vector<uint64_t> subj =
-        Gather(table_->encoded_subjects(), sel, ectx);
-    const std::vector<uint64_t> prop =
-        Gather(table_->encoded_properties(), sel, ectx);
-    const std::vector<uint64_t> obj =
-        Gather(table_->encoded_objects(), sel, ectx);
-    out.resize(sel.size());
-    for (size_t i = 0; i < sel.size(); ++i) {
-      out[i] = {subj[i], prop[i], obj[i]};
+    if (!sel.empty()) {
+      const std::vector<uint64_t> subj =
+          Gather(table_->encoded_subjects(), sel, ectx);
+      const std::vector<uint64_t> prop =
+          Gather(table_->encoded_properties(), sel, ectx);
+      const std::vector<uint64_t> obj =
+          Gather(table_->encoded_objects(), sel, ectx);
+      out.resize(sel.size());
+      for (size_t i = 0; i < sel.size(); ++i) {
+        out[i] = {subj[i], prop[i], obj[i]};
+      }
     }
   }
   if (!tombstones_.empty()) {
@@ -1309,9 +1313,8 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
 
   std::vector<rdf::Triple> out;
   for (uint64_t p : props) {
-    const EncodedColumn& subj = table_->EncodedSubjects(p);
-    const EncodedColumn& obj = table_->EncodedObjects(p);
-    colstore::MatchPartition(subj, obj, p, pattern, ectx, &out);
+    colstore::MatchPartition(table_->SubjectColumn(p), table_->ObjectColumn(p),
+                             p, pattern, ectx, &out);
   }
   if (!tombstones_.empty()) {
     std::erase_if(out, [&](const rdf::Triple& t) {

@@ -118,9 +118,9 @@ std::vector<rdf::Triple> CStoreBackend::Match(
   }
   std::vector<rdf::Triple> out;
   for (uint64_t p : props) {
-    const colstore::EncodedColumn& subj = engine_->Subjects(p);
-    const colstore::EncodedColumn& obj = engine_->Objects(p);
-    colstore::MatchPartition(subj, obj, p, pattern, ectx, &out);
+    colstore::MatchPartition(engine_->SubjectColumn(p),
+                             engine_->ObjectColumn(p), p, pattern, ectx,
+                             &out);
   }
   span.set_rows_out(out.size());
   return out;

@@ -64,16 +64,10 @@ void CStoreEngine::Load(std::span<const rdf::Triple> triples,
   }
 }
 
-const EncodedColumn& CStoreEngine::Subjects(uint64_t property) const {
+const CStoreEngine::Partition& CStoreEngine::Require(uint64_t property) const {
   auto it = partitions_.find(property);
   SWAN_CHECK_MSG(it != partitions_.end(), "property not loaded in C-Store");
-  return it->second.subj->Encoded();
-}
-
-const EncodedColumn& CStoreEngine::Objects(uint64_t property) const {
-  auto it = partitions_.find(property);
-  SWAN_CHECK_MSG(it != partitions_.end(), "property not loaded in C-Store");
-  return it->second.obj->Encoded();
+  return it->second;
 }
 
 std::vector<uint64_t> CStoreEngine::SubjectsWhereObjEq(

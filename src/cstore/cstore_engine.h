@@ -84,8 +84,19 @@ class CStoreEngine {
   bool HasProperty(uint64_t p) const { return partitions_.count(p) != 0; }
   // Encoded columns of a loaded property; plans and Match run the encoded
   // kernels on them, decoding only the rows they project.
-  const colstore::EncodedColumn& Subjects(uint64_t property) const;
-  const colstore::EncodedColumn& Objects(uint64_t property) const;
+  const colstore::EncodedColumn& Subjects(uint64_t property) const {
+    return SubjectColumn(property).Encoded();
+  }
+  const colstore::EncodedColumn& Objects(uint64_t property) const {
+    return ObjectColumn(property).Encoded();
+  }
+  // The stored columns themselves, loaded on their first Encoded().
+  const colstore::Column& SubjectColumn(uint64_t property) const {
+    return *Require(property).subj;
+  }
+  const colstore::Column& ObjectColumn(uint64_t property) const {
+    return *Require(property).obj;
+  }
 
   // Audit walker: per-partition sorted-subject and id-range checks, plus
   // property-index / partition-map agreement.
@@ -97,6 +108,8 @@ class CStoreEngine {
     std::unique_ptr<colstore::Column> subj;
     std::unique_ptr<colstore::Column> obj;
   };
+
+  const Partition& Require(uint64_t property) const;
 
   // Sorted subjects with (property, object) — the shared sub-plan.
   std::vector<uint64_t> SubjectsWhereObjEq(uint64_t property, uint64_t object,

@@ -99,6 +99,10 @@ class ShardedBackend : public core::Backend {
   const Placement& placement() const { return placement_; }
   const ShardOptions& options() const { return options_; }
   int coordinator() const { return coordinator_; }
+  // Node `node`'s column backend.
+  const core::ColumnBackend& node_backend(int node) const {
+    return *inner_[static_cast<size_t>(node)];
+  }
 
  private:
   class Routing;

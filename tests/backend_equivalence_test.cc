@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -23,6 +24,7 @@
 #include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
+#include "shard/sharded_backend.h"
 
 namespace swan {
 namespace {
@@ -526,6 +528,169 @@ TEST(ColumnMatchCostTest, ColdMatchIsPinned) {
     }
   }
   ExpectPinned("column_match_cold", std::move(got));
+}
+
+// A column store split into (subject, object) partitions, as
+// MatchReadsOnlyNeededColumns inspects it: every partition's two columns,
+// and the node that holds a given triple.
+struct PartitionedStore {
+  struct Part {
+    int node;
+    uint64_t property;
+    const colstore::Column* subj;
+    const colstore::Column* obj;
+  };
+  std::string label;
+  core::Backend* backend;
+  std::vector<Part> parts;
+  std::function<int(const rdf::Triple&)> node_of;
+};
+
+void AddVerticalParts(const colstore::VerticalTable& table, int node,
+                      std::vector<PartitionedStore::Part>* parts) {
+  for (uint64_t p : table.properties()) {
+    parts->push_back(
+        {node, p, &table.SubjectColumn(p), &table.ObjectColumn(p)});
+  }
+}
+
+// Backend::Match reads a column only when a row of it is needed. On a
+// partitioned store (column vertical raw and auto, C-Store, a 2-node
+// sharded vertical store), the column the pattern binds is read in every
+// partition Match enumerates, and the other column only in the partitions
+// that hold a row for that constant; an absent subject reads no object
+// column. On the triple store in PSO and SPO order, an absent constant
+// reads only the column it binds. Each Match runs after DropCaches, at
+// widths 1 and 8, and returns the reference's rows.
+TEST(ColumnMatchCostTest, MatchReadsOnlyNeededColumns) {
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  const uint64_t hub = HubTriple(data).subject;
+  const uint64_t text = ctx.vocab().text;
+  const uint64_t absent = data.dict().size() + 5;
+  core::ReferenceBackend reference(data);
+
+  core::ColVerticalBackend vert_raw(data, {}, 4096,
+                                    colstore::ColumnCodec::kRaw);
+  core::ColVerticalBackend vert_auto(data, {}, 4096,
+                                     colstore::ColumnCodec::kAuto);
+  core::CStoreBackend cstore(data, ctx.interesting_properties());
+  shard::ShardOptions options;
+  options.nodes = 2;
+  shard::ShardedBackend sharded(data, options);
+  core::ColTripleBackend pso(data, rdf::TripleOrder::kPSO);
+  core::ColTripleBackend spo(data, rdf::TripleOrder::kSPO);
+
+  const auto on_node0 = [](const rdf::Triple&) { return 0; };
+  std::vector<PartitionedStore> stores = {
+      {"vertical raw", &vert_raw, {}, on_node0},
+      {"vertical auto", &vert_auto, {}, on_node0},
+      {"C-Store", &cstore, {}, on_node0},
+      {"sharded vertical", &sharded, {}, [&](const rdf::Triple& t) {
+         return sharded.placement().NodeOf(t);
+       }}};
+  AddVerticalParts(vert_raw.table(), 0, &stores[0].parts);
+  AddVerticalParts(vert_auto.table(), 0, &stores[1].parts);
+  for (uint64_t p : cstore.engine().properties()) {
+    stores[2].parts.push_back({0, p, &cstore.engine().SubjectColumn(p),
+                               &cstore.engine().ObjectColumn(p)});
+  }
+  for (int node = 0; node < options.nodes; ++node) {
+    AddVerticalParts(
+        dynamic_cast<const core::ColVerticalBackend&>(
+            sharded.node_backend(node))
+            .table(),
+        node, &stores[3].parts);
+  }
+
+  // Each pattern with the column that narrows a partition: subjects when
+  // the pattern binds a subject, objects otherwise.
+  const std::vector<std::pair<rdf::TriplePattern, bool>> narrowed = {
+      {{hub, {}, {}}, true},
+      {{absent, {}, {}}, true},
+      {{{}, {}, text}, false},
+  };
+  for (int threads : {1, 8}) {
+    const exec::ExecContext ectx(threads);
+    for (const PartitionedStore& store : stores) {
+      for (const auto& [pattern, subject_first] : narrowed) {
+        const std::string what = store.label + " pattern (" +
+                                 (subject_first ? "s" : "o") + ") width " +
+                                 std::to_string(threads);
+        // The partitions that hold a matching row, per the reference.
+        std::set<std::pair<int, uint64_t>> holders;
+        for (const rdf::Triple& t : reference.Match(pattern)) {
+          holders.insert({store.node_of(t), t.property});
+        }
+        store.backend->DropCaches();
+        const uint64_t before = store.backend->TotalBytesRead();
+        (void)store.backend->Match(pattern, ectx);
+        uint64_t want_bytes = 0;
+        for (const PartitionedStore::Part& part : store.parts) {
+          const bool holds = holders.count({part.node, part.property}) != 0;
+          const colstore::Column* first = subject_first ? part.subj : part.obj;
+          const colstore::Column* other = subject_first ? part.obj : part.subj;
+          EXPECT_TRUE(first->loaded())
+              << what << " node " << part.node << " p " << part.property;
+          EXPECT_EQ(other->loaded(), holds)
+              << what << " node " << part.node << " p " << part.property;
+          want_bytes += first->disk_bytes() + (holds ? other->disk_bytes() : 0);
+        }
+        EXPECT_EQ(store.backend->TotalBytesRead() - before, want_bytes)
+            << what;
+      }
+    }
+    for (core::ColTripleBackend* store : {&pso, &spo}) {
+      for (int c = 0; c < 3; ++c) {
+        std::array<std::optional<uint64_t>, 3> bound;
+        bound[static_cast<size_t>(c)] = absent;
+        store->DropCaches();
+        (void)store->Match({bound[0], bound[1], bound[2]}, ectx);
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_EQ(store->table().column(k).loaded(), k == c)
+              << store->name() << " absent component " << c << " column "
+              << k << " width " << threads;
+        }
+      }
+    }
+  }
+
+  // Rows: the reference's, restricted to the properties a store loaded.
+  const std::vector<rdf::TriplePattern> patterns = {
+      {hub, {}, {}},         {absent, {}, {}},   {{}, {}, text},
+      {{}, absent, {}},      {{}, {}, absent},   {hub, {}, text},
+      {hub, ctx.vocab().type, {}},
+  };
+  std::vector<std::pair<std::string, core::Backend*>> all;
+  for (const PartitionedStore& store : stores) {
+    all.emplace_back(store.label, store.backend);
+  }
+  all.emplace_back("triple PSO", &pso);
+  all.emplace_back("triple SPO", &spo);
+  for (const auto& [label, backend] : all) {
+    const bool cstore_rows = backend == &cstore;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      std::vector<rdf::Triple> want = reference.Match(patterns[i]);
+      if (cstore_rows) {
+        std::erase_if(want, [&](const rdf::Triple& t) {
+          return !cstore.engine().HasProperty(t.property);
+        });
+      }
+      std::sort(want.begin(), want.end());
+      for (int threads : {1, 8}) {
+        backend->DropCaches();
+        std::vector<rdf::Triple> got =
+            backend->Match(patterns[i], exec::ExecContext(threads));
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << label << " pattern " << i << " width "
+                             << threads;
+      }
+    }
+  }
 }
 
 // The column engines' modeled cold cost, pinned the same way
