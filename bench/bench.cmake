@@ -16,11 +16,13 @@ swan_add_bench(table1_dataset_stats)
 swan_add_bench(figure1_cdf)
 swan_add_bench(table2_query_coverage)
 swan_add_bench(section21_distribution_detail)
-swan_add_bench(table4_cstore_repetition)
-swan_add_bench(table5_query_footprint)
 swan_add_bench(figure5_io_history)
-swan_add_bench(table6_cold_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
-swan_add_bench(table7_hot_runs ${CMAKE_SOURCE_DIR}/bench/grid_common.cc)
+# The exhibit runner, compiled once for the benches that are its specs.
+add_library(swan_exhibit OBJECT ${CMAKE_SOURCE_DIR}/bench/exhibit.cc)
+foreach(exhibit table4_cstore_repetition table5_query_footprint
+        table6_cold_runs table7_hot_runs figure7_scaleup scale_sensitivity)
+  swan_add_bench(${exhibit} $<TARGET_OBJECTS:swan_exhibit>)
+endforeach()
 # The Table 6 cold-shape gates, at a scale that runs in about a second.
 add_test(NAME table6_cold_runs_gates COMMAND table6_cold_runs)
 set_tests_properties(table6_cold_runs_gates PROPERTIES
@@ -34,12 +36,18 @@ set_tests_properties(ablation_q8_join PROPERTIES
 add_test(NAME table7_hot_runs COMMAND table7_hot_runs)
 set_tests_properties(table7_hot_runs PROPERTIES
   ENVIRONMENT "SWAN_TRIPLES=20000")
+# Tables 4 and 5 and Figure 7 at the same scale, one repetition: their
+# correctness gates (every design agrees with the reference backend).
+foreach(exhibit table4_cstore_repetition table5_query_footprint
+        figure7_scaleup)
+  add_test(NAME ${exhibit} COMMAND ${exhibit})
+  set_tests_properties(${exhibit} PROPERTIES
+    ENVIRONMENT "SWAN_TRIPLES=20000;SWAN_REPS=1")
+endforeach()
 swan_add_bench(figure6_property_sweep)
-swan_add_bench(figure7_scaleup)
 swan_add_bench(ablation_buffer_pool)
 swan_add_bench(ablation_compression)
 swan_add_bench(ablation_updates)
-swan_add_bench(scale_sensitivity)
 swan_add_bench(ablation_q8_join)
 swan_add_bench(ablation_planner)
 swan_add_bench(parallel_speedup)

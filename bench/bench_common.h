@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,8 +29,16 @@ inline bench_support::BartonConfig DefaultConfig() {
   return config;
 }
 
+// SWAN_REPS, default 3. Zero repetitions would average nothing and print
+// all-zero tables, so it exits 2 like any other invalid value.
 inline int Repetitions() {
-  return static_cast<int>(bench_support::EnvU64("SWAN_REPS", 3));
+  const uint64_t reps = bench_support::EnvU64("SWAN_REPS", 3);
+  if (reps == 0 || reps > static_cast<uint64_t>(INT_MAX)) {
+    std::fprintf(stderr, "error: invalid SWAN_REPS value '%llu' (expected "
+                         "at least 1)\n", static_cast<unsigned long long>(reps));
+    std::exit(2);
+  }
+  return static_cast<int>(reps);
 }
 
 // Parses a --threads value. Rejects anything that is not a plain decimal
@@ -122,7 +131,10 @@ inline colstore::ColumnCodec InitCodec(int argc, char** argv) {
 //    <extra top-level fields, each written through Extra(key)>}
 //
 // std::map keys make the emission order deterministic; the document is
-// written through obs::JsonWriter.
+// written through obs::JsonWriter. The exhibit runner (exhibit.h) writes it
+// for Tables 4-7, Figure 7 and scale_sensitivity; parallel_speedup,
+// serve_throughput, scaleout, ablation_planner and ablation_compression
+// write it directly.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string bench_name)

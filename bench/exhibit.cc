@@ -1,0 +1,260 @@
+#include "exhibit.h"
+
+#include <algorithm>
+#include <memory>
+#include <optional>
+
+#include "bench_support/property_split.h"
+#include "common/stats.h"
+#include "common/table_printer.h"
+#include "core/col_backends.h"
+#include "core/cstore_backend.h"
+#include "core/reference_backend.h"
+#include "core/row_backends.h"
+
+namespace swan::bench {
+
+namespace {
+
+using core::QueryId;
+
+std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
+                                     const core::QueryContext& ctx,
+                                     double disk_mb_s,
+                                     colstore::ColumnCodec codec) {
+  storage::DiskConfig disk;
+  if (disk_mb_s > 0.0) disk.bandwidth_mb_per_s = disk_mb_s;
+  using rowstore::TripleRelation;
+  switch (design) {
+    case Design::kDbxTripleSpo:
+    case Design::kDbxTriplePso:
+      return std::make_unique<core::RowTripleBackend>(
+          data, design == Design::kDbxTripleSpo ? TripleRelation::SpoConfig()
+                                                : TripleRelation::PsoConfig(),
+          disk);
+    case Design::kDbxVertical:
+      return std::make_unique<core::RowVerticalBackend>(data, disk);
+    case Design::kMonetTripleSpo:
+    case Design::kMonetTriplePso:
+      return std::make_unique<core::ColTripleBackend>(
+          data,
+          design == Design::kMonetTripleSpo ? rdf::TripleOrder::kSPO
+                                            : rdf::TripleOrder::kPSO,
+          disk, 4096, codec);
+    case Design::kMonetVertical:
+      return std::make_unique<core::ColVerticalBackend>(data, disk, 4096,
+                                                        codec);
+    case Design::kCStore:
+      // C-Store's disk also forces its small scattered reads; the default
+      // bandwidth is machine B's.
+      return std::make_unique<core::CStoreBackend>(
+          data, ctx.interesting_properties(),
+          cstore::CStoreEngine::RecommendedDiskConfig(
+              disk_mb_s > 0.0 ? disk_mb_s : 390.0));
+  }
+  std::abort();
+}
+
+const char* ToString(Mode mode) { return mode == Mode::kHot ? "hot" : "cold"; }
+
+double Value(const bench_support::Measurement& m, Metric metric) {
+  switch (metric) {
+    case Metric::kReal: return m.real_seconds;
+    case Metric::kUser: return m.user_seconds;
+    case Metric::kMbRead: return static_cast<double>(m.bytes_read) / 1e6;
+    case Metric::kRows: return static_cast<double>(m.rows_returned);
+  }
+  std::abort();
+}
+
+std::string Format(const bench_support::Measurement& m, Metric metric) {
+  if (metric == Metric::kRows) return TablePrinter::Int(m.rows_returned);
+  return TablePrinter::Fixed(Value(m, metric),
+                             metric == Metric::kMbRead ? 2 : 4);
+}
+
+}  // namespace
+
+RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
+                 Design design, Mode mode, Metric metric) {
+  std::vector<double> initial, all;
+  for (const ExhibitCell& cell : cells) {
+    if (cell.point != point || cell.design != design || cell.mode != mode) {
+      continue;
+    }
+    all.push_back(Value(cell.m, metric));
+    if (!core::IsStar(cell.query) && cell.query != QueryId::kQ8) {
+      initial.push_back(all.back());
+    }
+  }
+  RowMeans means;
+  means.g = GeometricMean(initial);
+  if (all.size() == core::AllQueries().size()) means.gstar = GeometricMean(all);
+  return means;
+}
+
+ExhibitSpec GridSpec(bool hot) {
+  ExhibitSpec spec;
+  spec.name = hot ? "table7_hot_runs" : "table6_cold_runs";
+  spec.title = hot ? "Table 7: hot runs" : "Table 6: cold runs";
+  spec.reproduces = std::string(hot ? "Table 7 (hot runs)"
+                                    : "Table 6 (cold runs)") +
+                    " of Sidirourgos et al., VLDB 2008";
+  spec.designs = {Design::kDbxTripleSpo,   Design::kDbxTriplePso,
+                  Design::kDbxVertical,    Design::kMonetTripleSpo,
+                  Design::kMonetTriplePso, Design::kMonetVertical,
+                  Design::kCStore};
+  spec.queries = core::AllQueries();
+  spec.modes = {hot ? Mode::kHot : Mode::kCold};
+  spec.repetitions = Repetitions();
+  spec.means = true;
+  spec.note =
+      "On the row store, triple PSO has the lowest G* (section 4.3); on the\n"
+      "column store the vertical scheme wins G/G* while q2*, q3*, q6*, q8\n"
+      "remain \"black swans\" where a triple-store clustering is faster;\n"
+      "column engines beat the row engine by roughly an order of magnitude;\n"
+      "C-Store and MonetDB are comparable.\n";
+  return spec;
+}
+
+std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec) {
+  const bench_support::BartonConfig config = DefaultConfig();
+  PrintHeader(spec.title, spec.reproduces, config);
+  std::printf("column codec: %s\n\n", colstore::ToString(spec.codec).c_str());
+
+  const bool by_point = spec.points.size() > 1;
+  const bool by_mode = spec.modes.size() > 1;
+  const bool gstar = spec.means && spec.queries == core::AllQueries();
+  std::vector<std::string> header;
+  if (by_point) header.push_back("dataset");
+  header.insert(header.end(), {"store", "cluster"});
+  if (by_mode) header.push_back("run");
+  header.push_back("metric");
+  for (QueryId id : spec.queries) header.push_back(core::ToString(id));
+  if (spec.means) header.push_back("G");
+  if (gstar) header.insert(header.end(), {"G*", "G*/G"});
+  TablePrinter table(header);
+  BenchJsonWriter json(spec.name);
+
+  std::optional<bench_support::BartonDataset> base;
+  std::vector<ExhibitCell> cells;
+  double max_stddev = 0.0;
+  for (size_t p = 0; p < spec.points.size(); ++p) {
+    const ExhibitPoint& point = spec.points[p];
+    std::optional<bench_support::BartonDataset> scaled;
+    std::optional<rdf::Dataset> split;
+    std::string label;
+    const auto describe = [&label](const std::string& part) {
+      label += (label.empty() ? "" : ", ") + part;
+    };
+    if (point.triples > 0) {
+      bench_support::BartonConfig scaled_config = config;
+      scaled_config.target_triples = point.triples;
+      scaled = bench_support::GenerateBarton(scaled_config);
+      describe(std::to_string(point.triples) + " triples");
+    } else if (!base) {
+      base = bench_support::GenerateBarton(config);
+    }
+    const rdf::Dataset* data = scaled ? &scaled->dataset : &base->dataset;
+    if (point.properties > 0) {
+      // Figure 7's split leaves the properties the queries name whole.
+      const auto vocab = core::Vocabulary::Resolve(*data).value();
+      split = bench_support::SplitProperties(
+          *data, point.properties, /*seed=*/7,
+          {vocab.type, vocab.language, vocab.origin, vocab.records,
+           vocab.point, vocab.encoding});
+      data = &*split;
+      describe(std::to_string(data->DistinctProperties().size()) +
+               " properties");
+    }
+    if (point.disk_mb_s > 0.0) {
+      describe(TablePrinter::Fixed(point.disk_mb_s, 0) + " MB/s");
+    }
+    const core::QueryContext ctx = bench_support::MakeBartonContext(*data, 28);
+
+    std::printf("building backends %s\n", label.c_str());
+    core::ReferenceBackend reference(*data);
+    std::vector<core::Backend*> checked = {&reference};
+    std::vector<std::unique_ptr<core::Backend>> backends;
+    for (Design design : spec.designs) {
+      backends.push_back(
+          Build(design, *data, ctx, point.disk_mb_s, spec.codec));
+      checked.push_back(backends.back().get());
+      std::printf("  %-20s %8.2f MB on disk\n", checked.back()->name().c_str(),
+                  checked.back()->disk_bytes() / 1e6);
+    }
+    std::printf("correctness gate: verifying all backends agree...\n");
+    bench_support::VerifyBackendsAgree(checked, spec.queries, ctx);
+    std::printf("correctness gate passed.\n");
+
+    for (size_t d = 0; d < spec.designs.size(); ++d) {
+      core::Backend* backend = backends[d].get();
+      const std::string name = backend->name();
+      const size_t space = name.find(' ');
+      std::printf("measuring %s...\n", name.c_str());
+      if (p + d > 0) table.AddSeparator();
+      for (Mode mode : spec.modes) {
+        const size_t first = cells.size();
+        for (QueryId id : spec.queries) {
+          if (!backend->Supports(id)) continue;
+          ExhibitCell cell{p, spec.designs[d], mode, id, {}};
+          cell.m = mode == Mode::kHot
+                       ? bench_support::MeasureHot(backend, id, ctx,
+                                                   spec.repetitions)
+                       : bench_support::MeasureCold(backend, id, ctx,
+                                                    spec.repetitions);
+          max_stddev = std::max(max_stddev, cell.m.real_stddev);
+          std::string workload = core::ToString(id);
+          if (by_point) workload += " @ " + label;
+          if (by_mode) workload += std::string(" ") + ToString(mode);
+          json.Add(workload, name, cell.m.bytes_read, cell.m.real_seconds);
+          cells.push_back(cell);
+        }
+        for (Metric metric : spec.metrics) {
+          const bool first_row = metric == spec.metrics.front();
+          const bool first_group = first_row && mode == spec.modes.front();
+          std::vector<std::string> row;
+          if (by_point) row.push_back(first_group && d == 0 ? label : "");
+          row.push_back(first_group ? name.substr(0, space) : "");
+          row.push_back(first_group ? name.substr(space + 1) : "");
+          if (by_mode) row.push_back(first_row ? ToString(mode) : "");
+          constexpr const char* kNames[] = {"real", "user", "MB read", "rows"};
+          row.push_back(kNames[static_cast<int>(metric)]);
+          size_t next = first;
+          for (QueryId id : spec.queries) {
+            const bool ran = next < cells.size() && cells[next].query == id;
+            row.push_back(ran ? Format(cells[next++].m, metric) : "-");
+          }
+          const RowMeans means =
+              MeansOf(cells, p, spec.designs[d], mode, metric);
+          if (spec.means) row.push_back(TablePrinter::Fixed(means.g, 4));
+          if (gstar) {
+            const bool all = means.gstar > 0.0;
+            row.push_back(all ? TablePrinter::Fixed(means.gstar, 4) : "-");
+            row.push_back(
+                all ? TablePrinter::Fixed(means.gstar / means.g, 1) : "-");
+          }
+          table.AddRow(row);
+        }
+      }
+    }
+  }
+
+  if (!spec.json_path.empty()) {
+    json.Extra("triples").Value(config.target_triples);
+    json.Extra("codec").Value(colstore::ToString(spec.codec));
+    if (!by_mode) json.Extra("hot").Value(spec.modes[0] == Mode::kHot);
+    if (!json.WriteTo(spec.json_path)) std::exit(1);
+  }
+  std::printf("\n%s\n", table.ToString().c_str());
+  std::printf("times in seconds over %d repetition(s); max run-to-run "
+              "stddev of real: %.4f s.\n", spec.repetitions, max_stddev);
+  if (spec.means) {
+    std::printf("G = geometric mean over q1-q7, G* over all 12 queries.\n");
+  }
+  std::printf("expected shape (%s):\n%s", spec.reproduces.c_str(),
+              spec.note.c_str());
+  return cells;
+}
+
+}  // namespace swan::bench

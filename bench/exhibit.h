@@ -1,0 +1,78 @@
+#ifndef SWANDB_BENCH_EXHIBIT_H_
+#define SWANDB_BENCH_EXHIBIT_H_
+
+#include <vector>
+
+#include "bench_common.h"
+#include "core/query.h"
+
+namespace swan::bench {
+
+// The paper's storage designs, each labelled by its backend's name().
+enum class Design {
+  kDbxTripleSpo, kDbxTriplePso, kDbxVertical,
+  kMonetTripleSpo, kMonetTriplePso, kMonetVertical, kCStore,
+};
+// Section 2.3's protocol: cold drops every cache before each repetition,
+// hot warms up once.
+enum class Mode { kCold, kHot };
+// What one text-table row prints per query.
+enum class Metric { kReal, kUser, kMbRead, kRows };
+
+// One dataset point: the default Barton set (SWAN_TRIPLES, SWAN_SEED),
+// changed in each field that is not 0.
+struct ExhibitPoint {
+  uint64_t triples = 0;     // generate at this scale
+  uint64_t properties = 0;  // property-split to this many (Figure 7)
+  double disk_mb_s = 0.0;   // every design's sequential disk bandwidth
+};
+
+// One paper exhibit as plain data.
+struct ExhibitSpec {
+  std::string name;  // the JSON "bench" field
+  std::string title;
+  std::string reproduces;
+  std::vector<ExhibitPoint> points = {ExhibitPoint{}};
+  std::vector<Design> designs;
+  std::vector<core::QueryId> queries;
+  std::vector<Mode> modes;
+  std::vector<Metric> metrics = {Metric::kReal, Metric::kUser};
+  int repetitions = 1;
+  bool means = false;  // print G, and G* and G*/G when all 12 queries run
+  colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw;
+  std::string json_path;  // from InitJsonPath; empty writes no JSON
+  std::string note;       // the expected shape, printed last
+};
+
+struct ExhibitCell {
+  size_t point = 0;  // index into ExhibitSpec::points
+  Design design = Design::kCStore;
+  Mode mode = Mode::kCold;
+  core::QueryId query = core::QueryId::kQ1;
+  bench_support::Measurement m;
+};
+
+// One (point, design, mode) row's geometric means of `metric`: G over
+// q1-q7, G* over all 12 queries (0 unless the row ran all 12).
+struct RowMeans {
+  double g = 0.0;
+  double gstar = 0.0;
+};
+RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
+                 Design design, Mode mode, Metric metric = Metric::kReal);
+
+// Tables 6 (cold) and 7 (hot): the seven designs on all 12 queries,
+// SWAN_REPS repetitions, with G, G* and G*/G.
+ExhibitSpec GridSpec(bool hot);
+
+// For each point: generates its dataset and builds its designs once, checks
+// them against the reference backend on every query (aborting on a
+// divergence), then measures every (design, mode, query) cell. Writes the
+// cells as bench JSON (workload = query, plus " @ <point>" and " <mode>"
+// when the exhibit has several; backend = design label), prints one text
+// table of them and returns them in measurement order.
+std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec);
+
+}  // namespace swan::bench
+
+#endif  // SWANDB_BENCH_EXHIBIT_H_

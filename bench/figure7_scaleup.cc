@@ -3,78 +3,31 @@
 // (222 -> 1000 via property splitting), comparing q2*, q3*, q4*, q6* on
 // the column-store triple (PSO) and vertical schemes.
 
-#include <cstdio>
-#include <vector>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "bench_support/property_split.h"
-#include "common/table_printer.h"
-#include "core/col_backends.h"
-
-namespace {
-
-std::vector<uint64_t> ProtectedProperties(const swan::rdf::Dataset& data) {
-  const auto vocab = swan::core::Vocabulary::Resolve(data).value();
-  return {vocab.type,  vocab.language, vocab.origin,
-          vocab.records, vocab.point,   vocab.encoding};
-}
-
-}  // namespace
-
-int main() {
-  using swan::TablePrinter;
+int main(int argc, char** argv) {
+  using namespace swan::bench;
   using swan::core::QueryId;
-  const auto config = swan::bench::DefaultConfig();
-  swan::bench::PrintHeader(
-      "Figure 7: scalability with the number of properties",
-      "Figure 7 of Sidirourgos et al., VLDB 2008", config);
-
-  const auto barton = swan::bench_support::GenerateBarton(config);
-  const int reps = swan::bench::Repetitions();
-  const std::vector<QueryId> queries = {QueryId::kQ2Star, QueryId::kQ3Star,
-                                        QueryId::kQ4Star, QueryId::kQ6Star};
-  const std::vector<uint64_t> property_counts = {222, 320, 430, 540,
-                                                 650, 770, 880, 1000};
-
-  // rows[query][scheme] per property count.
-  TablePrinter table({"# properties", "q2* trip", "q2* vert", "q3* trip",
-                      "q3* vert", "q4* trip", "q4* vert", "q6* trip",
-                      "q6* vert"});
-
-  for (uint64_t target : property_counts) {
-    std::printf("splitting to %llu properties and rebuilding stores...\n",
-                static_cast<unsigned long long>(target));
-    const swan::rdf::Dataset split = swan::bench_support::SplitProperties(
-        barton.dataset, target, /*seed=*/7,
-        ProtectedProperties(barton.dataset));
-    const auto ctx = swan::bench_support::MakeBartonContext(split, 28);
-    swan::core::ColTripleBackend triple(split, swan::rdf::TripleOrder::kPSO);
-    swan::core::ColVerticalBackend vertical(split);
-
-    std::vector<std::string> cells = {
-        std::to_string(split.DistinctProperties().size())};
-    for (QueryId id : queries) {
-      const auto mt = swan::bench_support::MeasureHot(&triple, id, ctx, reps);
-      const auto mv = swan::bench_support::MeasureHot(&vertical, id, ctx, reps);
-      // Correctness en passant.
-      if (!triple.Run(id, ctx).SameRows(vertical.Run(id, ctx))) {
-        std::fprintf(stderr, "result divergence at %llu properties\n",
-                     static_cast<unsigned long long>(target));
-        return 1;
-      }
-      cells.push_back(TablePrinter::Fixed(mt.real_seconds, 4));
-      cells.push_back(TablePrinter::Fixed(mv.real_seconds, 4));
-    }
-    table.AddRow(cells);
+  ExhibitSpec spec;
+  spec.name = "figure7_scaleup";
+  spec.title = "Figure 7: scalability with the number of properties";
+  spec.reproduces = "Figure 7 of Sidirourgos et al., VLDB 2008";
+  spec.points.clear();
+  for (uint64_t properties : {222, 320, 430, 540, 650, 770, 880, 1000}) {
+    spec.points.push_back({.properties = properties});
   }
-
-  std::printf("\n%s\n", table.ToString().c_str());
-  std::printf(
-      "times in seconds (hot). expected shape (paper Figure 7): at 222 "
-      "properties the\nvertical scheme wins; as properties split further its "
-      "times increase steadily\n(hundreds of per-partition joins/unions) "
-      "while triple-store times stay flat or\ndecrease, so the triple-store "
-      "overtakes it well before 1000 properties.\n");
+  spec.designs = {Design::kMonetTriplePso, Design::kMonetVertical};
+  spec.queries = {QueryId::kQ2Star, QueryId::kQ3Star, QueryId::kQ4Star,
+                  QueryId::kQ6Star};
+  spec.modes = {Mode::kHot};
+  spec.metrics = {Metric::kReal};
+  spec.repetitions = Repetitions();
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  spec.note =
+      "At 222 properties the vertical scheme wins; as properties split\n"
+      "further its times increase steadily (hundreds of per-partition\n"
+      "joins/unions) while triple-store times stay flat or decrease, so the\n"
+      "triple-store overtakes it well before 1000 properties.\n";
+  RunExhibit(spec);
   return 0;
 }

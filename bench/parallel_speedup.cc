@@ -53,26 +53,20 @@ std::string Key(int threads) { return std::to_string(threads); }
 
 using Snapshot = swan::exec::OpCounters::Snapshot;
 
-// Counter deltas over one entry's hot-measurement window (warm-up + reps).
-Snapshot Delta(const Snapshot& before, const Snapshot& after) {
-  Snapshot d;
-  d.parallel_regions = after.parallel_regions - before.parallel_regions;
-  d.morsels = after.morsels - before.morsels;
-  d.merge_join_partitions =
-      after.merge_join_partitions - before.merge_join_partitions;
-  d.match_calls = after.match_calls - before.match_calls;
-  d.bgp_batches = after.bgp_batches - before.bgp_batches;
-  d.bytes_read = after.bytes_read - before.bytes_read;
-  d.seeks = after.seeks - before.seeks;
-  return d;
-}
+// Counters over one entry's hot-measurement window (warm-up + reps): the
+// executor's operator counters plus the backend's disk deltas.
+struct WindowCounters : Snapshot {
+  uint64_t bytes_read = 0;
+  uint64_t seeks = 0;
+};
 
-// One bench row: a label, a group (for per-group geomeans), a hot
-// measurement under a context, and an equivalence gate against the
+// One bench row: a label, a group (for per-group geomeans), its backend, a
+// hot measurement under a context, and an equivalence gate against the
 // 1-thread reference.
 struct Entry {
   std::string label;
   std::string group;
+  const Backend* backend;
   std::function<double(const ExecContext&)> hot_real_seconds;
   std::function<bool(const ExecContext&)> equivalent_to_serial;
 };
@@ -144,7 +138,7 @@ int main(int argc, char** argv) {
           swan::bench_support::MeasureCold(backend, q, ctx, serial, 1)
               .bytes_read;
       entries.push_back(Entry{
-          group + " " + ToString(q), group,
+          group + " " + ToString(q), group, backend,
           [backend, q, &ctx, reps](const ExecContext& ectx) {
             return swan::bench_support::MeasureHot(backend, q, ctx, ectx, reps)
                 .real_seconds;
@@ -173,7 +167,7 @@ int main(int argc, char** argv) {
     SWAN_CHECK_MSG(ref.ok(), "BGP reference run failed");
     const auto ref_rows = ref.value().rows;
     entries.push_back(Entry{
-        label, group,
+        label, group, backend,
         [backend, &bgp_query, options, reps](const ExecContext& ectx) {
           return swan::bench_support::MeasureBgpHot(backend, bgp_query, ectx,
                                                     options, reps)
@@ -189,12 +183,12 @@ int main(int argc, char** argv) {
   }
 
   // Measure: hot real seconds per entry per width, gated on equivalence.
-  // The operator-counter delta around each hot window (scheduler counters
-  // from the layers below, disk bytes/seeks credited by the harness) is
-  // kept for the per-width counters table.
+  // The counters of each hot window (scheduler counters from the layers
+  // below, disk bytes/seeks from the backend) are kept for the per-width
+  // counters table.
   bool equivalent = true;
   std::vector<std::vector<double>> hot_real(entries.size());
-  std::vector<std::vector<Snapshot>> hot_counters(entries.size());
+  std::vector<std::vector<WindowCounters>> hot_counters(entries.size());
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     std::printf("measuring %d thread(s)...\n", thread_counts[t]);
     const ExecContext ectx(thread_counts[t]);
@@ -204,9 +198,14 @@ int main(int argc, char** argv) {
                      entries[e].label.c_str(), thread_counts[t]);
         equivalent = false;
       }
-      const Snapshot before = ectx.counters().Snap();
+      const Backend& backend = *entries[e].backend;
+      const uint64_t bytes_before = backend.TotalBytesRead();
+      const uint64_t seeks_before = backend.TotalSeeks();
+      ectx.counters().Reset();
       hot_real[e].push_back(entries[e].hot_real_seconds(ectx));
-      hot_counters[e].push_back(Delta(before, ectx.counters().Snap()));
+      hot_counters[e].push_back({ectx.counters().Snap(),
+                                 backend.TotalBytesRead() - bytes_before,
+                                 backend.TotalSeeks() - seeks_before});
     }
   }
   SWAN_CHECK_MSG(equivalent,
@@ -249,7 +248,7 @@ int main(int argc, char** argv) {
        "bgp-batch", "MB read", "seeks"});
   for (size_t e = 0; e < entries.size(); ++e) {
     for (size_t i = 0; i < thread_counts.size(); ++i) {
-      const Snapshot& c = hot_counters[e][i];
+      const WindowCounters& c = hot_counters[e][i];
       counters_table.AddRow(
           {entries[e].label, Key(thread_counts[i]),
            std::to_string(c.parallel_regions), std::to_string(c.morsels),

@@ -1,86 +1,43 @@
 // Robustness check: the paper's Table 6/7 verdicts should not depend on
-// our particular 1/100 scale choice. This bench re-measures the headline
-// geometric means at three dataset sizes and reports the winner per claim.
+// our particular 1/100 scale choice. This bench runs the Table 6/7 grid,
+// cold and hot, at three dataset sizes and reports the winner per claim.
 
-#include <cstdio>
-#include <vector>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "common/stats.h"
-#include "common/table_printer.h"
-#include "core/col_backends.h"
-#include "core/row_backends.h"
+int main(int argc, char** argv) {
+  using namespace swan::bench;
+  ExhibitSpec spec = GridSpec(/*hot=*/false);
+  spec.name = "scale_sensitivity";
+  spec.title = "Scale sensitivity of the headline verdicts";
+  spec.reproduces = "robustness check for Tables 6/7 across dataset sizes";
+  spec.points = {{.triples = 100000}, {.triples = 200000},
+                 {.triples = 400000}};
+  spec.modes = {Mode::kCold, Mode::kHot};
+  spec.repetitions = 1;
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  spec.note =
+      "The row-store verdict (triple PSO has the lower G*) holds at every\n"
+      "scale for cold runs; the column store's G* contest stays close, with\n"
+      "the vertical scheme's star-query penalty growing with scale.\n";
+  const std::vector<ExhibitCell> cells = RunExhibit(spec);
 
-namespace {
-
-using swan::core::Backend;
-using swan::core::QueryId;
-
-struct Means {
-  double g = 0.0;       // q1..q7
-  double g_star = 0.0;  // all 12
-};
-
-Means MeasureMeans(Backend* backend, const swan::core::QueryContext& ctx,
-                   bool hot) {
-  std::vector<double> initial, all;
-  for (QueryId id : swan::core::AllQueries()) {
-    const auto m =
-        hot ? swan::bench_support::MeasureHot(backend, id, ctx, 1)
-            : swan::bench_support::MeasureCold(backend, id, ctx, 1);
-    all.push_back(m.real_seconds);
-    if (!IsStar(id) && id != QueryId::kQ8) initial.push_back(m.real_seconds);
-  }
-  return {swan::GeometricMean(initial), swan::GeometricMean(all)};
-}
-
-}  // namespace
-
-int main() {
-  using swan::TablePrinter;
-  auto config = swan::bench::DefaultConfig();
-  swan::bench::PrintHeader(
-      "Scale sensitivity of the headline verdicts",
-      "robustness check for Tables 6/7 across dataset sizes", config);
-
-  TablePrinter table({"triples", "mode", "DBX PSO G*", "DBX vert G*",
-                      "row verdict", "Monet PSO G*", "Monet vert G*",
-                      "col G* verdict"});
-  for (uint64_t scale : {100000ull, 200000ull, 400000ull}) {
-    swan::bench_support::BartonConfig barton_config = config;
-    barton_config.target_triples = scale;
-    std::printf("generating and measuring at %llu triples...\n",
-                static_cast<unsigned long long>(scale));
-    const auto barton = swan::bench_support::GenerateBarton(barton_config);
-    const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
-
-    swan::core::RowTripleBackend row_pso(
-        barton.dataset, swan::rowstore::TripleRelation::PsoConfig());
-    swan::core::RowVerticalBackend row_vert(barton.dataset);
-    swan::core::ColTripleBackend col_pso(barton.dataset,
-                                         swan::rdf::TripleOrder::kPSO);
-    swan::core::ColVerticalBackend col_vert(barton.dataset);
-
-    for (const bool hot : {false, true}) {
-      const Means rp = MeasureMeans(&row_pso, ctx, hot);
-      const Means rv = MeasureMeans(&row_vert, ctx, hot);
-      const Means cp = MeasureMeans(&col_pso, ctx, hot);
-      const Means cv = MeasureMeans(&col_vert, ctx, hot);
-      table.AddRow(
-          {TablePrinter::Int(scale), hot ? "hot" : "cold",
-           TablePrinter::Fixed(rp.g_star, 4), TablePrinter::Fixed(rv.g_star, 4),
-           rp.g_star <= rv.g_star ? "triple PSO" : "vertical",
-           TablePrinter::Fixed(cp.g_star, 4), TablePrinter::Fixed(cv.g_star, 4),
-           cp.g_star <= cv.g_star ? "triple PSO" : "vertical"});
+  std::printf("\nG* verdicts (the lower G* wins):\n");
+  for (size_t p = 0; p < spec.points.size(); ++p) {
+    for (const Mode mode : spec.modes) {
+      const auto gstar = [&](Design design) {
+        return MeansOf(cells, p, design, mode).gstar;
+      };
+      const double rp = gstar(Design::kDbxTriplePso);
+      const double rv = gstar(Design::kDbxVertical);
+      const double cp = gstar(Design::kMonetTriplePso);
+      const double cv = gstar(Design::kMonetVertical);
+      std::printf("  %7llu triples %-4s  row: %-10s (%.4f vs %.4f)  column: "
+                  "%-10s (%.4f vs %.4f)\n",
+                  static_cast<unsigned long long>(spec.points[p].triples),
+                  mode == Mode::kHot ? "hot" : "cold",
+                  rp <= rv ? "triple PSO" : "vertical", rp, rv,
+                  cp <= cv ? "triple PSO" : "vertical", cp, cv);
     }
-    table.AddSeparator();
   }
-  std::printf("\n%s\n", table.ToString().c_str());
-  std::printf(
-      "expected shape: the row-store verdict (triple PSO has the lower G*) "
-      "holds at\nevery scale for cold runs; the column store's G* contest "
-      "stays close, with the\nvertical scheme's star-query penalty growing "
-      "with scale.\n");
   return 0;
 }

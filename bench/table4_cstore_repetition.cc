@@ -3,89 +3,28 @@
 // ~100 MB/s) and machine B (10-disk RAID-5, ~390 MB/s) — cold and hot,
 // real and user time, for q1..q7 plus the geometric mean G.
 
-#include <algorithm>
-#include <cstdio>
-#include <vector>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "common/stats.h"
-#include "common/table_printer.h"
-#include "core/cstore_backend.h"
-#include "cstore/cstore_engine.h"
-
-namespace {
-
-using swan::TablePrinter;
-using swan::bench_support::Measurement;
-using swan::core::QueryId;
-
-struct MachineRow {
-  const char* machine;
-  double bandwidth_mb_s;
-};
-
-}  // namespace
-
-int main() {
-  const auto config = swan::bench::DefaultConfig();
-  swan::bench::PrintHeader("Table 4: repetition of the C-Store experiment",
-                           "Table 4 of Sidirourgos et al., VLDB 2008", config);
-
-  const auto barton = swan::bench_support::GenerateBarton(config);
-  const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
-  const int reps = swan::bench::Repetitions();
-
-  std::vector<std::string> header = {"machine", "run", "time"};
-  for (QueryId id : swan::core::InitialQueries()) {
-    header.push_back(ToString(id));
-  }
-  header.push_back("G");
-  TablePrinter table(header);
-  double max_stddev = 0.0;
-
-  for (const MachineRow& machine :
-       {MachineRow{"A", 100.0}, MachineRow{"B", 390.0}}) {
-    std::printf("measuring machine %s (%.0f MB/s)...\n", machine.machine,
-                machine.bandwidth_mb_s);
-    swan::core::CStoreBackend backend(
-        barton.dataset, ctx.interesting_properties(),
-        swan::cstore::CStoreEngine::RecommendedDiskConfig(
-            machine.bandwidth_mb_s));
-    for (const bool hot : {false, true}) {
-      std::vector<std::string> real_cells = {machine.machine,
-                                             hot ? "hot" : "cold", "real"};
-      std::vector<std::string> user_cells = {"", "", "user"};
-      std::vector<double> reals, users;
-      for (QueryId id : swan::core::InitialQueries()) {
-        const Measurement m =
-            hot ? swan::bench_support::MeasureHot(&backend, id, ctx, reps)
-                : swan::bench_support::MeasureCold(&backend, id, ctx, reps);
-        real_cells.push_back(TablePrinter::Fixed(m.real_seconds, 3));
-        user_cells.push_back(TablePrinter::Fixed(m.user_seconds, 3));
-        reals.push_back(m.real_seconds);
-        users.push_back(m.user_seconds);
-        max_stddev = std::max(max_stddev, m.real_stddev);
-      }
-      real_cells.push_back(TablePrinter::Fixed(swan::GeometricMean(reals), 3));
-      user_cells.push_back(TablePrinter::Fixed(swan::GeometricMean(users), 3));
-      table.AddRow(real_cells);
-      table.AddRow(user_cells);
-    }
-    table.AddSeparator();
-  }
-
-  std::printf("\n%s\n", table.ToString().c_str());
-  std::printf(
-      "max run-to-run stddev across all measurements: %.4f s (the paper "
-      "reports\ndeviations below 30 ms on seconds-long runs; our simulated "
-      "I/O is exactly\nrepeatable, leaving only CPU jitter).\n\n",
-      max_stddev);
-  std::printf(
-      "expected shape (paper section 3): machine B's ~4x higher sequential "
-      "bandwidth\nyields only a marginal cold-run improvement, because the "
-      "C-Store-style engine\nissues small scattered reads and exploits only "
-      "a fraction of the bandwidth;\nhot real times collapse to user "
-      "times.\n");
+int main(int argc, char** argv) {
+  using namespace swan::bench;
+  ExhibitSpec spec;
+  spec.name = "table4_cstore_repetition";
+  spec.title = "Table 4: repetition of the C-Store experiment";
+  spec.reproduces = "Table 4 of Sidirourgos et al., VLDB 2008";
+  spec.points = {{.disk_mb_s = 100.0}, {.disk_mb_s = 390.0}};  // A, B
+  spec.designs = {Design::kCStore};
+  spec.queries = swan::core::InitialQueries();
+  spec.modes = {Mode::kCold, Mode::kHot};
+  spec.repetitions = Repetitions();
+  spec.means = true;
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  spec.note =
+      "Machine B's ~4x higher sequential bandwidth yields only a marginal\n"
+      "cold-run improvement (section 3), because the C-Store-style engine\n"
+      "issues small scattered reads and exploits only a fraction of the\n"
+      "bandwidth; hot real times collapse to user times. The paper reports\n"
+      "run-to-run deviations below 30 ms on seconds-long runs; our simulated\n"
+      "I/O is exactly repeatable, leaving only CPU jitter.\n";
+  RunExhibit(spec);
   return 0;
 }

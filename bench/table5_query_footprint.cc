@@ -2,38 +2,23 @@
 // rows returned, for q1..q7 on the C-Store-style engine (the paper
 // instruments the original C-Store with iostat).
 
-#include <cstdio>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "common/table_printer.h"
-#include "core/cstore_backend.h"
-
-int main() {
-  using swan::TablePrinter;
-  using swan::core::QueryId;
-  const auto config = swan::bench::DefaultConfig();
-  swan::bench::PrintHeader("Table 5: data relevant to a query",
-                           "Table 5 of Sidirourgos et al., VLDB 2008", config);
-
-  const auto barton = swan::bench_support::GenerateBarton(config);
-  const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
-  swan::core::CStoreBackend backend(barton.dataset,
-                                    ctx.interesting_properties());
-  std::printf("C-Store database size: %.1f MB (28-property subset)\n\n",
-              backend.disk_bytes() / 1e6);
-
-  TablePrinter table({"query", "data read from disk (MB)",
-                      "number of rows returned"});
-  for (QueryId id : swan::core::InitialQueries()) {
-    const auto m = swan::bench_support::MeasureCold(&backend, id, ctx, 1);
-    table.AddRow({ToString(id), TablePrinter::Fixed(m.bytes_read / 1e6, 2),
-                  TablePrinter::Int(m.rows_returned)});
-  }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf(
-      "expected shape (paper Table 5): every query reads a major portion of "
-      "the\n(small) database — per-query footprints are the same order of "
-      "magnitude as\nthe whole store, with q5 the largest reader.\n");
+int main(int argc, char** argv) {
+  using namespace swan::bench;
+  ExhibitSpec spec;
+  spec.name = "table5_query_footprint";
+  spec.title = "Table 5: data relevant to a query";
+  spec.reproduces = "Table 5 of Sidirourgos et al., VLDB 2008";
+  spec.designs = {Design::kCStore};
+  spec.queries = swan::core::InitialQueries();
+  spec.modes = {Mode::kCold};
+  spec.metrics = {Metric::kMbRead, Metric::kRows};
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  spec.note =
+      "Every query reads a major portion of the (small) database, the\n"
+      "28-property subset above: per-query footprints are the same order of\n"
+      "magnitude as the whole store, with q5 the largest reader.\n";
+  RunExhibit(spec);
   return 0;
 }

@@ -6,27 +6,10 @@
 //     clusterings': its "black swans" q2*, q3*, q6*, q8 pull G* up.
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
-#include "bench_common.h"
-#include "grid_common.h"
+#include "exhibit.h"
 
 namespace {
-
-using swan::bench::GridRowMeans;
-
-const GridRowMeans& Row(const std::vector<GridRowMeans>& rows,
-                        const std::string& store, const std::string& cluster) {
-  for (const GridRowMeans& row : rows) {
-    if (row.store == store && row.cluster == cluster) return row;
-  }
-  std::fprintf(stderr, "FAIL: no grid row %s %s\n", store.c_str(),
-               cluster.c_str());
-  std::exit(1);
-}
 
 bool Gate(bool ok, const char* claim, double lhs, double rhs) {
   std::printf("gate: %-52s %.4f vs %.4f  %s\n", claim, lhs, rhs,
@@ -37,21 +20,26 @@ bool Gate(bool ok, const char* claim, double lhs, double rhs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  swan::bench::InitThreads(argc, argv);
-  const std::vector<GridRowMeans> rows = swan::bench::RunGrid(
-      /*hot=*/false, "Table 6: cold runs", swan::bench::InitCodec(argc, argv),
-      swan::bench::InitJsonPath(argc, argv, "table6_cold_runs"));
+  using namespace swan::bench;
+  InitThreads(argc, argv);
+  ExhibitSpec spec = GridSpec(/*hot=*/false);
+  spec.codec = InitCodec(argc, argv);
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  const std::vector<ExhibitCell> cells = RunExhibit(spec);
 
-  const GridRowMeans& dbx_pso = Row(rows, "DBX", "triple PSO");
-  const GridRowMeans& dbx_vert = Row(rows, "DBX", "vert. SO");
-  const auto ratio = [](const GridRowMeans& row) { return row.gstar / row.g; };
-  const double monet_vert = ratio(Row(rows, "MonetDB", "vert. SO"));
-  const double monet_triple =
-      std::max(ratio(Row(rows, "MonetDB", "triple SPO")),
-               ratio(Row(rows, "MonetDB", "triple PSO")));
-  bool ok = Gate(dbx_pso.gstar < dbx_vert.gstar,
-                 "DBX G*: triple PSO < vert. SO", dbx_pso.gstar,
-                 dbx_vert.gstar);
+  const auto means = [&cells](Design design) {
+    return MeansOf(cells, 0, design, Mode::kCold);
+  };
+  const auto ratio = [&means](Design design) {
+    return means(design).gstar / means(design).g;
+  };
+  const double dbx_pso = means(Design::kDbxTriplePso).gstar;
+  const double dbx_vert = means(Design::kDbxVertical).gstar;
+  const double monet_vert = ratio(Design::kMonetVertical);
+  const double monet_triple = std::max(ratio(Design::kMonetTripleSpo),
+                                       ratio(Design::kMonetTriplePso));
+  bool ok = Gate(dbx_pso < dbx_vert, "DBX G*: triple PSO < vert. SO", dbx_pso,
+                 dbx_vert);
   ok &= Gate(monet_vert > monet_triple,
              "MonetDB G*/G: vert. SO > max(triple SPO, triple PSO)",
              monet_vert, monet_triple);

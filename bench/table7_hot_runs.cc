@@ -1,14 +1,14 @@
 // Reproduces Table 7: hot-run execution times for all 12 benchmark
 // queries over the full storage-scheme x engine grid.
 
-#include "bench_common.h"
-#include "grid_common.h"
+#include "exhibit.h"
 
 int main(int argc, char** argv) {
-  swan::bench::InitThreads(argc, argv);
-  swan::bench::RunGrid(/*hot=*/true, "Table 7: hot runs",
-                       swan::bench::InitCodec(argc, argv),
-                       swan::bench::InitJsonPath(argc, argv,
-                                                 "table7_hot_runs"));
+  using namespace swan::bench;
+  InitThreads(argc, argv);
+  ExhibitSpec spec = GridSpec(/*hot=*/true);
+  spec.codec = InitCodec(argc, argv);
+  spec.json_path = InitJsonPath(argc, argv, spec.name);
+  RunExhibit(spec);
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "bench_support/harness.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,19 +40,12 @@ Measurement TimeOnce(core::Backend* backend, const exec::ExecContext& ectx,
   return m;
 }
 
-// Executes one benchmark query under `ectx`, crediting the run's disk
-// traffic to the context's operator counters so benches can print the
-// full counter row per configuration.
 Measurement RunOnce(core::Backend* backend, core::QueryId id,
                     const core::QueryContext& ctx,
                     const exec::ExecContext& ectx) {
-  Measurement m = TimeOnce(backend, ectx, [&] {
+  return TimeOnce(backend, ectx, [&] {
     return backend->Run(id, ctx, ectx).row_count();
   });
-  ectx.counters().bytes_read.fetch_add(m.bytes_read,
-                                       std::memory_order_relaxed);
-  ectx.counters().seeks.fetch_add(m.seeks, std::memory_order_relaxed);
-  return m;
 }
 
 Measurement Average(const std::vector<Measurement>& runs) {
@@ -177,11 +172,7 @@ Measurement MeasureBgpHot(core::Backend* backend,
   run();  // warm-up, ignored
   std::vector<Measurement> runs;
   for (int i = 0; i < repetitions; ++i) {
-    Measurement m = TimeOnce(backend, ectx, run);
-    ectx.counters().bytes_read.fetch_add(m.bytes_read,
-                                         std::memory_order_relaxed);
-    ectx.counters().seeks.fetch_add(m.seeks, std::memory_order_relaxed);
-    runs.push_back(m);
+    runs.push_back(TimeOnce(backend, ectx, run));
   }
   return Average(runs);
 }
@@ -221,8 +212,15 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) return fallback;
+  // strtoull also takes leading blanks, a sign and a numeric prefix.
+  if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr, "error: invalid %s value '%s' (expected a whole "
+                         "decimal number)\n", name, value);
+    std::exit(2);
+  }
   return static_cast<uint64_t>(parsed);
 }
 

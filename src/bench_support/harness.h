@@ -104,7 +104,8 @@ std::vector<uint64_t> VerifyBackendsAgree(
     const std::vector<core::QueryId>& queries, const core::QueryContext& ctx);
 
 // Reads an unsigned environment override, e.g. SWAN_TRIPLES for the
-// benchmark scale; returns `fallback` if unset or unparsable.
+// benchmark scale; returns `fallback` if unset or empty. Any other value
+// that is not a whole decimal number exits 2 with a message naming `name`.
 uint64_t EnvU64(const char* name, uint64_t fallback);
 
 }  // namespace swan::bench_support

@@ -22,11 +22,6 @@ struct OpCounters {
   std::atomic<uint64_t> match_calls{0};       // Backend::Match invocations
   std::atomic<uint64_t> bgp_batches{0};       // parallel binding-extension batches
   std::atomic<uint64_t> star_gathers{0};      // BGP steps run as scan-joins
-  // Disk-cost snapshots, accumulated by the harness from the simulated
-  // disk's deltas around each measured run (the disk itself never writes
-  // here), so scheduler counters and I/O cost report side by side.
-  std::atomic<uint64_t> bytes_read{0};        // simulated-disk bytes
-  std::atomic<uint64_t> seeks{0};             // simulated-disk seeks
   // Modeled-network cost (scale-out topologies only; zero on one node).
   // Charged by net::NetworkModel::Ship via the routing layer.
   std::atomic<uint64_t> net_bytes{0};         // bytes shipped between nodes
@@ -40,8 +35,6 @@ struct OpCounters {
     uint64_t match_calls = 0;
     uint64_t bgp_batches = 0;
     uint64_t star_gathers = 0;
-    uint64_t bytes_read = 0;
-    uint64_t seeks = 0;
     uint64_t net_bytes = 0;
     uint64_t net_messages = 0;
   };
@@ -54,8 +47,6 @@ struct OpCounters {
     s.match_calls = match_calls.load(std::memory_order_relaxed);
     s.bgp_batches = bgp_batches.load(std::memory_order_relaxed);
     s.star_gathers = star_gathers.load(std::memory_order_relaxed);
-    s.bytes_read = bytes_read.load(std::memory_order_relaxed);
-    s.seeks = seeks.load(std::memory_order_relaxed);
     s.net_bytes = net_bytes.load(std::memory_order_relaxed);
     s.net_messages = net_messages.load(std::memory_order_relaxed);
     return s;
@@ -67,8 +58,6 @@ struct OpCounters {
     match_calls.store(0, std::memory_order_relaxed);
     bgp_batches.store(0, std::memory_order_relaxed);
     star_gathers.store(0, std::memory_order_relaxed);
-    bytes_read.store(0, std::memory_order_relaxed);
-    seeks.store(0, std::memory_order_relaxed);
     net_bytes.store(0, std::memory_order_relaxed);
     net_messages.store(0, std::memory_order_relaxed);
   }

@@ -82,7 +82,17 @@ TEST_F(HarnessTest, StddevIsSmallRelativeToColdMean) {
 TEST(EnvU64Test, ParsesAndFallsBack) {
   ::setenv("SWAN_TEST_ENV_U64", "12345", 1);
   EXPECT_EQ(EnvU64("SWAN_TEST_ENV_U64", 7), 12345u);
-  ::setenv("SWAN_TEST_ENV_U64", "notanumber", 1);
+  ::setenv("SWAN_TEST_ENV_U64", "0", 1);
+  EXPECT_EQ(EnvU64("SWAN_TEST_ENV_U64", 7), 0u);
+  // A set value that is not a whole decimal number exits rather than run a
+  // bench at a scale nobody asked for (a prefix parse reads "2e5" as 2).
+  for (const char* bad : {"notanumber", "2e5", "20k", "-1", " 5"}) {
+    ::setenv("SWAN_TEST_ENV_U64", bad, 1);
+    EXPECT_EXIT(EnvU64("SWAN_TEST_ENV_U64", 7), ::testing::ExitedWithCode(2),
+                "invalid SWAN_TEST_ENV_U64 value")
+        << bad;
+  }
+  ::setenv("SWAN_TEST_ENV_U64", "", 1);
   EXPECT_EQ(EnvU64("SWAN_TEST_ENV_U64", 7), 7u);
   ::unsetenv("SWAN_TEST_ENV_U64");
   EXPECT_EQ(EnvU64("SWAN_TEST_ENV_U64", 7), 7u);

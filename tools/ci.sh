@@ -83,6 +83,15 @@ case "$mode" in
         status=1
       fi
     done
+    # A bench's scale variable must be a whole number: "2e5" is not 2.
+    err="$(SWAN_TRIPLES=2e5 "$RELEASE_DIR/bench/table5_query_footprint" \
+             2>&1 >/dev/null)"
+    code=$?
+    if [ "$code" -ne 2 ] ||
+       [[ "$err" != *"invalid SWAN_TRIPLES value '2e5'"* ]]; then
+      echo "usage error not reported: SWAN_TRIPLES=2e5 (exit $code): $err"
+      status=1
+    fi
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
@@ -110,6 +119,13 @@ case "$mode" in
     # schema (tools/validate_bench_json.py: the fixed cell keys and this
     # bench's typed extras), and the telemetry reconciliation must hold.
     echo "=== release: bench json smoke ==="
+    for exhibit in table4_cstore_repetition table5_query_footprint \
+                   figure7_scaleup; do
+      { SWAN_TRIPLES=20000 SWAN_REPS=1 "$RELEASE_DIR/bench/$exhibit" \
+          --json="$RELEASE_DIR/BENCH_$exhibit.json" >/dev/null &&
+        python3 "$REPO_ROOT/tools/validate_bench_json.py" \
+          "$RELEASE_DIR/BENCH_$exhibit.json"; } || status=1
+    done
     { SWAN_TRIPLES=20000 SWAN_REPS=1 \
         "$RELEASE_DIR/bench/serve_throughput" \
         --json="$RELEASE_DIR/BENCH_serve_throughput.json" >/dev/null &&

@@ -28,10 +28,16 @@ import sys
 # Type specs: int, float (any number), bool, str, [spec] (a list of
 # spec), {key: spec} (an object with exactly those keys) and
 # ("map", spec) (an object whose keys are free and whose values are spec).
+# The exhibit runner (bench/exhibit.h) writes "hot" only when an exhibit
+# runs one mode.
 GRID = {"triples": int, "codec": str, "hot": bool}
 EXTRAS = {
+    "table4_cstore_repetition": {"triples": int, "codec": str},
+    "table5_query_footprint": GRID,
     "table6_cold_runs": GRID,
     "table7_hot_runs": GRID,
+    "figure7_scaleup": GRID,
+    "scale_sensitivity": {"triples": int, "codec": str},
     "parallel_speedup": {
         "triples": int,
         "threads": [int],
