@@ -5,45 +5,26 @@
 // the same effect on our row store: once the pool is smaller than the
 // working set, hot runs degrade into repeated disk traffic.
 
-#include <cstdio>
-#include <vector>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "common/table_printer.h"
-#include "core/row_backends.h"
-
-int main() {
-  using swan::TablePrinter;
-  using swan::core::QueryId;
-  auto config = swan::bench::DefaultConfig();
-  // A quarter of the default scale keeps pool-size sweep times bounded.
-  config.target_triples = swan::bench_support::EnvU64("SWAN_TRIPLES", 100000);
-  swan::bench::PrintHeader(
-      "Ablation: row-store buffer pool size",
-      "section 3 discussion (restrictive buffer space)", config);
-
-  const auto barton = swan::bench_support::GenerateBarton(config);
-  const auto ctx = swan::bench_support::MakeBartonContext(barton.dataset, 28);
-
-  TablePrinter table({"pool pages", "pool MB", "q2 hot real (s)",
-                      "hot MB read", "q2 cold real (s)"});
-  for (size_t pool_pages : {256, 1024, 4096, 16384, 65536}) {
-    swan::core::RowTripleBackend backend(
-        barton.dataset, swan::rowstore::TripleRelation::PsoConfig(),
-        swan::storage::DiskConfig(), pool_pages);
-    const auto hot = swan::bench_support::MeasureHot(&backend, QueryId::kQ2, ctx, 2);
-    const auto cold = swan::bench_support::MeasureCold(&backend, QueryId::kQ2, ctx, 2);
-    table.AddRow({TablePrinter::Int(pool_pages),
-                  TablePrinter::Fixed(pool_pages * 8192 / 1e6, 1),
-                  TablePrinter::Fixed(hot.real_seconds, 4),
-                  TablePrinter::Fixed(hot.bytes_read / 1e6, 1),
-                  TablePrinter::Fixed(cold.real_seconds, 4)});
+int main(int argc, char** argv) {
+  using namespace swan::bench;
+  ExhibitSpec spec;
+  spec.name = "ablation_buffer_pool";
+  spec.title = "Ablation: row-store buffer pool size";
+  spec.reproduces = "section 3 discussion (restrictive buffer space)";
+  spec.points.clear();
+  for (size_t pool_pages : {256, 1024, 4096, 16384, 65536}) {  // 8 KiB pages
+    spec.points.push_back({.pool_pages = pool_pages});
   }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf(
-      "expected shape: once the pool holds the q2 working set, hot runs do "
-      "no I/O\n(hot MB read = 0) and hot time flattens; undersized pools "
-      "thrash and hot time\napproaches cold time.\n");
+  spec.designs = {Design::kDbxTriplePso};
+  spec.queries = {swan::core::QueryId::kQ2};
+  spec.modes = {Mode::kHot, Mode::kCold};
+  spec.metrics = {Metric::kReal, Metric::kMbRead};
+  spec.note =
+      "Once the pool holds the q2 working set, hot runs do no I/O (hot MB\n"
+      "read = 0) and hot time flattens; undersized pools thrash and hot time\n"
+      "approaches cold time.\n";
+  RunExhibit(spec, argc, argv);
   return 0;
 }

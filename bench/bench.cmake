@@ -12,15 +12,17 @@ function(swan_add_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-swan_add_bench(table1_dataset_stats)
-swan_add_bench(figure1_cdf)
-swan_add_bench(table2_query_coverage)
-swan_add_bench(section21_distribution_detail)
-swan_add_bench(figure5_io_history)
+foreach(bench table1_dataset_stats figure1_cdf table2_query_coverage
+        section21_distribution_detail figure5_io_history ablation_updates
+        ablation_q8_join ablation_planner parallel_speedup)
+  swan_add_bench(${bench})
+endforeach()
 # The exhibit runner, compiled once for the benches that are its specs.
 add_library(swan_exhibit OBJECT ${CMAKE_SOURCE_DIR}/bench/exhibit.cc)
 foreach(exhibit table4_cstore_repetition table5_query_footprint
-        table6_cold_runs table7_hot_runs figure7_scaleup scale_sensitivity)
+        table6_cold_runs table7_hot_runs figure6_property_sweep
+        figure7_scaleup scale_sensitivity ablation_buffer_pool
+        ablation_compression)
   swan_add_bench(${exhibit} $<TARGET_OBJECTS:swan_exhibit>)
 endforeach()
 # The Table 6 cold-shape gates, at a scale that runs in about a second.
@@ -31,38 +33,24 @@ set_tests_properties(table6_cold_runs_gates PROPERTIES
 add_test(NAME ablation_q8_join COMMAND ablation_q8_join)
 set_tests_properties(ablation_q8_join PROPERTIES
   ENVIRONMENT "SWAN_TRIPLES=20000")
-# The Table 7 grid's correctness gate (every design's hot rows must agree)
-# at the same scale; its timings gate nothing.
-add_test(NAME table7_hot_runs COMMAND table7_hot_runs)
-set_tests_properties(table7_hot_runs PROPERTIES
-  ENVIRONMENT "SWAN_TRIPLES=20000")
-# Tables 4 and 5 and Figure 7 at the same scale, one repetition: their
-# correctness gates (every design agrees with the reference backend).
+# Tables 4, 5 and 7, Figures 6 and 7 and the buffer-pool ablation at the
+# same scale, one repetition: their correctness gates (every design agrees
+# with the reference backend); their timings gate nothing.
 foreach(exhibit table4_cstore_repetition table5_query_footprint
-        figure7_scaleup)
+        table7_hot_runs figure6_property_sweep figure7_scaleup
+        ablation_buffer_pool)
   add_test(NAME ${exhibit} COMMAND ${exhibit})
   set_tests_properties(${exhibit} PROPERTIES
     ENVIRONMENT "SWAN_TRIPLES=20000;SWAN_REPS=1")
 endforeach()
-swan_add_bench(figure6_property_sweep)
-swan_add_bench(ablation_buffer_pool)
-swan_add_bench(ablation_compression)
-swan_add_bench(ablation_updates)
-swan_add_bench(ablation_q8_join)
-swan_add_bench(ablation_planner)
-swan_add_bench(parallel_speedup)
 swan_add_bench(scaleout)
 target_link_libraries(scaleout PRIVATE swan_shard swan_net)
 swan_add_bench(serve_throughput)
 target_link_libraries(serve_throughput PRIVATE swan_serve swan_sparql)
 
-swan_add_bench(micro_colstore_ops)
-target_link_libraries(micro_colstore_ops PRIVATE benchmark::benchmark)
-swan_add_bench(micro_merge_join)
-target_link_libraries(micro_merge_join PRIVATE benchmark::benchmark)
-swan_add_bench(micro_bplus_tree)
-target_link_libraries(micro_bplus_tree PRIVATE benchmark::benchmark)
-swan_add_bench(micro_compression)
-target_link_libraries(micro_compression PRIVATE benchmark::benchmark)
-swan_add_bench(micro_sparql)
-target_link_libraries(micro_sparql PRIVATE benchmark::benchmark swan_sparql)
+foreach(micro micro_colstore_ops micro_merge_join micro_bplus_tree
+        micro_compression micro_sparql)
+  swan_add_bench(${micro})
+  target_link_libraries(${micro} PRIVATE benchmark::benchmark)
+endforeach()
+target_link_libraries(micro_sparql PRIVATE swan_sparql)

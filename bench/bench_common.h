@@ -132,9 +132,9 @@ inline colstore::ColumnCodec InitCodec(int argc, char** argv) {
 //
 // std::map keys make the emission order deterministic; the document is
 // written through obs::JsonWriter. The exhibit runner (exhibit.h) writes it
-// for Tables 4-7, Figure 7 and scale_sensitivity; parallel_speedup,
-// serve_throughput, scaleout, ablation_planner and ablation_compression
-// write it directly.
+// for its nine specs (Tables 4-7, Figures 6 and 7, scale_sensitivity and
+// the buffer-pool and compression ablations); parallel_speedup,
+// serve_throughput, scaleout and ablation_planner write it directly.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string bench_name)

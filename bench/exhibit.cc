@@ -20,10 +20,12 @@ using core::QueryId;
 
 std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
                                      const core::QueryContext& ctx,
-                                     double disk_mb_s,
-                                     colstore::ColumnCodec codec) {
+                                     const ExhibitPoint& point) {
   storage::DiskConfig disk;
-  if (disk_mb_s > 0.0) disk.bandwidth_mb_per_s = disk_mb_s;
+  if (point.disk_mb_s > 0.0) disk.bandwidth_mb_per_s = point.disk_mb_s;
+  // The row stores' default pool is 64 Ki pages, the others' 4 Ki.
+  const size_t row_pool = point.pool_pages > 0 ? point.pool_pages : 65536;
+  const size_t col_pool = point.pool_pages > 0 ? point.pool_pages : 4096;
   using rowstore::TripleRelation;
   switch (design) {
     case Design::kDbxTripleSpo:
@@ -31,26 +33,27 @@ std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
       return std::make_unique<core::RowTripleBackend>(
           data, design == Design::kDbxTripleSpo ? TripleRelation::SpoConfig()
                                                 : TripleRelation::PsoConfig(),
-          disk);
+          disk, row_pool);
     case Design::kDbxVertical:
-      return std::make_unique<core::RowVerticalBackend>(data, disk);
+      return std::make_unique<core::RowVerticalBackend>(data, disk, row_pool);
     case Design::kMonetTripleSpo:
     case Design::kMonetTriplePso:
       return std::make_unique<core::ColTripleBackend>(
           data,
           design == Design::kMonetTripleSpo ? rdf::TripleOrder::kSPO
                                             : rdf::TripleOrder::kPSO,
-          disk, 4096, codec);
+          disk, col_pool, point.codec);
     case Design::kMonetVertical:
-      return std::make_unique<core::ColVerticalBackend>(data, disk, 4096,
-                                                        codec);
+      return std::make_unique<core::ColVerticalBackend>(data, disk, col_pool,
+                                                        point.codec);
     case Design::kCStore:
       // C-Store's disk also forces its small scattered reads; the default
       // bandwidth is machine B's.
       return std::make_unique<core::CStoreBackend>(
           data, ctx.interesting_properties(),
           cstore::CStoreEngine::RecommendedDiskConfig(
-              disk_mb_s > 0.0 ? disk_mb_s : 390.0));
+              point.disk_mb_s > 0.0 ? point.disk_mb_s : 390.0),
+          col_pool);
   }
   std::abort();
 }
@@ -106,7 +109,6 @@ ExhibitSpec GridSpec(bool hot) {
                   Design::kCStore};
   spec.queries = core::AllQueries();
   spec.modes = {hot ? Mode::kHot : Mode::kCold};
-  spec.repetitions = Repetitions();
   spec.means = true;
   spec.note =
       "On the row store, triple PSO has the lowest G* (section 4.3); on the\n"
@@ -117,10 +119,17 @@ ExhibitSpec GridSpec(bool hot) {
   return spec;
 }
 
-std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec) {
+std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
+                                    char** argv) {
   const bench_support::BartonConfig config = DefaultConfig();
   PrintHeader(spec.title, spec.reproduces, config);
-  std::printf("column codec: %s\n\n", colstore::ToString(spec.codec).c_str());
+  const colstore::ColumnCodec codec = spec.points[0].codec;
+  const bool by_codec =
+      std::any_of(spec.points.begin(), spec.points.end(),
+                  [codec](const ExhibitPoint& p) { return p.codec != codec; });
+  if (!by_codec) {
+    std::printf("column codec: %s\n\n", colstore::ToString(codec).c_str());
+  }
 
   const bool by_point = spec.points.size() > 1;
   const bool by_mode = spec.modes.size() > 1;
@@ -170,21 +179,28 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec) {
     if (point.disk_mb_s > 0.0) {
       describe(TablePrinter::Fixed(point.disk_mb_s, 0) + " MB/s");
     }
-    const core::QueryContext ctx = bench_support::MakeBartonContext(*data, 28);
+    if (point.considered > 0) {
+      describe(std::to_string(point.considered) + " considered");
+    }
+    if (point.pool_pages > 0) {
+      describe(std::to_string(point.pool_pages) + " pool pages");
+    }
+    if (by_codec) describe(colstore::ToString(point.codec));
+    const core::QueryContext ctx = bench_support::MakeBartonContext(
+        *data, point.considered > 0 ? point.considered : 28);
 
     std::printf("building backends %s\n", label.c_str());
     core::ReferenceBackend reference(*data);
     std::vector<core::Backend*> checked = {&reference};
     std::vector<std::unique_ptr<core::Backend>> backends;
     for (Design design : spec.designs) {
-      backends.push_back(
-          Build(design, *data, ctx, point.disk_mb_s, spec.codec));
+      backends.push_back(Build(design, *data, ctx, point));
       checked.push_back(backends.back().get());
       std::printf("  %-20s %8.2f MB on disk\n", checked.back()->name().c_str(),
                   checked.back()->disk_bytes() / 1e6);
     }
     std::printf("correctness gate: verifying all backends agree...\n");
-    bench_support::VerifyBackendsAgree(checked, spec.queries, ctx);
+    bench_support::VerifyBackendsAgree(checked, core::AllQueries(), ctx);
     std::printf("correctness gate passed.\n");
 
     for (size_t d = 0; d < spec.designs.size(); ++d) {
@@ -240,11 +256,13 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec) {
     }
   }
 
-  if (!spec.json_path.empty()) {
+  const std::string json_path = InitJsonPath(argc, argv, spec.name);
+  if (!json_path.empty()) {
     json.Extra("triples").Value(config.target_triples);
-    json.Extra("codec").Value(colstore::ToString(spec.codec));
+    if (!by_codec) json.Extra("codec").Value(colstore::ToString(codec));
     if (!by_mode) json.Extra("hot").Value(spec.modes[0] == Mode::kHot);
-    if (!json.WriteTo(spec.json_path)) std::exit(1);
+    if (spec.json_extras) spec.json_extras(cells, json);
+    if (!json.WriteTo(json_path)) std::exit(1);
   }
   std::printf("\n%s\n", table.ToString().c_str());
   std::printf("times in seconds over %d repetition(s); max run-to-run "

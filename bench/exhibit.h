@@ -1,6 +1,7 @@
 #ifndef SWANDB_BENCH_EXHIBIT_H_
 #define SWANDB_BENCH_EXHIBIT_H_
 
+#include <functional>
 #include <vector>
 
 #include "bench_common.h"
@@ -19,12 +20,23 @@ enum class Mode { kCold, kHot };
 // What one text-table row prints per query.
 enum class Metric { kReal, kUser, kMbRead, kRows };
 
-// One dataset point: the default Barton set (SWAN_TRIPLES, SWAN_SEED),
-// changed in each field that is not 0.
+// One dataset point: the default Barton set (SWAN_TRIPLES, SWAN_SEED) and
+// the designs' default builds, changed in each field that is not 0.
 struct ExhibitPoint {
   uint64_t triples = 0;     // generate at this scale
   uint64_t properties = 0;  // property-split to this many (Figure 7)
   double disk_mb_s = 0.0;   // every design's sequential disk bandwidth
+  size_t considered = 0;    // properties the queries consider (Figure 6; 28)
+  size_t pool_pages = 0;    // every design's buffer-pool size
+  colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw;  // column files
+};
+
+struct ExhibitCell {
+  size_t point = 0;  // index into ExhibitSpec::points
+  Design design = Design::kCStore;
+  Mode mode = Mode::kCold;
+  core::QueryId query = core::QueryId::kQ1;
+  bench_support::Measurement m;
 };
 
 // One paper exhibit as plain data.
@@ -37,19 +49,12 @@ struct ExhibitSpec {
   std::vector<core::QueryId> queries;
   std::vector<Mode> modes;
   std::vector<Metric> metrics = {Metric::kReal, Metric::kUser};
-  int repetitions = 1;
+  int repetitions = Repetitions();  // SWAN_REPS, default 3
   bool means = false;  // print G, and G* and G*/G when all 12 queries run
-  colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw;
-  std::string json_path;  // from InitJsonPath; empty writes no JSON
-  std::string note;       // the expected shape, printed last
-};
-
-struct ExhibitCell {
-  size_t point = 0;  // index into ExhibitSpec::points
-  Design design = Design::kCStore;
-  Mode mode = Mode::kCold;
-  core::QueryId query = core::QueryId::kQ1;
-  bench_support::Measurement m;
+  // Adds the exhibit's own top-level JSON fields from its measured cells.
+  std::function<void(const std::vector<ExhibitCell>&, BenchJsonWriter&)>
+      json_extras;
+  std::string note;  // the expected shape, printed last
 };
 
 // One (point, design, mode) row's geometric means of `metric`: G over
@@ -66,12 +71,15 @@ RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
 ExhibitSpec GridSpec(bool hot);
 
 // For each point: generates its dataset and builds its designs once, checks
-// them against the reference backend on every query (aborting on a
-// divergence), then measures every (design, mode, query) cell. Writes the
-// cells as bench JSON (workload = query, plus " @ <point>" and " <mode>"
-// when the exhibit has several; backend = design label), prints one text
-// table of them and returns them in measurement order.
-std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec);
+// them against the reference backend on all 12 queries (aborting on a
+// divergence), then measures every (design, mode, query) cell. Under
+// --json[=FILE] writes the cells as bench JSON (workload = query, plus
+// " @ <point>" and " <mode>" when the exhibit has several; backend = design
+// label; json_extras adds its fields). Prints one text table of them and
+// returns them in measurement order. A point's label names the fields set
+// on it, and its codec when the points do not all share one.
+std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
+                                    char** argv);
 
 }  // namespace swan::bench
 

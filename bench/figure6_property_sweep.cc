@@ -2,48 +2,28 @@
 // triple-store (PSO) vs the vertically-partitioned scheme as the number of
 // properties considered grows from 28 to 222.
 
-#include <cstdio>
-#include <vector>
+#include "exhibit.h"
 
-#include "bench_common.h"
-#include "bench_support/harness.h"
-#include "common/table_printer.h"
-#include "core/col_backends.h"
-
-int main() {
-  using swan::TablePrinter;
+int main(int argc, char** argv) {
+  using namespace swan::bench;
   using swan::core::QueryId;
-  const auto config = swan::bench::DefaultConfig();
-  swan::bench::PrintHeader(
-      "Figure 6: execution time vs number of properties considered",
-      "Figure 6 of Sidirourgos et al., VLDB 2008", config);
-
-  const auto barton = swan::bench_support::GenerateBarton(config);
-  const auto& data = barton.dataset;
-  swan::core::ColTripleBackend triple(data, swan::rdf::TripleOrder::kPSO);
-  swan::core::ColVerticalBackend vertical(data);
-  const int reps = swan::bench::Repetitions();
-
-  const std::vector<size_t> ks = {28, 56, 84, 112, 140, 168, 196, 222};
-  for (QueryId id :
-       {QueryId::kQ2, QueryId::kQ3, QueryId::kQ4, QueryId::kQ6}) {
-    std::printf("--- Query %s (hot, seconds) ---\n", ToString(id).c_str());
-    TablePrinter table({"# properties", "triple (PSO)", "vert (SO)"});
-    for (size_t k : ks) {
-      const auto ctx = swan::bench_support::MakeBartonContext(data, k);
-      const auto mt = swan::bench_support::MeasureHot(&triple, id, ctx, reps);
-      const auto mv = swan::bench_support::MeasureHot(&vertical, id, ctx, reps);
-      table.AddRow({std::to_string(k),
-                    TablePrinter::Fixed(mt.real_seconds, 4),
-                    TablePrinter::Fixed(mv.real_seconds, 4)});
-    }
-    std::printf("%s\n", table.ToString().c_str());
+  ExhibitSpec spec;
+  spec.name = "figure6_property_sweep";
+  spec.title = "Figure 6: execution time vs number of properties considered";
+  spec.reproduces = "Figure 6 of Sidirourgos et al., VLDB 2008";
+  spec.points.clear();
+  for (size_t considered : {28, 56, 84, 112, 140, 168, 196, 222}) {
+    spec.points.push_back({.considered = considered});
   }
-  std::printf(
-      "expected shape (paper Figure 6): vertical times increase steadily "
-      "with the\nnumber of properties; triple-store times are flat or "
-      "non-increasing, with a\ndrop at 222 where the final property filter "
-      "disappears, eventually beating the\nvertical scheme (except on "
-      "q4).\n");
+  spec.designs = {Design::kMonetTriplePso, Design::kMonetVertical};
+  spec.queries = {QueryId::kQ2, QueryId::kQ3, QueryId::kQ4, QueryId::kQ6};
+  spec.modes = {Mode::kHot};
+  spec.metrics = {Metric::kReal};
+  spec.note =
+      "Vertical times increase steadily with the number of properties;\n"
+      "triple-store times are flat or non-increasing, with a drop at 222\n"
+      "where the final property filter disappears, eventually beating the\n"
+      "vertical scheme (except on q4).\n";
+  RunExhibit(spec, argc, argv);
   return 0;
 }

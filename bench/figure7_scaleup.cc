@@ -21,13 +21,11 @@ int main(int argc, char** argv) {
                   QueryId::kQ6Star};
   spec.modes = {Mode::kHot};
   spec.metrics = {Metric::kReal};
-  spec.repetitions = Repetitions();
-  spec.json_path = InitJsonPath(argc, argv, spec.name);
   spec.note =
       "At 222 properties the vertical scheme wins; as properties split\n"
       "further its times increase steadily (hundreds of per-partition\n"
       "joins/unions) while triple-store times stay flat or decrease, so the\n"
       "triple-store overtakes it well before 1000 properties.\n";
-  RunExhibit(spec);
+  RunExhibit(spec, argc, argv);
   return 0;
 }

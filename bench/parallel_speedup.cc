@@ -20,8 +20,7 @@
 //
 // With an explicit `--threads=N` (N > 1) only widths {1, N} are swept —
 // the CI smoke shape; the default is the full curve {1, 2, 4, 8, hw}.
-//
-// Output ends with a single-line JSON summary for scripted consumers.
+// --json[=FILE] writes the cells as bench JSON.
 
 #include <algorithm>
 #include <cmath>
@@ -60,13 +59,14 @@ struct WindowCounters : Snapshot {
   uint64_t seeks = 0;
 };
 
-// One bench row: a label, a group (for per-group geomeans), its backend, a
-// hot measurement under a context, and an equivalence gate against the
-// 1-thread reference.
+// One bench row: a label, a group (for per-group geomeans), its backend,
+// the bytes of its cold 1-thread run, a hot measurement under a context,
+// and an equivalence gate against the 1-thread reference.
 struct Entry {
   std::string label;
   std::string group;
   const Backend* backend;
+  uint64_t cold_bytes;
   std::function<double(const ExecContext&)> hot_real_seconds;
   std::function<bool(const ExecContext&)> equivalent_to_serial;
 };
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
           swan::bench_support::MeasureCold(backend, q, ctx, serial, 1)
               .bytes_read;
       entries.push_back(Entry{
-          group + " " + ToString(q), group, backend,
+          group + " " + ToString(q), group, backend, ref_cold,
           [backend, q, &ctx, reps](const ExecContext& ectx) {
             return swan::bench_support::MeasureHot(backend, q, ctx, ectx, reps)
                 .real_seconds;
@@ -161,13 +161,17 @@ int main(int argc, char** argv) {
             : "bgp row-pso";
     const swan::plan::PlannerOptions options{
         swan::plan::PlanMode::kCostBased, &stats, backend->PlannerHints()};
+    // 1-thread reference, run cold: rows and cold virtual I/O bytes.
     const ExecContext serial(1);
+    backend->DropCaches();
+    const uint64_t bytes_before = backend->TotalBytesRead();
     const auto ref =
         swan::core::ExecuteBgp(*backend, bgp_query, serial, options);
     SWAN_CHECK_MSG(ref.ok(), "BGP reference run failed");
+    const uint64_t ref_cold = backend->TotalBytesRead() - bytes_before;
     const auto ref_rows = ref.value().rows;
     entries.push_back(Entry{
-        label, group, backend,
+        label, group, backend, ref_cold,
         [backend, &bgp_query, options, reps](const ExecContext& ectx) {
           return swan::bench_support::MeasureBgpHot(backend, bgp_query, ectx,
                                                     options, reps)
@@ -271,19 +275,18 @@ int main(int argc, char** argv) {
   }
 
   // Structured emitter (--json[=FILE]): workload = entry, backend = its
-  // group; cold_bytes from the 1-thread hot window (parallelism must not
-  // change bytes — the gate above already enforced it), modeled_seconds
-  // at the widest sweep point, speedup = serial real / widest real; plus
-  // the per-group geomean speedup at every width above 1.
+  // group; cold_bytes of the entry's cold 1-thread run (the star queries'
+  // gate holds every width to them), modeled_seconds at the widest sweep
+  // point, speedup = serial real / widest real; plus the per-group
+  // geomean speedup at every width above 1.
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "parallel_speedup");
   if (!json_path.empty()) {
     swan::bench::BenchJsonWriter json("parallel_speedup");
     const size_t last = thread_counts.size() - 1;
     for (size_t e = 0; e < entries.size(); ++e) {
-      json.Add(entries[e].label, entries[e].group,
-               hot_counters[e][0].bytes_read, hot_real[e][last],
-               hot_real[e][0] / hot_real[e][last]);
+      json.Add(entries[e].label, entries[e].group, entries[e].cold_bytes,
+               hot_real[e][last], hot_real[e][0] / hot_real[e][last]);
     }
     json.Extra("triples").Value(config.target_triples);
     swan::obs::JsonWriter& widths = json.Extra("threads").BeginArray();

@@ -14,12 +14,11 @@ int main(int argc, char** argv) {
                  {.triples = 400000}};
   spec.modes = {Mode::kCold, Mode::kHot};
   spec.repetitions = 1;
-  spec.json_path = InitJsonPath(argc, argv, spec.name);
   spec.note =
       "The row-store verdict (triple PSO has the lower G*) holds at every\n"
       "scale for cold runs; the column store's G* contest stays close, with\n"
       "the vertical scheme's star-query penalty growing with scale.\n";
-  const std::vector<ExhibitCell> cells = RunExhibit(spec);
+  const std::vector<ExhibitCell> cells = RunExhibit(spec, argc, argv);
 
   std::printf("\nG* verdicts (the lower G* wins):\n");
   for (size_t p = 0; p < spec.points.size(); ++p) {

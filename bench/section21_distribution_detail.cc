@@ -8,18 +8,25 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/table_printer.h"
+#include "rdf/term_counts.h"
 
 namespace {
 
 using Counts = std::vector<std::pair<uint64_t, uint64_t>>;
+using Roles = swan::rdf::TermCounts::Roles;
 
-Counts SortedCounts(const std::unordered_map<uint64_t, uint64_t>& map) {
-  Counts out(map.begin(), map.end());
+// (term, count) for every term counted in `role`, most frequent first.
+Counts SortedCounts(const swan::rdf::TermCounts& terms,
+                    uint64_t Roles::*role) {
+  Counts out;
+  const auto roles = terms.roles();
+  for (uint64_t id = 0; id < roles.size(); ++id) {
+    if (roles[id].*role != 0) out.emplace_back(id, roles[id].*role);
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -40,24 +47,21 @@ int main() {
   const auto& dict = data.dict();
   const double total = static_cast<double>(data.size());
 
-  std::unordered_map<uint64_t, uint64_t> subj, prop, obj;
-  std::unordered_map<uint64_t, uint64_t> obj_under_type;
+  const swan::rdf::TermCounts terms(data.triples());
+  std::vector<uint64_t> obj_under_type(dict.size());
   const uint64_t type_id = dict.Find("<type>").value();
   for (const auto& t : data.triples()) {
-    ++subj[t.subject];
-    ++prop[t.property];
-    ++obj[t.object];
     if (t.property == type_id) ++obj_under_type[t.object];
   }
 
   std::printf("--- top properties (paper: <type> holds 24.5%%) ---\n");
   TablePrinter props({"rank", "property", "triples", "% of total"});
-  const Counts top_props = SortedCounts(prop);
+  const Counts top_props = SortedCounts(terms, &Roles::property);
   for (size_t i = 0; i < std::min<size_t>(8, top_props.size()); ++i) {
-    props.AddRow({std::to_string(i + 1),
-                  std::string(dict.Lookup(top_props[i].first)),
-                  TablePrinter::Int(top_props[i].second),
-                  TablePrinter::Fixed(100.0 * top_props[i].second / total, 2)});
+    const auto [id, count] = top_props[i];
+    props.AddRow({std::to_string(i + 1), std::string(dict.Lookup(id)),
+                  TablePrinter::Int(count),
+                  TablePrinter::Fixed(100.0 * count / total, 2)});
   }
   std::printf("%s\n", props.ToString().c_str());
 
@@ -66,28 +70,20 @@ int main() {
       "the\nnext 8 most frequent objects are also type classes) ---\n");
   TablePrinter objs({"rank", "object", "triples", "% of total",
                      "under <type>"});
-  const Counts top_objs = SortedCounts(obj);
+  const Counts top_objs = SortedCounts(terms, &Roles::object);
   for (size_t i = 0; i < std::min<size_t>(9, top_objs.size()); ++i) {
-    const uint64_t under_type =
-        obj_under_type.count(top_objs[i].first)
-            ? obj_under_type.at(top_objs[i].first)
-            : 0;
-    objs.AddRow({std::to_string(i + 1),
-                 std::string(dict.Lookup(top_objs[i].first)),
-                 TablePrinter::Int(top_objs[i].second),
-                 TablePrinter::Fixed(100.0 * top_objs[i].second / total, 2),
-                 TablePrinter::Fixed(
-                     top_objs[i].second
-                         ? 100.0 * under_type / top_objs[i].second
-                         : 0.0,
-                     1)});
+    const auto [id, count] = top_objs[i];  // count > 0
+    objs.AddRow({std::to_string(i + 1), std::string(dict.Lookup(id)),
+                 TablePrinter::Int(count),
+                 TablePrinter::Fixed(100.0 * count / total, 2),
+                 TablePrinter::Fixed(100.0 * obj_under_type[id] / count, 1)});
   }
   std::printf("%s\n", objs.ToString().c_str());
 
   std::printf(
       "--- subject uniformity (paper: max 3,794 of 50.2M = 0.0075%%; below "
       "100\noccurrences past the top ~97 subjects) ---\n");
-  const Counts top_subj = SortedCounts(subj);
+  const Counts top_subj = SortedCounts(terms, &Roles::subject);
   const double scaled_hundred = 100.0 * total / 50255599.0;
   size_t past_threshold = 0;
   while (past_threshold < top_subj.size() &&

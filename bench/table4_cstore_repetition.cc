@@ -15,9 +15,7 @@ int main(int argc, char** argv) {
   spec.designs = {Design::kCStore};
   spec.queries = swan::core::InitialQueries();
   spec.modes = {Mode::kCold, Mode::kHot};
-  spec.repetitions = Repetitions();
   spec.means = true;
-  spec.json_path = InitJsonPath(argc, argv, spec.name);
   spec.note =
       "Machine B's ~4x higher sequential bandwidth yields only a marginal\n"
       "cold-run improvement (section 3), because the C-Store-style engine\n"
@@ -25,6 +23,6 @@ int main(int argc, char** argv) {
       "bandwidth; hot real times collapse to user times. The paper reports\n"
       "run-to-run deviations below 30 ms on seconds-long runs; our simulated\n"
       "I/O is exactly repeatable, leaving only CPU jitter.\n";
-  RunExhibit(spec);
+  RunExhibit(spec, argc, argv);
   return 0;
 }

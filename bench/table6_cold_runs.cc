@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
   using namespace swan::bench;
   InitThreads(argc, argv);
   ExhibitSpec spec = GridSpec(/*hot=*/false);
-  spec.codec = InitCodec(argc, argv);
-  spec.json_path = InitJsonPath(argc, argv, spec.name);
-  const std::vector<ExhibitCell> cells = RunExhibit(spec);
+  spec.points[0].codec = InitCodec(argc, argv);
+  const std::vector<ExhibitCell> cells = RunExhibit(spec, argc, argv);
 
   const auto means = [&cells](Design design) {
     return MeansOf(cells, 0, design, Mode::kCold);

@@ -7,8 +7,7 @@ int main(int argc, char** argv) {
   using namespace swan::bench;
   InitThreads(argc, argv);
   ExhibitSpec spec = GridSpec(/*hot=*/true);
-  spec.codec = InitCodec(argc, argv);
-  spec.json_path = InitJsonPath(argc, argv, spec.name);
-  RunExhibit(spec);
+  spec.points[0].codec = InitCodec(argc, argv);
+  RunExhibit(spec, argc, argv);
   return 0;
 }

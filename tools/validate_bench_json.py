@@ -29,15 +29,17 @@ import sys
 # spec), {key: spec} (an object with exactly those keys) and
 # ("map", spec) (an object whose keys are free and whose values are spec).
 # The exhibit runner (bench/exhibit.h) writes "hot" only when an exhibit
-# runs one mode.
+# runs one mode, and "codec" only when its points share one codec.
 GRID = {"triples": int, "codec": str, "hot": bool}
 EXTRAS = {
     "table4_cstore_repetition": {"triples": int, "codec": str},
     "table5_query_footprint": GRID,
     "table6_cold_runs": GRID,
     "table7_hot_runs": GRID,
+    "figure6_property_sweep": GRID,
     "figure7_scaleup": GRID,
     "scale_sensitivity": {"triples": int, "codec": str},
+    "ablation_buffer_pool": {"triples": int, "codec": str},
     "parallel_speedup": {
         "triples": int,
         "threads": [int],
@@ -64,6 +66,8 @@ EXTRAS = {
                     "heuristic_baseline": str},
     },
     "ablation_compression": {
+        "triples": int,
+        "hot": bool,
         "compression": {
             "raw_cold_bytes": int,
             "auto_cold_bytes": int,
