@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "colstore/column.h"
@@ -15,7 +16,7 @@ namespace {
 using swan::Rng;
 using swan::colstore::ColumnCodec;
 using swan::colstore::CountByKeyDense;
-using swan::colstore::CountByPair;
+using swan::colstore::CountPairs;
 using swan::colstore::EncodedColumn;
 using swan::colstore::MergeCountMatches;
 using swan::colstore::MergeJoin;
@@ -56,15 +57,62 @@ void BM_CountByKeyDense(benchmark::State& state) {
 }
 BENCHMARK(BM_CountByKeyDense)->Range(1 << 10, 1 << 20);
 
-void BM_CountByPair(benchmark::State& state) {
-  const auto a = RandomColumn(state.range(0), 256, 3);
-  const auto b = RandomColumn(state.range(0), 4096, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountByPair(a, b));
+// q3's shape at 200k triples (seed 42): about 35k (property, object)
+// pairs of the Text-typed subjects in about 19k groups, of which about 400
+// reach HAVING count > 1; the property ids are below 222 and the object
+// ids below the dictionary size, ~120k.
+// Pairs arrive subject by subject: each subject's (type, Text) pair, two
+// pairs with nearly unique objects and, for half of them, one of two
+// properties with an object from a shared pool of 200. Args: width, then
+// 0 for that subject order (an SPO scan) or 1 for the pairs grouped by
+// property (a PSO scan or one partition after another).
+void BM_CountPairsQ3(benchmark::State& state) {
+  constexpr uint64_t kDict = 119430;
+  constexpr uint64_t kType = 0;
+  constexpr uint64_t kText = 223;
+  Rng rng(3);
+  std::vector<uint64_t> pool(200);
+  for (uint64_t& o : pool) o = kText + 1 + rng.Uniform(kDict - kText - 1);
+  std::vector<uint64_t> a;
+  std::vector<uint64_t> b;
+  const auto add = [&](uint64_t p, uint64_t o) {
+    a.push_back(p);
+    b.push_back(o);
+  };
+  while (a.size() < 35000) {
+    add(kType, kText);
+    add(1 + rng.Uniform(14), kText + 1 + rng.Uniform(kDict - kText - 1));
+    add(15 + rng.Uniform(14), kText + 1 + rng.Uniform(kDict - kText - 1));
+    if (rng.Uniform(2) == 0) add(29 + rng.Uniform(2), pool[rng.Uniform(200)]);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  if (state.range(1) == 1) {
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    for (size_t i = 0; i < a.size(); ++i) pairs.emplace_back(a[i], b[i]);
+    std::stable_sort(pairs.begin(), pairs.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    for (size_t i = 0; i < a.size(); ++i) {
+      a[i] = pairs[i].first;
+      b[i] = pairs[i].second;
+    }
+  }
+  const swan::exec::ExecContext ctx(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountPairs(a, b, kDict, 2, ctx));
+  }
+  state.counters["groups"] =
+      static_cast<double>(CountPairs(a, b, kDict, 1, ctx).size());
+  state.counters["having_groups"] =
+      static_cast<double>(CountPairs(a, b, kDict, 2, ctx).size());
+  state.SetItemsProcessed(state.iterations() * a.size());
 }
-BENCHMARK(BM_CountByPair)->Range(1 << 10, 1 << 18);
+BENCHMARK(BM_CountPairsQ3)
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->UseRealTime();
 
 void BM_MergeJoin(benchmark::State& state) {
   auto left = RandomColumn(state.range(0), state.range(0) * 4, 5);

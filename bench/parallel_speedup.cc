@@ -16,7 +16,10 @@
 // tables for BGP) and identical cold-run virtual I/O bytes. Parallelism
 // that changed the answer (or the bytes touched) would be a bug, not a
 // speedup. The gate aborts the process on divergence, which is what the
-// CI smoke run (`parallel_speedup --threads=4`) relies on.
+// CI smoke run (`parallel_speedup --threads=4`) relies on. Every hot
+// window starts with the backend's caches dropped, so its "MB read" is
+// the warm-up's cold load whatever ran before; the bench exits 1 when an
+// entry's hot-window bytes differ between widths.
 //
 // With an explicit `--threads=N` (N > 1) only widths {1, N} are swept —
 // the CI smoke shape; the default is the full curve {1, 2, 4, 8, hw}.
@@ -52,8 +55,8 @@ std::string Key(int threads) { return std::to_string(threads); }
 
 using Snapshot = swan::exec::OpCounters::Snapshot;
 
-// Counters over one entry's hot-measurement window (warm-up + reps): the
-// executor's operator counters plus the backend's disk deltas.
+// Counters over one entry's hot-measurement window (cold warm-up + reps):
+// the executor's operator counters plus the backend's disk deltas.
 struct WindowCounters : Snapshot {
   uint64_t bytes_read = 0;
   uint64_t seeks = 0;
@@ -65,7 +68,7 @@ struct WindowCounters : Snapshot {
 struct Entry {
   std::string label;
   std::string group;
-  const Backend* backend;
+  Backend* backend;
   uint64_t cold_bytes;
   std::function<double(const ExecContext&)> hot_real_seconds;
   std::function<bool(const ExecContext&)> equivalent_to_serial;
@@ -202,7 +205,8 @@ int main(int argc, char** argv) {
                      entries[e].label.c_str(), thread_counts[t]);
         equivalent = false;
       }
-      const Backend& backend = *entries[e].backend;
+      Backend& backend = *entries[e].backend;
+      backend.DropCaches();
       const uint64_t bytes_before = backend.TotalBytesRead();
       const uint64_t seeks_before = backend.TotalSeeks();
       ectx.counters().Reset();
@@ -216,6 +220,23 @@ int main(int argc, char** argv) {
                  "parallel execution changed query results; aborting");
   std::printf("equivalence gate passed (rows and cold I/O bytes match the "
               "single-threaded run at every width).\n\n");
+  bool same_bytes = true;
+  for (size_t e = 0; e < entries.size(); ++e) {
+    for (size_t i = 1; i < thread_counts.size(); ++i) {
+      if (hot_counters[e][i].bytes_read != hot_counters[e][0].bytes_read) {
+        std::fprintf(stderr,
+                     "FAIL: %s reads %llu bytes in its hot window at %d "
+                     "threads, %llu at 1\n",
+                     entries[e].label.c_str(),
+                     static_cast<unsigned long long>(
+                         hot_counters[e][i].bytes_read),
+                     thread_counts[i],
+                     static_cast<unsigned long long>(
+                         hot_counters[e][0].bytes_read));
+        same_bytes = false;
+      }
+    }
+  }
 
   std::vector<std::string> header = {"workload"};
   for (int t : thread_counts) header.push_back(Key(t) + "T real");
@@ -245,7 +266,7 @@ int main(int argc, char** argv) {
   // counters (regions, morsels, partitions, batches) grow with width;
   // match calls, bytes and seeks must not — parallelism may reshape the
   // schedule but never the work.
-  std::printf("operator counters per hot window (warm-up + %d reps):\n",
+  std::printf("operator counters per hot window (cold warm-up + %d reps):\n",
               reps);
   swan::TablePrinter counters_table(
       {"workload", "T", "regions", "morsels", "mj-parts", "match",
@@ -306,5 +327,5 @@ int main(int argc, char** argv) {
     geomean.EndObject();
     if (!json.WriteTo(json_path)) return 1;
   }
-  return 0;
+  return same_bytes ? 0 : 1;
 }

@@ -25,6 +25,10 @@ obs::Histogram* RunLengthHist(const exec::ExecContext& ctx) {
 // enough to amortize scheduling and small enough to load-balance skew.
 constexpr uint64_t kMorsel = 1ull << 16;
 
+// Fewest pairs worth a CountPairs shard of their own (and its dense
+// counter array).
+constexpr uint64_t kPairShard = 1ull << 13;
+
 PositionVector ConcatParts(std::vector<PositionVector>& parts) {
   size_t total = 0;
   for (const auto& p : parts) total += p.size();
@@ -300,65 +304,117 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
   return out;
 }
 
-std::vector<PairCount> CountByPair(std::span<const uint64_t> a,
-                                   std::span<const uint64_t> b,
-                                   const exec::ExecContext& ctx) {
+std::vector<PairCount> CountPairs(std::span<const uint64_t> a,
+                                  std::span<const uint64_t> b,
+                                  uint64_t universe_size,
+                                  const MinCount& min_count,
+                                  const exec::ExecContext& ctx) {
   SWAN_CHECK_EQ(a.size(), b.size());
-  obs::Span span(ctx.trace(), "ops.count_by_pair");
+  SWAN_CHECK_LE(universe_size, 1ull << 32);
+  obs::Span span(ctx.trace(), "ops.count_pairs");
   span.set_rows_in(a.size());
   const uint64_t n = a.size();
-  std::vector<uint64_t> packed(n);
-  ctx.ParallelFor(n, kMorsel, [&](uint64_t lo, uint64_t hi, uint64_t) {
-    for (uint64_t i = lo; i < hi; ++i) {
-      SWAN_CHECK_MSG(a[i] < (1ull << 32) && b[i] < (1ull << 32),
-                     "CountByPair requires 32-bit dictionary ids");
-      packed[i] = (a[i] << 32) | b[i];
-    }
-  });
+  std::vector<PairCount> out;
+  if (n == 0) return out;
+  SWAN_CHECK_LT(n, 1ull << 32);
 
-  // Sort contiguous shards in parallel, then count while merging the
-  // sorted runs — the (value, count) stream is the same no matter how the
-  // input was sharded.
-  const uint64_t shards = ctx.ShardsFor(n, kMorsel);
-  struct Run {
-    uint64_t pos;
-    uint64_t end;
+  // One bucket of b values per a. Input grouped by a (a PSO scan, one
+  // partition after another) is its own buckets: its runs of equal a,
+  // recorded while the pass finds a's range. Any other order takes a
+  // counting pass and a scatter of b into bucket order.
+  struct Bucket {
+    uint64_t a;
+    uint32_t begin;
+    uint32_t end;
   };
-  std::vector<Run> runs;
-  if (shards <= 1) {
-    std::sort(packed.begin(), packed.end());
-    runs.push_back(Run{0, n});
-  } else {
-    const uint64_t grain = (n + shards - 1) / shards;
-    ctx.ParallelFor(n, grain, [&](uint64_t lo, uint64_t hi, uint64_t) {
-      std::sort(packed.begin() + static_cast<ptrdiff_t>(lo),
-                packed.begin() + static_cast<ptrdiff_t>(hi));
-    });
-    for (uint64_t lo = 0; lo < n; lo += grain) {
-      runs.push_back(Run{lo, std::min(lo + grain, n)});
+  constexpr size_t kMaxRuns = 1024;
+  std::vector<Bucket> buckets = {Bucket{a[0], 0, 0}};
+  uint64_t a_lo = a[0];
+  uint64_t a_hi = a[0];
+  for (uint64_t i = 1; i < n; ++i) {
+    a_lo = std::min(a_lo, a[i]);
+    a_hi = std::max(a_hi, a[i]);
+    if (a[i] != a[i - 1] && buckets.size() <= kMaxRuns) {
+      buckets.back().end = static_cast<uint32_t>(i);
+      buckets.push_back(Bucket{a[i], static_cast<uint32_t>(i), 0});
     }
   }
+  SWAN_CHECK_LT(a_hi, universe_size);
+  buckets.back().end = static_cast<uint32_t>(n);
+  bool grouped = buckets.size() <= kMaxRuns;
+  if (grouped) {
+    std::sort(buckets.begin(), buckets.end(),
+              [](const Bucket& x, const Bucket& y) { return x.a < y.a; });
+    for (size_t k = 1; grouped && k < buckets.size(); ++k) {
+      grouped = buckets[k - 1].a != buckets[k].a;
+    }
+  }
+  const uint64_t* values = b.data();
+  std::vector<uint64_t> scattered;
+  if (!grouped) {
+    std::vector<uint32_t> cursor(a_hi - a_lo + 1, 0);
+    for (uint64_t i = 0; i < n; ++i) ++cursor[a[i] - a_lo];
+    buckets.clear();
+    uint32_t next = 0;
+    for (uint64_t k = 0; k < cursor.size(); ++k) {
+      const uint32_t size = cursor[k];
+      cursor[k] = next;
+      if (size == 0) continue;
+      buckets.push_back(Bucket{a_lo + k, next, next + size});
+      next += size;
+    }
+    scattered.resize(n);
+    for (uint64_t i = 0; i < n; ++i) scattered[cursor[a[i] - a_lo]++] = b[i];
+    values = scattered.data();
+  }
 
-  std::vector<PairCount> out;
-  for (;;) {
-    uint64_t best = 0;
-    bool any = false;
-    for (const Run& r : runs) {
-      if (r.pos < r.end && (!any || packed[r.pos] < best)) {
-        best = packed[r.pos];
-        any = true;
+  // Contiguous bucket ranges of about n / shards pairs each, in a order.
+  // A range counts its buckets one after another in its own dense array,
+  // then reads and clears only the slots a bucket touched.
+  const uint64_t shards =
+      std::min<uint64_t>(ctx.ShardsFor(n, kPairShard), buckets.size());
+  std::vector<size_t> first(shards + 1, buckets.size());
+  first[0] = 0;
+  uint64_t seen = 0;
+  for (size_t k = 0, s = 1; k < buckets.size() && s < shards; ++k) {
+    if (seen >= s * n / shards) first[s++] = k;
+    seen += buckets[k].end - buckets[k].begin;
+  }
+  std::vector<std::vector<PairCount>> parts(shards);
+  ctx.ParallelFor(shards, 1, [&](uint64_t lo, uint64_t hi, uint64_t) {
+    std::vector<uint32_t> counts(universe_size, 0);
+    std::vector<uint32_t> touched;
+    std::vector<uint64_t> kept;  // b << 32 | count
+    for (uint64_t s = lo; s < hi; ++s) {
+      for (size_t k = first[s]; k < first[s + 1]; ++k) {
+        const Bucket& bucket = buckets[k];
+        touched.resize(bucket.end - bucket.begin);
+        size_t distinct = 0;
+        for (uint32_t j = bucket.begin; j < bucket.end; ++j) {
+          const uint64_t v = values[j];
+          SWAN_DCHECK_LT(v, universe_size);
+          touched[distinct] = static_cast<uint32_t>(v);
+          distinct += counts[v]++ == 0;
+        }
+        kept.clear();
+        const uint64_t minimum = min_count(bucket.a);
+        for (size_t t = 0; t < distinct; ++t) {
+          const uint32_t v = touched[t];
+          if (counts[v] >= minimum) {
+            kept.push_back(uint64_t{v} << 32 | counts[v]);
+          }
+          counts[v] = 0;
+        }
+        std::sort(kept.begin(), kept.end());
+        for (uint64_t g : kept) {
+          parts[s].push_back(PairCount{bucket.a, g >> 32, g & 0xFFFFFFFFull});
+        }
       }
     }
-    if (!any) break;
-    uint64_t count = 0;
-    for (Run& r : runs) {
-      while (r.pos < r.end && packed[r.pos] == best) {
-        ++r.pos;
-        ++count;
-      }
-    }
-    out.push_back(
-        PairCount{best >> 32, best & 0xFFFFFFFFull, count});
+  });
+  out = std::move(parts[0]);
+  for (uint64_t s = 1; s < shards; ++s) {
+    out.insert(out.end(), parts[s].begin(), parts[s].end());
   }
   span.set_rows_out(out.size());
   return out;
@@ -1109,49 +1165,6 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
                          ++(*c)[v];
                        }
                      });
-  }
-  span.set_rows_out(out.size());
-  return out;
-}
-
-std::vector<PairCount> CountByPair(const EncodedColumn& a,
-                                   const EncodedColumn& b,
-                                   const exec::ExecContext& ctx) {
-  SWAN_CHECK_EQ(a.size(), b.size());
-  if (a.rep() == Rep::kFlat && b.rep() == Rep::kFlat) {
-    return CountByPair(std::span<const uint64_t>(a.flat()),
-                       std::span<const uint64_t>(b.flat()), ctx);
-  }
-  obs::Span span(ctx.trace(), "ops.count_by_pair_enc");
-  span.set_rows_in(a.size());
-  // Lockstep run walk: every maximal segment where both columns are
-  // constant contributes its whole length in O(1). Segment count is
-  // bounded by runs(a) + runs(b), so the sort-and-merge aggregation
-  // below works on run-compressed data.
-  std::vector<PairCount> segs;
-  RunCursor ca(a, 0, a.size());
-  RunCursor cb(b, 0, b.size());
-  uint64_t pos = 0;
-  while (pos < a.size()) {
-    const uint64_t seg_end = std::min(ca.end(), cb.end());
-    SWAN_CHECK_MSG(ca.value() < (1ull << 32) && cb.value() < (1ull << 32),
-                   "CountByPair requires 32-bit dictionary ids");
-    segs.push_back(PairCount{ca.value(), cb.value(), seg_end - pos});
-    pos = seg_end;
-    if (ca.end() == pos) ca.Next();
-    if (cb.end() == pos) cb.Next();
-  }
-  std::sort(segs.begin(), segs.end(), [](const PairCount& x,
-                                         const PairCount& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  std::vector<PairCount> out;
-  for (const PairCount& s : segs) {
-    if (!out.empty() && out.back().a == s.a && out.back().b == s.b) {
-      out.back().count += s.count;
-    } else {
-      out.push_back(s);
-    }
   }
   span.set_rows_out(out.size());
   return out;

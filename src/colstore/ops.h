@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -103,17 +104,33 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
     uint64_t universe_size,
     const exec::ExecContext& ctx = exec::ExecContext());
 
-// Group-by-count over (a, b) pairs (e.g. q3's GROUP BY prop, obj).
-// Requires both id spaces < 2^32 so the pair packs into a uint64.
-// Returns ((a, b), count) tuples sorted by (a, b).
+// Group-by-count over (a, b) pairs with a minimum count: q3/q4's GROUP BY
+// prop, obj HAVING count >= min_count(prop). The pairs may come in any
+// order. One counting pass buckets them by a (input already grouped by a
+// is its own buckets); each bucket then counts its b values in a dense
+// array over the dictionary ids and emits only the groups it touched that
+// reach min_count(a), called once per distinct a. Buckets are independent,
+// so wide contexts split them into contiguous ranges of about equal pair
+// count, one dense array per range. Returns ((a, b), count) sorted by
+// (a, b), identical at every width. Ids must be < universe_size <= 2^32.
 struct PairCount {
   uint64_t a;
   uint64_t b;
   uint64_t count;
 };
-std::vector<PairCount> CountByPair(
+using MinCount = std::function<uint64_t(uint64_t a)>;
+std::vector<PairCount> CountPairs(
     std::span<const uint64_t> a, std::span<const uint64_t> b,
+    uint64_t universe_size, const MinCount& min_count,
     const exec::ExecContext& ctx = exec::ExecContext());
+// As above with one minimum for every a.
+inline std::vector<PairCount> CountPairs(
+    std::span<const uint64_t> a, std::span<const uint64_t> b,
+    uint64_t universe_size, uint64_t min_count,
+    const exec::ExecContext& ctx = exec::ExecContext()) {
+  return CountPairs(
+      a, b, universe_size, [min_count](uint64_t) { return min_count; }, ctx);
+}
 
 // All matching index pairs of two sorted columns (merge join). Handles
 // duplicates on both sides (cross product per equal run) — needed for q7
@@ -258,14 +275,6 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
 std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
     const EncodedColumn& col, const PositionVector& sel,
     uint64_t universe_size,
-    const exec::ExecContext& ctx = exec::ExecContext());
-
-// Group-by-count over aligned (a, b) columns. Both cursors advance
-// run-by-run; every overlapping (a-run, b-run) segment contributes its
-// whole length in O(1). Output matches the span kernel: ((a, b), count)
-// sorted by (a, b).
-std::vector<PairCount> CountByPair(
-    const EncodedColumn& a, const EncodedColumn& b,
     const exec::ExecContext& ctx = exec::ExecContext());
 
 // Merge join of a materialized (sorted) left side against rows [rlo, rhi)

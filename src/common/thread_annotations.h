@@ -5,7 +5,7 @@
 // the -Wthread-safety attributes, turning the locking protocol into a
 // compile-time contract: a guarded field read without its mutex, a method
 // called without its REQUIRES lock, or a lock leaked out of a scope is a
-// build error in the thread-safety CI leg (tools/check.sh --tsafety-only).
+// build error in the thread-safety CI leg (tools/ci.sh tsafety).
 // Under gcc (the container default) every macro expands to nothing, so
 // annotated code stays portable.
 //

@@ -17,13 +17,14 @@ namespace swan::core {
 namespace {
 
 using colstore::CountByKeyDense;
-using colstore::CountByPair;
+using colstore::CountPairs;
 using colstore::EncodedColumn;
 using colstore::ForEachDecodedRows;
 using colstore::Gather;
 using colstore::MarkSet;
 using colstore::MergeCountMatches;
 using colstore::MergeSelectPositions;
+using colstore::MinCount;
 using colstore::PairCount;
 using colstore::PositionVector;
 using colstore::SelectEq;
@@ -179,17 +180,16 @@ std::vector<T> Concat(std::vector<std::vector<T>> partials) {
   return all;
 }
 
-// Merges partials that are each sorted by `less` — one per node, each
-// node sorting its own — in one linear k-way pass: the output takes the
-// least of the k heads each time (k is the node count, a handful). A
-// single partial is already merged.
-template <typename T, typename Less = std::less<>>
-std::vector<T> MergeRuns(std::vector<std::vector<T>> partials,
-                         const Less& less = {}) {
+// Merges sorted partials — one per node, each node sorting its own — in
+// one linear k-way pass: the output takes the least of the k heads each
+// time (k is the node count, a handful). A single partial is already
+// merged.
+template <typename T>
+std::vector<T> MergeRuns(std::vector<std::vector<T>> partials) {
   if (partials.size() == 1) return std::move(partials.front());
   size_t total = 0;
   for (const std::vector<T>& p : partials) {
-    SWAN_DCHECK(std::is_sorted(p.begin(), p.end(), less));
+    SWAN_DCHECK(std::is_sorted(p.begin(), p.end()));
     total += p.size();
   }
   std::vector<T> out;
@@ -200,7 +200,7 @@ std::vector<T> MergeRuns(std::vector<std::vector<T>> partials,
     for (size_t k = 0; k < partials.size(); ++k) {
       if (head[k] == partials[k].size()) continue;
       if (best == partials.size() ||
-          less(partials[k][head[k]], partials[best][head[best]])) {
+          partials[k][head[k]] < partials[best][head[best]]) {
         best = k;
       }
     }
@@ -235,20 +235,28 @@ KeyCounts SumKeyCounts(std::vector<KeyCounts> partials) {
   return out;
 }
 
+// q3/q4 at the coordinator: the nodes' groups summed where a sub-split
+// property's group arrived from several nodes, then HAVING on the sums.
 std::vector<PairCount> SumPairCounts(
-    std::vector<std::vector<PairCount>> partials) {
-  if (partials.size() == 1) return std::move(partials.front());
-  const auto by_group = [](const PairCount& x, const PairCount& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  };
+    std::vector<std::vector<PairCount>> partials, uint64_t min_count) {
   std::vector<PairCount> out;
-  for (const PairCount& g : MergeRuns(std::move(partials), by_group)) {
-    if (!out.empty() && out.back().a == g.a && out.back().b == g.b) {
-      out.back().count += g.count;
-    } else {
-      out.push_back(g);
+  if (partials.size() == 1) {
+    out = std::move(partials.front());
+  } else {
+    std::vector<PairCount> all = Concat(std::move(partials));
+    std::sort(all.begin(), all.end(),
+              [](const PairCount& x, const PairCount& y) {
+                return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+              });
+    for (const PairCount& g : all) {
+      if (!out.empty() && out.back().a == g.a && out.back().b == g.b) {
+        out.back().count += g.count;
+      } else {
+        out.push_back(g);
+      }
     }
   }
+  std::erase_if(out, [&](const PairCount& g) { return g.count < min_count; });
   return out;
 }
 
@@ -281,13 +289,14 @@ QueryResult KeyCountRows(std::vector<std::string> names,
   return result;
 }
 
-// q3/q4: the merged groups with HAVING count > 1.
-QueryResult PairCountRowsOverOne(const std::vector<PairCount>& groups) {
+// q3/q4's HAVING count > 1.
+constexpr uint64_t kHavingMin = 2;
+
+QueryResult PairCountRows(const std::vector<PairCount>& groups) {
   QueryResult result;
   result.column_names = {"prop", "obj", "count"};
-  for (const PairCount& g : groups) {
-    if (g.count > 1) result.rows.push_back({g.a, g.b, g.count});
-  }
+  result.rows.reserve(groups.size());
+  for (const PairCount& g : groups) result.rows.push_back({g.a, g.b, g.count});
   return result;
 }
 
@@ -472,12 +481,21 @@ QueryResult ColumnBackend::RunPartitioned(
         subjects = SortedIntersect(
             subjects, subject_filter(v.language, v.french, all));
       }
-      // A group's count may be split across nodes, so HAVING applies only
-      // after the merge.
-      result = PairCountRowsOverOne(SumPairCounts(
-          gather(all, kBytesPerTriple, [&](const ColumnBackend& p) {
-            return p.PropertyObjectCounts(subjects, props, universe, ectx);
-          })));
+      // A node holding a property whole applies HAVING to its groups
+      // itself. A sub-split property's groups ship in full: one may be
+      // split across nodes, so HAVING waits for its sum at the coordinator.
+      const MinCount node_min = [&](uint64_t property) -> uint64_t {
+        return routing == nullptr || routing->HomeNode(property) >= 0
+                   ? kHavingMin
+                   : 1;
+      };
+      result = PairCountRows(SumPairCounts(
+          gather(all, kBytesPerTriple,
+                 [&](const ColumnBackend& p) {
+                   return p.PropertyObjectCounts(subjects, props, universe,
+                                                 node_min, ectx);
+                 }),
+          kHavingMin));
       break;
     }
     case QueryId::kQ5: {
@@ -741,7 +759,8 @@ KeyCounts ColTripleBackend::PropertyCounts(
 
 std::vector<PairCount> ColTripleBackend::PropertyObjectCounts(
     std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
-    uint64_t universe, const exec::ExecContext& ectx) const {
+    uint64_t universe, const MinCount& min_count,
+    const exec::ExecContext& ectx) const {
   MarkSet marked(universe);
   marked.MarkAll(subjects);
   MarkSet scope(props != nullptr ? universe : 1);
@@ -755,7 +774,7 @@ std::vector<PairCount> ColTripleBackend::PropertyObjectCounts(
   const std::vector<uint64_t> ps =
       Gather(table_->encoded_properties(), sel, ectx);
   const std::vector<uint64_t> os = Gather(table_->encoded_objects(), sel, ectx);
-  return CountByPair(ps, os, ectx);
+  return CountPairs(ps, os, universe, min_count, ectx);
 }
 
 SubjectObjects ColTripleBackend::SubjectObjectPairs(
@@ -1179,21 +1198,18 @@ KeyCounts ColVerticalBackend::PropertyCounts(
 
 std::vector<PairCount> ColVerticalBackend::PropertyObjectCounts(
     std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
-    uint64_t universe, const exec::ExecContext& ectx) const {
-  (void)universe;
-  // Flattened (property, row-range) morsels: each morsel filters its row
-  // range against `subjects` and pre-aggregates its objects into a sorted
-  // (obj, count) list; per property, the morsel lists are merged with
-  // counts summed, which is exactly the serial whole-partition
-  // sort-and-count. One skewed partition (q4*) thus never pins the
-  // whole query to a single lane.
+    uint64_t universe, const MinCount& min_count,
+    const exec::ExecContext& ectx) const {
+  // Flattened (property, row-range) morsels: each morsel merges its row
+  // range with `subjects` and decodes the selected objects, so one skewed
+  // partition (q4*) never pins the whole query to a single lane. The
+  // morsels' pairs, in morsel order, go to one CountPairs.
   const std::vector<uint64_t>& list =
       props != nullptr ? *props : table_->properties();
   const std::vector<PropMorsel> morsels = FlattenPropMorsels(
       list.size(),
       [&](uint64_t k) -> uint64_t { return table_->PartitionSize(list[k]); });
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> partial(
-      morsels.size());
+  std::vector<std::vector<uint64_t>> objects(morsels.size());
   ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
     for (uint64_t m = b; m < e; ++m) {
       const PropMorsel& ms = morsels[m];
@@ -1202,40 +1218,19 @@ std::vector<PairCount> ColVerticalBackend::PropertyObjectCounts(
       const PositionVector sel = MergeSelectPositions(
           table_->EncodedSubjects(p), ms.lo, ms.hi, subjects, ectx);
       const EncodedColumn& obj = table_->EncodedObjects(p);
-      std::vector<uint64_t> objs(sel.size());
+      objects[m].resize(sel.size());
       for (size_t i = 0; i < sel.size(); ++i) {
-        objs[i] = obj.ValueAt(ms.lo + sel[i]);
-      }
-      std::sort(objs.begin(), objs.end());
-      size_t i = 0;
-      while (i < objs.size()) {
-        size_t j = i + 1;
-        while (j < objs.size() && objs[j] == objs[i]) ++j;
-        partial[m].emplace_back(objs[i], static_cast<uint64_t>(j - i));
-        i = j;
+        objects[m][i] = obj.ValueAt(ms.lo + sel[i]);
       }
     }
   });
-  // Stitch per property: merge the morsel (obj, count) lists, summing
-  // counts, in ascending object order.
-  std::vector<PairCount> out;
-  size_t m = 0;
-  for (size_t k = 0; k < list.size(); ++k) {
-    std::vector<std::pair<uint64_t, uint64_t>> merged;
-    while (m < morsels.size() && morsels[m].prop_idx == k) {
-      merged.insert(merged.end(), partial[m].begin(), partial[m].end());
-      ++m;
-    }
-    std::sort(merged.begin(), merged.end());
-    for (const auto& [obj, count] : merged) {
-      if (!out.empty() && out.back().a == list[k] && out.back().b == obj) {
-        out.back().count += count;
-      } else {
-        out.push_back({list[k], obj, count});
-      }
-    }
+  std::vector<uint64_t> ps;
+  std::vector<uint64_t> os;
+  for (size_t m = 0; m < morsels.size(); ++m) {
+    ps.insert(ps.end(), objects[m].size(), list[morsels[m].prop_idx]);
+    os.insert(os.end(), objects[m].begin(), objects[m].end());
   }
-  return out;
+  return CountPairs(ps, os, universe, min_count, ectx);
 }
 
 SubjectObjects ColVerticalBackend::SubjectObjectPairs(

@@ -94,11 +94,13 @@ class ColumnBackend : public BackendBase {
                                    const std::vector<uint64_t>* props,
                                    uint64_t universe,
                                    const exec::ExecContext& ectx) const = 0;
-  // q3/q4: (property, object) group counts of the `subjects`, with no
-  // HAVING applied (it only holds over merged counts).
+  // q3/q4: the (property, object) groups of the `subjects` whose count
+  // reaches min_count(property), from colstore::CountPairs over the
+  // selected pairs.
   virtual std::vector<colstore::PairCount> PropertyObjectCounts(
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
-      uint64_t universe, const exec::ExecContext& ectx) const = 0;
+      uint64_t universe, const colstore::MinCount& min_count,
+      const exec::ExecContext& ectx) const = 0;
   // q5/q7: (subject, object) rows of `property` whose subject is in
   // `subjects` (sorted).
   virtual SubjectObjects SubjectObjectPairs(
@@ -172,7 +174,8 @@ class ColTripleBackend : public ColumnBackend {
                            const exec::ExecContext& ectx) const override;
   std::vector<colstore::PairCount> PropertyObjectCounts(
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
-      uint64_t universe, const exec::ExecContext& ectx) const override;
+      uint64_t universe, const colstore::MinCount& min_count,
+      const exec::ExecContext& ectx) const override;
   SubjectObjects SubjectObjectPairs(
       uint64_t property, std::span<const uint64_t> subjects,
       const exec::ExecContext& ectx) const override;
@@ -264,7 +267,8 @@ class ColVerticalBackend : public ColumnBackend {
                            const exec::ExecContext& ectx) const override;
   std::vector<colstore::PairCount> PropertyObjectCounts(
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
-      uint64_t universe, const exec::ExecContext& ectx) const override;
+      uint64_t universe, const colstore::MinCount& min_count,
+      const exec::ExecContext& ectx) const override;
   SubjectObjects SubjectObjectPairs(
       uint64_t property, std::span<const uint64_t> subjects,
       const exec::ExecContext& ectx) const override;

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "colstore/ops.h"
 #include "common/macros.h"
 #include "obs/trace.h"
 
@@ -39,12 +40,6 @@ auto EachTriple(const Fn& fn) {
   return [&fn](std::span<const rdf::Triple> batch) {
     for (const rdf::Triple& t : batch) fn(t);
   };
-}
-
-uint64_t PackPair(uint64_t a, uint64_t b) {
-  SWAN_CHECK_MSG(a < (1ull << 32) && b < (1ull << 32),
-                 "group keys must be 32-bit dictionary ids");
-  return (a << 32) | b;
 }
 
 }  // namespace
@@ -96,6 +91,34 @@ RowBackend::Counts RowBackend::CountPass(const Pass& pass,
   }
   span.set_rows_out(counts.size());
   return counts;
+}
+
+void RowBackend::PropertyObjectPairs(const Pass& pass,
+                                     const exec::ExecContext& ectx,
+                                     std::vector<uint64_t>* props,
+                                     std::vector<uint64_t>* objects) const {
+  obs::Span span(ectx.trace(), tag_ + ".full_scan");
+  std::vector<std::vector<uint64_t>> branch_props;
+  std::vector<std::vector<uint64_t>> branch_objects;
+  ScanBranches(
+      pass, ectx,
+      [&](uint64_t branches) {
+        branch_props.resize(branches);
+        branch_objects.resize(branches);
+      },
+      [&](uint64_t branch, std::span<const rdf::Triple> batch) {
+        for (const rdf::Triple& t : batch) {
+          branch_props[branch].push_back(t.property);
+          branch_objects[branch].push_back(t.object);
+        }
+      });
+  for (size_t i = 0; i < branch_props.size(); ++i) {
+    props->insert(props->end(), branch_props[i].begin(),
+                  branch_props[i].end());
+    objects->insert(objects->end(), branch_objects[i].begin(),
+                    branch_objects[i].end());
+  }
+  span.set_rows_out(props->size());
 }
 
 void RowBackend::JoinWithTypes(
@@ -177,17 +200,15 @@ QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
       if (BaseOf(id) == QueryId::kQ4) {
         a = SubjectSet(v.language, v.french, ectx, &a);
       }
-      const Counts groups =
-          CountPass({.props = props, .subjects = &a}, ectx,
-                    [](const rdf::Triple& t) {
-                      return PackPair(t.property, t.object);
-                    });
+      std::vector<uint64_t> ps;
+      std::vector<uint64_t> os;
+      PropertyObjectPairs({.props = props, .subjects = &a}, ectx, &ps, &os);
       result.column_names = {"prop", "obj", "count"};
-      groups.ForEach([&](uint64_t packed, uint64_t count) {
-        if (count > 1) {
-          result.rows.push_back({packed >> 32, packed & 0xFFFFFFFFull, count});
-        }
-      });
+      // HAVING count > 1.
+      for (const colstore::PairCount& g :
+           colstore::CountPairs(ps, os, ctx.dict_size(), 2, ectx)) {
+        result.rows.push_back({g.a, g.b, g.count});
+      }
       break;
     }
     case QueryId::kQ5: {

@@ -27,7 +27,9 @@ namespace swan::core {
 // the buffer pool. That is why the family does not reuse ColumnBackend's
 // dense, universe-sized phases: filters, group counts and join build sides
 // here are hash tables over 64-bit ids (IdSet/IdMap, probed per tuple),
-// and every branch of a pass keeps its own hash partial.
+// and every branch of a pass keeps its own hash partial. The one shared
+// operator is q3/q4's (property, object) group count: every engine feeds
+// its selected pairs to colstore::CountPairs.
 class RowBackend : public BackendBase {
  public:
   // `tag` prefixes the engine's span names ("row_triple", "row_vert").
@@ -87,6 +89,11 @@ class RowBackend : public BackendBase {
   template <typename Key>
   Counts CountPass(const Pass& pass, const exec::ExecContext& ectx,
                    const Key& key) const;
+  // Appends the (property, object) pairs of the triples of `pass`, one
+  // partial per branch, concatenated in branch order.
+  void PropertyObjectPairs(const Pass& pass, const exec::ExecContext& ectx,
+                           std::vector<uint64_t>* props,
+                           std::vector<uint64_t>* objects) const;
   // q5/q7: hash join of the `build` property's triples whose subject is in
   // `a`, keyed by their object (q5) or subject (q7), probed with the type
   // triples on their subject; `emit(build value, type triple)` appends the

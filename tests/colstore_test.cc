@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "colstore/column.h"
@@ -133,10 +135,34 @@ TEST(OpsTest, CountByKeyDenseCountsAndOrders) {
   EXPECT_EQ(counts[2], (std::pair<uint64_t, uint64_t>{3, 3}));
 }
 
-TEST(OpsTest, CountByPairGroups) {
+// CountPairs' oracle: a std::map count with HAVING count >= min_count.
+std::vector<PairCount> MapCount(const std::vector<uint64_t>& a,
+                                const std::vector<uint64_t>& b,
+                                uint64_t min_count) {
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> counts;
+  for (size_t i = 0; i < a.size(); ++i) ++counts[{a[i], b[i]}];
+  std::vector<PairCount> out;
+  for (const auto& [key, count] : counts) {
+    if (count >= min_count) out.push_back({key.first, key.second, count});
+  }
+  return out;
+}
+
+void ExpectSameGroups(const std::vector<PairCount>& got,
+                      const std::vector<PairCount>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << what << " group " << i;
+    EXPECT_EQ(got[i].b, want[i].b) << what << " group " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << what << " group " << i;
+  }
+}
+
+TEST(OpsTest, CountPairsGroups) {
   std::vector<uint64_t> a = {1, 1, 2, 1};
   std::vector<uint64_t> b = {9, 9, 9, 8};
-  const auto groups = CountByPair(a, b);
+  const auto groups = CountPairs(a, b, 10, 1);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].a, 1u);
   EXPECT_EQ(groups[0].b, 8u);
@@ -144,6 +170,76 @@ TEST(OpsTest, CountByPairGroups) {
   EXPECT_EQ(groups[1].b, 9u);
   EXPECT_EQ(groups[1].count, 2u);
   EXPECT_EQ(groups[2].a, 2u);
+  // HAVING count >= 2 keeps only (1, 9).
+  const auto having = CountPairs(a, b, 10, 2);
+  ASSERT_EQ(having.size(), 1u);
+  EXPECT_EQ(having[0].a, 1u);
+  EXPECT_EQ(having[0].b, 9u);
+  EXPECT_EQ(having[0].count, 2u);
+}
+
+TEST(OpsTest, CountPairsEmptyInput) {
+  const std::vector<uint64_t> none;
+  for (int threads : {1, 2, 8}) {
+    EXPECT_TRUE(CountPairs(none, none, 10, 1, exec::ExecContext(threads))
+                    .empty());
+  }
+}
+
+// q3-shaped input, large enough that wide contexts shard the buckets: a
+// few hundred properties with skewed sizes, per-subject rows, objects
+// drawn from a narrow and a wide range so that groups of every size
+// occur, and both ends of the id space (0 and dict_size - 1) as property
+// and object. Each order must give the map's groups at every width.
+TEST(OpsTest, CountPairsMatchesMapCountInEveryOrder) {
+  constexpr uint64_t kDict = 50000;
+  Rng rng(11);
+  std::vector<std::pair<uint64_t, uint64_t>> by_subject;  // subject order
+  for (uint64_t s = 0; s < 6000; ++s) {
+    const uint64_t rows = 1 + rng.Uniform(12);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const uint64_t skew = rng.Uniform(4) == 0 ? rng.Uniform(300) : 0;
+      const uint64_t p = 100 + skew + rng.Uniform(8);
+      const uint64_t o =
+          rng.Uniform(2) == 0 ? 1000 + rng.Uniform(64) : rng.Uniform(kDict);
+      by_subject.emplace_back(p, o);
+    }
+  }
+  by_subject.emplace_back(0, kDict - 1);
+  by_subject.emplace_back(kDict - 1, 0);
+  by_subject.emplace_back(kDict - 1, 0);
+  by_subject.emplace_back(kDict - 1, kDict - 1);
+  ASSERT_GT(by_subject.size(), 4u * 8192u);
+
+  auto grouped = by_subject;
+  std::stable_sort(grouped.begin(), grouped.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+  auto shuffled = by_subject;
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Uniform(i + 1)]);
+  }
+  const std::vector<std::pair<std::string, decltype(grouped)>> orders = {
+      {"grouped", grouped}, {"shuffled", shuffled}, {"subject", by_subject}};
+  for (const auto& [name, pairs] : orders) {
+    std::vector<uint64_t> a;
+    std::vector<uint64_t> b;
+    for (const auto& [p, o] : pairs) {
+      a.push_back(p);
+      b.push_back(o);
+    }
+    for (uint64_t min_count : {1, 2}) {
+      const std::vector<PairCount> want = MapCount(a, b, min_count);
+      for (int threads : {1, 2, 8}) {
+        ExpectSameGroups(
+            CountPairs(a, b, kDict, min_count, exec::ExecContext(threads)),
+            want,
+            name + " min " + std::to_string(min_count) + " width " +
+                std::to_string(threads));
+      }
+    }
+  }
 }
 
 TEST(OpsTest, MergeJoinHandlesDuplicatesOnBothSides) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_support/barton_generator.h"
@@ -27,7 +29,7 @@ using bench_support::GenerateBarton;
 using bench_support::MakeBartonContext;
 using colstore::ColumnCodec;
 using colstore::CountByKeyDense;
-using colstore::CountByPair;
+using colstore::CountPairs;
 using colstore::EncodedColumn;
 using colstore::EqRangeSorted;
 using colstore::Gather;
@@ -35,6 +37,7 @@ using colstore::MarkSet;
 using colstore::MergeCountMatches;
 using colstore::MergeJoin;
 using colstore::MergeSelectPositions;
+using colstore::PairCount;
 using colstore::PositionVector;
 using colstore::SelectEq;
 using colstore::SelectMarked;
@@ -195,22 +198,35 @@ TEST_P(EncodedKernelTest, SelectMarkedMatchesSpanKernel) {
   }
 }
 
-TEST_P(EncodedKernelTest, CountByPairMatchesSpanKernel) {
+// The column engines gather the selected rows' (property, object) pairs
+// from encoded columns and count them with CountPairs: under every codec
+// the groups must be a std::map count of the same rows.
+TEST_P(EncodedKernelTest, CountPairsOfGatheredRowsMatchesMapCount) {
   const auto a = RunColumn(31, 47);
   auto b = RunColumn(31, 47);
   std::reverse(b.begin(), b.end());
   b.resize(a.size(), 3);
   const EncodedColumn ea = EncodedColumn::FromValues(a, GetParam());
   const EncodedColumn eb = EncodedColumn::FromValues(b, GetParam());
-  for (int threads : {1, 8}) {
-    const exec::ExecContext ectx(threads);
-    const auto got = CountByPair(ea, eb, ectx);
-    const auto want = CountByPair(a, b, ectx);
-    ASSERT_EQ(got.size(), want.size()) << threads << " threads";
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].a, want[i].a);
-      EXPECT_EQ(got[i].b, want[i].b);
-      EXPECT_EQ(got[i].count, want[i].count);
+  PositionVector sel;
+  for (uint32_t i = 0; i < a.size(); i += 3) sel.push_back(i);
+  for (uint64_t min_count : {1, 2}) {
+    std::map<std::pair<uint64_t, uint64_t>, uint64_t> counts;
+    for (uint32_t i : sel) ++counts[{a[i], b[i]}];
+    std::vector<PairCount> want;
+    for (const auto& [key, count] : counts) {
+      if (count >= min_count) want.push_back({key.first, key.second, count});
+    }
+    for (int threads : {1, 8}) {
+      const exec::ExecContext ectx(threads);
+      const auto got = CountPairs(Gather(ea, sel, ectx), Gather(eb, sel, ectx),
+                                  1024, min_count, ectx);
+      ASSERT_EQ(got.size(), want.size()) << threads << " threads";
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].a, want[i].a);
+        EXPECT_EQ(got[i].b, want[i].b);
+        EXPECT_EQ(got[i].count, want[i].count);
+      }
     }
   }
 }

@@ -261,6 +261,78 @@ TEST(PlacementTest, DeterministicAndBalanced) {
   }
 }
 
+// q3*'s HAVING on a sharded store. A node applies HAVING itself only to
+// the groups of properties it holds whole; a sub-split property's group
+// whose two rows sit on two nodes, one each, reaches count 2 only in the
+// coordinator's sum and must still be kept.
+TEST(ScaleoutHavingTest, SubSplitGroupIsKeptOnlyAfterTheSum) {
+  for (int nodes : {2, 4}) {
+    rdf::Dataset data;
+    // <type> and <big> each hold about half the triples, so both are
+    // sub-split; <small> is pinned to one node.
+    for (int i = 0; i < 64; ++i) {
+      const std::string s = "<s" + std::to_string(i) + ">";
+      data.Add(s, "<type>", "<Text>");
+      data.Add(s, "<big>", "\"o" + std::to_string(i) + "\"");
+    }
+    data.Add("<s1>", "<small>", "\"a\"");
+    data.Add("<s2>", "<small>", "\"a\"");
+    data.Add("<s3>", "<small>", "\"b\"");
+    const auto id = [&](std::string_view term) {
+      return *data.dict().Find(term);
+    };
+    // Two subjects on different nodes share one <big> object.
+    const uint64_t first = id("<s0>");
+    const auto node_of = [&](uint64_t subject) {
+      return shard::Placement::HashId(subject) % static_cast<uint64_t>(nodes);
+    };
+    int other = 1;
+    while (node_of(id("<s" + std::to_string(other) + ">")) == node_of(first)) {
+      ++other;
+      ASSERT_LT(other, 64);
+    }
+    data.Add("<s0>", "<big>", "\"shared\"");
+    data.Add("<s" + std::to_string(other) + ">", "<big>", "\"shared\"");
+
+    const shard::Placement placement(data.triples(), nodes);
+    ASSERT_LT(placement.HomeNode(id("<big>")), 0);
+    ASSERT_GE(placement.HomeNode(id("<small>")), 0);
+
+    core::Vocabulary vocab;
+    vocab.type = id("<type>");
+    vocab.text = id("<Text>");
+    const core::QueryContext ctx(vocab, data.DistinctProperties(),
+                                 data.dict().size(),
+                                 data.DistinctProperties().size());
+    core::ReferenceBackend reference(data);
+    const core::QueryResult expected = reference.Run(QueryId::kQ3Star, ctx);
+    const std::vector<uint64_t> shared = {id("<big>"), id("\"shared\""), 2};
+    const std::vector<uint64_t> pinned = {id("<small>"), id("\"a\""), 2};
+    ASSERT_NE(std::find(expected.rows.begin(), expected.rows.end(), shared),
+              expected.rows.end());
+    for (bool vertical : {true, false}) {
+      shard::ShardOptions options;
+      options.nodes = nodes;
+      options.vertical = vertical;
+      shard::ShardedBackend sharded(data, options);
+      for (int threads : {1, 2, 8}) {
+        const core::QueryResult got =
+            sharded.Run(QueryId::kQ3Star, ctx, exec::ExecContext(threads));
+        const std::string what = sharded.name() + " at " +
+                                 std::to_string(threads) + " thread(s)";
+        EXPECT_TRUE(expected.SameRows(got)) << what;
+        EXPECT_NE(std::find(got.rows.begin(), got.rows.end(), shared),
+                  got.rows.end())
+            << what;
+        EXPECT_NE(std::find(got.rows.begin(), got.rows.end(), pinned),
+                  got.rows.end())
+            << what;
+        EXPECT_TRUE(std::is_sorted(got.rows.begin(), got.rows.end())) << what;
+      }
+    }
+  }
+}
+
 TEST(ScaleoutNetworkTest, CrossPartitionQueriesChargeTheNetwork) {
   BartonConfig config;
   config.target_triples = 8000;

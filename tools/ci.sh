@@ -157,9 +157,9 @@ assert not zero, 'cells without cold bytes: %r' % zero
 print('parallel_speedup json smoke: OK')
 "; } || status=1
     # Micro-bench JSON smoke: a brief run of every micro bench must leave
-    # google-benchmark JSON with a non-empty benchmark list, and the
-    # B+tree file must name the row engine's hot q3, the subject-set probe
-    # and the Match scans.
+    # google-benchmark JSON with a non-empty benchmark list, the B+tree
+    # file must name the row engine's hot q3, the subject-set probe and
+    # the Match scans, and the column-ops file q3's pair-count kernel.
     echo "=== release: micro bench json smoke ==="
     for micro in "$RELEASE_DIR"/bench/micro_*; do
       name="$(basename "$micro")"
@@ -175,6 +175,9 @@ if '$name' == 'micro_bplus_tree':
     for want in ('BM_RowEngineQ3Hot/1/', 'BM_RowEngineQ3Hot/2/',
                  'BM_SubjectSetProbe/0', 'BM_SubjectSetProbe/1',
                  'BM_RowMatchScan/0', 'BM_RowMatchScan/1'):
+        assert any(n.startswith(want) for n in names), (want, names)
+if '$name' == 'micro_colstore_ops':
+    for want in ('BM_CountPairsQ3/1/0', 'BM_CountPairsQ3/2/1'):
         assert any(n.startswith(want) for n in names), (want, names)
 print('micro bench json smoke: $name OK,', len(names), 'entries')
 "; } || { echo "micro bench json failed: $name"; status=1; }
