@@ -1,6 +1,8 @@
 #include "colstore/ops.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "common/macros.h"
 #include "obs/metrics.h"
@@ -57,6 +59,123 @@ PositionVector MorselSelect(const exec::ExecContext& ctx, uint64_t n,
     fill(b, e, &parts[c]);
   });
   return ConcatParts(parts);
+}
+
+// The sorted merge behind MergeCountMatches/MergeSelectPositions.
+//
+// Segments of the dense merge, stepped in lockstep: each step of one
+// segment waits on its previous loads, so independent segments keep
+// several loads in flight. On BM_MergeCountMatchesVertical's dense shape
+// (46k rows, 6.9k keys) one segment takes 162-172 us, two 83-93, four
+// 46-64 and eight 48-88, whose cursors no longer fit in registers.
+constexpr size_t kMergeSegments = 4;
+// A range with more than kScanRatio keys per row scans forward from row
+// to row instead: few rows leave the lockstep segments short, while the
+// scan's loop branch is taken for almost every key and predicts well.
+// Against 6.9k keys the scan takes 2.7-4.3 us for 20 rows (lockstep
+// 13.5-16.3) and still wins at 1,700 (6.4 vs 8.6-10.4), but loses at
+// 3,450 (22.5-28.0 vs 15.8-16.2); 8 keys per row keeps a margin.
+constexpr uint64_t kScanRatio = 8;
+
+// The keys in [first, last]: the only ones a merge over sorted values
+// from `first` to `last` can meet.
+std::span<const uint64_t> KeysBetween(std::span<const uint64_t> keys,
+                                      uint64_t first, uint64_t last) {
+  const auto b = std::lower_bound(keys.begin(), keys.end(), first);
+  const auto e = std::upper_bound(b, keys.end(), last);
+  return keys.subspan(static_cast<size_t>(b - keys.begin()),
+                      static_cast<size_t>(e - b));
+}
+
+struct MergeCursor {
+  uint64_t i;      // next row
+  uint64_t end;    // one past the segment's last row
+  uint64_t j;      // next key
+  uint64_t out;    // the segment's first slot in the output
+  uint64_t count;  // matches so far
+};
+
+// One branch-free merge step: the row side advances unless the key is
+// smaller, the key side only when it is (keys are unique, rows repeat),
+// and the position is written whether or not it matched.
+template <bool kSelect>
+inline void MergeStep(const uint64_t* values, const uint64_t* keys,
+                      uint32_t base, uint32_t* out, MergeCursor& c) {
+  const uint64_t v = values[c.i];
+  const uint64_t k = keys[c.j];
+  if constexpr (kSelect) {
+    out[c.out + c.count] = base + static_cast<uint32_t>(c.i);
+  }
+  c.count += v == k;
+  c.i += v <= k;
+  c.j += k < v;
+}
+
+// Number of rows of `values` (sorted) whose value is in `keys` (sorted,
+// unique). With kSelect, also writes their positions plus `base`, in
+// ascending order, to out[0, count); `out` has room for values.size().
+// The keys are first trimmed to [values.front(), values.back()]. Both
+// branches then visit every remaining key once: that walk is the
+// per-table cost of the vertical scheme's union of joins, which Figures
+// 6 and 7 measure. Galloping over the keys skipped most of it, and
+// Figure 6's vertical q2 then barely grew with the property count.
+template <bool kSelect>
+uint64_t MergeMatch(std::span<const uint64_t> values,
+                    std::span<const uint64_t> keys, uint32_t base,
+                    uint32_t* out) {
+  const uint64_t n = values.size();
+  if (n == 0) return 0;
+  keys = KeysBetween(keys, values[0], values[n - 1]);
+  const uint64_t kn = keys.size();
+  if (kn == 0) return 0;
+  const uint64_t* v = values.data();
+  const uint64_t* kb = keys.data();
+
+  if (n * kScanRatio < kn) {
+    uint64_t count = 0;
+    uint64_t j = 0;
+    const uint64_t last = kb[kn - 1];
+    for (uint64_t i = 0; i < n && v[i] <= last; ++i) {
+      while (kb[j] < v[i]) ++j;
+      if constexpr (kSelect) out[count] = base + static_cast<uint32_t>(i);
+      count += kb[j] == v[i];
+    }
+    return count;
+  }
+
+  // Segment s holds rows [n*s/S, n*(s+1)/S) and writes its positions from
+  // its own first row's slot, so no segment overruns the next; each starts
+  // at the first key >= its first row. A run of equal rows that straddles
+  // a split is matched by both segments, each for its own rows. Below S
+  // rows some segments are empty.
+  MergeCursor c[kMergeSegments];
+  uint64_t j = 0;
+  for (size_t s = 0; s < kMergeSegments; ++s) {
+    const uint64_t b = n * s / kMergeSegments;
+    j = static_cast<uint64_t>(std::lower_bound(kb + j, kb + kn, v[b]) - kb);
+    c[s] = MergeCursor{b, n * (s + 1) / kMergeSegments, j, b, 0};
+  }
+  // Each step moves exactly one side of a segment by one, so no segment
+  // runs out within `steps` steps and the inner loop checks no bounds.
+  for (;;) {
+    uint64_t steps = kn;
+    for (const MergeCursor& m : c) {
+      steps = std::min({steps, m.end - m.i, kn - m.j});
+    }
+    if (steps == 0) break;
+    for (; steps > 0; --steps) {
+      for (MergeCursor& m : c) MergeStep<kSelect>(v, kb, base, out, m);
+    }
+  }
+  uint64_t count = 0;
+  for (MergeCursor& m : c) {
+    while (m.i < m.end && m.j < kn) MergeStep<kSelect>(v, kb, base, out, m);
+    if constexpr (kSelect) {
+      std::memmove(out + count, out + m.out, m.count * sizeof(uint32_t));
+    }
+    count += m.count;
+  }
+  return count;
 }
 
 // Shared tail of the dense count kernels: per-shard dense partials built
@@ -499,49 +618,23 @@ uint64_t MergeCountMatches(std::span<const uint64_t> values,
   obs::Span span(ctx.trace(), "ops.merge_count");
   span.set_rows_in(values.size() + keys.size());
   const uint64_t n = values.size();
-  if (ctx.parallel() && n >= 2 * kMorsel && !keys.empty()) {
-    // Range-partition `values`; each chunk counts matches against the key
-    // subrange it can touch. Per-element membership is independent, so the
-    // per-chunk counts are additive and the total equals the serial count.
+  uint64_t total = 0;
+  if (ctx.parallel() && n >= 2 * kMorsel) {
+    // Range-partition `values`. Per-element membership is independent, so
+    // the per-chunk counts are additive and the total equals the serial
+    // count.
     const uint64_t chunks = (n + kMorsel - 1) / kMorsel;
     std::vector<uint64_t> partial(chunks, 0);
     ctx.ParallelFor(n, kMorsel, [&](uint64_t b, uint64_t e, uint64_t c) {
-      const auto kb =
-          std::lower_bound(keys.begin(), keys.end(), values[b]);
-      uint64_t count = 0;
-      size_t i = b;
-      auto j = kb;
-      while (i < e && j != keys.end()) {
-        if (values[i] < *j) {
-          ++i;
-        } else if (*j < values[i]) {
-          ++j;
-        } else {
-          ++count;
-          ++i;  // keys are unique; values may repeat
-        }
-      }
-      partial[c] = count;
+      partial[c] = MergeMatch<false>(values.subspan(b, e - b), keys, 0,
+                                     nullptr);
     });
-    uint64_t total = 0;
     for (uint64_t c : partial) total += c;
-    span.set_rows_out(total);
-    return total;
+  } else {
+    total = MergeMatch<false>(values, keys, 0, nullptr);
   }
-  uint64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < values.size() && j < keys.size()) {
-    if (values[i] < keys[j]) {
-      ++i;
-    } else if (keys[j] < values[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;  // keys are unique; values may repeat
-    }
-  }
-  span.set_rows_out(count);
-  return count;
+  span.set_rows_out(total);
+  return total;
 }
 
 PositionVector MergeSelectPositions(std::span<const uint64_t> values,
@@ -549,40 +642,17 @@ PositionVector MergeSelectPositions(std::span<const uint64_t> values,
                                     const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.merge_select");
   span.set_rows_in(values.size() + keys.size());
-  const uint64_t n = values.size();
-  if (ctx.parallel() && n >= 2 * kMorsel && !keys.empty()) {
-    // Range-partition `values`; chunk outputs concatenate in chunk order,
-    // which is ascending position order — exactly the serial sequence.
-    PositionVector out =
-        MorselSelect(ctx, n, [&](uint64_t b, uint64_t e, PositionVector* out) {
-          auto j = std::lower_bound(keys.begin(), keys.end(), values[b]);
-          size_t i = b;
-          while (i < e && j != keys.end()) {
-            if (values[i] < *j) {
-              ++i;
-            } else if (*j < values[i]) {
-              ++j;
-            } else {
-              out->push_back(static_cast<uint32_t>(i));
-              ++i;
-            }
-          }
-        });
-    span.set_rows_out(out.size());
-    return out;
-  }
-  PositionVector out;
-  size_t i = 0, j = 0;
-  while (i < values.size() && j < keys.size()) {
-    if (values[i] < keys[j]) {
-      ++i;
-    } else if (keys[j] < values[i]) {
-      ++j;
-    } else {
-      out.push_back(static_cast<uint32_t>(i));
-      ++i;
-    }
-  }
+  // Chunk outputs concatenate in chunk order, which is ascending position
+  // order — exactly the serial sequence. The merge writes a slot per row,
+  // so it fills an uninitialized buffer and only the matches are copied.
+  PositionVector out = MorselSelect(
+      ctx, values.size(), [&](uint64_t b, uint64_t e, PositionVector* out) {
+        const auto slots = std::make_unique_for_overwrite<uint32_t[]>(e - b);
+        const uint64_t count =
+            MergeMatch<true>(values.subspan(b, e - b), keys,
+                             static_cast<uint32_t>(b), slots.get());
+        out->assign(slots.get(), slots.get() + count);
+      });
   span.set_rows_out(out.size());
   return out;
 }
@@ -1252,9 +1322,13 @@ uint64_t MergeCountMatches(const EncodedColumn& values, uint64_t lo,
   obs::Span span(ctx.trace(), "ops.merge_count_enc");
   span.set_rows_in((hi - lo) + keys.size());
   // Run-by-run merge: a matching run contributes its length in O(1), so
-  // the cost is O(runs + keys) regardless of row count. Callers that want
-  // parallelism fan out over row ranges (counts are additive).
+  // the cost is O(runs + keys in the range's value span) regardless of
+  // row count. Callers that want parallelism fan out over row ranges
+  // (counts are additive).
   uint64_t count = 0;
+  if (lo < hi) {
+    keys = KeysBetween(keys, values.ValueAt(lo), values.ValueAt(hi - 1));
+  }
   RunCursor rc(values, lo, hi);
   size_t j = 0;
   while (!rc.done() && j < keys.size()) {
@@ -1286,6 +1360,9 @@ PositionVector MergeSelectPositions(const EncodedColumn& values, uint64_t lo,
   obs::Span span(ctx.trace(), "ops.merge_select_enc");
   span.set_rows_in((hi - lo) + keys.size());
   PositionVector out;
+  if (lo < hi) {
+    keys = KeysBetween(keys, values.ValueAt(lo), values.ValueAt(hi - 1));
+  }
   RunCursor rc(values, lo, hi);
   size_t j = 0;
   while (!rc.done() && j < keys.size()) {

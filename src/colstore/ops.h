@@ -150,15 +150,21 @@ std::vector<std::pair<uint32_t, uint32_t>> MergeJoin(
 
 // Number of entries of `values` (sorted, duplicates allowed) whose value
 // occurs in `keys` (sorted, unique): the counting form of the "simple,
-// fast (linear) merge join" the vertical scheme relies on. Parallelized by
-// range-partitioning `values` (counts are additive across partitions).
+// fast (linear) merge join" the vertical scheme relies on. The keys are
+// trimmed by binary search to those between the first and last value;
+// when there are over 8 of them per row each row scans forward to its
+// key, otherwise a branch-free merge walks four value segments in
+// lockstep. Either way every key in the trimmed range is visited.
+// Parallelized by range-partitioning `values` (counts are additive
+// across partitions).
 uint64_t MergeCountMatches(std::span<const uint64_t> values,
                            std::span<const uint64_t> keys,
                            const exec::ExecContext& ctx = exec::ExecContext());
 
 // Positions of entries of `values` (sorted, duplicates allowed) whose
-// value occurs in `keys` (sorted, unique). Parallelized by
-// range-partitioning `values`; partitions concatenate in range order.
+// value occurs in `keys` (sorted, unique), by the same merge as
+// MergeCountMatches. Parallelized by range-partitioning `values`;
+// partitions concatenate in range order.
 PositionVector MergeSelectPositions(
     std::span<const uint64_t> values, std::span<const uint64_t> keys,
     const exec::ExecContext& ctx = exec::ExecContext());
@@ -290,14 +296,17 @@ std::vector<std::pair<uint32_t, uint32_t>> MergeJoin(
 
 // Number of rows in [lo, hi) of `values` (sorted in that range) whose
 // value occurs in `keys` (sorted, unique). A matching RLE run contributes
-// its length in O(1): cost is O(runs + keys), not O(rows).
+// its length in O(1), and the merge starts at the first key >= the
+// range's first value and stops past its last: cost is O(runs + log keys
+// + the keys inside the range's values), not O(rows).
 uint64_t MergeCountMatches(const EncodedColumn& values, uint64_t lo,
                            uint64_t hi, std::span<const uint64_t> keys,
                            const exec::ExecContext& ctx = exec::ExecContext());
 
 // Positions (relative to lo) of rows in [lo, hi) of `values` (sorted in
 // that range) whose value occurs in `keys` (sorted, unique). A matching
-// run emits its position range without decoding.
+// run emits its position range without decoding; the keys are trimmed to
+// the range's values as in the count form.
 PositionVector MergeSelectPositions(
     const EncodedColumn& values, uint64_t lo, uint64_t hi,
     std::span<const uint64_t> keys,

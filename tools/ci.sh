@@ -159,7 +159,8 @@ print('parallel_speedup json smoke: OK')
     # Micro-bench JSON smoke: a brief run of every micro bench must leave
     # google-benchmark JSON with a non-empty benchmark list, the B+tree
     # file must name the row engine's hot q3, the subject-set probe and
-    # the Match scans, and the column-ops file q3's pair-count kernel.
+    # the Match scans, and the column-ops file q3's pair-count kernel and
+    # both branches of the subject-filter merge (dense and short range).
     echo "=== release: micro bench json smoke ==="
     for micro in "$RELEASE_DIR"/bench/micro_*; do
       name="$(basename "$micro")"
@@ -177,7 +178,9 @@ if '$name' == 'micro_bplus_tree':
                  'BM_RowMatchScan/0', 'BM_RowMatchScan/1'):
         assert any(n.startswith(want) for n in names), (want, names)
 if '$name' == 'micro_colstore_ops':
-    for want in ('BM_CountPairsQ3/1/0', 'BM_CountPairsQ3/2/1'):
+    for want in ('BM_CountPairsQ3/1/0', 'BM_CountPairsQ3/2/1',
+                 'BM_MergeCountMatchesVertical/0',
+                 'BM_MergeCountMatchesVertical/1'):
         assert any(n.startswith(want) for n in names), (want, names)
 print('micro bench json smoke: $name OK,', len(names), 'entries')
 "; } || { echo "micro bench json failed: $name"; status=1; }
@@ -362,8 +365,9 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
     # plus the scale-out equivalence suites (every column Run goes through
     # one scatter/gather routine, which only they drive at nodes > 1 and
     # 8 threads), the row engine's width suite (the triple store's chunked
-    # FullScan and its per-chunk hash partials at 8 threads) and a small
-    # parallel_speedup smoke whose built-in
+    # FullScan and its per-chunk hash partials at 8 threads), the sorted
+    # merge's oracle test (its per-chunk parallel path at widths 2 and 8)
+    # and a small parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
@@ -374,9 +378,9 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
       cmake --build "$TSAN_DIR" -j "$JOBS" \
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
-                 parallel_speedup swandb_shell &&
+                 merge_match_test parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
