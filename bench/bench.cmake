@@ -28,11 +28,11 @@ endforeach()
 # The Table 6 cold-shape gates, at a scale that runs in about a second.
 add_test(NAME table6_cold_runs_gates COMMAND table6_cold_runs)
 set_tests_properties(table6_cold_runs_gates PROPERTIES
-  ENVIRONMENT "SWAN_TRIPLES=20000")
+  ENVIRONMENT "SWAN_TRIPLES=20000" TIMEOUT ${SWAN_TEST_TIMEOUT})
 # The q8 join ablation exits 1 when its three join strategies disagree.
 add_test(NAME ablation_q8_join COMMAND ablation_q8_join)
 set_tests_properties(ablation_q8_join PROPERTIES
-  ENVIRONMENT "SWAN_TRIPLES=20000")
+  ENVIRONMENT "SWAN_TRIPLES=20000" TIMEOUT ${SWAN_TEST_TIMEOUT})
 # Tables 4, 5 and 7, Figures 6 and 7 and the buffer-pool ablation at the
 # same scale, one repetition: their correctness gates (every design agrees
 # with the reference backend); their timings gate nothing.
@@ -41,7 +41,7 @@ foreach(exhibit table4_cstore_repetition table5_query_footprint
         ablation_buffer_pool)
   add_test(NAME ${exhibit} COMMAND ${exhibit})
   set_tests_properties(${exhibit} PROPERTIES
-    ENVIRONMENT "SWAN_TRIPLES=20000;SWAN_REPS=1")
+    ENVIRONMENT "SWAN_TRIPLES=20000;SWAN_REPS=1" TIMEOUT ${SWAN_TEST_TIMEOUT})
 endforeach()
 swan_add_bench(scaleout)
 target_link_libraries(scaleout PRIVATE swan_shard swan_net)

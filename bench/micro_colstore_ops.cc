@@ -16,11 +16,15 @@ namespace {
 using swan::Rng;
 using swan::colstore::ColumnCodec;
 using swan::colstore::CountByKeyDense;
+using swan::colstore::CountMarkedByKey;
 using swan::colstore::CountPairs;
 using swan::colstore::EncodedColumn;
+using swan::colstore::MarkSet;
 using swan::colstore::MergeCountMatches;
 using swan::colstore::MergeJoin;
+using swan::colstore::PositionVector;
 using swan::colstore::SelectEq;
+using swan::colstore::SelectMarked;
 
 std::vector<uint64_t> RandomColumn(size_t n, uint64_t universe,
                                    uint64_t seed) {
@@ -161,6 +165,61 @@ void BM_SelectEqEncodedBitPack(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectEqEncodedBitPack)->Range(1 << 10, 1 << 20);
 
+// The `<type> <Text>` subject filter at 200k triples (seed 42): 46k
+// bit-packed object ids of the type rows, about 15% of them Text, so a
+// branch on the hit would mispredict. Arg 0 = the range form over the
+// rows (the vertical partition, triple PSO's property range), 1 = the
+// positional form over a selection of every row.
+void BM_SelectEqTypePartition(benchmark::State& state) {
+  constexpr uint64_t kText = 223;
+  constexpr size_t kRows = 46000;
+  Rng rng(14);
+  std::vector<uint64_t> values(kRows);
+  for (uint64_t& v : values) {
+    v = rng.Chance(0.15) ? kText : 200 + rng.Uniform(22);
+  }
+  const auto enc = EncodedColumn::FromValues(values, ColumnCodec::kBitPack);
+  PositionVector all(kRows);
+  for (size_t i = 0; i < kRows; ++i) all[i] = static_cast<uint32_t>(i);
+  const swan::exec::ExecContext ctx(1);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(SelectEq(enc, 0, kRows, kText, ctx));
+    } else {
+      benchmark::DoNotOptimize(SelectEq(enc, all, kText, ctx));
+    }
+  }
+  state.counters["hits"] =
+      static_cast<double>(SelectEq(enc, kText, ctx).size());
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_SelectEqTypePartition)->Arg(0)->Arg(1);
+
+// Triple q8's object probe at 200k triples: a select of the marked ids
+// over a bit-packed object column of 200k rows (ids below 120k), at a
+// hit rate of arg percent of the rows.
+void BM_SelectMarkedEncoded(benchmark::State& state) {
+  constexpr uint64_t kDict = 120000;
+  constexpr size_t kRows = 200000;
+  const auto values = RandomColumn(kRows, kDict, 15);
+  MarkSet marks(kDict);
+  Rng rng(16);
+  for (uint64_t id = 0; id < kDict; ++id) {
+    if (rng.Uniform(100) < static_cast<uint64_t>(state.range(0))) {
+      marks.Mark(id);
+    }
+  }
+  const auto enc = EncodedColumn::FromValues(values, ColumnCodec::kBitPack);
+  const swan::exec::ExecContext ctx(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SelectMarked(enc, marks, ctx));
+  }
+  state.counters["hits"] =
+      static_cast<double>(SelectMarked(enc, marks, ctx).size());
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_SelectMarkedEncoded)->Arg(1)->Arg(15)->Arg(50);
+
 void BM_MergeJoinEncodedRle(benchmark::State& state) {
   auto left = RandomColumn(state.range(0) / 4, state.range(0) / 64 + 2, 11);
   std::sort(left.begin(), left.end());
@@ -229,6 +288,51 @@ void BM_MergeCountMatchesVertical(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_MergeCountMatchesVertical)->Arg(0)->Arg(1);
+
+// Triple PSO's counterpart of the merge above, q2's property count at
+// 400k triples: 400k rows over 222 properties, each property's subjects
+// sorted, ids below 240k, about 13.8k marked subjects among 92k. Arg 0 =
+// the PSO shape, properties in RLE runs (one counter per run); 1 = the
+// properties bit-packed in subject order (the SPO shape, a counter per
+// row).
+void BM_CountMarkedByKey(benchmark::State& state) {
+  constexpr uint64_t kDict = 240000;
+  constexpr uint64_t kSubjects = 92000;
+  constexpr size_t kRows = 400000;
+  Rng rng(17);
+  std::vector<std::pair<uint64_t, uint64_t>> rows(kRows);
+  for (auto& [p, s] : rows) {
+    p = std::min<uint64_t>(rng.Uniform(64) * rng.Uniform(64) / 18, 221);
+    s = rng.Uniform(kSubjects);
+  }
+  if (state.range(0) == 0) {
+    std::sort(rows.begin(), rows.end());
+  } else {
+    std::sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+      return std::pair(x.second, x.first) < std::pair(y.second, y.first);
+    });
+  }
+  std::vector<uint64_t> props(kRows);
+  std::vector<uint64_t> subjects(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    props[i] = rows[i].first;
+    subjects[i] = rows[i].second;
+  }
+  MarkSet marks(kDict);
+  for (uint64_t id = 0; id < kSubjects; ++id) {
+    if (rng.Chance(0.15)) marks.Mark(id);
+  }
+  const auto keys = EncodedColumn::FromValues(
+      props, state.range(0) == 0 ? ColumnCodec::kRle : ColumnCodec::kBitPack);
+  const auto marked =
+      EncodedColumn::FromValues(subjects, ColumnCodec::kBitPack);
+  const swan::exec::ExecContext ctx(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountMarkedByKey(keys, marked, marks, kDict, ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_CountMarkedByKey)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <numeric>
 
 #include "common/macros.h"
 #include "obs/metrics.h"
@@ -23,42 +24,33 @@ obs::Histogram* RunLengthHist(const exec::ExecContext& ctx) {
                                          {1, 2, 4, 8, 16, 32, 64, 128});
 }
 
-// Morsel size for scan kernels: 64Ki values (512 KB of ids) is large
-// enough to amortize scheduling and small enough to load-balance skew.
-constexpr uint64_t kMorsel = 1ull << 16;
-
 // Fewest pairs worth a CountPairs shard of their own (and its dense
 // counter array).
 constexpr uint64_t kPairShard = 1ull << 13;
 
-PositionVector ConcatParts(std::vector<PositionVector>& parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  PositionVector out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
+// Positions emit(i) of the rows i in [0, n) where keep(i), morsel by
+// morsel through CompactInto: the row form of every select kernel.
+template <typename Keep, typename Emit>
+PositionVector SelectRows(const exec::ExecContext& ctx, uint64_t n,
+                          const Keep& keep, const Emit& emit) {
+  return MorselSelect(ctx, n, [&](uint64_t b, uint64_t e, PositionVector* out) {
+    CompactInto(b, e, keep, emit, out);
+  });
 }
 
-// Runs fill(begin, end, &part) over morsels of [0, n) and concatenates the
-// per-chunk outputs in chunk order — the same sequence the serial scan
-// would produce. Positions emitted by chunk c all precede chunk c+1's.
-template <typename Fill>
-PositionVector MorselSelect(const exec::ExecContext& ctx, uint64_t n,
-                            const Fill& fill) {
-  if (!ctx.parallel() || n < 2 * kMorsel) {
-    PositionVector out;
-    out.reserve(n / 8 + 8);
-    fill(0, n, &out);
-    return out;
-  }
-  const uint64_t chunks = (n + kMorsel - 1) / kMorsel;
-  std::vector<PositionVector> parts(chunks);
-  ctx.ParallelFor(n, kMorsel, [&](uint64_t b, uint64_t e, uint64_t c) {
-    parts[c].reserve((e - b) / 8 + 8);
-    fill(b, e, &parts[c]);
-  });
-  return ConcatParts(parts);
+// Emits row i as its own position. A lambda, not a function: a function
+// passed as Emit is called through a pointer and never inlined.
+constexpr auto kRowPosition = [](uint64_t i) {
+  return static_cast<uint32_t>(i);
+};
+
+// Appends the positions [start, end) to *out: a whole RLE run selected
+// by one comparison.
+void AppendRange(uint64_t start, uint64_t end, PositionVector* out) {
+  const size_t old = out->size();
+  out->resize(old + (end - start));
+  std::iota(out->begin() + static_cast<ptrdiff_t>(old), out->end(),
+            static_cast<uint32_t>(start));
 }
 
 // The sorted merge behind MergeCountMatches/MergeSelectPositions.
@@ -280,15 +272,9 @@ PositionVector SelectEq(std::span<const uint64_t> col, uint64_t value,
                         const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.select_eq");
   span.set_rows_in(col.size());
-  PositionVector out =
-      MorselSelect(ctx, col.size(),
-                   [&](uint64_t b, uint64_t e, PositionVector* out) {
-                     for (uint64_t i = b; i < e; ++i) {
-                       if (col[i] == value) {
-                         out->push_back(static_cast<uint32_t>(i));
-                       }
-                     }
-                   });
+  PositionVector out = SelectRows(
+      ctx, col.size(), [&](uint64_t i) { return col[i] == value; },
+      kRowPosition);
   span.set_rows_out(out.size());
   return out;
 }
@@ -298,13 +284,9 @@ PositionVector SelectEq(std::span<const uint64_t> col,
                         const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.select_eq");
   span.set_rows_in(sel.size());
-  PositionVector out =
-      MorselSelect(ctx, sel.size(),
-                   [&](uint64_t b, uint64_t e, PositionVector* out) {
-                     for (uint64_t j = b; j < e; ++j) {
-                       if (col[sel[j]] == value) out->push_back(sel[j]);
-                     }
-                   });
+  PositionVector out = SelectRows(
+      ctx, sel.size(), [&](uint64_t j) { return col[sel[j]] == value; },
+      [&](uint64_t j) { return sel[j]; });
   span.set_rows_out(out.size());
   return out;
 }
@@ -314,13 +296,9 @@ PositionVector SelectNe(std::span<const uint64_t> col,
                         const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.select_ne");
   span.set_rows_in(sel.size());
-  PositionVector out =
-      MorselSelect(ctx, sel.size(),
-                   [&](uint64_t b, uint64_t e, PositionVector* out) {
-                     for (uint64_t j = b; j < e; ++j) {
-                       if (col[sel[j]] != value) out->push_back(sel[j]);
-                     }
-                   });
+  PositionVector out = SelectRows(
+      ctx, sel.size(), [&](uint64_t j) { return col[sel[j]] != value; },
+      [&](uint64_t j) { return sel[j]; });
   span.set_rows_out(out.size());
   return out;
 }
@@ -360,15 +338,9 @@ PositionVector SelectMarked(std::span<const uint64_t> col, const MarkSet& set,
                             const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.select_marked");
   span.set_rows_in(col.size());
-  PositionVector out =
-      MorselSelect(ctx, col.size(),
-                   [&](uint64_t b, uint64_t e, PositionVector* out) {
-                     for (uint64_t i = b; i < e; ++i) {
-                       if (set.Test(col[i])) {
-                         out->push_back(static_cast<uint32_t>(i));
-                       }
-                     }
-                   });
+  PositionVector out = SelectRows(
+      ctx, col.size(), [&](uint64_t i) { return set.Test(col[i]); },
+      kRowPosition);
   span.set_rows_out(out.size());
   return out;
 }
@@ -378,13 +350,9 @@ PositionVector SelectMarked(std::span<const uint64_t> col,
                             const exec::ExecContext& ctx) {
   obs::Span span(ctx.trace(), "ops.select_marked");
   span.set_rows_in(sel.size());
-  PositionVector out =
-      MorselSelect(ctx, sel.size(),
-                   [&](uint64_t b, uint64_t e, PositionVector* out) {
-                     for (uint64_t j = b; j < e; ++j) {
-                       if (set.Test(col[sel[j]])) out->push_back(sel[j]);
-                     }
-                   });
+  PositionVector out = SelectRows(
+      ctx, sel.size(), [&](uint64_t j) { return set.Test(col[sel[j]]); },
+      [&](uint64_t j) { return sel[j]; });
   span.set_rows_out(out.size());
   return out;
 }
@@ -963,12 +931,9 @@ PositionVector SelectEq(const EncodedColumn& col, uint64_t lo, uint64_t hi,
         [&](uint64_t b, uint64_t e, PositionVector* out) {
           for (uint64_t r = first + b; r < first + e; ++r) {
             if (runs[r].value != value) continue;
-            const uint64_t start = std::max<uint64_t>(runs[r].start, lo);
-            const uint64_t end =
-                std::min<uint64_t>(runs[r].start + runs[r].length, hi);
-            for (uint64_t p = start; p < end; ++p) {
-              out->push_back(static_cast<uint32_t>(p));
-            }
+            AppendRange(std::max<uint64_t>(runs[r].start, lo),
+                        std::min<uint64_t>(runs[r].start + runs[r].length, hi),
+                        out);
           }
         });
   } else {
@@ -981,14 +946,10 @@ PositionVector SelectEq(const EncodedColumn& col, uint64_t lo, uint64_t hi,
     }
     const uint64_t* words = col.words().data();
     const int width = col.bit_width();
-    out = MorselSelect(ctx, hi - lo,
-                       [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         for (uint64_t i = lo + b; i < lo + e; ++i) {
-                           if (PackedValueAt(words, width, i) == code) {
-                             out->push_back(static_cast<uint32_t>(i));
-                           }
-                         }
-                       });
+    out = SelectRows(
+        ctx, hi - lo,
+        [&](uint64_t i) { return PackedValueAt(words, width, lo + i) == code; },
+        [&](uint64_t i) { return static_cast<uint32_t>(lo + i); });
   }
   span.set_rows_out(out.size());
   return out;
@@ -1003,15 +964,15 @@ PositionVector SelectEq(const EncodedColumn& col, const PositionVector& sel,
   span.set_rows_in(sel.size());
   PositionVector out;
   if (col.rep() == Rep::kRle) {
-    out = MorselSelect(ctx, sel.size(),
-                       [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         RleReader reader(col);
-                         for (uint64_t j = b; j < e; ++j) {
-                           if (reader.At(sel[j]) == value) {
-                             out->push_back(sel[j]);
-                           }
-                         }
-                       });
+    // One reader per morsel: it is stateful and walks its morsel's rows
+    // in order.
+    out = MorselSelect(
+        ctx, sel.size(), [&](uint64_t b, uint64_t e, PositionVector* out) {
+          RleReader reader(col);
+          CompactInto(
+              b, e, [&](uint64_t j) { return reader.At(sel[j]) == value; },
+              [&](uint64_t j) { return sel[j]; }, out);
+        });
   } else {
     uint64_t code;
     if (!col.CodeFor(value, &code)) {
@@ -1020,14 +981,10 @@ PositionVector SelectEq(const EncodedColumn& col, const PositionVector& sel,
     }
     const uint64_t* words = col.words().data();
     const int width = col.bit_width();
-    out = MorselSelect(ctx, sel.size(),
-                       [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         for (uint64_t j = b; j < e; ++j) {
-                           if (PackedValueAt(words, width, sel[j]) == code) {
-                             out->push_back(sel[j]);
-                           }
-                         }
-                       });
+    out = SelectRows(
+        ctx, sel.size(),
+        [&](uint64_t j) { return PackedValueAt(words, width, sel[j]) == code; },
+        [&](uint64_t j) { return sel[j]; });
   }
   span.set_rows_out(out.size());
   return out;
@@ -1112,10 +1069,8 @@ PositionVector SelectMarked(const EncodedColumn& col, const MarkSet& set,
                        [&](uint64_t b, uint64_t e, PositionVector* out) {
                          for (uint64_t r = b; r < e; ++r) {
                            if (!set.Test(runs[r].value)) continue;
-                           const uint64_t end = runs[r].start + runs[r].length;
-                           for (uint64_t p = runs[r].start; p < end; ++p) {
-                             out->push_back(static_cast<uint32_t>(p));
-                           }
+                           AppendRange(runs[r].start,
+                                       runs[r].start + runs[r].length, out);
                          }
                        });
   } else {
@@ -1123,22 +1078,23 @@ PositionVector SelectMarked(const EncodedColumn& col, const MarkSet& set,
     // entry up front, then the scan never decodes.
     const uint64_t* words = col.words().data();
     const int width = col.bit_width();
-    std::vector<char> code_marked;
-    if (!col.palette().empty()) {
-      code_marked.resize(col.palette().size());
+    if (col.palette().empty()) {
+      out = SelectRows(
+          ctx, col.size(),
+          [&](uint64_t i) { return set.Test(PackedValueAt(words, width, i)); },
+          kRowPosition);
+    } else {
+      std::vector<char> code_marked(col.palette().size());
       for (size_t c = 0; c < col.palette().size(); ++c) {
         code_marked[c] = set.Test(col.palette()[c]) ? 1 : 0;
       }
+      out = SelectRows(
+          ctx, col.size(),
+          [&](uint64_t i) {
+            return code_marked[PackedValueAt(words, width, i)] != 0;
+          },
+          kRowPosition);
     }
-    out = MorselSelect(
-        ctx, col.size(), [&](uint64_t b, uint64_t e, PositionVector* out) {
-          for (uint64_t i = b; i < e; ++i) {
-            const uint64_t code = PackedValueAt(words, width, i);
-            const bool hit = code_marked.empty() ? set.Test(code)
-                                                 : code_marked[code] != 0;
-            if (hit) out->push_back(static_cast<uint32_t>(i));
-          }
-        });
   }
   span.set_rows_out(out.size());
   return out;
@@ -1236,6 +1192,45 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
                        }
                      });
   }
+  span.set_rows_out(out.size());
+  return out;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> CountMarkedByKey(
+    const EncodedColumn& keys, const EncodedColumn& marked,
+    const MarkSet& marks, uint64_t universe_size,
+    const exec::ExecContext& ctx) {
+  SWAN_CHECK_EQ(keys.size(), marked.size());
+  obs::Span span(ctx.trace(), "col.count_props");
+  span.set_rows_in(keys.size());
+  const auto accumulate = [&](uint64_t b, uint64_t e,
+                              std::vector<uint64_t>* counts) {
+    if (b >= e) return;
+    if (keys.rep() == Rep::kRle) {
+      for (size_t r = keys.RunIndexOf(b);; ++r) {
+        const RleRun& run = keys.runs()[r];
+        const uint64_t lo = std::max<uint64_t>(run.start, b);
+        const uint64_t hi = std::min<uint64_t>(run.start + run.length, e);
+        uint64_t hits = 0;
+        ForEachDecodedRows<1>(
+            {&marked}, lo, hi, [&](uint64_t, const auto& v, uint64_t n) {
+              for (uint64_t i = 0; i < n; ++i) hits += marks.Test(v[0][i]);
+            });
+        (*counts)[run.value] += hits;
+        if (hi >= e) break;
+      }
+      return;
+    }
+    ForEachDecodedRows<2>(
+        {&keys, &marked}, b, e, [&](uint64_t, const auto& v, uint64_t n) {
+          for (uint64_t i = 0; i < n; ++i) {
+            SWAN_DCHECK_LT(v[0][i], universe_size);
+            (*counts)[v[0][i]] += marks.Test(v[1][i]);
+          }
+        });
+  };
+  std::vector<std::pair<uint64_t, uint64_t>> out =
+      DenseCount(ctx, keys.size(), universe_size, accumulate);
   span.set_rows_out(out.size());
   return out;
 }
@@ -1372,9 +1367,7 @@ PositionVector MergeSelectPositions(const EncodedColumn& values, uint64_t lo,
       ++j;
     } else {
       // A matching run emits its position range without decoding.
-      for (uint64_t p = rc.start(); p < rc.end(); ++p) {
-        out.push_back(static_cast<uint32_t>(p - lo));
-      }
+      AppendRange(rc.start() - lo, rc.end() - lo, &out);
       rc.Next();
       ++j;  // keys are unique
     }

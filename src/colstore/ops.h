@@ -31,6 +31,58 @@ namespace swan::colstore {
 
 using PositionVector = std::vector<uint32_t>;
 
+// Rows per morsel of the scan kernels: 64Ki values (512 KB of ids) is
+// large enough to amortize scheduling and small enough to load-balance
+// skew.
+inline constexpr uint64_t kMorsel = 1ull << 16;
+
+// Branch-free selection, the compaction step under every select kernel:
+// appends emit(i) for each i in [b, e) where keep(i), in order, to *out.
+// Rows are compacted kCompactBlock at a time into a stack buffer: every
+// row's entry is written to the next free slot and the slot count then
+// advances by keep(i), so no branch depends on the data and a 15% hit
+// rate costs what 0% does, where `if (keep) push_back` mispredicts about
+// once per hit. Only the kept entries are copied to *out. keep and emit
+// are called once per row, in row order.
+inline constexpr uint64_t kCompactBlock = 1024;
+template <typename T, typename Keep, typename Emit>
+void CompactInto(uint64_t b, uint64_t e, const Keep& keep, const Emit& emit,
+                 std::vector<T>* out) {
+  T slots[kCompactBlock];  // slots[0, count) are written before they are read
+  while (b < e) {
+    const uint64_t end = std::min(b + kCompactBlock, e);
+    uint64_t count = 0;
+    for (; b < end; ++b) {
+      slots[count] = emit(b);
+      count += static_cast<uint64_t>(keep(b));
+    }
+    out->insert(out->end(), slots, slots + count);
+  }
+}
+
+// Runs fill(b, e, &part) over morsels of [0, n) and concatenates the
+// per-morsel parts in morsel order: the sequence the serial scan would
+// produce, at every width, as long as each fill emits ascending
+// positions of its own morsel.
+template <typename Fill>
+PositionVector MorselSelect(const exec::ExecContext& ctx, uint64_t n,
+                            const Fill& fill) {
+  PositionVector out;
+  if (!ctx.parallel() || n < 2 * kMorsel) {
+    fill(0, n, &out);
+    return out;
+  }
+  std::vector<PositionVector> parts((n + kMorsel - 1) / kMorsel);
+  ctx.ParallelFor(n, kMorsel, [&](uint64_t b, uint64_t e, uint64_t c) {
+    fill(b, e, &parts[c]);
+  });
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  out.reserve(total);
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
 // Positions where col[i] == value.
 PositionVector SelectEq(std::span<const uint64_t> col, uint64_t value,
                         const exec::ExecContext& ctx = exec::ExecContext());
@@ -281,6 +333,17 @@ std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
 std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(
     const EncodedColumn& col, const PositionVector& sel,
     uint64_t universe_size,
+    const exec::ExecContext& ctx = exec::ExecContext());
+
+// Dense group-by-count of the marked rows of two aligned columns: adds
+// marks.Test(marked[i]) to the counter of keys[i] for every row, without
+// a branch (triple PSO's q2/q6 property count: keys are the properties,
+// marked the subjects). An RLE key column adds each run's hits to one
+// counter and decodes only `marked`. Returns (key, count) pairs for every
+// key with a marked row, ordered by key, identical at every width.
+std::vector<std::pair<uint64_t, uint64_t>> CountMarkedByKey(
+    const EncodedColumn& keys, const EncodedColumn& marked,
+    const MarkSet& marks, uint64_t universe_size,
     const exec::ExecContext& ctx = exec::ExecContext());
 
 // Merge join of a materialized (sorted) left side against rows [rlo, rhi)

@@ -16,15 +16,19 @@ namespace swan::core {
 
 namespace {
 
+using colstore::CompactInto;
 using colstore::CountByKeyDense;
+using colstore::CountMarkedByKey;
 using colstore::CountPairs;
 using colstore::EncodedColumn;
 using colstore::ForEachDecodedRows;
 using colstore::Gather;
+using colstore::kMorsel;
 using colstore::MarkSet;
 using colstore::MergeCountMatches;
 using colstore::MergeSelectPositions;
 using colstore::MinCount;
+using colstore::MorselSelect;
 using colstore::PairCount;
 using colstore::PositionVector;
 using colstore::SelectEq;
@@ -37,72 +41,8 @@ using plan::kBytesPerKey;
 using plan::kBytesPerPair;
 using plan::kBytesPerTriple;
 
-// Morsel size for the triple store's fused column scans (matches the ops
-// kernels' chunking).
-constexpr uint64_t kScanMorsel = 1ull << 16;
-
-// Fused scan-and-count: counts occurrences of prop[i] over rows whose
-// subject is in `subjects`. Sharded into per-chunk dense partials that are
-// summed afterwards, so the totals are identical at any thread count.
-// Operates on the encoded views: an RLE property column (the PSO case)
-// contributes one counter target per run and only the subject column is
-// decoded, batch by batch.
-std::vector<uint64_t> CountPropsOfMarkedSubjects(
-    const EncodedColumn& subj, const EncodedColumn& prop, uint64_t dict_size,
-    const MarkSet& subjects, const exec::ExecContext& ectx) {
-  obs::Span span(ectx.trace(), "col.count_props");
-  span.set_rows_in(subj.size());
-  const uint64_t n = subj.size();
-  const auto accumulate = [&](uint64_t b, uint64_t e,
-                              std::vector<uint64_t>* counts) {
-    if (b >= e) return;
-    if (prop.rep() == EncodedColumn::Rep::kRle) {
-      for (size_t r = prop.RunIndexOf(b);; ++r) {
-        const colstore::RleRun& run = prop.runs()[r];
-        const uint64_t lo = std::max<uint64_t>(run.start, b);
-        const uint64_t hi = std::min<uint64_t>(run.start + run.length, e);
-        uint64_t hits = 0;
-        ForEachDecodedRows<1>(
-            {&subj}, lo, hi, [&](uint64_t, const auto& v, uint64_t cnt) {
-              for (uint64_t i = 0; i < cnt; ++i) {
-                if (subjects.Test(v[0][i])) ++hits;
-              }
-            });
-        (*counts)[run.value] += hits;
-        if (hi >= e) break;
-      }
-      return;
-    }
-    ForEachDecodedRows<2>(
-        {&subj, &prop}, b, e, [&](uint64_t, const auto& v, uint64_t cnt) {
-          for (uint64_t i = 0; i < cnt; ++i) {
-            if (subjects.Test(v[0][i])) ++(*counts)[v[1][i]];
-          }
-        });
-  };
-  const uint64_t shards = ectx.ShardsFor(n, kScanMorsel);
-  std::vector<uint64_t> counts;
-  if (shards <= 1) {
-    counts.assign(dict_size, 0);
-    accumulate(0, n, &counts);
-    return counts;
-  }
-  const uint64_t grain = (n + shards - 1) / shards;
-  std::vector<std::vector<uint64_t>> partials(shards);
-  ectx.ParallelFor(n, grain, [&](uint64_t b, uint64_t e, uint64_t c) {
-    partials[c].assign(dict_size, 0);
-    accumulate(b, e, &partials[c]);
-  });
-  counts = std::move(partials[0]);
-  for (uint64_t s = 1; s < shards; ++s) {
-    const auto& p = partials[s];
-    for (uint64_t k = 0; k < dict_size; ++k) counts[k] += p[k];
-  }
-  return counts;
-}
-
 // Chunked positional scan over two aligned encoded columns: decodes
-// kDecodeBatch values of each at a time and collects positions i where
+// kDecodeBatch values of each at a time and compacts the positions i where
 // pred(a[i], b[i]), morsel by morsel, concatenated in chunk order — the
 // serial scan's output. Neither column is ever fully materialized.
 template <typename Pred>
@@ -110,34 +50,17 @@ PositionVector ScanPairPositions(const exec::ExecContext& ectx,
                                  const EncodedColumn& a,
                                  const EncodedColumn& b, const Pred& pred) {
   obs::Span span(ectx.trace(), "col.scan_positions");
-  const uint64_t n = a.size();
-  span.set_rows_in(n);
-  const auto fill = [&](uint64_t lo, uint64_t hi, PositionVector* out) {
-    ForEachDecodedRows<2>(
-        {&a, &b}, lo, hi, [&](uint64_t base, const auto& v, uint64_t cnt) {
-          for (uint64_t i = 0; i < cnt; ++i) {
-            if (pred(v[0][i], v[1][i])) {
-              out->push_back(static_cast<uint32_t>(base + i));
-            }
-          }
-        });
-  };
-  if (!ectx.parallel() || n < 2 * kScanMorsel) {
-    PositionVector out;
-    fill(0, n, &out);
-    span.set_rows_out(out.size());
-    return out;
-  }
-  const uint64_t chunks = (n + kScanMorsel - 1) / kScanMorsel;
-  std::vector<PositionVector> parts(chunks);
-  ectx.ParallelFor(n, kScanMorsel, [&](uint64_t b2, uint64_t e2, uint64_t c) {
-    fill(b2, e2, &parts[c]);
-  });
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  PositionVector out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  span.set_rows_in(a.size());
+  PositionVector out = MorselSelect(
+      ectx, a.size(), [&](uint64_t lo, uint64_t hi, PositionVector* out) {
+        ForEachDecodedRows<2>(
+            {&a, &b}, lo, hi, [&](uint64_t base, const auto& v, uint64_t n) {
+              CompactInto(
+                  0, n, [&](uint64_t i) { return pred(v[0][i], v[1][i]); },
+                  [&](uint64_t i) { return static_cast<uint32_t>(base + i); },
+                  out);
+            });
+      });
   span.set_rows_out(out.size());
   return out;
 }
@@ -149,7 +72,7 @@ struct PropMorsel {
   uint32_t hi;
 };
 
-// Splits every property's partition rows into ~kScanMorsel-row morsels,
+// Splits every property's partition rows into ~kMorsel-row morsels,
 // in (property, range) order. Fanning out over these instead of whole
 // properties lets one giant partition (the q4*-family skew case, where a
 // handful of properties hold most of the data) load-balance across lanes
@@ -160,9 +83,9 @@ std::vector<PropMorsel> FlattenPropMorsels(uint64_t props,
   std::vector<PropMorsel> morsels;
   for (uint64_t k = 0; k < props; ++k) {
     const uint64_t n = rows_of(k);
-    for (uint64_t lo = 0; lo < n; lo += kScanMorsel) {
+    for (uint64_t lo = 0; lo < n; lo += kMorsel) {
       morsels.push_back({static_cast<uint32_t>(k), static_cast<uint32_t>(lo),
-                         static_cast<uint32_t>(std::min(lo + kScanMorsel, n))});
+                         static_cast<uint32_t>(std::min(lo + kMorsel, n))});
     }
   }
   return morsels;
@@ -707,9 +630,15 @@ PositionVector ColTripleBackend::PropPositions(
 
 std::vector<uint64_t> ColTripleBackend::SubjectsOf(
     uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
-  const PositionVector props = PropPositions(property, ectx);
-  const PositionVector sel =
-      SelectEq(table_->encoded_objects(), props, object, ectx);
+  // PSO holds the property's rows as one range: select in it directly.
+  PositionVector sel;
+  if (pso_) {
+    const auto [lo, hi] = table_->PrimaryRange(property);
+    sel = SelectEq(table_->encoded_objects(), lo, hi, object, ectx);
+  } else {
+    sel = SelectEq(table_->encoded_objects(), PropPositions(property, ectx),
+                   object, ectx);
+  }
   // Subjects come out ascending in both sort orders: SPO is globally
   // subject-sorted, PSO is subject-sorted within one property.
   return Gather(table_->encoded_subjects(), sel, ectx);
@@ -745,14 +674,11 @@ KeyCounts ColTripleBackend::PropertyCounts(
   // Count every property of the marked subjects (morsel-parallel), then
   // apply the property filter when emitting — non-interesting properties
   // simply never produce a row, so the rows match a fused filter scan.
-  const std::vector<uint64_t> counts = CountPropsOfMarkedSubjects(
-      table_->encoded_subjects(), table_->encoded_properties(), universe,
-      marked, ectx);
   KeyCounts out;
-  for (uint64_t p = 0; p < counts.size(); ++p) {
-    if (counts[p] == 0) continue;
-    if (props != nullptr && !scope.Test(p)) continue;
-    out.emplace_back(p, counts[p]);
+  for (const auto& [p, count] :
+       CountMarkedByKey(table_->encoded_properties(),
+                        table_->encoded_subjects(), marked, universe, ectx)) {
+    if (props == nullptr || scope.Test(p)) out.emplace_back(p, count);
   }
   return out;
 }
@@ -769,7 +695,8 @@ std::vector<PairCount> ColTripleBackend::PropertyObjectCounts(
   const PositionVector sel = ScanPairPositions(
       ectx, table_->encoded_subjects(), table_->encoded_properties(),
       [&](uint64_t s, uint64_t p) {
-        return marked.Test(s) && (props == nullptr || scope.Test(p));
+        // `&`, not `&&`: a branch on the subject test would mispredict.
+        return marked.Test(s) & (props == nullptr || scope.Test(p));
       });
   const std::vector<uint64_t> ps =
       Gather(table_->encoded_properties(), sel, ectx);
@@ -817,13 +744,13 @@ std::vector<uint64_t> ColTripleBackend::SubjectsWithObjectIn(
       Gather(table_->encoded_subjects(), positions, ectx);
   const std::vector<uint64_t> po =
       Gather(table_->encoded_objects(), positions, ectx);
-  // One property's subjects come out sorted (see SubjectObjectPairs).
+  // One property's subjects come out sorted (see SubjectObjectPairs), so
+  // duplicates are adjacent.
   std::vector<uint64_t> out;
-  for (size_t i = 0; i < positions.size(); ++i) {
-    if (objects.Test(po[i]) && (out.empty() || out.back() != ps[i])) {
-      out.push_back(ps[i]);
-    }
-  }
+  CompactInto(
+      0, ps.size(), [&](uint64_t i) { return objects.Test(po[i]); },
+      [&](uint64_t i) { return ps[i]; }, &out);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -1280,10 +1207,10 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
       const EncodedColumn& obj = table_->EncodedObjects(all_props[ms.prop_idx]);
       ForEachDecodedRows<2>(
           {&subj, &obj}, ms.lo, ms.hi,
-          [&](uint64_t, const auto& v, uint64_t cnt) {
-            for (uint64_t i = 0; i < cnt; ++i) {
-              if (objects.Test(v[1][i])) hits[m].push_back(v[0][i]);
-            }
+          [&](uint64_t, const auto& v, uint64_t n) {
+            CompactInto(
+                0, n, [&](uint64_t i) { return objects.Test(v[1][i]); },
+                [&](uint64_t i) { return v[0][i]; }, &hits[m]);
           });
     }
   });

@@ -27,11 +27,17 @@ mode="${1:-all}"
 # The serve mix every serve smoke replays (both BGP join strategies in it).
 SERVE_SMOKE="$REPO_ROOT/tools/serve_smoke.serve"
 
+# Seconds one test may run: the TIMEOUT every ctest carries
+# (SWAN_TEST_TIMEOUT in CMakeLists.txt), passed on so that a test without
+# one fails too instead of hanging the leg.
+TEST_TIMEOUT=60
+
 build_and_test() {
   local dir="$1"; shift
   cmake -B "$dir" -S "$REPO_ROOT" "$@" || return 1
   cmake --build "$dir" -j "$JOBS" || return 1
-  (cd "$dir" && ctest --output-on-failure -j "$JOBS") || return 1
+  (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
+     --timeout "$TEST_TIMEOUT") || return 1
   # Tests write the cost ledgers they measure into the build tree; the
   # committed ones in bench/baselines/ must come out of ctest untouched
   # (no change against the index, no new file).
@@ -159,8 +165,9 @@ print('parallel_speedup json smoke: OK')
     # Micro-bench JSON smoke: a brief run of every micro bench must leave
     # google-benchmark JSON with a non-empty benchmark list, the B+tree
     # file must name the row engine's hot q3, the subject-set probe and
-    # the Match scans, and the column-ops file q3's pair-count kernel and
-    # both branches of the subject-filter merge (dense and short range).
+    # the Match scans, and the column-ops file q3's pair-count kernel,
+    # both branches of the subject-filter merge (dense and short range)
+    # and the branch-free selects and marked count at their q2-q8 shapes.
     echo "=== release: micro bench json smoke ==="
     for micro in "$RELEASE_DIR"/bench/micro_*; do
       name="$(basename "$micro")"
@@ -180,7 +187,9 @@ if '$name' == 'micro_bplus_tree':
 if '$name' == 'micro_colstore_ops':
     for want in ('BM_CountPairsQ3/1/0', 'BM_CountPairsQ3/2/1',
                  'BM_MergeCountMatchesVertical/0',
-                 'BM_MergeCountMatchesVertical/1'):
+                 'BM_MergeCountMatchesVertical/1',
+                 'BM_SelectEqTypePartition', 'BM_CountMarkedByKey',
+                 'BM_SelectMarkedEncoded'):
         assert any(n.startswith(want) for n in names), (want, names)
 print('micro bench json smoke: $name OK,', len(names), 'entries')
 "; } || { echo "micro bench json failed: $name"; status=1; }
@@ -366,8 +375,9 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
     # one scatter/gather routine, which only they drive at nodes > 1 and
     # 8 threads), the row engine's width suite (the triple store's chunked
     # FullScan and its per-chunk hash partials at 8 threads), the sorted
-    # merge's oracle test (its per-chunk parallel path at widths 2 and 8)
-    # and a small parallel_speedup smoke whose built-in
+    # merge's oracle test (its per-chunk parallel path at widths 2 and 8),
+    # the select kernels' oracle test (their per-morsel compaction at
+    # widths 2 and 8) and a small parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
@@ -378,9 +388,11 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
       cmake --build "$TSAN_DIR" -j "$JOBS" \
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
-                 merge_match_test parallel_speedup swandb_shell &&
+                 merge_match_test select_oracle_test parallel_speedup \
+                 swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle') &&
+        --timeout "$TEST_TIMEOUT" \
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
