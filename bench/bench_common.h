@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "bench_support/barton_generator.h"
@@ -127,8 +128,14 @@ inline colstore::ColumnCodec InitCodec(int argc, char** argv) {
 //
 //   {"bench": "<name>",
 //    "workloads": {"<workload>": {"<backend>":
-//        {"cold_bytes": N, "modeled_seconds": S, "speedup": X}}},
+//        {"cold_bytes": N, "modeled_seconds": S, "speedup": X
+//         [, "seeks": K, "io_seconds": S, "net_bytes": N]}}},
 //    <extra top-level fields, each written through Extra(key)>}
+//
+// A cell added from a bench_support::Measurement also carries its
+// deterministic costs (seeks, virtual I/O + network seconds, network
+// bytes), which tools/check_claims.py judges the paper's cold claims on;
+// modeled_seconds is then the measurement's real seconds.
 //
 // std::map keys make the emission order deterministic; the document is
 // written through obs::JsonWriter. The exhibit runner (exhibit.h) writes it
@@ -143,7 +150,14 @@ class BenchJsonWriter {
   void Add(const std::string& workload, const std::string& backend,
            uint64_t cold_bytes, double modeled_seconds,
            double speedup = 1.0) {
-    cells_[workload][backend] = Cell{cold_bytes, modeled_seconds, speedup};
+    cells_[workload][backend] =
+        Cell{cold_bytes, modeled_seconds, speedup, std::nullopt};
+  }
+  void Add(const std::string& workload, const std::string& backend,
+           const bench_support::Measurement& m, double speedup = 1.0) {
+    cells_[workload][backend] =
+        Cell{m.bytes_read, m.real_seconds, speedup,
+             Deterministic{m.seeks, m.io_seconds, m.net_bytes}};
   }
 
   // Extra top-level field `key`: write its one value (a scalar, or an
@@ -158,7 +172,13 @@ class BenchJsonWriter {
       for (const auto& [backend, cell] : backends) {
         w.Key(backend).BeginObject().Field("cold_bytes", cell.cold_bytes)
             .Field("modeled_seconds", cell.modeled_seconds, 9)
-            .Field("speedup", cell.speedup, 6).EndObject();
+            .Field("speedup", cell.speedup, 6);
+        if (cell.deterministic) {
+          w.Field("seeks", cell.deterministic->seeks)
+              .Field("io_seconds", cell.deterministic->io_seconds, 9)
+              .Field("net_bytes", cell.deterministic->net_bytes);
+        }
+        w.EndObject();
       }
       w.EndObject();
     }
@@ -184,10 +204,16 @@ class BenchJsonWriter {
   }
 
  private:
+  struct Deterministic {
+    uint64_t seeks = 0;
+    double io_seconds = 0.0;
+    uint64_t net_bytes = 0;
+  };
   struct Cell {
     uint64_t cold_bytes = 0;
     double modeled_seconds = 0.0;
     double speedup = 1.0;
+    std::optional<Deterministic> deterministic;
   };
 
   std::string bench_;

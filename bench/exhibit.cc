@@ -18,6 +18,15 @@ namespace {
 
 using core::QueryId;
 
+// One measured (point, design, mode, query) cell.
+struct ExhibitCell {
+  size_t point = 0;  // index into ExhibitSpec::points
+  Design design = Design::kCStore;
+  Mode mode = Mode::kCold;
+  QueryId query = QueryId::kQ1;
+  bench_support::Measurement m;
+};
+
 std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
                                      const core::QueryContext& ctx,
                                      const ExhibitPoint& point) {
@@ -58,6 +67,19 @@ std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
   std::abort();
 }
 
+// A design's label in the table and the bench JSON: the name() of the
+// backend Build makes for it. It is fixed here, so that a build which does
+// not match its design (say, the DBX "PSO" store clustered SPO) keeps its
+// label and shows in the claims checked on the JSON, instead of taking
+// another design's label.
+const char* Label(Design design) {
+  constexpr const char* kLabels[] = {
+      "DBX triple SPO",     "DBX triple PSO",     "DBX vert. SO",
+      "MonetDB triple SPO", "MonetDB triple PSO", "MonetDB vert. SO",
+      "C-Store vert. SO"};
+  return kLabels[static_cast<int>(design)];
+}
+
 const char* ToString(Mode mode) { return mode == Mode::kHot ? "hot" : "cold"; }
 
 double Value(const bench_support::Measurement& m, Metric metric) {
@@ -76,8 +98,12 @@ std::string Format(const bench_support::Measurement& m, Metric metric) {
                              metric == Metric::kMbRead ? 2 : 4);
 }
 
-}  // namespace
-
+// One (point, design, mode) row's geometric means of `metric`: G over
+// q1-q7, G* over all 12 queries (0 unless the row ran all 12).
+struct RowMeans {
+  double g = 0.0;
+  double gstar = 0.0;
+};
 RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
                  Design design, Mode mode, Metric metric) {
   std::vector<double> initial, all;
@@ -95,6 +121,8 @@ RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
   if (all.size() == core::AllQueries().size()) means.gstar = GeometricMean(all);
   return means;
 }
+
+}  // namespace
 
 ExhibitSpec GridSpec(bool hot) {
   ExhibitSpec spec;
@@ -119,8 +147,7 @@ ExhibitSpec GridSpec(bool hot) {
   return spec;
 }
 
-std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
-                                    char** argv) {
+void RunExhibit(const ExhibitSpec& spec, int argc, char** argv) {
   const bench_support::BartonConfig config = DefaultConfig();
   PrintHeader(spec.title, spec.reproduces, config);
   const colstore::ColumnCodec codec = spec.points[0].codec;
@@ -237,7 +264,7 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
 
     for (size_t d = 0; d < spec.designs.size(); ++d) {
       core::Backend* backend = backends[d].get();
-      const std::string name = backend->name();
+      const std::string name = Label(spec.designs[d]);
       const size_t space = name.find(' ');
       std::printf("measuring %s...\n", name.c_str());
       if (p + d > 0) table.AddSeparator();
@@ -255,7 +282,7 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
           std::string workload = core::ToString(id);
           if (by_point) workload += " @ " + label;
           if (by_mode) workload += std::string(" ") + ToString(mode);
-          json.Add(workload, name, cell.m.bytes_read, cell.m.real_seconds);
+          json.Add(workload, name, cell.m);
           cells.push_back(cell);
         }
         for (Metric metric : spec.metrics) {
@@ -290,10 +317,12 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
 
   const std::string json_path = InitJsonPath(argc, argv, spec.name);
   if (!json_path.empty()) {
-    json.Extra("triples").Value(config.target_triples);
+    const bool by_triples =
+        std::any_of(spec.points.begin(), spec.points.end(),
+                    [](const ExhibitPoint& p) { return p.triples > 0; });
+    if (!by_triples) json.Extra("triples").Value(config.target_triples);
     if (!by_codec) json.Extra("codec").Value(colstore::ToString(codec));
     if (!by_mode) json.Extra("hot").Value(spec.modes[0] == Mode::kHot);
-    if (spec.json_extras) spec.json_extras(cells, json);
     if (!json.WriteTo(json_path)) std::exit(1);
   }
   std::printf("\n%s\n", table.ToString().c_str());
@@ -304,7 +333,6 @@ std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
   }
   std::printf("expected shape (%s):\n%s", spec.reproduces.c_str(),
               spec.note.c_str());
-  return cells;
 }
 
 }  // namespace swan::bench

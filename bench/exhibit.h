@@ -1,7 +1,6 @@
 #ifndef SWANDB_BENCH_EXHIBIT_H_
 #define SWANDB_BENCH_EXHIBIT_H_
 
-#include <functional>
 #include <vector>
 
 #include "bench_common.h"
@@ -9,7 +8,8 @@
 
 namespace swan::bench {
 
-// The paper's storage designs, each labelled by its backend's name().
+// The paper's storage designs, each labelled by the name() of the backend
+// it builds ("DBX triple PSO", "MonetDB vert. SO", ...).
 enum class Design {
   kDbxTripleSpo, kDbxTriplePso, kDbxVertical,
   kMonetTripleSpo, kMonetTriplePso, kMonetVertical, kCStore,
@@ -31,14 +31,6 @@ struct ExhibitPoint {
   colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw;  // column files
 };
 
-struct ExhibitCell {
-  size_t point = 0;  // index into ExhibitSpec::points
-  Design design = Design::kCStore;
-  Mode mode = Mode::kCold;
-  core::QueryId query = core::QueryId::kQ1;
-  bench_support::Measurement m;
-};
-
 // One paper exhibit as plain data.
 struct ExhibitSpec {
   std::string name;  // the JSON "bench" field
@@ -51,20 +43,8 @@ struct ExhibitSpec {
   std::vector<Metric> metrics = {Metric::kReal, Metric::kUser};
   int repetitions = Repetitions();  // SWAN_REPS, default 3
   bool means = false;  // print G, and G* and G*/G when all 12 queries run
-  // Adds the exhibit's own top-level JSON fields from its measured cells.
-  std::function<void(const std::vector<ExhibitCell>&, BenchJsonWriter&)>
-      json_extras;
   std::string note;  // the expected shape, printed last
 };
-
-// One (point, design, mode) row's geometric means of `metric`: G over
-// q1-q7, G* over all 12 queries (0 unless the row ran all 12).
-struct RowMeans {
-  double g = 0.0;
-  double gstar = 0.0;
-};
-RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
-                 Design design, Mode mode, Metric metric = Metric::kReal);
 
 // Tables 6 (cold) and 7 (hot): the seven designs on all 12 queries,
 // SWAN_REPS repetitions, with G, G* and G*/G.
@@ -75,11 +55,11 @@ ExhibitSpec GridSpec(bool hot);
 // divergence), then measures every (design, mode, query) cell. Under
 // --json[=FILE] writes the cells as bench JSON (workload = query, plus
 // " @ <point>" and " <mode>" when the exhibit has several; backend = design
-// label; json_extras adds its fields). Prints one text table of them and
-// returns them in measurement order. A point's label names the fields set
-// on it, and its codec when the points do not all share one.
-std::vector<ExhibitCell> RunExhibit(const ExhibitSpec& spec, int argc,
-                                    char** argv);
+// label; extras "triples" unless a point sets its own, "codec" unless the
+// points differ in it, "hot" unless several modes run). Prints one text
+// table of them. A point's label names the fields set on it, and its codec
+// when the points do not all share one.
+void RunExhibit(const ExhibitSpec& spec, int argc, char** argv);
 
 }  // namespace swan::bench
 

@@ -1,30 +1,32 @@
-// Partitioned scale-out: equivalence and scaling gates for the simulated
-// multi-node topology (src/net + src/shard).
+// Partitioned scale-out: equivalence, scaling and cross-partition cost
+// of the simulated multi-node topology (src/net + src/shard).
 //
-// Three sections, all of which gate (non-zero exit on violation):
+// Three sections:
 //
-//   1. Equivalence — all 12 benchmark queries, bit-identical row bags to
-//      the single-node reference at nodes {1,2,4} x threads {1,8} x both
-//      column backends (vertical and triple PSO).
+//   1. Equivalence (exit 1 on a violation) — all 12 benchmark queries,
+//      bit-identical row bags to the single-node reference at nodes
+//      {1,2,4} x threads {1,8} x both column backends (vertical and
+//      triple PSO).
 //   2. Scaling — cold throughput on the full-scale aggregates q2*, q3*,
 //      q4* and q6*, which touch every property partition and so spread
-//      their reads over every node's own disk, must improve >= 1.7x from
-//      1 -> 2 nodes and >= 3x from 1 -> 4 nodes. The gate measures the
-//      deterministic modeled I/O + network seconds (real - CPU), since a
-//      cold claim is an I/O claim; the CPU share prints beside it. (The
-//      non-star variants read only the 28 interesting partitions, which
-//      the placement does not balance, so they are not gated.) The
-//      baseline is the nodes=1 sharded store — same orchestration, no
-//      network — so the gate isolates the effect of distribution, not of
-//      a different code path.
+//      their reads over every node's own disk, at 1, 2 and 4 nodes. The
+//      table reports the deterministic modeled I/O + network seconds,
+//      since a cold claim is an I/O claim; the CPU share prints beside
+//      it. (The non-star variants read only the 28 interesting
+//      partitions, which the placement does not balance.) The baseline
+//      is the nodes=1 sharded store — same orchestration, no network —
+//      so the speedup isolates the effect of distribution, not of a
+//      different code path.
 //   3. Cross-partition penalty — the joins that must ship state between
-//      nodes (q5, q7, q8) print their modeled network share; the table
-//      explains where scale-out does NOT help and the gate asserts the
-//      network cost is actually attributed (non-zero at 4 nodes).
+//      nodes (q5, q7, q8) print their modeled network share: where
+//      scale-out does NOT help.
 //
-// --json[=FILE] emits the standard bench schema; the scaling cells carry
-// I/O + network seconds and their speedup vs the 1-node baseline, and a
-// "scaleout" raw section carries the penalty table and gate verdicts.
+// --json[=FILE] emits the standard bench schema: every cell is one
+// measurement (real seconds, with its I/O + network seconds, seeks and
+// network bytes), and a "scaleout" section carries both total speedups
+// and the cross-partition network bytes. tools/check_claims.py judges the
+// scaling (>= 1.7x at 2 nodes, >= 3.0x at 4) and the network
+// attribution from the cells.
 
 #include <cstdio>
 #include <string>
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
   }
   std::printf("equivalence: OK (row bags identical everywhere)\n\n");
 
-  // --- 2. scaling gate (cold, full-scale aggregates) -----------------------
+  // --- 2. scaling (cold, full-scale aggregates) ---------------------------
   const std::vector<QueryId> local_queries = {
       QueryId::kQ2Star, QueryId::kQ3Star, QueryId::kQ4Star, QueryId::kQ6Star};
   swan::bench::BenchJsonWriter json("scaleout");
@@ -123,40 +125,28 @@ int main(int argc, char** argv) {
             ? static_cast<double>(max_load) * nodes / total_load
             : 1.0;
     double total = 0.0, real = 0.0;
-    uint64_t net_bytes = 0, cold_bytes = 0;
+    uint64_t net_bytes = 0;
     for (QueryId id : local_queries) {
       const Measurement m =
           swan::bench_support::MeasureCold(&sharded, id, ctx, ectx, reps);
-      const double io = m.real_seconds - m.cpu_seconds;
-      total += io;
+      total += m.io_seconds;
       real += m.real_seconds;
       net_bytes += m.net_bytes;
-      cold_bytes += m.bytes_read;
       json.Add("local/" + swan::core::ToString(id),
-               "x" + std::to_string(nodes) + " nodes", m.bytes_read, io, 1.0);
+               "x" + std::to_string(nodes) + " nodes", m);
     }
     totals.push_back(total);
-    const double speedup = totals.front() / total;
     const double cpu_share = real > 0 ? 100.0 * (real - total) / real : 0.0;
     scaling.AddRow({std::to_string(nodes), TablePrinter::Fixed(total, 4),
                     TablePrinter::Fixed(local_queries.size() / total, 2),
-                    TablePrinter::Fixed(speedup, 2),
+                    TablePrinter::Fixed(totals.front() / total, 2),
                     TablePrinter::Fixed(cpu_share, 1) + "%",
                     TablePrinter::Fixed(balance, 3),
                     std::to_string(net_bytes)});
-    json.Add("local/total", "x" + std::to_string(nodes) + " nodes",
-             cold_bytes, total, speedup);
   }
   std::printf("cold scaling on full-scale aggregates (q2* q3* q4* q6*), "
               "modeled I/O + network, 50 MB/s per-node disks:\n%s\n",
               scaling.ToString().c_str());
-
-  const double speedup2 = totals[0] / totals[1];
-  const double speedup4 = totals[0] / totals[2];
-  const bool scale_ok = speedup2 >= 1.7 && speedup4 >= 3.0;
-  std::printf("gate: 1->2 nodes %.2fx (need >= 1.70), 1->4 nodes %.2fx "
-              "(need >= 3.00): %s\n\n",
-              speedup2, speedup4, scale_ok ? "OK" : "FAIL");
 
   // --- 3. cross-partition penalty table (4 nodes) --------------------------
   const std::vector<QueryId> cross_queries = {QueryId::kQ5, QueryId::kQ7,
@@ -178,8 +168,7 @@ int main(int argc, char** argv) {
                       TablePrinter::Fixed(share, 1) + "%",
                       std::to_string(m.net_bytes),
                       std::to_string(m.net_messages)});
-      json.Add("cross/" + swan::core::ToString(id), "x4 nodes", m.bytes_read,
-               m.real_seconds, 1.0);
+      json.Add("cross/" + swan::core::ToString(id), "x4 nodes", m);
     }
   }
   std::printf("cross-partition penalty at 4 nodes (shipped semi-joins and "
@@ -187,29 +176,15 @@ int main(int argc, char** argv) {
               penalty.ToString().c_str());
   std::printf("the penalty is the price of joining across property "
               "partitions that live on\ndifferent nodes: the filter/binding "
-              "forward legs plus the result return legs.\n\n");
-  const bool penalty_attributed = cross_net_bytes > 0;
-  if (!penalty_attributed) {
-    std::fprintf(stderr, "FAIL: cross-partition queries charged no network "
-                         "traffic at 4 nodes\n");
-  }
+              "forward legs plus the result return legs.\n");
 
+  json.Extra("triples").Value(config.target_triples);
   json.Extra("scaleout").BeginObject()
-      .Field("speedup_2_nodes", speedup2, 6)
-      .Field("speedup_4_nodes", speedup4, 6).Field("gate_2_nodes", 1.7, 2)
-      .Field("gate_4_nodes", 3.0, 2).Field("cross_net_bytes", cross_net_bytes)
-      .Field("gates_passed", scale_ok && penalty_attributed).EndObject();
+      .Field("speedup_2_nodes", totals[0] / totals[1], 6)
+      .Field("speedup_4_nodes", totals[0] / totals[2], 6)
+      .Field("cross_net_bytes", cross_net_bytes).EndObject();
   const std::string json_path =
       swan::bench::InitJsonPath(argc, argv, "scaleout");
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;
-
-  if (!scale_ok) {
-    std::fprintf(stderr,
-                 "FAIL: cold throughput gate (1->2: %.2fx, 1->4: %.2fx)\n",
-                 speedup2, speedup4);
-    return 1;
-  }
-  if (!penalty_attributed) return 1;
-  std::printf("scale-out gates: OK\n");
   return 0;
 }

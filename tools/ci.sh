@@ -14,8 +14,10 @@
 #              promotes the SWAN_GUARDED_BY/SWAN_REQUIRES annotations to
 #              errors (skips with a notice on gcc-only toolchains, where
 #              the macros compile to no-ops)
+#   mutants  - every tools/mutants/*.patch on a scratch copy: the tests
+#              it names must fail (not part of `all`)
 #
-# Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|tsafety|all]
+# Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|tsafety|mutants|all]
 # (default: all)
 set -u
 
@@ -49,6 +51,38 @@ build_and_test() {
   fi
 }
 
+# Runs build tree $1's shell on 20k triples with the remaining arguments,
+# profiling into $1/$2, and validates that Chrome trace (non-empty,
+# per-track monotone timestamps).
+shell_trace_smoke() {
+  local dir="$1" trace="$1/$2"; shift 2
+  "$dir/tools/swandb_shell" --generate 20000 --profile="$trace" "$@" \
+    >/dev/null && python3 "$REPO_ROOT/tools/validate_trace.py" "$trace"
+}
+
+# Replays the serve mix on a 2-node store of build tree $1 into query log
+# $2, which must validate and spread its sessions over both gather nodes.
+sharded_serve_smoke() {
+  "$1/tools/swandb_shell" --generate 20000 --nodes 2 --serve "$SERVE_SMOKE" \
+    --querylog="$2" >/dev/null &&
+    python3 "$REPO_ROOT/tools/validate_querylog.py" "$2" && python3 -c "
+import json
+records = [json.loads(l) for l in open('$2')]
+assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
+assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
+print('sharded querylog: %d records over 2 nodes' % len(records))
+"
+}
+
+# Validates bench JSON file $1 against the shared schema, then runs the
+# python assertions $2 on it, parsed as `doc`.
+check_bench_json() {
+  python3 "$REPO_ROOT/tools/validate_bench_json.py" "$1" && python3 -c "
+import json
+doc = json.load(open('$1'))
+$2"
+}
+
 status=0
 case "$mode" in
   release|all)
@@ -57,13 +91,10 @@ case "$mode" in
     build_and_test "$RELEASE_DIR" \
       -DCMAKE_BUILD_TYPE=Release -DSWAN_WERROR=ON || status=1
     # Trace smoke: a profiled shell query must emit a well-formed Chrome
-    # trace (non-empty, per-track monotone timestamps).
+    # trace.
     echo "=== release: trace smoke ==="
-    { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
-        --profile="$RELEASE_DIR/trace-smoke.json" \
-        --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_trace.py" \
-        "$RELEASE_DIR/trace-smoke.json"; } || status=1
+    shell_trace_smoke "$RELEASE_DIR" trace-smoke.json \
+      --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' || status=1
     # Audit smoke: the shell's full (kFull) audit, which recollects the
     # load-time statistics and compares them field by field and walks
     # every B+tree and column, on a row design, a column design and a
@@ -105,11 +136,8 @@ case "$mode" in
     # Serve smoke: a multi-session script through the concurrent query
     # service; the per-session Chrome trace must validate.
     echo "=== release: serve smoke ==="
-    { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$SERVE_SMOKE" \
-        --profile="$RELEASE_DIR/serve-smoke.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_trace.py" \
-        "$RELEASE_DIR/serve-smoke.json"; } || status=1
+    shell_trace_smoke "$RELEASE_DIR" serve-smoke.json --serve "$SERVE_SMOKE" ||
+      status=1
     # Querylog smoke: the same serve script must leave a schema-valid
     # structured query log and collapsed flamegraph stacks, and the
     # replay must be byte-reproducible run to run, at 1 node and at 2.
@@ -127,41 +155,24 @@ case "$mode" in
     done
     # Bench JSON smoke: --json emission must follow the shared bench-JSON
     # schema (tools/validate_bench_json.py: the fixed cell keys and this
-    # bench's typed extras), and the telemetry reconciliation must hold.
+    # bench's typed extras); the 20k exhibits ctest ran wrote theirs into
+    # the build tree. The telemetry reconciliation must hold.
     echo "=== release: bench json smoke ==="
-    for exhibit in table4_cstore_repetition table5_query_footprint \
-                   figure6_property_sweep figure7_scaleup \
-                   ablation_buffer_pool; do
-      { SWAN_TRIPLES=20000 SWAN_REPS=1 "$RELEASE_DIR/bench/$exhibit" \
-          --json="$RELEASE_DIR/BENCH_$exhibit.json" >/dev/null &&
-        python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-          "$RELEASE_DIR/BENCH_$exhibit.json"; } || status=1
-    done
+    python3 "$REPO_ROOT/tools/validate_bench_json.py" \
+      "$RELEASE_DIR"/BENCH_{table,figure,ablation}*.json || status=1
     { SWAN_TRIPLES=20000 SWAN_REPS=1 \
         "$RELEASE_DIR/bench/serve_throughput" \
         --json="$RELEASE_DIR/BENCH_serve_throughput.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-        "$RELEASE_DIR/BENCH_serve_throughput.json" &&
-      python3 -c "
-import json
-doc = json.load(open('$RELEASE_DIR/BENCH_serve_throughput.json'))
-assert doc['telemetry_reconciled'] is True, doc
-print('bench json smoke: OK')
-"; } || status=1
+      check_bench_json "$RELEASE_DIR/BENCH_serve_throughput.json" \
+        "assert doc['telemetry_reconciled'] is True, doc"; } || status=1
     # Every parallel_speedup cell carries the bytes of its cold 1-thread
     # run, which is never zero.
     { SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/parallel_speedup" --threads=2 \
         --json="$RELEASE_DIR/BENCH_parallel_speedup.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-        "$RELEASE_DIR/BENCH_parallel_speedup.json" &&
-      python3 -c "
-import json
-doc = json.load(open('$RELEASE_DIR/BENCH_parallel_speedup.json'))
+      check_bench_json "$RELEASE_DIR/BENCH_parallel_speedup.json" "
 zero = [(w, b) for w, cells in doc['workloads'].items()
         for b, cell in cells.items() if cell['cold_bytes'] <= 0]
-assert not zero, 'cells without cold bytes: %r' % zero
-print('parallel_speedup json smoke: OK')
-"; } || status=1
+assert not zero, 'cells without cold bytes: %r' % zero"; } || status=1
     # Micro-bench JSON smoke: a brief run of every micro bench must leave
     # google-benchmark JSON with a non-empty benchmark list, the B+tree
     # file must name the row engine's hot q3, the subject-set probe and
@@ -194,14 +205,6 @@ if '$name' == 'micro_colstore_ops':
 print('micro bench json smoke: $name OK,', len(names), 'entries')
 "; } || { echo "micro bench json failed: $name"; status=1; }
     done
-    # Codec-equivalence smoke: the compression ablation verifies every
-    # codec against the row reference on all 12 queries and gates on the
-    # cold-bytes reduction, at a scale small enough for CI.
-    echo "=== release: codec smoke ==="
-    { SWAN_TRIPLES=40000 "$RELEASE_DIR/bench/ablation_compression" \
-        --json="$RELEASE_DIR/BENCH_ablation_compression.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-        "$RELEASE_DIR/BENCH_ablation_compression.json"; } || status=1
     # Planner smoke: the planner ablation equivalence-gates all three plan
     # modes on q1-q8 across the backend grid and exits non-zero if the
     # cost-based plan ever loses to the hand-wired order or to the pinned
@@ -210,16 +213,10 @@ print('micro bench json smoke: $name OK,', len(names), 'entries')
     echo "=== release: planner smoke ==="
     { SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_planner" \
         --json="$RELEASE_DIR/BENCH_ablation_planner.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-        "$RELEASE_DIR/BENCH_ablation_planner.json" &&
-      python3 -c "
-import json
-doc = json.load(open('$RELEASE_DIR/BENCH_ablation_planner.json'))
+      check_bench_json "$RELEASE_DIR/BENCH_ablation_planner.json" "
 planner = doc['planner']
 assert planner['gates_passed'] is True, planner
-assert planner['heuristic_baseline'] == 'applied', planner
-print('planner smoke: OK')
-"; } || status=1
+assert planner['heuristic_baseline'] == 'applied', planner"; } || status=1
     # Updates smoke: insert batches on existing and on new properties,
     # then q2*, which makes both column schemes merge their write stores;
     # every backend's rows are checked against the reference and the
@@ -227,25 +224,20 @@ print('planner smoke: OK')
     echo "=== release: updates smoke ==="
     SWAN_TRIPLES=20000 "$RELEASE_DIR/bench/ablation_updates" \
       >/dev/null || status=1
-    # Scale-out smoke, at the full default scale (release is fast
-    # enough): 12-query equivalence at nodes {1,2,4} x threads {1,8},
-    # the >=1.7x / >=3.0x cold-throughput gates, and the
-    # cross-partition attribution gate all live inside the binary.
-    echo "=== release: scaleout smoke ==="
-    { SWAN_REPS=1 "$RELEASE_DIR/bench/scaleout" \
-        --json="$RELEASE_DIR/BENCH_scaleout.json" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_bench_json.py" \
-        "$RELEASE_DIR/BENCH_scaleout.json" &&
-      python3 -c "
-import json
-doc = json.load(open('$RELEASE_DIR/BENCH_scaleout.json'))
-gates = doc['scaleout']
-assert gates['gates_passed'] is True, gates
-assert gates['speedup_2_nodes'] >= gates['gate_2_nodes'], gates
-assert gates['speedup_4_nodes'] >= gates['gate_4_nodes'], gates
-assert gates['cross_net_bytes'] > 0, gates
-print('scaleout json smoke: OK')
-"; } || status=1
+    # Claims (tools/check_claims.py) on Tables 4 and 6 and scale-out at
+    # the default 400k triples (scale-out first checks its 12 queries at
+    # nodes {1,2,4} x threads {1,8}) and the compression ablation at 40k.
+    echo "=== release: claims ==="
+    claims=("$RELEASE_DIR"/BENCH_{table6_cold_runs,table4_cstore_repetition}.json
+            "$RELEASE_DIR"/BENCH_{ablation_compression,scaleout}.json)
+    { "$RELEASE_DIR/bench/table6_cold_runs" --json="${claims[0]}" &&
+      "$RELEASE_DIR/bench/table4_cstore_repetition" --json="${claims[1]}" &&
+      SWAN_TRIPLES=40000 "$RELEASE_DIR/bench/ablation_compression" \
+        --json="${claims[2]}" &&
+      SWAN_REPS=1 "$RELEASE_DIR/bench/scaleout" --json="${claims[3]}"; } \
+      >/dev/null &&
+      python3 "$REPO_ROOT/tools/validate_bench_json.py" "${claims[@]}" &&
+      python3 "$REPO_ROOT/tools/check_claims.py" "${claims[@]}" || status=1
     # swanbench smoke: a few seconds of every benchmark workload, each
     # answer (the 2-node store's included) checked against the reference
     # and every store audited at exit. Builds its own Release tree in
@@ -260,18 +252,8 @@ print('scaleout json smoke: OK')
     echo "=== release: sharded querylog smoke ==="
     SHARDED_QUERY='SELECT ?s ?t WHERE { ?s <origin> <info:marcorg/DLC> .
       ?s <records> ?o2 . ?o2 <type> ?t }'
-    { "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
-        --serve "$SERVE_SMOKE" \
-        --querylog="$RELEASE_DIR/querylog-sharded.jsonl" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_querylog.py" \
+    { sharded_serve_smoke "$RELEASE_DIR" \
         "$RELEASE_DIR/querylog-sharded.jsonl" &&
-      python3 -c "
-import json
-records = [json.loads(l) for l in open('$RELEASE_DIR/querylog-sharded.jsonl')]
-assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
-assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
-print('sharded querylog: %d records over 2 nodes' % len(records))
-" &&
       "$RELEASE_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
         --query "$SHARDED_QUERY" \
         --querylog="$RELEASE_DIR/querylog-shell-sharded.jsonl" >/dev/null &&
@@ -307,11 +289,8 @@ print('shell sharded record: %d match calls, %d net bytes'
     # Trace smoke: a profiled shell query must emit a well-formed Chrome
     # trace.
     echo "=== sanitize: trace smoke ==="
-    { "$ASAN_DIR/tools/swandb_shell" --generate 20000 \
-        --profile="$ASAN_DIR/trace-smoke.json" \
-        --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_trace.py" \
-        "$ASAN_DIR/trace-smoke.json"; } || status=1
+    shell_trace_smoke "$ASAN_DIR" trace-smoke.json \
+      --query 'SELECT ?s WHERE { ?s <type> <Text> } LIMIT 5' || status=1
     # Codec smoke: raw and auto columns must answer identically. The
     # `-- N rows, real ...` footer carries wall-clock times; strip it so
     # the diff compares result rows only.
@@ -331,18 +310,17 @@ print('shell sharded record: %d match calls, %d net bytes'
     SWAN_TRIPLES=8000 "$ASAN_DIR/bench/ablation_planner" >/dev/null ||
       status=1
     # Scale-out smoke at 60k triples: multi-node equivalence and the
-    # scaling gates, which measure modeled I/O + network (untouched by
-    # ASan's CPU cost) and pass at any scale from 60k up.
+    # scaling claims, which read modeled I/O + network (untouched by
+    # ASan's CPU cost) and hold at any scale from 60k up.
     echo "=== sanitize: scaleout smoke ==="
-    SWAN_TRIPLES=60000 SWAN_REPS=1 "$ASAN_DIR/bench/scaleout" >/dev/null ||
-      status=1
+    { SWAN_TRIPLES=60000 SWAN_REPS=1 "$ASAN_DIR/bench/scaleout" \
+        --json="$ASAN_DIR/BENCH_scaleout.json" >/dev/null &&
+      python3 "$REPO_ROOT/tools/check_claims.py" \
+        "$ASAN_DIR/BENCH_scaleout.json"; } || status=1
     # Serve smoke: the multi-session script and its per-session trace.
     echo "=== sanitize: serve smoke ==="
-    { "$ASAN_DIR/tools/swandb_shell" --generate 20000 \
-        --serve "$SERVE_SMOKE" --profile="$ASAN_DIR/serve-smoke.json" \
-        >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_trace.py" \
-        "$ASAN_DIR/serve-smoke.json"; } || status=1
+    shell_trace_smoke "$ASAN_DIR" serve-smoke.json --serve "$SERVE_SMOKE" ||
+      status=1
     # Querylog smoke: the structured query log and collapsed stacks.
     echo "=== sanitize: querylog smoke ==="
     { "$ASAN_DIR/tools/swandb_shell" --generate 20000 \
@@ -353,18 +331,8 @@ print('shell sharded record: %d match calls, %d net bytes'
         "$ASAN_DIR/querylog-smoke.folded"; } || status=1
     # Sharded querylog smoke: per-node dimensions on a 2-node store.
     echo "=== sanitize: sharded querylog smoke ==="
-    { "$ASAN_DIR/tools/swandb_shell" --generate 20000 --nodes 2 \
-        --serve "$SERVE_SMOKE" \
-        --querylog="$ASAN_DIR/querylog-sharded-smoke.jsonl" >/dev/null &&
-      python3 "$REPO_ROOT/tools/validate_querylog.py" \
-        "$ASAN_DIR/querylog-sharded-smoke.jsonl" &&
-      python3 -c "
-import json
-records = [json.loads(l) for l in open('$ASAN_DIR/querylog-sharded-smoke.jsonl')]
-assert all(r['nodes'] == 2 for r in records), 'nodes dimension missing'
-assert len({r['node'] for r in records}) == 2, 'sessions all on one node'
-print('sharded querylog: %d records over 2 nodes' % len(records))
-"; } || status=1
+    sharded_serve_smoke "$ASAN_DIR" "$ASAN_DIR/querylog-sharded-smoke.jsonl" ||
+      status=1
     [ "$mode" = "sanitize" ] && exit "$status"
     ;;&
   tsan|all)
@@ -433,10 +401,41 @@ print('sharded querylog: %d records over 2 nodes' % len(records))
     fi
     [ "$mode" = "tsafety" ] && exit "$status"
     ;;&
+  mutants)
+    # Each tools/mutants/*.patch names, on its "targets:" and "tests:"
+    # lines, the build targets and the ctest regex that must kill it. The
+    # patches apply in turn to one scratch copy of the tree (tracked and
+    # untracked files); a mutant whose tests pass survives and fails the
+    # leg, and one that does not apply or build stops it.
+    echo "=== matrix: mutants ==="
+    TREE="$REPO_ROOT/build-ci-mutants/tree"
+    MUTANT_BUILD="$REPO_ROOT/build-ci-mutants/build"
+    rm -rf "$REPO_ROOT/build-ci-mutants" && mkdir -p "$TREE" &&
+      git ls-files -z -co --exclude-standard |
+      tar --null --ignore-failed-read -T - -cf - | tar -C "$TREE" -xf - &&
+      cmake -B "$MUTANT_BUILD" -S "$TREE" >/dev/null || exit 1
+    for mutant in tools/mutants/*.patch; do
+      targets="$(sed -n 's/^targets: //p' "$mutant")"
+      tests="$(sed -n 's/^tests: //p' "$mutant")"
+      # $targets is unquoted on purpose: it is a list of targets.
+      { patch -s -d "$TREE" -p1 < "$mutant" &&
+        cmake --build "$MUTANT_BUILD" -j "$JOBS" --target $targets \
+          >/dev/null 2>&1; } || { echo "broken mutant: $mutant"; exit 1; }
+      if (cd "$MUTANT_BUILD" && ctest -j "$JOBS" --no-tests=error \
+            --timeout "$TEST_TIMEOUT" -R "$tests" >/dev/null 2>&1); then
+        echo "SURVIVED: $mutant ($tests)"; status=1
+      else
+        echo "killed: $mutant ($tests)"
+      fi
+      patch -s -R -d "$TREE" -p1 < "$mutant" || exit 1
+    done
+    exit "$status"
+    ;;
   release|sanitize|tsan|tidy|lint|tsafety|all)
     ;;
   *)
-    echo "usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|tsafety|all]" >&2
+    echo "usage: tools/ci.sh" \
+         "[release|sanitize|tsan|tidy|lint|tsafety|mutants|all]" >&2
     exit 2
     ;;
 esac

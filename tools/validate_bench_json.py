@@ -5,7 +5,8 @@ Every bench writes one shared schema (bench::BenchJsonWriter):
 
   {"bench": "<name>",
    "workloads": {"<workload>": {"<backend>":
-       {"cold_bytes": N, "modeled_seconds": S, "speedup": X}}},
+       {"cold_bytes": N, "modeled_seconds": S, "speedup": X
+        [, "seeks": K, "io_seconds": S, "net_bytes": N]}}},
    <extra top-level fields>}
 
 Checks, per file:
@@ -13,7 +14,9 @@ Checks, per file:
      names a known bench;
   2. `workloads` is a non-empty object of non-empty backend objects, and
      every cell has exactly cold_bytes (integer >= 0), modeled_seconds
-     (number >= 0) and speedup (number >= 0);
+     (number >= 0) and speedup (number >= 0), plus either all or none of
+     the deterministic costs a measured cell carries: seeks (integer
+     >= 0), io_seconds (number >= 0) and net_bytes (integer >= 0);
   3. the extra top-level fields are exactly the ones that bench writes,
      each of its declared type (EXTRAS below).
 
@@ -29,7 +32,8 @@ import sys
 # spec), {key: spec} (an object with exactly those keys) and
 # ("map", spec) (an object whose keys are free and whose values are spec).
 # The exhibit runner (bench/exhibit.h) writes "hot" only when an exhibit
-# runs one mode, and "codec" only when its points share one codec.
+# runs one mode, "codec" only when its points share one codec, and
+# "triples" only when no point sets its own scale.
 GRID = {"triples": int, "codec": str, "hot": bool}
 EXTRAS = {
     "table4_cstore_repetition": {"triples": int, "codec": str},
@@ -38,7 +42,7 @@ EXTRAS = {
     "table7_hot_runs": GRID,
     "figure6_property_sweep": GRID,
     "figure7_scaleup": GRID,
-    "scale_sensitivity": {"triples": int, "codec": str},
+    "scale_sensitivity": {"codec": str},
     "ablation_buffer_pool": {"triples": int, "codec": str},
     "parallel_speedup": {
         "triples": int,
@@ -52,32 +56,21 @@ EXTRAS = {
         "telemetry_reconciled": bool,
     },
     "scaleout": {
+        "triples": int,
         "scaleout": {
             "speedup_2_nodes": float,
             "speedup_4_nodes": float,
-            "gate_2_nodes": float,
-            "gate_4_nodes": float,
             "cross_net_bytes": int,
-            "gates_passed": bool,
         },
     },
     "ablation_planner": {
         "planner": {"losses": int, "gates_passed": bool,
                     "heuristic_baseline": str},
     },
-    "ablation_compression": {
-        "triples": int,
-        "hot": bool,
-        "compression": {
-            "raw_cold_bytes": int,
-            "auto_cold_bytes": int,
-            "reduction": float,
-            "gate": float,
-            "gates_passed": bool,
-        },
-    },
+    "ablation_compression": {"triples": int, "hot": bool},
 }
 CELL = {"cold_bytes": int, "modeled_seconds": float, "speedup": float}
+MEASURED_CELL = dict(CELL, seeks=int, io_seconds=float, net_bytes=int)
 
 
 class Invalid(Exception):
@@ -129,8 +122,10 @@ def validate(doc):
             raise Invalid("workload %r has no backends" % workload)
         for backend, cell in backends.items():
             where = "workloads[%r][%r]" % (workload, backend)
-            check(cell, CELL, where)
-            for key in CELL:
+            spec = MEASURED_CELL if isinstance(cell, dict) and \
+                "seeks" in cell else CELL
+            check(cell, spec, where)
+            for key in spec:
                 if cell[key] < 0:
                     raise Invalid("%s.%s is negative" % (where, key))
     extras = {k: v for k, v in doc.items() if k not in ("bench", "workloads")}
