@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "colstore/ops.h"
-#include "common/macros.h"
 #include "obs/trace.h"
 
 namespace swan::core {
@@ -42,33 +41,43 @@ auto EachTriple(const Fn& fn) {
   };
 }
 
-}  // namespace
+// The ids of a sorted span as a hash set, probed per scanned tuple.
+IdSet ToIdSet(std::span<const uint64_t> ids) {
+  IdSet set;
+  set.Reserve(ids.size());
+  for (uint64_t id : ids) set.Insert(id);
+  return set;
+}
 
-// ---------------------------------------------------------------------------
-// RowBackend: the 12 queries over ScanPattern and ScanBranches
-// ---------------------------------------------------------------------------
-
-IdSet RowBackend::SubjectSet(uint64_t property, uint64_t object,
-                             const exec::ExecContext& ectx,
-                             const IdSet* within) const {
-  obs::Span span(ectx.trace(), tag_ + ".index_scan");
-  IdSet out;
-  ScanPattern(PatternPO(property, object),
-              EachTriple([&](const rdf::Triple& t) {
-                if (within == nullptr || within->contains(t.subject)) {
-                  out.Insert(t.subject);
-                }
-              }));
-  span.set_rows_out(out.size());
+// A hash count table's groups, ascending by key.
+KeyCounts SortedCounts(const IdMap<uint64_t>& counts) {
+  KeyCounts out;
+  out.reserve(counts.size());
+  counts.ForEach([&](uint64_t k, uint64_t n) { out.emplace_back(k, n); });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
+// The keys of `groups`, in their order.
+std::vector<uint64_t> KeysOf(const KeyCounts& groups) {
+  std::vector<uint64_t> keys;
+  keys.reserve(groups.size());
+  for (const auto& group : groups) keys.push_back(group.first);
+  return keys;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// RowBackend: the seven phases over ScanPattern and ScanBranches
+// ---------------------------------------------------------------------------
+
 template <typename Key>
-RowBackend::Counts RowBackend::CountPass(const Pass& pass,
-                                         const exec::ExecContext& ectx,
-                                         const Key& key) const {
+KeyCounts RowBackend::CountPass(const Pass& pass,
+                                const exec::ExecContext& ectx,
+                                const Key& key) const {
   obs::Span span(ectx.trace(),
-                 tag_ + (pass.subject ? ".index_scan" : ".full_scan"));
+                 tag() + (pass.subject ? ".index_scan" : ".full_scan"));
   std::vector<Counts> partials;
   ScanBranches(
       pass, ectx, [&](uint64_t branches) { partials.resize(branches); },
@@ -90,14 +99,14 @@ RowBackend::Counts RowBackend::CountPass(const Pass& pass,
     partials[i].ForEach([&](uint64_t k, uint64_t n) { counts[k] += n; });
   }
   span.set_rows_out(counts.size());
-  return counts;
+  return SortedCounts(counts);
 }
 
 void RowBackend::PropertyObjectPairs(const Pass& pass,
                                      const exec::ExecContext& ectx,
                                      std::vector<uint64_t>* props,
                                      std::vector<uint64_t>* objects) const {
-  obs::Span span(ectx.trace(), tag_ + ".full_scan");
+  obs::Span span(ectx.trace(), tag() + ".full_scan");
   std::vector<std::vector<uint64_t>> branch_props;
   std::vector<std::vector<uint64_t>> branch_objects;
   ScanBranches(
@@ -121,144 +130,91 @@ void RowBackend::PropertyObjectPairs(const Pass& pass,
   span.set_rows_out(props->size());
 }
 
-void RowBackend::JoinWithTypes(
-    uint64_t build, bool key_by_object, const IdSet& a, uint64_t type,
-    const exec::ExecContext& ectx,
-    const std::function<void(uint64_t, const rdf::Triple&)>& emit,
-    QueryResult* result) const {
-  // The build rows' values, chained per key: head[key] is 1 + the index of
-  // its last row, next[i] that of the row before row i (0 ends a chain).
-  IdMap<uint64_t> head;
-  std::vector<uint64_t> values;
-  std::vector<uint64_t> next;
-  {
-    obs::Span span(ectx.trace(), tag_ + ".hash_build");
-    ScanPattern(PatternPO(build), EachTriple([&](const rdf::Triple& t) {
-                  if (!a.contains(t.subject)) return;
-                  uint64_t& last = head[key_by_object ? t.object : t.subject];
-                  values.push_back(key_by_object ? t.subject : t.object);
-                  next.push_back(last);
-                  last = values.size();
-                }));
-    span.set_rows_out(head.size());
-  }
-  obs::Span span(ectx.trace(), tag_ + ".hash_probe");
-  ScanPattern(PatternPO(type), EachTriple([&](const rdf::Triple& t) {
-                const uint64_t* last = head.Find(t.subject);
-                if (last == nullptr) return;
-                for (uint64_t i = *last; i != 0; i = next[i - 1]) {
-                  emit(values[i - 1], t);
-                }
+std::vector<uint64_t> RowBackend::SubjectsOf(
+    uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
+  obs::Span span(ectx.trace(), tag() + ".index_scan");
+  std::vector<uint64_t> out;
+  ScanPattern(PatternPO(property, object),
+              EachTriple([&](const rdf::Triple& t) {
+                out.push_back(t.subject);
               }));
-  span.set_rows_out(result->rows.size());
+  out = colstore::SortDistinct(std::move(out));
+  span.set_rows_out(out.size());
+  return out;
 }
 
-QueryResult RowBackend::Run(QueryId id, const QueryContext& ctx,
-                            const exec::ExecContext& ectx) {
-  obs::Span span(ectx.trace(), tag_ + "." + FamilyName(id));
-  const Vocabulary& v = ctx.vocab();
-  const std::vector<uint64_t>* props = PropertyFilter(id, ctx);
-  QueryResult result;
-  const auto emit_counts = [&](const Counts& counts) {
-    counts.ForEach([&](uint64_t key, uint64_t count) {
-      result.rows.push_back({key, count});
-    });
-  };
-  switch (BaseOf(id)) {
-    case QueryId::kQ1: {
-      Counts counts;
-      ScanPattern(PatternPO(v.type), EachTriple([&](const rdf::Triple& t) {
-                    ++counts[t.object];
-                  }));
-      result.column_names = {"obj", "count"};
-      emit_counts(counts);
-      break;
-    }
-    case QueryId::kQ2:
-    case QueryId::kQ6: {
-      IdSet a = SubjectSet(v.type, v.text, ectx);
-      if (BaseOf(id) == QueryId::kQ6) {
-        // Union: plus the subjects whose records-object is Text-typed.
-        std::vector<uint64_t> via_records;
-        ScanPattern(PatternPO(v.records),
-                    EachTriple([&](const rdf::Triple& t) {
-                      if (a.contains(t.object)) {
-                        via_records.push_back(t.subject);
-                      }
-                    }));
-        for (uint64_t s : via_records) a.Insert(s);
-      }
-      result.column_names = {"prop", "count"};
-      emit_counts(CountPass({.props = props, .subjects = &a}, ectx,
-                            [](const rdf::Triple& t) { return t.property; }));
-      break;
-    }
-    case QueryId::kQ3:
-    case QueryId::kQ4: {
-      IdSet a = SubjectSet(v.type, v.text, ectx);
-      // q4/q4*: the subject must also carry (language, fre).
-      if (BaseOf(id) == QueryId::kQ4) {
-        a = SubjectSet(v.language, v.french, ectx, &a);
-      }
-      std::vector<uint64_t> ps;
-      std::vector<uint64_t> os;
-      PropertyObjectPairs({.props = props, .subjects = &a}, ectx, &ps, &os);
-      result.column_names = {"prop", "obj", "count"};
-      // HAVING count > 1.
-      for (const colstore::PairCount& g :
-           colstore::CountPairs(ps, os, ctx.dict_size(), 2, ectx)) {
-        result.rows.push_back({g.a, g.b, g.count});
-      }
-      break;
-    }
-    case QueryId::kQ5: {
-      const IdSet a = SubjectSet(v.origin, v.dlc, ectx);
-      result.column_names = {"subj", "obj"};
-      JoinWithTypes(
-          v.records, /*key_by_object=*/true, a, v.type, ectx,
-          [&](uint64_t subject, const rdf::Triple& type) {
-            if (type.object != v.text) {
-              result.rows.push_back({subject, type.object});
-            }
-          },
-          &result);
-      break;
-    }
-    case QueryId::kQ7: {
-      const IdSet a = SubjectSet(v.point, v.end, ectx);
-      result.column_names = {"subj", "encoding", "type"};
-      JoinWithTypes(
-          v.encoding, /*key_by_object=*/false, a, v.type, ectx,
-          [&](uint64_t encoding, const rdf::Triple& type) {
-            result.rows.push_back({type.subject, encoding, type.object});
-          },
-          &result);
-      break;
-    }
-    case QueryId::kQ8: {
-      // Temporary table t: the objects of subject "conferences", joined
-      // back against every property's objects.
-      const Counts t_objects =
-          CountPass({.subject = v.conferences}, ectx,
-                    [](const rdf::Triple& t) { return t.object; });
-      const Counts subjects = CountPass(
-          {}, ectx, [&](const rdf::Triple& t) -> std::optional<uint64_t> {
-            if (t.subject == v.conferences || !t_objects.contains(t.object)) {
-              return std::nullopt;
-            }
-            return t.subject;
-          });
-      result.column_names = {"subj"};
-      subjects.ForEach([&](uint64_t subject, uint64_t) {
-        result.rows.push_back({subject});
-      });
-      break;
-    }
-    default:
-      SWAN_CHECK(false);
+std::vector<uint64_t> RowBackend::ObjectsOf(
+    uint64_t subject, const exec::ExecContext& ectx) const {
+  return KeysOf(CountPass({.subject = subject}, ectx,
+                          [](const rdf::Triple& t) { return t.object; }));
+}
+
+KeyCounts RowBackend::ObjectCounts(uint64_t property, uint64_t universe,
+                                   const exec::ExecContext& ectx) const {
+  (void)universe;
+  (void)ectx;
+  Counts counts;
+  ScanPattern(PatternPO(property), EachTriple([&](const rdf::Triple& t) {
+                ++counts[t.object];
+              }));
+  return SortedCounts(counts);
+}
+
+KeyCounts RowBackend::PropertyCounts(std::span<const uint64_t> subjects,
+                                     const std::vector<uint64_t>* props,
+                                     uint64_t universe,
+                                     const exec::ExecContext& ectx) const {
+  (void)universe;
+  return CountPass({.props = props, .subjects = subjects}, ectx,
+                   [](const rdf::Triple& t) { return t.property; });
+}
+
+std::vector<colstore::PairCount> RowBackend::PropertyObjectCounts(
+    std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+    uint64_t universe, const colstore::MinCount& min_count,
+    const exec::ExecContext& ectx) const {
+  std::vector<uint64_t> ps;
+  std::vector<uint64_t> os;
+  PropertyObjectPairs({.props = props, .subjects = subjects}, ectx, &ps, &os);
+  return colstore::CountPairs(ps, os, universe, min_count, ectx);
+}
+
+SubjectObjects RowBackend::SubjectObjectPairs(
+    uint64_t property, std::span<const uint64_t> subjects,
+    const exec::ExecContext& ectx) const {
+  obs::Span span(ectx.trace(), tag() + ".hash_probe");
+  const IdSet in = ToIdSet(subjects);
+  SubjectObjects out;
+  ScanPattern(PatternPO(property), EachTriple([&](const rdf::Triple& t) {
+                if (in.contains(t.subject)) {
+                  out.emplace_back(t.subject, t.object);
+                }
+              }));
+  std::sort(out.begin(), out.end());
+  span.set_rows_out(out.size());
+  return out;
+}
+
+std::vector<uint64_t> RowBackend::SubjectsWithObjectIn(
+    std::span<const uint64_t> objects, std::optional<uint64_t> property,
+    uint64_t universe, const exec::ExecContext& ectx) const {
+  (void)universe;
+  const IdSet in = ToIdSet(objects);
+  if (!property) {
+    return KeysOf(CountPass(
+        {}, ectx, [&](const rdf::Triple& t) -> std::optional<uint64_t> {
+          if (!in.contains(t.object)) return std::nullopt;
+          return t.subject;
+        }));
   }
-  span.set_rows_out(result.row_count());
-  return result;
+  obs::Span span(ectx.trace(), tag() + ".hash_probe");
+  std::vector<uint64_t> out;
+  ScanPattern(PatternPO(*property), EachTriple([&](const rdf::Triple& t) {
+                if (in.contains(t.object)) out.push_back(t.subject);
+              }));
+  out = colstore::SortDistinct(std::move(out));
+  span.set_rows_out(out.size());
+  return out;
 }
 
 std::vector<rdf::Triple> RowBackend::Match(
@@ -303,16 +259,17 @@ void RowTripleBackend::ScanBranches(const Pass& pass,
                                     const std::function<void(uint64_t)>& start,
                                     const BranchFn& fn) const {
   if (!pass.subject) {
-    relation_->FullScan(ectx, pass.props, pass.subjects, start, fn);
+    // A semi-join probes a hash set of its subjects once per key.
+    const IdSet in =
+        ToIdSet(pass.subjects.value_or(std::span<const uint64_t>()));
+    relation_->FullScan(ectx, pass.props, pass.subjects ? &in : nullptr,
+                        start, fn);
     return;
   }
   start(1);
   rdf::TriplePattern pattern;
   pattern.subject = pass.subject;
   const auto keeps = [&pass](const rdf::Triple& t) {
-    if (pass.subjects != nullptr && !pass.subjects->contains(t.subject)) {
-      return false;
-    }
     return pass.props == nullptr ||
            std::binary_search(pass.props->begin(), pass.props->end(),
                               t.property);
@@ -356,20 +313,12 @@ void RowVerticalBackend::ScanBranches(
   const std::vector<uint64_t>& props =
       pass.props != nullptr ? *pass.props : relation_->properties();
   start(props.size());
-  // The semi-join's subjects are materialized once as a temporary table,
-  // but the generated SQL contains one join *per property table*,
-  // and each union branch builds its own hash table from it — there is no
-  // sub-plan sharing across the hundreds of branches. This per-branch
-  // build cost is exactly the "proliferation of unions and joins"
-  // overhead of §4.2.
-  const bool semi_join = !pass.subject && pass.subjects != nullptr;
-  std::vector<uint64_t> temp_table;
-  if (semi_join) {
-    obs::Span span(ectx.trace(), "row_vert.temp_table");
-    temp_table.reserve(pass.subjects->size());
-    pass.subjects->ForEach([&](uint64_t s) { temp_table.push_back(s); });
-    span.set_rows_out(temp_table.size());
-  }
+  // The semi-join's sorted subject list is its temporary table, but the
+  // generated SQL contains one join *per property table*, and each union
+  // branch builds its own hash table from it — there is no sub-plan
+  // sharing across the hundreds of branches. This per-branch build cost
+  // is exactly the "proliferation of unions and joins" overhead of §4.2.
+  const bool semi_join = !pass.subject && pass.subjects;
   // The branches are independent, so they fan out across the context's
   // lanes. A subject probe is one B+tree descent per property table.
   obs::Span span(ectx.trace(), pass.subject ? "row_vert.probe_descents"
@@ -378,7 +327,7 @@ void RowVerticalBackend::ScanBranches(
   ectx.ParallelFor(props.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
     for (uint64_t k = b; k < e; ++k) {
       if (semi_join) {
-        JoinPartitionWithTempTable(props[k], temp_table, k, fn);
+        JoinPartitionWithTempTable(props[k], *pass.subjects, k, fn);
         continue;
       }
       relation_->ScanPartition(
@@ -389,7 +338,7 @@ void RowVerticalBackend::ScanBranches(
 }
 
 void RowVerticalBackend::JoinPartitionWithTempTable(
-    uint64_t property, const std::vector<uint64_t>& temp_table,
+    uint64_t property, std::span<const uint64_t> temp_table,
     uint64_t branch, const BranchFn& fn) const {
   const uint64_t partition_rows = relation_->PartitionSize(property);
   if (partition_rows == 0) return;

@@ -10,39 +10,32 @@
 #include <vector>
 
 #include "common/id_hash.h"
-#include "core/backend.h"
+#include "core/phased_backend.h"
 #include "rowstore/triple_relation.h"
 #include "rowstore/vertical_relation.h"
 
 namespace swan::core {
 
-// The row engine ("DBX" of Tables 6/7): one executor answers the 12
-// benchmark queries for every physical design, which differ only in two
-// scan primitives. Plans are pipelines over leaf-at-a-time scans: each
+// The row engine ("DBX" of Tables 6/7): the physical designs differ only
+// in two scan primitives, and the skeleton's seven phases (PhasedBackend)
+// run on top of them. Plans are pipelines over leaf-at-a-time scans: each
 // B+tree leaf a scan walks arrives as one batch of its decoded matches,
-// and the operators above — generic hash join/aggregation — take the
-// batch apart tuple by tuple. The row store cannot assume dense ids the
-// way the column engine does, which is one half of the order-of-magnitude
-// gap the paper measures; the other half is page-at-a-time I/O through
-// the buffer pool. That is why the family does not reuse ColumnBackend's
-// dense, universe-sized phases: filters, group counts and join build sides
-// here are hash tables over 64-bit ids (IdSet/IdMap, probed per tuple),
-// and every branch of a pass keeps its own hash partial. The one shared
-// operator is q3/q4's (property, object) group count: every engine feeds
-// its selected pairs to colstore::CountPairs.
-class RowBackend : public BackendBase {
+// and the operators above take the batch apart tuple by tuple. The row
+// store cannot assume dense ids the way the column engine does, which is
+// one half of the order-of-magnitude gap the paper measures; the other
+// half is page-at-a-time I/O through the buffer pool. So the phases' sorted
+// set arguments become hash tables probed per tuple (an IdSet, or the
+// vertical store's per-branch tables), and a pass keeps one IdMap partial
+// per branch.
+class RowBackend : public PhasedBackend {
  public:
   // `tag` prefixes the engine's span names ("row_triple", "row_vert").
   RowBackend(std::string tag, storage::DiskConfig disk_config,
              size_t pool_pages)
-      : BackendBase(disk_config, pool_pages),
-        tag_(std::move(tag)),
-        match_span_(tag_ + ".match") {}
+      : PhasedBackend(std::move(tag), disk_config, pool_pages),
+        match_span_(this->tag() + ".match") {}
 
-  using Backend::Run;
   using Backend::Match;
-  QueryResult Run(QueryId id, const QueryContext& ctx,
-                  const exec::ExecContext& ectx) final;
   // Pattern lookups keep canonical key order, so they stay serial.
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
                                  const exec::ExecContext& ectx) const final;
@@ -57,10 +50,10 @@ class RowBackend : public BackendBase {
 
   // The triples a branch pass visits: those of `props` (sorted; nullptr =
   // every property) whose subject is `subject` when bound, else is in
-  // `subjects` when non-null (a semi-join), else any.
+  // `subjects` (sorted, duplicate-free) when set (a semi-join), else any.
   struct Pass {
     const std::vector<uint64_t>* props = nullptr;
-    const IdSet* subjects = nullptr;
+    std::optional<std::span<const uint64_t>> subjects = std::nullopt;
     std::optional<uint64_t> subject = std::nullopt;
   };
 
@@ -78,33 +71,42 @@ class RowBackend : public BackendBase {
  private:
   using Counts = IdMap<uint64_t>;
 
-  // Subjects s with (s, property, object), restricted to `within` when
-  // non-null.
-  IdSet SubjectSet(uint64_t property, uint64_t object,
-                   const exec::ExecContext& ectx,
-                   const IdSet* within = nullptr) const;
+  // The phases: a pattern scan for SubjectsOf, q1 and the probes through
+  // one property; a branch pass for the rest.
+  std::vector<uint64_t> SubjectsOf(
+      uint64_t property, uint64_t object,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> ObjectsOf(
+      uint64_t subject, const exec::ExecContext& ectx) const override;
+  KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
+                         const exec::ExecContext& ectx) const override;
+  KeyCounts PropertyCounts(std::span<const uint64_t> subjects,
+                           const std::vector<uint64_t>* props,
+                           uint64_t universe,
+                           const exec::ExecContext& ectx) const override;
+  std::vector<colstore::PairCount> PropertyObjectCounts(
+      std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
+      uint64_t universe, const colstore::MinCount& min_count,
+      const exec::ExecContext& ectx) const override;
+  SubjectObjects SubjectObjectPairs(
+      uint64_t property, std::span<const uint64_t> subjects,
+      const exec::ExecContext& ectx) const override;
+  std::vector<uint64_t> SubjectsWithObjectIn(
+      std::span<const uint64_t> objects, std::optional<uint64_t> property,
+      uint64_t universe, const exec::ExecContext& ectx) const override;
+
   // Group-counts the triples of `pass` by `key(triple)` (an optional:
   // nullopt drops the triple), one hash partial per branch, summed in
-  // branch order.
+  // branch order; the groups come out ascending by key.
   template <typename Key>
-  Counts CountPass(const Pass& pass, const exec::ExecContext& ectx,
-                   const Key& key) const;
+  KeyCounts CountPass(const Pass& pass, const exec::ExecContext& ectx,
+                      const Key& key) const;
   // Appends the (property, object) pairs of the triples of `pass`, one
   // partial per branch, concatenated in branch order.
   void PropertyObjectPairs(const Pass& pass, const exec::ExecContext& ectx,
                            std::vector<uint64_t>* props,
                            std::vector<uint64_t>* objects) const;
-  // q5/q7: hash join of the `build` property's triples whose subject is in
-  // `a`, keyed by their object (q5) or subject (q7), probed with the type
-  // triples on their subject; `emit(build value, type triple)` appends the
-  // match's row, if any, to `result`.
-  void JoinWithTypes(uint64_t build, bool key_by_object, const IdSet& a,
-                     uint64_t type, const exec::ExecContext& ectx,
-                     const std::function<void(uint64_t, const rdf::Triple&)>&
-                         emit,
-                     QueryResult* result) const;
 
-  std::string tag_;
   std::string match_span_;
 };
 
@@ -199,7 +201,7 @@ class RowVerticalBackend : public RowBackend {
   // subjects), building on the smaller side, and calls `fn(branch, batch)`
   // with the matching partition rows.
   void JoinPartitionWithTempTable(uint64_t property,
-                                  const std::vector<uint64_t>& temp_table,
+                                  std::span<const uint64_t> temp_table,
                                   uint64_t branch, const BranchFn& fn) const;
 
   std::unique_ptr<rowstore::VerticalRelation> relation_;

@@ -32,8 +32,8 @@ struct DistCostModel {
   int coordinator = 0;
 };
 
-// Modeled wire widths, shared with the column scatter/gather routine
-// (core::ColumnBackend::RunPartitioned) and the sharded backend's Match
+// Modeled wire widths, shared with the q1–q8 scatter/gather skeleton
+// (core::PhasedBackend::RunPartitioned) and the sharded backend's Match
 // and writes, so planner estimates and executed charges agree: 8 bytes
 // per id, 16 per keyed count or id pair, 24 per triple or (property,
 // object) count.

@@ -116,7 +116,7 @@ void ShardedBackend::Ship(int src, int dst, uint64_t bytes, uint64_t messages,
 core::QueryResult ShardedBackend::Run(core::QueryId id,
                                       const core::QueryContext& ctx,
                                       const exec::ExecContext& ectx) {
-  return core::ColumnBackend::RunPartitioned(parts_, routing_.get(), "shard",
+  return core::PhasedBackend::RunPartitioned(parts_, routing_.get(), "shard",
                                              id, ctx, ectx);
 }
 

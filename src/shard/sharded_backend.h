@@ -38,9 +38,10 @@ struct ShardOptions {
 // and all inter-node movement is charged to the NetworkModel on the
 // shared virtual-clock discipline.
 //
-// Run is core::ColumnBackend::RunPartitioned over the node partitions and
-// this backend's DistRouting: the q1–q8 a single column backend runs as
-// one partition. Match serves BGPs alone.
+// Run is core::PhasedBackend::RunPartitioned over the node partitions and
+// this backend's DistRouting: the one q1–q8 skeleton that every
+// single-node engine but C-Store and the reference runs as one
+// partition. Match serves BGPs alone.
 //
 // Equivalence contract: Run and Match return the same row bags as the
 // single-node backends at every node count and thread width. Node loops
@@ -100,7 +101,7 @@ class ShardedBackend : public core::Backend {
   const ShardOptions& options() const { return options_; }
   int coordinator() const { return coordinator_; }
   // Node `node`'s column backend.
-  const core::ColumnBackend& node_backend(int node) const {
+  const core::PhasedBackend& node_backend(int node) const {
     return *inner_[static_cast<size_t>(node)];
   }
 
@@ -120,8 +121,8 @@ class ShardedBackend : public core::Backend {
   std::unique_ptr<net::Topology> topology_;
   // One column backend per node, over the topology's borrowed storage;
   // parts_ views them as RunPartitioned's partitions.
-  std::vector<std::unique_ptr<core::ColumnBackend>> inner_;
-  std::vector<core::ColumnBackend*> parts_;
+  std::vector<std::unique_ptr<core::PhasedBackend>> inner_;
+  std::vector<core::PhasedBackend*> parts_;
   std::unique_ptr<Routing> routing_;
   // Session node affinity: written by the serve tier between queries
   // (turnstile-serialized), read during Run/Match.

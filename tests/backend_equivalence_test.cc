@@ -125,44 +125,54 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
   }
 }
 
-// The row engine's rows at widths 1, 2 and 8, for all three row designs,
-// against the reference. On a fresh load the triple stores' full scans
-// split into leaf-range chunks with one hash partial each; after an insert
-// batch has split leaves, the chain is no longer contiguous and they fall
-// back to the serial leaf walk. The inserts clone every triple of every 40th
-// subject onto a fresh subject, so each query's patterns see new rows.
-class RowEngineWidthTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
-  const bool after_inserts = GetParam();
-  BartonConfig config;
-  config.target_triples = 40000;
-  config.seed = 11;
-  auto barton = GenerateBarton(config);
-  rdf::Dataset& data = barton.dataset;
-  std::vector<rdf::Triple> inserts;
-  if (after_inserts) {
+// The row engine's rows at widths 1, 2 and 8, for all three row designs.
+// On a fresh load the triple stores' full scans split into leaf-range
+// chunks with one hash partial each; after an insert batch has split
+// leaves, the chain is no longer contiguous and they fall back to the
+// serial leaf walk. The inserts clone every triple of every 40th subject
+// onto a fresh subject, so each query's patterns see new rows.
+class RowEngineWidthTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    BartonConfig config;
+    config.target_triples = 40000;
+    config.seed = 11;
+    barton_ = GenerateBarton(config);
+    rdf::Dataset& data = barton_.dataset;
+    if (!GetParam()) return;
     for (const rdf::Triple& t : data.triples()) {
       if (t.subject % 40 != 0) continue;
       const uint64_t clone =
           data.dict().Intern("<clone-" + std::to_string(t.subject) + ">");
-      inserts.push_back({clone, t.property, t.object});
+      inserts_.push_back({clone, t.property, t.object});
     }
   }
-  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  void TearDown() override { exec::SetThreads(1); }
 
+  // Applies the insert batch to every one of `backends`.
+  void Insert(const std::vector<core::Backend*>& backends) const {
+    for (const rdf::Triple& t : inserts_) {
+      for (core::Backend* backend : backends) {
+        ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
+      }
+    }
+  }
+
+  bench_support::BartonDataset barton_;
+  std::vector<rdf::Triple> inserts_;
+};
+
+// Against the reference, as bags.
+TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
+  const rdf::Dataset& data = barton_.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
   core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
   core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
   core::RowVerticalBackend row_vert(data);
   core::ReferenceBackend reference(data);
   const std::vector<core::Backend*> row_backends = {&row_spo, &row_pso,
                                                     &row_vert};
-  for (const rdf::Triple& t : inserts) {
-    ASSERT_TRUE(reference.Insert(t).ok());
-    for (core::Backend* backend : row_backends) {
-      ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
-    }
-  }
+  Insert({&reference, &row_spo, &row_pso, &row_vert});
 
   exec::SetThreads(8);
   for (int width : {1, 2, 8}) {
@@ -172,7 +182,7 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
       triple->relation().FullScan(
           ectx, nullptr, nullptr, [&](uint64_t n) { parts = n; },
           [](uint64_t, std::span<const rdf::Triple>) {});
-      EXPECT_EQ(parts > 1, width > 1 && !after_inserts)
+      EXPECT_EQ(parts > 1, width > 1 && inserts_.empty())
           << triple->name() << " x" << width << ": " << parts << " parts";
     }
     for (QueryId id : core::AllQueries()) {
@@ -184,7 +194,35 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
       }
     }
   }
-  exec::SetThreads(1);
+}
+
+// The one q1–q8 skeleton merges sorted phase outputs, so every row design
+// returns the column triple store's rows in the same sequence, not just
+// the same bag, at every width.
+TEST_P(RowEngineWidthTest, RowsComeOutInTheColumnEnginesOrder) {
+  const rdf::Dataset& data = barton_.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
+  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
+  core::RowVerticalBackend row_vert(data);
+  core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO);
+  Insert({&col_pso, &row_spo, &row_pso, &row_vert});
+
+  exec::SetThreads(8);
+  for (int width : {1, 2, 8}) {
+    const exec::ExecContext ectx(width);
+    for (QueryId id : core::AllQueries()) {
+      const core::QueryResult want = col_pso.Run(id, ctx, ectx);
+      for (core::Backend* backend :
+           std::vector<core::Backend*>{&row_spo, &row_pso, &row_vert}) {
+        const core::QueryResult got = backend->Run(id, ctx, ectx);
+        EXPECT_EQ(got.column_names, want.column_names)
+            << backend->name() << " " << ToString(id) << " x" << width;
+        EXPECT_EQ(got.rows, want.rows)
+            << backend->name() << " " << ToString(id) << " x" << width;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LoadStates, RowEngineWidthTest, ::testing::Bool(),

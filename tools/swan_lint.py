@@ -42,6 +42,13 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     separators and number formatting; a format string
                     escapes nothing and AppendF cuts each call at 511 bytes,
                     so a long value leaves an invalid document.
+  query-switch      No `switch` over core::QueryId (its expression calls
+                    BaseOf, or its first case label names QueryId::)
+                    outside src/core/query.cc, the q1–q8 skeleton
+                    (src/core/phased_backend.cc), the C-Store baseline and
+                    the reference oracle. Every other engine answers the
+                    12 queries through the skeleton's phases; a per-engine
+                    switch is a second copy of the logical plans.
 
 Suppression: append `// swan-lint: allow(<rule>)` to the offending line,
 or place it alone on the line directly above. Suppressions are per-rule;
@@ -76,6 +83,7 @@ RULES = [
     "serve-telemetry",
     "node-disk",
     "json-by-hand",
+    "query-switch",
 ]
 
 # The only directory allowed to construct the per-node storage stack; the
@@ -130,6 +138,18 @@ JSON_BY_HAND_CALL_RE = re.compile(
     r"\b(?:AppendF|printf|fprintf|sprintf|snprintf|vsnprintf)\s*\(")
 # A JSON key as it appears inside a C++ string literal: \"name\":
 JSON_KEY_LITERAL_RE = re.compile(r'\\"[A-Za-z_][\w.-]*\\":')
+# The files that may spell the 12 queries out case by case: the query
+# metadata, the one skeleton, and the two hand-built engines kept by design.
+QUERY_SWITCH_ALLOWED = {
+    "src/core/query.cc",
+    "src/core/phased_backend.cc",
+    "src/core/cstore_backend.cc",
+    "src/core/reference_backend.cc",
+}
+SWITCH_RE = re.compile(r"\bswitch\s*\(")
+BASE_OF_RE = re.compile(r"\bBaseOf\s*\(")
+CASE_RE = re.compile(r"\bcase\b")
+QUERY_CASE_RE = re.compile(r"\bcase\s+(?:swan::)?(?:core::)?QueryId::")
 SUPPRESS_RE = re.compile(r"//\s*swan-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*expect\(([a-z-]+)\)")
 CORPUS_PATH_RE = re.compile(r"^//\s*swan-lint-corpus-path:\s*(\S+)")
@@ -258,6 +278,24 @@ def builds_json_by_hand(lines, idx, code):
             if any(JSON_KEY_LITERAL_RE.search(body)
                    for body in string_literals(lines[j])):
                 return True
+    return False
+
+
+def switches_over_query(lines, idx, code):
+    """True when a `switch` starting on lines[idx] dispatches on a QueryId:
+    its expression calls BaseOf, or its first case label (within 40 lines
+    of the expression's end) names QueryId::."""
+    m = SWITCH_RE.search(code)
+    if not m:
+        return False
+    span = call_line_span(lines, idx, m.end() - 1)
+    expr = " ".join(strip_comments_and_strings(lines[j]) for j in span)
+    if BASE_OF_RE.search(expr):
+        return True
+    for j in range(span[-1], min(span[-1] + 40, len(lines))):
+        later = strip_comments_and_strings(lines[j])
+        if CASE_RE.search(later):
+            return bool(QUERY_CASE_RE.search(later))
     return False
 
 
@@ -409,6 +447,13 @@ def lint_file(path, display_path, lines, status_names):
                    "JSON key in a printf-family/AppendF format; write JSON "
                    "through obs::JsonWriter (it escapes, separates and has "
                    "no length cap)")
+
+        if (display_path not in QUERY_SWITCH_ALLOWED
+                and switches_over_query(lines, idx, code)):
+            report(idx, "query-switch",
+                   "switch over QueryId outside the q1–q8 skeleton "
+                   "(src/core/phased_backend.cc); implement the engine's "
+                   "phases instead of another per-query plan")
 
         for name in status_names:
             if name in code and find_bare_call(lines, idx, name):
