@@ -879,28 +879,6 @@ void MergeJoinEncInto(std::span<const uint64_t> left, uint32_t left_off,
 
 }  // namespace
 
-void MarkSet::MarkAll(const EncodedColumn& col) {
-  switch (col.rep()) {
-    case Rep::kFlat:
-      MarkAll(std::span<const uint64_t>(col.flat()));
-      return;
-    case Rep::kRle:
-      for (const RleRun& r : col.runs()) Mark(r.value);
-      return;
-    case Rep::kPacked:
-      if (!col.palette().empty()) {
-        // Every palette entry occurs in the column by construction.
-        for (uint64_t v : col.palette()) Mark(v);
-        return;
-      }
-      ForEachDecodedRows<1>({&col}, 0, col.size(),
-                            [&](uint64_t, const auto& v, uint64_t n) {
-                              for (uint64_t i = 0; i < n; ++i) Mark(v[0][i]);
-                            });
-      return;
-  }
-}
-
 PositionVector SelectEq(const EncodedColumn& col, uint64_t value,
                         const exec::ExecContext& ctx) {
   return SelectEq(col, 0, col.size(), value, ctx);
@@ -1057,47 +1035,135 @@ std::vector<uint64_t> Gather(const EncodedColumn& col,
 
 PositionVector SelectMarked(const EncodedColumn& col, const MarkSet& set,
                             const exec::ExecContext& ctx) {
+  return SelectMarked(col, 0, col.size(), set, ctx);
+}
+
+PositionVector SelectMarked(const EncodedColumn& col, uint64_t lo,
+                            uint64_t hi, const MarkSet& set,
+                            const exec::ExecContext& ctx) {
+  SWAN_DCHECK_LE(lo, hi);
+  SWAN_DCHECK_LE(hi, col.size());
   if (col.rep() == Rep::kFlat) {
-    return SelectMarked(std::span<const uint64_t>(col.flat()), set, ctx);
+    PositionVector out = SelectMarked(
+        std::span<const uint64_t>(col.flat()).subspan(lo, hi - lo), set, ctx);
+    for (uint32_t& p : out) p += static_cast<uint32_t>(lo);
+    return out;
   }
   obs::Span span(ctx.trace(), "ops.select_marked_enc");
-  span.set_rows_in(col.size());
+  span.set_rows_in(hi - lo);
   PositionVector out;
+  if (lo == hi) return out;
   if (col.rep() == Rep::kRle) {
+    // One membership test per run, its positions clipped to [lo, hi).
     const auto& runs = col.runs();
-    out = MorselSelect(ctx, runs.size(),
-                       [&](uint64_t b, uint64_t e, PositionVector* out) {
-                         for (uint64_t r = b; r < e; ++r) {
-                           if (!set.Test(runs[r].value)) continue;
-                           AppendRange(runs[r].start,
-                                       runs[r].start + runs[r].length, out);
-                         }
-                       });
+    const uint64_t first = col.RunIndexOf(lo);
+    out = MorselSelect(
+        ctx, col.RunIndexOf(hi - 1) + 1 - first,
+        [&](uint64_t b, uint64_t e, PositionVector* out) {
+          for (uint64_t r = first + b; r < first + e; ++r) {
+            if (!set.Test(runs[r].value)) continue;
+            AppendRange(std::max<uint64_t>(runs[r].start, lo),
+                        std::min<uint64_t>(runs[r].start + runs[r].length, hi),
+                        out);
+          }
+        });
   } else {
     // Hoist the membership test into code space: one Test per palette
     // entry up front, then the scan never decodes.
     const uint64_t* words = col.words().data();
     const int width = col.bit_width();
+    const auto at = [&](uint64_t i) {
+      return static_cast<uint32_t>(lo + i);
+    };
     if (col.palette().empty()) {
       out = SelectRows(
-          ctx, col.size(),
-          [&](uint64_t i) { return set.Test(PackedValueAt(words, width, i)); },
-          kRowPosition);
+          ctx, hi - lo,
+          [&](uint64_t i) {
+            return set.Test(PackedValueAt(words, width, lo + i));
+          },
+          at);
     } else {
       std::vector<char> code_marked(col.palette().size());
       for (size_t c = 0; c < col.palette().size(); ++c) {
         code_marked[c] = set.Test(col.palette()[c]) ? 1 : 0;
       }
       out = SelectRows(
-          ctx, col.size(),
+          ctx, hi - lo,
           [&](uint64_t i) {
-            return code_marked[PackedValueAt(words, width, i)] != 0;
+            return code_marked[PackedValueAt(words, width, lo + i)] != 0;
           },
-          kRowPosition);
+          at);
     }
   }
   span.set_rows_out(out.size());
   return out;
+}
+
+PositionVector SelectMarked(const EncodedColumn& col, const PositionVector& sel,
+                            const MarkSet& set, const exec::ExecContext& ctx) {
+  if (col.rep() == Rep::kFlat) {
+    return SelectMarked(std::span<const uint64_t>(col.flat()), sel, set, ctx);
+  }
+  obs::Span span(ctx.trace(), "ops.select_marked_enc");
+  span.set_rows_in(sel.size());
+  PositionVector out;
+  if (col.rep() == Rep::kRle) {
+    // One reader per morsel: it is stateful and walks its rows in order.
+    out = MorselSelect(
+        ctx, sel.size(), [&](uint64_t b, uint64_t e, PositionVector* out) {
+          RleReader reader(col);
+          CompactInto(
+              b, e, [&](uint64_t j) { return set.Test(reader.At(sel[j])); },
+              [&](uint64_t j) { return sel[j]; }, out);
+        });
+  } else {
+    const uint64_t* words = col.words().data();
+    const int width = col.bit_width();
+    out = SelectRows(
+        ctx, sel.size(),
+        [&](uint64_t j) {
+          return set.Test(col.DecodeCode(PackedValueAt(words, width, sel[j])));
+        },
+        [&](uint64_t j) { return sel[j]; });
+  }
+  span.set_rows_out(out.size());
+  return out;
+}
+
+namespace {
+
+// SelectPassing over [lo, hi) or over a selection: `rows...` is either.
+template <typename... Rows>
+PositionVector SelectPassingIn(const EncodedColumn& col,
+                               const rdf::ScanFilter& filter,
+                               uint64_t universe, const exec::ExecContext& ctx,
+                               const Rows&... rows) {
+  SWAN_DCHECK(!filter.all());
+  if (filter.kind() == rdf::ScanFilter::Kind::kIn) {
+    if (filter.ids().empty()) return {};
+    if (filter.ids().size() == 1) {
+      return SelectEq(col, rows..., filter.ids()[0], ctx);
+    }
+  }
+  if (filter.marks().universe() >= universe) {
+    return SelectMarked(col, rows..., filter.marks(), ctx);
+  }
+  return SelectMarked(col, rows..., filter.marks().Widened(universe), ctx);
+}
+
+}  // namespace
+
+PositionVector SelectPassing(const EncodedColumn& col, uint64_t lo,
+                             uint64_t hi, const rdf::ScanFilter& filter,
+                             uint64_t universe, const exec::ExecContext& ctx) {
+  return SelectPassingIn(col, filter, universe, ctx, lo, hi);
+}
+
+PositionVector SelectPassing(const EncodedColumn& col,
+                             const PositionVector& sel,
+                             const rdf::ScanFilter& filter, uint64_t universe,
+                             const exec::ExecContext& ctx) {
+  return SelectPassingIn(col, filter, universe, ctx, sel);
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> CountByKeyDense(

@@ -11,6 +11,7 @@
 
 #include "colstore/column.h"
 #include "exec/exec_context.h"
+#include "rdf/scan_filter.h"
 
 namespace swan::colstore {
 
@@ -112,30 +113,9 @@ std::vector<uint64_t> Gather(std::span<const uint64_t> col,
                              const PositionVector& sel,
                              const exec::ExecContext& ctx = exec::ExecContext());
 
-// Dense bitmap over dictionary ids, the column store's O(1) membership
-// structure (MonetDB would use a void-headed BAT the same way). Packed
-// 64 ids per word: an 800k-id universe fits in ~100 KB and stays cache
-// resident while probe columns stream past it. Mark is not atomic —
-// build the set before fanning out; Test-only use is safe to share
-// across ParallelFor chunks.
-class MarkSet {
- public:
-  explicit MarkSet(uint64_t universe_size)
-      : bits_((universe_size + 63) / 64, 0) {}
-
-  void MarkAll(std::span<const uint64_t> values) {
-    for (uint64_t v : values) Mark(v);
-  }
-  // Encoded view: an RLE run contributes one Mark regardless of its
-  // length, a dictionary palette is marked wholesale (every palette entry
-  // occurs by construction).
-  void MarkAll(const EncodedColumn& col);
-  void Mark(uint64_t v) { bits_[v >> 6] |= 1ull << (v & 63); }
-  bool Test(uint64_t v) const { return (bits_[v >> 6] >> (v & 63)) & 1u; }
-
- private:
-  std::vector<uint64_t> bits_;
-};
+// The dense id bitmap the select and count kernels probe (see
+// rdf/scan_filter.h): a scan filter's id set is one.
+using rdf::MarkSet;
 
 // Positions i (of `col` or of `sel`) where col value is marked.
 PositionVector SelectMarked(std::span<const uint64_t> col, const MarkSet& set,
@@ -321,6 +301,30 @@ std::vector<uint64_t> Gather(const EncodedColumn& col,
 // one membership test each.
 PositionVector SelectMarked(const EncodedColumn& col, const MarkSet& set,
                             const exec::ExecContext& ctx = exec::ExecContext());
+
+// Positions i in [lo, hi) where col[i] is marked.
+PositionVector SelectMarked(const EncodedColumn& col, uint64_t lo,
+                            uint64_t hi, const MarkSet& set,
+                            const exec::ExecContext& ctx = exec::ExecContext());
+
+// Positions i in `sel` where col[i] is marked.
+PositionVector SelectMarked(const EncodedColumn& col, const PositionVector& sel,
+                            const MarkSet& set,
+                            const exec::ExecContext& ctx = exec::ExecContext());
+
+// Positions i in [lo, hi) (or in `sel`) whose value passes a scan filter
+// that is not always-true: SelectEq for a one-id list, SelectMarked
+// otherwise. `universe` bounds the column's ids (the dictionary size); a
+// filter bitmap narrower than that is widened first, so the kernel's probe
+// stays in bounds.
+PositionVector SelectPassing(const EncodedColumn& col, uint64_t lo,
+                             uint64_t hi, const rdf::ScanFilter& filter,
+                             uint64_t universe,
+                             const exec::ExecContext& ctx = exec::ExecContext());
+PositionVector SelectPassing(const EncodedColumn& col,
+                             const PositionVector& sel,
+                             const rdf::ScanFilter& filter, uint64_t universe,
+                             const exec::ExecContext& ctx = exec::ExecContext());
 
 // Dense group-by-count without materializing: RLE runs add their length
 // to one counter; dictionary-packed columns aggregate in code space (a

@@ -1,6 +1,7 @@
 #include "colstore/vertical_table.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -95,6 +96,7 @@ const EncodedColumn& VerticalTable::EncodedObjects(uint64_t property) const {
 
 void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
                     const rdf::TriplePattern& pattern,
+                    const rdf::PatternFilter& filter, uint64_t universe,
                     const exec::ExecContext& ectx,
                     std::vector<rdf::Triple>* out) {
   uint32_t lo = 0;
@@ -103,7 +105,9 @@ void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
     std::tie(lo, hi) = EqRangeSorted(subj.Encoded(), *pattern.subject);
     if (lo == hi) return;
   }
-  if (!pattern.object) {
+  const rdf::ScanFilter& subject_filter = filter.Free(pattern, 0);
+  const rdf::ScanFilter& object_filter = filter.Free(pattern, 2);
+  if (subject_filter.all() && object_filter.all() && !pattern.object) {
     ForEachDecodedRows<2>({&subj.Encoded(), &obj.Encoded()}, lo, hi,
                           [&](uint64_t, const auto& v, uint64_t n) {
                             for (uint64_t i = 0; i < n; ++i) {
@@ -112,11 +116,30 @@ void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
                           });
     return;
   }
-  const PositionVector sel =
-      SelectEq(obj.Encoded(), lo, hi, *pattern.object, ectx);
-  if (sel.empty()) return;
-  for (uint64_t s : Gather(subj.Encoded(), sel, ectx)) {
-    out->push_back({s, property, *pattern.object});
+  // Select through the subject filter, then the object constant or
+  // filter; each column is read only while rows remain.
+  std::optional<PositionVector> sel;
+  if (!subject_filter.all()) {
+    sel = SelectPassing(subj.Encoded(), lo, hi, subject_filter, universe,
+                        ectx);
+    if (sel->empty()) return;
+  }
+  if (pattern.object) {
+    sel = sel ? SelectEq(obj.Encoded(), *sel, *pattern.object, ectx)
+              : SelectEq(obj.Encoded(), lo, hi, *pattern.object, ectx);
+  } else if (!object_filter.all()) {
+    sel = sel ? SelectPassing(obj.Encoded(), *sel, object_filter, universe,
+                              ectx)
+              : SelectPassing(obj.Encoded(), lo, hi, object_filter, universe,
+                              ectx);
+  }
+  if (sel->empty()) return;
+  const std::vector<uint64_t> ss = Gather(subj.Encoded(), *sel, ectx);
+  const std::vector<uint64_t> os =
+      pattern.object ? std::vector<uint64_t>(ss.size(), *pattern.object)
+                     : Gather(obj.Encoded(), *sel, ectx);
+  for (size_t i = 0; i < ss.size(); ++i) {
+    out->push_back({ss[i], property, os[i]});
   }
 }
 

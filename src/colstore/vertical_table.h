@@ -106,9 +106,15 @@ class VerticalTable {
 // binds a subject, by binary search to a range; otherwise objects when it
 // binds an object, by a SelectEq that compares packed codes), and the
 // other is read only when that step leaves a row. With neither bound,
-// both are read, subjects first, and decoded batch by batch.
+// both are read, subjects first, and decoded batch by batch. The free
+// subject and object filters of `filter` select rows the same way, subject
+// column first, before anything is gathered: SelectEq for a one-id list,
+// SelectMarked otherwise (colstore::SelectPassing, with `universe` the
+// dictionary size). The property filter is the caller's: it picks the
+// partitions.
 void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
                     const rdf::TriplePattern& pattern,
+                    const rdf::PatternFilter& filter, uint64_t universe,
                     const exec::ExecContext& ectx,
                     std::vector<rdf::Triple>* out);
 

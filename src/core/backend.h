@@ -10,6 +10,7 @@
 #include "exec/exec_context.h"
 #include "plan/stats.h"
 #include "rdf/pattern.h"
+#include "rdf/scan_filter.h"
 #include "rdf/triple.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_storage.h"
@@ -86,15 +87,22 @@ class Backend {
   }
 
   // Generic triple-pattern lookup, the building block of the BGP
-  // evaluator. Returns all matching triples, in the backend's canonical
-  // (deterministic) order regardless of the context's thread count.
+  // evaluator. Returns the triples that match `pattern` and pass `filter`
+  // (one rdf::ScanFilter per position), in the backend's canonical
+  // (deterministic) order regardless of the context's thread count. Each
+  // store applies the filter inside its scan where its layout allows
+  // (partitions, sorted ranges, key prefixes, selections); the order of
+  // the returned triples is the unfiltered order with the rejected ones
+  // removed, up to the order in which listed leading values are visited.
   virtual std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
+      const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const = 0;
 
-  // Convenience overload under a default context.
-  std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern) const {
-    return Match(pattern, exec::ExecContext());
+  // Convenience: no filter.
+  std::vector<rdf::Triple> Match(
+      const rdf::TriplePattern& pattern,
+      const exec::ExecContext& ectx = exec::ExecContext()) const {
+    return Match(pattern, rdf::PatternFilter{}, ectx);
   }
 
   // Access-path costs for the cost-based planner: how this backend's

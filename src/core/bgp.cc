@@ -285,6 +285,22 @@ bool ChooseScanJoin(const plan::PhysStep& step, const plan::AccessHints& h,
   return scan_cost < probe_cost;
 }
 
+// The ids bound in column `col` of the table (padded cells skipped), as a
+// bitmap over ids up to the largest.
+rdf::MarkSet BoundSubjects(const Table& table, size_t col) {
+  uint64_t universe = 0;
+  for (size_t i = 0; i < table.rows.count; ++i) {
+    const uint64_t v = table.Row(i)[col];
+    if (v != kUnbound) universe = std::max(universe, v + 1);
+  }
+  rdf::MarkSet set(universe);
+  for (size_t i = 0; i < table.rows.count; ++i) {
+    const uint64_t v = table.Row(i)[col];
+    if (v != kUnbound) set.Mark(v);
+  }
+  return set;
+}
+
 // Forward ship leg for annotated scale-out probe steps: the binding table
 // (or its distinct-key semi-join filter) travels coordinator -> home
 // before the probes run there. Charged from actual row counts — the
@@ -433,7 +449,9 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     tp.property = bound_value(p, row);
     tp.object = bound_value(o, row);
     ++ectx.counters().match_calls;
-    for (const rdf::Triple& t : backend.Match(tp, ectx)) emit(row, t, out);
+    for (const rdf::Triple& t : backend.Match(tp, step.scan_filter, ectx)) {
+      emit(row, t, out);
+    }
   };
 
   Rows next;
@@ -445,7 +463,11 @@ void ExtendStep(const Backend& backend, const plan::PhysStep& step,
     rdf::TriplePattern tp;
     tp.property = p.const_id;
     if (!o.var_index) tp.object = o.const_id;
-    std::vector<rdf::Triple> extent = backend.Match(tp, ectx);
+    // The extent is read only for the subjects the table holds: they go
+    // to the scan as an id-set filter beside the step's pushed ones.
+    rdf::PatternFilter filter = step.scan_filter;
+    filter.subject = rdf::ScanFilter::IdSet(BoundSubjects(*table, *s.var_index));
+    std::vector<rdf::Triple> extent = backend.Match(tp, filter, ectx);
     const auto by_subject = [](const rdf::Triple& a, const rdf::Triple& b) {
       return a.subject < b.subject;
     };

@@ -289,17 +289,21 @@ std::vector<uint64_t> ColTripleBackend::SubjectsWithObjectIn(
         SelectMarked(table_->encoded_objects(), objects, ectx);
     return SortDistinct(Gather(table_->encoded_subjects(), hits, ectx));
   }
-  const PositionVector positions = PropPositions(*property, ectx);
-  const std::vector<uint64_t> ps =
-      Gather(table_->encoded_subjects(), positions, ectx);
-  const std::vector<uint64_t> po =
-      Gather(table_->encoded_objects(), positions, ectx);
+  // The property's rows select through the object marks, the ranged
+  // SelectMarked a filtered Match runs, and only the kept subjects are
+  // gathered. The columns load in the order the gathers read them before:
+  // properties, subjects, objects.
+  const PositionVector positions =
+      pso_ ? PositionVector() : PropPositions(*property, ectx);
+  const auto [lo, hi] = pso_ ? table_->PrimaryRange(*property)
+                             : std::pair<uint32_t, uint32_t>(0, 0);
+  const EncodedColumn& subj = table_->encoded_subjects();
+  const PositionVector sel =
+      pso_ ? SelectMarked(table_->encoded_objects(), lo, hi, objects, ectx)
+           : SelectMarked(table_->encoded_objects(), positions, objects, ectx);
   // One property's subjects come out sorted (see SubjectObjectPairs), so
   // duplicates are adjacent.
-  std::vector<uint64_t> out;
-  CompactInto(
-      0, ps.size(), [&](uint64_t i) { return objects.Test(po[i]); },
-      [&](uint64_t i) { return ps[i]; }, &out);
+  std::vector<uint64_t> out = Gather(subj, sel, ectx);
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
@@ -380,71 +384,110 @@ uint64_t ColTripleBackend::EnsureMerged() {
 }
 
 std::vector<rdf::Triple> ColTripleBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
   // Suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_triple.match");
-  // The bound leading components of the sort order narrow the rows to a
-  // range; every other bound component is a residual filter, applied in
-  // subject, property, object order.
-  const std::array<std::optional<uint64_t>, 3> bound = {
-      pattern.subject, pattern.property, pattern.object};
-  const auto comp = rdf::ComponentsOf(table_->order());
-  int prefix = 0;
-  if (bound[comp[0]]) prefix = bound[comp[1]] ? 2 : 1;
-  uint32_t lo = 0;
-  uint32_t hi = static_cast<uint32_t>(table_->size());
-  if (prefix == 2) {
-    std::tie(lo, hi) =
-        table_->PrimarySecondaryRange(*bound[comp[0]], *bound[comp[1]]);
-  } else if (prefix == 1) {
-    std::tie(lo, hi) = table_->PrimaryRange(*bound[comp[0]]);
-  }
-  const auto residual = [&](int c) {
-    const bool in_range =
-        (prefix >= 1 && c == comp[0]) || (prefix == 2 && c == comp[1]);
-    return bound[c] && !in_range;
-  };
-
-  // A column is read only when a row of it is needed: an empty range or
-  // residual selection leaves the remaining columns unread.
   std::vector<rdf::Triple> out;
-  if (lo < hi && !residual(0) && !residual(1) && !residual(2)) {
-    // Every row of the range matches: decode it batch by batch.
-    const EncodedColumn& subj = table_->encoded_subjects();
-    const EncodedColumn& prop = table_->encoded_properties();
-    const EncodedColumn& obj = table_->encoded_objects();
-    out.reserve(hi - lo);
-    ForEachDecodedRows<3>({&subj, &prop, &obj}, lo, hi,
-                          [&](uint64_t, const auto& v, uint64_t n) {
-                            for (uint64_t i = 0; i < n; ++i) {
-                              out.push_back({v[0][i], v[1][i], v[2][i]});
-                            }
-                          });
-  } else if (lo < hi) {
+  if (!filter.AdmitsConstants(pattern)) {
+    span.set_rows_out(0);
+    return out;
+  }
+  const auto comp = rdf::ComponentsOf(table_->order());
+  const uint64_t universe = dataset_->dict().size();
+  // Scans the rows matching `bound`: its bound leading components of the
+  // sort order narrow the rows to a range; every other bound component,
+  // then every free filter, is a residual selection, applied in subject,
+  // property, object order.
+  const auto scan = [&](const std::array<std::optional<uint64_t>, 3>& bound) {
+    int prefix = 0;
+    if (bound[comp[0]]) prefix = bound[comp[1]] ? 2 : 1;
+    uint32_t lo = 0;
+    uint32_t hi = static_cast<uint32_t>(table_->size());
+    if (prefix == 2) {
+      std::tie(lo, hi) =
+          table_->PrimarySecondaryRange(*bound[comp[0]], *bound[comp[1]]);
+    } else if (prefix == 1) {
+      std::tie(lo, hi) = table_->PrimaryRange(*bound[comp[0]]);
+    }
+    const auto in_range = [&](int c) {
+      return (prefix >= 1 && c == comp[0]) || (prefix == 2 && c == comp[1]);
+    };
+    const auto residual = [&](int c) { return bound[c] && !in_range(c); };
+    const auto filtered = [&](int c) {
+      return !bound[c] && !filter.at(c).all();
+    };
+    if (lo >= hi) return;
+
+    // A column is read only when a row of it is needed: an empty range or
+    // residual selection leaves the remaining columns unread.
+    bool narrowed = false;
+    for (int c = 0; c < 3; ++c) narrowed |= residual(c) || filtered(c);
+    if (!narrowed) {
+      // Every row of the range matches: decode it batch by batch.
+      const EncodedColumn& subj = table_->encoded_subjects();
+      const EncodedColumn& prop = table_->encoded_properties();
+      const EncodedColumn& obj = table_->encoded_objects();
+      out.reserve(out.size() + (hi - lo));
+      ForEachDecodedRows<3>({&subj, &prop, &obj}, lo, hi,
+                            [&](uint64_t, const auto& v, uint64_t n) {
+                              for (uint64_t i = 0; i < n; ++i) {
+                                out.push_back({v[0][i], v[1][i], v[2][i]});
+                              }
+                            });
+      return;
+    }
     // Filter the range on the encoded residual columns, then decode only
     // the matching rows.
+    // `select(col, rows...)` runs over the range first, then over the
+    // positions left.
     PositionVector sel;
-    bool filtered = false;
+    bool selected = false;
+    const auto narrow = [&](int c, const auto& select) {
+      if (selected && sel.empty()) return;
+      const EncodedColumn& col = table_->column(c).Encoded();
+      sel = selected ? select(col, sel) : select(col, lo, hi);
+      selected = true;
+    };
     for (int c = 0; c < 3; ++c) {
       if (!residual(c)) continue;
-      if (filtered && sel.empty()) break;
-      const EncodedColumn& col = table_->column(c).Encoded();
-      sel = filtered ? SelectEq(col, sel, *bound[c], ectx)
-                     : SelectEq(col, lo, hi, *bound[c], ectx);
-      filtered = true;
+      narrow(c, [&](const EncodedColumn& col, const auto&... rows) {
+        return SelectEq(col, rows..., *bound[c], ectx);
+      });
     }
-    if (!sel.empty()) {
-      const std::vector<uint64_t> subj =
-          Gather(table_->encoded_subjects(), sel, ectx);
-      const std::vector<uint64_t> prop =
-          Gather(table_->encoded_properties(), sel, ectx);
-      const std::vector<uint64_t> obj =
-          Gather(table_->encoded_objects(), sel, ectx);
-      out.resize(sel.size());
-      for (size_t i = 0; i < sel.size(); ++i) {
-        out[i] = {subj[i], prop[i], obj[i]};
-      }
+    for (int c = 0; c < 3; ++c) {
+      if (!filtered(c)) continue;
+      narrow(c, [&](const EncodedColumn& col, const auto&... rows) {
+        return colstore::SelectPassing(col, rows..., filter.at(c), universe,
+                                       ectx);
+      });
     }
+    if (sel.empty()) return;
+    const std::vector<uint64_t> subj =
+        Gather(table_->encoded_subjects(), sel, ectx);
+    const std::vector<uint64_t> prop =
+        Gather(table_->encoded_properties(), sel, ectx);
+    const std::vector<uint64_t> obj =
+        Gather(table_->encoded_objects(), sel, ectx);
+    for (size_t i = 0; i < sel.size(); ++i) {
+      out.push_back({subj[i], prop[i], obj[i]});
+    }
+  };
+
+  const std::array<std::optional<uint64_t>, 3> bound = {
+      pattern.subject, pattern.property, pattern.object};
+  const rdf::ScanFilter& leading = filter.Free(pattern, comp[0]);
+  if (leading.kind() == rdf::ScanFilter::Kind::kIn) {
+    // A listed leading value narrows the sort order to its range: one
+    // range per listed id (a PSO store's property list, one PSO range
+    // each), in ascending order like the unfiltered scan.
+    for (uint64_t v : leading.ids()) {
+      std::array<std::optional<uint64_t>, 3> one = bound;
+      one[comp[0]] = v;
+      scan(one);
+    }
+  } else {
+    scan(bound);
   }
   if (!tombstones_.empty()) {
     std::erase_if(out, [&](const rdf::Triple& t) {
@@ -453,7 +496,7 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
   }
   // Unmerged inserts are visible to pattern lookups via a delta scan.
   for (const rdf::Triple& t : delta_) {
-    if (pattern.Matches(t)) out.push_back(t);
+    if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
   }
   span.set_rows_out(out.size());
   return out;
@@ -772,23 +815,35 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
 }
 
 std::vector<rdf::Triple> ColVerticalBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
   // Per-partition range scans stay serial (canonical order); the span is
   // suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_vert.match");
+  std::vector<rdf::Triple> out;
+  if (!filter.AdmitsConstants(pattern)) {
+    span.set_rows_out(0);
+    return out;
+  }
+  // The property filter picks the partitions: a listed property opens
+  // its partition alone, an id set skips the unmarked ones.
+  const rdf::ScanFilter& property_filter = filter.Free(pattern, 1);
   std::vector<uint64_t> props;
   if (pattern.property) {
-    if (table_->HasPartition(*pattern.property)) {
-      props.push_back(*pattern.property);
-    }
+    props.push_back(*pattern.property);
+  } else if (property_filter.kind() == rdf::ScanFilter::Kind::kIn) {
+    props = property_filter.ids();
   } else {
-    props = table_->properties();
+    for (uint64_t p : table_->properties()) {
+      if (property_filter.Passes(p)) props.push_back(p);
+    }
   }
 
-  std::vector<rdf::Triple> out;
+  const uint64_t universe = dataset_->dict().size();
   for (uint64_t p : props) {
+    if (!table_->HasPartition(p)) continue;
     colstore::MatchPartition(table_->SubjectColumn(p), table_->ObjectColumn(p),
-                             p, pattern, ectx, &out);
+                             p, pattern, filter, universe, ectx, &out);
   }
   if (!tombstones_.empty()) {
     std::erase_if(out, [&](const rdf::Triple& t) {
@@ -797,7 +852,7 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
   }
   // Unmerged inserts are visible via a delta scan.
   for (const rdf::Triple& t : delta_set_) {
-    if (pattern.Matches(t)) out.push_back(t);
+    if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
   }
   span.set_rows_out(out.size());
   return out;

@@ -39,7 +39,7 @@ class ColTripleBackend : public PhasedBackend {
   std::string name() const override;
   using Backend::Match;
   std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
+      const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
   Status Insert(const rdf::Triple& triple) override;
   Status Delete(const rdf::Triple& triple) override;
@@ -130,7 +130,7 @@ class ColVerticalBackend : public PhasedBackend {
   std::string name() const override;
   using Backend::Match;
   std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
+      const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
   void DropCaches() override;
   uint64_t disk_bytes() const override { return table_->disk_bytes(); }

@@ -104,9 +104,12 @@ QueryResult CStoreBackend::Run(QueryId id, const QueryContext& ctx,
 }
 
 std::vector<rdf::Triple> CStoreBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
-  // The vertical store's per-partition scan, serial in property order;
-  // the span is suppressed automatically inside BGP worker lanes.
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
+  // The vertical store's per-partition scan, serial in property order,
+  // then the filter as a plain post-filter: the paper's baseline engine
+  // stays as it was built. The span is suppressed automatically inside
+  // BGP worker lanes.
   obs::Span span(ectx.trace(), "cstore.match");
   std::vector<uint64_t> props;
   if (pattern.property) {
@@ -119,8 +122,11 @@ std::vector<rdf::Triple> CStoreBackend::Match(
   std::vector<rdf::Triple> out;
   for (uint64_t p : props) {
     colstore::MatchPartition(engine_->SubjectColumn(p),
-                             engine_->ObjectColumn(p), p, pattern, ectx,
-                             &out);
+                             engine_->ObjectColumn(p), p, pattern,
+                             rdf::PatternFilter{}, 0, ectx, &out);
+  }
+  if (!filter.all()) {
+    std::erase_if(out, [&](const rdf::Triple& t) { return !filter.Passes(t); });
   }
   span.set_rows_out(out.size());
   return out;

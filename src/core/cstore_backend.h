@@ -30,7 +30,7 @@ class CStoreBackend : public BackendBase {
   QueryResult Run(QueryId id, const QueryContext& ctx,
                   const exec::ExecContext& ectx) override;
   std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
+      const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
   void DropCaches() override;
   uint64_t disk_bytes() const override { return engine_->disk_bytes(); }

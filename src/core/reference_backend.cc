@@ -178,11 +178,12 @@ QueryResult ReferenceBackend::Run(QueryId id, const QueryContext& ctx,
 }
 
 std::vector<rdf::Triple> ReferenceBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
   (void)ectx;
   std::vector<rdf::Triple> out;
   for (const rdf::Triple& t : triples_) {
-    if (pattern.Matches(t)) out.push_back(t);
+    if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
   }
   return out;
 }

@@ -28,7 +28,7 @@ class ReferenceBackend : public BackendBase {
   QueryResult Run(QueryId id, const QueryContext& ctx,
                   const exec::ExecContext& ectx) override;
   std::vector<rdf::Triple> Match(
-      const rdf::TriplePattern& pattern,
+      const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
   Status Insert(const rdf::Triple& triple) override;
   Status Delete(const rdf::Triple& triple) override;

@@ -134,7 +134,7 @@ std::vector<uint64_t> RowBackend::SubjectsOf(
     uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
   obs::Span span(ectx.trace(), tag() + ".index_scan");
   std::vector<uint64_t> out;
-  ScanPattern(PatternPO(property, object),
+  ScanPattern(PatternPO(property, object), {},
               EachTriple([&](const rdf::Triple& t) {
                 out.push_back(t.subject);
               }));
@@ -154,7 +154,7 @@ KeyCounts RowBackend::ObjectCounts(uint64_t property, uint64_t universe,
   (void)universe;
   (void)ectx;
   Counts counts;
-  ScanPattern(PatternPO(property), EachTriple([&](const rdf::Triple& t) {
+  ScanPattern(PatternPO(property), {}, EachTriple([&](const rdf::Triple& t) {
                 ++counts[t.object];
               }));
   return SortedCounts(counts);
@@ -185,7 +185,7 @@ SubjectObjects RowBackend::SubjectObjectPairs(
   obs::Span span(ectx.trace(), tag() + ".hash_probe");
   const IdSet in = ToIdSet(subjects);
   SubjectObjects out;
-  ScanPattern(PatternPO(property), EachTriple([&](const rdf::Triple& t) {
+  ScanPattern(PatternPO(property), {}, EachTriple([&](const rdf::Triple& t) {
                 if (in.contains(t.subject)) {
                   out.emplace_back(t.subject, t.object);
                 }
@@ -209,7 +209,7 @@ std::vector<uint64_t> RowBackend::SubjectsWithObjectIn(
   }
   obs::Span span(ectx.trace(), tag() + ".hash_probe");
   std::vector<uint64_t> out;
-  ScanPattern(PatternPO(*property), EachTriple([&](const rdf::Triple& t) {
+  ScanPattern(PatternPO(*property), {}, EachTriple([&](const rdf::Triple& t) {
                 if (in.contains(t.object)) out.push_back(t.subject);
               }));
   out = colstore::SortDistinct(std::move(out));
@@ -218,12 +218,13 @@ std::vector<uint64_t> RowBackend::SubjectsWithObjectIn(
 }
 
 std::vector<rdf::Triple> RowBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
   // The span is suppressed automatically when Match runs inside a BGP
   // worker lane.
   obs::Span span(ectx.trace(), match_span_);
   std::vector<rdf::Triple> out;
-  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
+  ScanPattern(pattern, filter, [&](std::span<const rdf::Triple> batch) {
     out.insert(out.end(), batch.begin(), batch.end());
   });
   span.set_rows_out(out.size());
@@ -250,8 +251,9 @@ std::string RowTripleBackend::name() const {
 }
 
 void RowTripleBackend::ScanPattern(const rdf::TriplePattern& pattern,
+                                   const rdf::PatternFilter& filter,
                                    const TripleFn& fn) const {
-  relation_->ScanMatches(pattern, fn);
+  relation_->ScanMatches(pattern, filter, fn);
 }
 
 void RowTripleBackend::ScanBranches(const Pass& pass,
@@ -274,7 +276,7 @@ void RowTripleBackend::ScanBranches(const Pass& pass,
            std::binary_search(pass.props->begin(), pass.props->end(),
                               t.property);
   };
-  ScanPattern(pattern, [&](std::span<const rdf::Triple> batch) {
+  ScanPattern(pattern, {}, [&](std::span<const rdf::Triple> batch) {
     ForKept(batch, keeps,
             [&](std::span<const rdf::Triple> kept) { fn(0, kept); });
   });
@@ -296,15 +298,26 @@ RowVerticalBackend::RowVerticalBackend(const rdf::Dataset& dataset,
 std::string RowVerticalBackend::name() const { return "DBX vert. SO"; }
 
 void RowVerticalBackend::ScanPattern(const rdf::TriplePattern& pattern,
+                                     const rdf::PatternFilter& filter,
                                      const TripleFn& fn) const {
   const auto scan_partition = [&](uint64_t property) {
-    relation_->ScanPartition(property, pattern.subject, pattern.object, fn);
+    relation_->ScanPartition(property, pattern.subject, pattern.object,
+                             filter, fn);
   };
+  // The property filter picks the partitions: a listed property walks its
+  // tree alone, an id set skips the unmarked ones.
+  const rdf::ScanFilter& property_filter = filter.Free(pattern, 1);
   if (pattern.property) {
-    scan_partition(*pattern.property);
-    return;
+    if (filter.property.Passes(*pattern.property)) {
+      scan_partition(*pattern.property);
+    }
+  } else if (property_filter.kind() == rdf::ScanFilter::Kind::kIn) {
+    for (uint64_t p : property_filter.ids()) scan_partition(p);
+  } else {
+    for (uint64_t p : relation_->properties()) {
+      if (property_filter.Passes(p)) scan_partition(p);
+    }
   }
-  for (uint64_t p : relation_->properties()) scan_partition(p);
 }
 
 void RowVerticalBackend::ScanBranches(
@@ -331,7 +344,7 @@ void RowVerticalBackend::ScanBranches(
         continue;
       }
       relation_->ScanPartition(
-          props[k], pass.subject, std::nullopt,
+          props[k], pass.subject, std::nullopt, {},
           [&](std::span<const rdf::Triple> batch) { fn(k, batch); });
     }
   });
@@ -347,7 +360,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     std::unordered_multimap<uint64_t, uint64_t> build;
     build.reserve(partition_rows);
     relation_->ScanPartition(
-        property, std::nullopt, std::nullopt,
+        property, std::nullopt, std::nullopt, {},
         EachTriple([&](const rdf::Triple& t) {
           build.emplace(t.subject, t.object);
         }));
@@ -364,7 +377,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     const std::unordered_set<uint64_t> build(temp_table.begin(),
                                              temp_table.end());
     relation_->ScanPartition(
-        property, std::nullopt, std::nullopt,
+        property, std::nullopt, std::nullopt, {},
         [&](std::span<const rdf::Triple> batch) {
           ForKept(
               batch,

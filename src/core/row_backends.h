@@ -38,6 +38,7 @@ class RowBackend : public PhasedBackend {
   using Backend::Match;
   // Pattern lookups keep canonical key order, so they stay serial.
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
+                                 const rdf::PatternFilter& filter,
                                  const exec::ExecContext& ectx) const final;
   void DropCaches() override { pool_->Clear(); }
 
@@ -57,9 +58,10 @@ class RowBackend : public PhasedBackend {
     std::optional<uint64_t> subject = std::nullopt;
   };
 
-  // Streams every triple matching `pattern`, serially, in canonical order,
-  // in batches.
+  // Streams every triple matching `pattern` and passing `filter`,
+  // serially, in canonical order, in batches.
   virtual void ScanPattern(const rdf::TriplePattern& pattern,
+                           const rdf::PatternFilter& filter,
                            const TripleFn& fn) const = 0;
   // Runs `pass` as independent branches that fan out over `ectx`:
   // `start(branches)` runs once, then `fn(branch, batch)` concurrently
@@ -149,6 +151,7 @@ class RowTripleBackend : public RowBackend {
 
  private:
   void ScanPattern(const rdf::TriplePattern& pattern,
+                   const rdf::PatternFilter& filter,
                    const TripleFn& fn) const override;
   void ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
                     const std::function<void(uint64_t)>& start,
@@ -193,6 +196,7 @@ class RowVerticalBackend : public RowBackend {
 
  private:
   void ScanPattern(const rdf::TriplePattern& pattern,
+                   const rdf::PatternFilter& filter,
                    const TripleFn& fn) const override;
   void ScanBranches(const Pass& pass, const exec::ExecContext& ectx,
                     const std::function<void(uint64_t)>& start,

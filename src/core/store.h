@@ -88,11 +88,9 @@ class RdfStore {
   }
 
   // Single triple-pattern lookup.
-  std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern) const {
-    return backend_->Match(pattern);
-  }
-  std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
-                                 const exec::ExecContext& ectx) const {
+  std::vector<rdf::Triple> Match(
+      const rdf::TriplePattern& pattern,
+      const exec::ExecContext& ectx = exec::ExecContext()) const {
     return backend_->Match(pattern, ectx);
   }
 

@@ -309,6 +309,44 @@ void PatternVarsInto(const BgpPattern& p,
   }
 }
 
+// Pushes `filter` into `step`'s scan when the scan can apply it exactly:
+// an `=` or `IN` over a variable the step binds fresh, whose operands are
+// all dictionary-id constants. Operands absent from the dictionary equal
+// nothing and drop out (an empty list matches nothing); a numeric operand
+// compares by value and a variable operand by row, so either keeps the
+// filter residual. Returns whether the filter was pushed.
+bool PushIntoScan(const FilterExpr& filter,
+                  const std::unordered_set<std::string>& bound_before,
+                  PhysStep* step) {
+  if ((filter.op != FilterOp::kEq && filter.op != FilterOp::kIn) ||
+      filter.impossible || bound_before.count(filter.var) != 0) {
+    return false;
+  }
+  std::vector<uint64_t> ids;
+  for (const FilterOperand& v : filter.values) {
+    if (v.is_var() || v.number) return false;
+    if (v.id) ids.push_back(*v.id);
+  }
+  rdf::ScanFilter* slots[3] = {&step->scan_filter.subject,
+                               &step->scan_filter.property,
+                               &step->scan_filter.object};
+  const Term* terms[3] = {&step->pattern.subject, &step->pattern.property,
+                          &step->pattern.object};
+  bool any = false;
+  for (int c = 0; c < 3; ++c) {
+    if (!terms[c]->is_var || terms[c]->var != filter.var) continue;
+    if (!slots[c]->all()) return false;  // one pushed filter per position
+    any = true;
+  }
+  if (!any) return false;
+  for (int c = 0; c < 3; ++c) {
+    if (terms[c]->is_var && terms[c]->var == filter.var) {
+      *slots[c] = rdf::ScanFilter::In(ids);
+    }
+  }
+  return true;
+}
+
 // Compiles one group (required or optional) into ordered physical steps.
 // `outer` holds the variables bound before the group runs. Bumps
 // `*wide_groups` when the group has too many variables to order by cost.
@@ -414,12 +452,12 @@ PhysPipeline CompileGroup(const GroupSpec& group,
   }
 
   // Push each filter to the earliest step after which its variables are
-  // all bound.
+  // all bound, and into that step's scan when the scan can apply it.
   std::unordered_set<std::string> bound_vars = outer;
-  std::vector<std::vector<FilterExpr>> per_step(out.steps.size());
   std::vector<bool> placed(group.filters.size(), false);
   for (size_t k = 0; k < out.steps.size(); ++k) {
     PhysStep& step = out.steps[k];
+    const std::unordered_set<std::string> bound_before = bound_vars;
     PatternVarsInto(step.pattern, &bound_vars);
     for (size_t f = 0; f < group.filters.size(); ++f) {
       if (placed[f]) continue;
@@ -429,7 +467,9 @@ PhysPipeline CompileGroup(const GroupSpec& group,
             return bound_vars.count(v) != 0;
           });
       if (ready) {
-        step.filters.push_back(group.filters[f]);
+        if (!PushIntoScan(group.filters[f], bound_before, &step)) {
+          step.filters.push_back(group.filters[f]);
+        }
         placed[f] = true;
       }
     }

@@ -77,6 +77,18 @@ void RenderPipeline(const PhysPipeline& pipeline, const std::string& indent,
       *out << "  [node " << step.home_node << "]";
     }
     *out << "\n";
+    const Term* terms[3] = {&step.pattern.subject, &step.pattern.property,
+                            &step.pattern.object};
+    for (int c = 0; c < 3; ++c) {
+      const rdf::ScanFilter& f = step.scan_filter.at(c);
+      if (f.all()) continue;
+      *out << indent << "  scan " << TermText(*terms[c], term_name) << " IN (";
+      for (size_t i = 0; i < f.ids().size(); ++i) {
+        *out << (i > 0 ? ", " : "")
+             << TermText(Term::Const(f.ids()[i]), term_name);
+      }
+      *out << ")\n";
+    }
     for (const FilterExpr& filter : step.filters) {
       *out << indent << "  " << FilterText(filter, term_name) << "\n";
     }

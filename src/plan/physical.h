@@ -9,6 +9,7 @@
 
 #include "plan/algebra.h"
 #include "plan/stats.h"
+#include "rdf/scan_filter.h"
 
 namespace swan::plan {
 
@@ -55,6 +56,12 @@ struct PhysStep {
   // Filters that become evaluable once this step's variables are bound;
   // the interpreter applies them to the table right after the step.
   std::vector<FilterExpr> filters;
+
+  // The `=`/`IN` filters pushed into this step's scan: an IN-list of
+  // dictionary ids on each position holding the filtered variable, which
+  // every Match of the step passes to the backend. A pushed filter is no
+  // longer in `filters`.
+  rdf::PatternFilter scan_filter;
 
   // Planner annotations: estimated binding rows flowing in and out, and
   // the estimated matches of one instantiated probe. Negative when the

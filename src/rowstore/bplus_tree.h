@@ -14,6 +14,7 @@
 
 #include "audit/audit.h"
 #include "common/macros.h"
+#include "rdf/scan_filter.h"
 #include "storage/buffer_pool.h"
 #include "storage/paged_file.h"
 
@@ -65,8 +66,35 @@ class LeafKeys {
   size_t size_;
 };
 
+// The scan filters of a walk on the key slots they constrain: a key passes
+// when every constrained slot's value is in its filter's id bitmap. The
+// test ANDs the slots, with no branch on the outcome.
+template <int W>
+struct SlotFilter {
+  std::array<const rdf::MarkSet*, W> marks{};  // null: unconstrained
+
+  void Bind(int slot, const rdf::ScanFilter& filter) {
+    if (!filter.all()) marks[slot] = &filter.marks();
+  }
+  bool empty() const {
+    return std::all_of(marks.begin(), marks.end(),
+                       [](const rdf::MarkSet* m) { return m == nullptr; });
+  }
+  bool operator()(const std::array<uint64_t, W>& key) const {
+    bool pass = true;
+    for (int i = 0; i < W; ++i) {
+      pass &= marks[i] == nullptr || marks[i]->Contains(key[i]);
+    }
+    return pass;
+  }
+};
+
+// Keeps every key: the residual test of a scan without a scan filter.
+inline constexpr auto kKeepAll = [](const auto&) { return true; };
+
 // Calls take(key) for the keys of one walked leaf that lie inside the
-// bound `prefix` and match the `residual` constraints, in key order.
+// bound `prefix`, match the `residual` constraints and pass `keep` (a scan
+// filter's membership test on the key words), in key order.
 // Returns whether the prefix run reaches the leaf's end, i.e. whether the
 // walk goes on. The prefix leads the key order, so its run is the leaf's
 // leading keys: one test of the last key, else a galloping search from
@@ -74,9 +102,10 @@ class LeafKeys {
 // with no branch per key, and only the set bits are visited — cheap both
 // when few keys match (most blocks are skipped on a well-predicted
 // branch) and when many do.
-template <int W, typename Take>
+template <int W, typename Keep, typename Take>
 bool ForEachMatch(const LeafKeys<W>& keys, const KeyMatch<W>& prefix,
-                  const KeyMatch<W>& residual, const Take& take) {
+                  const KeyMatch<W>& residual, const Keep& keep,
+                  const Take& take) {
   SWAN_DCHECK(keys.size() > 0);
   size_t end = keys.size();
   if (!prefix.Matches(keys[end - 1])) {
@@ -104,7 +133,8 @@ bool ForEachMatch(const LeafKeys<W>& keys, const KeyMatch<W>& prefix,
     const size_t block = std::min<size_t>(8, end - i);
     uint32_t bits = 0;
     for (size_t j = 0; j < block; ++j) {
-      bits |= static_cast<uint32_t>(residual.Matches(keys[i + j])) << j;
+      const std::array<uint64_t, W> key = keys[i + j];
+      bits |= static_cast<uint32_t>(residual.Matches(key) & keep(key)) << j;
     }
     while (bits != 0) {
       take(keys[i + static_cast<size_t>(std::countr_zero(bits))]);

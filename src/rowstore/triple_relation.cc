@@ -296,44 +296,84 @@ void TripleRelation::FullScan(
 }
 
 void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
+                                 const rdf::PatternFilter& filter,
                                  const BatchFn& fn) const {
+  if (!filter.AdmitsConstants(pattern)) return;
   const AccessPath path = ChoosePath(pattern);
+  int expand = -1;
+  double best = path.cost_pages;
+  for (int c = 0; c < 3; ++c) {
+    const rdf::ScanFilter& f = filter.Free(pattern, c);
+    if (f.kind() != rdf::ScanFilter::Kind::kIn) continue;
+    double cost = 0.0;
+    for (uint64_t v : f.ids()) {
+      cost += ChoosePath(rdf::WithComponent(pattern, c, v)).cost_pages;
+    }
+    if (cost < best) {
+      best = cost;
+      expand = c;
+    }
+  }
+  if (expand < 0) {
+    WalkMatches(pattern, filter, path, fn);
+    return;
+  }
+  for (uint64_t v : filter.at(expand).ids()) {
+    const rdf::TriplePattern one = rdf::WithComponent(pattern, expand, v);
+    WalkMatches(one, filter, ChoosePath(one), fn);
+  }
+}
+
+void TripleRelation::WalkMatches(const rdf::TriplePattern& pattern,
+                                 const rdf::PatternFilter& filter,
+                                 const AccessPath& path,
+                                 const BatchFn& fn) const {
   const BPlusTree<3>* tree = TreeFor(path.order);
   SWAN_CHECK(tree != nullptr);
   const KeyDecoder decode(path.order);
   const bool fetch_rows = path.kind == AccessPath::Kind::kSecondaryPrefix;
   // The pattern's constants on the key slots: the first prefix_len bound
   // the walk (the walk starts at the prefix, zeros after it), the others
-  // are residual filters.
+  // are residual filters. The free components' scan filters are tested
+  // beside them.
   const std::optional<uint64_t> spo[3] = {pattern.subject, pattern.property,
                                           pattern.object};
   KeyMatch<3> prefix;
   KeyMatch<3> residual;
+  SlotFilter<3> keep;
   for (int c = 0; c < 3; ++c) {
-    if (!spo[c]) continue;
     const int slot = decode.slot(c);
+    keep.Bind(slot, filter.Free(pattern, c));
+    if (!spo[c]) continue;
     (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
   }
 
   std::vector<rdf::Triple> batch;  // grows to its largest leaf once
-  tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
-    batch.clear();
-    const bool more = ForEachMatch<3>(
-        keys, prefix, residual, [&](const BPlusTree<3>::Key& key) {
-          const rdf::Triple t = decode(key);
-          if (fetch_rows) {
-            // Non-covering secondary: fetch the base row from the
-            // clustered tree (pays the random descent the cost model
-            // anticipated).
-            const bool present =
-                clustered_->Contains(KeyOf(t, config_.clustered));
-            SWAN_CHECK_MSG(present, "secondary points at missing row");
-          }
-          batch.push_back(t);
-        });
-    if (!batch.empty()) fn(batch);
-    return more;
-  });
+  const auto walk = [&](const auto& keep_key) {
+    tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
+      batch.clear();
+      const bool more = ForEachMatch<3>(
+          keys, prefix, residual, keep_key, [&](const BPlusTree<3>::Key& key) {
+            const rdf::Triple t = decode(key);
+            if (fetch_rows) {
+              // Non-covering secondary: fetch the base row from the
+              // clustered tree (pays the random descent the cost model
+              // anticipated).
+              const bool present =
+                  clustered_->Contains(KeyOf(t, config_.clustered));
+              SWAN_CHECK_MSG(present, "secondary points at missing row");
+            }
+            batch.push_back(t);
+          });
+      if (!batch.empty()) fn(batch);
+      return more;
+    });
+  };
+  if (keep.empty()) {
+    walk(kKeepAll);
+  } else {
+    walk(keep);
+  }
 }
 
 void TripleRelation::AuditInto(audit::AuditLevel level,

@@ -12,6 +12,7 @@
 #include "audit/audit.h"
 #include "common/id_hash.h"
 #include "rdf/pattern.h"
+#include "rdf/scan_filter.h"
 #include "rdf/triple.h"
 #include "rowstore/bplus_tree.h"
 #include "rowstore/stats.h"
@@ -78,12 +79,17 @@ class TripleRelation {
   // call that receives it.
   using BatchFn = std::function<void(std::span<const rdf::Triple>)>;
 
-  // Streams the triples matching `pattern`, in the key order of the path
-  // ChoosePath picks, a leaf at a time: the walk checks the bound prefix
-  // and the residual constants on the raw key words and hands fn only
-  // the matches of each leaf. On a secondary path every match first pays
-  // its point lookup in the clustered tree (the non-covering row fetch).
-  void ScanMatches(const rdf::TriplePattern& pattern, const BatchFn& fn) const;
+  // Streams the triples matching `pattern` and passing `filter`, in the
+  // key order of the path ChoosePath picks, a leaf at a time: the walk
+  // checks the bound prefix, the residual constants and the free
+  // components' filters on the raw key words and hands fn only the
+  // matches of each leaf. A free component's IN-list is bound instead,
+  // one walk per listed id in ascending order, when ChoosePath prices
+  // those walks below the one walk that tests the list. On a secondary
+  // path every match first pays its point lookup in the clustered tree
+  // (the non-covering row fetch).
+  void ScanMatches(const rdf::TriplePattern& pattern,
+                   const rdf::PatternFilter& filter, const BatchFn& fn) const;
 
   // Full scan in clustered key order, fanned out over `ectx`, keeping the
   // triples whose property is in `props` (sorted) and whose subject is in
@@ -114,6 +120,10 @@ class TripleRelation {
 
  private:
   const BPlusTree<3>* TreeFor(rdf::TripleOrder order) const;
+  // One ScanMatches walk along `path`.
+  void WalkMatches(const rdf::TriplePattern& pattern,
+                   const rdf::PatternFilter& filter, const AccessPath& path,
+                   const BatchFn& fn) const;
   // Leaf-range parts of a full scan under `ectx` (1 = the serial walk).
   uint64_t FullScanChunks(const exec::ExecContext& ectx) const;
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "audit/audit.h"
+#include "rdf/scan_filter.h"
 #include "rdf/triple.h"
 #include "rowstore/bplus_tree.h"
 #include "storage/buffer_pool.h"
@@ -49,13 +50,18 @@ class VerticalRelation {
   using BatchFn = std::function<void(std::span<const rdf::Triple>)>;
 
   // Streams the rows of `property`'s partition that match the optional
-  // subject/object equality bounds, as full triples, a leaf at a time.
-  // Picks clustered-prefix / secondary / full-scan by the same cost
-  // heuristics as TripleRelation; a secondary match pays its row fetch
-  // from the SO tree first. Streams nothing if the partition does not
-  // exist.
+  // subject/object equality bounds and pass the subject and object
+  // filters of `filter`, as full triples, a leaf at a time. Picks
+  // clustered-prefix / secondary / full-scan by the same cost heuristics
+  // as TripleRelation; a secondary match pays its row fetch from the SO
+  // tree first. A free subject's or object's IN-list is bound instead, one
+  // walk per listed id, when those walks price below the one walk that
+  // tests the list beside the key match. Streams nothing if the partition
+  // does not exist.
   void ScanPartition(uint64_t property, std::optional<uint64_t> subject,
-                     std::optional<uint64_t> object, const BatchFn& fn) const;
+                     std::optional<uint64_t> object,
+                     const rdf::PatternFilter& filter,
+                     const BatchFn& fn) const;
 
   // Audit walker. Audits both B+trees of every partition and checks that
   // the SO and OS trees agree with the partition's declared row count and
@@ -70,6 +76,23 @@ class VerticalRelation {
     uint64_t distinct_subjects = 0;
     uint64_t distinct_objects = 0;
   };
+
+  // An access path into one partition: which tree, how many leading key
+  // slots the walk binds, and its modeled cost in pages.
+  struct PartitionPath {
+    bool object_order = false;  // the OS secondary
+    int prefix_len = 0;
+    double cost_pages = 0.0;
+  };
+  static PartitionPath ChoosePartitionPath(const Partition& part,
+                                           std::optional<uint64_t> subject,
+                                           std::optional<uint64_t> object);
+  // One ScanPartition walk along `path`.
+  static void WalkPartition(uint64_t property, const Partition& part,
+                            std::optional<uint64_t> subject,
+                            std::optional<uint64_t> object,
+                            const rdf::PatternFilter& filter,
+                            const PartitionPath& path, const BatchFn& fn);
 
   storage::BufferPool* pool_;
   storage::SimulatedDisk* disk_;

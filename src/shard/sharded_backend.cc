@@ -121,7 +121,8 @@ core::QueryResult ShardedBackend::Run(core::QueryId id,
 }
 
 std::vector<rdf::Triple> ShardedBackend::Match(
-    const rdf::TriplePattern& pattern, const exec::ExecContext& ectx) const {
+    const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
+    const exec::ExecContext& ectx) const {
   std::vector<int> nodes;
   if (pattern.property) {
     nodes = NodesFor(*pattern.property);
@@ -139,7 +140,9 @@ std::vector<rdf::Triple> ShardedBackend::Match(
     // Result-return leg only; the request leg is the caller's (see the
     // class comment).
     Ship(node, coordinator_, plan::kBytesPerTriple * part.size(), 1, ectx);
-    out.insert(out.end(), part.begin(), part.end());
+    for (const rdf::Triple& t : part) {
+      if (filter.Passes(t)) out.push_back(t);
+    }
   }
   return out;
 }

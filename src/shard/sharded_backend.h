@@ -66,7 +66,10 @@ class ShardedBackend : public core::Backend {
   using core::Backend::Match;
   core::QueryResult Run(core::QueryId id, const core::QueryContext& ctx,
                         const exec::ExecContext& ectx) override;
+  // The inner stores match unfiltered and ship what they find, as for an
+  // unfiltered Match; the filter applies at the coordinator.
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
+                                 const rdf::PatternFilter& filter,
                                  const exec::ExecContext& ectx) const override;
 
   plan::AccessHints PlannerHints() const override;

@@ -13,9 +13,12 @@
 #include "audit/audit.h"
 #include "common/random.h"
 #include "core/col_backends.h"
+#include "core/cstore_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "rdf/ntriples.h"
+#include "rdf/scan_filter.h"
+#include "shard/sharded_backend.h"
 #include "sparql/sparql.h"
 
 namespace swan {
@@ -135,6 +138,144 @@ TEST_P(GraphFuzzTest, RandomPatternsMatchReference) {
           << backend->name() << " on " << pattern.ToString();
     }
   }
+}
+
+// One position's random filter, kept beside the ids it was built from so
+// the expected rows are computed without rdf::ScanFilter.
+struct RandomFilter {
+  rdf::ScanFilter filter;
+  std::vector<uint64_t> admitted;  // empty + !all = nothing passes
+  bool all = true;
+
+  bool Admits(uint64_t id) const {
+    return all ||
+           std::find(admitted.begin(), admitted.end(), id) != admitted.end();
+  }
+};
+
+// Always-true half the time; else an IN-list of 1–4 ids (mostly ones the
+// position holds, some absent from the store, duplicates included) or an
+// id set.
+RandomFilter DrawFilter(Rng* rng, uint64_t dict_size,
+                        const std::vector<uint64_t>& held) {
+  RandomFilter f;
+  if (rng->Chance(0.5)) return f;
+  f.all = false;
+  const uint64_t n = 1 + rng->Uniform(4);
+  for (uint64_t i = 0; i < n; ++i) {
+    f.admitted.push_back(rng->Chance(0.7) ? held[rng->Uniform(held.size())]
+                                          : rng->Uniform(dict_size + 3));
+    if (rng->Chance(0.2)) f.admitted.push_back(f.admitted.back());
+  }
+  if (rng->Chance(0.5)) {
+    f.filter = rdf::ScanFilter::In(f.admitted);
+  } else {
+    rdf::MarkSet set(dict_size + 3);
+    set.MarkAll(f.admitted);
+    f.filter = rdf::ScanFilter::IdSet(std::move(set));
+  }
+  return f;
+}
+
+// Match(pattern, filter) on every backend that answers Match equals the
+// reference's unfiltered Match with the filter applied afterwards, as
+// bags, at widths 1, 2 and 8: on fresh stores, then with unmerged inserts
+// and deletes (each backend is paired with its own reference, which takes
+// the writes the backend accepts).
+TEST_P(GraphFuzzTest, FilteredMatchEqualsReferencePostFilter) {
+  const rdf::Dataset data = RandomVocabGraph(GetParam() + 2000, 400);
+  const core::QueryContext ctx = ContextFor(data);
+  Rng rng(GetParam() * 31 + 7);
+
+  struct Pair {
+    std::unique_ptr<core::Backend> backend;
+    std::unique_ptr<core::ReferenceBackend> reference;
+  };
+  std::vector<Pair> pairs;
+  const auto add = [&](std::unique_ptr<core::Backend> backend) {
+    pairs.push_back(
+        {std::move(backend), std::make_unique<core::ReferenceBackend>(data)});
+  };
+  for (rdf::TripleOrder order : {rdf::TripleOrder::kSPO,
+                                 rdf::TripleOrder::kPSO}) {
+    add(std::make_unique<core::ColTripleBackend>(data, order));
+  }
+  add(std::make_unique<core::ColVerticalBackend>(data));
+  add(std::make_unique<core::RowTripleBackend>(
+      data, rowstore::TripleRelation::SpoConfig()));
+  add(std::make_unique<core::RowTripleBackend>(
+      data, rowstore::TripleRelation::PsoConfig()));
+  add(std::make_unique<core::RowVerticalBackend>(data));
+  add(std::make_unique<core::CStoreBackend>(data,
+                                            ctx.interesting_properties()));
+  for (int nodes : {2, 4}) {
+    for (bool vertical : {true, false}) {
+      shard::ShardOptions options;
+      options.nodes = nodes;
+      options.vertical = vertical;
+      add(std::make_unique<shard::ShardedBackend>(data, options));
+    }
+  }
+
+  const uint64_t dict_size = data.dict().size();
+  std::vector<uint64_t> held[3];
+  for (const rdf::Triple& t : data.triples()) {
+    held[0].push_back(t.subject);
+    held[1].push_back(t.property);
+    held[2].push_back(t.object);
+  }
+  const auto check = [&](const char* state) {
+    for (int round = 0; round < 40; ++round) {
+      rdf::TriplePattern pattern;
+      if (rng.Chance(0.4)) pattern.subject = rng.Uniform(dict_size + 3);
+      if (rng.Chance(0.4)) pattern.property = rng.Uniform(dict_size + 3);
+      if (rng.Chance(0.4)) pattern.object = rng.Uniform(dict_size + 3);
+      const RandomFilter fs = DrawFilter(&rng, dict_size, held[0]);
+      const RandomFilter fp = DrawFilter(&rng, dict_size, held[1]);
+      const RandomFilter fo = DrawFilter(&rng, dict_size, held[2]);
+      const rdf::PatternFilter filter{fs.filter, fp.filter, fo.filter};
+      for (Pair& pair : pairs) {
+        std::vector<rdf::Triple> expected;
+        for (const rdf::Triple& t : pair.reference->Match(pattern)) {
+          if (fs.Admits(t.subject) && fp.Admits(t.property) &&
+              fo.Admits(t.object)) {
+            expected.push_back(t);
+          }
+        }
+        std::sort(expected.begin(), expected.end());
+        for (int width : {1, 2, 8}) {
+          auto got =
+              pair.backend->Match(pattern, filter, exec::ExecContext(width));
+          std::sort(got.begin(), got.end());
+          EXPECT_EQ(got, expected)
+              << pair.backend->name() << " " << state << " width " << width
+              << " on " << pattern.ToString() << " (seed " << GetParam()
+              << ", round " << round << ")";
+        }
+      }
+    }
+  };
+  check("fresh");
+
+  // Unmerged writes: inserts of new combinations of existing ids, and
+  // deletes of existing triples (the row engines and C-Store refuse some).
+  const std::vector<rdf::Triple>& triples = data.triples();
+  for (Pair& pair : pairs) {
+    Rng writes(GetParam() * 97 + 3);
+    for (int w = 0; w < 12; ++w) {
+      const bool insert = writes.Chance(0.5);
+      rdf::Triple t = triples[writes.Uniform(triples.size())];
+      if (insert) t.object = triples[writes.Uniform(triples.size())].subject;
+      const Status st =
+          insert ? pair.backend->Insert(t) : pair.backend->Delete(t);
+      if (st.ok()) {
+        ASSERT_TRUE(insert ? pair.reference->Insert(t).ok()
+                           : pair.reference->Delete(t).ok())
+            << pair.backend->name();
+      }
+    }
+  }
+  check("with unmerged writes");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphFuzzTest,

@@ -38,7 +38,7 @@ std::vector<rdf::Triple> SmallGraph() {
 std::vector<rdf::Triple> Collect(const TripleRelation& rel,
                                  const rdf::TriplePattern& pattern) {
   std::vector<rdf::Triple> out;
-  rel.ScanMatches(pattern, [&](std::span<const rdf::Triple> batch) {
+  rel.ScanMatches(pattern, {}, [&](std::span<const rdf::Triple> batch) {
     out.insert(out.end(), batch.begin(), batch.end());
   });
   return out;
@@ -49,7 +49,7 @@ std::vector<rdf::Triple> Collect(const VerticalRelation& rel,
                                  std::optional<uint64_t> subject,
                                  std::optional<uint64_t> object) {
   std::vector<rdf::Triple> out;
-  rel.ScanPartition(property, subject, object,
+  rel.ScanPartition(property, subject, object, {},
                     [&](std::span<const rdf::Triple> batch) {
                       out.insert(out.end(), batch.begin(), batch.end());
                     });

@@ -1,0 +1,211 @@
+// Scan filters on 20k generated triples. Cold-byte gates: a property
+// IN-list must open only the listed partitions / PSO ranges, so a
+// filtered scan reads no more than the single-property scans it unions,
+// and q2's pattern form with its 28-property list reads only the columns
+// of those partitions (deterministic counts, every measurement after
+// DropCaches). Width gate: queries whose pushed filters run inside the
+// BGP's parallel probe batches answer as the reference does at every
+// width.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bench_support/barton_generator.h"
+#include "bench_support/query_bgps.h"
+#include "core/bgp.h"
+#include "core/col_backends.h"
+#include "core/reference_backend.h"
+#include "core/row_backends.h"
+#include "plan/stats.h"
+#include "shard/sharded_backend.h"
+#include "sparql/sparql.h"
+
+namespace swan {
+namespace {
+
+class ScanFilterTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    bench_support::BartonConfig config;
+    config.target_triples = 20000;
+    barton_ = new bench_support::BartonDataset(
+        bench_support::GenerateBarton(config));
+    stats_ = new plan::StoreStats(plan::StoreStats::Collect(data()));
+  }
+  static void TearDownTestSuite() {
+    delete stats_;
+    delete barton_;
+  }
+
+  static const rdf::Dataset& data() { return barton_->dataset; }
+  static std::string Term(uint64_t id) {
+    return std::string(data().dict().Lookup(id));
+  }
+
+  // Cold bytes one SPARQL query reads on `backend`; fails on no rows.
+  static uint64_t ColdBytes(core::Backend* backend, const std::string& query) {
+    backend->DropCaches();
+    const uint64_t before = backend->TotalBytesRead();
+    auto out = sparql::Execute(*backend, data(), query, exec::ExecContext(1),
+                               stats_);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_FALSE(out.value().rows.empty()) << query;
+    return backend->TotalBytesRead() - before;
+  }
+
+  static bench_support::BartonDataset* barton_;
+  static plan::StoreStats* stats_;
+};
+
+bench_support::BartonDataset* ScanFilterTest::barton_ = nullptr;
+plan::StoreStats* ScanFilterTest::stats_ = nullptr;
+
+TEST_F(ScanFilterTest, PropertyInListReadsOnlyTheListedProperties) {
+  const core::QueryContext ctx = bench_support::MakeBartonContext(data(), 28);
+  const std::string type = Term(ctx.vocab().type);
+  const std::string language = Term(ctx.vocab().language);
+  const std::string in_query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o FILTER(?p IN (" +
+                               type + ", " + language + ")) }";
+  const auto single = [](const std::string& p) {
+    return "SELECT ?s ?o WHERE { ?s " + p + " ?o }";
+  };
+
+  core::ColVerticalBackend col_vert(data());
+  // The type and language partitions, both columns each: 81,920 + 16,384.
+  EXPECT_LE(ColdBytes(&col_vert, in_query), 98304u);
+
+  std::vector<std::unique_ptr<core::Backend>> triple_pso;
+  triple_pso.push_back(std::make_unique<core::RowTripleBackend>(
+      data(), rowstore::TripleRelation::PsoConfig()));
+  triple_pso.push_back(std::make_unique<core::ColTripleBackend>(
+      data(), rdf::TripleOrder::kPSO));
+  triple_pso.push_back(std::make_unique<core::ColVerticalBackend>(data()));
+  for (const auto& backend : triple_pso) {
+    SCOPED_TRACE(backend->name());
+    const uint64_t unioned = ColdBytes(backend.get(), single(type)) +
+                             ColdBytes(backend.get(), single(language));
+    EXPECT_LE(ColdBytes(backend.get(), in_query), unioned);
+  }
+}
+
+// q2's pattern form binds ?o, so unlike the hand-built q2 (which only
+// counts properties) it must read the object column of every listed
+// partition one of its subjects occurs in. The gate is therefore q2's
+// bytes plus those object columns, and the pushed list must read less
+// than the same filter applied after the step, which opens every
+// partition per probe.
+TEST_F(ScanFilterTest, Q2PatternWithItsPropertyListReadsOnlyQ2sColumns) {
+  const core::QueryContext ctx = bench_support::MakeBartonContext(data(), 28);
+  core::ColVerticalBackend col_vert(data());
+  const exec::ExecContext ectx(1);
+
+  col_vert.DropCaches();
+  uint64_t before = col_vert.TotalBytesRead();
+  col_vert.Run(core::QueryId::kQ2, ctx, ectx);
+  const uint64_t run_bytes = col_vert.TotalBytesRead() - before;
+
+  plan::FilterExpr in;
+  in.var = "p";
+  in.op = plan::FilterOp::kIn;
+  uint64_t object_columns = 0;
+  for (uint64_t p : ctx.interesting_properties()) {
+    plan::FilterOperand v;
+    v.id = p;
+    in.values.push_back(v);
+    if (col_vert.table().HasPartition(p)) {
+      object_columns += col_vert.table().ObjectColumn(p).disk_bytes();
+    }
+  }
+  std::vector<core::BgpPattern> q2;
+  for (const auto& bgp : bench_support::BenchmarkBgps(ctx.vocab())) {
+    if (bgp.name == "q2") q2 = bgp.patterns;
+  }
+  ASSERT_EQ(q2.size(), 2u);
+  plan::LogicalPlan logical = plan::BuildBgpLogical(q2);
+  logical.root = plan::MakeFilter(in, std::move(logical.root));
+  const plan::PhysicalPlan pushed = core::PlanQuery(
+      col_vert, logical,
+      plan::PlannerOptions{plan::PlanMode::kCostBased, stats_,
+                           col_vert.PlannerHints()},
+      ectx);
+  // The same plan with the list applied after the step instead.
+  plan::PhysicalPlan residual = pushed;
+  for (plan::PhysStep& step : residual.branches.at(0).steps) {
+    if (step.scan_filter.property.all()) continue;
+    step.scan_filter = rdf::PatternFilter{};
+    step.filters.push_back(in);
+  }
+
+  const auto cold_bytes = [&](const plan::PhysicalPlan& physical) {
+    col_vert.DropCaches();
+    const uint64_t start = col_vert.TotalBytesRead();
+    auto rows = core::ExecutePlan(col_vert, physical, ectx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_FALSE(rows.value().rows.empty());
+    return col_vert.TotalBytesRead() - start;
+  };
+  const uint64_t pushed_bytes = cold_bytes(pushed);
+  const uint64_t residual_bytes = cold_bytes(residual);
+  EXPECT_LE(pushed_bytes, run_bytes + object_columns);
+  EXPECT_LT(pushed_bytes, residual_bytes);
+  RecordProperty("run_q2_bytes", std::to_string(run_bytes));
+  RecordProperty("pushed_bytes", std::to_string(pushed_bytes));
+  RecordProperty("residual_bytes", std::to_string(residual_bytes));
+}
+
+TEST_F(ScanFilterTest, PushedFiltersAgreeWithReferenceAtEveryWidth) {
+  const core::QueryContext ctx = bench_support::MakeBartonContext(data(), 28);
+  const core::Vocabulary& v = ctx.vocab();
+  const std::vector<std::string> queries = {
+      // Probes with a property list: one batch of probes per lane.
+      "SELECT ?s ?p ?o WHERE { ?s " + Term(v.type) + " " + Term(v.text) +
+          " . ?s ?p ?o FILTER(?p IN (" + Term(v.language) + ", " +
+          Term(v.origin) + ", " + Term(v.records) + ")) }",
+      // A star arm with an object list (scan-join or probes).
+      "SELECT ?s ?l WHERE { ?s " + Term(v.type) + " " + Term(v.text) +
+          " . ?s " + Term(v.language) + " ?l FILTER(?l IN (" +
+          Term(v.french) + ", " + Term(v.text) + ")) }",
+      // The filter inside an OPTIONAL.
+      "SELECT ?s ?o WHERE { ?s " + Term(v.type) + " " + Term(v.text) +
+          " OPTIONAL { ?s ?p ?o FILTER(?p = " + Term(v.origin) + ") } }",
+  };
+  core::ReferenceBackend reference(data());
+  std::vector<std::unique_ptr<core::Backend>> backends;
+  backends.push_back(std::make_unique<core::ColVerticalBackend>(data()));
+  backends.push_back(std::make_unique<core::ColTripleBackend>(
+      data(), rdf::TripleOrder::kPSO));
+  backends.push_back(std::make_unique<core::RowTripleBackend>(
+      data(), rowstore::TripleRelation::PsoConfig()));
+  backends.push_back(std::make_unique<core::RowVerticalBackend>(data()));
+  shard::ShardOptions options;
+  options.nodes = 2;
+  backends.push_back(std::make_unique<shard::ShardedBackend>(data(), options));
+
+  const auto sorted_rows = [&](const core::Backend& backend,
+                               const std::string& query, int width) {
+    auto out = sparql::Execute(backend, data(), query,
+                               exec::ExecContext(width), stats_);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<std::vector<uint64_t>> rows = out.value().rows;
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  for (const std::string& query : queries) {
+    SCOPED_TRACE(query);
+    const auto want = sorted_rows(reference, query, 1);
+    EXPECT_GT(want.size(), 32u);  // enough rows for parallel batches
+    for (const auto& backend : backends) {
+      for (int width : {1, 2, 8}) {
+        EXPECT_EQ(sorted_rows(*backend, query, width), want)
+            << backend->name() << " width " << width;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace swan

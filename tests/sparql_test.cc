@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/reference_backend.h"
+#include "core/row_backends.h"
+#include "plan/physical.h"
 #include "plan/stats.h"
 #include "rdf/dataset.h"
 #include "sparql/sparql.h"
@@ -402,6 +408,249 @@ TEST_F(SparqlTest, LanguageTaggedLiteralRoundTrips) {
           "SELECT ?s WHERE { ?s <http://ex.org/motto> \"carpe diem\"@la }");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().rows.size(), 1u);
+}
+
+// --- Scan filters --------------------------------------------------------
+
+// `=`/`IN` filters the planner pushes into a step's scan must answer as
+// the same filters applied to the binding table after the step: every
+// case runs its pushed plan and the same plan with each pushed filter put
+// back as a residual FILTER, on every engine, and checks the answer it
+// must give.
+class ScanFilterSemanticsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const auto& [s, lang] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"<s1>", "<fre>"}, {"<s2>", "<eng>"},
+             {"<s3>", "<ger>"}, {"<s4>", "<fre>"}}) {
+      data_.Add(s, "<language>", lang);
+    }
+    data_.Add("<s1>", "<type>", "<Text>");
+    data_.Add("<s2>", "<type>", "<Text>");
+    data_.Add("<s5>", "<type>", "<Text>");
+    data_.Add("<s3>", "<type>", "<Image>");
+    data_.Add("<s1>", "<age>", "\"30\"");
+    data_.Add("<s2>", "<age>", "\"30.0\"");
+    data_.Add("<s3>", "<age>", "\"25\"");
+    data_.Add("<s4>", "<age>", "<eng>");
+    stats_ = plan::StoreStats::Collect(data_);
+    backends_.push_back(std::make_unique<core::ReferenceBackend>(data_));
+    backends_.push_back(std::make_unique<core::ColVerticalBackend>(data_));
+    backends_.push_back(std::make_unique<core::ColTripleBackend>(
+        data_, rdf::TripleOrder::kPSO));
+    backends_.push_back(std::make_unique<core::RowTripleBackend>(
+        data_, rowstore::TripleRelation::PsoConfig()));
+    backends_.push_back(std::make_unique<core::RowVerticalBackend>(data_));
+  }
+
+  uint64_t Id(const std::string& term) const {
+    return data_.dict().Find(term).value();
+  }
+
+  plan::PhysicalPlan PlanOf(const core::Backend& backend,
+                            const std::string& query) const {
+    auto parsed = Parse(query);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto logical = BuildLogicalPlan(parsed.value(), data_);
+    EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+    return core::PlanQuery(backend, logical.value(),
+                           plan::PlannerOptions{plan::PlanMode::kCostBased,
+                                                &stats_,
+                                                backend.PlannerHints()},
+                           exec::ExecContext(1));
+  }
+
+  // Every pushed filter back on its step as `?var IN (ids)`.
+  static void Unpush(plan::PhysPipeline* pipeline) {
+    for (plan::PhysStep& step : pipeline->steps) {
+      const plan::Term* terms[3] = {&step.pattern.subject,
+                                    &step.pattern.property,
+                                    &step.pattern.object};
+      std::vector<std::string> done;
+      for (int c = 0; c < 3; ++c) {
+        const rdf::ScanFilter& f = step.scan_filter.at(c);
+        if (f.all() || std::count(done.begin(), done.end(), terms[c]->var)) {
+          continue;
+        }
+        plan::FilterExpr residual;
+        residual.var = terms[c]->var;
+        residual.op = plan::FilterOp::kIn;
+        for (uint64_t id : f.ids()) {
+          plan::FilterOperand v;
+          v.id = id;
+          residual.values.push_back(v);
+        }
+        step.filters.push_back(residual);
+        done.push_back(terms[c]->var);
+      }
+      step.scan_filter = rdf::PatternFilter{};
+    }
+    for (plan::PhysPipeline& optional : pipeline->optionals) {
+      Unpush(&optional);
+    }
+  }
+
+  static std::vector<std::vector<uint64_t>> Rows(
+      const core::Backend& backend, const plan::PhysicalPlan& physical) {
+    auto result = core::ExecutePlan(backend, physical, exec::ExecContext(1));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::vector<uint64_t>> rows = result.value().rows;
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  // Runs `query` pushed and unpushed on every backend; both must equal
+  // `want` (sorted binding rows over the plan's variables). `check_plan`
+  // inspects the pushed plan.
+  void Expect(const std::string& query,
+              std::vector<std::vector<uint64_t>> want,
+              const std::function<void(const plan::PhysicalPlan&)>&
+                  check_plan) {
+    SCOPED_TRACE(query);
+    std::sort(want.begin(), want.end());
+    for (const auto& backend : backends_) {
+      SCOPED_TRACE(backend->name());
+      const plan::PhysicalPlan pushed = PlanOf(*backend, query);
+      check_plan(pushed);
+      plan::PhysicalPlan unpushed = pushed;
+      for (plan::PhysPipeline& branch : unpushed.branches) Unpush(&branch);
+      EXPECT_EQ(Rows(*backend, pushed), want);
+      EXPECT_EQ(Rows(*backend, unpushed), want);
+    }
+  }
+
+  static const plan::PhysStep& OnlyStep(const plan::PhysicalPlan& p) {
+    EXPECT_EQ(p.branches.size(), 1u);
+    EXPECT_EQ(p.branches[0].steps.size(), 1u);
+    return p.branches[0].steps[0];
+  }
+
+  rdf::Dataset data_;
+  plan::StoreStats stats_;
+  std::vector<std::unique_ptr<core::Backend>> backends_;
+};
+
+TEST_F(ScanFilterSemanticsTest, NumericOperandStaysResidual) {
+  // 30 compares by value: "30" and "30.0" both pass, so the list cannot
+  // become dictionary ids.
+  Expect("SELECT ?s ?v WHERE { ?s <age> ?v FILTER(?v IN (30, <eng>)) }",
+         {{Id("<s1>"), Id("\"30\"")},
+          {Id("<s2>"), Id("\"30.0\"")},
+          {Id("<s4>"), Id("<eng>")}},
+         [](const plan::PhysicalPlan& p) {
+           const plan::PhysStep& step = OnlyStep(p);
+           EXPECT_TRUE(step.scan_filter.all());
+           EXPECT_EQ(step.filters.size(), 1u);
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, AbsentTermDropsOutOfTheList) {
+  Expect("SELECT ?s ?o WHERE { ?s <language> ?o "
+         "FILTER(?o IN (<fre>, <nowhere>)) }",
+         {{Id("<s1>"), Id("<fre>")}, {Id("<s4>"), Id("<fre>")}},
+         [&](const plan::PhysicalPlan& p) {
+           const plan::PhysStep& step = OnlyStep(p);
+           EXPECT_TRUE(step.filters.empty());
+           EXPECT_EQ(step.scan_filter.object.ids(),
+                     std::vector<uint64_t>{Id("<fre>")});
+         });
+  // Only absent terms: the list is empty and matches nothing.
+  Expect("SELECT ?s ?o WHERE { ?s <language> ?o FILTER(?o = <nowhere>) }", {},
+         [](const plan::PhysicalPlan& p) {
+           const plan::PhysStep& step = OnlyStep(p);
+           EXPECT_FALSE(step.scan_filter.object.all());
+           EXPECT_TRUE(step.scan_filter.object.ids().empty());
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, VariableOperandStaysResidual) {
+  std::vector<std::vector<uint64_t>> want;
+  for (const char* a : {"<s1>", "<s4>"}) {
+    for (const char* b : {"<s1>", "<s4>"}) {
+      want.push_back({Id(a), Id("<fre>"), Id(b), Id("<fre>")});
+    }
+  }
+  want.push_back({Id("<s2>"), Id("<eng>"), Id("<s2>"), Id("<eng>")});
+  want.push_back({Id("<s3>"), Id("<ger>"), Id("<s3>"), Id("<ger>")});
+  Expect("SELECT * WHERE { ?s <language> ?o . ?t <language> ?q "
+         "FILTER(?o IN (?q)) }",
+         want, [](const plan::PhysicalPlan& p) {
+           for (const plan::PhysStep& step : p.branches.at(0).steps) {
+             EXPECT_TRUE(step.scan_filter.all());
+           }
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, RepeatedValueIsListedOnce) {
+  Expect("SELECT ?s ?o WHERE { ?s <language> ?o "
+         "FILTER(?o IN (<fre>, <eng>, <fre>)) }",
+         {{Id("<s1>"), Id("<fre>")},
+          {Id("<s2>"), Id("<eng>")},
+          {Id("<s4>"), Id("<fre>")}},
+         [&](const plan::PhysicalPlan& p) {
+           std::vector<uint64_t> ids = {Id("<fre>"), Id("<eng>")};
+           std::sort(ids.begin(), ids.end());
+           EXPECT_EQ(OnlyStep(p).scan_filter.object.ids(), ids);
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, InsideOptionalFailingRowsArePadded) {
+  Expect("SELECT ?s ?o WHERE { ?s <type> <Text> "
+         "OPTIONAL { ?s <language> ?o FILTER(?o IN (<fre>)) } }",
+         {{Id("<s1>"), Id("<fre>")},
+          {Id("<s2>"), plan::kUnbound},
+          {Id("<s5>"), plan::kUnbound}},
+         [&](const plan::PhysicalPlan& p) {
+           const auto& optionals = p.branches.at(0).optionals;
+           ASSERT_EQ(optionals.size(), 1u);
+           ASSERT_EQ(optionals[0].steps.size(), 1u);
+           EXPECT_EQ(optionals[0].steps[0].scan_filter.object.ids(),
+                     std::vector<uint64_t>{Id("<fre>")});
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, PropertyWithoutPartitionMatchesNothing) {
+  // <fre> is a term of the store but no property: no partition to open.
+  Expect("SELECT ?s ?p ?o WHERE { ?s ?p ?o "
+         "FILTER(?p IN (<fre>, <type>)) }",
+         {{Id("<s1>"), Id("<type>"), Id("<Text>")},
+          {Id("<s2>"), Id("<type>"), Id("<Text>")},
+          {Id("<s5>"), Id("<type>"), Id("<Text>")},
+          {Id("<s3>"), Id("<type>"), Id("<Image>")}},
+         [&](const plan::PhysicalPlan& p) {
+           EXPECT_EQ(OnlyStep(p).scan_filter.property.ids().size(), 2u);
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, EqualityIsPushed) {
+  Expect("SELECT ?s ?o WHERE { ?s <language> ?o FILTER(?o = <fre>) }",
+         {{Id("<s1>"), Id("<fre>")}, {Id("<s4>"), Id("<fre>")}},
+         [&](const plan::PhysicalPlan& p) {
+           const plan::PhysStep& step = OnlyStep(p);
+           EXPECT_TRUE(step.filters.empty());
+           EXPECT_EQ(step.scan_filter.object.ids(),
+                     std::vector<uint64_t>{Id("<fre>")});
+         });
+}
+
+TEST_F(ScanFilterSemanticsTest, ExplainShowsThePushedFilterOnItsStep) {
+  const plan::PhysicalPlan p = PlanOf(
+      *backends_[1],
+      "SELECT ?s ?o WHERE { ?s <type> <Text> . ?s <language> ?o "
+      "FILTER(?o IN (<eng>, <fre>)) }");
+  const std::string text = plan::ExplainText(p, [&](uint64_t id) {
+    return std::string(data_.dict().Lookup(id));
+  });
+  const std::string want = Id("<fre>") < Id("<eng>")
+                               ? "scan ?o IN (<fre>, <eng>)"
+                               : "scan ?o IN (<eng>, <fre>)";
+  const size_t step = text.find("extend (?s <language> ?o)");
+  ASSERT_NE(step, std::string::npos) << text;
+  const size_t next_line = text.find('\n', step) + 1;
+  EXPECT_EQ(text.compare(next_line, want.size() + 4, "    " + want), 0)
+      << text;
+  EXPECT_EQ(text.find("FILTER("), std::string::npos) << text;
 }
 
 }  // namespace

@@ -356,11 +356,11 @@ print('shell sharded record: %d match calls, %d net bytes'
       cmake --build "$TSAN_DIR" -j "$JOBS" \
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
-                 merge_match_test select_oracle_test parallel_speedup \
-                 swandb_shell &&
+                 merge_match_test select_oracle_test scan_filter_test \
+                 sparql_test fuzz_test parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
