@@ -645,11 +645,15 @@ void ColVerticalBackend::DropCaches() {
   pool_->Clear();
 }
 
+// Every phase reads a partition's second column only at the rows its
+// first column's selection kept: an empty selection leaves it unopened.
+
 std::vector<uint64_t> ColVerticalBackend::SubjectsOf(
     uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
   if (!table_->HasPartition(property)) return {};
   const PositionVector sel =
       SelectEq(table_->EncodedObjects(property), object, ectx);
+  if (sel.empty()) return {};
   // Subject columns are sorted, so the gathered subset stays sorted.
   return Gather(table_->EncodedSubjects(property), sel, ectx);
 }
@@ -737,6 +741,7 @@ std::vector<PairCount> ColVerticalBackend::PropertyObjectCounts(
       // Positions are relative to ms.lo; only the selected objects decode.
       const PositionVector sel = MergeSelectPositions(
           table_->EncodedSubjects(p), ms.lo, ms.hi, subjects, ectx);
+      if (sel.empty()) continue;
       const EncodedColumn& obj = table_->EncodedObjects(p);
       objects[m].resize(sel.size());
       for (size_t i = 0; i < sel.size(); ++i) {
@@ -760,6 +765,7 @@ SubjectObjects ColVerticalBackend::SubjectObjectPairs(
   const PositionVector sel =
       MergeSelectPositions(table_->EncodedSubjects(property), 0,
                            table_->PartitionSize(property), subjects, ectx);
+  if (sel.empty()) return {};
   const std::vector<uint64_t> ps =
       Gather(table_->EncodedSubjects(property), sel, ectx);
   const std::vector<uint64_t> po =
@@ -778,6 +784,7 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
     if (!table_->HasPartition(*property)) return {};
     const PositionVector sel =
         SelectMarked(table_->EncodedObjects(*property), objects, ectx);
+    if (sel.empty()) return {};
     // Gathered from a sorted subject column: duplicates are adjacent.
     std::vector<uint64_t> out =
         Gather(table_->EncodedSubjects(*property), sel, ectx);
@@ -786,7 +793,8 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
   }
   // Every property table, fanned out over flattened (property, row-range)
   // morsels — the probe side is dominated by the few giant partitions,
-  // which would otherwise serialize.
+  // which would otherwise serialize. Each morsel selects on its objects
+  // and gathers subjects only at the hits.
   const std::vector<uint64_t>& all_props = table_->properties();
   const std::vector<PropMorsel> morsels = FlattenPropMorsels(
       all_props.size(),
@@ -797,16 +805,11 @@ std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
   ectx.ParallelFor(morsels.size(), 1, [&](uint64_t b, uint64_t e, uint64_t) {
     for (uint64_t m = b; m < e; ++m) {
       const PropMorsel& ms = morsels[m];
-      const EncodedColumn& subj =
-          table_->EncodedSubjects(all_props[ms.prop_idx]);
-      const EncodedColumn& obj = table_->EncodedObjects(all_props[ms.prop_idx]);
-      ForEachDecodedRows<2>(
-          {&subj, &obj}, ms.lo, ms.hi,
-          [&](uint64_t, const auto& v, uint64_t n) {
-            CompactInto(
-                0, n, [&](uint64_t i) { return objects.Test(v[1][i]); },
-                [&](uint64_t i) { return v[0][i]; }, &hits[m]);
-          });
+      const uint64_t p = all_props[ms.prop_idx];
+      const PositionVector sel =
+          SelectMarked(table_->EncodedObjects(p), ms.lo, ms.hi, objects, ectx);
+      if (sel.empty()) continue;
+      hits[m] = Gather(table_->EncodedSubjects(p), sel, ectx);
     }
   });
   std::vector<uint64_t> out;

@@ -148,6 +148,33 @@ double CallCost(const BgpPattern& p, uint64_t bound_mask, VarBits* vars,
          fanout * h.result_row_cost;
 }
 
+// Expected matches of one probe of `p` whose scan applies `filter`: each
+// position holding a pushed IN list sums the estimate over its listed
+// ids, as if each were the constant (a list on two positions sums over
+// their pairs). Positions from `c` on are still to expand.
+double EstFilteredFanout(const BgpPattern& p, const rdf::PatternFilter& filter,
+                         int c, uint64_t bound_mask, VarBits* vars,
+                         const StoreStats& stats) {
+  const Term* terms[3] = {&p.subject, &p.property, &p.object};
+  for (; c < 3; ++c) {
+    if (!terms[c]->is_var ||
+        filter.at(c).kind() != rdf::ScanFilter::Kind::kIn) {
+      continue;
+    }
+    const std::string& var = terms[c]->var;
+    double sum = 0.0;
+    for (uint64_t id : filter.at(c).ids()) {
+      BgpPattern one = p;
+      for (Term* t : {&one.subject, &one.property, &one.object}) {
+        if (t->is_var && t->var == var) *t = Term::Const(id);
+      }
+      sum += EstFilteredFanout(one, filter, c + 1, bound_mask, vars, stats);
+    }
+    return sum;
+  }
+  return EstFanout(p, bound_mask, vars, stats);
+}
+
 // --- Flattened branch specs -----------------------------------------------
 
 struct GroupSpec {
@@ -425,32 +452,6 @@ PhysPipeline CompileGroup(const GroupSpec& group,
     out.steps.push_back(std::move(step));
   }
 
-  // Cardinality annotations along the chosen order, plus each
-  // constant-property step's extent for the interpreter's run-time choice
-  // between probing and one scan over the extent.
-  double rows = std::max(est_in, 0.0);
-  if (by_stats) {
-    const StoreStats& stats = *opts.stats;
-    uint64_t bound = outer_mask;
-    for (size_t k = 0; k < out.steps.size(); ++k) {
-      const size_t i = order[k];
-      const BgpPattern& p = group.patterns[i];
-      const double fanout = EstFanout(p, bound, &vars, stats);
-      out.steps[k].est_in = rows;
-      out.steps[k].est_matches = fanout;
-      rows *= fanout;
-      out.steps[k].est_out = rows;
-      if (opts.mode == PlanMode::kCostBased && !p.property.is_var) {
-        out.steps[k].extent = stats.EstimateMatches(
-            std::nullopt, p.property.id,
-            p.object.is_var ? std::nullopt
-                            : std::optional<uint64_t>(p.object.id));
-      }
-      bound |= masks[i];
-    }
-    out.est_rows = rows;
-  }
-
   // Push each filter to the earliest step after which its variables are
   // all bound, and into that step's scan when the scan can apply it.
   std::unordered_set<std::string> bound_vars = outer;
@@ -473,6 +474,42 @@ PhysPipeline CompileGroup(const GroupSpec& group,
         placed[f] = true;
       }
     }
+  }
+
+  // Cardinality annotations along the chosen order, counting the filters
+  // pushed into each scan, plus each constant-property step's extent (what
+  // its one scan returns) for the interpreter's run-time choice between
+  // probing and one scan over the extent.
+  double rows = std::max(est_in, 0.0);
+  if (by_stats) {
+    const StoreStats& stats = *opts.stats;
+    uint64_t bound = outer_mask;
+    for (size_t k = 0; k < out.steps.size(); ++k) {
+      PhysStep& step = out.steps[k];
+      const BgpPattern& p = step.pattern;
+      const double fanout =
+          EstFilteredFanout(p, step.scan_filter, 0, bound, &vars, stats);
+      step.est_in = rows;
+      step.est_matches = fanout;
+      rows *= fanout;
+      step.est_out = rows;
+      if (opts.mode == PlanMode::kCostBased && !p.property.is_var) {
+        const auto extent_of = [&](std::optional<uint64_t> object) {
+          return stats.EstimateMatches(std::nullopt, p.property.id, object);
+        };
+        const rdf::ScanFilter& objects = step.scan_filter.object;
+        if (!p.object.is_var) {
+          step.extent = extent_of(p.object.id);
+        } else if (objects.kind() == rdf::ScanFilter::Kind::kIn) {
+          step.extent = 0.0;
+          for (uint64_t id : objects.ids()) step.extent += extent_of(id);
+        } else {
+          step.extent = extent_of(std::nullopt);
+        }
+      }
+      bound |= masks[order[k]];
+    }
+    out.est_rows = rows;
   }
   return out;
 }

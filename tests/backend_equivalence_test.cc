@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -726,6 +727,125 @@ TEST(ColumnMatchCostTest, MatchReadsOnlyNeededColumns) {
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, want) << label << " pattern " << i << " width "
                              << threads;
+      }
+    }
+  }
+}
+
+// A cold q3/q4 run on the vertical store opens a partition's object
+// column only where its subject selection keeps a row. The expected
+// columns come from the dataset: every listed partition's subject column;
+// the object column of each filter partition (<type>, and <language> for
+// q4) and of each listed partition that holds a selected subject; a filter
+// partition's subject column where it holds its filter object. Checked for
+// q3, q3*, q4 and q4* on the raw and auto codecs and on each node of a
+// 2-node sharded store, at widths 1 and 8, with the bytes read equal to
+// the opened columns' disk bytes and the rows equal to the reference's.
+TEST(VerticalSecondColumnTest, ColdQ3Q4OpenObjectsOfSelectedPartitionsOnly) {
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  const core::Vocabulary& v = ctx.vocab();
+  core::ReferenceBackend reference(data);
+
+  core::ColVerticalBackend vert_raw(data, {}, 4096,
+                                    colstore::ColumnCodec::kRaw);
+  core::ColVerticalBackend vert_auto(data, {}, 4096,
+                                     colstore::ColumnCodec::kAuto);
+  shard::ShardOptions options;
+  options.nodes = 2;
+  shard::ShardedBackend sharded(data, options);
+  const auto on_node0 = [](const rdf::Triple&) { return 0; };
+  std::vector<PartitionedStore> stores = {
+      {"vertical raw", &vert_raw, {}, on_node0},
+      {"vertical auto", &vert_auto, {}, on_node0},
+      {"sharded vertical", &sharded, {}, [&](const rdf::Triple& t) {
+         return sharded.placement().NodeOf(t);
+       }}};
+  AddVerticalParts(vert_raw.table(), 0, &stores[0].parts);
+  AddVerticalParts(vert_auto.table(), 0, &stores[1].parts);
+  for (int node = 0; node < options.nodes; ++node) {
+    AddVerticalParts(
+        dynamic_cast<const core::ColVerticalBackend&>(
+            sharded.node_backend(node))
+            .table(),
+        node, &stores[2].parts);
+  }
+
+  const auto subjects_with = [&](uint64_t property, uint64_t object) {
+    std::set<uint64_t> out;
+    for (const rdf::Triple& t : data.triples()) {
+      if (t.property == property && t.object == object) out.insert(t.subject);
+    }
+    return out;
+  };
+  const std::set<uint64_t> text_typed = subjects_with(v.type, v.text);
+  const std::set<uint64_t> french = subjects_with(v.language, v.french);
+  std::set<uint64_t> text_french;
+  std::set_intersection(text_typed.begin(), text_typed.end(), french.begin(),
+                        french.end(),
+                        std::inserter(text_french, text_french.end()));
+
+  for (QueryId id :
+       {QueryId::kQ3, QueryId::kQ3Star, QueryId::kQ4, QueryId::kQ4Star}) {
+    const bool q4 = core::BaseOf(id) == QueryId::kQ4;
+    const std::set<uint64_t>& selected = q4 ? text_french : text_typed;
+    const std::vector<uint64_t>* listed = core::PropertyFilter(id, ctx);
+    // (property, filter object) of the subject filters.
+    std::map<uint64_t, uint64_t> filters = {{v.type, v.text}};
+    if (q4) filters[v.language] = v.french;
+    std::vector<std::vector<uint64_t>> want_rows =
+        reference.Run(id, ctx).rows;
+    std::sort(want_rows.begin(), want_rows.end());
+
+    for (const PartitionedStore& store : stores) {
+      // Per (node, property): a selected subject's row, and the filter
+      // object's row.
+      std::set<std::pair<int, uint64_t>> selects;
+      std::set<std::pair<int, uint64_t>> filter_hits;
+      for (const rdf::Triple& t : data.triples()) {
+        const std::pair<int, uint64_t> part = {store.node_of(t), t.property};
+        if (selected.count(t.subject) != 0) selects.insert(part);
+        const auto f = filters.find(t.property);
+        if (f != filters.end() && f->second == t.object) {
+          filter_hits.insert(part);
+        }
+      }
+      for (int threads : {1, 8}) {
+        const std::string what = store.label + " " + ToString(id) +
+                                 " width " + std::to_string(threads);
+        store.backend->DropCaches();
+        const uint64_t before = store.backend->TotalBytesRead();
+        std::vector<std::vector<uint64_t>> got =
+            store.backend->Run(id, ctx, exec::ExecContext(threads)).rows;
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want_rows) << what;
+        uint64_t want_bytes = 0;
+        for (const PartitionedStore::Part& part : store.parts) {
+          const std::pair<int, uint64_t> key = {part.node, part.property};
+          const bool is_listed =
+              listed == nullptr ||
+              std::binary_search(listed->begin(), listed->end(),
+                                 part.property);
+          const bool is_filter = filters.count(part.property) != 0;
+          const bool want_subj =
+              is_listed || (is_filter && filter_hits.count(key) != 0);
+          const bool want_obj =
+              is_filter || (is_listed && selects.count(key) != 0);
+          EXPECT_EQ(part.subj->loaded(), want_subj)
+              << what << " node " << part.node << " p " << part.property
+              << " subjects";
+          EXPECT_EQ(part.obj->loaded(), want_obj)
+              << what << " node " << part.node << " p " << part.property
+              << " objects";
+          want_bytes += (want_subj ? part.subj->disk_bytes() : 0) +
+                        (want_obj ? part.obj->disk_bytes() : 0);
+        }
+        EXPECT_EQ(store.backend->TotalBytesRead() - before, want_bytes)
+            << what;
       }
     }
   }

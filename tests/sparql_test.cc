@@ -653,5 +653,55 @@ TEST_F(ScanFilterSemanticsTest, ExplainShowsThePushedFilterOnItsStep) {
   EXPECT_EQ(text.find("FILTER("), std::string::npos) << text;
 }
 
+// A pushed `=` or IN list counts in the planner's estimates: the step
+// estimates the sum of its listed ids' matches, as if each were the
+// constant, and so do the extent a scan-join weighs and the steps after
+// it. EXPLAIN prints the same estimates for `?o = <fre>` as for <fre>.
+TEST_F(ScanFilterSemanticsTest, ExplainEstimatesCountThePushedList) {
+  const auto explain = [&](const plan::PhysicalPlan& p) {
+    return plan::ExplainText(p, [&](uint64_t id) {
+      return std::string(data_.dict().Lookup(id));
+    });
+  };
+  const auto estimates = [&](const std::string& query) {
+    const std::string text = explain(PlanOf(*backends_[1], query));
+    const size_t at = text.find("(est ");
+    EXPECT_NE(at, std::string::npos) << text;
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  EXPECT_EQ(
+      estimates("SELECT ?s ?o WHERE { ?s <language> ?o FILTER(?o = <fre>) }"),
+      estimates("SELECT ?s WHERE { ?s <language> <fre> }"));
+
+  // <language> holds 4 rows over 3 objects: 4/3 estimated rows per id.
+  const double per_id =
+      stats_.EstimateMatches(std::nullopt, Id("<language>"), Id("<fre>"));
+  EXPECT_DOUBLE_EQ(per_id, 4.0 / 3.0);
+  const plan::PhysicalPlan in =
+      PlanOf(*backends_[1],
+             "SELECT ?s ?o WHERE { ?s <language> ?o "
+             "FILTER(?o IN (<eng>, <fre>)) }");
+  const plan::PhysStep& step = OnlyStep(in);
+  EXPECT_DOUBLE_EQ(step.est_matches, 2 * per_id);
+  EXPECT_DOUBLE_EQ(step.est_out, 2 * per_id);
+  EXPECT_DOUBLE_EQ(step.extent, 2 * per_id);
+  EXPECT_NE(explain(in).find("(est 2.7 rows, 2.7 matches/probe, extent 2.7)"),
+            std::string::npos)
+      << explain(in);
+
+  // The join after the filtered step starts from its filtered estimate.
+  const auto est_rows = [&](const std::string& query) {
+    return PlanOf(*backends_[1], query).branches.at(0).est_rows;
+  };
+  const double filtered = est_rows(
+      "SELECT ?s ?o ?t WHERE { ?s <language> ?o . ?s <type> ?t "
+      "FILTER(?o = <fre>) }");
+  EXPECT_DOUBLE_EQ(
+      filtered,
+      est_rows("SELECT ?s ?t WHERE { ?s <language> <fre> . ?s <type> ?t }"));
+  EXPECT_LT(filtered, est_rows("SELECT ?s ?o ?t WHERE { ?s <language> ?o . "
+                               "?s <type> ?t }"));
+}
+
 }  // namespace
 }  // namespace swan::sparql

@@ -345,7 +345,9 @@ print('shell sharded record: %d match calls, %d net bytes'
     # FullScan and its per-chunk hash partials at 8 threads), the sorted
     # merge's oracle test (its per-chunk parallel path at widths 2 and 8),
     # the select kernels' oracle test (their per-morsel compaction at
-    # widths 2 and 8) and a small parallel_speedup smoke whose built-in
+    # widths 2 and 8), the vertical store's second-column test (at width
+    # 8 the lane that first loads an object column depends on the
+    # selection) and a small parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
@@ -360,7 +362,7 @@ print('shell sharded record: %d match calls, %d net bytes'
                  sparql_test fuzz_test parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
