@@ -1,9 +1,7 @@
 #include "colstore/vertical_table.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "common/macros.h"
@@ -92,55 +90,6 @@ const EncodedColumn& VerticalTable::EncodedSubjects(uint64_t property) const {
 
 const EncodedColumn& VerticalTable::EncodedObjects(uint64_t property) const {
   return Require(property).obj->Encoded();
-}
-
-void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
-                    const rdf::TriplePattern& pattern,
-                    const rdf::PatternFilter& filter, uint64_t universe,
-                    const exec::ExecContext& ectx,
-                    std::vector<rdf::Triple>* out) {
-  uint32_t lo = 0;
-  uint32_t hi = static_cast<uint32_t>(subj.size());
-  if (pattern.subject) {
-    std::tie(lo, hi) = EqRangeSorted(subj.Encoded(), *pattern.subject);
-    if (lo == hi) return;
-  }
-  const rdf::ScanFilter& subject_filter = filter.Free(pattern, 0);
-  const rdf::ScanFilter& object_filter = filter.Free(pattern, 2);
-  if (subject_filter.all() && object_filter.all() && !pattern.object) {
-    ForEachDecodedRows<2>({&subj.Encoded(), &obj.Encoded()}, lo, hi,
-                          [&](uint64_t, const auto& v, uint64_t n) {
-                            for (uint64_t i = 0; i < n; ++i) {
-                              out->push_back({v[0][i], property, v[1][i]});
-                            }
-                          });
-    return;
-  }
-  // Select through the subject filter, then the object constant or
-  // filter; each column is read only while rows remain.
-  std::optional<PositionVector> sel;
-  if (!subject_filter.all()) {
-    sel = SelectPassing(subj.Encoded(), lo, hi, subject_filter, universe,
-                        ectx);
-    if (sel->empty()) return;
-  }
-  if (pattern.object) {
-    sel = sel ? SelectEq(obj.Encoded(), *sel, *pattern.object, ectx)
-              : SelectEq(obj.Encoded(), lo, hi, *pattern.object, ectx);
-  } else if (!object_filter.all()) {
-    sel = sel ? SelectPassing(obj.Encoded(), *sel, object_filter, universe,
-                              ectx)
-              : SelectPassing(obj.Encoded(), lo, hi, object_filter, universe,
-                              ectx);
-  }
-  if (sel->empty()) return;
-  const std::vector<uint64_t> ss = Gather(subj.Encoded(), *sel, ectx);
-  const std::vector<uint64_t> os =
-      pattern.object ? std::vector<uint64_t>(ss.size(), *pattern.object)
-                     : Gather(obj.Encoded(), *sel, ectx);
-  for (size_t i = 0; i < ss.size(); ++i) {
-    out->push_back({ss[i], property, os[i]});
-  }
 }
 
 std::pair<uint32_t, uint32_t> VerticalTable::SubjectRange(uint64_t property,

@@ -11,7 +11,6 @@
 #include "audit/audit.h"
 #include "colstore/column.h"
 #include "colstore/ops.h"
-#include "rdf/pattern.h"
 #include "rdf/triple.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
@@ -97,26 +96,6 @@ class VerticalTable {
   std::vector<uint64_t> properties_;
   std::unordered_map<uint64_t, Partition> partitions_;
 };
-
-// The per-partition scan of a vertical store: appends the triples of one
-// (subject, object)-sorted partition of `property` whose subject and
-// object match `pattern`, in row order. The two columns are passed
-// unloaded, and a column is read only when a row of it is needed: the
-// column that narrows the partition goes first (subjects when the pattern
-// binds a subject, by binary search to a range; otherwise objects when it
-// binds an object, by a SelectEq that compares packed codes), and the
-// other is read only when that step leaves a row. With neither bound,
-// both are read, subjects first, and decoded batch by batch. The free
-// subject and object filters of `filter` select rows the same way, subject
-// column first, before anything is gathered: SelectEq for a one-id list,
-// SelectMarked otherwise (colstore::SelectPassing, with `universe` the
-// dictionary size). The property filter is the caller's: it picks the
-// partitions.
-void MatchPartition(const Column& subj, const Column& obj, uint64_t property,
-                    const rdf::TriplePattern& pattern,
-                    const rdf::PatternFilter& filter, uint64_t universe,
-                    const exec::ExecContext& ectx,
-                    std::vector<rdf::Triple>* out);
 
 }  // namespace swan::colstore
 

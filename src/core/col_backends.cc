@@ -6,8 +6,8 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <tuple>
 
+#include "colstore/pattern_scan.h"
 #include "common/macros.h"
 #include "obs/trace.h"
 
@@ -393,95 +393,30 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
     span.set_rows_out(0);
     return out;
   }
+  // The one column scan, over the three columns in subject, property,
+  // object order, sorted in the table's order.
   const auto comp = rdf::ComponentsOf(table_->order());
-  const uint64_t universe = dataset_->dict().size();
-  // Scans the rows matching `bound`: its bound leading components of the
-  // sort order narrow the rows to a range; every other bound component,
-  // then every free filter, is a residual selection, applied in subject,
-  // property, object order.
-  const auto scan = [&](const std::array<std::optional<uint64_t>, 3>& bound) {
-    int prefix = 0;
-    if (bound[comp[0]]) prefix = bound[comp[1]] ? 2 : 1;
-    uint32_t lo = 0;
-    uint32_t hi = static_cast<uint32_t>(table_->size());
-    if (prefix == 2) {
-      std::tie(lo, hi) =
-          table_->PrimarySecondaryRange(*bound[comp[0]], *bound[comp[1]]);
-    } else if (prefix == 1) {
-      std::tie(lo, hi) = table_->PrimaryRange(*bound[comp[0]]);
-    }
-    const auto in_range = [&](int c) {
-      return (prefix >= 1 && c == comp[0]) || (prefix == 2 && c == comp[1]);
-    };
-    const auto residual = [&](int c) { return bound[c] && !in_range(c); };
-    const auto filtered = [&](int c) {
-      return !bound[c] && !filter.at(c).all();
-    };
-    if (lo >= hi) return;
-
-    // A column is read only when a row of it is needed: an empty range or
-    // residual selection leaves the remaining columns unread.
-    bool narrowed = false;
-    for (int c = 0; c < 3; ++c) narrowed |= residual(c) || filtered(c);
-    if (!narrowed) {
-      // Every row of the range matches: decode it batch by batch.
-      const EncodedColumn& subj = table_->encoded_subjects();
-      const EncodedColumn& prop = table_->encoded_properties();
-      const EncodedColumn& obj = table_->encoded_objects();
-      out.reserve(out.size() + (hi - lo));
-      ForEachDecodedRows<3>({&subj, &prop, &obj}, lo, hi,
-                            [&](uint64_t, const auto& v, uint64_t n) {
-                              for (uint64_t i = 0; i < n; ++i) {
-                                out.push_back({v[0][i], v[1][i], v[2][i]});
-                              }
-                            });
-      return;
-    }
-    // Filter the range on the encoded residual columns, then decode only
-    // the matching rows.
-    // `select(col, rows...)` runs over the range first, then over the
-    // positions left.
-    PositionVector sel;
-    bool selected = false;
-    const auto narrow = [&](int c, const auto& select) {
-      if (selected && sel.empty()) return;
-      const EncodedColumn& col = table_->column(c).Encoded();
-      sel = selected ? select(col, sel) : select(col, lo, hi);
-      selected = true;
-    };
-    for (int c = 0; c < 3; ++c) {
-      if (!residual(c)) continue;
-      narrow(c, [&](const EncodedColumn& col, const auto&... rows) {
-        return SelectEq(col, rows..., *bound[c], ectx);
-      });
-    }
-    for (int c = 0; c < 3; ++c) {
-      if (!filtered(c)) continue;
-      narrow(c, [&](const EncodedColumn& col, const auto&... rows) {
-        return colstore::SelectPassing(col, rows..., filter.at(c), universe,
-                                       ectx);
-      });
-    }
-    if (sel.empty()) return;
-    const std::vector<uint64_t> subj =
-        Gather(table_->encoded_subjects(), sel, ectx);
-    const std::vector<uint64_t> prop =
-        Gather(table_->encoded_properties(), sel, ectx);
-    const std::vector<uint64_t> obj =
-        Gather(table_->encoded_objects(), sel, ectx);
-    for (size_t i = 0; i < sel.size(); ++i) {
-      out.push_back({subj[i], prop[i], obj[i]});
-    }
-  };
-
+  const std::array<const colstore::Column*, 3> cols = {
+      &table_->column(0), &table_->column(1), &table_->column(2)};
+  const std::array<const rdf::ScanFilter*, 3> filters = {
+      &filter.Free(pattern, 0), &filter.Free(pattern, 1),
+      &filter.Free(pattern, 2)};
   const std::array<std::optional<uint64_t>, 3> bound = {
       pattern.subject, pattern.property, pattern.object};
-  const rdf::ScanFilter& leading = filter.Free(pattern, comp[0]);
-  if (leading.kind() == rdf::ScanFilter::Kind::kIn) {
+  const auto scan = [&](const std::array<std::optional<uint64_t>, 3>& one) {
+    colstore::MatchColumns<3>(
+        cols, comp, one, filters, dataset_->dict().size(), ectx,
+        [&](const auto& v, uint64_t n) {
+          for (uint64_t i = 0; i < n; ++i) {
+            out.push_back({v[0][i], v[1][i], v[2][i]});
+          }
+        });
+  };
+  if (filters[comp[0]]->kind() == rdf::ScanFilter::Kind::kIn) {
     // A listed leading value narrows the sort order to its range: one
     // range per listed id (a PSO store's property list, one PSO range
     // each), in ascending order like the unfiltered scan.
-    for (uint64_t v : leading.ids()) {
+    for (uint64_t v : filters[comp[0]]->ids()) {
       std::array<std::optional<uint64_t>, 3> one = bound;
       one[comp[0]] = v;
       scan(one);
@@ -496,6 +431,7 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
   }
   // Unmerged inserts are visible to pattern lookups via a delta scan.
   for (const rdf::Triple& t : delta_) {
+    // swan-lint: allow(post-filter)
     if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
   }
   span.set_rows_out(out.size());
@@ -824,29 +760,17 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
   // suppressed automatically when Match runs inside a BGP worker lane.
   obs::Span span(ectx.trace(), "col_vert.match");
   std::vector<rdf::Triple> out;
-  if (!filter.AdmitsConstants(pattern)) {
-    span.set_rows_out(0);
-    return out;
-  }
-  // The property filter picks the partitions: a listed property opens
-  // its partition alone, an id set skips the unmarked ones.
-  const rdf::ScanFilter& property_filter = filter.Free(pattern, 1);
-  std::vector<uint64_t> props;
-  if (pattern.property) {
-    props.push_back(*pattern.property);
-  } else if (property_filter.kind() == rdf::ScanFilter::Kind::kIn) {
-    props = property_filter.ids();
-  } else {
-    for (uint64_t p : table_->properties()) {
-      if (property_filter.Passes(p)) props.push_back(p);
-    }
-  }
-
   const uint64_t universe = dataset_->dict().size();
-  for (uint64_t p : props) {
+  for (uint64_t p :
+       rdf::PartitionsToOpen(pattern, filter, table_->properties())) {
     if (!table_->HasPartition(p)) continue;
-    colstore::MatchPartition(table_->SubjectColumn(p), table_->ObjectColumn(p),
-                             p, pattern, filter, universe, ectx, &out);
+    colstore::MatchColumns<2>(
+        {&table_->SubjectColumn(p), &table_->ObjectColumn(p)}, {0, 1},
+        {pattern.subject, pattern.object},
+        {&filter.Free(pattern, 0), &filter.Free(pattern, 2)}, universe, ectx,
+        [&](const auto& v, uint64_t n) {
+          for (uint64_t i = 0; i < n; ++i) out.push_back({v[0][i], p, v[1][i]});
+        });
   }
   if (!tombstones_.empty()) {
     std::erase_if(out, [&](const rdf::Triple& t) {
@@ -855,6 +779,7 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
   }
   // Unmerged inserts are visible via a delta scan.
   for (const rdf::Triple& t : delta_set_) {
+    // swan-lint: allow(post-filter)
     if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
   }
   span.set_rows_out(out.size());

@@ -1,6 +1,6 @@
 #include "core/cstore_backend.h"
 
-#include "colstore/vertical_table.h"
+#include "colstore/pattern_scan.h"
 #include "common/macros.h"
 #include "obs/trace.h"
 
@@ -106,8 +106,8 @@ QueryResult CStoreBackend::Run(QueryId id, const QueryContext& ctx,
 std::vector<rdf::Triple> CStoreBackend::Match(
     const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
     const exec::ExecContext& ectx) const {
-  // The vertical store's per-partition scan, serial in property order,
-  // then the filter as a plain post-filter: the paper's baseline engine
+  // The column stores' one pattern scan over each partition, serial in
+  // property order, then the filter as a plain post-filter: the paper's baseline engine
   // stays as it was built. The span is suppressed automatically inside
   // BGP worker lanes.
   obs::Span span(ectx.trace(), "cstore.match");
@@ -120,10 +120,14 @@ std::vector<rdf::Triple> CStoreBackend::Match(
     props = engine_->properties();
   }
   std::vector<rdf::Triple> out;
+  const rdf::ScanFilter all;
   for (uint64_t p : props) {
-    colstore::MatchPartition(engine_->SubjectColumn(p),
-                             engine_->ObjectColumn(p), p, pattern,
-                             rdf::PatternFilter{}, 0, ectx, &out);
+    colstore::MatchColumns<2>(
+        {&engine_->SubjectColumn(p), &engine_->ObjectColumn(p)}, {0, 1},
+        {pattern.subject, pattern.object}, {&all, &all}, 0, ectx,
+        [&](const auto& v, uint64_t n) {
+          for (uint64_t i = 0; i < n; ++i) out.push_back({v[0][i], p, v[1][i]});
+        });
   }
   if (!filter.all()) {
     std::erase_if(out, [&](const rdf::Triple& t) { return !filter.Passes(t); });

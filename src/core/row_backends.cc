@@ -300,23 +300,9 @@ std::string RowVerticalBackend::name() const { return "DBX vert. SO"; }
 void RowVerticalBackend::ScanPattern(const rdf::TriplePattern& pattern,
                                      const rdf::PatternFilter& filter,
                                      const TripleFn& fn) const {
-  const auto scan_partition = [&](uint64_t property) {
-    relation_->ScanPartition(property, pattern.subject, pattern.object,
-                             filter, fn);
-  };
-  // The property filter picks the partitions: a listed property walks its
-  // tree alone, an id set skips the unmarked ones.
-  const rdf::ScanFilter& property_filter = filter.Free(pattern, 1);
-  if (pattern.property) {
-    if (filter.property.Passes(*pattern.property)) {
-      scan_partition(*pattern.property);
-    }
-  } else if (property_filter.kind() == rdf::ScanFilter::Kind::kIn) {
-    for (uint64_t p : property_filter.ids()) scan_partition(p);
-  } else {
-    for (uint64_t p : relation_->properties()) {
-      if (property_filter.Passes(p)) scan_partition(p);
-    }
+  for (uint64_t p :
+       rdf::PartitionsToOpen(pattern, filter, relation_->properties())) {
+    relation_->ScanPartition(rdf::WithComponent(pattern, 1, p), filter, fn);
   }
 }
 
@@ -344,7 +330,7 @@ void RowVerticalBackend::ScanBranches(
         continue;
       }
       relation_->ScanPartition(
-          props[k], pass.subject, std::nullopt, {},
+          {pass.subject, props[k], std::nullopt}, {},
           [&](std::span<const rdf::Triple> batch) { fn(k, batch); });
     }
   });
@@ -360,7 +346,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     std::unordered_multimap<uint64_t, uint64_t> build;
     build.reserve(partition_rows);
     relation_->ScanPartition(
-        property, std::nullopt, std::nullopt, {},
+        PatternPO(property), {},
         EachTriple([&](const rdf::Triple& t) {
           build.emplace(t.subject, t.object);
         }));
@@ -377,7 +363,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     const std::unordered_set<uint64_t> build(temp_table.begin(),
                                              temp_table.end());
     relation_->ScanPartition(
-        property, std::nullopt, std::nullopt, {},
+        PatternPO(property), {},
         [&](std::span<const rdf::Triple> batch) {
           ForKept(
               batch,

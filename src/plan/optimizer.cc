@@ -563,7 +563,38 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
 
   size_t wide_groups = 0;
   for (const LogicalNode* branch_node : branch_nodes) {
-    const BranchSpec spec = FlattenBranch(*branch_node);
+    BranchSpec spec = FlattenBranch(*branch_node);
+    // A branch filter over a variable only an OPTIONAL binds cannot run in
+    // a required step: it runs after the optionals. One over a variable
+    // bound nowhere stays, and empties the required group.
+    std::vector<std::string> required_vars;
+    std::vector<std::string> optional_vars;
+    for (const BgpPattern& p : spec.required.patterns) {
+      CollectPatternVars(p, &required_vars);
+    }
+    for (const GroupSpec& optional : spec.optionals) {
+      for (const BgpPattern& p : optional.patterns) {
+        CollectPatternVars(p, &optional_vars);
+      }
+    }
+    const auto in = [](const std::vector<std::string>& vars,
+                       const std::string& v) {
+      return std::find(vars.begin(), vars.end(), v) != vars.end();
+    };
+    std::vector<FilterExpr> post_filters;
+    std::erase_if(spec.required.filters, [&](const FilterExpr& filter) {
+      const auto fvars = filter.Variables();
+      const bool after_optionals =
+          std::any_of(fvars.begin(), fvars.end(),
+                      [&](const std::string& v) {
+                        return !in(required_vars, v);
+                      }) &&
+          std::all_of(fvars.begin(), fvars.end(), [&](const std::string& v) {
+            return in(required_vars, v) || in(optional_vars, v);
+          });
+      if (after_optionals) post_filters.push_back(filter);
+      return after_optionals;
+    });
     PhysPipeline branch =
         CompileGroup(spec.required, {}, 1.0, opts, &wide_groups);
 
@@ -582,21 +613,7 @@ PhysicalPlan Optimize(const LogicalPlan& logical, const PlannerOptions& opts) {
       branch.optionals.push_back(std::move(compiled));
     }
 
-    // Filters over optional variables could not be pushed into a required
-    // step; they run after the optionals.
-    if (!branch.always_empty) {
-      std::unordered_set<std::string> required_vars;
-      for (const std::string& v : branch.vars) required_vars.insert(v);
-      std::vector<FilterExpr> unpushed;
-      for (const FilterExpr& filter : spec.required.filters) {
-        const auto fvars = filter.Variables();
-        const bool pushed = std::all_of(
-            fvars.begin(), fvars.end(),
-            [&](const std::string& v) { return required_vars.count(v) != 0; });
-        if (!pushed) unpushed.push_back(filter);
-      }
-      branch.post_filters = std::move(unpushed);
-    }
+    if (!branch.always_empty) branch.post_filters = std::move(post_filters);
     branch.vars = std::move(branch_vars);
     plan.branches.push_back(std::move(branch));
   }

@@ -29,12 +29,38 @@ ScanFilter ScanFilter::IdSet(MarkSet set) {
   return f;
 }
 
+uint64_t ScanFilter::wire_bytes() const {
+  switch (kind_) {
+    case Kind::kAll:
+      return 0;
+    case Kind::kIn:
+      return ids_.size() * sizeof(uint64_t);
+    case Kind::kIdSet:
+      return marks_.universe() / 8;
+  }
+  return 0;
+}
+
 const ScanFilter& PatternFilter::Free(const TriplePattern& pattern,
                                       int c) const {
   static const ScanFilter kAll;
   const std::optional<uint64_t>& bound =
       c == 0 ? pattern.subject : (c == 1 ? pattern.property : pattern.object);
   return bound ? kAll : at(c);
+}
+
+std::vector<uint64_t> PartitionsToOpen(const TriplePattern& pattern,
+                                       const PatternFilter& filter,
+                                       std::span<const uint64_t> properties) {
+  if (!filter.AdmitsConstants(pattern)) return {};
+  if (pattern.property) return {*pattern.property};
+  const ScanFilter& listed = filter.property;
+  if (listed.kind() == ScanFilter::Kind::kIn) return listed.ids();
+  std::vector<uint64_t> out;
+  for (uint64_t p : properties) {
+    if (listed.Passes(p)) out.push_back(p);
+  }
+  return out;
 }
 
 TriplePattern WithComponent(TriplePattern pattern, int c, uint64_t value) {

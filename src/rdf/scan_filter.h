@@ -67,6 +67,9 @@ class ScanFilter {
   bool Passes(uint64_t id) const {
     return kind_ == Kind::kAll || marks_.Contains(id);
   }
+  // Bytes the filter takes on the wire: 8 per listed id, the bitmap's
+  // bytes for an id set, none when always true.
+  uint64_t wire_bytes() const;
 
  private:
   Kind kind_ = Kind::kAll;
@@ -101,6 +104,15 @@ struct PatternFilter {
   // pattern binds c (AdmitsConstants settled it).
   const ScanFilter& Free(const TriplePattern& pattern, int c) const;
 };
+
+// The properties whose partitions a vertically partitioned store opens
+// to answer `pattern` under `filter`, ascending: none when a constant
+// fails its filter, else the bound property, else the ids of a property
+// IN-list, else those of `properties` (the store's, ascending) that pass
+// the property filter. A bound or listed property may have no partition.
+std::vector<uint64_t> PartitionsToOpen(const TriplePattern& pattern,
+                                       const PatternFilter& filter,
+                                       std::span<const uint64_t> properties);
 
 // `pattern` with component c (0 = subject, 1 = property, 2 = object) bound
 // to `value`: one listed value of a filter turned into a constant.

@@ -10,19 +10,6 @@ namespace swan::rowstore {
 
 namespace {
 
-// One random page access costs as much as this many sequential page reads
-// (a 0.5 ms seek at ~390 MB/s moves ~24 pages' worth of data). Fixed
-// optimizer assumption, independent of the actual disk config — as in real
-// systems, the cost model is an approximation of the hardware.
-constexpr double kRandomPenaltyPages = 24.0;
-
-constexpr double kRowsPerLeafPage =
-    static_cast<double>(BPlusTree<3>::kLeafCapacity);
-
-// Fractional leaf pages covering `rows`; fractional so near-complete range
-// scans still compare as cheaper than a full scan.
-double PagesFor(double rows) { return rows / kRowsPerLeafPage; }
-
 // Number of leading components of `order` that are bound in `pattern`,
 // plus the bound values.
 int BoundPrefix(const rdf::TriplePattern& pattern, rdf::TripleOrder order,
@@ -59,24 +46,6 @@ rdf::TriplePattern PrefixPattern(const rdf::TriplePattern& pattern,
   }
   return out;
 }
-
-// Decodes the keys of a tree in one order into triples: slot_[c] is the
-// key slot holding triple component c (0 = subject, 1 = property,
-// 2 = object).
-class KeyDecoder {
- public:
-  explicit KeyDecoder(rdf::TripleOrder order) {
-    const auto comp = rdf::ComponentsOf(order);
-    for (int i = 0; i < 3; ++i) slot_[comp[i]] = i;
-  }
-  int slot(int component) const { return slot_[component]; }
-  rdf::Triple operator()(const BPlusTree<3>::Key& key) const {
-    return {key[slot_[0]], key[slot_[1]], key[slot_[2]]};
-  }
-
- private:
-  int slot_[3];
-};
 
 }  // namespace
 
@@ -153,7 +122,7 @@ const BPlusTree<3>* TripleRelation::TreeFor(rdf::TripleOrder order) const {
   return nullptr;
 }
 
-std::string TripleRelation::AccessPath::ToString() const {
+std::string AccessPath::ToString() const {
   std::string out;
   switch (kind) {
     case Kind::kFullScan:
@@ -180,7 +149,7 @@ TripleRelation::AccessPath TripleRelation::ChoosePath(
   best.order = config_.clustered;
   best.prefix_len = 0;
   best.estimated_rows = total_rows;
-  best.cost_pages = kRandomPenaltyPages + PagesFor(total_rows);
+  best.cost_pages = PathCost<3>(total_rows, false);
 
   auto consider = [&](rdf::TripleOrder order, bool is_clustered) {
     std::array<uint64_t, 3> prefix{};
@@ -192,18 +161,9 @@ TripleRelation::AccessPath TripleRelation::ChoosePath(
     candidate.order = order;
     candidate.prefix_len = len;
     candidate.estimated_rows = est;
-    if (is_clustered) {
-      candidate.kind = AccessPath::Kind::kClusteredPrefix;
-      // One positioning seek plus a sequential leaf range. (Upper tree
-      // levels are hot in any real buffer pool, so the descent itself is
-      // not charged beyond the seek.)
-      candidate.cost_pages = kRandomPenaltyPages + PagesFor(est);
-    } else {
-      candidate.kind = AccessPath::Kind::kSecondaryPrefix;
-      // Secondary leaf range plus one random row fetch per match.
-      candidate.cost_pages =
-          kRandomPenaltyPages + PagesFor(est) + est * kRandomPenaltyPages;
-    }
+    candidate.kind = is_clustered ? AccessPath::Kind::kClusteredPrefix
+                                  : AccessPath::Kind::kSecondaryPrefix;
+    candidate.cost_pages = PathCost<3>(est, !is_clustered);
     if (candidate.cost_pages < best.cost_pages) best = candidate;
   };
 
@@ -231,9 +191,9 @@ void TripleRelation::FullScan(
     const IdSet* subjects, const std::function<void(uint64_t parts)>& start,
     const std::function<void(uint64_t part, std::span<const rdf::Triple>)>&
         fn) const {
-  const KeyDecoder decode(config_.clustered);
-  const int subject_slot = decode.slot(0);
-  const int property_slot = decode.slot(1);
+  const std::array<int, 3> slot = KeySlots<3>(config_.clustered);
+  const int subject_slot = slot[0];
+  const int property_slot = slot[1];
   // The property verdict of the last key tested, reused while the
   // property repeats: in PSO order it is tested once per property run.
   struct PropertyRun {
@@ -260,7 +220,7 @@ void TripleRelation::FullScan(
         }
         if (!run->keep) continue;
       }
-      kept->push_back(decode(key));
+      kept->push_back({key[slot[0]], key[slot[1]], key[slot[2]]});
     }
   };
 
@@ -299,81 +259,15 @@ void TripleRelation::ScanMatches(const rdf::TriplePattern& pattern,
                                  const rdf::PatternFilter& filter,
                                  const BatchFn& fn) const {
   if (!filter.AdmitsConstants(pattern)) return;
-  const AccessPath path = ChoosePath(pattern);
-  int expand = -1;
-  double best = path.cost_pages;
-  for (int c = 0; c < 3; ++c) {
-    const rdf::ScanFilter& f = filter.Free(pattern, c);
-    if (f.kind() != rdf::ScanFilter::Kind::kIn) continue;
-    double cost = 0.0;
-    for (uint64_t v : f.ids()) {
-      cost += ChoosePath(rdf::WithComponent(pattern, c, v)).cost_pages;
-    }
-    if (cost < best) {
-      best = cost;
-      expand = c;
-    }
-  }
-  if (expand < 0) {
-    WalkMatches(pattern, filter, path, fn);
-    return;
-  }
-  for (uint64_t v : filter.at(expand).ids()) {
-    const rdf::TriplePattern one = rdf::WithComponent(pattern, expand, v);
-    WalkMatches(one, filter, ChoosePath(one), fn);
-  }
-}
-
-void TripleRelation::WalkMatches(const rdf::TriplePattern& pattern,
-                                 const rdf::PatternFilter& filter,
-                                 const AccessPath& path,
-                                 const BatchFn& fn) const {
-  const BPlusTree<3>* tree = TreeFor(path.order);
-  SWAN_CHECK(tree != nullptr);
-  const KeyDecoder decode(path.order);
-  const bool fetch_rows = path.kind == AccessPath::Kind::kSecondaryPrefix;
-  // The pattern's constants on the key slots: the first prefix_len bound
-  // the walk (the walk starts at the prefix, zeros after it), the others
-  // are residual filters. The free components' scan filters are tested
-  // beside them.
-  const std::optional<uint64_t> spo[3] = {pattern.subject, pattern.property,
-                                          pattern.object};
-  KeyMatch<3> prefix;
-  KeyMatch<3> residual;
-  SlotFilter<3> keep;
-  for (int c = 0; c < 3; ++c) {
-    const int slot = decode.slot(c);
-    keep.Bind(slot, filter.Free(pattern, c));
-    if (!spo[c]) continue;
-    (slot < path.prefix_len ? prefix : residual).Bind(slot, *spo[c]);
-  }
-
-  std::vector<rdf::Triple> batch;  // grows to its largest leaf once
-  const auto walk = [&](const auto& keep_key) {
-    tree->Walk(prefix.want, [&](const LeafKeys<3>& keys) {
-      batch.clear();
-      const bool more = ForEachMatch<3>(
-          keys, prefix, residual, keep_key, [&](const BPlusTree<3>::Key& key) {
-            const rdf::Triple t = decode(key);
-            if (fetch_rows) {
-              // Non-covering secondary: fetch the base row from the
-              // clustered tree (pays the random descent the cost model
-              // anticipated).
-              const bool present =
-                  clustered_->Contains(KeyOf(t, config_.clustered));
-              SWAN_CHECK_MSG(present, "secondary points at missing row");
-            }
-            batch.push_back(t);
-          });
-      if (!batch.empty()) fn(batch);
-      return more;
-    });
-  };
-  if (keep.empty()) {
-    walk(kKeepAll);
-  } else {
-    walk(keep);
-  }
+  WalkCheapest(
+      pattern, filter,
+      [&](const rdf::TriplePattern& p) { return ChoosePath(p); },
+      [&](const rdf::TriplePattern& p, const AccessPath& path) {
+        const BPlusTree<3>* tree = TreeFor(path.order);
+        SWAN_CHECK(tree != nullptr);
+        WalkPattern<3>(*tree, path, p, filter, *clustered_,
+                       config_.clustered, fn);
+      });
 }
 
 void TripleRelation::AuditInto(audit::AuditLevel level,

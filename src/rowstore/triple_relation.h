@@ -14,6 +14,7 @@
 #include "rdf/pattern.h"
 #include "rdf/scan_filter.h"
 #include "rdf/triple.h"
+#include "rowstore/access_path.h"
 #include "rowstore/bplus_tree.h"
 #include "rowstore/stats.h"
 #include "storage/buffer_pool.h"
@@ -63,16 +64,7 @@ class TripleRelation {
 
   // Chosen physical access path for a pattern (exposed for EXPLAIN-style
   // inspection and tests).
-  struct AccessPath {
-    enum class Kind { kFullScan, kClusteredPrefix, kSecondaryPrefix };
-    Kind kind = Kind::kFullScan;
-    rdf::TripleOrder order = rdf::TripleOrder::kSPO;
-    int prefix_len = 0;
-    double estimated_rows = 0.0;
-    double cost_pages = 0.0;
-
-    std::string ToString() const;
-  };
+  using AccessPath = rowstore::AccessPath;
   AccessPath ChoosePath(const rdf::TriplePattern& pattern) const;
 
   // A batch of decoded triples: one leaf's worth, valid only during the
@@ -120,10 +112,6 @@ class TripleRelation {
 
  private:
   const BPlusTree<3>* TreeFor(rdf::TripleOrder order) const;
-  // One ScanMatches walk along `path`.
-  void WalkMatches(const rdf::TriplePattern& pattern,
-                   const rdf::PatternFilter& filter, const AccessPath& path,
-                   const BatchFn& fn) const;
   // Leaf-range parts of a full scan under `ectx` (1 = the serial walk).
   uint64_t FullScanChunks(const exec::ExecContext& ectx) const;
 

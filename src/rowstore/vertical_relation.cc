@@ -8,16 +8,6 @@
 
 namespace swan::rowstore {
 
-namespace {
-
-constexpr double kRandomPenaltyPages = 24.0;
-constexpr double kRowsPerLeafPage =
-    static_cast<double>(BPlusTree<2>::kLeafCapacity);
-
-double PagesFor(double rows) { return rows / kRowsPerLeafPage; }
-
-}  // namespace
-
 VerticalRelation::VerticalRelation(storage::BufferPool* pool,
                                    storage::SimulatedDisk* disk)
     : pool_(pool), disk_(disk) {}
@@ -110,135 +100,51 @@ uint64_t VerticalRelation::disk_bytes() const {
   return total;
 }
 
-VerticalRelation::PartitionPath VerticalRelation::ChoosePartitionPath(
-    const Partition& part, std::optional<uint64_t> subject,
-    std::optional<uint64_t> object) {
+void VerticalRelation::ScanPartition(const rdf::TriplePattern& pattern,
+                                     const rdf::PatternFilter& filter,
+                                     const BatchFn& fn) const {
+  auto pit = partitions_.find(*pattern.property);
+  if (pit == partitions_.end() || !filter.AdmitsConstants(pattern)) return;
+  const Partition& part = pit->second;
   const double rows = static_cast<double>(part.rows);
   const auto per = [](double n, uint64_t distinct) {
     return n / static_cast<double>(std::max<uint64_t>(1, distinct));
   };
-  // Access-path choice: clustered (s[,o]) prefix when the subject is
-  // bound; otherwise, for a bound object, the OS secondary if the expected
-  // match count is small enough to beat a full partition scan.
-  PartitionPath path;
-  path.cost_pages = kRandomPenaltyPages + PagesFor(rows);
-  if (subject.has_value()) {
-    path.prefix_len = object.has_value() ? 2 : 1;
-    path.cost_pages =
-        kRandomPenaltyPages + PagesFor(per(rows, part.distinct_subjects));
-  } else if (object.has_value()) {
-    const double est = per(rows, part.distinct_objects);
-    const double secondary_cost =
-        kRandomPenaltyPages + PagesFor(est) + est * kRandomPenaltyPages;
-    if (secondary_cost < path.cost_pages) {
-      path.object_order = true;
-      path.prefix_len = 1;
-      path.cost_pages = secondary_cost;
+  // The clustered (s[,o]) prefix when the subject is bound; otherwise, for
+  // a bound object, the OS secondary if the expected match count is small
+  // enough to beat a full partition scan.
+  const auto choose = [&](const rdf::TriplePattern& p) {
+    AccessPath path;
+    path.order = rdf::TripleOrder::kPSO;
+    path.estimated_rows = rows;
+    path.cost_pages = PathCost<2>(rows, false);
+    if (p.subject) {
+      path.kind = AccessPath::Kind::kClusteredPrefix;
+      path.prefix_len = p.object ? 2 : 1;
+      path.estimated_rows = per(rows, part.distinct_subjects);
+      path.cost_pages = PathCost<2>(path.estimated_rows, false);
+    } else if (p.object) {
+      const double est = per(rows, part.distinct_objects);
+      const double secondary_cost = PathCost<2>(est, true);
+      if (secondary_cost < path.cost_pages) {
+        path.kind = AccessPath::Kind::kSecondaryPrefix;
+        path.order = rdf::TripleOrder::kPOS;
+        path.prefix_len = 1;
+        path.estimated_rows = est;
+        path.cost_pages = secondary_cost;
+      }
     }
-  }
-  return path;
-}
-
-void VerticalRelation::ScanPartition(uint64_t property,
-                                     std::optional<uint64_t> subject,
-                                     std::optional<uint64_t> object,
-                                     const rdf::PatternFilter& filter,
-                                     const BatchFn& fn) const {
-  auto pit = partitions_.find(property);
-  if (pit == partitions_.end()) return;
-  const Partition& part = pit->second;
-  if ((subject && !filter.subject.Passes(*subject)) ||
-      (object && !filter.object.Passes(*object))) {
-    return;
-  }
-  const PartitionPath path = ChoosePartitionPath(part, subject, object);
-  // Bind a listed free subject or object instead, one walk per listed id,
-  // when those walks price below the one walk that tests the list.
-  const auto bound_to = [&](int c, uint64_t v) {
-    return std::make_pair(c == 0 ? std::optional<uint64_t>(v) : subject,
-                          c == 2 ? std::optional<uint64_t>(v) : object);
+    return path;
   };
-  int expand = -1;  // 0 = subject, 2 = object
-  double best = path.cost_pages;
-  for (int c : {0, 2}) {
-    const rdf::ScanFilter& f = filter.at(c);
-    if ((c == 0 ? subject : object) ||
-        f.kind() != rdf::ScanFilter::Kind::kIn) {
-      continue;
-    }
-    double cost = 0.0;
-    for (uint64_t v : f.ids()) {
-      const auto [s, o] = bound_to(c, v);
-      cost += ChoosePartitionPath(part, s, o).cost_pages;
-    }
-    if (cost < best) {
-      best = cost;
-      expand = c;
-    }
-  }
-  if (expand < 0) {
-    WalkPartition(property, part, subject, object, filter, path, fn);
-    return;
-  }
-  for (uint64_t v : filter.at(expand).ids()) {
-    const auto [s, o] = bound_to(expand, v);
-    WalkPartition(property, part, s, o, filter,
-                  ChoosePartitionPath(part, s, o), fn);
-  }
-}
-
-void VerticalRelation::WalkPartition(uint64_t property, const Partition& part,
-                                     std::optional<uint64_t> subject,
-                                     std::optional<uint64_t> object,
-                                     const rdf::PatternFilter& filter,
-                                     const PartitionPath& path,
-                                     const BatchFn& fn) {
-  const bool object_order = path.object_order;
-  const BPlusTree<2>* tree = object_order ? part.secondary_os.get()
-                                          : part.clustered_so.get();
-  // The bounds on the key slots: the first prefix_len bound the walk (the
-  // walk starts at the prefix, zeros after it), the other is a residual
-  // filter. A free slot's scan filter is tested beside them.
-  const int subject_slot = object_order ? 1 : 0;
-  const int object_slot = 1 - subject_slot;
-  KeyMatch<2> prefix;
-  KeyMatch<2> residual;
-  SlotFilter<2> keep;
-  const auto bind = [&](int slot, std::optional<uint64_t> value,
-                        const rdf::ScanFilter& f) {
-    if (value) {
-      (slot < path.prefix_len ? prefix : residual).Bind(slot, *value);
-    } else {
-      keep.Bind(slot, f);
-    }
-  };
-  bind(subject_slot, subject, filter.subject);
-  bind(object_slot, object, filter.object);
-
-  std::vector<rdf::Triple> batch;  // grows to its largest leaf once
-  const auto walk = [&](const auto& keep_key) {
-    tree->Walk(prefix.want, [&](const LeafKeys<2>& keys) {
-      batch.clear();
-      const bool more = ForEachMatch<2>(
-          keys, prefix, residual, keep_key, [&](const BPlusTree<2>::Key& key) {
-            const uint64_t s = key[subject_slot];
-            const uint64_t o = key[object_slot];
-            if (object_order) {
-              // Non-covering secondary: fetch the row from the SO tree.
-              const bool present = part.clustered_so->Contains({s, o});
-              SWAN_CHECK_MSG(present, "OS index points at missing row");
-            }
-            batch.push_back({s, property, o});
-          });
-      if (!batch.empty()) fn(batch);
-      return more;
-    });
-  };
-  if (keep.empty()) {
-    walk(kKeepAll);
-  } else {
-    walk(keep);
-  }
+  WalkCheapest(pattern, filter, choose,
+               [&](const rdf::TriplePattern& p, const AccessPath& path) {
+                 const bool secondary =
+                     path.kind == AccessPath::Kind::kSecondaryPrefix;
+                 WalkPattern<2>(
+                     secondary ? *part.secondary_os : *part.clustered_so,
+                     path, p, filter, *part.clustered_so,
+                     rdf::TripleOrder::kPSO, fn);
+               });
 }
 
 void VerticalRelation::AuditInto(audit::AuditLevel level,

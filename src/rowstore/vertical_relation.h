@@ -11,6 +11,7 @@
 #include "audit/audit.h"
 #include "rdf/scan_filter.h"
 #include "rdf/triple.h"
+#include "rowstore/access_path.h"
 #include "rowstore/bplus_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
@@ -49,17 +50,16 @@ class VerticalRelation {
   // call that receives it.
   using BatchFn = std::function<void(std::span<const rdf::Triple>)>;
 
-  // Streams the rows of `property`'s partition that match the optional
-  // subject/object equality bounds and pass the subject and object
-  // filters of `filter`, as full triples, a leaf at a time. Picks
-  // clustered-prefix / secondary / full-scan by the same cost heuristics
-  // as TripleRelation; a secondary match pays its row fetch from the SO
-  // tree first. A free subject's or object's IN-list is bound instead, one
-  // walk per listed id, when those walks price below the one walk that
-  // tests the list beside the key match. Streams nothing if the partition
-  // does not exist.
-  void ScanPartition(uint64_t property, std::optional<uint64_t> subject,
-                     std::optional<uint64_t> object,
+  // Streams the rows of `pattern.property`'s partition that match
+  // `pattern` and pass `filter`, as full triples, a leaf at a time:
+  // the one leaf walk of the row relations (WalkPattern) along the SO
+  // tree's (subject[, object]) prefix, the OS secondary's object prefix
+  // when its row fetches price below a partition scan, or the whole SO
+  // tree, by the relations' one path cost. A free subject's or object's
+  // IN-list is bound instead, one walk per listed id, when those walks
+  // price below the one walk that tests the list. Streams nothing if the
+  // partition does not exist.
+  void ScanPartition(const rdf::TriplePattern& pattern,
                      const rdf::PatternFilter& filter,
                      const BatchFn& fn) const;
 
@@ -76,23 +76,6 @@ class VerticalRelation {
     uint64_t distinct_subjects = 0;
     uint64_t distinct_objects = 0;
   };
-
-  // An access path into one partition: which tree, how many leading key
-  // slots the walk binds, and its modeled cost in pages.
-  struct PartitionPath {
-    bool object_order = false;  // the OS secondary
-    int prefix_len = 0;
-    double cost_pages = 0.0;
-  };
-  static PartitionPath ChoosePartitionPath(const Partition& part,
-                                           std::optional<uint64_t> subject,
-                                           std::optional<uint64_t> object);
-  // One ScanPartition walk along `path`.
-  static void WalkPartition(uint64_t property, const Partition& part,
-                            std::optional<uint64_t> subject,
-                            std::optional<uint64_t> object,
-                            const rdf::PatternFilter& filter,
-                            const PartitionPath& path, const BatchFn& fn);
 
   storage::BufferPool* pool_;
   storage::SimulatedDisk* disk_;

@@ -123,26 +123,38 @@ core::QueryResult ShardedBackend::Run(core::QueryId id,
 std::vector<rdf::Triple> ShardedBackend::Match(
     const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
     const exec::ExecContext& ectx) const {
-  std::vector<int> nodes;
-  if (pattern.property) {
-    nodes = NodesFor(*pattern.property);
-    if (nodes.size() > 1 && pattern.subject) {
-      // Sub-split property with a bound subject: one node holds it.
-      nodes = {placement_.SubjectNode(*pattern.subject)};
-    }
-  } else {
-    nodes = AllNodes();
-  }
   std::vector<rdf::Triple> out;
-  for (int node : nodes) {
-    std::vector<rdf::Triple> part =
-        inner_[static_cast<size_t>(node)]->Match(pattern, ectx);
-    // Result-return leg only; the request leg is the caller's (see the
-    // class comment).
-    Ship(node, coordinator_, plan::kBytesPerTriple * part.size(), 1, ectx);
-    for (const rdf::Triple& t : part) {
-      if (filter.Passes(t)) out.push_back(t);
+  if (!filter.AdmitsConstants(pattern)) return out;
+  // Only the nodes holding a bound or listed property open; a sub-split
+  // property with a bound subject lives on that subject's node.
+  const rdf::ScanFilter& listed = filter.Free(pattern, 1);
+  std::vector<int> nodes = AllNodes();
+  if (pattern.property || listed.kind() == rdf::ScanFilter::Kind::kIn) {
+    std::vector<bool> opens(nodes.size(), false);
+    for (uint64_t p : pattern.property
+                          ? std::vector<uint64_t>{*pattern.property}
+                          : listed.ids()) {
+      std::vector<int> holders = NodesFor(p);
+      if (holders.size() > 1 && pattern.subject) {
+        holders = {placement_.SubjectNode(*pattern.subject)};
+      }
+      for (int node : holders) opens[static_cast<size_t>(node)] = true;
     }
+    std::erase_if(nodes,
+                  [&](int node) { return !opens[static_cast<size_t>(node)]; });
+  }
+  uint64_t filter_bytes = 0;
+  for (int c = 0; c < 3; ++c) {
+    filter_bytes += filter.Free(pattern, c).wire_bytes();
+  }
+  for (int node : nodes) {
+    // The filter goes to the node with the pattern, which applies it inside
+    // its scan; only the matches return.
+    if (filter_bytes > 0) Ship(coordinator_, node, filter_bytes, 1, ectx);
+    std::vector<rdf::Triple> part =
+        inner_[static_cast<size_t>(node)]->Match(pattern, filter, ectx);
+    Ship(node, coordinator_, plan::kBytesPerTriple * part.size(), 1, ectx);
+    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }

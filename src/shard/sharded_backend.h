@@ -49,12 +49,14 @@ struct ShardOptions {
 // function of the data, so the serve tier's byte-identical replay
 // guarantee survives distribution.
 //
-// Network accounting contract: Match charges only the result-return leg
+// Network accounting contract: Match charges its scan filter's forward
+// leg (coordinator -> owner, ScanFilter::wire_bytes of the free
+// positions, one message per remote node) and the result-return leg
 // (owner -> coordinator, 24 bytes/triple, one message per remote part).
-// The request/shipping leg belongs to the caller: RunPartitioned charges
-// its filters and partials per phase, and the BGP interpreter charges
-// per annotated step (plan::AnnotateDistribution decides bindings vs
-// semi-join from modeled network cost).
+// Any other request/shipping leg belongs to the caller: RunPartitioned
+// charges its filters and partials per phase, and the BGP interpreter
+// charges per annotated step (plan::AnnotateDistribution decides bindings
+// vs semi-join from modeled network cost).
 class ShardedBackend : public core::Backend {
  public:
   ShardedBackend(const rdf::Dataset& dataset, ShardOptions options);
@@ -66,8 +68,8 @@ class ShardedBackend : public core::Backend {
   using core::Backend::Match;
   core::QueryResult Run(core::QueryId id, const core::QueryContext& ctx,
                         const exec::ExecContext& ectx) override;
-  // The inner stores match unfiltered and ship what they find, as for an
-  // unfiltered Match; the filter applies at the coordinator.
+  // Opens only the nodes that can hold a bound or listed property; each
+  // applies the filter inside its own scan and ships only its matches.
   std::vector<rdf::Triple> Match(const rdf::TriplePattern& pattern,
                                  const rdf::PatternFilter& filter,
                                  const exec::ExecContext& ectx) const override;

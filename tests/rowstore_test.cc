@@ -49,7 +49,7 @@ std::vector<rdf::Triple> Collect(const VerticalRelation& rel,
                                  std::optional<uint64_t> subject,
                                  std::optional<uint64_t> object) {
   std::vector<rdf::Triple> out;
-  rel.ScanPartition(property, subject, object, {},
+  rel.ScanPartition({subject, property, object}, {},
                     [&](std::span<const rdf::Triple> batch) {
                       out.insert(out.end(), batch.begin(), batch.end());
                     });

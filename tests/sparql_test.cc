@@ -179,6 +179,27 @@ TEST_F(SparqlTest, OptionalPadsNonMatchesWithEmptyBinding) {
   EXPECT_EQ(padded, 1u);
 }
 
+// A branch FILTER over a variable only an OPTIONAL binds runs after the
+// optional: it keeps the rows whose optional binding passes and drops the
+// padded ones, instead of emptying the branch.
+TEST_F(SparqlTest, FilterOnOptionalVariableRunsAfterTheOptional) {
+  data_.Add("<http://ex.org/dave>", "<http://ex.org/knows>",
+            "<http://ex.org/alice>");  // dave has no age
+  backend_ = std::make_unique<core::ColVerticalBackend>(data_);
+  auto result = Run(
+      "PREFIX ex: <http://ex.org/>\n"
+      "SELECT ?x WHERE { ?x ex:knows ?y . "
+      "OPTIONAL { ?x ex:age ?a } FILTER(?a = \"30\") }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> names;
+  for (const auto& row : result.value().rows) {
+    names.push_back(TermText(data_, row[0]));
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"<http://ex.org/alice>",
+                                             "<http://ex.org/bob>"}));
+}
+
 TEST_F(SparqlTest, TermTextDecodesIdsAndUnboundIsEmpty) {
   const uint64_t bob = data_.dict().Find("<http://ex.org/bob>").value();
   EXPECT_EQ(TermText(data_, bob), "<http://ex.org/bob>");

@@ -90,6 +90,15 @@ case "$mode" in
     RELEASE_DIR="$REPO_ROOT/build-ci-release"
     build_and_test "$RELEASE_DIR" \
       -DCMAKE_BUILD_TYPE=Release -DSWAN_WERROR=ON || status=1
+    # Oracle soak: the SPARQL oracle test over 20 more seeds (gtest's
+    # shuffle draws a new random seed each repetition, which the test
+    # prints; `--gtest_shuffle --gtest_random_seed=N` replays seed N).
+    echo "=== release: oracle soak ==="
+    soak="$RELEASE_DIR/oracle-soak.log"
+    "$RELEASE_DIR/tests/sparql_oracle_test" --gtest_repeat=20 \
+      --gtest_shuffle >"$soak" 2>&1 ||
+      { grep -E "oracle seed|Failure|^seed " "$soak" | tail -40
+        echo "oracle soak failed: $soak"; status=1; }
     # Trace smoke: a profiled shell query must emit a well-formed Chrome
     # trace.
     echo "=== release: trace smoke ==="
@@ -347,7 +356,9 @@ print('shell sharded record: %d match calls, %d net bytes'
     # the select kernels' oracle test (their per-morsel compaction at
     # widths 2 and 8), the vertical store's second-column test (at width
     # 8 the lane that first loads an object column depends on the
-    # selection) and a small parallel_speedup smoke whose built-in
+    # selection), the SPARQL oracle test at width 8 (random queries on
+    # every backend, the two sharded stores among them) and a small
+    # parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
     echo "=== matrix: tsan (thread) ==="
@@ -359,10 +370,11 @@ print('shell sharded record: %d match calls, %d net bytes'
         --target thread_pool_test concurrency_stress_test bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
                  merge_match_test select_oracle_test scan_filter_test \
-                 sparql_test fuzz_test parallel_speedup swandb_shell &&
+                 sparql_test sparql_oracle_test fuzz_test parallel_speedup \
+                 swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn') &&
+        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \

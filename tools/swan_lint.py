@@ -49,6 +49,13 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     the reference oracle. Every other engine answers the
                     12 queries through the skeleton's phases; a per-engine
                     switch is a second copy of the logical plans.
+  post-filter       No whole-triple scan-filter test (`filter.Passes(`,
+                    the rdf::PatternFilter every Match takes) in src/
+                    outside src/rdf/, the reference oracle and the C-Store
+                    baseline. Every other store applies the filter inside
+                    its scan, before a triple is materialized or shipped;
+                    a write store's overlay of unmerged rows carries an
+                    allow(post-filter).
 
 Suppression: append `// swan-lint: allow(<rule>)` to the offending line,
 or place it alone on the line directly above. Suppressions are per-rule;
@@ -84,6 +91,7 @@ RULES = [
     "node-disk",
     "json-by-hand",
     "query-switch",
+    "post-filter",
 ]
 
 # The only directory allowed to construct the per-node storage stack; the
@@ -146,6 +154,12 @@ QUERY_SWITCH_ALLOWED = {
     "src/core/cstore_backend.cc",
     "src/core/reference_backend.cc",
 }
+# The stores kept post-filtering by design: the oracle and the baseline.
+POST_FILTER_ALLOWED = {
+    "src/core/reference_backend.cc",
+    "src/core/cstore_backend.cc",
+}
+POST_FILTER_RE = re.compile(r"(?<![\w.>])filter\s*\.\s*Passes\s*\(")
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
 BASE_OF_RE = re.compile(r"\bBaseOf\s*\(")
 CASE_RE = re.compile(r"\bcase\b")
@@ -454,6 +468,14 @@ def lint_file(path, display_path, lines, status_names):
                    "switch over QueryId outside the q1–q8 skeleton "
                    "(src/core/phased_backend.cc); implement the engine's "
                    "phases instead of another per-query plan")
+
+        if (display_path.startswith("src/")
+                and not display_path.startswith("src/rdf/")
+                and display_path not in POST_FILTER_ALLOWED
+                and POST_FILTER_RE.search(code)):
+            report(idx, "post-filter",
+                   "whole-triple scan-filter test outside the scan; pass "
+                   "the PatternFilter into the scan (Match) instead")
 
         for name in status_names:
             if name in code and find_bare_call(lines, idx, name):
