@@ -2,7 +2,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@ using swan::colstore::EncodedColumn;
 using swan::colstore::MarkSet;
 using swan::colstore::MergeCountMatches;
 using swan::colstore::MergeJoin;
+using swan::colstore::MergeSelectPositions;
 using swan::colstore::PositionVector;
 using swan::colstore::SelectEq;
 using swan::colstore::SelectMarked;
@@ -288,6 +292,54 @@ void BM_MergeCountMatchesVertical(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_MergeCountMatchesVertical)->Arg(0)->Arg(1);
+
+// The subject-filter selects of the vertical store's q3, q5 and q7 at
+// 200k triples (seed 42), one MergeSelectPositions call per (partition
+// rows, filter subjects) pair below, in the order the queries make them,
+// over 60k subject ids. Arg = the query. Reports ns/row (items) and the
+// minor page faults per iteration (getrusage), which a per-call heap
+// buffer for the merge's slots would show.
+void BM_MergeSelectVertical(benchmark::State& state) {
+  static const std::map<int, std::vector<std::pair<size_t, double>>> kCalls = {
+      {3,
+       {{46166, 6864}, {28643, 6864}, {16565, 6864}, {11712, 6864},
+        {9453, 6864},  {7679, 6864},  {6586, 6864},  {5977, 6864},
+        {5370, 6864},  {4990, 6864},  {4528, 6864},  {4115, 6864},
+        {3807, 6864},  {3688, 6864},  {3499, 6864},  {3281, 6864},
+        {2977, 6864},  {2999, 6864},  {2847, 6864},  {2649, 6864},
+        {2646, 6864},  {2532, 6864},  {2383, 6864},  {2391, 6864},
+        {2173, 6864},  {2125, 6864},  {2087, 6864},  {2038, 6864}}},
+      {5, {{16565, 2312}, {46166, 836}}},
+      {7, {{4528, 1934}, {46166, 1934}}},
+  };
+  constexpr uint64_t kSubjects = 60000;
+  std::vector<std::vector<uint64_t>> values;
+  std::vector<std::vector<uint64_t>> keys;
+  uint64_t rows = 0;
+  Rng rng(11);
+  for (const auto& [n, key_count] : kCalls.at(state.range(0))) {
+    values.push_back(SortedRunColumn(n, kSubjects, rng.Next()));
+    keys.emplace_back();
+    for (uint64_t id = 0; id < kSubjects; ++id) {
+      if (rng.Chance(key_count / kSubjects)) keys.back().push_back(id);
+    }
+    rows += n;
+  }
+  struct rusage before;
+  getrusage(RUSAGE_SELF, &before);
+  for (auto _ : state) {
+    for (size_t c = 0; c < values.size(); ++c) {
+      benchmark::DoNotOptimize(MergeSelectPositions(values[c], keys[c]));
+    }
+  }
+  struct rusage after;
+  getrusage(RUSAGE_SELF, &after);
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(after.ru_minflt - before.ru_minflt) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MergeSelectVertical)->Arg(3)->Arg(5)->Arg(7);
 
 // Triple PSO's counterpart of the merge above, q2's property count at
 // 400k triples: 400k rows over 222 properties, each property's subjects

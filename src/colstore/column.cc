@@ -167,6 +167,11 @@ const EncodedColumn& Column::Encoded() const {
   return encoded_;
 }
 
+uint64_t Column::resident_bytes() const {
+  MutexLock lock(&load_mutex_);
+  return loaded_.load(std::memory_order_relaxed) ? encoded_.memory_bytes() : 0;
+}
+
 void Column::DropCache() const {
   MutexLock lock(&load_mutex_);
   encoded_ = EncodedColumn();

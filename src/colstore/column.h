@@ -140,6 +140,10 @@ class Column {
   void DropCache() const SWAN_EXCLUDES(load_mutex_);
 
   bool loaded() const { return loaded_.load(std::memory_order_acquire); }
+  // Bytes of the cached image (EncodedColumn::memory_bytes), 0 when not
+  // loaded. The image is the column's one in-memory copy: its load keeps
+  // no buffer-pool frame.
+  uint64_t resident_bytes() const SWAN_EXCLUDES(load_mutex_);
   uint64_t size() const { return size_; }
   uint64_t disk_bytes() const {
     return static_cast<uint64_t>(file_.page_count()) * storage::kPageSize;

@@ -61,8 +61,11 @@ std::pair<uint32_t, uint32_t> TripleTable::PrimaryRange(uint64_t v) const {
 std::pair<uint32_t, uint32_t> TripleTable::PrimarySecondaryRange(
     uint64_t v1, uint64_t v2) const {
   const auto comp = ComponentsOf(order_);
-  return EqRangeSorted2(column(comp[0]).Encoded(), column(comp[1]).Encoded(),
-                        v1, v2);
+  // The second key column loads first, in its own statement, as in
+  // MatchColumns: the order of the two cold loads is part of the pinned
+  // virtual seconds, and argument evaluation order is unspecified.
+  const EncodedColumn& second = column(comp[1]).Encoded();
+  return EqRangeSorted2(column(comp[0]).Encoded(), second, v1, v2);
 }
 
 void TripleTable::DropCaches() const {
@@ -73,6 +76,11 @@ void TripleTable::DropCaches() const {
 
 uint64_t TripleTable::disk_bytes() const {
   return subj_->disk_bytes() + prop_->disk_bytes() + obj_->disk_bytes();
+}
+
+uint64_t TripleTable::resident_bytes() const {
+  return subj_->resident_bytes() + prop_->resident_bytes() +
+         obj_->resident_bytes();
 }
 
 uint64_t TripleTable::stored_bytes() const {

@@ -112,6 +112,14 @@ uint64_t VerticalTable::disk_bytes() const {
   return total;
 }
 
+uint64_t VerticalTable::resident_bytes() const {
+  uint64_t total = 0;
+  for (const auto& [prop, part] : partitions_) {
+    total += part.subj->resident_bytes() + part.obj->resident_bytes();
+  }
+  return total;
+}
+
 uint64_t VerticalTable::stored_bytes() const {
   uint64_t total = 0;
   for (const auto& [prop, part] : partitions_) {

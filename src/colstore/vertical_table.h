@@ -69,6 +69,8 @@ class VerticalTable {
 
   void DropCaches() const;
   uint64_t disk_bytes() const;
+  // Sum of the loaded columns' resident_bytes().
+  uint64_t resident_bytes() const;
   // Exact on-disk payload bytes (encoded) vs the full-width logical image.
   uint64_t stored_bytes() const;
   uint64_t logical_bytes() const;

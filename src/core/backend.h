@@ -53,6 +53,24 @@ class DistRouting {
                     const exec::ExecContext& ectx) = 0;
 };
 
+// Where a store's memory sits, by structure, computed from the
+// structures' sizes rather than from the allocator, so the figures are
+// exact and the same on any host.
+struct ResidentBytes {
+  uint64_t page_images = 0;    // simulated-disk page images
+  uint64_t pool_frames = 0;    // buffer-pool frame pages
+  uint64_t frame_table = 0;    // buffer-pool frame records
+  uint64_t column_images = 0;  // decoded images of the loaded columns
+
+  ResidentBytes& operator+=(const ResidentBytes& other) {
+    page_images += other.page_images;
+    pool_frames += other.pool_frames;
+    frame_table += other.frame_table;
+    column_images += other.column_images;
+    return *this;
+  }
+};
+
 // One point in the paper's evaluation grid: a storage scheme realized in
 // an engine architecture (e.g. "MonetDB / vertical SO" or "DBX / triple
 // PSO"). Each backend owns its own simulated disk and buffer pool, so
@@ -179,6 +197,9 @@ class Backend {
   // Total on-disk footprint of the backend's physical design.
   virtual uint64_t disk_bytes() const = 0;
 
+  // Resident bytes by structure; a sharded backend sums its nodes.
+  virtual ResidentBytes Resident() const = 0;
+
   // Deep invariant audit of the backend's physical structures: page
   // checksums, B+tree/column/partition invariants, buffer-pool accounting.
   // kFull sweeps every page through the buffer pool, so it perturbs cache
@@ -222,7 +243,28 @@ class BackendBase : public Backend {
     return report;
   }
 
+  // The disk's page images and the pool's frames; the column stores add
+  // their loaded column images.
+  ResidentBytes Resident() const override {
+    ResidentBytes bytes;
+    bytes.page_images = disk_->PageImageBytes();
+    bytes.pool_frames = pool_->frame_bytes();
+    bytes.frame_table = pool_->frame_table_bytes();
+    return bytes;
+  }
+
  protected:
+  // For the column stores, whose column loads read every page through the
+  // pool keeping no frame: a frame in their pool is a finding.
+  void AuditNoFrames(audit::AuditReport* report) const {
+    const size_t frames = pool_->frame_count();
+    if (frames == 0) return;
+    report->Add(audit::FindingClass::kBufferPool, "bufferpool",
+                std::to_string(frames) +
+                    " frame(s) in a column store's pool, whose column loads "
+                    "keep none");
+  }
+
   // Empty (null members) when the storage stack is borrowed.
   storage::NodeStorage owned_;
   storage::SimulatedDisk* const disk_;

@@ -149,10 +149,17 @@ ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
   table_->Load(std::move(subset));
 }
 
+ResidentBytes ColTripleBackend::Resident() const {
+  ResidentBytes bytes = BackendBase::Resident();
+  bytes.column_images = table_->resident_bytes();
+  return bytes;
+}
+
 audit::AuditReport ColTripleBackend::Audit(audit::AuditLevel level) const {
   audit::AuditReport report;
   table_->AuditInto(level, dataset_->dict().size(), &report);
   report.Merge(BackendBase::Audit(level));
+  AuditNoFrames(&report);
   return report;
 }
 
@@ -466,10 +473,17 @@ ColVerticalBackend::ColVerticalBackend(const rdf::Dataset& dataset,
   table_->Load(subset);
 }
 
+ResidentBytes ColVerticalBackend::Resident() const {
+  ResidentBytes bytes = BackendBase::Resident();
+  bytes.column_images = table_->resident_bytes();
+  return bytes;
+}
+
 audit::AuditReport ColVerticalBackend::Audit(audit::AuditLevel level) const {
   audit::AuditReport report;
   table_->AuditInto(level, dataset_->dict().size(), &report);
   report.Merge(BackendBase::Audit(level));
+  AuditNoFrames(&report);
   return report;
 }
 

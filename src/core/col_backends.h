@@ -59,6 +59,7 @@ class ColTripleBackend : public PhasedBackend {
     return hints;
   }
 
+  ResidentBytes Resident() const override;
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:
@@ -152,6 +153,7 @@ class ColVerticalBackend : public PhasedBackend {
     return hints;
   }
 
+  ResidentBytes Resident() const override;
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:

@@ -49,7 +49,14 @@ class CStoreBackend : public BackendBase {
     audit::AuditReport report;
     engine_->AuditInto(level, dataset_ptr_->dict().size(), &report);
     report.Merge(BackendBase::Audit(level));
+    AuditNoFrames(&report);
     return report;
+  }
+
+  ResidentBytes Resident() const override {
+    ResidentBytes bytes = BackendBase::Resident();
+    bytes.column_images = engine_->resident_bytes();
+    return bytes;
   }
 
  private:

@@ -246,6 +246,14 @@ uint64_t CStoreEngine::disk_bytes() const {
   return total;
 }
 
+uint64_t CStoreEngine::resident_bytes() const {
+  uint64_t total = 0;
+  for (const auto& [prop, part] : partitions_) {
+    total += part.subj->resident_bytes() + part.obj->resident_bytes();
+  }
+  return total;
+}
+
 void CStoreEngine::AuditInto(audit::AuditLevel level,
                              std::optional<uint64_t> max_valid_id,
                              audit::AuditReport* report) const {

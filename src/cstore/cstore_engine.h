@@ -79,6 +79,8 @@ class CStoreEngine {
 
   void DropCaches() const;
   uint64_t disk_bytes() const;
+  // Sum of the loaded columns' resident_bytes().
+  uint64_t resident_bytes() const;
 
   const std::vector<uint64_t>& properties() const { return properties_; }
   bool HasProperty(uint64_t p) const { return partitions_.count(p) != 0; }

@@ -212,6 +212,12 @@ double ShardedBackend::NetSeconds() const {
   return topology_->network().seconds();
 }
 
+core::ResidentBytes ShardedBackend::Resident() const {
+  core::ResidentBytes total;
+  for (const auto& backend : inner_) total += backend->Resident();
+  return total;
+}
+
 audit::AuditReport ShardedBackend::Audit(audit::AuditLevel level) const {
   audit::AuditReport report;
   for (const auto& backend : inner_) report.Merge(backend->Audit(level));

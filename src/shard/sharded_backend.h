@@ -99,6 +99,7 @@ class ShardedBackend : public core::Backend {
   uint64_t TotalNetMessages() const override;
   double NetSeconds() const override;
 
+  core::ResidentBytes Resident() const override;
   audit::AuditReport Audit(audit::AuditLevel level) const override;
 
   const net::Topology& topology() const { return *topology_; }

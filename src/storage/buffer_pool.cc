@@ -43,7 +43,6 @@ void PageGuard::Release() {
 BufferPool::BufferPool(SimulatedDisk* disk, size_t capacity_pages)
     : disk_(disk), capacity_(capacity_pages) {
   SWAN_CHECK_GE(capacity_pages, 8u);
-  frames_.reserve(capacity_pages);
 }
 
 PageGuard BufferPool::Fetch(PageId id) {
@@ -54,6 +53,14 @@ PageGuard BufferPool::Fetch(PageId id) {
 }
 
 Status BufferPool::TryFetch(PageId id, PageGuard* out) {
+  return Read(id, out, nullptr);
+}
+
+Status BufferPool::TryRead(PageId id, uint8_t* out) {
+  return Read(id, nullptr, out);
+}
+
+Status BufferPool::Read(PageId id, PageGuard* pin, uint8_t* copy) {
   MutexLock lock(&mutex_);
   for (;;) {
     auto it = map_.find(id);
@@ -66,31 +73,43 @@ Status BufferPool::TryFetch(PageId id, PageGuard* out) {
       continue;
     }
     ++hits_;
+    if (pin == nullptr) {
+      std::memcpy(copy, frame.data.get(), kPageSize);
+      return Status::OK();
+    }
     if (frame.in_lru) {
       lru_.erase(frame.lru_pos);
       frame.in_lru = false;
     }
     ++frame.pin_count;
-    *out = PageGuard(this, it->second, frame.data.get());
+    *pin = PageGuard(this, it->second, frame.data.get());
     return Status::OK();
   }
 
   ++misses_;
-  const size_t idx = AllocateFrame();
-  Frame& frame = frames_[idx];
-  frame.id = id;
-  frame.pin_count = 1;
-  frame.in_lru = false;
-  frame.ready = false;
-  map_[id] = idx;
+  size_t idx = 0;
+  uint8_t* dst = copy;
+  if (pin != nullptr) {
+    idx = AllocateFrame();
+    Frame& frame = frames_[idx];
+    frame.id = id;
+    frame.pin_count = 1;
+    frame.in_lru = false;
+    frame.ready = false;
+    map_[id] = idx;
+    dst = frame.data.get();
+  }
 
-  // The pin keeps the frame un-evictable and the map entry makes same-page
-  // fetchers wait instead of duplicating the read, so the lock can drop
-  // for the (virtually slow) transfer.
+  // A fetch's pin keeps its frame un-evictable and the map entry makes
+  // same-page fetchers wait instead of duplicating the read; a read-through
+  // maps nothing. Either way the lock can drop for the (virtually slow)
+  // transfer.
   lock.Unlock();
-  Status st = disk_->ReadPage(id, frame.data.get(), exec::CurrentTask());
+  Status st = disk_->ReadPage(id, dst, exec::CurrentTask());
+  if (pin == nullptr) return st;
   lock.Lock();
 
+  Frame& frame = frames_[idx];
   if (!st.ok()) {
     // Do not cache a corrupted image: withdraw the entry and release the
     // frame back to the free list so a later (possibly repaired) read
@@ -100,12 +119,12 @@ Status BufferPool::TryFetch(PageId id, PageGuard* out) {
     frame.ready = true;
     free_frames_.push_back(idx);
     io_cv_.NotifyAll();
-    *out = PageGuard();
+    *pin = PageGuard();
     return st;
   }
   frame.ready = true;
   io_cv_.NotifyAll();
-  *out = PageGuard(this, idx, frame.data.get());
+  *pin = PageGuard(this, idx, frame.data.get());
   return Status::OK();
 }
 
@@ -257,12 +276,10 @@ size_t BufferPool::AllocateFrame() {
   if (!free_frames_.empty()) {
     const size_t idx = free_frames_.back();
     free_frames_.pop_back();
-    if (frames_[idx].data == nullptr) {
-      frames_[idx].data = std::make_unique<uint8_t[]>(kPageSize);
-    }
     return idx;
   }
   if (frames_.size() < capacity_) {
+    // A new frame at the end of the deque: no existing frame moves.
     frames_.emplace_back();
     frames_.back().data = std::make_unique<uint8_t[]>(kPageSize);
     return frames_.size() - 1;

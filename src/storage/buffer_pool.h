@@ -2,6 +2,7 @@
 #define SWANDB_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -45,11 +46,16 @@ class PageGuard {
 // simulated disk. Dropping it (Clear) is the reproduction's equivalent of
 // the paper's "zapping the memory completely" between cold runs.
 //
-// Thread safety: Fetch/TryFetch/Unpin/WriteThrough and the statistics
-// accessors may be called concurrently. A miss inserts a not-yet-ready
-// page-table entry, drops the pool lock for the duration of the disk
-// read (frame storage is pre-reserved, so the pointer stays stable), then
-// marks the frame ready and wakes any waiters. Concurrent fetchers of the
+// Frames are created on demand, one per miss, until the pool holds
+// capacity_pages of them; from then on a miss evicts the least recently
+// used unpinned frame. A pool that is never fetched from holds no frame.
+//
+// Thread safety: Fetch/TryFetch/TryRead/Unpin/WriteThrough and the
+// statistics accessors may be called concurrently. A miss inserts a
+// not-yet-ready page-table entry, drops the pool lock for the duration of
+// the disk read (the frame table is a deque that only grows at its end,
+// so the loading frame's address stays stable), then marks the frame
+// ready and wakes any waiters. Concurrent fetchers of the
 // same page block on the in-progress read instead of issuing a duplicate
 // one, so bytes_read stays identical to the serial schedule. Clear and
 // AuditInto assume a quiescent pool (no fetches in flight), matching how
@@ -72,6 +78,15 @@ class BufferPool {
   [[nodiscard]] Status TryFetch(PageId id, PageGuard* out)
       SWAN_EXCLUDES(mutex_);
 
+  // Copies the page into `out` (kPageSize bytes) without keeping a frame:
+  // a resident page is copied as a hit; a missing page is read from the
+  // disk straight into `out` on the caller's I/O stream and counted as a
+  // miss, exactly as a Fetch miss is. For callers that keep their own
+  // image of what they read (the column loads). Two concurrent TryReads
+  // of one missing page both read it from disk; a column's pages are read
+  // under its load lock, so they never race.
+  [[nodiscard]] Status TryRead(PageId id, uint8_t* out) SWAN_EXCLUDES(mutex_);
+
   // Audit walker: pin accounting (a pin outstanding at a quiescent point
   // is a leak), frame<->page-table agreement, LRU membership, capacity.
   void AuditInto(audit::AuditLevel level, audit::AuditReport* report) const;
@@ -84,6 +99,14 @@ class BufferPool {
   void Clear() SWAN_EXCLUDES(mutex_);
 
   size_t capacity_pages() const { return capacity_; }
+  // Frames created so far (at most capacity_pages): each holds one page
+  // image of kPageSize bytes and one frame record.
+  size_t frame_count() const {
+    MutexLock lock(&mutex_);
+    return frames_.size();
+  }
+  uint64_t frame_bytes() const { return frame_count() * kPageSize; }
+  uint64_t frame_table_bytes() const { return frame_count() * sizeof(Frame); }
   size_t resident_pages() const {
     MutexLock lock(&mutex_);
     return map_.size();
@@ -119,6 +142,10 @@ class BufferPool {
     bool ready = true;
   };
 
+  // The one lookup and disk-read step of TryFetch (pin != nullptr: the
+  // page lands in a pinned frame) and TryRead (copy != nullptr: the page
+  // lands in the caller's buffer and no frame is kept).
+  Status Read(PageId id, PageGuard* pin, uint8_t* copy) SWAN_EXCLUDES(mutex_);
   void Unpin(size_t frame_index) SWAN_EXCLUDES(mutex_);
   size_t AllocateFrame() SWAN_REQUIRES(mutex_);
 
@@ -128,12 +155,12 @@ class BufferPool {
   // Guards every member below. Released only around the disk read on a
   // miss (pool rank > disk rank, so holding it across the read would be
   // rank-legal — dropping it is a throughput choice, not a rank one);
-  // frames_ never reallocates (reserved to capacity_), so the loading
-  // frame's address is stable while unlocked.
+  // frames_ only grows at its end, which moves no existing frame, so the
+  // loading frame's address is stable while unlocked.
   mutable Mutex mutex_{LockRank::kBufferPool, "storage.buffer-pool"};
   CondVar io_cv_;
 
-  std::vector<Frame> frames_ SWAN_GUARDED_BY(mutex_);
+  std::deque<Frame> frames_ SWAN_GUARDED_BY(mutex_);
   std::vector<size_t> free_frames_ SWAN_GUARDED_BY(mutex_);
   std::unordered_map<PageId, size_t, PageIdHash> map_ SWAN_GUARDED_BY(mutex_);
   std::list<size_t> lru_ SWAN_GUARDED_BY(mutex_);  // front = most recent

@@ -1,5 +1,7 @@
 #include "storage/paged_file.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace swan::storage {
@@ -46,23 +48,38 @@ void ByteFileWriter::Finish() {
   }
 }
 
+namespace {
+
+// Reads the first `bytes` bytes of `file` into `dst` through `pool`'s
+// read-through path, one page at a time in page order, keeping no frame:
+// the caller's buffer is the one in-memory copy. Whole pages land in
+// `dst` directly; only a partial last page passes through a page buffer.
+Status ReadPrefix(BufferPool* pool, const PagedFile& file, uint64_t bytes,
+                  uint8_t* dst, const char* short_file) {
+  const uint32_t pages = file.page_count();
+  uint64_t done = 0;
+  for (uint32_t p = 0; p < pages && done < bytes; ++p) {
+    const uint64_t take = std::min<uint64_t>(bytes - done, kPageSize);
+    if (take == kPageSize) {
+      SWAN_RETURN_NOT_OK(pool->TryRead(file.page_id(p), dst + done));
+    } else {
+      alignas(8) uint8_t last[kPageSize];
+      SWAN_RETURN_NOT_OK(pool->TryRead(file.page_id(p), last));
+      std::memcpy(dst + done, last, take);
+    }
+    done += take;
+  }
+  if (done != bytes) return Status::Corruption(short_file);
+  return Status::OK();
+}
+
+}  // namespace
+
 Status TryReadByteFile(BufferPool* pool, const PagedFile& file,
                        uint64_t count, std::vector<uint8_t>* out) {
-  out->clear();
-  out->reserve(count);
-  const uint32_t pages = file.page_count();
-  uint64_t remaining = count;
-  for (uint32_t p = 0; p < pages && remaining > 0; ++p) {
-    PageGuard guard;
-    SWAN_RETURN_NOT_OK(pool->TryFetch(file.page_id(p), &guard));
-    const uint64_t take = std::min<uint64_t>(remaining, kPageSize);
-    out->insert(out->end(), guard.data(), guard.data() + take);
-    remaining -= take;
-  }
-  if (remaining != 0) {
-    return Status::Corruption("byte file shorter than declared count");
-  }
-  return Status::OK();
+  out->resize(count);
+  return ReadPrefix(pool, file, count, out->data(),
+                    "byte file shorter than declared count");
 }
 
 void ReadByteFile(BufferPool* pool, const PagedFile& file, uint64_t count,
@@ -73,23 +90,10 @@ void ReadByteFile(BufferPool* pool, const PagedFile& file, uint64_t count,
 
 Status TryReadU64File(BufferPool* pool, const PagedFile& file, uint64_t count,
                       std::vector<uint64_t>* out) {
-  out->clear();
-  out->reserve(count);
-  constexpr uint64_t kPerPage = kPageSize / sizeof(uint64_t);
-  const uint32_t pages = file.page_count();
-  uint64_t remaining = count;
-  for (uint32_t p = 0; p < pages && remaining > 0; ++p) {
-    PageGuard guard;
-    SWAN_RETURN_NOT_OK(pool->TryFetch(file.page_id(p), &guard));
-    const uint64_t take = std::min<uint64_t>(remaining, kPerPage);
-    const uint64_t* values = reinterpret_cast<const uint64_t*>(guard.data());
-    out->insert(out->end(), values, values + take);
-    remaining -= take;
-  }
-  if (remaining != 0) {
-    return Status::Corruption("column file shorter than declared count");
-  }
-  return Status::OK();
+  out->resize(count);
+  return ReadPrefix(pool, file, count * sizeof(uint64_t),
+                    reinterpret_cast<uint8_t*>(out->data()),
+                    "column file shorter than declared count");
 }
 
 void ReadU64File(BufferPool* pool, const PagedFile& file, uint64_t count,

@@ -59,9 +59,12 @@ class U64FileWriter {
 };
 
 // Reads `count` uint64 values of a column file through `pool` into `out`.
-// Every page is fetched exactly once, in order, so a cold read is one
+// Every page is read exactly once, in order, so a cold read is one
 // sequential sweep of the file — the MonetDB-style "read the whole column"
-// cost the paper measures. Aborts on a checksum mismatch (hot path).
+// cost the paper measures. The pages go through BufferPool::TryRead: a
+// resident page is copied as a hit, a missing one is read from disk into
+// `out` as a miss, and no frame is kept, so `out` is the one in-memory
+// copy. Aborts on a checksum mismatch (hot path).
 void ReadU64File(BufferPool* pool, const PagedFile& file, uint64_t count,
                  std::vector<uint64_t>* out);
 
@@ -90,7 +93,8 @@ class ByteFileWriter {
   uint8_t buffer_[kPageSize] = {};
 };
 
-// Reads `count` bytes of a byte file through `pool`, sequentially.
+// Reads `count` bytes of a byte file through `pool`, sequentially and
+// keeping no frame (see ReadU64File).
 void ReadByteFile(BufferPool* pool, const PagedFile& file, uint64_t count,
                   std::vector<uint8_t>* out);
 

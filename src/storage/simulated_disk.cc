@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/macros.h"
@@ -56,25 +57,23 @@ uint32_t SimulatedDisk::CreateFile() {
 
 uint32_t SimulatedDisk::AppendPage(uint32_t file_id, const void* data) {
   const uint64_t checksum = PageChecksum(data);
+  auto image = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+  std::memcpy(image.get(), data, kPageSize);
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(file_id, files_.size());
-  auto& file = files_[file_id];
-  const size_t offset = file.bytes.size();
-  file.bytes.resize(offset + kPageSize);
-  std::memcpy(file.bytes.data() + offset, data, kPageSize);
-  file.checksums.push_back(checksum);
-  return static_cast<uint32_t>(offset / kPageSize);
+  auto& pages = files_[file_id];
+  pages.push_back(Page{std::move(image), checksum});
+  return static_cast<uint32_t>(pages.size() - 1);
 }
 
 void SimulatedDisk::WritePage(PageId id, const void* data) {
   const uint64_t checksum = PageChecksum(data);
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(id.file_id, files_.size());
-  auto& file = files_[id.file_id];
-  const size_t offset = static_cast<size_t>(id.page_no) * kPageSize;
-  SWAN_CHECK_LE(offset + kPageSize, file.bytes.size());
-  std::memcpy(file.bytes.data() + offset, data, kPageSize);
-  file.checksums[id.page_no] = checksum;
+  auto& pages = files_[id.file_id];
+  SWAN_CHECK_LT(id.page_no, pages.size());
+  std::memcpy(pages[id.page_no].image.get(), data, kPageSize);
+  pages[id.page_no].checksum = checksum;
 }
 
 Status SimulatedDisk::ReadPage(PageId id, void* out,
@@ -83,12 +82,10 @@ Status SimulatedDisk::ReadPage(PageId id, void* out,
   {
     MutexLock lock(&mutex_);
     SWAN_CHECK_LT(id.file_id, files_.size());
-    const auto& file = files_[id.file_id];
-    const size_t offset = static_cast<size_t>(id.page_no) * kPageSize;
-    SWAN_CHECK_MSG(offset + kPageSize <= file.bytes.size(),
-                   "read past end of file");
-    std::memcpy(out, file.bytes.data() + offset, kPageSize);
-    expected_checksum = file.checksums[id.page_no];
+    const auto& pages = files_[id.file_id];
+    SWAN_CHECK_MSG(id.page_no < pages.size(), "read past end of file");
+    std::memcpy(out, pages[id.page_no].image.get(), kPageSize);
+    expected_checksum = pages[id.page_no].checksum;
 
     // Charge the I/O model. Stream contiguity is judged against the
     // serial stream (no task) or the task's own stream — never across
@@ -160,11 +157,10 @@ Status SimulatedDisk::ReadPage(PageId id, void* out,
 Status SimulatedDisk::VerifyPage(PageId id) const {
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(id.file_id, files_.size());
-  const auto& file = files_[id.file_id];
-  const size_t offset = static_cast<size_t>(id.page_no) * kPageSize;
-  SWAN_CHECK_MSG(offset + kPageSize <= file.bytes.size(),
-                 "verify past end of file");
-  if (PageChecksum(file.bytes.data() + offset) != file.checksums[id.page_no]) {
+  const auto& pages = files_[id.file_id];
+  SWAN_CHECK_MSG(id.page_no < pages.size(), "verify past end of file");
+  const Page& page = pages[id.page_no];
+  if (PageChecksum(page.image.get()) != page.checksum) {
     return Status::Corruption("checksum mismatch on page " +
                               std::to_string(id.page_no) + " of file " +
                               std::to_string(id.file_id));
@@ -185,14 +181,20 @@ void SimulatedDisk::CorruptPageForTesting(PageId id, size_t offset,
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(id.file_id, files_.size());
   SWAN_CHECK_LT(offset, kPageSize);
-  auto& file = files_[id.file_id];
-  const size_t byte = static_cast<size_t>(id.page_no) * kPageSize + offset;
-  SWAN_CHECK_LT(byte, file.bytes.size());
-  file.bytes[byte] ^= xor_mask;  // checksum deliberately left stale
+  auto& pages = files_[id.file_id];
+  SWAN_CHECK_LT(id.page_no, pages.size());
+  pages[id.page_no].image[offset] ^= xor_mask;  // checksum left stale
 }
 
 void SimulatedDisk::AuditInto(audit::AuditLevel level,
                               audit::AuditReport* report) const {
+  const uint64_t held = PageImageBytes();
+  const uint64_t stored = TotalStoredBytes();
+  if (held > stored) {
+    report->Add(audit::FindingClass::kStructure, "disk",
+                "page images hold " + std::to_string(held) +
+                    " bytes for " + std::to_string(stored) + " stored");
+  }
   if (level < audit::AuditLevel::kFull) return;
   const uint32_t file_count = FileCount();
   for (uint32_t f = 0; f < file_count; ++f) {
@@ -210,7 +212,7 @@ void SimulatedDisk::AuditInto(audit::AuditLevel level,
 uint32_t SimulatedDisk::PageCount(uint32_t file_id) const {
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(file_id, files_.size());
-  return static_cast<uint32_t>(files_[file_id].bytes.size() / kPageSize);
+  return static_cast<uint32_t>(files_[file_id].size());
 }
 
 uint32_t SimulatedDisk::FileCount() const {
@@ -246,7 +248,18 @@ std::vector<IoTracePoint> SimulatedDisk::StopTrace() {
 uint64_t SimulatedDisk::TotalStoredBytes() const {
   MutexLock lock(&mutex_);
   uint64_t total = 0;
-  for (const auto& f : files_) total += f.bytes.size();
+  for (const auto& pages : files_) total += pages.size() * kPageSize;
+  return total;
+}
+
+uint64_t SimulatedDisk::PageImageBytes() const {
+  MutexLock lock(&mutex_);
+  uint64_t total = 0;
+  for (const auto& pages : files_) {
+    for (const Page& page : pages) {
+      if (page.image != nullptr) total += kPageSize;
+    }
+  }
   return total;
 }
 

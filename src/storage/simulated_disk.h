@@ -2,6 +2,7 @@
 #define SWANDB_STORAGE_SIMULATED_DISK_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "audit/audit.h"
@@ -109,7 +110,9 @@ class SimulatedDisk {
   // auditor tests. Never called outside tests.
   void CorruptPageForTesting(PageId id, size_t offset, uint8_t xor_mask);
 
-  // Audit walker: at kFull, verifies the checksum of every stored page.
+  // Audit walker: at every level, checks that the page images hold no
+  // more bytes than the disk stores; at kFull, verifies the checksum of
+  // every stored page.
   void AuditInto(audit::AuditLevel level, audit::AuditReport* report) const;
 
   uint32_t PageCount(uint32_t file_id) const;
@@ -158,12 +161,18 @@ class SimulatedDisk {
   // Total bytes stored across all files (Table 1 "data set size").
   uint64_t TotalStoredBytes() const;
 
+  // Bytes the page images occupy in memory: one kPageSize allocation per
+  // page image held.
+  uint64_t PageImageBytes() const;
+
  private:
-  struct FileData {
-    std::vector<uint8_t> bytes;
-    // One checksum per page, stored out of band so the full kPageSize
-    // payload stays available to the engines.
-    std::vector<uint64_t> checksums;
+  // One stored page: its image in an allocation of its own, so appending
+  // a page never copies (or over-allocates) the file, and its checksum,
+  // stored out of band so the full kPageSize payload stays available to
+  // the engines.
+  struct Page {
+    std::unique_ptr<uint8_t[]> image;
+    uint64_t checksum = 0;
   };
 
   // Written only under mutex_ (set_config at quiescent points); the
@@ -175,11 +184,12 @@ class SimulatedDisk {
   VirtualClock clock_;
 
   // Everything below is guarded by mutex_. files_ contents are also
-  // read under the lock (AppendPage may reallocate); the checksum over the
-  // copied-out page is computed outside it.
+  // read under the lock (AppendPage may grow a file's page list); the
+  // checksum over the copied-out page is computed outside it.
   mutable Mutex mutex_{LockRank::kStorageDisk, "storage.disk"};
 
-  std::vector<FileData> files_ SWAN_GUARDED_BY(mutex_);
+  // One page list per file.
+  std::vector<std::vector<Page>> files_ SWAN_GUARDED_BY(mutex_);
 
   uint64_t total_bytes_read_ SWAN_GUARDED_BY(mutex_) = 0;
   uint64_t total_reads_ SWAN_GUARDED_BY(mutex_) = 0;

@@ -19,6 +19,9 @@
 #include "bench_support/barton_generator.h"
 #include "bench_support/harness.h"
 #include "bench_support/ledger.h"
+#include "colstore/column.h"
+#include "colstore/triple_table.h"
+#include "colstore/vertical_table.h"
 #include "core/col_backends.h"
 #include "core/cstore_backend.h"
 #include "core/reference_backend.h"
@@ -880,6 +883,214 @@ TEST_F(ColumnEngineCostTest, ColdCostIsPinned) {
     }
   }
   ExpectPinned("column_engine_cold", std::move(got));
+}
+
+// A cold BaseContains (an insert of a present triple) on the triple PSO
+// store loads the subject column, then the property column, then the
+// objects. Its virtual seconds are pinned to the last bit, as
+// column_match_cold.csv pins Match's. On the auto codec the two key
+// columns differ in size, and loading the property column first reads the
+// same bytes with the same seeks but sums to other bits (the test shows it
+// by loading the columns in that order), so a compiler that evaluated
+// PrimarySecondaryRange's two loads in the other order fails here. Raw key
+// columns are the same size, so either order sums alike.
+TEST(ColumnMatchCostTest, ColdBaseContainsSecondsArePinned) {
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  const rdf::Triple present = HubTriple(data);
+  const std::map<colstore::ColumnCodec, std::string> pinned = {
+      {colstore::ColumnCodec::kRaw, "0x1.077ebb96331e7p-8"},
+      {colstore::ColumnCodec::kAuto, "0x1.e6d302ce8f3f7p-10"},
+  };
+  for (const auto& [codec, want] : pinned) {
+    core::ColTripleBackend pso(data, rdf::TripleOrder::kPSO, {}, 4096, codec);
+    pso.DropCaches();
+    pso.disk()->ResetStats();
+    EXPECT_EQ(pso.Insert(present).code(), StatusCode::kAlreadyExists);
+    const std::string seconds =
+        bench_support::SecondsCell(pso.VirtualSeconds());
+    EXPECT_EQ(seconds, want) << colstore::ToString(codec);
+    const uint64_t bytes = pso.TotalBytesRead();
+    const uint64_t seeks = pso.TotalSeeks();
+
+    pso.DropCaches();
+    pso.disk()->ResetStats();
+    (void)pso.table().column(1).Encoded();  // property column first
+    (void)pso.table().column(0).Encoded();
+    (void)pso.table().column(2).Encoded();
+    EXPECT_EQ(pso.TotalBytesRead(), bytes);
+    EXPECT_EQ(pso.TotalSeeks(), seeks);
+    if (codec == colstore::ColumnCodec::kAuto) {
+      EXPECT_NE(bench_support::SecondsCell(pso.VirtualSeconds()), seconds);
+    }
+  }
+}
+
+// Sum of the decoded images of the loaded columns among `columns`, read
+// off each image.
+uint64_t LoadedImageBytes(const std::vector<const colstore::Column*>& columns) {
+  uint64_t total = 0;
+  for (const colstore::Column* column : columns) {
+    if (column->loaded()) total += column->Encoded().memory_bytes();
+  }
+  return total;
+}
+
+void AddTripleColumns(const colstore::TripleTable& table,
+                      std::vector<const colstore::Column*>* columns) {
+  for (int k = 0; k < 3; ++k) columns->push_back(&table.column(k));
+}
+
+void AddVerticalColumns(const colstore::VerticalTable& table,
+                        std::vector<const colstore::Column*>* columns) {
+  for (uint64_t p : table.properties()) {
+    columns->push_back(&table.SubjectColumn(p));
+    columns->push_back(&table.ObjectColumn(p));
+  }
+}
+
+// Column loads keep no buffer-pool frame. After a cold q3* on the vertical
+// store (raw, auto, and a 2-node sharded store) and on the triple PSO
+// store (raw, auto), and a cold q3 on C-Store, which has no star queries,
+// no pool holds a frame, the store's resident column bytes are the sum of
+// its loaded column images, and a quick audit is clean. A page fetched
+// into a column store's pool is an audit finding.
+TEST(ResidentMemoryTest, ColdColumnRunsKeepNoFrames) {
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+
+  core::ColVerticalBackend vert_raw(data, {}, 4096,
+                                    colstore::ColumnCodec::kRaw);
+  core::ColVerticalBackend vert_auto(data, {}, 4096,
+                                     colstore::ColumnCodec::kAuto);
+  core::ColTripleBackend pso_raw(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                 colstore::ColumnCodec::kRaw);
+  core::ColTripleBackend pso_auto(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                  colstore::ColumnCodec::kAuto);
+  core::CStoreBackend cstore(data, ctx.interesting_properties());
+  shard::ShardOptions options;
+  options.nodes = 2;
+  shard::ShardedBackend sharded(data, options);
+
+  struct Case {
+    core::Backend* backend;
+    QueryId query;
+    std::vector<const colstore::Column*> columns;
+  };
+  std::vector<Case> cases = {{&vert_raw, QueryId::kQ3Star, {}},
+                             {&vert_auto, QueryId::kQ3Star, {}},
+                             {&pso_raw, QueryId::kQ3Star, {}},
+                             {&pso_auto, QueryId::kQ3Star, {}},
+                             {&cstore, QueryId::kQ3, {}},
+                             {&sharded, QueryId::kQ3Star, {}}};
+  AddVerticalColumns(vert_raw.table(), &cases[0].columns);
+  AddVerticalColumns(vert_auto.table(), &cases[1].columns);
+  AddTripleColumns(pso_raw.table(), &cases[2].columns);
+  AddTripleColumns(pso_auto.table(), &cases[3].columns);
+  for (uint64_t p : cstore.engine().properties()) {
+    cases[4].columns.push_back(&cstore.engine().SubjectColumn(p));
+    cases[4].columns.push_back(&cstore.engine().ObjectColumn(p));
+  }
+  for (int node = 0; node < options.nodes; ++node) {
+    AddVerticalColumns(dynamic_cast<const core::ColVerticalBackend&>(
+                           sharded.node_backend(node))
+                           .table(),
+                       &cases[5].columns);
+  }
+
+  for (const Case& c : cases) {
+    const std::string what =
+        c.backend->name() + " " + ToString(c.query);
+    c.backend->DropCaches();
+    (void)c.backend->Run(c.query, ctx, exec::ExecContext(1));
+    const core::ResidentBytes resident = c.backend->Resident();
+    EXPECT_EQ(resident.pool_frames, 0u) << what;
+    EXPECT_EQ(resident.frame_table, 0u) << what;
+    EXPECT_GT(resident.column_images, 0u) << what;
+    EXPECT_EQ(resident.column_images, LoadedImageBytes(c.columns)) << what;
+    EXPECT_EQ(resident.page_images, c.backend == &sharded
+                                        ? sharded.disk_bytes()
+                                        : c.backend->disk()->TotalStoredBytes())
+        << what;
+    EXPECT_TRUE(c.backend->Audit(audit::AuditLevel::kQuick).ok()) << what;
+  }
+  for (int node = 0; node < options.nodes; ++node) {
+    EXPECT_EQ(sharded.node_backend(node).buffer_pool()->frame_count(), 0u);
+  }
+
+  // A frame in a column store's pool is a finding, at every audit level.
+  { storage::PageGuard guard = vert_raw.pool()->Fetch({0, 0}); }
+  const audit::AuditReport report =
+      vert_raw.Audit(audit::AuditLevel::kQuick);
+  ASSERT_EQ(report.findings().size(), 1u);
+  EXPECT_EQ(report.findings()[0].cls, audit::FindingClass::kBufferPool);
+}
+
+// Where each store's memory sits, pinned by structure
+// (bench/baselines/store_memory.csv): the page images, pool frames, frame
+// table and loaded column images of the six column ledger backends, the
+// three row designs and C-Store, right after they open and after
+// DropCaches and one pass over their queries at width 1. The sizes come
+// from the structures, not the allocator, so every cell is exact.
+TEST(ResidentMemoryTest, BreakdownIsPinned) {
+  BartonConfig config;
+  config.target_triples = 40000;
+  config.seed = 7;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+
+  bench_support::Ledger got(
+      config, {"backend", "codec", "state", "page_images", "pool_frames",
+               "frame_table", "column_images"});
+  const auto add = [&](core::Backend* backend, const std::string& codec) {
+    const auto row = [&](const std::string& state) {
+      const core::ResidentBytes r = backend->Resident();
+      got.rows.push_back({backend->name(), codec, state,
+                          std::to_string(r.page_images),
+                          std::to_string(r.pool_frames),
+                          std::to_string(r.frame_table),
+                          std::to_string(r.column_images)});
+    };
+    row("open");
+    backend->DropCaches();
+    for (QueryId id : core::AllQueries()) {
+      if (backend->Supports(id)) {
+        (void)backend->Run(id, ctx, exec::ExecContext(1));
+      }
+    }
+    row("after queries");
+  };
+  for (colstore::ColumnCodec codec :
+       {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
+    const std::string tag = colstore::ToString(codec);
+    core::ColVerticalBackend col_vert(data, {}, 4096, codec);
+    core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                   codec);
+    core::ColTripleBackend col_spo(data, rdf::TripleOrder::kSPO, {}, 4096,
+                                   codec);
+    add(&col_vert, tag);
+    add(&col_pso, tag);
+    add(&col_spo, tag);
+  }
+  {
+    core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
+    core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
+    core::RowVerticalBackend row_vert(data);
+    core::CStoreBackend cstore(data, ctx.interesting_properties());
+    add(&row_spo, "-");
+    add(&row_pso, "-");
+    add(&row_vert, "-");
+    add(&cstore, "auto");
+  }
+  ExpectPinned("store_memory", std::move(got));
 }
 
 }  // namespace

@@ -95,6 +95,49 @@ TEST(ConcurrencyStressTest, BufferPoolHammerThenCleanAudit) {
   EXPECT_LE(pool.resident_pages(), pool.capacity_pages());
 }
 
+// The frame table grows one frame per miss while other lanes hold pins on
+// frames created before: every lane fetches its own pages and keeps every
+// guard, so each guard's bytes must survive the table's growth behind it.
+TEST(ConcurrencyStressTest, FrameTableGrowsWhileLanesFetch) {
+  storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  constexpr int kThreads = 8;
+  constexpr uint32_t kPagesPerThread = 96;
+  std::vector<uint32_t> files;
+  for (int t = 0; t < kThreads; ++t) {
+    files.push_back(disk.CreateFile());
+    for (uint32_t p = 0; p < kPagesPerThread; ++p) {
+      disk.AppendPage(files.back(),
+                      PatternPage(static_cast<uint8_t>(t * 17 + p)).data());
+    }
+  }
+  storage::BufferPool pool(&disk, /*capacity_pages=*/65536);  // swan-lint: allow(node-disk)
+  ASSERT_EQ(pool.frame_count(), 0u);
+  std::vector<std::vector<storage::PageGuard>> held(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t p = 0; p < kPagesPerThread; ++p) {
+        held[t].push_back(pool.Fetch({files[t], p}));
+        // Every guard so far, re-read after each growth step.
+        for (uint32_t q = 0; q <= p; ++q) {
+          const uint8_t want = static_cast<uint8_t>(t * 17 + q);
+          const uint8_t* data = held[t][q].data();
+          if (data[0] != want || data[storage::kPageSize - 1] != want) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool.frame_count(), kThreads * kPagesPerThread);
+  EXPECT_EQ(pool.misses(), kThreads * kPagesPerThread);
+  held.clear();  // releases every pin
+  EXPECT_TRUE(audit::Audit(pool, AuditLevel::kFull).ok());
+}
+
 TEST(ConcurrencyStressTest, RacingFetchersOfOnePageShareOneRead) {
   storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
   const uint32_t f = disk.CreateFile();

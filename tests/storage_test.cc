@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "audit/audit.h"
 #include "common/random.h"
 #include "exec/thread_pool.h"
 #include "storage/buffer_pool.h"
@@ -165,6 +166,50 @@ TEST(SimulatedDiskTest, ResetStatsClearsCounters) {
   EXPECT_DOUBLE_EQ(disk.clock().now(), 0.0);
 }
 
+// A file of N pages holds exactly N page images, one kPageSize allocation
+// each: appending, overwriting, reading, verifying and corrupting a page
+// touch that page alone.
+TEST(SimulatedDiskTest, FileOfNPagesHoldsNPageImages) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  const uint32_t g = disk.CreateFile();
+  EXPECT_EQ(disk.PageImageBytes(), 0u);
+  constexpr uint32_t kPages = 37;
+  for (uint32_t p = 0; p < kPages; ++p) {
+    EXPECT_EQ(disk.AppendPage(f, PatternPage(static_cast<uint8_t>(p)).data()),
+              p);
+  }
+  disk.AppendPage(g, PatternPage(0xEE).data());
+  EXPECT_EQ(disk.PageCount(f), kPages);
+  EXPECT_EQ(disk.PageCount(g), 1u);
+  EXPECT_EQ(disk.TotalStoredBytes(), (kPages + 1) * kPageSize);
+  EXPECT_EQ(disk.PageImageBytes(), disk.TotalStoredBytes());
+  EXPECT_TRUE(audit::Audit(disk, audit::AuditLevel::kFull).ok());
+
+  disk.WritePage({f, 5}, PatternPage(0x77).data());
+  uint8_t buf[kPageSize];
+  for (uint32_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(disk.ReadPage({f, p}, buf, nullptr).ok());
+    const uint8_t want = p == 5 ? 0x77 : static_cast<uint8_t>(p);
+    EXPECT_EQ(buf[0], want);
+    EXPECT_EQ(buf[kPageSize - 1], want);
+  }
+  EXPECT_EQ(disk.PageImageBytes(), (kPages + 1) * kPageSize);
+
+  disk.CorruptPageForTesting({f, 36}, kPageSize - 1, 0x01);
+  EXPECT_EQ(disk.VerifyPage({f, 36}).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(disk.VerifyPage({f, 35}).ok());
+  EXPECT_TRUE(disk.VerifyPage({g, 0}).ok());
+  EXPECT_EQ(disk.ReadPage({f, 36}, buf, nullptr).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(buf[kPageSize - 1], 36 ^ 0x01);  // the bytes still arrive
+  // A quick audit checks only the byte accounting, which corruption does
+  // not touch; a full one finds the page.
+  EXPECT_TRUE(audit::Audit(disk, audit::AuditLevel::kQuick).ok());
+  EXPECT_EQ(audit::Audit(disk, audit::AuditLevel::kFull).findings().size(),
+            1u);
+}
+
 TEST(PageChecksumTest, EverySingleByteFlipChangesTheChecksum) {
   std::vector<uint8_t> page = RandomPage(1);
   const uint64_t clean = SimulatedDisk::PageChecksum(page.data());
@@ -305,6 +350,111 @@ TEST(BufferPoolTest, WriteThroughUpdatesCacheAndDisk) {
   uint8_t buf[kPageSize];
   ASSERT_TRUE(disk.ReadPage({f, 0}, buf, nullptr).ok());
   EXPECT_EQ(buf[0], 9);
+}
+
+// The frame table is built on demand: a pool holds no frame until its
+// first miss, then one more per miss until it reaches capacity, and
+// recycles its frames from there on.
+TEST(BufferPoolFrameTableTest, GrowsOneFramePerMiss) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  for (int i = 0; i < 40; ++i) disk.AppendPage(f, PatternPage(i).data());
+  BufferPool big(&disk, 65536);  // swan-lint: allow(node-disk)
+  EXPECT_EQ(big.frame_count(), 0u);
+  EXPECT_EQ(big.frame_bytes(), 0u);
+  EXPECT_EQ(big.frame_table_bytes(), 0u);
+  for (uint32_t p = 0; p < 40; ++p) {
+    PageGuard g = big.Fetch({f, p});
+    EXPECT_EQ(g.data()[0], p);
+    EXPECT_EQ(big.frame_count(), p + 1);
+  }
+  { PageGuard g = big.Fetch({f, 3}); }  // a hit creates no frame
+  EXPECT_EQ(big.frame_count(), 40u);
+  EXPECT_EQ(big.frame_bytes(), 40 * kPageSize);
+  EXPECT_GT(big.frame_table_bytes(), 0u);
+  big.Clear();  // frames return to the free list and are reused
+  { PageGuard g = big.Fetch({f, 7}); }
+  EXPECT_EQ(big.frame_count(), 40u);
+
+  BufferPool small(&disk, 8);  // swan-lint: allow(node-disk)
+  for (uint32_t p = 0; p < 40; ++p) {
+    PageGuard g = small.Fetch({f, p});
+    EXPECT_EQ(g.data()[kPageSize - 1], p);
+  }
+  EXPECT_EQ(small.frame_count(), 8u);
+  EXPECT_EQ(small.misses(), 40u);
+  EXPECT_TRUE(audit::Audit(small, audit::AuditLevel::kFull).ok());
+}
+
+// TryRead copies a page out without keeping a frame: a missing page is one
+// miss and one disk read, a resident page one hit and no disk read.
+TEST(BufferPoolFrameTableTest, TryReadKeepsNoFrame) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  disk.AppendPage(f, PatternPage(0x21).data());
+  disk.AppendPage(f, PatternPage(0x42).data());
+  BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
+  uint8_t buf[kPageSize];
+  ASSERT_TRUE(pool.TryRead({f, 0}, buf).ok());
+  EXPECT_EQ(buf[kPageSize - 1], 0x21);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(disk.total_reads(), 1u);
+  EXPECT_EQ(pool.frame_count(), 0u);
+  ASSERT_TRUE(pool.TryRead({f, 0}, buf).ok());  // still not resident
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(disk.total_reads(), 2u);
+
+  { PageGuard g = pool.Fetch({f, 1}); }
+  ASSERT_TRUE(pool.TryRead({f, 1}, buf).ok());
+  EXPECT_EQ(buf[0], 0x42);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(disk.total_reads(), 3u);
+  EXPECT_EQ(pool.frame_count(), 1u);
+
+  disk.CorruptPageForTesting({f, 0}, 9, 0x10);
+  EXPECT_EQ(pool.TryRead({f, 0}, buf).code(), StatusCode::kCorruption);
+  EXPECT_EQ(pool.frame_count(), 1u);
+  EXPECT_TRUE(audit::Audit(pool, audit::AuditLevel::kFull).ok());
+}
+
+// Whole-file reads cost one miss and one sequential disk read per page,
+// as before, but leave the pool without a frame.
+TEST(BufferPoolFrameTableTest, FileReadsKeepNoFrame) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  PagedFile file(&disk);
+  U64FileWriter writer(&file);
+  std::vector<uint64_t> values(2500);
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    values[i] = i * 3 + 1;
+    writer.Append(values[i]);
+  }
+  writer.Finish();
+  ASSERT_EQ(file.page_count(), 3u);
+  BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
+  std::vector<uint64_t> back;
+  ReadU64File(&pool, file, values.size(), &back);
+  EXPECT_EQ(back, values);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(disk.total_reads(), 3u);
+  EXPECT_EQ(disk.total_seeks(), 1u);
+  EXPECT_EQ(pool.frame_count(), 0u);
+
+  PagedFile bytes_file(&disk);
+  ByteFileWriter bytes_writer(&bytes_file);
+  std::vector<uint8_t> bytes(kPageSize + 17);
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<uint8_t>(i);
+  bytes_writer.Append(bytes.data(), bytes.size());
+  bytes_writer.Finish();
+  std::vector<uint8_t> bytes_back;
+  ReadByteFile(&pool, bytes_file, bytes.size(), &bytes_back);
+  EXPECT_EQ(bytes_back, bytes);
+  EXPECT_EQ(pool.misses(), 5u);
+  EXPECT_EQ(pool.frame_count(), 0u);
+  std::vector<uint8_t> too_long;
+  EXPECT_EQ(TryReadByteFile(&pool, bytes_file, 3 * kPageSize, &too_long)
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(PagedFileTest, U64RoundTrip) {

@@ -116,6 +116,29 @@ case "$mode" in
       "$RELEASE_DIR/tools/swandb_shell" --generate 20000 $design --audit \
         >/dev/null || { echo "audit failed: $design"; status=1; }
     done
+    # Memory smoke: the shell's `stats;` after a query reports the store's
+    # resident bytes by structure; every page image is a stored page, so
+    # the page-image bytes equal the store's disk bytes, and a column
+    # store's pool holds no frame (its column loads keep none).
+    echo "=== release: memory smoke ==="
+    for design in "--engine row --scheme triple --clustering pso" \
+                  "--engine column --scheme vertical" \
+                  "--engine column --scheme vertical --nodes 2"; do
+      # $design is unquoted on purpose: it is a list of flags.
+      printf '%s\n;\nstats\n;\n' \
+          'SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }' |
+        "$RELEASE_DIR/tools/swandb_shell" --generate 20000 $design \
+          2>/dev/null | tail -n 1 | python3 -c "
+import json, sys
+doc = json.loads(sys.stdin.read())
+resident = doc['resident_bytes']
+assert resident['page_images'] == doc['disk_bytes'], doc
+assert 'MonetDB' not in doc['backend'] and 'Sharded' not in doc['backend'] \\
+    or resident['pool_frames'] == 0, doc
+print('memory smoke: %s, %d page-image bytes, %d column-image bytes'
+      % (doc['backend'], resident['page_images'], resident['column_images']))
+" || { echo "memory smoke failed: $design"; status=1; }
+    done
     # Usage-error smoke: a bad flag value is rejected with its message
     # and exit code 2, never mapped to some other store.
     echo "=== release: usage error smoke ==="
@@ -186,8 +209,9 @@ assert not zero, 'cells without cold bytes: %r' % zero"; } || status=1
     # google-benchmark JSON with a non-empty benchmark list, the B+tree
     # file must name the row engine's hot q3, the subject-set probe and
     # the Match scans, and the column-ops file q3's pair-count kernel,
-    # both branches of the subject-filter merge (dense and short range)
-    # and the branch-free selects and marked count at their q2-q8 shapes.
+    # both branches of the subject-filter merge (dense and short range),
+    # the branch-free selects and marked count at their q2-q8 shapes and
+    # the vertical q3 subject merge's selects.
     echo "=== release: micro bench json smoke ==="
     for micro in "$RELEASE_DIR"/bench/micro_*; do
       name="$(basename "$micro")"
@@ -209,7 +233,7 @@ if '$name' == 'micro_colstore_ops':
                  'BM_MergeCountMatchesVertical/0',
                  'BM_MergeCountMatchesVertical/1',
                  'BM_SelectEqTypePartition', 'BM_CountMarkedByKey',
-                 'BM_SelectMarkedEncoded'):
+                 'BM_SelectMarkedEncoded', 'BM_MergeSelectVertical/3'):
         assert any(n.startswith(want) for n in names), (want, names)
 print('micro bench json smoke: $name OK,', len(names), 'entries')
 "; } || { echo "micro bench json failed: $name"; status=1; }
@@ -347,7 +371,9 @@ print('shell sharded record: %d match calls, %d net bytes'
   tsan|all)
     # TSan is incompatible with ASan, so it gets its own tree. The full
     # suite is slow under TSan; the concurrency-focused tests are the ones
-    # that exercise cross-thread interleavings, so CI runs just those,
+    # that exercise cross-thread interleavings, so CI runs just those (the
+    # buffer pool's on-demand frame table among them: its frame-growth
+    # tests, and ConcurrencyStress's lanes fetching while it grows),
     # plus the scale-out equivalence suites (every column Run goes through
     # one scatter/gather routine, which only they drive at nodes > 1 and
     # 8 threads), the row engine's width suite (the triple store's chunked
@@ -367,14 +393,15 @@ print('shell sharded record: %d match calls, %d net bytes'
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSWAN_WERROR=ON \
         -DSWAN_SANITIZE=thread &&
       cmake --build "$TSAN_DIR" -j "$JOBS" \
-        --target thread_pool_test concurrency_stress_test bgp_parallel_test \
+        --target thread_pool_test storage_test concurrency_stress_test \
+                 bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
                  merge_match_test select_oracle_test scan_filter_test \
                  sparql_test sparql_oracle_test fuzz_test parallel_speedup \
                  swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
+        -R 'ThreadPool|BufferPoolFrameTable|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \

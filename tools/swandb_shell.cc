@@ -43,7 +43,9 @@
 // --file, and every request of a --serve run) lands in a shell-level
 // telemetry bundle — a structured query log and a cross-query profile
 // aggregator; the windowed latency percentiles are read off the log.
-//   stats;            prints the windowed-metrics JSON snapshot
+//   stats;            prints the windowed-metrics JSON snapshot, then the
+//                     store's resident bytes by structure and its disk
+//                     bytes as one JSON object
 //   querylog [FILE];  prints (or writes) the query log as JSON lines
 //   topops [FILE];    prints the cumulative top-operators table (and
 //                     writes collapsed flamegraph stacks to FILE)
@@ -64,10 +66,12 @@
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
+#include "core/backend.h"
 #include "core/profiling.h"
 #include "core/store.h"
 #include "exec/exec_context.h"
 #include "obs/export.h"
+#include "obs/json_writer.h"
 #include "obs/querylog.h"
 #include "obs/telemetry.h"
 #include "rdf/ntriples.h"
@@ -229,11 +233,28 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-// `stats;` — the windowed-metrics snapshot of the shell's telemetry.
-int RunStats(const swan::obs::Telemetry& fleet) {
+// `stats;` — the windowed-metrics snapshot of the shell's telemetry, then
+// where the store's memory sits (core::ResidentBytes, summed over the
+// nodes of a sharded store) beside its bytes on disk.
+int RunStats(const swan::obs::Telemetry& fleet,
+             const swan::core::Backend& backend) {
   std::printf("%s", fleet.WindowsJson().c_str());
   std::printf("-- %llu query-log records\n\n",
               static_cast<unsigned long long>(fleet.records()));
+  const swan::core::ResidentBytes resident = backend.Resident();
+  swan::obs::JsonWriter json;
+  json.BeginObject()
+      .Field("backend", backend.name())
+      .Field("disk_bytes", backend.disk_bytes())
+      .Key("resident_bytes")
+      .BeginObject()
+      .Field("page_images", resident.page_images)
+      .Field("pool_frames", resident.pool_frames)
+      .Field("frame_table", resident.frame_table)
+      .Field("column_images", resident.column_images)
+      .EndObject()
+      .EndObject();
+  std::printf("%s\n", json.str().c_str());
   return 0;
 }
 
@@ -387,7 +408,7 @@ int RunQuery(swan::core::RdfStore& store,
                     Trimmed(trimmed.substr(std::strlen("serve "))), options,
                     fleet);
   }
-  if (trimmed == "stats") return RunStats(*fleet);
+  if (trimmed == "stats") return RunStats(*fleet, store.backend());
   if (trimmed == "querylog" || trimmed.rfind("querylog ", 0) == 0) {
     return RunQuerylog(*fleet, trimmed == "querylog"
                                    ? ""
