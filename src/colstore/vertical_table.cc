@@ -68,6 +68,9 @@ void VerticalTable::ReplacePartition(
                                         property),
                        property);
   } else {
+    // The replaced columns' pages are garbage: free them.
+    disk_->DropFile(it->second.subj->file_id());
+    disk_->DropFile(it->second.obj->file_id());
     it->second = std::move(part);
   }
 }

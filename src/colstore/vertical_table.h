@@ -35,7 +35,8 @@ class VerticalTable {
 
   // Replaces (or creates) one partition with `rows`, which must be sorted
   // (subject, object) pairs without duplicates. This is the merge step of
-  // the delta-store update path: the partition's columns are rewritten.
+  // the delta-store update path: the partition's columns are rewritten,
+  // and the files of the columns they replace are dropped from the disk.
   void ReplacePartition(uint64_t property,
                         std::span<const std::pair<uint64_t, uint64_t>> rows);
 

@@ -58,7 +58,7 @@ class DistRouting {
 // exact and the same on any host.
 struct ResidentBytes {
   uint64_t page_images = 0;    // simulated-disk page images
-  uint64_t pool_frames = 0;    // buffer-pool frame pages
+  uint64_t pool_frames = 0;    // page bytes frames hold apart from page_images
   uint64_t frame_table = 0;    // buffer-pool frame records
   uint64_t column_images = 0;  // decoded images of the loaded columns
 
@@ -233,17 +233,29 @@ class BackendBase : public Backend {
   storage::BufferPool* pool() { return pool_; }
   const storage::BufferPool* buffer_pool() const override { return pool_; }
 
-  // Storage-level audit shared by every engine: buffer-pool accounting and
+  // Storage-level audit shared by every engine: buffer-pool accounting,
+  // orphan files (the disk stores more bytes than the store's live
+  // structures own, as when a rebuild leaves the files it replaced) and
   // (at kFull) a checksum sweep of every page on the simulated disk.
-  // Subclasses override Audit(), call this, then add their own walkers.
+  // Subclasses override Audit(), call this, then add their own walkers. A
+  // sharded store's nodes each own their disk, so each node checks its own.
   audit::AuditReport Audit(audit::AuditLevel level) const override {
     audit::AuditReport report;
     pool_->AuditInto(level, &report);
     disk_->AuditInto(level, &report);
+    const uint64_t stored = disk_->TotalStoredBytes();
+    const uint64_t owned = disk_bytes();
+    if (stored > owned) {
+      report.Add(audit::FindingClass::kStructure, "disk",
+                 "disk stores " + std::to_string(stored) +
+                     " bytes but the store's structures own " +
+                     std::to_string(owned) + " (orphan files)");
+    }
     return report;
   }
 
-  // The disk's page images and the pool's frames; the column stores add
+  // The disk's page images and the pool's frames (which share those
+  // images, so only a frame's stale image counts); the column stores add
   // their loaded column images.
   ResidentBytes Resident() const override {
     ResidentBytes bytes;

@@ -381,6 +381,8 @@ uint64_t ColTripleBackend::EnsureMerged() {
         return rdf::KeyOf(a, order) < rdf::KeyOf(b, order);
       });
   const uint64_t rows = all.size();
+  // The merged table replaces the old one: free the old columns' pages.
+  for (int c = 0; c < 3; ++c) disk_->DropFile(table_->column(c).file_id());
   table_ = std::make_unique<colstore::TripleTable>(pool_, disk_, order,
                                                    codec_);
   table_->Load(std::move(all));

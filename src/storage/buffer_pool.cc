@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/mutex.h"
@@ -9,15 +10,16 @@
 
 namespace swan::storage {
 
-PageGuard::PageGuard(BufferPool* pool, size_t frame_index, const uint8_t* data)
-    : pool_(pool), frame_index_(frame_index), data_(data) {}
+PageGuard::PageGuard(BufferPool* pool, size_t frame_index, PageImage image)
+    : pool_(pool), frame_index_(frame_index), image_(std::move(image)) {}
 
 PageGuard::~PageGuard() { Release(); }
 
 PageGuard::PageGuard(PageGuard&& other) noexcept
-    : pool_(other.pool_), frame_index_(other.frame_index_), data_(other.data_) {
+    : pool_(other.pool_),
+      frame_index_(other.frame_index_),
+      image_(std::move(other.image_)) {
   other.pool_ = nullptr;
-  other.data_ = nullptr;
 }
 
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
@@ -25,9 +27,8 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
     Release();
     pool_ = other.pool_;
     frame_index_ = other.frame_index_;
-    data_ = other.data_;
+    image_ = std::move(other.image_);
     other.pool_ = nullptr;
-    other.data_ = nullptr;
   }
   return *this;
 }
@@ -36,7 +37,9 @@ void PageGuard::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(frame_index_);
     pool_ = nullptr;
-    data_ = nullptr;
+    // Outside the pool lock: if the page was written while pinned, this
+    // guard may hold the old image's last reference.
+    image_.reset();
   }
 }
 
@@ -74,7 +77,7 @@ Status BufferPool::Read(PageId id, PageGuard* pin, uint8_t* copy) {
     }
     ++hits_;
     if (pin == nullptr) {
-      std::memcpy(copy, frame.data.get(), kPageSize);
+      std::memcpy(copy, frame.image.get(), kPageSize);
       return Status::OK();
     }
     if (frame.in_lru) {
@@ -82,31 +85,32 @@ Status BufferPool::Read(PageId id, PageGuard* pin, uint8_t* copy) {
       frame.in_lru = false;
     }
     ++frame.pin_count;
-    *pin = PageGuard(this, it->second, frame.data.get());
+    *pin = PageGuard(this, it->second, frame.image);
     return Status::OK();
   }
 
   ++misses_;
-  size_t idx = 0;
-  uint8_t* dst = copy;
-  if (pin != nullptr) {
-    idx = AllocateFrame();
+  if (pin == nullptr) {
+    // A read-through maps nothing: the page goes straight to `copy`.
+    lock.Unlock();
+    return disk_->ReadPage(id, copy, exec::CurrentTask());
+  }
+  const size_t idx = AllocateFrame();
+  {
     Frame& frame = frames_[idx];
     frame.id = id;
     frame.pin_count = 1;
     frame.in_lru = false;
     frame.ready = false;
     map_[id] = idx;
-    dst = frame.data.get();
   }
 
-  // A fetch's pin keeps its frame un-evictable and the map entry makes
-  // same-page fetchers wait instead of duplicating the read; a read-through
-  // maps nothing. Either way the lock can drop for the (virtually slow)
-  // transfer.
+  // The pin keeps the frame un-evictable and the map entry makes
+  // same-page fetchers wait instead of duplicating the read, so the lock
+  // can drop for the (virtually slow) transfer.
   lock.Unlock();
-  Status st = disk_->ReadPage(id, dst, exec::CurrentTask());
-  if (pin == nullptr) return st;
+  PageImage image;
+  Status st = disk_->ReadPage(id, &image, exec::CurrentTask());
   lock.Lock();
 
   Frame& frame = frames_[idx];
@@ -122,9 +126,10 @@ Status BufferPool::Read(PageId id, PageGuard* pin, uint8_t* copy) {
     *pin = PageGuard();
     return st;
   }
+  frame.image = std::move(image);
   frame.ready = true;
   io_cv_.NotifyAll();
-  *pin = PageGuard(this, idx, frame.data.get());
+  *pin = PageGuard(this, idx, frame.image);
   return Status::OK();
 }
 
@@ -206,6 +211,15 @@ void BufferPool::AuditInto(audit::AuditLevel level,
   uint64_t pinned = 0;
   for (size_t idx = 0; idx < frames_.size(); ++idx) {
     const Frame& frame = frames_[idx];
+    // A ready resident frame references its page's image; any other
+    // frame references none.
+    if ((frame.image != nullptr) != (mapped[idx] && frame.ready)) {
+      report->Add(audit::FindingClass::kBufferPool, object,
+                  "frame " + std::to_string(idx) +
+                      (frame.image != nullptr ? " holds an image but is not"
+                                              : " holds no image but is") +
+                      " a loaded resident frame");
+    }
     if (frame.pin_count > 0) {
       if (!mapped[idx]) {
         report->Add(audit::FindingClass::kBufferPool, object,
@@ -235,15 +249,38 @@ void BufferPool::AuditInto(audit::AuditLevel level,
   }
 }
 
-void BufferPool::WriteThrough(PageId id, const void* data) {
-  {
-    MutexLock lock(&mutex_);
-    auto it = map_.find(id);
-    if (it != map_.end()) {
-      std::memcpy(frames_[it->second].data.get(), data, kPageSize);
+uint64_t BufferPool::frame_bytes() const {
+  MutexLock lock(&mutex_);
+  uint64_t bytes = 0;
+  for (const auto& [id, idx] : map_) {
+    const Frame& frame = frames_[idx];
+    if (frame.ready && !disk_->HoldsImage(id, frame.image.get())) {
+      bytes += kPageSize;
     }
   }
-  disk_->WritePage(id, data);
+  return bytes;
+}
+
+void BufferPool::WriteThrough(PageId id, const void* data) {
+  PageImage old;  // released after the lock
+  MutexLock lock(&mutex_);
+  // The disk write happens under the pool lock (pool rank > disk rank), so
+  // no fetch of the page can start meanwhile; one already in flight is
+  // waited out first, or it would map the old image after this write.
+  for (;;) {
+    auto it = map_.find(id);
+    if (it == map_.end()) {
+      disk_->WritePage(id, data);
+      return;
+    }
+    Frame& frame = frames_[it->second];
+    if (!frame.ready) {
+      io_cv_.Wait(lock);
+      continue;
+    }
+    old = std::exchange(frame.image, disk_->WritePage(id, data));
+    return;
+  }
 }
 
 void BufferPool::Clear() {
@@ -257,6 +294,7 @@ void BufferPool::Clear() {
   free_frames_.clear();
   for (size_t i = 0; i < frames_.size(); ++i) {
     frames_[i].in_lru = false;
+    frames_[i].image.reset();
     free_frames_.push_back(i);
   }
 }
@@ -281,7 +319,6 @@ size_t BufferPool::AllocateFrame() {
   if (frames_.size() < capacity_) {
     // A new frame at the end of the deque: no existing frame moves.
     frames_.emplace_back();
-    frames_.back().data = std::make_unique<uint8_t[]>(kPageSize);
     return frames_.size() - 1;
   }
   // Evict the least recently used unpinned frame.
@@ -290,6 +327,7 @@ size_t BufferPool::AllocateFrame() {
   lru_.pop_back();
   Frame& frame = frames_[victim];
   frame.in_lru = false;
+  frame.image.reset();
   map_.erase(frame.id);
   return victim;
 }

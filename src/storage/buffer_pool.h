@@ -18,12 +18,14 @@ namespace swan::storage {
 
 class BufferPool;
 
-// RAII pin on a buffered page. The pointed-to bytes stay valid (and the
-// frame un-evictable) for the guard's lifetime.
+// RAII pin on a buffered page. The guard references the page image it was
+// handed, so the bytes stay valid and unchanged (and the frame
+// un-evictable) for the guard's lifetime, even if the page is written
+// meanwhile.
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(BufferPool* pool, size_t frame_index, const uint8_t* data);
+  PageGuard(BufferPool* pool, size_t frame_index, PageImage image);
   ~PageGuard();
 
   PageGuard(PageGuard&& other) noexcept;
@@ -31,7 +33,7 @@ class PageGuard {
   PageGuard(const PageGuard&) = delete;
   PageGuard& operator=(const PageGuard&) = delete;
 
-  const uint8_t* data() const { return data_; }
+  const uint8_t* data() const { return image_.get(); }
   bool valid() const { return pool_ != nullptr; }
 
  private:
@@ -39,7 +41,7 @@ class PageGuard {
 
   BufferPool* pool_ = nullptr;
   size_t frame_index_ = 0;
-  const uint8_t* data_ = nullptr;
+  PageImage image_;
 };
 
 // Page cache with LRU replacement between a storage engine and the
@@ -49,6 +51,10 @@ class PageGuard {
 // Frames are created on demand, one per miss, until the pool holds
 // capacity_pages of them; from then on a miss evicts the least recently
 // used unpinned frame. A pool that is never fetched from holds no frame.
+// A frame holds no bytes of its own: it references the disk's image of
+// its page (see PageImage), so a page is held once however often it is
+// cached. A miss still charges the disk's full read and verifies the
+// checksum.
 //
 // Thread safety: Fetch/TryFetch/TryRead/Unpin/WriteThrough and the
 // statistics accessors may be called concurrently. A miss inserts a
@@ -91,21 +97,24 @@ class BufferPool {
   // is a leak), frame<->page-table agreement, LRU membership, capacity.
   void AuditInto(audit::AuditLevel level, audit::AuditReport* report) const;
 
-  // Write-through update: patches the cached copy (if resident) and the
-  // disk image. Used by the row store's insert path.
+  // Write-through update: installs a new disk image of the page and
+  // re-points its frame (if resident) at it; a guard pinned on the old
+  // image keeps it until released. Used by the row store's insert path.
   void WriteThrough(PageId id, const void* data) SWAN_EXCLUDES(mutex_);
 
   // Evicts everything. All pages must be unpinned.
   void Clear() SWAN_EXCLUDES(mutex_);
 
   size_t capacity_pages() const { return capacity_; }
-  // Frames created so far (at most capacity_pages): each holds one page
-  // image of kPageSize bytes and one frame record.
+  // Frames created so far (at most capacity_pages): one frame record each.
   size_t frame_count() const {
     MutexLock lock(&mutex_);
     return frames_.size();
   }
-  uint64_t frame_bytes() const { return frame_count() * kPageSize; }
+  // Page bytes the frames hold apart from the disk's images: a resident
+  // frame whose image the disk no longer holds (its page was written or
+  // its file dropped behind the pool's back). Normally 0.
+  uint64_t frame_bytes() const SWAN_EXCLUDES(mutex_);
   uint64_t frame_table_bytes() const { return frame_count() * sizeof(Frame); }
   size_t resident_pages() const {
     MutexLock lock(&mutex_);
@@ -131,10 +140,11 @@ class BufferPool {
 
   struct Frame {
     PageId id;
-    std::unique_ptr<uint8_t[]> data;
-    uint32_t pin_count = 0;
+    // The disk's image of the page; empty while free or loading.
+    PageImage image;
     // Position in lru_ when pin_count == 0.
     std::list<size_t>::iterator lru_pos;
+    uint32_t pin_count = 0;
     bool in_lru = false;
     // False while the disk read that populates this frame is in flight
     // (the frame is mapped and pinned by the loading thread; other

@@ -55,28 +55,49 @@ uint32_t SimulatedDisk::CreateFile() {
   return static_cast<uint32_t>(files_.size() - 1);
 }
 
-uint32_t SimulatedDisk::AppendPage(uint32_t file_id, const void* data) {
-  const uint64_t checksum = PageChecksum(data);
-  auto image = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+void SimulatedDisk::DropFile(uint32_t file_id) {
+  std::vector<Page> dropped;  // freed after the lock
+  MutexLock lock(&mutex_);
+  SWAN_CHECK_LT(file_id, files_.size());
+  dropped.swap(files_[file_id]);
+}
+
+namespace {
+
+std::shared_ptr<uint8_t[]> CopyImage(const void* data) {
+  auto image = std::make_shared_for_overwrite<uint8_t[]>(kPageSize);
   std::memcpy(image.get(), data, kPageSize);
+  return image;
+}
+
+Status ChecksumMismatch(PageId id) {
+  return Status::Corruption("checksum mismatch on page " +
+                            std::to_string(id.page_no) + " of file " +
+                            std::to_string(id.file_id));
+}
+
+}  // namespace
+
+uint32_t SimulatedDisk::AppendPage(uint32_t file_id, const void* data) {
+  Page page{CopyImage(data), PageChecksum(data)};
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(file_id, files_.size());
   auto& pages = files_[file_id];
-  pages.push_back(Page{std::move(image), checksum});
+  pages.push_back(std::move(page));
   return static_cast<uint32_t>(pages.size() - 1);
 }
 
-void SimulatedDisk::WritePage(PageId id, const void* data) {
-  const uint64_t checksum = PageChecksum(data);
+PageImage SimulatedDisk::WritePage(PageId id, const void* data) {
+  Page page{CopyImage(data), PageChecksum(data)};
   MutexLock lock(&mutex_);
   SWAN_CHECK_LT(id.file_id, files_.size());
   auto& pages = files_[id.file_id];
   SWAN_CHECK_LT(id.page_no, pages.size());
-  std::memcpy(pages[id.page_no].image.get(), data, kPageSize);
-  pages[id.page_no].checksum = checksum;
+  std::swap(pages[id.page_no], page);  // the old image is freed after the lock
+  return pages[id.page_no].image;
 }
 
-Status SimulatedDisk::ReadPage(PageId id, void* out,
+Status SimulatedDisk::ReadPage(PageId id, PageImage* out,
                                exec::TaskContext* task) {
   uint64_t expected_checksum = 0;
   {
@@ -84,7 +105,7 @@ Status SimulatedDisk::ReadPage(PageId id, void* out,
     SWAN_CHECK_LT(id.file_id, files_.size());
     const auto& pages = files_[id.file_id];
     SWAN_CHECK_MSG(id.page_no < pages.size(), "read past end of file");
-    std::memcpy(out, pages[id.page_no].image.get(), kPageSize);
+    *out = pages[id.page_no].image;
     expected_checksum = pages[id.page_no].checksum;
 
     // Charge the I/O model. Stream contiguity is judged against the
@@ -146,12 +167,25 @@ Status SimulatedDisk::ReadPage(PageId id, void* out,
 
   // Verify outside the lock (the transfer happened, the payload is bad);
   // concurrent readers overlap their checksum CPU.
-  if (PageChecksum(out) != expected_checksum) {
-    return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id.page_no) + " of file " +
-                              std::to_string(id.file_id));
+  if (PageChecksum(out->get()) != expected_checksum) {
+    return ChecksumMismatch(id);
   }
   return Status::OK();
+}
+
+Status SimulatedDisk::ReadPage(PageId id, void* out,
+                               exec::TaskContext* task) {
+  PageImage image;
+  const Status st = ReadPage(id, &image, task);
+  std::memcpy(out, image.get(), kPageSize);
+  return st;
+}
+
+bool SimulatedDisk::HoldsImage(PageId id, const uint8_t* image) const {
+  MutexLock lock(&mutex_);
+  SWAN_CHECK_LT(id.file_id, files_.size());
+  const auto& pages = files_[id.file_id];
+  return id.page_no < pages.size() && pages[id.page_no].image.get() == image;
 }
 
 Status SimulatedDisk::VerifyPage(PageId id) const {
@@ -161,9 +195,7 @@ Status SimulatedDisk::VerifyPage(PageId id) const {
   SWAN_CHECK_MSG(id.page_no < pages.size(), "verify past end of file");
   const Page& page = pages[id.page_no];
   if (PageChecksum(page.image.get()) != page.checksum) {
-    return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id.page_no) + " of file " +
-                              std::to_string(id.file_id));
+    return ChecksumMismatch(id);
   }
   return Status::OK();
 }
@@ -183,7 +215,9 @@ void SimulatedDisk::CorruptPageForTesting(PageId id, size_t offset,
   SWAN_CHECK_LT(offset, kPageSize);
   auto& pages = files_[id.file_id];
   SWAN_CHECK_LT(id.page_no, pages.size());
-  pages[id.page_no].image[offset] ^= xor_mask;  // checksum left stale
+  auto image = CopyImage(pages[id.page_no].image.get());
+  image[offset] ^= xor_mask;  // checksum left stale
+  pages[id.page_no].image = std::move(image);
 }
 
 void SimulatedDisk::AuditInto(audit::AuditLevel level,

@@ -42,6 +42,13 @@ struct IoTracePoint {
   int lane = -1;
 };
 
+// An immutable page image. The disk holds each page's current image as
+// one shared allocation; a buffer-pool frame and every PageGuard on the
+// page reference that same allocation instead of copying it. Writes never
+// touch an image in place: they install a new one (copy-on-write), so a
+// holder of the old image keeps the bytes it was handed.
+using PageImage = std::shared_ptr<const uint8_t[]>;
+
 // In-memory "disk": stores page images and charges *virtual* time for
 // reads on an attached VirtualClock instead of sleeping. Deterministic,
 // byte-accurate, and fast — a query's "real time" is its CPU time plus the
@@ -74,22 +81,39 @@ class SimulatedDisk {
   SimulatedDisk(const SimulatedDisk&) = delete;
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
 
-  // Creates a new empty file and returns its id.
+  // Creates a new empty file and returns its id. Ids are never reused,
+  // not even after DropFile, so a page id names one page for the disk's
+  // lifetime.
   uint32_t CreateFile();
+
+  // Frees every page image of `file_id` (a store replaced the structure
+  // the file held). The id stays taken; the file reads as empty.
+  void DropFile(uint32_t file_id);
 
   // Appends a page image to `file_id`; returns the new page number.
   uint32_t AppendPage(uint32_t file_id, const void* data);
 
-  // Overwrites an existing page (write-through updates from the row store).
-  void WritePage(PageId id, const void* data);
+  // Overwrites an existing page (write-through updates from the row
+  // store) by installing a new image; returns it. The old image lives on
+  // in whoever still references it.
+  PageImage WritePage(PageId id, const void* data);
 
-  // Copies a page image into `out` (kPageSize bytes) and charges virtual
-  // I/O time according to the disk model, accruing onto `task`'s lane
-  // stream (or the serial stream when task == nullptr). Returns Corruption
-  // (with the bytes still copied, for forensics) if the stored image no
-  // longer matches its checksum.
+  // Hands out a reference to the page's image and charges virtual I/O
+  // time according to the disk model, accruing onto `task`'s lane stream
+  // (or the serial stream when task == nullptr). Returns Corruption (with
+  // `*out` still set, for forensics) if the stored image no longer matches
+  // its checksum.
+  [[nodiscard]] Status ReadPage(PageId id, PageImage* out,
+                                exec::TaskContext* task) SWAN_EXCLUDES(mutex_);
+
+  // ReadPage into the caller's buffer (kPageSize bytes): the same charge
+  // and checksum, for callers that keep their own copy.
   [[nodiscard]] Status ReadPage(PageId id, void* out, exec::TaskContext* task)
       SWAN_EXCLUDES(mutex_);
+
+  // True if `image` is the disk's current image of `id` (false for a
+  // page of a dropped file).
+  bool HoldsImage(PageId id, const uint8_t* image) const;
 
   // Recomputes `id`'s checksum against the stored image without charging
   // I/O time or touching read statistics (audit path).
@@ -105,9 +129,10 @@ class SimulatedDisk {
   // always caught.
   static uint64_t PageChecksum(const void* data);
 
-  // Byte-flips `xor_mask` into the stored image at `offset` WITHOUT
-  // updating the checksum — simulates silent media corruption for the
-  // auditor tests. Never called outside tests.
+  // Installs a copy of the stored image with `xor_mask` byte-flipped in at
+  // `offset`, WITHOUT updating the checksum — simulates silent media
+  // corruption for the auditor tests. A frame already holding the page
+  // keeps the clean image. Never called outside tests.
   void CorruptPageForTesting(PageId id, size_t offset, uint8_t xor_mask);
 
   // Audit walker: at every level, checks that the page images hold no
@@ -171,7 +196,7 @@ class SimulatedDisk {
   // stored out of band so the full kPageSize payload stays available to
   // the engines.
   struct Page {
-    std::unique_ptr<uint8_t[]> image;
+    PageImage image;
     uint64_t checksum = 0;
   };
 
@@ -185,7 +210,8 @@ class SimulatedDisk {
 
   // Everything below is guarded by mutex_. files_ contents are also
   // read under the lock (AppendPage may grow a file's page list); the
-  // checksum over the copied-out page is computed outside it.
+  // checksum over a handed-out image is computed outside it (images are
+  // immutable).
   mutable Mutex mutex_{LockRank::kStorageDisk, "storage.disk"};
 
   // One page list per file.

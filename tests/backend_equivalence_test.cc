@@ -1033,6 +1033,83 @@ TEST(ResidentMemoryTest, ColdColumnRunsKeepNoFrames) {
   EXPECT_EQ(report.findings()[0].cls, audit::FindingClass::kBufferPool);
 }
 
+// A column merge drops the files of the columns it replaces: after each
+// of three insert + q1 rounds (q1 merges the write store), the disk's page
+// images are exactly the bytes the store's live columns own, and the quick
+// audit, which flags orphan files, is clean.
+TEST(ResidentMemoryTest, MergesFreeTheFilesTheyReplace) {
+  BartonConfig config;
+  config.target_triples = 20000;
+  config.seed = 42;
+  auto barton = GenerateBarton(config);
+  rdf::Dataset& data = barton.dataset;
+  const core::QueryContext ctx = MakeBartonContext(data, 28);
+  // Round r clones every triple of every subject s with s % 40 == r onto a
+  // fresh subject.
+  constexpr int kRounds = 3;
+  std::vector<std::vector<rdf::Triple>> rounds(kRounds);
+  for (const rdf::Triple& t : data.triples()) {
+    const uint64_t r = t.subject % 40;
+    if (r >= kRounds) continue;
+    const uint64_t clone = data.dict().Intern(
+        "<merge-clone-" + std::to_string(t.subject) + ">");
+    rounds[r].push_back({clone, t.property, t.object});
+  }
+  for (colstore::ColumnCodec codec :
+       {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
+    core::ColVerticalBackend col_vert(data, {}, 4096, codec);
+    core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                   codec);
+    for (core::Backend* backend :
+         std::vector<core::Backend*>{&col_vert, &col_pso}) {
+      for (int r = 0; r < kRounds; ++r) {
+        const std::string what = backend->name() + " " +
+                                 colstore::ToString(codec) + " round " +
+                                 std::to_string(r);
+        ASSERT_FALSE(rounds[r].empty()) << what;
+        for (const rdf::Triple& t : rounds[r]) {
+          ASSERT_TRUE(backend->Insert(t).ok()) << what;
+        }
+        (void)backend->Run(QueryId::kQ1, ctx, exec::ExecContext(1));
+        EXPECT_EQ(backend->Resident().page_images, backend->disk_bytes())
+            << what;
+        EXPECT_EQ(backend->disk()->TotalStoredBytes(), backend->disk_bytes())
+            << what;
+        EXPECT_TRUE(backend->Audit(audit::AuditLevel::kQuick).ok()) << what;
+      }
+    }
+  }
+}
+
+// A file no live structure owns is an orphan: the quick audit reports a
+// disk that stores one, on a column store, a row store and one node of a
+// sharded store (each node audits its own disk).
+TEST(ResidentMemoryTest, QuickAuditFindsOrphanFiles) {
+  BartonConfig config;
+  config.target_triples = 20000;
+  config.seed = 42;
+  const auto barton = GenerateBarton(config);
+  const rdf::Dataset& data = barton.dataset;
+  core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
+                                 colstore::ColumnCodec::kAuto);
+  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
+  shard::ShardOptions options;
+  options.nodes = 2;
+  shard::ShardedBackend sharded(data, options);
+  const std::vector<uint8_t> page(storage::kPageSize, 0x5a);
+  for (core::Backend* backend :
+       std::vector<core::Backend*>{&col_pso, &row_pso, &sharded}) {
+    EXPECT_TRUE(backend->Audit(audit::AuditLevel::kQuick).ok())
+        << backend->name();
+    storage::SimulatedDisk* disk = backend->disk();
+    disk->AppendPage(disk->CreateFile(), page.data());
+    const audit::AuditReport report = backend->Audit(audit::AuditLevel::kQuick);
+    ASSERT_EQ(report.findings().size(), 1u) << backend->name();
+    EXPECT_EQ(report.findings()[0].cls, audit::FindingClass::kStructure)
+        << backend->name();
+  }
+}
+
 // Where each store's memory sits, pinned by structure
 // (bench/baselines/store_memory.csv): the page images, pool frames, frame
 // table and loaded column images of the six column ledger backends, the

@@ -138,6 +138,69 @@ TEST(ConcurrencyStressTest, FrameTableGrowsWhileLanesFetch) {
   EXPECT_TRUE(audit::Audit(pool, AuditLevel::kFull).ok());
 }
 
+// Lanes fetch pages while a writer write-throughs some of them. Writes are
+// copy-on-write, so every guard reads one whole image that never changes
+// under it, and a lane never sees a page go back to an older version (a
+// write waits out an in-flight read of its page before re-pointing the
+// frame). Byte 0 of a page is its number; every other byte its version.
+TEST(ConcurrencyStressTest, WriteThroughWhileLanesFetch) {
+  storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  constexpr uint32_t kPages = 32;
+  constexpr uint32_t kWritten = 8;  // pages 0..7 are rewritten
+  constexpr int kVersions = 200;
+  const uint32_t f = disk.CreateFile();
+  const auto image = [](uint32_t page, int version) {
+    std::vector<uint8_t> bytes = PatternPage(static_cast<uint8_t>(version));
+    bytes[0] = static_cast<uint8_t>(page);
+    return bytes;
+  };
+  for (uint32_t p = 0; p < kPages; ++p) disk.AppendPage(f, image(p, 0).data());
+  // Fewer frames than pages: misses and evictions race with the writes.
+  storage::BufferPool pool(&disk, /*capacity_pages=*/12);  // swan-lint: allow(node-disk)
+
+  constexpr int kReaders = 6;
+  constexpr int kFetchesPerReader = 2000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<int> last_seen(kPages, 0);
+      for (int i = 0; i < kFetchesPerReader; ++i) {
+        const uint32_t p = static_cast<uint32_t>(
+            Mix(static_cast<uint64_t>(t) * 1000003 + i) % kPages);
+        storage::PageGuard guard = pool.Fetch({f, p});
+        const uint8_t* data = guard.data();
+        const uint8_t version = data[1];
+        bool ok = guard.valid() && data[0] == p && version >= last_seen[p];
+        for (size_t b = 2; ok && b < storage::kPageSize; ++b) {
+          ok = data[b] == version;
+        }
+        // Still the same bytes after the scan.
+        ok = ok && data[0] == p && data[1] == version;
+        if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+        last_seen[p] = version;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int v = 1; v <= kVersions; ++v) {
+      for (uint32_t p = 0; p < kWritten; ++p) {
+        pool.WriteThrough({f, p}, image(p, v).data());
+      }
+    }
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (uint32_t p = 0; p < kPages; ++p) {
+    storage::PageGuard guard = pool.Fetch({f, p});
+    EXPECT_EQ(guard.data()[1], p < kWritten ? kVersions : 0) << p;
+  }
+  EXPECT_EQ(pool.frame_bytes(), 0u);
+  EXPECT_EQ(disk.PageImageBytes(), kPages * storage::kPageSize);
+  EXPECT_TRUE(audit::Audit(pool, AuditLevel::kFull).ok());
+  EXPECT_TRUE(audit::Audit(disk, AuditLevel::kFull).ok());
+}
+
 TEST(ConcurrencyStressTest, RacingFetchersOfOnePageShareOneRead) {
   storage::SimulatedDisk disk;  // swan-lint: allow(node-disk)
   const uint32_t f = disk.CreateFile();

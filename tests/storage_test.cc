@@ -352,6 +352,95 @@ TEST(BufferPoolTest, WriteThroughUpdatesCacheAndDisk) {
   EXPECT_EQ(buf[0], 9);
 }
 
+// Writes are copy-on-write: a guard pinned across a WriteThrough of its
+// page keeps reading the bytes it was handed, while the frame is
+// re-pointed at the new image, so the next fetch is a hit on the new bytes.
+TEST(BufferPoolTest, PinnedGuardKeepsItsBytesAcrossWriteThrough) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  disk.AppendPage(f, PatternPage(1).data());
+  BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
+  PageGuard old = pool.Fetch({f, 0});
+  pool.WriteThrough({f, 0}, PatternPage(9).data());
+  EXPECT_EQ(old.data()[0], 1);
+  EXPECT_EQ(old.data()[kPageSize - 1], 1);
+  {
+    PageGuard fresh = pool.Fetch({f, 0});
+    EXPECT_EQ(fresh.data()[0], 9);
+    EXPECT_EQ(fresh.data()[kPageSize - 1], 9);
+  }
+  EXPECT_EQ(old.data()[0], 1);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(disk.total_reads(), 1u);
+  EXPECT_EQ(pool.frame_bytes(), 0u);
+  EXPECT_EQ(disk.PageImageBytes(), kPageSize);
+  old = PageGuard();
+  EXPECT_TRUE(audit::Audit(pool, audit::AuditLevel::kFull).ok());
+  EXPECT_TRUE(audit::Audit(disk, audit::AuditLevel::kFull).ok());
+}
+
+// Corruption installs a new image too: a page cached before it keeps being
+// served clean (its frame holds the old image, the one page's bytes held
+// apart from the disk) until Clear(); the next fetch reads the corrupt
+// image from disk and fails its checksum.
+TEST(BufferPoolTest, CachedPageServedCleanUntilClear) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  disk.AppendPage(f, PatternPage(1).data());
+  BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
+  { PageGuard g = pool.Fetch({f, 0}); }
+  disk.CorruptPageForTesting({f, 0}, 17, 0x40);
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.TryFetch({f, 0}, &g).ok());
+    EXPECT_EQ(g.data()[17], 1);
+  }
+  EXPECT_EQ(pool.frame_bytes(), kPageSize);
+  pool.Clear();
+  EXPECT_EQ(pool.frame_bytes(), 0u);
+  PageGuard g;
+  EXPECT_EQ(pool.TryFetch({f, 0}, &g).code(), StatusCode::kCorruption);
+  EXPECT_FALSE(g.valid());
+  EXPECT_EQ(disk.total_reads(), 2u);
+  EXPECT_TRUE(audit::Audit(pool, audit::AuditLevel::kFull).ok());
+}
+
+// Dropping a file frees its page images and leaves the file empty; its id
+// stays taken, so the next file gets a new id and every page id keeps
+// naming one page. A guard pinned on a dropped page keeps its bytes.
+TEST(SimulatedDiskTest, DropFileFreesImagesAndNeverReusesItsId) {
+  SimulatedDisk disk;  // swan-lint: allow(node-disk)
+  const uint32_t f = disk.CreateFile();
+  const uint32_t g = disk.CreateFile();
+  for (int i = 0; i < 3; ++i) disk.AppendPage(f, PatternPage(0x30 + i).data());
+  disk.AppendPage(g, PatternPage(0x55).data());
+  BufferPool pool(&disk, 16);  // swan-lint: allow(node-disk)
+  PageGuard pinned = pool.Fetch({f, 2});
+  disk.DropFile(f);
+  EXPECT_EQ(disk.PageCount(f), 0u);
+  EXPECT_EQ(disk.PageCount(g), 1u);
+  EXPECT_EQ(disk.TotalStoredBytes(), kPageSize);
+  EXPECT_EQ(disk.PageImageBytes(), kPageSize);
+  EXPECT_EQ(pinned.data()[0], 0x32);
+  EXPECT_EQ(pool.frame_bytes(), kPageSize);  // the pinned frame's image
+  pinned = PageGuard();
+  pool.Clear();
+  EXPECT_EQ(pool.frame_bytes(), 0u);
+
+  EXPECT_EQ(disk.FileCount(), 2u);
+  const uint32_t h = disk.CreateFile();
+  EXPECT_EQ(h, 2u);
+  EXPECT_EQ(disk.AppendPage(h, PatternPage(0x66).data()), 0u);
+  uint8_t buf[kPageSize];
+  ASSERT_TRUE(disk.ReadPage({h, 0}, buf, nullptr).ok());
+  EXPECT_EQ(buf[0], 0x66);
+  disk.DropFile(g);
+  EXPECT_EQ(disk.TotalStoredBytes(), kPageSize);
+  EXPECT_EQ(disk.CreateFile(), 3u);
+  EXPECT_TRUE(audit::Audit(disk, audit::AuditLevel::kFull).ok());
+}
+
 // The frame table is built on demand: a pool holds no frame until its
 // first miss, then one more per miss until it reaches capacity, and
 // recycles its frames from there on.
@@ -370,7 +459,8 @@ TEST(BufferPoolFrameTableTest, GrowsOneFramePerMiss) {
   }
   { PageGuard g = big.Fetch({f, 3}); }  // a hit creates no frame
   EXPECT_EQ(big.frame_count(), 40u);
-  EXPECT_EQ(big.frame_bytes(), 40 * kPageSize);
+  // The frames share the disk's images: they hold no page bytes apart.
+  EXPECT_EQ(big.frame_bytes(), 0u);
   EXPECT_GT(big.frame_table_bytes(), 0u);
   big.Clear();  // frames return to the free list and are reused
   { PageGuard g = big.Fetch({f, 7}); }

@@ -118,26 +118,41 @@ case "$mode" in
     done
     # Memory smoke: the shell's `stats;` after a query reports the store's
     # resident bytes by structure; every page image is a stored page, so
-    # the page-image bytes equal the store's disk bytes, and a column
-    # store's pool holds no frame (its column loads keep none).
+    # the page-image bytes equal the store's disk bytes, and no pool frame
+    # holds page bytes apart from the disk's images (the row store's frames
+    # share them; a column store's loads keep no frame). The same holds on
+    # the two column designs after tools/merge_smoke.serve's writes and
+    # merges: a merge drops the files of the columns it replaces.
     echo "=== release: memory smoke ==="
-    for design in "--engine row --scheme triple --clustering pso" \
-                  "--engine column --scheme vertical" \
-                  "--engine column --scheme vertical --nodes 2"; do
-      # $design is unquoted on purpose: it is a list of flags.
-      printf '%s\n;\nstats\n;\n' \
-          'SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }' |
-        "$RELEASE_DIR/tools/swandb_shell" --generate 20000 $design \
+    memory_smoke() {  # label, shell stdin, flags...
+      local label="$1" input="$2"
+      shift 2
+      printf '%s' "$input" |
+        "$RELEASE_DIR/tools/swandb_shell" --generate 20000 "$@" \
           2>/dev/null | tail -n 1 | python3 -c "
 import json, sys
 doc = json.loads(sys.stdin.read())
 resident = doc['resident_bytes']
 assert resident['page_images'] == doc['disk_bytes'], doc
-assert 'MonetDB' not in doc['backend'] and 'Sharded' not in doc['backend'] \\
-    or resident['pool_frames'] == 0, doc
-print('memory smoke: %s, %d page-image bytes, %d column-image bytes'
-      % (doc['backend'], resident['page_images'], resident['column_images']))
-" || { echo "memory smoke failed: $design"; status=1; }
+assert resident['pool_frames'] == 0, doc
+print('memory smoke (%s): %s, %d page-image bytes, %d column-image bytes'
+      % ('$label', doc['backend'], resident['page_images'],
+         resident['column_images']))
+" || { echo "memory smoke failed ($label): $*"; return 1; }
+    }
+    query_stats="$(printf '%s\n;\nstats\n;\n' \
+      'SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <language> ?l }')"
+    merge_stats="$(printf 'serve %s\n;\nstats\n;\n' \
+      "$REPO_ROOT/tools/merge_smoke.serve")"
+    for design in "--engine row --scheme triple --clustering pso" \
+                  "--engine column --scheme vertical" \
+                  "--engine column --scheme vertical --nodes 2"; do
+      # $design is unquoted on purpose: it is a list of flags.
+      memory_smoke query "$query_stats" $design || status=1
+    done
+    for design in "--engine column --scheme vertical" \
+                  "--engine column --scheme triple --clustering pso"; do
+      memory_smoke merge "$merge_stats" $design || status=1
     done
     # Usage-error smoke: a bad flag value is rejected with its message
     # and exit code 2, never mapped to some other store.
@@ -373,7 +388,9 @@ print('shell sharded record: %d match calls, %d net bytes'
     # suite is slow under TSan; the concurrency-focused tests are the ones
     # that exercise cross-thread interleavings, so CI runs just those (the
     # buffer pool's on-demand frame table among them: its frame-growth
-    # tests, and ConcurrencyStress's lanes fetching while it grows),
+    # tests, and ConcurrencyStress's lanes fetching while it grows; and its
+    # shared, copy-on-write page images: BufferPoolTest, and
+    # ConcurrencyStress's lanes fetching while a writer write-throughs),
     # plus the scale-out equivalence suites (every column Run goes through
     # one scatter/gather routine, which only they drive at nodes > 1 and
     # 8 threads), the row engine's width suite (the triple store's chunked
@@ -401,7 +418,7 @@ print('shell sharded record: %d match calls, %d net bytes'
                  swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|BufferPoolFrameTable|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
+        -R 'ThreadPool|BufferPoolTest|BufferPoolFrameTable|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
