@@ -291,18 +291,6 @@ PositionVector SelectEq(std::span<const uint64_t> col,
   return out;
 }
 
-PositionVector SelectNe(std::span<const uint64_t> col,
-                        const PositionVector& sel, uint64_t value,
-                        const exec::ExecContext& ctx) {
-  obs::Span span(ctx.trace(), "ops.select_ne");
-  span.set_rows_in(sel.size());
-  PositionVector out = SelectRows(
-      ctx, sel.size(), [&](uint64_t j) { return col[sel[j]] != value; },
-      [&](uint64_t j) { return sel[j]; });
-  span.set_rows_out(out.size());
-  return out;
-}
-
 std::pair<uint32_t, uint32_t> EqRangeSorted(std::span<const uint64_t> col,
                                             uint64_t value) {
   const auto lo = std::lower_bound(col.begin(), col.end(), value);

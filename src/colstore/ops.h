@@ -93,11 +93,6 @@ PositionVector SelectEq(std::span<const uint64_t> col,
                         const PositionVector& sel, uint64_t value,
                         const exec::ExecContext& ctx = exec::ExecContext());
 
-// Positions i in `sel` where col[i] != value.
-PositionVector SelectNe(std::span<const uint64_t> col,
-                        const PositionVector& sel, uint64_t value,
-                        const exec::ExecContext& ctx = exec::ExecContext());
-
 // [lo, hi) such that col[lo..hi) == value, for a sorted column.
 std::pair<uint32_t, uint32_t> EqRangeSorted(std::span<const uint64_t> col,
                                             uint64_t value);

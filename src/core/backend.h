@@ -131,18 +131,19 @@ class Backend {
 
   // Adds a triple (ids must already be interned in the owning dataset's
   // dictionary). Row backends update their B+trees in place; column
-  // backends buffer into a delta store that is merged into the
-  // read-optimized columns before the next query — so the cost of an
-  // insert differs radically by architecture (bench/ablation_updates).
-  // Returns AlreadyExists for duplicate triples (RDF set semantics) and
-  // Unimplemented for read-only engines (C-Store).
+  // backends buffer it in their one write store (core::WriteStore), which
+  // is merged into the read-optimized columns before the next query — so
+  // the cost of an insert differs radically by architecture
+  // (bench/ablation_updates). Returns AlreadyExists for duplicate triples
+  // (RDF set semantics) and Unimplemented for read-only engines (C-Store).
   virtual Status Insert(const rdf::Triple& triple) {
     (void)triple;
     return Status::Unimplemented("read-only backend");
   }
 
-  // Removes a triple. Column backends tombstone into the delta store and
-  // apply the removal at the next merge; the row engines' B+trees have no
+  // Removes a triple. Column backends tombstone it in their write store
+  // (core::WriteStore) and apply the removal at the next merge, or cancel
+  // a pending insert of it; the row engines' B+trees have no
   // structural delete (the paper's workload is read-mostly), so they
   // return Unimplemented. Returns NotFound when the triple is absent.
   virtual Status Delete(const rdf::Triple& triple) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -88,13 +89,11 @@ std::vector<PropMorsel> FlattenPropMorsels(uint64_t props,
 // Folds a write store into sorted base rows in one linear pass: the base
 // rows (each_base(emit) calls emit(row) for every one, ascending by
 // `less`) minus `gone`, plus `fresh`, which holds no base row (Insert
-// rejects those). Only the two small write-store runs are sorted.
+// rejects those). Both runs are sorted by `less`.
 template <typename Row, typename EachBase, typename Less>
 std::vector<Row> MergeSortedRuns(size_t base_rows, const EachBase& each_base,
-                                 std::vector<Row> gone,
-                                 std::vector<Row> fresh, Less less) {
-  std::sort(gone.begin(), gone.end(), less);
-  std::sort(fresh.begin(), fresh.end(), less);
+                                 const std::vector<Row>& gone,
+                                 const std::vector<Row>& fresh, Less less) {
   std::vector<Row> out;
   out.reserve(base_rows + fresh.size());
   size_t g = 0;
@@ -109,7 +108,71 @@ std::vector<Row> MergeSortedRuns(size_t base_rows, const EachBase& each_base,
   return out;
 }
 
+// The column triple store keeps SPO or PSO order.
+rdf::TripleOrder SupportedOrder(rdf::TripleOrder order) {
+  SWAN_CHECK_MSG(
+      order == rdf::TripleOrder::kSPO || order == rdf::TripleOrder::kPSO,
+      "column triple-store supports SPO or PSO sort order");
+  return order;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// WriteStore
+// ---------------------------------------------------------------------------
+
+Status WriteStore::Insert(const rdf::Triple& triple) {
+  if (tombstones_.erase(triple) != 0) return Status::OK();
+  if (insert_set_.count(triple) != 0 || base_contains_(triple)) {
+    return Status::AlreadyExists("triple already present");
+  }
+  inserts_.push_back(triple);
+  insert_set_.insert(triple);
+  return Status::OK();
+}
+
+Status WriteStore::Delete(const rdf::Triple& triple) {
+  if (insert_set_.erase(triple) != 0) {
+    inserts_.erase(std::find(inserts_.begin(), inserts_.end(), triple));
+    return Status::OK();
+  }
+  if (tombstones_.count(triple) != 0 || !base_contains_(triple)) {
+    return Status::NotFound("triple not present");
+  }
+  tombstones_.insert(triple);
+  return Status::OK();
+}
+
+void WriteStore::Overlay(const rdf::TriplePattern& pattern,
+                         const rdf::PatternFilter& filter,
+                         std::vector<rdf::Triple>* out) const {
+  if (!tombstones_.empty()) {
+    std::erase_if(*out, [&](const rdf::Triple& t) {
+      return tombstones_.count(t) != 0;
+    });
+  }
+  for (const rdf::Triple& t : inserts_) {
+    // swan-lint: allow(post-filter)
+    if (pattern.Matches(t) && filter.Passes(t)) out->push_back(t);
+  }
+}
+
+WriteStore::Runs WriteStore::SortedRuns(rdf::TripleOrder order) const {
+  const auto less = [order](const rdf::Triple& a, const rdf::Triple& b) {
+    return rdf::KeyOf(a, order) < rdf::KeyOf(b, order);
+  };
+  Runs runs{{tombstones_.begin(), tombstones_.end()}, inserts_};
+  std::sort(runs.gone.begin(), runs.gone.end(), less);
+  std::sort(runs.fresh.begin(), runs.fresh.end(), less);
+  return runs;
+}
+
+void WriteStore::Clear() {
+  inserts_.clear();
+  insert_set_.clear();
+  tombstones_.clear();
+}
 
 // ---------------------------------------------------------------------------
 // ColTripleBackend
@@ -120,17 +183,9 @@ ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
                                    storage::DiskConfig disk_config,
                                    size_t pool_pages,
                                    colstore::ColumnCodec codec)
-    : PhasedBackend("col_triple", disk_config, pool_pages) {
-  SWAN_CHECK_MSG(
-      order == rdf::TripleOrder::kSPO || order == rdf::TripleOrder::kPSO,
-      "column triple-store supports SPO or PSO sort order");
-  pso_ = order == rdf::TripleOrder::kPSO;
-  codec_ = codec;
-  dataset_ = &dataset;
-  table_ = std::make_unique<colstore::TripleTable>(pool_, disk_,
-                                                   order, codec);
-  table_->Load(dataset.triples());
-}
+    : ColumnStore("col_triple", dataset, disk_config, pool_pages,
+                  SupportedOrder(order), codec),
+      codec_(codec) {}
 
 ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
                                    rdf::TripleOrder order,
@@ -138,38 +193,12 @@ ColTripleBackend::ColTripleBackend(const rdf::Dataset& dataset,
                                    storage::BufferPool* pool,
                                    std::vector<rdf::Triple> subset,
                                    colstore::ColumnCodec codec)
-    : PhasedBackend("col_triple", disk, pool) {
-  SWAN_CHECK_MSG(
-      order == rdf::TripleOrder::kSPO || order == rdf::TripleOrder::kPSO,
-      "column triple-store supports SPO or PSO sort order");
-  pso_ = order == rdf::TripleOrder::kPSO;
-  codec_ = codec;
-  dataset_ = &dataset;
-  table_ = std::make_unique<colstore::TripleTable>(pool_, disk_, order, codec);
-  table_->Load(std::move(subset));
-}
-
-ResidentBytes ColTripleBackend::Resident() const {
-  ResidentBytes bytes = BackendBase::Resident();
-  bytes.column_images = table_->resident_bytes();
-  return bytes;
-}
-
-audit::AuditReport ColTripleBackend::Audit(audit::AuditLevel level) const {
-  audit::AuditReport report;
-  table_->AuditInto(level, dataset_->dict().size(), &report);
-  report.Merge(BackendBase::Audit(level));
-  AuditNoFrames(&report);
-  return report;
-}
+    : ColumnStore("col_triple", dataset, disk, pool, std::move(subset),
+                  SupportedOrder(order), codec),
+      codec_(codec) {}
 
 std::string ColTripleBackend::name() const {
   return std::string("MonetDB triple ") + ToString(table_->order());
-}
-
-void ColTripleBackend::DropCaches() {
-  table_->DropCaches();
-  pool_->Clear();
 }
 
 PositionVector ColTripleBackend::PropPositions(
@@ -327,35 +356,6 @@ bool ColTripleBackend::BaseContains(const rdf::Triple& t) const {
   return false;
 }
 
-Status ColTripleBackend::Insert(const rdf::Triple& triple) {
-  if (tombstones_.erase(triple) != 0) {
-    // Re-inserting a tombstoned base row just cancels the pending delete;
-    // the base columns still hold it physically.
-    return Status::OK();
-  }
-  if (delta_set_.count(triple) != 0 || BaseContains(triple)) {
-    return Status::AlreadyExists("triple already present");
-  }
-  delta_.push_back(triple);
-  delta_set_.insert(triple);
-  return Status::OK();
-}
-
-Status ColTripleBackend::Delete(const rdf::Triple& triple) {
-  if (delta_set_.erase(triple) != 0) {
-    // Deleting an unmerged insert cancels the delta entry directly.
-    const auto it = std::find(delta_.begin(), delta_.end(), triple);
-    SWAN_CHECK(it != delta_.end());
-    delta_.erase(it);
-    return Status::OK();
-  }
-  if (tombstones_.count(triple) != 0 || !BaseContains(triple)) {
-    return Status::NotFound("triple not present");
-  }
-  tombstones_.insert(triple);
-  return Status::OK();
-}
-
 uint64_t ColTripleBackend::EnsureMerged() {
   // Merge the write store into the read-optimized columns: decode the base
   // columns batch by batch, drop tombstoned rows, merge in the delta, and
@@ -364,6 +364,7 @@ uint64_t ColTripleBackend::EnsureMerged() {
   const EncodedColumn& prop = table_->encoded_properties();
   const EncodedColumn& obj = table_->encoded_objects();
   const rdf::TripleOrder order = table_->order();
+  const WriteStore::Runs runs = writes_.SortedRuns(order);
   std::vector<rdf::Triple> all = MergeSortedRuns(
       subj.size(),
       [&](const auto& emit) {
@@ -375,8 +376,7 @@ uint64_t ColTripleBackend::EnsureMerged() {
               }
             });
       },
-      std::vector<rdf::Triple>(tombstones_.begin(), tombstones_.end()),
-      std::move(delta_),
+      runs.gone, runs.fresh,
       [order](const rdf::Triple& a, const rdf::Triple& b) {
         return rdf::KeyOf(a, order) < rdf::KeyOf(b, order);
       });
@@ -386,9 +386,7 @@ uint64_t ColTripleBackend::EnsureMerged() {
   table_ = std::make_unique<colstore::TripleTable>(pool_, disk_, order,
                                                    codec_);
   table_->Load(std::move(all));
-  delta_.clear();
-  delta_set_.clear();
-  tombstones_.clear();
+  writes_.Clear();
   return rows;
 }
 
@@ -433,16 +431,7 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
   } else {
     scan(bound);
   }
-  if (!tombstones_.empty()) {
-    std::erase_if(out, [&](const rdf::Triple& t) {
-      return tombstones_.count(t) != 0;
-    });
-  }
-  // Unmerged inserts are visible to pattern lookups via a delta scan.
-  for (const rdf::Triple& t : delta_) {
-    // swan-lint: allow(post-filter)
-    if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
-  }
+  writes_.Overlay(pattern, filter, &out);
   span.set_rows_out(out.size());
   return out;
 }
@@ -451,120 +440,40 @@ std::vector<rdf::Triple> ColTripleBackend::Match(
 // ColVerticalBackend
 // ---------------------------------------------------------------------------
 
-ColVerticalBackend::ColVerticalBackend(const rdf::Dataset& dataset,
-                                       storage::DiskConfig disk_config,
-                                       size_t pool_pages,
-                                       colstore::ColumnCodec codec)
-    : PhasedBackend("col_vert", disk_config, pool_pages) {
-  codec_ = codec;
-  dataset_ = &dataset;
-  table_ = std::make_unique<colstore::VerticalTable>(pool_, disk_,
-                                                     codec);
-  table_->Load(dataset.triples());
+bool ColVerticalBackend::BaseContains(const rdf::Triple& t) const {
+  if (!table_->HasPartition(t.property)) return false;
+  const auto [lo, hi] = table_->SubjectRange(t.property, t.subject);
+  const EncodedColumn& obj = table_->EncodedObjects(t.property);
+  for (uint32_t i = lo; i < hi; ++i) {
+    if (obj.ValueAt(i) == t.object) return true;
+  }
+  return false;
 }
 
-ColVerticalBackend::ColVerticalBackend(const rdf::Dataset& dataset,
-                                       storage::SimulatedDisk* disk,
-                                       storage::BufferPool* pool,
-                                       std::vector<rdf::Triple> subset,
-                                       colstore::ColumnCodec codec)
-    : PhasedBackend("col_vert", disk, pool) {
-  codec_ = codec;
-  dataset_ = &dataset;
-  table_ = std::make_unique<colstore::VerticalTable>(pool_, disk_, codec);
-  table_->Load(subset);
-}
-
-ResidentBytes ColVerticalBackend::Resident() const {
-  ResidentBytes bytes = BackendBase::Resident();
-  bytes.column_images = table_->resident_bytes();
-  return bytes;
-}
-
-audit::AuditReport ColVerticalBackend::Audit(audit::AuditLevel level) const {
-  audit::AuditReport report;
-  table_->AuditInto(level, dataset_->dict().size(), &report);
-  report.Merge(BackendBase::Audit(level));
-  AuditNoFrames(&report);
-  return report;
-}
-
-Status ColVerticalBackend::Insert(const rdf::Triple& triple) {
-  if (tombstones_.erase(triple) != 0) {
-    // Cancels a pending delete; the base partition still holds the row.
-    return Status::OK();
+uint64_t ColVerticalBackend::partitions_created() const {
+  std::unordered_set<uint64_t> fresh;
+  for (const rdf::Triple& t : writes_.inserts()) {
+    if (!table_->HasPartition(t.property)) fresh.insert(t.property);
   }
-  if (delta_set_.count(triple) != 0) {
-    return Status::AlreadyExists("triple already present");
-  }
-  if (table_->HasPartition(triple.property)) {
-    const auto [lo, hi] =
-        table_->SubjectRange(triple.property, triple.subject);
-    const EncodedColumn& obj = table_->EncodedObjects(triple.property);
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (obj.ValueAt(i) == triple.object) {
-        return Status::AlreadyExists("triple already present");
-      }
-    }
-  } else if (delta_.count(triple.property) == 0) {
-    // The data-driven schema grows: a new property means a new table.
-    ++partitions_created_;
-  }
-  delta_[triple.property].emplace_back(triple.subject, triple.object);
-  delta_set_.insert(triple);
-  return Status::OK();
-}
-
-Status ColVerticalBackend::Delete(const rdf::Triple& triple) {
-  if (delta_set_.erase(triple) != 0) {
-    // Deleting an unmerged insert cancels the delta entry directly.
-    auto it = delta_.find(triple.property);
-    SWAN_CHECK(it != delta_.end());
-    const std::pair<uint64_t, uint64_t> row{triple.subject, triple.object};
-    const auto pos = std::find(it->second.begin(), it->second.end(), row);
-    SWAN_CHECK(pos != it->second.end());
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      delta_.erase(it);
-      // The cancelled insert was the only claim on a new partition.
-      if (!table_->HasPartition(triple.property)) --partitions_created_;
-    }
-    return Status::OK();
-  }
-  if (tombstones_.count(triple) != 0) {
-    return Status::NotFound("triple not present");
-  }
-  bool in_base = false;
-  if (table_->HasPartition(triple.property)) {
-    const auto [lo, hi] = table_->SubjectRange(triple.property, triple.subject);
-    const EncodedColumn& obj = table_->EncodedObjects(triple.property);
-    for (uint32_t i = lo; i < hi; ++i) {
-      if (obj.ValueAt(i) == triple.object) {
-        in_base = true;
-        break;
-      }
-    }
-  }
-  if (!in_base) return Status::NotFound("triple not present");
-  tombstones_.insert(triple);
-  return Status::OK();
+  return table_->properties().size() - loaded_partitions_ + fresh.size();
 }
 
 uint64_t ColVerticalBackend::EnsureMerged() {
   // Every partition touched by an insert or a delete is rebuilt in full —
   // the data-driven vertical schema's update cost the paper warns about.
   using Row = std::pair<uint64_t, uint64_t>;
-  // Per touched property: its tombstoned rows and its buffered inserts.
-  std::unordered_map<uint64_t, std::pair<std::vector<Row>, std::vector<Row>>>
-      touched;
-  for (const rdf::Triple& t : tombstones_) {
+  // Per touched property: its tombstoned rows and its inserts, ascending
+  // by (subject, object) since the runs come in PSO order.
+  const WriteStore::Runs runs = writes_.SortedRuns(rdf::TripleOrder::kPSO);
+  std::map<uint64_t, std::pair<std::vector<Row>, std::vector<Row>>> touched;
+  for (const rdf::Triple& t : runs.gone) {
     touched[t.property].first.emplace_back(t.subject, t.object);
   }
-  for (auto& [property, fresh] : delta_) {
-    touched[property].second = std::move(fresh);
+  for (const rdf::Triple& t : runs.fresh) {
+    touched[t.property].second.emplace_back(t.subject, t.object);
   }
   uint64_t rewritten = 0;
-  for (auto& [property, writes] : touched) {
+  for (const auto& [property, writes] : touched) {
     const bool has_base = table_->HasPartition(property);
     const EncodedColumn* subj =
         has_base ? &table_->EncodedSubjects(property) : nullptr;
@@ -580,21 +489,12 @@ uint64_t ColVerticalBackend::EnsureMerged() {
                 for (uint64_t i = 0; i < n; ++i) emit(Row{v[0][i], v[1][i]});
               });
         },
-        std::move(writes.first), std::move(writes.second), std::less<Row>());
+        writes.first, writes.second, std::less<Row>());
     rewritten += rows.size();
     table_->ReplacePartition(property, rows);
   }
-  delta_.clear();
-  delta_set_.clear();
-  tombstones_.clear();
+  writes_.Clear();
   return rewritten;
-}
-
-std::string ColVerticalBackend::name() const { return "MonetDB vert. SO"; }
-
-void ColVerticalBackend::DropCaches() {
-  table_->DropCaches();
-  pool_->Clear();
 }
 
 // Every phase reads a partition's second column only at the rows its
@@ -788,16 +688,7 @@ std::vector<rdf::Triple> ColVerticalBackend::Match(
           for (uint64_t i = 0; i < n; ++i) out.push_back({v[0][i], p, v[1][i]});
         });
   }
-  if (!tombstones_.empty()) {
-    std::erase_if(out, [&](const rdf::Triple& t) {
-      return tombstones_.count(t) != 0;
-    });
-  }
-  // Unmerged inserts are visible via a delta scan.
-  for (const rdf::Triple& t : delta_set_) {
-    // swan-lint: allow(post-filter)
-    if (pattern.Matches(t) && filter.Passes(t)) out.push_back(t);
-  }
+  writes_.Overlay(pattern, filter, &out);
   span.set_rows_out(out.size());
   return out;
 }

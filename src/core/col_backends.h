@@ -1,11 +1,11 @@
 #ifndef SWANDB_CORE_COL_BACKENDS_H_
 #define SWANDB_CORE_COL_BACKENDS_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -17,20 +17,136 @@
 
 namespace swan::core {
 
+// The write store both column engines share. Inserts and deletes buffer
+// here; the next Run() folds them into rebuilt read-optimized columns
+// (PhasedBackend::MergeDelta). A pending insert is a triple the base does
+// not hold; a tombstone marks a base triple deleted since the last merge.
+// This is the one place a column store's writes pass through.
+class WriteStore {
+ public:
+  // `base_contains` probes the store's merged base columns for a triple.
+  explicit WriteStore(std::function<bool(const rdf::Triple&)> base_contains)
+      : base_contains_(std::move(base_contains)) {}
+
+  // A re-insert of a tombstoned row cancels the tombstone (the base still
+  // holds it); a pending or base triple is AlreadyExists.
+  Status Insert(const rdf::Triple& triple);
+  // A delete of a pending insert cancels it; a tombstoned or absent triple
+  // is NotFound.
+  Status Delete(const rdf::Triple& triple);
+
+  // Overlays the writes on `out`, Match's scan of the base: erases the
+  // tombstoned rows, then appends the pending inserts, in insertion
+  // order, that match `pattern` and pass `filter`.
+  void Overlay(const rdf::TriplePattern& pattern,
+               const rdf::PatternFilter& filter,
+               std::vector<rdf::Triple>* out) const;
+
+  // Pending inserts plus tombstones.
+  uint64_t size() const { return inserts_.size() + tombstones_.size(); }
+  // Pending inserts, in insertion order.
+  const std::vector<rdf::Triple>& inserts() const { return inserts_; }
+
+  // What a rebuild folds into its base rows (MergeSortedRuns): the
+  // tombstoned rows to drop and the inserts to add, each sorted by
+  // `order`.
+  struct Runs {
+    std::vector<rdf::Triple> gone;
+    std::vector<rdf::Triple> fresh;
+  };
+  Runs SortedRuns(rdf::TripleOrder order) const;
+  void Clear();
+
+ private:
+  const std::function<bool(const rdf::Triple&)> base_contains_;
+  std::vector<rdf::Triple> inserts_;
+  std::unordered_set<rdf::Triple, rdf::TripleHash> insert_set_;
+  std::unordered_set<rdf::Triple, rdf::TripleHash> tombstones_;
+};
+
+// What both column engines share around their layout: one `Table`
+// (colstore::TripleTable or VerticalTable) on a disk and pool, and its
+// write store. Each engine adds its base probe, its Match scan, its seven
+// phases and its rebuild (EnsureMerged).
+template <typename Table>
+class ColumnStore : public PhasedBackend {
+ public:
+  Status Insert(const rdf::Triple& triple) final {
+    return writes_.Insert(triple);
+  }
+  Status Delete(const rdf::Triple& triple) final {
+    return writes_.Delete(triple);
+  }
+  void DropCaches() final {
+    table_->DropCaches();
+    pool_->Clear();
+  }
+  uint64_t disk_bytes() const final { return table_->disk_bytes(); }
+  // Exact encoded payload vs the 8-bytes-per-value logical image.
+  uint64_t stored_bytes() const { return table_->stored_bytes(); }
+  uint64_t logical_bytes() const { return table_->logical_bytes(); }
+  const Table& table() const { return *table_; }
+
+  ResidentBytes Resident() const final {
+    ResidentBytes bytes = BackendBase::Resident();
+    bytes.column_images = table_->resident_bytes();
+    return bytes;
+  }
+  audit::AuditReport Audit(audit::AuditLevel level) const final {
+    audit::AuditReport report;
+    table_->AuditInto(level, dataset_->dict().size(), &report);
+    report.Merge(BackendBase::Audit(level));
+    AuditNoFrames(&report);
+    return report;
+  }
+  uint64_t PendingWrites() const final { return writes_.size(); }
+
+ protected:
+  // Loads the whole dataset over this store's own disk and pool.
+  template <typename... TableArgs>
+  ColumnStore(std::string tag, const rdf::Dataset& dataset,
+              storage::DiskConfig disk_config, size_t pool_pages,
+              TableArgs... table_args)
+      : PhasedBackend(std::move(tag), disk_config, pool_pages),
+        dataset_(&dataset),
+        table_(std::make_unique<Table>(pool_, disk_, table_args...)) {
+    table_->Load(dataset.triples());
+  }
+  // Scale-out partition: loads this node's `subset` over storage owned by
+  // the topology (ids stay interned in the shared dictionary; `dataset`
+  // still provides the dictionary for audits and vocabulary).
+  template <typename... TableArgs>
+  ColumnStore(std::string tag, const rdf::Dataset& dataset,
+              storage::SimulatedDisk* disk, storage::BufferPool* pool,
+              std::vector<rdf::Triple> subset, TableArgs... table_args)
+      : PhasedBackend(std::move(tag), disk, pool),
+        dataset_(&dataset),
+        table_(std::make_unique<Table>(pool_, disk_, table_args...)) {
+    table_->Load(std::move(subset));
+  }
+
+  // True if the triple is in the merged (base) columns.
+  virtual bool BaseContains(const rdf::Triple& triple) const = 0;
+
+  // For audit id-range checks; the dataset outlives the backend (RdfStore
+  // contract).
+  const rdf::Dataset* dataset_;
+  std::unique_ptr<Table> table_;
+  WriteStore writes_{
+      [this](const rdf::Triple& t) { return BaseContains(t); }};
+};
+
 // "MonetDB triple SPO/PSO" of Tables 6/7: the triple-store scheme on the
 // column engine. Plans are vectorized full-column operations; cold runs
 // pay for reading every touched column in full, which is the column
 // triple-store's characteristic cost (§4.3).
-class ColTripleBackend : public PhasedBackend {
+class ColTripleBackend : public ColumnStore<colstore::TripleTable> {
  public:
   ColTripleBackend(const rdf::Dataset& dataset, rdf::TripleOrder order,
                    storage::DiskConfig disk_config = {},
                    size_t pool_pages = 4096,
                    colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw);
-
-  // Scale-out partition: this node's share of the dataset, over storage
-  // owned by the topology (ids stay interned in the shared dictionary;
-  // `dataset` still provides the dictionary for audits and vocabulary).
+  // Scale-out partition (see ColumnStore).
   ColTripleBackend(const rdf::Dataset& dataset, rdf::TripleOrder order,
                    storage::SimulatedDisk* disk, storage::BufferPool* pool,
                    std::vector<rdf::Triple> subset,
@@ -41,16 +157,6 @@ class ColTripleBackend : public PhasedBackend {
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
-  Status Insert(const rdf::Triple& triple) override;
-  Status Delete(const rdf::Triple& triple) override;
-  void DropCaches() override;
-  uint64_t disk_bytes() const override { return table_->disk_bytes(); }
-  // Exact encoded payload vs the 8-bytes-per-value logical image.
-  uint64_t stored_bytes() const { return table_->stored_bytes(); }
-  uint64_t logical_bytes() const { return table_->logical_bytes(); }
-
-  const colstore::TripleTable& table() const { return *table_; }
-  uint64_t delta_size() const { return delta_.size(); }
 
   plan::AccessHints PlannerHints() const override {
     plan::AccessHints hints;
@@ -58,9 +164,6 @@ class ColTripleBackend : public PhasedBackend {
     hints.subject_indexed = !pso_;  // SPO order: subject-prefix probes
     return hints;
   }
-
-  ResidentBytes Resident() const override;
-  audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:
   std::vector<uint64_t> SubjectsOf(
@@ -88,62 +191,42 @@ class ColTripleBackend : public PhasedBackend {
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
 
-  // True if the triple exists in the merged (base) columns.
-  bool BaseContains(const rdf::Triple& triple) const;
-  uint64_t PendingWrites() const override {
-    return delta_.size() + tombstones_.size();
-  }
+  bool BaseContains(const rdf::Triple& triple) const override;
   uint64_t EnsureMerged() override;
 
-  bool pso_;
-  colstore::ColumnCodec codec_;
-  // For audit id-range checks; the dataset outlives the backend (RdfStore
-  // contract).
-  const rdf::Dataset* dataset_ = nullptr;
-  std::unique_ptr<colstore::TripleTable> table_;
-  // Write store: inserts buffer here and merge before the next Run().
-  std::vector<rdf::Triple> delta_;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> delta_set_;
-  // Deletes of base rows buffer here; applied at the next merge. A delete
-  // of an unmerged insert cancels the delta entry directly instead.
-  std::unordered_set<rdf::Triple, rdf::TripleHash> tombstones_;
+  const bool pso_ = table_->order() == rdf::TripleOrder::kPSO;
+  const colstore::ColumnCodec codec_;
 };
 
 // "MonetDB vert. SO": the vertically-partitioned scheme on the column
 // engine. Per-property merge joins on sorted subject columns; queries that
 // do not bind the property iterate every partition — both the strength
 // and the scalability weakness the paper studies.
-class ColVerticalBackend : public PhasedBackend {
+class ColVerticalBackend : public ColumnStore<colstore::VerticalTable> {
  public:
   explicit ColVerticalBackend(const rdf::Dataset& dataset,
                               storage::DiskConfig disk_config = {},
                               size_t pool_pages = 4096,
                               colstore::ColumnCodec codec =
-                                  colstore::ColumnCodec::kRaw);
-
-  // Scale-out partition over topology-owned storage (see
-  // ColTripleBackend's subset constructor).
+                                  colstore::ColumnCodec::kRaw)
+      : ColumnStore("col_vert", dataset, disk_config, pool_pages, codec) {}
+  // Scale-out partition (see ColumnStore).
   ColVerticalBackend(const rdf::Dataset& dataset,
                      storage::SimulatedDisk* disk, storage::BufferPool* pool,
                      std::vector<rdf::Triple> subset,
-                     colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw);
+                     colstore::ColumnCodec codec = colstore::ColumnCodec::kRaw)
+      : ColumnStore("col_vert", dataset, disk, pool, std::move(subset),
+                    codec) {}
 
-  std::string name() const override;
+  std::string name() const override { return "MonetDB vert. SO"; }
   using Backend::Match;
   std::vector<rdf::Triple> Match(
       const rdf::TriplePattern& pattern, const rdf::PatternFilter& filter,
       const exec::ExecContext& ectx) const override;
-  void DropCaches() override;
-  uint64_t disk_bytes() const override { return table_->disk_bytes(); }
-  // Exact encoded payload vs the 8-bytes-per-value logical image.
-  uint64_t stored_bytes() const { return table_->stored_bytes(); }
-  uint64_t logical_bytes() const { return table_->logical_bytes(); }
 
-  Status Insert(const rdf::Triple& triple) override;
-  Status Delete(const rdf::Triple& triple) override;
-
-  const colstore::VerticalTable& table() const { return *table_; }
-  uint64_t partitions_created() const { return partitions_created_; }
+  // Partitions the data-driven schema grew since the load: merged ones
+  // and those that pending inserts on new properties will create.
+  uint64_t partitions_created() const;
 
   plan::AccessHints PlannerHints() const override {
     plan::AccessHints hints;
@@ -152,9 +235,6 @@ class ColVerticalBackend : public PhasedBackend {
     hints.property_fanout = true;         // unbound property = all partitions
     return hints;
   }
-
-  ResidentBytes Resident() const override;
-  audit::AuditReport Audit(audit::AuditLevel level) const override;
 
  private:
   std::vector<uint64_t> SubjectsOf(
@@ -179,21 +259,10 @@ class ColVerticalBackend : public PhasedBackend {
       std::span<const uint64_t> objects, std::optional<uint64_t> property,
       uint64_t universe, const exec::ExecContext& ectx) const override;
 
-  uint64_t PendingWrites() const override {
-    return delta_set_.size() + tombstones_.size();
-  }
+  bool BaseContains(const rdf::Triple& triple) const override;
   uint64_t EnsureMerged() override;
 
-  colstore::ColumnCodec codec_;
-  const rdf::Dataset* dataset_ = nullptr;
-  std::unique_ptr<colstore::VerticalTable> table_;
-  // Write store, per partition; merged before the next Run().
-  std::unordered_map<uint64_t, std::vector<std::pair<uint64_t, uint64_t>>>
-      delta_;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> delta_set_;
-  // Deletes of base rows, applied when their partition is next rebuilt.
-  std::unordered_set<rdf::Triple, rdf::TripleHash> tombstones_;
-  uint64_t partitions_created_ = 0;
+  const uint64_t loaded_partitions_ = table_->properties().size();
 };
 
 }  // namespace swan::core

@@ -65,13 +65,13 @@ class PhasedBackend : public BackendBase {
                                     const exec::ExecContext& ectx);
 
   uint64_t merge_count() const { return merge_count_; }
+  // Rows waiting in the write store (inserts + tombstones); none for an
+  // engine that applies writes in place.
+  virtual uint64_t PendingWrites() const { return 0; }
 
  protected:
   const std::string& tag() const { return tag_; }
 
-  // Rows waiting in the write store (inserts + tombstones); none for an
-  // engine that applies writes in place.
-  virtual uint64_t PendingWrites() const { return 0; }
   // Rebuilds the read-optimized base from base + write store; returns the
   // rows rewritten (every rebuilt partition, or the whole table).
   virtual uint64_t EnsureMerged() { return 0; }

@@ -79,12 +79,6 @@ TEST(OpsTest, SelectEqOverSelection) {
   EXPECT_EQ(SelectEq(col, sel, 5), (PositionVector{2}));
 }
 
-TEST(OpsTest, SelectNeOverSelection) {
-  std::vector<uint64_t> col = {5, 3, 5, 1, 5};
-  const PositionVector sel = {0, 1, 2};
-  EXPECT_EQ(SelectNe(col, sel, 5), (PositionVector{1}));
-}
-
 TEST(OpsTest, EqRangeSortedBinarySearches) {
   std::vector<uint64_t> col = {1, 1, 2, 2, 2, 5};
   EXPECT_EQ(EqRangeSorted(col, 2), (std::pair<uint32_t, uint32_t>{2, 5}));

@@ -5,13 +5,22 @@
 // OFFSET) and renders each as SPARQL text. A naive evaluator with SPARQL
 // 1.1 bag semantics answers it straight from the dataset's triple list,
 // sharing no code with sparql/, plan/ or core/bgp.cc. Every backend that
-// answers Match, plus the sharded vertical and triple stores at 2 nodes,
-// must return the oracle's solution multiset, cost-based through
+// answers Match, plus the sharded vertical store at 2 and 4 nodes and the
+// sharded triple store at 2, must return the oracle's solution multiset,
+// cost-based through
 // sparql::Execute and as written through core::PlanQuery/ExecutePlan, at
 // the test's thread width. Under LIMIT or OFFSET (there is no ORDER BY)
 // only the row count and containment in the full answer are checked.
 // Byte-mutated copies of every query text must parse and lower to a typed
 // error or a valid plan.
+//
+// Every other graph first takes a seeded batch of writes: inserts on
+// existing and new properties and subjects, deletes of base rows and of
+// unmerged inserts, and the re-insert of a deleted base row. The batch
+// goes to every backend that accepts it (the row stores reject deletes
+// and C-Store all writes, so they sit those graphs out) and to the
+// oracle's triple list. Match never merges a column store's write store,
+// so these graphs' queries all read through its overlay.
 //
 // The run is seeded from gtest's random seed and prints it: the default
 // run uses seed 0, `--gtest_shuffle` draws a new seed each repetition, and
@@ -26,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -135,6 +145,10 @@ const std::vector<std::string> kObjects = {
     "\"end\"",  "\"start\"", "<enc0>", "\"lit0\"", "\"1\"", "\"2\"",
     "\"10\"",   "\"7\""};
 constexpr uint64_t kSubjects = 30;
+// The terms a write batch adds: one property and kNewSubjects subjects
+// numbered from kSubjects.
+const std::string kNewProperty = "<p-new>";
+constexpr uint64_t kNewSubjects = 4;
 
 std::string SubjectText(uint64_t i) { return "<s" + std::to_string(i) + ">"; }
 
@@ -153,9 +167,51 @@ rdf::Dataset OracleGraph(uint64_t seed) {
   return data;
 }
 
+// Inserts (true) and deletes, in order.
+using WriteBatch = std::vector<std::pair<bool, rdf::Triple>>;
+
+// A seeded batch of writes over `data`, whose new terms it interns (before
+// any backend is built): deletes of base rows, inserts over old and new
+// subjects, properties and objects, deletes of some of those inserts, and
+// the re-insert of the first deleted row. Each write succeeds in order.
+WriteBatch MakeWriteBatch(rdf::Dataset* data, uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<rdf::Triple> base = data->triples();
+  std::set<rdf::Triple> present(base.begin(), base.end());
+  WriteBatch batch;
+  const auto write = [&](bool insert, const rdf::Triple& t) {
+    const bool applies = insert ? present.insert(t).second : present.erase(t);
+    if (applies) batch.emplace_back(insert, t);
+  };
+  for (int i = 0; i < 12; ++i) write(false, base[rng.Uniform(base.size())]);
+  const rdf::Triple revived = batch.front().second;
+  std::vector<rdf::Triple> inserted;
+  for (int i = 0; i < 24; ++i) {
+    const uint64_t s = rng.Chance(0.3) ? kSubjects + rng.Uniform(kNewSubjects)
+                                       : rng.Uniform(kSubjects);
+    const std::string& p = rng.Chance(0.3)
+                               ? kNewProperty
+                               : kProperties[rng.Uniform(kProperties.size())];
+    const std::string o =
+        rng.Chance(0.25) ? SubjectText(rng.Uniform(kSubjects + kNewSubjects))
+                         : kObjects[rng.Uniform(kObjects.size())];
+    auto& dict = data->dict();
+    const rdf::Triple t{dict.Intern(SubjectText(s)), dict.Intern(p),
+                        dict.Intern(o)};
+    if (present.count(t) == 0) inserted.push_back(t);
+    write(true, t);
+  }
+  for (size_t i = 0; i < inserted.size(); i += 5) write(false, inserted[i]);
+  write(true, revived);
+  return batch;
+}
+
 class QueryGenerator {
  public:
-  explicit QueryGenerator(uint64_t seed) : rng_(seed) {}
+  // Constants come from `properties` and the first `subjects` subjects.
+  QueryGenerator(uint64_t seed, std::vector<std::string> properties,
+                 uint64_t subjects)
+      : rng_(seed), properties_(std::move(properties)), subjects_(subjects) {}
 
   Query Next() {
     Query q;
@@ -219,7 +275,7 @@ class QueryGenerator {
   }
   Term Object() {
     if (rng_.Chance(0.25)) {
-      return {Term::Kind::kConst, SubjectText(rng_.Uniform(kSubjects))};
+      return {Term::Kind::kConst, SubjectText(rng_.Uniform(subjects_))};
     }
     return Const(kObjects);
   }
@@ -232,13 +288,13 @@ class QueryGenerator {
     if (first) {
       p.s = rng_.Chance(0.9) ? FreshVar()
                              : Term{Term::Kind::kConst,
-                                    SubjectText(rng_.Uniform(kSubjects))};
+                                    SubjectText(rng_.Uniform(subjects_))};
     } else if (from_fresh && !fresh_.empty()) {
       p.s = Var(fresh_[rng_.Uniform(fresh_.size())]);
     } else {
       p.s = join_subject ? OldVar() : FreshVar();
     }
-    p.p = rng_.Chance(0.8) ? Const(kProperties)
+    p.p = rng_.Chance(0.8) ? Const(properties_)
                            : (rng_.Chance(0.7) ? FreshVar() : OldVar());
     if (first && p.s.kind != Term::Kind::kVar) {
       p.o = FreshVar();  // every branch binds a variable
@@ -274,6 +330,8 @@ class QueryGenerator {
   }
 
   Rng rng_;
+  const std::vector<std::string> properties_;
+  const uint64_t subjects_;
   std::vector<std::string> vars_;   // the branch's variables so far
   std::vector<std::string> fresh_;  // introduced by the last OPTIONAL
 };
@@ -298,7 +356,10 @@ std::optional<double> NumberOfText(const std::string& text) {
 
 class Oracle {
  public:
-  explicit Oracle(const rdf::Dataset& data) : data_(data) {}
+  // Answers over `triples`, the graph after its writes; `data` holds the
+  // dictionary.
+  Oracle(const rdf::Dataset& data, std::vector<rdf::Triple> triples)
+      : data_(data), triples_(std::move(triples)) {}
 
   // The query's solutions after projection and DISTINCT, before OFFSET
   // and LIMIT, over `vars`; nullopt when an intermediate bag outgrows
@@ -375,7 +436,7 @@ class Oracle {
       if (!ids[c]) return out;  // a constant absent from the data
     }
     for (const Row& mu : bag) {
-      for (const rdf::Triple& t : data_.triples()) {
+      for (const rdf::Triple& t : triples_) {
         const uint64_t value[3] = {t.subject, t.property, t.object};
         Row next = mu;
         bool ok = true;
@@ -451,6 +512,7 @@ class Oracle {
   }
 
   const rdf::Dataset& data_;
+  const std::vector<rdf::Triple> triples_;
   std::map<std::string, size_t> index_;
   std::vector<std::string> names_;  // order of first appearance
   bool over_ = false;  // an Extend outgrew kBudget
@@ -459,7 +521,8 @@ class Oracle {
 // --- The run ----------------------------------------------------------------
 
 // Every backend that answers Match: the column, row and C-Store designs,
-// the reference, and the sharded vertical and triple stores at 2 nodes.
+// the reference, and the sharded vertical store at 2 and 4 nodes and the
+// sharded triple store at 2.
 std::vector<std::unique_ptr<core::Backend>> AllBackends(
     const rdf::Dataset& data) {
   std::vector<std::unique_ptr<core::Backend>> out;
@@ -476,13 +539,36 @@ std::vector<std::unique_ptr<core::Backend>> AllBackends(
   out.push_back(std::make_unique<core::RowVerticalBackend>(data));
   out.push_back(
       std::make_unique<core::CStoreBackend>(data, data.DistinctProperties()));
-  for (bool vertical : {true, false}) {
+  for (auto [nodes, vertical] : {std::pair{2, true}, std::pair{4, true},
+                                 std::pair{2, false}}) {
     shard::ShardOptions options;
-    options.nodes = 2;
+    options.nodes = nodes;
     options.vertical = vertical;
     out.push_back(std::make_unique<shard::ShardedBackend>(data, options));
   }
   return out;
+}
+
+// Applies `batch` to each backend, dropping those that reject a write as
+// unimplemented, and to `triples`.
+void ApplyWrites(const WriteBatch& batch,
+                 std::vector<std::unique_ptr<core::Backend>>* backends,
+                 std::vector<rdf::Triple>* triples) {
+  std::erase_if(*backends, [&](const auto& backend) {
+    for (const auto& [insert, t] : batch) {
+      const Status st = insert ? backend->Insert(t) : backend->Delete(t);
+      if (st.code() == StatusCode::kUnimplemented) return true;
+      EXPECT_TRUE(st.ok()) << backend->name() << ": " << st.ToString();
+    }
+    return false;
+  });
+  for (const auto& [insert, t] : batch) {
+    if (insert) {
+      triples->push_back(t);
+    } else {
+      triples->erase(std::find(triples->begin(), triples->end(), t));
+    }
+  }
 }
 
 // The engine's rows reordered to `vars` (looked up by name in `have`).
@@ -584,12 +670,20 @@ TEST_P(SparqlOracleTest, RandomQueriesMatchOracle) {
   int checked = 0;
   for (int graph = 0; checked < kQueriesPerWidth; ++graph) {
     const uint64_t graph_seed = seed * 1000003 + static_cast<uint64_t>(graph);
-    const rdf::Dataset data = OracleGraph(graph_seed);
+    rdf::Dataset data = OracleGraph(graph_seed);
+    const bool writes = graph % 2 == 1;
+    const WriteBatch batch =
+        writes ? MakeWriteBatch(&data, graph_seed ^ 0x3717e5) : WriteBatch{};
+    // Load-time statistics, as a store keeps them across writes.
     const plan::StoreStats stats = plan::StoreStats::Collect(data);
-    const std::vector<std::unique_ptr<core::Backend>> backends =
-        AllBackends(data);
-    Oracle oracle(data);
-    QueryGenerator generator(graph_seed);
+    std::vector<std::unique_ptr<core::Backend>> backends = AllBackends(data);
+    std::vector<rdf::Triple> triples = data.triples();
+    ApplyWrites(batch, &backends, &triples);
+    Oracle oracle(data, std::move(triples));
+    std::vector<std::string> properties = kProperties;
+    if (writes) properties.push_back(kNewProperty);
+    QueryGenerator generator(graph_seed, std::move(properties),
+                             writes ? kSubjects + kNewSubjects : kSubjects);
     Rng mutations(graph_seed ^ 0x5eed);
     for (int i = 0; i < kQueriesPerGraph && checked < kQueriesPerWidth; ++i) {
       const Query q = generator.Next();
@@ -599,7 +693,8 @@ TEST_P(SparqlOracleTest, RandomQueriesMatchOracle) {
       if (!want) continue;
       ++checked;
       const std::string where = "seed " + std::to_string(seed) + " graph " +
-                                std::to_string(graph) + " width " +
+                                std::to_string(graph) +
+                                (writes ? " (written)" : "") + " width " +
                                 std::to_string(width) + ": " + text;
       for (const auto& backend : backends) {
         const Result<sparql::QueryOutput> out =

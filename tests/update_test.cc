@@ -25,6 +25,7 @@
 #include "core/store.h"
 #include "serve/request.h"
 #include "serve/service.h"
+#include "shard/sharded_backend.h"
 #include "storage/node_storage.h"
 
 namespace swan::core {
@@ -52,8 +53,53 @@ class UpdateTest : public ::testing::Test {
     return backends;
   }
 
+  // Every column design, each over the one write store: triple SPO and
+  // PSO, vertical, and the vertical store on two nodes.
+  std::vector<std::unique_ptr<Backend>> ColumnDesigns() {
+    std::vector<std::unique_ptr<Backend>> backends;
+    backends.push_back(std::make_unique<ColTripleBackend>(
+        barton_.dataset, rdf::TripleOrder::kSPO));
+    backends.push_back(std::make_unique<ColTripleBackend>(
+        barton_.dataset, rdf::TripleOrder::kPSO));
+    backends.push_back(std::make_unique<ColVerticalBackend>(barton_.dataset));
+    shard::ShardOptions options;
+    options.nodes = 2;
+    backends.push_back(
+        std::make_unique<shard::ShardedBackend>(barton_.dataset, options));
+    return backends;
+  }
+
   bench_support::BartonDataset barton_;
 };
+
+// A column design's partitions: the store itself, or each node's store.
+std::vector<const PhasedBackend*> PartitionsOf(const Backend& backend) {
+  if (const auto* sharded =
+          dynamic_cast<const shard::ShardedBackend*>(&backend)) {
+    std::vector<const PhasedBackend*> parts;
+    for (int n = 0; n < sharded->options().nodes; ++n) {
+      parts.push_back(&sharded->node_backend(n));
+    }
+    return parts;
+  }
+  return {dynamic_cast<const PhasedBackend*>(&backend)};
+}
+
+uint64_t PendingWrites(const Backend& backend) {
+  uint64_t total = 0;
+  for (const PhasedBackend* part : PartitionsOf(backend)) {
+    total += part->PendingWrites();
+  }
+  return total;
+}
+
+uint64_t MergeCount(const Backend& backend) {
+  uint64_t total = 0;
+  for (const PhasedBackend* part : PartitionsOf(backend)) {
+    total += part->merge_count();
+  }
+  return total;
+}
 
 TEST_F(UpdateTest, InsertedTripleVisibleInMatch) {
   // New subject with an existing property and object.
@@ -103,10 +149,12 @@ TEST_F(UpdateTest, DuplicateOfUnmergedDeltaRejected) {
   const uint64_t s = barton_.dataset.dict().Intern("<delta-subject>");
   const uint64_t type = *barton_.dataset.dict().Find("<type>");
   const uint64_t text = *barton_.dataset.dict().Find("<Text>");
-  ColVerticalBackend backend(barton_.dataset);
-  ASSERT_TRUE(backend.Insert({s, type, text}).ok());
-  EXPECT_EQ(backend.Insert({s, type, text}).code(),
-            StatusCode::kAlreadyExists);
+  for (auto& backend : ColumnDesigns()) {
+    ASSERT_TRUE(backend->Insert({s, type, text}).ok()) << backend->name();
+    EXPECT_EQ(backend->Insert({s, type, text}).code(),
+              StatusCode::kAlreadyExists)
+        << backend->name();
+  }
 }
 
 TEST_F(UpdateTest, CStoreIsReadOnly) {
@@ -150,16 +198,17 @@ TEST_F(UpdateTest, ColumnBackendMergesOnNextRun) {
   const uint64_t text = *barton_.dataset.dict().Find("<Text>");
   const auto ctx = bench_support::MakeBartonContext(barton_.dataset, 28);
 
-  ColTripleBackend backend(barton_.dataset, rdf::TripleOrder::kPSO);
-  ASSERT_TRUE(backend.Insert({s, type, text}).ok());
-  EXPECT_EQ(backend.delta_size(), 1u);
-  EXPECT_EQ(backend.merge_count(), 0u);
-  backend.Run(QueryId::kQ1, ctx);
-  EXPECT_EQ(backend.delta_size(), 0u);
-  EXPECT_EQ(backend.merge_count(), 1u);
-  // A second run does not merge again.
-  backend.Run(QueryId::kQ1, ctx);
-  EXPECT_EQ(backend.merge_count(), 1u);
+  for (auto& backend : ColumnDesigns()) {
+    ASSERT_TRUE(backend->Insert({s, type, text}).ok()) << backend->name();
+    EXPECT_EQ(PendingWrites(*backend), 1u) << backend->name();
+    EXPECT_EQ(MergeCount(*backend), 0u) << backend->name();
+    backend->Run(QueryId::kQ1, ctx);
+    EXPECT_EQ(PendingWrites(*backend), 0u) << backend->name();
+    EXPECT_EQ(MergeCount(*backend), 1u) << backend->name();
+    // A second run does not merge again.
+    backend->Run(QueryId::kQ1, ctx);
+    EXPECT_EQ(MergeCount(*backend), 1u) << backend->name();
+  }
 }
 
 TEST_F(UpdateTest, AllBackendsAgreeAfterMixedInsertWorkload) {
@@ -326,11 +375,7 @@ TEST_F(UpdateTest, ColumnDeleteSemantics) {
   const uint64_t text = *barton_.dataset.dict().Find("<Text>");
   const auto ctx = bench_support::MakeBartonContext(barton_.dataset, 28);
 
-  std::vector<std::unique_ptr<Backend>> backends;
-  backends.push_back(std::make_unique<ColTripleBackend>(
-      barton_.dataset, rdf::TripleOrder::kPSO));
-  backends.push_back(std::make_unique<ColVerticalBackend>(barton_.dataset));
-  for (auto& backend : backends) {
+  for (auto& backend : ColumnDesigns()) {
     // Deleting an unmerged insert cancels the delta entry directly.
     ASSERT_TRUE(backend->Insert({s, type, text}).ok()) << backend->name();
     ASSERT_TRUE(backend->Delete({s, type, text}).ok()) << backend->name();

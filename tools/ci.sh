@@ -121,15 +121,18 @@ case "$mode" in
     # the page-image bytes equal the store's disk bytes, and no pool frame
     # holds page bytes apart from the disk's images (the row store's frames
     # share them; a column store's loads keep no frame). The same holds on
-    # the two column designs after tools/merge_smoke.serve's writes and
-    # merges: a merge drops the files of the columns it replaces.
+    # the four column designs after tools/merge_smoke.serve's writes (every
+    # one must succeed: the shell exits 0) and merges: a merge drops the
+    # files of the columns it replaces.
     echo "=== release: memory smoke ==="
     memory_smoke() {  # label, shell stdin, flags...
-      local label="$1" input="$2"
+      local label="$1" input="$2" out
       shift 2
-      printf '%s' "$input" |
+      out="$(printf '%s' "$input" |
         "$RELEASE_DIR/tools/swandb_shell" --generate 20000 "$@" \
-          2>/dev/null | tail -n 1 | python3 -c "
+          2>/dev/null)" ||
+        { echo "memory smoke: shell exit $? ($label): $*"; return 1; }
+      printf '%s\n' "$out" | tail -n 1 | python3 -c "
 import json, sys
 doc = json.loads(sys.stdin.read())
 resident = doc['resident_bytes']
@@ -151,7 +154,9 @@ print('memory smoke (%s): %s, %d page-image bytes, %d column-image bytes'
       memory_smoke query "$query_stats" $design || status=1
     done
     for design in "--engine column --scheme vertical" \
-                  "--engine column --scheme triple --clustering pso"; do
+                  "--engine column --scheme vertical --nodes 2" \
+                  "--engine column --scheme triple --clustering pso" \
+                  "--engine column --scheme triple --clustering spo"; do
       memory_smoke merge "$merge_stats" $design || status=1
     done
     # Usage-error smoke: a bad flag value is rejected with its message
@@ -400,7 +405,9 @@ print('shell sharded record: %d match calls, %d net bytes'
     # widths 2 and 8), the vertical store's second-column test (at width
     # 8 the lane that first loads an object column depends on the
     # selection), the SPARQL oracle test at width 8 (random queries on
-    # every backend, the two sharded stores among them) and a small
+    # every backend, the sharded stores among them, half the graphs after
+    # a batch of writes), the update suite (writes and merges on every
+    # column design, the 2-node store among them) and a small
     # parallel_speedup smoke whose built-in
     # equivalence gate (same rows and cold I/O bytes as the 1-thread run)
     # aborts the process on any divergence.
@@ -414,11 +421,11 @@ print('shell sharded record: %d match calls, %d net bytes'
                  bgp_parallel_test \
                  serve_test scaleout_test backend_equivalence_test \
                  merge_match_test select_oracle_test scan_filter_test \
-                 sparql_test sparql_oracle_test fuzz_test parallel_speedup \
-                 swandb_shell &&
+                 sparql_test sparql_oracle_test fuzz_test update_test \
+                 parallel_speedup swandb_shell &&
       (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
         --timeout "$TEST_TIMEOUT" \
-        -R 'ThreadPool|BufferPoolTest|BufferPoolFrameTable|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8') &&
+        -R 'ThreadPool|BufferPoolTest|BufferPoolFrameTable|ConcurrencyStress|BgpParallel|Serve|ResultCache|Admission|Script|ScaleoutEquivalence|ScaleoutWrites|RowEngineWidthTest|MergeMatchOracle|SelectOracle|ScanFilter|FilteredMatch|VerticalSecondColumn|SparqlOracleTest.*/w8|UpdateTest') &&
       SWAN_TRIPLES=60000 SWAN_REPS=1 \
         "$TSAN_DIR/bench/parallel_speedup" --threads=4 &&
       "$TSAN_DIR/tools/swandb_shell" --generate 20000 \
