@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   for (size_t pool_pages : {256, 1024, 4096, 16384, 65536}) {  // 8 KiB pages
     spec.points.push_back({.pool_pages = pool_pages});
   }
-  spec.designs = {Design::kDbxTriplePso};
+  spec.designs = {"DBX triple PSO"};
   spec.queries = {swan::core::QueryId::kQ2};
   spec.modes = {Mode::kHot, Mode::kCold};
   spec.metrics = {Metric::kReal, Metric::kMbRead};

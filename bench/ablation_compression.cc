@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
         ColumnCodec::kBitPack, ColumnCodec::kDictBitPack, ColumnCodec::kAuto}) {
     spec.points.push_back({.codec = codec});
   }
-  spec.designs = {Design::kMonetTriplePso, Design::kMonetVertical};
+  spec.designs = {"MonetDB triple PSO", "MonetDB vert. SO"};
   // A mix that touches every kernel family: scan+aggregate (q1),
   // merge-join fan-out (q2), its star variant (q2*) and the two-phase
   // self-join (q8).

@@ -19,16 +19,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_support/designs.h"
 #include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/col_backends.h"
-#include "core/row_backends.h"
 #include "exec/exec_context.h"
 #include "plan/optimizer.h"
 #include "plan/stats.h"
@@ -100,21 +100,19 @@ int main(int argc, char** argv) {
                               pinned.value().seed == config.seed;
   const auto bgps = swan::bench_support::BenchmarkBgps(vocab.value());
 
-  swan::core::ColTripleBackend col_triple(barton.dataset,
-                                          swan::rdf::TripleOrder::kPSO);
-  swan::core::ColVerticalBackend col_vert(barton.dataset);
-  swan::core::RowTripleBackend row_triple(
-      barton.dataset, swan::rowstore::TripleRelation::PsoConfig());
-  swan::core::RowVerticalBackend row_vert(barton.dataset);
-  std::vector<Backend*> backends = {&col_triple, &col_vert, &row_triple,
-                                    &row_vert};
+  std::vector<std::unique_ptr<Backend>> backends;
+  for (const char* label : {"MonetDB triple PSO", "MonetDB vert. SO",
+                            "DBX triple PSO", "DBX vert. SO"}) {
+    backends.push_back(swan::bench_support::OpenDesign(barton.dataset, label));
+  }
 
   swan::bench::BenchJsonWriter json("ablation_planner");
   TablePrinter table({"backend", "query", "as-written", "worst-order",
                       "cost-based", "pinned heuristic",
                       "cold KB (cost/heur)", "verdict"});
   int losses = 0;
-  for (Backend* backend : backends) {
+  for (const auto& owned : backends) {
+    Backend* backend = owned.get();
     PlannerOptions as_written_opts;
     as_written_opts.mode = PlanMode::kAsWritten;
     PlannerOptions worst_opts;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
@@ -86,19 +87,11 @@ int main() {
     std::unique_ptr<Backend> backend;
   };
   std::vector<Candidate> candidates;
-  candidates.push_back({"DBX triple PSO",
-                        std::make_unique<swan::core::RowTripleBackend>(
-                            barton.dataset,
-                            swan::rowstore::TripleRelation::PsoConfig())});
-  candidates.push_back({"DBX vert. SO",
-                        std::make_unique<swan::core::RowVerticalBackend>(
-                            barton.dataset)});
-  candidates.push_back({"MonetDB triple PSO",
-                        std::make_unique<swan::core::ColTripleBackend>(
-                            barton.dataset, swan::rdf::TripleOrder::kPSO)});
-  candidates.push_back({"MonetDB vert. SO",
-                        std::make_unique<swan::core::ColVerticalBackend>(
-                            barton.dataset)});
+  for (const char* label : {"DBX triple PSO", "DBX vert. SO",
+                            "MonetDB triple PSO", "MonetDB vert. SO"}) {
+    candidates.push_back(
+        {label, swan::bench_support::OpenDesign(barton.dataset, label)});
+  }
 
   TablePrinter table({"backend", "workload", "insert (s)",
                       "next q2* (s)", "new partitions"});

@@ -4,13 +4,12 @@
 #include <memory>
 #include <optional>
 
+#include "bench_support/designs.h"
 #include "bench_support/property_split.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
+#include "core/store.h"
 
 namespace swan::bench {
 
@@ -20,65 +19,12 @@ using core::QueryId;
 
 // One measured (point, design, mode, query) cell.
 struct ExhibitCell {
-  size_t point = 0;  // index into ExhibitSpec::points
-  Design design = Design::kCStore;
+  size_t point = 0;   // index into ExhibitSpec::points
+  size_t design = 0;  // index into ExhibitSpec::designs
   Mode mode = Mode::kCold;
   QueryId query = QueryId::kQ1;
   bench_support::Measurement m;
 };
-
-std::unique_ptr<core::Backend> Build(Design design, const rdf::Dataset& data,
-                                     const core::QueryContext& ctx,
-                                     const ExhibitPoint& point) {
-  storage::DiskConfig disk;
-  if (point.disk_mb_s > 0.0) disk.bandwidth_mb_per_s = point.disk_mb_s;
-  // The row stores' default pool is 64 Ki pages, the others' 4 Ki.
-  const size_t row_pool = point.pool_pages > 0 ? point.pool_pages : 65536;
-  const size_t col_pool = point.pool_pages > 0 ? point.pool_pages : 4096;
-  using rowstore::TripleRelation;
-  switch (design) {
-    case Design::kDbxTripleSpo:
-    case Design::kDbxTriplePso:
-      return std::make_unique<core::RowTripleBackend>(
-          data, design == Design::kDbxTripleSpo ? TripleRelation::SpoConfig()
-                                                : TripleRelation::PsoConfig(),
-          disk, row_pool);
-    case Design::kDbxVertical:
-      return std::make_unique<core::RowVerticalBackend>(data, disk, row_pool);
-    case Design::kMonetTripleSpo:
-    case Design::kMonetTriplePso:
-      return std::make_unique<core::ColTripleBackend>(
-          data,
-          design == Design::kMonetTripleSpo ? rdf::TripleOrder::kSPO
-                                            : rdf::TripleOrder::kPSO,
-          disk, col_pool, point.codec);
-    case Design::kMonetVertical:
-      return std::make_unique<core::ColVerticalBackend>(data, disk, col_pool,
-                                                        point.codec);
-    case Design::kCStore:
-      // C-Store's disk also forces its small scattered reads; the default
-      // bandwidth is machine B's.
-      return std::make_unique<core::CStoreBackend>(
-          data, ctx.interesting_properties(),
-          cstore::CStoreEngine::RecommendedDiskConfig(
-              point.disk_mb_s > 0.0 ? point.disk_mb_s : 390.0),
-          col_pool);
-  }
-  std::abort();
-}
-
-// A design's label in the table and the bench JSON: the name() of the
-// backend Build makes for it. It is fixed here, so that a build which does
-// not match its design (say, the DBX "PSO" store clustered SPO) keeps its
-// label and shows in the claims checked on the JSON, instead of taking
-// another design's label.
-const char* Label(Design design) {
-  constexpr const char* kLabels[] = {
-      "DBX triple SPO",     "DBX triple PSO",     "DBX vert. SO",
-      "MonetDB triple SPO", "MonetDB triple PSO", "MonetDB vert. SO",
-      "C-Store vert. SO"};
-  return kLabels[static_cast<int>(design)];
-}
 
 const char* ToString(Mode mode) { return mode == Mode::kHot ? "hot" : "cold"; }
 
@@ -105,7 +51,7 @@ struct RowMeans {
   double gstar = 0.0;
 };
 RowMeans MeansOf(const std::vector<ExhibitCell>& cells, size_t point,
-                 Design design, Mode mode, Metric metric) {
+                 size_t design, Mode mode, Metric metric) {
   std::vector<double> initial, all;
   for (const ExhibitCell& cell : cells) {
     if (cell.point != point || cell.design != design || cell.mode != mode) {
@@ -131,10 +77,9 @@ ExhibitSpec GridSpec(bool hot) {
   spec.reproduces = std::string(hot ? "Table 7 (hot runs)"
                                     : "Table 6 (cold runs)") +
                     " of Sidirourgos et al., VLDB 2008";
-  spec.designs = {Design::kDbxTripleSpo,   Design::kDbxTriplePso,
-                  Design::kDbxVertical,    Design::kMonetTripleSpo,
-                  Design::kMonetTriplePso, Design::kMonetVertical,
-                  Design::kCStore};
+  for (const bench_support::Design& design : bench_support::Designs()) {
+    if (design.options.nodes == 1) spec.designs.push_back(design.label);
+  }
   spec.queries = core::AllQueries();
   spec.modes = {hot ? Mode::kHot : Mode::kCold};
   spec.means = true;
@@ -246,11 +191,21 @@ void RunExhibit(const ExhibitSpec& spec, int argc, char** argv) {
     std::printf("building backends %s\n", label.c_str());
     std::vector<core::Backend*> checked = {reference.get()};
     for (size_t d = 0; d < spec.designs.size(); ++d) {
-      const bool cstore = spec.designs[d] == Design::kCStore;
+      core::StoreOptions options =
+          bench_support::DesignNamed(spec.designs[d]).options;
+      const bool cstore = options.engine == core::EngineKind::kCStore;
       const bool rebuild =
           backends[d] == nullptr ||
           (cstore && cstore_properties != ctx.interesting_properties());
-      if (rebuild) backends[d] = Build(spec.designs[d], *data, ctx, point);
+      if (rebuild) {
+        if (point.disk_mb_s > 0.0) {
+          options.disk.bandwidth_mb_per_s = point.disk_mb_s;
+        }
+        if (point.pool_pages > 0) options.pool_pages = point.pool_pages;
+        options.codec = point.codec;
+        options.cstore_properties = ctx.interesting_properties();
+        backends[d] = core::OpenBackend(*data, options);
+      }
       if (cstore) cstore_properties = ctx.interesting_properties();
       checked.push_back(backends[d].get());
       std::printf("  %-20s %8.2f MB on disk%s\n",
@@ -264,7 +219,7 @@ void RunExhibit(const ExhibitSpec& spec, int argc, char** argv) {
 
     for (size_t d = 0; d < spec.designs.size(); ++d) {
       core::Backend* backend = backends[d].get();
-      const std::string name = Label(spec.designs[d]);
+      const std::string& name = spec.designs[d];
       const size_t space = name.find(' ');
       std::printf("measuring %s...\n", name.c_str());
       if (p + d > 0) table.AddSeparator();
@@ -272,7 +227,7 @@ void RunExhibit(const ExhibitSpec& spec, int argc, char** argv) {
         const size_t first = cells.size();
         for (QueryId id : spec.queries) {
           if (!backend->Supports(id)) continue;
-          ExhibitCell cell{p, spec.designs[d], mode, id, {}};
+          ExhibitCell cell{p, d, mode, id, {}};
           cell.m = mode == Mode::kHot
                        ? bench_support::MeasureHot(backend, id, ctx,
                                                    spec.repetitions)
@@ -301,7 +256,7 @@ void RunExhibit(const ExhibitSpec& spec, int argc, char** argv) {
             row.push_back(ran ? Format(cells[next++].m, metric) : "-");
           }
           const RowMeans means =
-              MeansOf(cells, p, spec.designs[d], mode, metric);
+              MeansOf(cells, p, d, mode, metric);
           if (spec.means) row.push_back(TablePrinter::Fixed(means.g, 4));
           if (gstar) {
             const bool all = means.gstar > 0.0;

@@ -1,6 +1,7 @@
 #ifndef SWANDB_BENCH_EXHIBIT_H_
 #define SWANDB_BENCH_EXHIBIT_H_
 
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -8,12 +9,6 @@
 
 namespace swan::bench {
 
-// The paper's storage designs, each labelled by the name() of the backend
-// it builds ("DBX triple PSO", "MonetDB vert. SO", ...).
-enum class Design {
-  kDbxTripleSpo, kDbxTriplePso, kDbxVertical,
-  kMonetTripleSpo, kMonetTriplePso, kMonetVertical, kCStore,
-};
 // Section 2.3's protocol: cold drops every cache before each repetition,
 // hot warms up once.
 enum class Mode { kCold, kHot };
@@ -37,7 +32,8 @@ struct ExhibitSpec {
   std::string title;
   std::string reproduces;
   std::vector<ExhibitPoint> points = {ExhibitPoint{}};
-  std::vector<Design> designs;
+  // Labels of bench_support::Designs() entries ("DBX triple PSO", ...).
+  std::vector<std::string> designs;
   std::vector<core::QueryId> queries;
   std::vector<Mode> modes;
   std::vector<Metric> metrics = {Metric::kReal, Metric::kUser};

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   for (size_t considered : {28, 56, 84, 112, 140, 168, 196, 222}) {
     spec.points.push_back({.considered = considered});
   }
-  spec.designs = {Design::kMonetTriplePso, Design::kMonetVertical};
+  spec.designs = {"MonetDB triple PSO", "MonetDB vert. SO"};
   spec.queries = {QueryId::kQ2, QueryId::kQ3, QueryId::kQ4, QueryId::kQ6};
   spec.modes = {Mode::kHot};
   spec.metrics = {Metric::kReal};

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   for (uint64_t properties : {222, 320, 430, 540, 650, 770, 880, 1000}) {
     spec.points.push_back({.properties = properties});
   }
-  spec.designs = {Design::kMonetTriplePso, Design::kMonetVertical};
+  spec.designs = {"MonetDB triple PSO", "MonetDB vert. SO"};
   spec.queries = {QueryId::kQ2Star, QueryId::kQ3Star, QueryId::kQ4Star,
                   QueryId::kQ6Star};
   spec.modes = {Mode::kHot};

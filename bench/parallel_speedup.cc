@@ -34,12 +34,11 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_support/designs.h"
 #include "common/macros.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
 #include "core/bgp.h"
-#include "core/col_backends.h"
-#include "core/row_backends.h"
 #include "plan/stats.h"
 
 namespace {
@@ -93,10 +92,10 @@ int main(int argc, char** argv) {
       swan::bench_support::MakeBartonContext(data, 28);
 
   std::printf("building backends (col vertical, row vertical, row PSO)...\n");
-  swan::core::ColVerticalBackend col_vert(data);
-  swan::core::RowVerticalBackend row_vert(data);
-  swan::core::RowTripleBackend row_pso(data,
-                                       swan::rowstore::TripleRelation::PsoConfig());
+  using swan::bench_support::OpenDesign;
+  const auto col_vert = OpenDesign(data, "MonetDB vert. SO");
+  const auto row_vert = OpenDesign(data, "DBX vert. SO");
+  const auto row_pso = OpenDesign(data, "DBX triple PSO");
 
   // Width sweep: explicit --threads=N (N > 1) means the CI smoke shape.
   std::vector<int> thread_counts;
@@ -127,12 +126,9 @@ int main(int argc, char** argv) {
       {Term::Var("s"), Term::Const(vocab.type), Term::Var("t")}};
 
   std::vector<Entry> entries;
-  for (auto* backend : {static_cast<swan::core::BackendBase*>(&col_vert),
-                        static_cast<swan::core::BackendBase*>(&row_vert)}) {
+  for (Backend* backend : {col_vert.get(), row_vert.get()}) {
     const std::string group =
-        backend == static_cast<swan::core::BackendBase*>(&col_vert)
-            ? "col-vert"
-            : "row-vert";
+        backend == col_vert.get() ? "col-vert" : "row-vert";
     for (QueryId q : queries) {
       // 1-thread reference: rows and cold virtual I/O bytes.
       const ExecContext serial(1);
@@ -155,13 +151,10 @@ int main(int argc, char** argv) {
           }});
     }
   }
-  for (auto* backend : {static_cast<swan::core::BackendBase*>(&col_vert),
-                        static_cast<swan::core::BackendBase*>(&row_pso)}) {
+  for (Backend* backend : {col_vert.get(), row_pso.get()}) {
     const std::string group = "bgp";
     const std::string label =
-        backend == static_cast<swan::core::BackendBase*>(&col_vert)
-            ? "bgp col-vert"
-            : "bgp row-pso";
+        backend == col_vert.get() ? "bgp col-vert" : "bgp row-pso";
     const swan::plan::PlannerOptions options{
         swan::plan::PlanMode::kCostBased, &stats, backend->PlannerHints()};
     // 1-thread reference, run cold: rows and cold virtual I/O bytes.

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_support/designs.h"
 #include "common/macros.h"
 #include "common/table_printer.h"
 #include "core/store.h"
@@ -39,7 +40,6 @@
 namespace {
 
 using swan::core::RdfStore;
-using swan::core::StoreOptions;
 using swan::serve::Completion;
 using swan::serve::LatencyStats;
 using swan::serve::QueryService;
@@ -152,18 +152,13 @@ int main(int argc, char** argv) {
 
   struct Grid {
     const char* label;
-    swan::core::StorageScheme scheme;
-    swan::core::EngineKind engine;
+    const char* design;  // its bench_support::Designs() label
   };
   const std::vector<Grid> grid = {
-      {"row triple PSO", swan::core::StorageScheme::kTripleStore,
-       swan::core::EngineKind::kRowStore},
-      {"row vert. SO", swan::core::StorageScheme::kVerticalPartitioned,
-       swan::core::EngineKind::kRowStore},
-      {"col triple PSO", swan::core::StorageScheme::kTripleStore,
-       swan::core::EngineKind::kColumnStore},
-      {"col vert. SO", swan::core::StorageScheme::kVerticalPartitioned,
-       swan::core::EngineKind::kColumnStore},
+      {"row triple PSO", "DBX triple PSO"},
+      {"row vert. SO", "DBX vert. SO"},
+      {"col triple PSO", "MonetDB triple PSO"},
+      {"col vert. SO", "MonetDB vert. SO"},
   };
 
   swan::TablePrinter table({"backend", "pass", "reqs", "hits", "req/s",
@@ -174,11 +169,8 @@ int main(int argc, char** argv) {
 
   for (const Grid& point : grid) {
     std::printf("serving on %s...\n", point.label);
-    StoreOptions options;
-    options.scheme = point.scheme;
-    options.engine = point.engine;
-    options.clustering = swan::rdf::TripleOrder::kPSO;
-    auto store = RdfStore::Open(barton.dataset, options);
+    auto store = RdfStore::Open(
+        barton.dataset, swan::bench_support::DesignNamed(point.design).options);
 
     // Reference: one worker, no result cache.
     ServiceOptions serial_options;

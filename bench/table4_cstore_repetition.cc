@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   spec.title = "Table 4: repetition of the C-Store experiment";
   spec.reproduces = "Table 4 of Sidirourgos et al., VLDB 2008";
   spec.points = {{.disk_mb_s = 100.0}, {.disk_mb_s = 390.0}};  // A, B
-  spec.designs = {Design::kCStore};
+  spec.designs = {"C-Store vert. SO"};
   spec.queries = swan::core::InitialQueries();
   spec.modes = {Mode::kCold, Mode::kHot};
   spec.means = true;

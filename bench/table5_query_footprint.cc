@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   spec.name = "table5_query_footprint";
   spec.title = "Table 5: data relevant to a query";
   spec.reproduces = "Table 5 of Sidirourgos et al., VLDB 2008";
-  spec.designs = {Design::kCStore};
+  spec.designs = {"C-Store vert. SO"};
   spec.queries = swan::core::InitialQueries();
   spec.modes = {Mode::kCold};
   spec.repetitions = 1;  // cold bytes and rows are exact

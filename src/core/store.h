@@ -58,6 +58,14 @@ struct StoreOptions {
   net::NetworkConfig network;
 };
 
+// Builds the backend `options` describe over `dataset`: the only code that
+// maps (scheme, engine, clustering, codec, nodes, disk, pool) to a backend
+// class. C-Store runs on CStoreEngine::RecommendedDiskConfig at
+// options.disk's bandwidth, the disk that forces its small scattered reads
+// (Figure 5). The dataset must outlive the backend.
+std::unique_ptr<Backend> OpenBackend(const rdf::Dataset& dataset,
+                                     const StoreOptions& options);
+
 // The public faсade of swandb: an RDF store materialized under one
 // scheme × engine combination. Holds a reference to the Dataset (which
 // must outlive the store); all query answers are dictionary ids that can

@@ -17,11 +17,9 @@
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "colstore/column.h"
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
-#include "core/row_backends.h"
 #include "core/store.h"
 #include "dict/dictionary.h"
 #include "rowstore/bplus_tree.h"
@@ -323,18 +321,7 @@ TEST(CleanStoreAuditTest, AllBackendsAuditCleanAfterBuildAndQueries) {
   const auto barton = bench_support::GenerateBarton(config);
   const auto ctx = bench_support::MakeBartonContext(barton.dataset, 28);
 
-  std::vector<std::unique_ptr<core::Backend>> backends;
-  backends.push_back(std::make_unique<core::ColTripleBackend>(
-      barton.dataset, rdf::TripleOrder::kPSO));
-  backends.push_back(
-      std::make_unique<core::ColVerticalBackend>(barton.dataset));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      barton.dataset, rowstore::TripleRelation::SpoConfig()));
-  backends.push_back(std::make_unique<core::RowVerticalBackend>(barton.dataset));
-  backends.push_back(std::make_unique<core::CStoreBackend>(
-      barton.dataset, ctx.interesting_properties()));
-
-  for (auto& backend : backends) {
+  for (auto& backend : bench_support::OpenDesigns(barton.dataset)) {
     // Clean both before and after the full query workload.
     auto before = backend->Audit(AuditLevel::kFull);
     EXPECT_TRUE(before.ok()) << backend->name() << "\n" << before.ToString();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "bench_support/ledger.h"
 #include "colstore/column.h"
@@ -43,6 +44,15 @@ struct Combo {
   uint64_t seed;
 };
 
+// The single-node designs of one engine in bench_support::Designs().
+bool RowDesign(const core::StoreOptions& options) {
+  return options.engine == core::EngineKind::kRowStore;
+}
+bool ColumnDesign(const core::StoreOptions& options) {
+  return options.engine == core::EngineKind::kColumnStore &&
+         options.nodes == 1;
+}
+
 class EquivalenceTest : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(EquivalenceTest, AllBackendsAgreeOnAllQueries) {
@@ -53,20 +63,18 @@ TEST_P(EquivalenceTest, AllBackendsAgreeOnAllQueries) {
   const rdf::Dataset& data = barton.dataset;
   const core::QueryContext ctx = MakeBartonContext(data, 28);
 
-  core::ColTripleBackend col_spo(data, rdf::TripleOrder::kSPO);
-  core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO);
-  core::ColVerticalBackend col_vert(data);
-  core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
-  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(data);
-  core::CStoreBackend cstore(data, ctx.interesting_properties());
+  // The naive reference oracle goes first so every design is compared
+  // against it, not just against the others. C-Store loads the 28
+  // properties the queries consider, as in the paper.
   core::ReferenceBackend reference(data);
-
-  // The naive reference oracle goes first so every optimized backend is
-  // compared against it, not just against each other.
-  std::vector<core::Backend*> backends = {&reference, &col_spo, &col_pso,
-                                          &col_vert, &row_spo, &row_pso,
-                                          &row_vert, &cstore};
+  std::vector<core::Backend*> backends = {&reference};
+  std::vector<std::unique_ptr<core::Backend>> designs;
+  for (const bench_support::Design& design : bench_support::Designs()) {
+    core::StoreOptions options = design.options;
+    options.cstore_properties = ctx.interesting_properties();
+    designs.push_back(core::OpenBackend(data, options));
+    backends.push_back(designs.back().get());
+  }
   const std::vector<uint64_t> rows = bench_support::VerifyBackendsAgree(
       backends, core::AllQueries(), ctx);
 
@@ -84,19 +92,14 @@ TEST_P(EquivalenceTest, ColdRunsReturnSameRowsAsHot) {
   const auto barton = GenerateBarton(config);
   const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
 
-  core::ColVerticalBackend col_vert(barton.dataset);
-  core::RowTripleBackend row_pso(barton.dataset,
-                                 rowstore::TripleRelation::PsoConfig());
-  for (QueryId id : core::AllQueries()) {
-    core::QueryResult hot_col = col_vert.Run(id, ctx);
-    col_vert.DropCaches();
-    core::QueryResult cold_col = col_vert.Run(id, ctx);
-    EXPECT_TRUE(hot_col.SameRows(cold_col)) << ToString(id);
-
-    core::QueryResult hot_row = row_pso.Run(id, ctx);
-    row_pso.DropCaches();
-    core::QueryResult cold_row = row_pso.Run(id, ctx);
-    EXPECT_TRUE(hot_row.SameRows(cold_row)) << ToString(id);
+  for (const auto& backend : bench_support::OpenDesigns(barton.dataset)) {
+    for (QueryId id : core::AllQueries()) {
+      if (!backend->Supports(id)) continue;
+      const core::QueryResult hot = backend->Run(id, ctx);
+      backend->DropCaches();
+      const core::QueryResult cold = backend->Run(id, ctx);
+      EXPECT_TRUE(hot.SameRows(cold)) << backend->name() << " " << ToString(id);
+    }
   }
 }
 
@@ -115,17 +118,20 @@ TEST(PropertySweepTest, Q2ResultGrowsWithPropertyCount) {
   BartonConfig config;
   config.target_triples = 20000;
   const auto barton = GenerateBarton(config);
-  core::ColVerticalBackend vert(barton.dataset);
-  core::ColTripleBackend triple(barton.dataset, rdf::TripleOrder::kPSO);
+  // C-Store's property set is fixed at load, so it sits this sweep out.
+  const auto backends =
+      bench_support::OpenDesigns(barton.dataset, {.all_queries = true});
 
   uint64_t previous = 0;
   for (size_t k : {28, 56, 112, 222}) {
     const core::QueryContext ctx = MakeBartonContext(barton.dataset, k);
-    core::QueryResult from_vert = vert.Run(QueryId::kQ2, ctx);
-    core::QueryResult from_triple = triple.Run(QueryId::kQ2, ctx);
-    EXPECT_TRUE(from_vert.SameRows(from_triple)) << "k=" << k;
-    EXPECT_GE(from_vert.row_count(), previous);
-    previous = from_vert.row_count();
+    const core::QueryResult first = backends.front()->Run(QueryId::kQ2, ctx);
+    for (const auto& backend : backends) {
+      EXPECT_TRUE(backend->Run(QueryId::kQ2, ctx).SameRows(first))
+          << backend->name() << " k=" << k;
+    }
+    EXPECT_GE(first.row_count(), previous);
+    previous = first.row_count();
   }
 }
 
@@ -170,18 +176,19 @@ class RowEngineWidthTest : public ::testing::TestWithParam<bool> {
 TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
   const rdf::Dataset& data = barton_.dataset;
   const core::QueryContext ctx = MakeBartonContext(data, 28);
-  core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
-  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(data);
+  const auto row_designs = bench_support::OpenDesignsWhere(data, RowDesign);
   core::ReferenceBackend reference(data);
-  const std::vector<core::Backend*> row_backends = {&row_spo, &row_pso,
-                                                    &row_vert};
-  Insert({&reference, &row_spo, &row_pso, &row_vert});
+  std::vector<core::Backend*> row_backends;
+  for (const auto& backend : row_designs) row_backends.push_back(backend.get());
+  Insert(row_backends);
+  Insert({&reference});
 
   exec::SetThreads(8);
   for (int width : {1, 2, 8}) {
     const exec::ExecContext ectx(width);
-    for (const core::RowTripleBackend* triple : {&row_spo, &row_pso}) {
+    for (core::Backend* backend : row_backends) {
+      const auto* triple = dynamic_cast<core::RowTripleBackend*>(backend);
+      if (triple == nullptr) continue;
       uint64_t parts = 0;
       triple->relation().FullScan(
           ectx, nullptr, nullptr, [&](uint64_t n) { parts = n; },
@@ -206,19 +213,19 @@ TEST_P(RowEngineWidthTest, MatchesReferenceAtEveryWidth) {
 TEST_P(RowEngineWidthTest, RowsComeOutInTheColumnEnginesOrder) {
   const rdf::Dataset& data = barton_.dataset;
   const core::QueryContext ctx = MakeBartonContext(data, 28);
-  core::RowTripleBackend row_spo(data, rowstore::TripleRelation::SpoConfig());
-  core::RowTripleBackend row_pso(data, rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(data);
-  core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO);
-  Insert({&col_pso, &row_spo, &row_pso, &row_vert});
+  const auto row_designs = bench_support::OpenDesignsWhere(data, RowDesign);
+  const auto col_pso = bench_support::OpenDesign(data, "MonetDB triple PSO");
+  std::vector<core::Backend*> row_backends;
+  for (const auto& backend : row_designs) row_backends.push_back(backend.get());
+  Insert(row_backends);
+  Insert({col_pso.get()});
 
   exec::SetThreads(8);
   for (int width : {1, 2, 8}) {
     const exec::ExecContext ectx(width);
     for (QueryId id : core::AllQueries()) {
-      const core::QueryResult want = col_pso.Run(id, ctx, ectx);
-      for (core::Backend* backend :
-           std::vector<core::Backend*>{&row_spo, &row_pso, &row_vert}) {
+      const core::QueryResult want = col_pso->Run(id, ctx, ectx);
+      for (core::Backend* backend : row_backends) {
         const core::QueryResult got = backend->Run(id, ctx, ectx);
         EXPECT_EQ(got.column_names, want.column_names)
             << backend->name() << " " << ToString(id) << " x" << width;
@@ -288,17 +295,11 @@ TEST_F(RowEngineCostTest, ColdCostIsPinned) {
   config.seed = 7;
   const auto barton = GenerateBarton(config);
   const core::QueryContext ctx = MakeBartonContext(barton.dataset, 28);
-  core::RowTripleBackend row_spo(barton.dataset,
-                                 rowstore::TripleRelation::SpoConfig());
-  core::RowTripleBackend row_pso(barton.dataset,
-                                 rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(barton.dataset);
-
   bench_support::Ledger got(
       config, {"backend", "query", "width", "cold_bytes", "seeks", "seconds"});
-  for (core::Backend* backend :
-       std::vector<core::Backend*>{&row_spo, &row_pso, &row_vert}) {
-    AddColdRuns(got, backend, {backend->name()}, ctx);
+  for (const auto& backend :
+       bench_support::OpenDesignsWhere(barton.dataset, RowDesign)) {
+    AddColdRuns(got, backend.get(), {backend->name()}, ctx);
   }
   ExpectPinned("row_engine_cold", std::move(got));
 }
@@ -446,32 +447,29 @@ TEST(RowMatchCostTest, ColdMatchIsPinned) {
       config, {"backend", "state", "pattern", "rows", "hash", "cold_bytes",
                "seeks", "seconds", "misses", "fetches"});
   for (bool after_inserts : {false, true}) {
-    core::RowTripleBackend row_spo(data,
-                                   rowstore::TripleRelation::SpoConfig());
-    core::RowTripleBackend row_pso(data,
-                                   rowstore::TripleRelation::PsoConfig());
-    core::RowVerticalBackend row_vert(data);
-    const std::vector<core::Backend*> backends = {&row_spo, &row_pso,
-                                                  &row_vert};
+    const auto backends = bench_support::OpenDesignsWhere(data, RowDesign);
     if (after_inserts) {
-      for (core::Backend* backend : backends) {
+      for (const auto& backend : backends) {
         for (const rdf::Triple& t : inserts) {
           ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
         }
       }
       uint64_t parts = 0;
-      row_pso.relation().FullScan(
+      const auto* row_pso = dynamic_cast<const core::RowTripleBackend*>(
+          backends[1].get());
+      ASSERT_EQ(row_pso->name(), "DBX triple PSO");
+      row_pso->relation().FullScan(
           exec::ExecContext(8), nullptr, nullptr,
           [&](uint64_t n) { parts = n; },
           [](uint64_t, const auto&) {});
       EXPECT_EQ(parts, 1u);  // the chain is broken: one serial part
     }
-    for (core::Backend* backend : backends) {
+    for (const auto& backend : backends) {
       for (size_t i = 0; i < patterns.size(); ++i) {
         got.rows.push_back(ColdMatchRow(
             {backend->name(), after_inserts ? "after inserts" : "fresh",
              std::to_string(i)},
-            backend, patterns[i], ectx));
+            backend.get(), patterns[i], ectx));
       }
     }
   }
@@ -548,13 +546,9 @@ TEST(ColumnMatchCostTest, ColdMatchIsPinned) {
   for (colstore::ColumnCodec codec :
        {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
     const std::string tag = colstore::ToString(codec);
-    core::ColVerticalBackend col_vert(data, {}, 4096, codec);
-    core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
-                                   codec);
-    core::ColTripleBackend col_spo(data, rdf::TripleOrder::kSPO, {}, 4096,
-                                   codec);
-    for (core::Backend* backend :
-         std::vector<core::Backend*>{&col_vert, &col_pso, &col_spo}) {
+    for (const auto& owned :
+         bench_support::OpenDesignsWhere(data, ColumnDesign, codec)) {
+      core::Backend* backend = owned.get();
       match_all(backend, tag, "fresh");
       for (const rdf::Triple& t : inserts) {
         ASSERT_TRUE(backend->Insert(t).ok()) << backend->name();
@@ -871,15 +865,10 @@ TEST_F(ColumnEngineCostTest, ColdCostIsPinned) {
                                      "cold_bytes", "seeks", "seconds"});
   for (colstore::ColumnCodec codec :
        {colstore::ColumnCodec::kRaw, colstore::ColumnCodec::kAuto}) {
-    core::ColVerticalBackend col_vert(barton.dataset, {}, 4096, codec);
-    core::ColTripleBackend col_pso(barton.dataset, rdf::TripleOrder::kPSO, {},
-                                   4096, codec);
-    core::ColTripleBackend col_spo(barton.dataset, rdf::TripleOrder::kSPO, {},
-                                   4096, codec);
-    for (core::Backend* backend :
-         std::vector<core::Backend*>{&col_vert, &col_pso, &col_spo}) {
-      AddColdRuns(got, backend, {backend->name(), colstore::ToString(codec)},
-                  ctx);
+    for (const auto& backend :
+         bench_support::OpenDesignsWhere(barton.dataset, ColumnDesign, codec)) {
+      AddColdRuns(got, backend.get(),
+                  {backend->name(), colstore::ToString(codec)}, ctx);
     }
   }
   ExpectPinned("column_engine_cold", std::move(got));

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <memory>
 
+#include "bench_support/designs.h"
 #include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "core/store.h"
 #include "plan/optimizer.h"
 #include "plan/stats.h"
@@ -146,15 +146,8 @@ TEST_F(BgpTest, AllBackendsGiveSameBindingCount) {
       {Term::Var("x"), Term::Const(Id("<knows>")), Term::Var("y")},
       {Term::Var("y"), Term::Const(Id("<age>")), Term::Var("a")}};
 
-  ColTripleBackend spo(data_, rdf::TripleOrder::kSPO);
-  ColTripleBackend pso(data_, rdf::TripleOrder::kPSO);
-  ColVerticalBackend vert(data_);
-  RowTripleBackend row_spo(data_, rowstore::TripleRelation::SpoConfig());
-  RowVerticalBackend row_vert(data_);
-
   std::vector<size_t> counts;
-  for (Backend* backend : std::initializer_list<Backend*>{
-           &spo, &pso, &vert, &row_spo, &row_vert}) {
+  for (const auto& backend : bench_support::OpenDesigns(data_)) {
     auto result = Run(*backend, query);
     ASSERT_TRUE(result.ok());
     auto rows = result.value().rows;
@@ -232,11 +225,8 @@ TEST_F(BgpTest, FacadeExecutesBgp) {
 }
 
 TEST_F(BgpTest, MatchCoversAllEightPatterns) {
-  // Every backend must answer all 8 simple triple patterns of Figure 2.
-  ColTripleBackend pso(data_, rdf::TripleOrder::kPSO);
-  RowTripleBackend row(data_, rowstore::TripleRelation::PsoConfig());
-  ColVerticalBackend vert(data_);
-
+  // Every design must answer all 8 simple triple patterns of Figure 2.
+  const auto backends = bench_support::OpenDesigns(data_);
   const uint64_t s = Id("<alice>");
   const uint64_t p = Id("<knows>");
   const uint64_t o = Id("<bob>");
@@ -245,15 +235,14 @@ TEST_F(BgpTest, MatchCoversAllEightPatterns) {
     if (mask & 1) pattern.subject = s;
     if (mask & 2) pattern.property = p;
     if (mask & 4) pattern.object = o;
-    auto a = pso.Match(pattern);
-    auto b = row.Match(pattern);
-    auto c = vert.Match(pattern);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    std::sort(c.begin(), c.end());
-    EXPECT_EQ(a, b) << pattern.ToString();
-    EXPECT_EQ(a, c) << pattern.ToString();
-    EXPECT_FALSE(a.empty()) << pattern.ToString();
+    auto want = backends.front()->Match(pattern);
+    std::sort(want.begin(), want.end());
+    EXPECT_FALSE(want.empty()) << pattern.ToString();
+    for (const auto& backend : backends) {
+      auto got = backend->Match(pattern);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << backend->name() << " " << pattern.ToString();
+    }
   }
 }
 
@@ -321,10 +310,8 @@ class ScanJoinTest : public ::testing::Test {
     const Run expected = Execute(reference, logical, 1, /*cost=*/false);
     EXPECT_EQ(expected.scan_joins, 0u);
     EXPECT_EQ(expected.rows.size(), rows);
-    ColVerticalBackend col(data_);
-    RowTripleBackend row(data_, rowstore::TripleRelation::PsoConfig());
-    for (const Backend* backend : {static_cast<const Backend*>(&col),
-                                   static_cast<const Backend*>(&row)}) {
+    for (const char* label : {"MonetDB vert. SO", "DBX triple PSO"}) {
+      const auto backend = bench_support::OpenDesign(data_, label);
       for (int width : {1, 8}) {
         SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
         const Run got = Execute(*backend, logical, width, /*cost=*/true);
@@ -442,10 +429,8 @@ TEST_F(ScanJoinTest, RowOrderSurvivesUnorderedSubjects) {
   // petless rows matches all three names.
   ASSERT_EQ(expected.rows.size(), 10u + 10u * 3u);
   EXPECT_EQ(expected.scan_joins, 0u);
-  ColVerticalBackend col(data);
-  RowTripleBackend row(data, rowstore::TripleRelation::PsoConfig());
-  for (const Backend* backend : {static_cast<const Backend*>(&col),
-                                 static_cast<const Backend*>(&row)}) {
+  for (const char* label : {"MonetDB vert. SO", "DBX triple PSO"}) {
+    const auto backend = bench_support::OpenDesign(data, label);
     for (int width : {1, 8}) {
       SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
       const Run probed = execute(*backend, plan::PlanMode::kAsWritten, width);

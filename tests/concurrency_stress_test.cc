@@ -14,15 +14,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "colstore/column.h"
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
 #include "core/query.h"
 #include "core/store.h"
 #include "exec/thread_pool.h"
@@ -271,10 +271,13 @@ TEST(ConcurrencyStressTest, QueriesBitIdenticalAcrossThreadCounts) {
   const rdf::Dataset& data = barton.dataset;
   const core::QueryContext ctx = bench_support::MakeBartonContext(data, 28);
 
-  core::ColTripleBackend triple(data, rdf::TripleOrder::kPSO);
-  core::ColVerticalBackend vertical(data);
-  core::CStoreBackend cstore(data, ctx.interesting_properties());
-  std::vector<core::Backend*> backends = {&triple, &vertical, &cstore};
+  std::vector<std::unique_ptr<core::Backend>> owned;
+  std::vector<core::Backend*> backends;
+  for (const char* label :
+       {"MonetDB triple PSO", "MonetDB vert. SO", "C-Store vert. SO"}) {
+    owned.push_back(bench_support::OpenDesign(data, label));
+    backends.push_back(owned.back().get());
+  }
 
   exec::SetThreads(1);
   std::vector<std::vector<core::QueryResult>> ref(backends.size());

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
+#include "bench_support/harness.h"
+#include "core/cstore_backend.h"
 #include "core/query.h"
 #include "core/store.h"
 
@@ -184,6 +188,70 @@ TEST(StoreOptionsTest, CompressedColumnStoreIsSmallerOnDisk) {
   auto raw_store = RdfStore::Open(barton.dataset, raw);
   auto packed_store = RdfStore::Open(barton.dataset, packed);
   EXPECT_LT(packed_store->disk_bytes(), raw_store->disk_bytes());
+}
+
+// RdfStore::Open builds C-Store on the disk a default-built CStoreBackend
+// uses, which forces C-Store's small scattered reads: every cold query it
+// runs reads the same bytes with the same seeks and I/O time either way.
+TEST(StoreOptionsTest, CStoreOpensOnItsRecommendedDisk) {
+  bench_support::BartonConfig config;
+  config.target_triples = 20000;
+  const auto barton = bench_support::GenerateBarton(config);
+  const QueryContext ctx = bench_support::MakeBartonContext(barton.dataset, 28);
+
+  StoreOptions options;
+  options.engine = EngineKind::kCStore;
+  options.pool_pages = 4096;
+  auto store = RdfStore::Open(barton.dataset, options);
+  CStoreBackend direct(barton.dataset, barton.dataset.DistinctProperties());
+
+  uint64_t seeks = 0;
+  for (QueryId id : InitialQueries()) {
+    SCOPED_TRACE(ToString(id));
+    const auto via_store =
+        bench_support::MeasureCold(&store->backend(), id, ctx, 1);
+    const auto via_backend = bench_support::MeasureCold(&direct, id, ctx, 1);
+    EXPECT_EQ(via_store.bytes_read, via_backend.bytes_read);
+    EXPECT_EQ(via_store.seeks, via_backend.seeks);
+    EXPECT_EQ(via_store.io_seconds, via_backend.io_seconds);
+    seeks += via_store.seeks;
+  }
+  EXPECT_GT(seeks, 0u);
+}
+
+// Every design of the list opens, reports its fixed label as name(), and
+// behaves as its capabilities say: Insert and Delete are Unimplemented
+// exactly where they are denied, and Supports() holds for every query
+// where all 12 are granted.
+TEST(DesignListTest, EveryDesignOpensUnderItsLabelWithItsCapabilities) {
+  bench_support::BartonConfig config;
+  config.target_triples = 3000;
+  auto barton = bench_support::GenerateBarton(config);
+  const rdf::Triple existing = barton.dataset.triples().front();
+  const rdf::Triple fresh{existing.subject, existing.property,
+                          barton.dataset.dict().Intern("\"design-list\"")};
+
+  ASSERT_EQ(bench_support::Designs().size(), 11u);
+  for (const bench_support::Design& design : bench_support::Designs()) {
+    SCOPED_TRACE(design.label);
+    const std::unique_ptr<Backend> backend =
+        OpenBackend(barton.dataset, design.options);
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->name(), design.label);
+    EXPECT_GT(backend->disk_bytes(), 0u);
+
+    const bench_support::Capabilities caps =
+        bench_support::CapabilitiesOf(design.options);
+    if (caps.all_queries) {
+      for (QueryId id : AllQueries()) EXPECT_TRUE(backend->Supports(id));
+    } else {
+      EXPECT_FALSE(backend->Supports(QueryId::kQ8));
+    }
+    EXPECT_EQ(backend->Insert(fresh).code() == StatusCode::kUnimplemented,
+              !caps.inserts);
+    EXPECT_EQ(backend->Delete(existing).code() == StatusCode::kUnimplemented,
+              !caps.deletes);
+  }
 }
 
 }  // namespace

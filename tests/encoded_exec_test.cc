@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "colstore/column.h"
 #include "colstore/ops.h"
@@ -58,32 +59,27 @@ TEST_P(CodecEquivalenceTest, AllQueriesMatchReferenceAtEveryThreadWidth) {
   const rdf::Dataset& data = barton.dataset;
   const core::QueryContext ctx = MakeBartonContext(data, 28);
 
+  // Every column design, on one node and sharded, in this codec.
   core::ReferenceBackend reference(data);
-  core::ColTripleBackend col_spo(data, rdf::TripleOrder::kSPO, {}, 4096,
-                                 GetParam());
-  core::ColTripleBackend col_pso(data, rdf::TripleOrder::kPSO, {}, 4096,
-                                 GetParam());
-  core::ColVerticalBackend col_vert(data, {}, 4096, GetParam());
+  const auto backends = bench_support::OpenDesignsWhere(
+      data,
+      [](const core::StoreOptions& options) {
+        return options.engine == core::EngineKind::kColumnStore;
+      },
+      GetParam());
 
   for (int threads : {1, 8}) {
     const exec::ExecContext ectx(threads);
     for (QueryId id : core::AllQueries()) {
       core::QueryResult expected = reference.Run(id, ctx, ectx);
       expected.Normalize();  // Results are bags; ordering is not semantic.
-      core::QueryResult spo = col_spo.Run(id, ctx, ectx);
-      spo.Normalize();
-      core::QueryResult pso = col_pso.Run(id, ctx, ectx);
-      pso.Normalize();
-      core::QueryResult vert = col_vert.Run(id, ctx, ectx);
-      vert.Normalize();
-      EXPECT_EQ(spo.rows, expected.rows)
-          << "triple SPO, " << ToString(id) << " at " << threads
-          << " threads";
-      EXPECT_EQ(pso.rows, expected.rows)
-          << "triple PSO, " << ToString(id) << " at " << threads
-          << " threads";
-      EXPECT_EQ(vert.rows, expected.rows)
-          << "vert. SO, " << ToString(id) << " at " << threads << " threads";
+      for (const auto& backend : backends) {
+        core::QueryResult got = backend->Run(id, ctx, ectx);
+        got.Normalize();
+        EXPECT_EQ(got.rows, expected.rows)
+            << backend->name() << ", " << ToString(id) << " at " << threads
+            << " threads";
+      }
     }
   }
 }

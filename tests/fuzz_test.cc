@@ -11,14 +11,11 @@
 #include <vector>
 
 #include "audit/audit.h"
+#include "bench_support/designs.h"
 #include "common/random.h"
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "rdf/ntriples.h"
 #include "rdf/scan_filter.h"
-#include "shard/sharded_backend.h"
 #include "sparql/sparql.h"
 
 namespace swan {
@@ -82,19 +79,12 @@ TEST_P(GraphFuzzTest, AllBackendsMatchReferenceOnRandomGraphs) {
   const core::QueryContext ctx = ContextFor(data);
 
   core::ReferenceBackend reference(data);
-  std::vector<std::unique_ptr<core::Backend>> backends;
-  backends.push_back(
-      std::make_unique<core::ColTripleBackend>(data, rdf::TripleOrder::kSPO));
-  backends.push_back(
-      std::make_unique<core::ColTripleBackend>(data, rdf::TripleOrder::kPSO));
-  backends.push_back(std::make_unique<core::ColVerticalBackend>(data));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::SpoConfig()));
-  backends.push_back(std::make_unique<core::RowVerticalBackend>(data));
+  const auto backends = bench_support::OpenDesigns(data);
 
   for (core::QueryId id : core::AllQueries()) {
     core::QueryResult expected = reference.Run(id, ctx);
     for (auto& backend : backends) {
+      if (!backend->Supports(id)) continue;
       core::QueryResult got = backend->Run(id, ctx);
       EXPECT_TRUE(expected.SameRows(got))
           << backend->name() << " diverges on " << ToString(id) << " (seed "
@@ -115,10 +105,7 @@ TEST_P(GraphFuzzTest, RandomPatternsMatchReference) {
   Rng rng(GetParam() * 77 + 5);
 
   core::ReferenceBackend reference(data);
-  core::ColVerticalBackend col_vert(data);
-  core::RowTripleBackend row_pso(data,
-                                 rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(data);
+  const auto backends = bench_support::OpenDesigns(data);
 
   const uint64_t dict_size = data.dict().size();
   for (int round = 0; round < 40; ++round) {
@@ -130,8 +117,7 @@ TEST_P(GraphFuzzTest, RandomPatternsMatchReference) {
 
     auto expected = reference.Match(pattern);
     std::sort(expected.begin(), expected.end());
-    for (core::Backend* backend : std::initializer_list<core::Backend*>{
-             &col_vert, &row_pso, &row_vert}) {
+    for (const auto& backend : backends) {
       auto got = backend->Match(pattern);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expected)
@@ -184,7 +170,6 @@ RandomFilter DrawFilter(Rng* rng, uint64_t dict_size,
 // the writes the backend accepts).
 TEST_P(GraphFuzzTest, FilteredMatchEqualsReferencePostFilter) {
   const rdf::Dataset data = RandomVocabGraph(GetParam() + 2000, 400);
-  const core::QueryContext ctx = ContextFor(data);
   Rng rng(GetParam() * 31 + 7);
 
   struct Pair {
@@ -192,29 +177,9 @@ TEST_P(GraphFuzzTest, FilteredMatchEqualsReferencePostFilter) {
     std::unique_ptr<core::ReferenceBackend> reference;
   };
   std::vector<Pair> pairs;
-  const auto add = [&](std::unique_ptr<core::Backend> backend) {
+  for (auto& backend : bench_support::OpenDesigns(data)) {
     pairs.push_back(
         {std::move(backend), std::make_unique<core::ReferenceBackend>(data)});
-  };
-  for (rdf::TripleOrder order : {rdf::TripleOrder::kSPO,
-                                 rdf::TripleOrder::kPSO}) {
-    add(std::make_unique<core::ColTripleBackend>(data, order));
-  }
-  add(std::make_unique<core::ColVerticalBackend>(data));
-  add(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::SpoConfig()));
-  add(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::PsoConfig()));
-  add(std::make_unique<core::RowVerticalBackend>(data));
-  add(std::make_unique<core::CStoreBackend>(data,
-                                            ctx.interesting_properties()));
-  for (int nodes : {2, 4}) {
-    for (bool vertical : {true, false}) {
-      shard::ShardOptions options;
-      options.nodes = nodes;
-      options.vertical = vertical;
-      add(std::make_unique<shard::ShardedBackend>(data, options));
-    }
   }
 
   const uint64_t dict_size = data.dict().size();

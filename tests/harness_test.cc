@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "core/col_backends.h"
 #include "core/row_backends.h"
@@ -59,11 +60,11 @@ TEST_F(HarnessTest, RowBackendColdReadsThroughBufferPool) {
 }
 
 TEST_F(HarnessTest, VerifyBackendsAgreeAcceptsAgreeingBackends) {
-  core::ColVerticalBackend a(barton_.dataset);
-  core::ColTripleBackend b(barton_.dataset, rdf::TripleOrder::kPSO);
+  const auto a = OpenDesign(barton_.dataset, "MonetDB vert. SO");
+  const auto b = OpenDesign(barton_.dataset, "MonetDB triple PSO");
   const auto ctx = MakeBartonContext(barton_.dataset, 28);
   const auto rows = VerifyBackendsAgree(
-      {&a, &b}, {core::QueryId::kQ1, core::QueryId::kQ5}, ctx);
+      {a.get(), b.get()}, {core::QueryId::kQ1, core::QueryId::kQ5}, ctx);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_GT(rows[0], 0u);
 }
@@ -102,13 +103,13 @@ TEST(EnvU64Test, ParsesAndFallsBack) {
 // read the whole triples table for q1 while the vertical scheme reads only
 // the partitions the query touches.
 TEST_F(HarnessTest, VerticalReadsLessThanTripleStoreOnColdQ1) {
-  core::ColTripleBackend triple(barton_.dataset, rdf::TripleOrder::kPSO);
-  core::ColVerticalBackend vertical(barton_.dataset);
+  const auto triple = OpenDesign(barton_.dataset, "MonetDB triple PSO");
+  const auto vertical = OpenDesign(barton_.dataset, "MonetDB vert. SO");
   const auto ctx = MakeBartonContext(barton_.dataset, 28);
   const Measurement triple_cold =
-      MeasureCold(&triple, core::QueryId::kQ1, ctx, 1);
+      MeasureCold(triple.get(), core::QueryId::kQ1, ctx, 1);
   const Measurement vertical_cold =
-      MeasureCold(&vertical, core::QueryId::kQ1, ctx, 1);
+      MeasureCold(vertical.get(), core::QueryId::kQ1, ctx, 1);
   EXPECT_LT(vertical_cold.bytes_read, triple_cold.bytes_read);
 }
 

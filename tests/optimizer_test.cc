@@ -15,17 +15,16 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/ledger.h"
 #include "bench_support/query_bgps.h"
 #include "core/col_backends.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "core/store.h"
 #include "exec/exec_context.h"
 #include "plan/optimizer.h"
 #include "plan/physical.h"
 #include "plan/stats.h"
-#include "shard/sharded_backend.h"
 #include "sparql/sparql.h"
 
 namespace swan {
@@ -124,15 +123,11 @@ TEST_F(OptimizerTest, CostPlannerEqualsOrBeatsHandWiredOrderEverywhere) {
   ASSERT_EQ(pinned.value().triples, config_.target_triples);
   ASSERT_EQ(pinned.value().seed, config_.seed);
 
-  core::ColTripleBackend col_triple(barton_.dataset, rdf::TripleOrder::kPSO);
-  core::ColVerticalBackend col_vert(barton_.dataset);
-  core::RowTripleBackend row_triple(barton_.dataset,
-                                    rowstore::TripleRelation::PsoConfig());
-  core::RowVerticalBackend row_vert(barton_.dataset);
-  std::vector<core::Backend*> backends = {&col_triple, &col_vert, &row_triple,
-                                          &row_vert};
-
-  for (core::Backend* backend : backends) {
+  // The designs the pinned heuristic was recorded on.
+  for (const char* label : {"MonetDB triple PSO", "MonetDB vert. SO",
+                            "DBX triple PSO", "DBX vert. SO"}) {
+    const auto owned = bench_support::OpenDesign(barton_.dataset, label);
+    core::Backend* backend = owned.get();
     for (const auto& bgp : bench_support::BenchmarkBgps(vocab_)) {
       SCOPED_TRACE(backend->name() + " " + bgp.name);
       const RunCost as_written =
@@ -195,7 +190,7 @@ TEST_F(OptimizerTest, ScanJoinFiresOnAllVarStarAndReducesMatchCalls) {
 //   ?s <type> <top> . ?s <language> ?l
 // The planner's per-class estimate is uniform, so it undershoots the
 // bindings of the most frequent class; the run-time choice still sees the
-// actual row count and joins <language> in one pass. Every engine must
+// actual row count and joins <language> in one pass. Every design must
 // answer with exactly two Match calls — one per pattern — and one
 // scan-join step, and agree with the reference at widths 1 and 8.
 TEST_F(OptimizerTest, TopClassStarRunsAsScanJoinOnEveryBackend) {
@@ -223,25 +218,7 @@ TEST_F(OptimizerTest, TopClassStarRunsAsScanJoinOnEveryBackend) {
   std::sort(expected.value().rows.begin(), expected.value().rows.end());
   ASSERT_GT(expected.value().rows.size(), 100u);
 
-  std::vector<std::unique_ptr<core::Backend>> backends;
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      barton_.dataset, rowstore::TripleRelation::SpoConfig()));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      barton_.dataset, rowstore::TripleRelation::PsoConfig()));
-  backends.push_back(
-      std::make_unique<core::RowVerticalBackend>(barton_.dataset));
-  backends.push_back(std::make_unique<core::ColTripleBackend>(
-      barton_.dataset, rdf::TripleOrder::kPSO));
-  backends.push_back(
-      std::make_unique<core::ColVerticalBackend>(barton_.dataset));
-  for (int nodes : {2, 4}) {
-    shard::ShardOptions options;
-    options.nodes = nodes;
-    backends.push_back(
-        std::make_unique<shard::ShardedBackend>(barton_.dataset, options));
-  }
-
-  for (const auto& backend : backends) {
+  for (const auto& backend : bench_support::OpenDesigns(barton_.dataset)) {
     for (int width : {1, 8}) {
       SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
       const exec::ExecContext ectx(width);
@@ -384,8 +361,8 @@ TEST_F(OptimizerTest, OffsetIsDeterministicAcrossWidths) {
 
 // A star of 65 arms binds 66 variables, more than the planner's variable
 // bitmaps hold: the group runs in textual order, the mode note says so,
-// and every single-node backend still answers like the reference at
-// widths 1 and 8.
+// and every design of the list still answers like the reference at widths
+// 1 and 8.
 TEST(WideGroupTest, StarOverSixtyFourVariablesRunsAsWritten) {
   constexpr int kArms = 65;
   rdf::Dataset data;
@@ -416,18 +393,7 @@ TEST(WideGroupTest, StarOverSixtyFourVariablesRunsAsWritten) {
   std::sort(expected.value().rows.begin(), expected.value().rows.end());
   ASSERT_EQ(expected.value().rows.size(), 3u);
 
-  std::vector<std::unique_ptr<core::Backend>> backends;
-  backends.push_back(
-      std::make_unique<core::ColTripleBackend>(data, rdf::TripleOrder::kSPO));
-  backends.push_back(
-      std::make_unique<core::ColTripleBackend>(data, rdf::TripleOrder::kPSO));
-  backends.push_back(std::make_unique<core::ColVerticalBackend>(data));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::SpoConfig()));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::PsoConfig()));
-  backends.push_back(std::make_unique<core::RowVerticalBackend>(data));
-  for (const auto& backend : backends) {
+  for (const auto& backend : bench_support::OpenDesigns(data)) {
     for (int width : {1, 8}) {
       SCOPED_TRACE(backend->name() + " width " + std::to_string(width));
       auto got = sparql::Execute(*backend, data, query,

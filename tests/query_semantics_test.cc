@@ -9,11 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
-#include "core/reference_backend.h"
+#include "bench_support/designs.h"
 #include "core/query.h"
-#include "core/row_backends.h"
+#include "core/reference_backend.h"
 #include "rdf/dataset.h"
 
 namespace swan {
@@ -90,24 +88,13 @@ class QuerySemanticsTest : public ::testing::Test {
                         data_.DistinctProperties().size());
   }
 
+  // Every design of the list and the reference. C-Store, the one design
+  // without all 12 queries, only when asked for.
   std::vector<std::unique_ptr<core::Backend>> AllBackends(
       bool include_cstore) const {
-    std::vector<std::unique_ptr<core::Backend>> backends;
-    backends.push_back(std::make_unique<core::ColTripleBackend>(
-        data_, rdf::TripleOrder::kSPO));
-    backends.push_back(std::make_unique<core::ColTripleBackend>(
-        data_, rdf::TripleOrder::kPSO));
-    backends.push_back(std::make_unique<core::ColVerticalBackend>(data_));
-    backends.push_back(std::make_unique<core::RowTripleBackend>(
-        data_, rowstore::TripleRelation::SpoConfig()));
-    backends.push_back(std::make_unique<core::RowTripleBackend>(
-        data_, rowstore::TripleRelation::PsoConfig()));
-    backends.push_back(std::make_unique<core::RowVerticalBackend>(data_));
+    auto backends = bench_support::OpenDesigns(
+        data_, {.all_queries = !include_cstore});
     backends.push_back(std::make_unique<core::ReferenceBackend>(data_));
-    if (include_cstore) {
-      backends.push_back(std::make_unique<core::CStoreBackend>(
-          data_, data_.DistinctProperties()));
-    }
     return backends;
   }
 

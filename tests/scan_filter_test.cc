@@ -15,13 +15,12 @@
 #include <vector>
 
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/query_bgps.h"
 #include "core/bgp.h"
 #include "core/col_backends.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "plan/stats.h"
-#include "shard/sharded_backend.h"
 #include "sparql/sparql.h"
 
 namespace swan {
@@ -78,13 +77,11 @@ TEST_F(ScanFilterTest, PropertyInListReadsOnlyTheListedProperties) {
   // The type and language partitions, both columns each: 81,920 + 16,384.
   EXPECT_LE(ColdBytes(&col_vert, in_query), 98304u);
 
-  std::vector<std::unique_ptr<core::Backend>> triple_pso;
-  triple_pso.push_back(std::make_unique<core::RowTripleBackend>(
-      data(), rowstore::TripleRelation::PsoConfig()));
-  triple_pso.push_back(std::make_unique<core::ColTripleBackend>(
-      data(), rdf::TripleOrder::kPSO));
-  triple_pso.push_back(std::make_unique<core::ColVerticalBackend>(data()));
-  for (const auto& backend : triple_pso) {
+  for (const auto& backend : bench_support::OpenDesigns(data())) {
+    // Excluded: C-Store, the paper's baseline engine, applies every filter
+    // after its scan by design (CStoreBackend::Match), so its IN-list
+    // opens every projection.
+    if (backend->name() == "C-Store vert. SO") continue;
     SCOPED_TRACE(backend->name());
     const uint64_t unioned = ColdBytes(backend.get(), single(type)) +
                              ColdBytes(backend.get(), single(language));
@@ -174,16 +171,7 @@ TEST_F(ScanFilterTest, PushedFiltersAgreeWithReferenceAtEveryWidth) {
           " OPTIONAL { ?s ?p ?o FILTER(?p = " + Term(v.origin) + ") } }",
   };
   core::ReferenceBackend reference(data());
-  std::vector<std::unique_ptr<core::Backend>> backends;
-  backends.push_back(std::make_unique<core::ColVerticalBackend>(data()));
-  backends.push_back(std::make_unique<core::ColTripleBackend>(
-      data(), rdf::TripleOrder::kPSO));
-  backends.push_back(std::make_unique<core::RowTripleBackend>(
-      data(), rowstore::TripleRelation::PsoConfig()));
-  backends.push_back(std::make_unique<core::RowVerticalBackend>(data()));
-  shard::ShardOptions options;
-  options.nodes = 2;
-  backends.push_back(std::make_unique<shard::ShardedBackend>(data(), options));
+  const auto backends = bench_support::OpenDesigns(data());
 
   const auto sorted_rows = [&](const core::Backend& backend,
                                const std::string& query, int width) {

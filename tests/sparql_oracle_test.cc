@@ -5,9 +5,9 @@
 // OFFSET) and renders each as SPARQL text. A naive evaluator with SPARQL
 // 1.1 bag semantics answers it straight from the dataset's triple list,
 // sharing no code with sparql/, plan/ or core/bgp.cc. Every backend that
-// answers Match, plus the sharded vertical store at 2 and 4 nodes and the
-// sharded triple store at 2, must return the oracle's solution multiset,
-// cost-based through
+// answers Match, every design of bench_support::Designs() (the paper's
+// seven, the sharded vertical and triple stores at 2 and 4 nodes) and the
+// reference, must return the oracle's solution multiset, cost-based through
 // sparql::Execute and as written through core::PlanQuery/ExecutePlan, at
 // the test's thread width. Under LIMIT or OFFSET (there is no ORDER BY)
 // only the row count and containment in the full answer are checked.
@@ -17,10 +17,11 @@
 // Every other graph first takes a seeded batch of writes: inserts on
 // existing and new properties and subjects, deletes of base rows and of
 // unmerged inserts, and the re-insert of a deleted base row. The batch
-// goes to every backend that accepts it (the row stores reject deletes
-// and C-Store all writes, so they sit those graphs out) and to the
-// oracle's triple list. Match never merges a column store's write store,
-// so these graphs' queries all read through its overlay.
+// goes to the designs whose capabilities include inserts and deletes (the
+// row stores reject deletes and C-Store all writes, so they sit those
+// graphs out) and to the oracle's triple list. Match never merges a
+// column store's write store, so these graphs' queries all read through
+// its overlay.
 //
 // The run is seeded from gtest's random seed and prints it: the default
 // run uses seed 0, `--gtest_shuffle` draws a new seed each repetition, and
@@ -39,15 +40,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/designs.h"
 #include "common/random.h"
 #include "core/bgp.h"
-#include "core/col_backends.h"
-#include "core/cstore_backend.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "plan/stats.h"
 #include "rdf/dataset.h"
-#include "shard/sharded_backend.h"
 #include "sparql/sparql.h"
 
 namespace swan {
@@ -520,48 +518,30 @@ class Oracle {
 
 // --- The run ----------------------------------------------------------------
 
-// Every backend that answers Match: the column, row and C-Store designs,
-// the reference, and the sharded vertical store at 2 and 4 nodes and the
-// sharded triple store at 2.
-std::vector<std::unique_ptr<core::Backend>> AllBackends(
-    const rdf::Dataset& data) {
+// The reference, then every design of the list (bench_support::Designs());
+// with `writes`, only the reference and the designs that take inserts and
+// deletes.
+std::vector<std::unique_ptr<core::Backend>> OracleBackends(
+    const rdf::Dataset& data, bool writes) {
   std::vector<std::unique_ptr<core::Backend>> out;
   out.push_back(std::make_unique<core::ReferenceBackend>(data));
-  for (rdf::TripleOrder order :
-       {rdf::TripleOrder::kSPO, rdf::TripleOrder::kPSO}) {
-    out.push_back(std::make_unique<core::ColTripleBackend>(data, order));
-  }
-  out.push_back(std::make_unique<core::ColVerticalBackend>(data));
-  out.push_back(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::SpoConfig()));
-  out.push_back(std::make_unique<core::RowTripleBackend>(
-      data, rowstore::TripleRelation::PsoConfig()));
-  out.push_back(std::make_unique<core::RowVerticalBackend>(data));
-  out.push_back(
-      std::make_unique<core::CStoreBackend>(data, data.DistinctProperties()));
-  for (auto [nodes, vertical] : {std::pair{2, true}, std::pair{4, true},
-                                 std::pair{2, false}}) {
-    shard::ShardOptions options;
-    options.nodes = nodes;
-    options.vertical = vertical;
-    out.push_back(std::make_unique<shard::ShardedBackend>(data, options));
+  for (auto& backend : bench_support::OpenDesigns(
+           data, {.inserts = writes, .deletes = writes})) {
+    out.push_back(std::move(backend));
   }
   return out;
 }
 
-// Applies `batch` to each backend, dropping those that reject a write as
-// unimplemented, and to `triples`.
+// Applies `batch` to each backend and to `triples`.
 void ApplyWrites(const WriteBatch& batch,
-                 std::vector<std::unique_ptr<core::Backend>>* backends,
+                 const std::vector<std::unique_ptr<core::Backend>>& backends,
                  std::vector<rdf::Triple>* triples) {
-  std::erase_if(*backends, [&](const auto& backend) {
+  for (const auto& backend : backends) {
     for (const auto& [insert, t] : batch) {
       const Status st = insert ? backend->Insert(t) : backend->Delete(t);
-      if (st.code() == StatusCode::kUnimplemented) return true;
       EXPECT_TRUE(st.ok()) << backend->name() << ": " << st.ToString();
     }
-    return false;
-  });
+  }
   for (const auto& [insert, t] : batch) {
     if (insert) {
       triples->push_back(t);
@@ -676,9 +656,10 @@ TEST_P(SparqlOracleTest, RandomQueriesMatchOracle) {
         writes ? MakeWriteBatch(&data, graph_seed ^ 0x3717e5) : WriteBatch{};
     // Load-time statistics, as a store keeps them across writes.
     const plan::StoreStats stats = plan::StoreStats::Collect(data);
-    std::vector<std::unique_ptr<core::Backend>> backends = AllBackends(data);
+    const std::vector<std::unique_ptr<core::Backend>> backends =
+        OracleBackends(data, writes);
     std::vector<rdf::Triple> triples = data.triples();
-    ApplyWrites(batch, &backends, &triples);
+    ApplyWrites(batch, backends, &triples);
     Oracle oracle(data, std::move(triples));
     std::vector<std::string> properties = kProperties;
     if (writes) properties.push_back(kNewProperty);

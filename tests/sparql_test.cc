@@ -6,10 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/designs.h"
 #include "core/bgp.h"
-#include "core/col_backends.h"
 #include "core/reference_backend.h"
-#include "core/row_backends.h"
 #include "plan/physical.h"
 #include "plan/stats.h"
 #include "rdf/dataset.h"
@@ -28,7 +27,7 @@ class SparqlTest : public ::testing::Test {
     data_.Add("<http://ex.org/alice>", "<http://ex.org/age>", "\"30\"");
     data_.Add("<http://ex.org/bob>", "<http://ex.org/age>", "\"30\"");
     data_.Add("<http://ex.org/carol>", "<http://ex.org/age>", "\"25\"");
-    backend_ = std::make_unique<core::ColVerticalBackend>(data_);
+    backend_ = bench_support::OpenDesign(data_, "MonetDB vert. SO");
   }
 
   // Cost-based over the statistics of data_ as it is now.
@@ -42,7 +41,7 @@ class SparqlTest : public ::testing::Test {
   }
 
   rdf::Dataset data_;
-  std::unique_ptr<core::ColVerticalBackend> backend_;
+  std::unique_ptr<core::Backend> backend_;
 };
 
 TEST_F(SparqlTest, ParsesMinimalQuery) {
@@ -161,7 +160,7 @@ TEST_F(SparqlTest, FilterAgainstUnknownTermIsNotAnError) {
 TEST_F(SparqlTest, OptionalPadsNonMatchesWithEmptyBinding) {
   data_.Add("<http://ex.org/dave>", "<http://ex.org/knows>",
             "<http://ex.org/alice>");  // dave has no age
-  backend_ = std::make_unique<core::ColVerticalBackend>(data_);
+  backend_ = bench_support::OpenDesign(data_, "MonetDB vert. SO");
   auto result = Run(
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x ?a WHERE { ?x ex:knows ?y . "
@@ -185,7 +184,7 @@ TEST_F(SparqlTest, OptionalPadsNonMatchesWithEmptyBinding) {
 TEST_F(SparqlTest, FilterOnOptionalVariableRunsAfterTheOptional) {
   data_.Add("<http://ex.org/dave>", "<http://ex.org/knows>",
             "<http://ex.org/alice>");  // dave has no age
-  backend_ = std::make_unique<core::ColVerticalBackend>(data_);
+  backend_ = bench_support::OpenDesign(data_, "MonetDB vert. SO");
   auto result = Run(
       "PREFIX ex: <http://ex.org/>\n"
       "SELECT ?x WHERE { ?x ex:knows ?y . "
@@ -456,13 +455,9 @@ class ScanFilterSemanticsTest : public ::testing::Test {
     data_.Add("<s3>", "<age>", "\"25\"");
     data_.Add("<s4>", "<age>", "<eng>");
     stats_ = plan::StoreStats::Collect(data_);
-    backends_.push_back(std::make_unique<core::ReferenceBackend>(data_));
-    backends_.push_back(std::make_unique<core::ColVerticalBackend>(data_));
-    backends_.push_back(std::make_unique<core::ColTripleBackend>(
-        data_, rdf::TripleOrder::kPSO));
-    backends_.push_back(std::make_unique<core::RowTripleBackend>(
-        data_, rowstore::TripleRelation::PsoConfig()));
-    backends_.push_back(std::make_unique<core::RowVerticalBackend>(data_));
+    backends_ = bench_support::OpenDesigns(data_);
+    backends_.insert(backends_.begin(),
+                     std::make_unique<core::ReferenceBackend>(data_));
   }
 
   uint64_t Id(const std::string& term) const {

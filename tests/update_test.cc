@@ -16,10 +16,10 @@
 
 #include "audit/audit.h"
 #include "bench_support/barton_generator.h"
+#include "bench_support/designs.h"
 #include "bench_support/harness.h"
 #include "colstore/column.h"
 #include "core/col_backends.h"
-#include "core/cstore_backend.h"
 #include "core/reference_backend.h"
 #include "core/row_backends.h"
 #include "core/store.h"
@@ -39,34 +39,18 @@ class UpdateTest : public ::testing::Test {
     barton_ = bench_support::GenerateBarton(config);
   }
 
+  // Every design that takes inserts, and the reference.
   std::vector<std::unique_ptr<Backend>> WritableBackends() {
-    std::vector<std::unique_ptr<Backend>> backends;
-    backends.push_back(std::make_unique<ColTripleBackend>(
-        barton_.dataset, rdf::TripleOrder::kPSO));
-    backends.push_back(std::make_unique<ColTripleBackend>(
-        barton_.dataset, rdf::TripleOrder::kSPO));
-    backends.push_back(std::make_unique<ColVerticalBackend>(barton_.dataset));
-    backends.push_back(std::make_unique<RowTripleBackend>(
-        barton_.dataset, rowstore::TripleRelation::PsoConfig()));
-    backends.push_back(std::make_unique<RowVerticalBackend>(barton_.dataset));
+    auto backends =
+        bench_support::OpenDesigns(barton_.dataset, {.inserts = true});
     backends.push_back(std::make_unique<ReferenceBackend>(barton_.dataset));
     return backends;
   }
 
-  // Every column design, each over the one write store: triple SPO and
-  // PSO, vertical, and the vertical store on two nodes.
+  // Every design that takes deletes: the column designs, each over the one
+  // write store, on one node and sharded.
   std::vector<std::unique_ptr<Backend>> ColumnDesigns() {
-    std::vector<std::unique_ptr<Backend>> backends;
-    backends.push_back(std::make_unique<ColTripleBackend>(
-        barton_.dataset, rdf::TripleOrder::kSPO));
-    backends.push_back(std::make_unique<ColTripleBackend>(
-        barton_.dataset, rdf::TripleOrder::kPSO));
-    backends.push_back(std::make_unique<ColVerticalBackend>(barton_.dataset));
-    shard::ShardOptions options;
-    options.nodes = 2;
-    backends.push_back(
-        std::make_unique<shard::ShardedBackend>(barton_.dataset, options));
-    return backends;
+    return bench_support::OpenDesigns(barton_.dataset, {.deletes = true});
   }
 
   bench_support::BartonDataset barton_;
@@ -155,12 +139,6 @@ TEST_F(UpdateTest, DuplicateOfUnmergedDeltaRejected) {
               StatusCode::kAlreadyExists)
         << backend->name();
   }
-}
-
-TEST_F(UpdateTest, CStoreIsReadOnly) {
-  const auto ctx = bench_support::MakeBartonContext(barton_.dataset, 28);
-  CStoreBackend cstore(barton_.dataset, ctx.interesting_properties());
-  EXPECT_EQ(cstore.Insert({1, 2, 3}).code(), StatusCode::kUnimplemented);
 }
 
 TEST_F(UpdateTest, NewPropertyCreatesPartition) {

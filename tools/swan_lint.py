@@ -56,6 +56,13 @@ Enforces repo-specific rules that clang-tidy cannot express:
                     its scan, before a triple is materialized or shipped;
                     a write store's overlay of unmerged rows carries an
                     allow(post-filter).
+  backend-list      No std::make_unique of an engine backend (the row,
+                    column, C-Store and sharded backend classes) in
+                    tests/ or bench/. Suites and benches open their designs
+                    from bench_support::Designs() through
+                    core::OpenBackend, so every design list is one list;
+                    the reference oracle (ReferenceBackend) stays built by
+                    hand.
 
 Suppression: append `// swan-lint: allow(<rule>)` to the offending line,
 or place it alone on the line directly above. Suppressions are per-rule;
@@ -92,6 +99,7 @@ RULES = [
     "json-by-hand",
     "query-switch",
     "post-filter",
+    "backend-list",
 ]
 
 # The only directory allowed to construct the per-node storage stack; the
@@ -160,6 +168,11 @@ POST_FILTER_ALLOWED = {
     "src/core/cstore_backend.cc",
 }
 POST_FILTER_RE = re.compile(r"(?<![\w.>])filter\s*\.\s*Passes\s*\(")
+# Engine backends built by hand where the design list should be used.
+BACKEND_LIST_PREFIXES = ("tests/", "bench/")
+BACKEND_LIST_RE = re.compile(
+    r"\bmake_unique<\s*(?:swan::)?(?:core::|shard::)?"
+    r"(?:RowTriple|RowVertical|ColTriple|ColVertical|CStore|Sharded)Backend\b")
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
 BASE_OF_RE = re.compile(r"\bBaseOf\s*\(")
 CASE_RE = re.compile(r"\bcase\b")
@@ -476,6 +489,13 @@ def lint_file(path, display_path, lines, status_names):
             report(idx, "post-filter",
                    "whole-triple scan-filter test outside the scan; pass "
                    "the PatternFilter into the scan (Match) instead")
+
+        if (display_path.startswith(BACKEND_LIST_PREFIXES)
+                and BACKEND_LIST_RE.search(code)):
+            report(idx, "backend-list",
+                   "engine backend built by hand; open it from "
+                   "bench_support::Designs() (OpenDesigns / OpenDesign) "
+                   "so every suite selects from the one design list")
 
         for name in status_names:
             if name in code and find_bare_call(lines, idx, name):
