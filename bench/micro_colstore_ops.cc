@@ -294,12 +294,15 @@ void BM_MergeCountMatchesVertical(benchmark::State& state) {
 BENCHMARK(BM_MergeCountMatchesVertical)->Arg(0)->Arg(1);
 
 // The subject-filter selects of the vertical store's q3, q5 and q7 at
-// 200k triples (seed 42), one MergeSelectPositions call per (partition
-// rows, filter subjects) pair below, in the order the queries make them,
-// over 60k subject ids. Arg = the query. Reports ns/row (items) and the
-// minor page faults per iteration (getrusage), which a per-call heap
-// buffer for the merge's slots would show.
-void BM_MergeSelectVertical(benchmark::State& state) {
+// 200k triples (seed 42), one select call per (partition rows, filter
+// subjects) pair below, in the order the queries make them, over 60k
+// subject ids. Arg = the query. `select(values, keys)` is the kernel under
+// test. Reports ns/row (items) and the minor page faults per iteration
+// (getrusage), which a per-call heap buffer would show.
+constexpr uint64_t kVerticalSubjects = 60000;
+
+template <typename Select>
+void RunVerticalSelects(benchmark::State& state, const Select& select) {
   static const std::map<int, std::vector<std::pair<size_t, double>>> kCalls = {
       {3,
        {{46166, 6864}, {28643, 6864}, {16565, 6864}, {11712, 6864},
@@ -312,16 +315,15 @@ void BM_MergeSelectVertical(benchmark::State& state) {
       {5, {{16565, 2312}, {46166, 836}}},
       {7, {{4528, 1934}, {46166, 1934}}},
   };
-  constexpr uint64_t kSubjects = 60000;
   std::vector<std::vector<uint64_t>> values;
   std::vector<std::vector<uint64_t>> keys;
   uint64_t rows = 0;
   Rng rng(11);
   for (const auto& [n, key_count] : kCalls.at(state.range(0))) {
-    values.push_back(SortedRunColumn(n, kSubjects, rng.Next()));
+    values.push_back(SortedRunColumn(n, kVerticalSubjects, rng.Next()));
     keys.emplace_back();
-    for (uint64_t id = 0; id < kSubjects; ++id) {
-      if (rng.Chance(key_count / kSubjects)) keys.back().push_back(id);
+    for (uint64_t id = 0; id < kVerticalSubjects; ++id) {
+      if (rng.Chance(key_count / kVerticalSubjects)) keys.back().push_back(id);
     }
     rows += n;
   }
@@ -329,7 +331,7 @@ void BM_MergeSelectVertical(benchmark::State& state) {
   getrusage(RUSAGE_SELF, &before);
   for (auto _ : state) {
     for (size_t c = 0; c < values.size(); ++c) {
-      benchmark::DoNotOptimize(MergeSelectPositions(values[c], keys[c]));
+      benchmark::DoNotOptimize(select(values[c], keys[c]));
     }
   }
   struct rusage after;
@@ -339,7 +341,28 @@ void BM_MergeSelectVertical(benchmark::State& state) {
       static_cast<double>(after.ru_minflt - before.ru_minflt) /
       static_cast<double>(state.iterations());
 }
+
+// The sorted merge the vertical store's q3/q4 pair collection runs.
+void BM_MergeSelectVertical(benchmark::State& state) {
+  RunVerticalSelects(state, [](const std::vector<uint64_t>& values,
+                               const std::vector<uint64_t>& keys) {
+    return MergeSelectPositions(values, keys);
+  });
+}
 BENCHMARK(BM_MergeSelectVertical)->Arg(3)->Arg(5)->Arg(7);
+
+// The bitmap select a Match pattern step with a subject id set runs
+// (q5/q7's pair step), the MarkSet built from the keys inside the timed
+// loop as the step builds it.
+void BM_SelectMarkedVertical(benchmark::State& state) {
+  RunVerticalSelects(state, [](const std::vector<uint64_t>& values,
+                               const std::vector<uint64_t>& keys) {
+    MarkSet set(kVerticalSubjects);
+    set.MarkAll(keys);
+    return SelectMarked(values, set);
+  });
+}
+BENCHMARK(BM_SelectMarkedVertical)->Arg(3)->Arg(5)->Arg(7);
 
 // Triple PSO's counterpart of the merge above, q2's property count at
 // 400k triples: 400k rows over 222 properties, each property's subjects

@@ -212,22 +212,6 @@ PositionVector ColTripleBackend::PropPositions(
   return SelectEq(table_->encoded_properties(), property, ectx);
 }
 
-std::vector<uint64_t> ColTripleBackend::SubjectsOf(
-    uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
-  // PSO holds the property's rows as one range: select in it directly.
-  PositionVector sel;
-  if (pso_) {
-    const auto [lo, hi] = table_->PrimaryRange(property);
-    sel = SelectEq(table_->encoded_objects(), lo, hi, object, ectx);
-  } else {
-    sel = SelectEq(table_->encoded_objects(), PropPositions(property, ectx),
-                   object, ectx);
-  }
-  // Subjects come out ascending in both sort orders: SPO is globally
-  // subject-sorted, PSO is subject-sorted within one property.
-  return Gather(table_->encoded_subjects(), sel, ectx);
-}
-
 std::vector<uint64_t> ColTripleBackend::ObjectsOf(
     uint64_t subject, const exec::ExecContext& ectx) const {
   if (pso_) {
@@ -288,60 +272,14 @@ std::vector<PairCount> ColTripleBackend::PropertyObjectCounts(
   return CountPairs(ps, os, universe, min_count, ectx);
 }
 
-SubjectObjects ColTripleBackend::SubjectObjectPairs(
-    uint64_t property, std::span<const uint64_t> subjects,
-    const exec::ExecContext& ectx) const {
-  // Both sort orders keep one property's rows in (subject, object) order,
-  // so a merge against the sorted filter selects them; only the selected
-  // rows decode.
-  PositionVector sel;
-  if (pso_) {
-    const auto [lo, hi] = table_->PrimaryRange(property);
-    sel = MergeSelectPositions(table_->encoded_subjects(), lo, hi, subjects,
-                               ectx);
-    for (uint32_t& p : sel) p += lo;
-  } else {
-    const PositionVector rows = PropPositions(property, ectx);
-    const std::vector<uint64_t> rs =
-        Gather(table_->encoded_subjects(), rows, ectx);
-    for (uint32_t i : MergeSelectPositions(rs, subjects, ectx)) {
-      sel.push_back(rows[i]);
-    }
-  }
-  const std::vector<uint64_t> ps = Gather(table_->encoded_subjects(), sel, ectx);
-  const std::vector<uint64_t> po = Gather(table_->encoded_objects(), sel, ectx);
-  SubjectObjects out(sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) out[i] = {ps[i], po[i]};
-  return out;
-}
-
 std::vector<uint64_t> ColTripleBackend::SubjectsWithObjectIn(
-    std::span<const uint64_t> object_list, std::optional<uint64_t> property,
-    uint64_t universe, const exec::ExecContext& ectx) const {
+    std::span<const uint64_t> object_list, uint64_t universe,
+    const exec::ExecContext& ectx) const {
   MarkSet objects(universe);
   objects.MarkAll(object_list);
-  if (!property) {
-    const PositionVector hits =
-        SelectMarked(table_->encoded_objects(), objects, ectx);
-    return SortDistinct(Gather(table_->encoded_subjects(), hits, ectx));
-  }
-  // The property's rows select through the object marks, the ranged
-  // SelectMarked a filtered Match runs, and only the kept subjects are
-  // gathered. The columns load in the order the gathers read them before:
-  // properties, subjects, objects.
-  const PositionVector positions =
-      pso_ ? PositionVector() : PropPositions(*property, ectx);
-  const auto [lo, hi] = pso_ ? table_->PrimaryRange(*property)
-                             : std::pair<uint32_t, uint32_t>(0, 0);
-  const EncodedColumn& subj = table_->encoded_subjects();
-  const PositionVector sel =
-      pso_ ? SelectMarked(table_->encoded_objects(), lo, hi, objects, ectx)
-           : SelectMarked(table_->encoded_objects(), positions, objects, ectx);
-  // One property's subjects come out sorted (see SubjectObjectPairs), so
-  // duplicates are adjacent.
-  std::vector<uint64_t> out = Gather(subj, sel, ectx);
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  const PositionVector hits =
+      SelectMarked(table_->encoded_objects(), objects, ectx);
+  return SortDistinct(Gather(table_->encoded_subjects(), hits, ectx));
 }
 
 bool ColTripleBackend::BaseContains(const rdf::Triple& t) const {
@@ -500,16 +438,6 @@ uint64_t ColVerticalBackend::EnsureMerged() {
 // Every phase reads a partition's second column only at the rows its
 // first column's selection kept: an empty selection leaves it unopened.
 
-std::vector<uint64_t> ColVerticalBackend::SubjectsOf(
-    uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
-  if (!table_->HasPartition(property)) return {};
-  const PositionVector sel =
-      SelectEq(table_->EncodedObjects(property), object, ectx);
-  if (sel.empty()) return {};
-  // Subject columns are sorted, so the gathered subset stays sorted.
-  return Gather(table_->EncodedSubjects(property), sel, ectx);
-}
-
 std::vector<uint64_t> ColVerticalBackend::ObjectsOf(
     uint64_t subject, const exec::ExecContext& ectx) const {
   // Visits *every* property table: one sub-plan per partition; empty
@@ -610,39 +538,11 @@ std::vector<PairCount> ColVerticalBackend::PropertyObjectCounts(
   return CountPairs(ps, os, universe, min_count, ectx);
 }
 
-SubjectObjects ColVerticalBackend::SubjectObjectPairs(
-    uint64_t property, std::span<const uint64_t> subjects,
-    const exec::ExecContext& ectx) const {
-  if (!table_->HasPartition(property)) return {};
-  const PositionVector sel =
-      MergeSelectPositions(table_->EncodedSubjects(property), 0,
-                           table_->PartitionSize(property), subjects, ectx);
-  if (sel.empty()) return {};
-  const std::vector<uint64_t> ps =
-      Gather(table_->EncodedSubjects(property), sel, ectx);
-  const std::vector<uint64_t> po =
-      Gather(table_->EncodedObjects(property), sel, ectx);
-  SubjectObjects out(sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) out[i] = {ps[i], po[i]};
-  return out;
-}
-
 std::vector<uint64_t> ColVerticalBackend::SubjectsWithObjectIn(
-    std::span<const uint64_t> object_list, std::optional<uint64_t> property,
-    uint64_t universe, const exec::ExecContext& ectx) const {
+    std::span<const uint64_t> object_list, uint64_t universe,
+    const exec::ExecContext& ectx) const {
   MarkSet objects(universe);
   objects.MarkAll(object_list);
-  if (property) {
-    if (!table_->HasPartition(*property)) return {};
-    const PositionVector sel =
-        SelectMarked(table_->EncodedObjects(*property), objects, ectx);
-    if (sel.empty()) return {};
-    // Gathered from a sorted subject column: duplicates are adjacent.
-    std::vector<uint64_t> out =
-        Gather(table_->EncodedSubjects(*property), sel, ectx);
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
   // Every property table, fanned out over flattened (property, row-range)
   // morsels — the probe side is dominated by the few giant partitions,
   // which would otherwise serialize. Each morsel selects on its objects

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -66,7 +65,7 @@ class WriteStore {
 
 // What both column engines share around their layout: one `Table`
 // (colstore::TripleTable or VerticalTable) on a disk and pool, and its
-// write store. Each engine adds its base probe, its Match scan, its seven
+// write store. Each engine adds its base probe, its Match scan, its five
 // phases and its rebuild (EnsureMerged).
 template <typename Table>
 class ColumnStore : public PhasedBackend {
@@ -166,9 +165,6 @@ class ColTripleBackend : public ColumnStore<colstore::TripleTable> {
   }
 
  private:
-  std::vector<uint64_t> SubjectsOf(
-      uint64_t property, uint64_t object,
-      const exec::ExecContext& ectx) const override;
   std::vector<uint64_t> ObjectsOf(
       uint64_t subject, const exec::ExecContext& ectx) const override;
   KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
@@ -181,12 +177,9 @@ class ColTripleBackend : public ColumnStore<colstore::TripleTable> {
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
       uint64_t universe, const colstore::MinCount& min_count,
       const exec::ExecContext& ectx) const override;
-  SubjectObjects SubjectObjectPairs(
-      uint64_t property, std::span<const uint64_t> subjects,
-      const exec::ExecContext& ectx) const override;
   std::vector<uint64_t> SubjectsWithObjectIn(
-      std::span<const uint64_t> objects, std::optional<uint64_t> property,
-      uint64_t universe, const exec::ExecContext& ectx) const override;
+      std::span<const uint64_t> objects, uint64_t universe,
+      const exec::ExecContext& ectx) const override;
 
   colstore::PositionVector PropPositions(uint64_t property,
                                          const exec::ExecContext& ectx) const;
@@ -237,9 +230,6 @@ class ColVerticalBackend : public ColumnStore<colstore::VerticalTable> {
   }
 
  private:
-  std::vector<uint64_t> SubjectsOf(
-      uint64_t property, uint64_t object,
-      const exec::ExecContext& ectx) const override;
   std::vector<uint64_t> ObjectsOf(
       uint64_t subject, const exec::ExecContext& ectx) const override;
   KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
@@ -252,12 +242,9 @@ class ColVerticalBackend : public ColumnStore<colstore::VerticalTable> {
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
       uint64_t universe, const colstore::MinCount& min_count,
       const exec::ExecContext& ectx) const override;
-  SubjectObjects SubjectObjectPairs(
-      uint64_t property, std::span<const uint64_t> subjects,
-      const exec::ExecContext& ectx) const override;
   std::vector<uint64_t> SubjectsWithObjectIn(
-      std::span<const uint64_t> objects, std::optional<uint64_t> property,
-      uint64_t universe, const exec::ExecContext& ectx) const override;
+      std::span<const uint64_t> objects, uint64_t universe,
+      const exec::ExecContext& ectx) const override;
 
   bool BaseContains(const rdf::Triple& triple) const override;
   uint64_t EnsureMerged() override;

@@ -167,6 +167,48 @@ void MergeJoin(const SubjectObjects& left, const SubjectObjects& right,
   }
 }
 
+// A pattern step's filter: the ids of a sorted list at component c
+// (0 = subject, 2 = object) as an id set. Never an IN-list, which a row
+// store walks as one key prefix per listed id: an id set keeps the
+// unfiltered pattern's access path.
+rdf::PatternFilter IdSetAt(int c, std::span<const uint64_t> ids,
+                           uint64_t universe) {
+  rdf::MarkSet set(universe);
+  set.MarkAll(ids);
+  rdf::PatternFilter filter;
+  (c == 0 ? filter.subject : filter.object) =
+      rdf::ScanFilter::IdSet(std::move(set));
+  return filter;
+}
+
+// Sorts `rows` unless they already are: one property's matches come
+// sorted from every store but a row store's secondary-index walk.
+template <typename T>
+void SortRows(std::vector<T>* rows) {
+  if (!std::is_sorted(rows->begin(), rows->end())) {
+    std::sort(rows->begin(), rows->end());
+  }
+}
+
+// A step's projections: the distinct subjects of its matches, and their
+// (subject, object) rows, each ascending.
+std::vector<uint64_t> DistinctSubjects(const std::vector<rdf::Triple>& rows) {
+  std::vector<uint64_t> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = rows[i].subject;
+  SortRows(&out);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+SubjectObjects SubjectObjectRows(const std::vector<rdf::Triple>& rows) {
+  SubjectObjects out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out[i] = {rows[i].subject, rows[i].object};
+  }
+  SortRows(&out);
+  return out;
+}
+
 QueryResult SubjectRows(const std::vector<uint64_t>& subjects) {
   QueryResult result;
   result.column_names = {"subj"};
@@ -237,13 +279,14 @@ QueryResult PhasedBackend::RunPartitioned(
     }
     return partials;
   };
-  // The subjects of (?, property, object), broadcast from each holder to
+  // The subjects of (?s, property, object), broadcast from each holder to
   // every consumer as a semi-join filter.
   const auto subject_filter = [&](uint64_t property, uint64_t object,
                                   const std::vector<int>& consumers) {
     std::vector<std::vector<uint64_t>> partials;
     for (int n : holders(property)) {
-      partials.push_back(part(n).SubjectsOf(property, object, ectx));
+      partials.push_back(DistinctSubjects(
+          part(n).Match({{}, property, object}, {}, ectx)));
       for (int c : consumers) ship(n, c, kBytesPerKey * partials.back().size());
     }
     return MergeSorted(std::move(partials), true);
@@ -266,10 +309,10 @@ QueryResult PhasedBackend::RunPartitioned(
         // Union: the Text-typed subjects plus the subjects whose
         // records-object is Text-typed, found on the <records> holders and
         // broadcast as a filter of its own.
-        const std::vector<uint64_t> text_typed = subjects;
+        const rdf::PatternFilter text_typed = IdSetAt(2, subjects, universe);
         for (int n : holders(v.records)) {
-          const std::vector<uint64_t> local = part(n).SubjectsWithObjectIn(
-              text_typed, v.records, universe, ectx);
+          const std::vector<uint64_t> local = DistinctSubjects(
+              part(n).Match({{}, v.records, {}}, text_typed, ectx));
           for (int c : all) ship(n, c, kBytesPerKey * local.size());
           subjects = SortedUnion(subjects, local);
         }
@@ -311,8 +354,8 @@ QueryResult PhasedBackend::RunPartitioned(
       // <records> holders, the type rows on the <type> holders.
       const std::vector<int> rec_nodes = holders(v.records);
       const std::vector<int> type_nodes = holders(v.type);
-      const std::vector<uint64_t> a =
-          subject_filter(v.origin, v.dlc, rec_nodes);
+      const rdf::PatternFilter in_a =
+          IdSetAt(0, subject_filter(v.origin, v.dlc, rec_nodes), universe);
       // Bindings (b.subject, b.object) per records holder. A holder whose
       // bindings leave its node also counts its distinct join keys, the
       // size of its semi-join legs.
@@ -320,7 +363,8 @@ QueryResult PhasedBackend::RunPartitioned(
       std::vector<uint64_t> holder_keys(parts.size(), 0);
       std::vector<SubjectObjects> bindings;
       for (int n : rec_nodes) {
-        bindings.push_back(part(n).SubjectObjectPairs(v.records, a, ectx));
+        bindings.push_back(SubjectObjectRows(
+            part(n).Match({{}, v.records, {}}, in_a, ectx)));
         holder_rows[static_cast<size_t>(n)] = bindings.back().size();
         if (std::any_of(type_nodes.begin(), type_nodes.end(),
                         [n](int t) { return t != n; })) {
@@ -333,8 +377,10 @@ QueryResult PhasedBackend::RunPartitioned(
       // Matching (subject, type-object) pairs at the type holders.
       std::vector<uint64_t> match_rows(parts.size(), 0);
       std::vector<SubjectObjects> matches;
+      const rdf::PatternFilter keyed = IdSetAt(0, join_keys, universe);
       for (int n : type_nodes) {
-        matches.push_back(part(n).SubjectObjectPairs(v.type, join_keys, ectx));
+        matches.push_back(SubjectObjectRows(
+            part(n).Match({{}, v.type, {}}, keyed, ectx)));
         match_rows[static_cast<size_t>(n)] = matches.back().size();
       }
       const SubjectObjects types = MergeSorted(std::move(matches), false);
@@ -402,13 +448,14 @@ QueryResult PhasedBackend::RunPartitioned(
       std::sort(consumers.begin(), consumers.end());
       consumers.erase(std::unique(consumers.begin(), consumers.end()),
                       consumers.end());
-      const std::vector<uint64_t> a =
-          subject_filter(v.point, v.end, consumers);
+      const rdf::PatternFilter in_a =
+          IdSetAt(0, subject_filter(v.point, v.end, consumers), universe);
       const auto pairs_of = [&](uint64_t property) {
         return MergeSorted(
             gather(holders(property), kBytesPerPair,
                    [&](const PhasedBackend& p) {
-                     return p.SubjectObjectPairs(property, a, ectx);
+                     return SubjectObjectRows(
+                         p.Match({{}, property, {}}, in_a, ectx));
                    }),
             false);
       };
@@ -439,8 +486,8 @@ QueryResult PhasedBackend::RunPartitioned(
       result = SubjectRows(MergeSorted(
           gather(all, kBytesPerKey,
                  [&](const PhasedBackend& p) {
-                   std::vector<uint64_t> local = p.SubjectsWithObjectIn(
-                       t, std::nullopt, universe, ectx);
+                   std::vector<uint64_t> local =
+                       p.SubjectsWithObjectIn(t, universe, ectx);
                    local.erase(std::remove(local.begin(), local.end(), hub),
                                local.end());
                    return local;

@@ -1,7 +1,6 @@
 #ifndef SWANDB_CORE_PHASED_BACKEND_H_
 #define SWANDB_CORE_PHASED_BACKEND_H_
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,17 +19,20 @@ using SubjectObjects = std::vector<std::pair<uint64_t, uint64_t>>;
 
 // Every engine but the C-Store baseline and the reference, as one
 // partition of the 12 benchmark queries. One skeleton (RunPartitioned)
-// holds the eight logical plans; each engine supplies seven phases over
-// its own layout. A phase reads only this backend's base data and takes
-// its filter as an argument, so the skeleton serves a single node, which
-// is one partition, and the nodes of a scale-out store alike.
+// holds the eight logical plans. Its pattern steps on one property (the
+// subject filter ?s p o, the pair step ?s p ?o over a subject set, q6's
+// probe ?s <records> ?o over an object set) are Match calls, a set going
+// as an id-set rdf::ScanFilter; each engine supplies the five phases below
+// over its own layout. A step or phase reads only this backend's base data
+// and takes its filter as an argument, so the skeleton serves a single
+// node, which is one partition, and the nodes of a scale-out store alike.
 //
 // Every set a phase takes (subjects, objects) is a sorted, duplicate-free
 // span, and each engine builds the membership structure it probes inside
 // the phase: a dense colstore::MarkSet on the column engines, a hash
-// IdSet on the row engines. Outputs are sorted and duplicate-free, so
-// partials from several nodes merge linearly at a coordinator, and every
-// engine returns its rows in the same order.
+// IdSet on the row engines. Steps and phases yield sorted, duplicate-free
+// rows, so partials from several nodes merge linearly at a coordinator,
+// and every engine returns its rows in the same order.
 //
 // Property lists (`props`) are sorted; nullptr means every property.
 // `universe` bounds the dictionary ids (dense set and counter sizing).
@@ -81,16 +83,10 @@ class PhasedBackend : public BackendBase {
   // never see the write store.
   void MergeDelta(const exec::ExecContext& ectx);
 
-  // --- filters ------------------------------------------------------------
-  // Subjects s with (s, property, object).
-  virtual std::vector<uint64_t> SubjectsOf(
-      uint64_t property, uint64_t object,
-      const exec::ExecContext& ectx) const = 0;
-  // Objects o with (subject, ?, o).
+  // --- phases -------------------------------------------------------------
+  // q8: objects o with (subject, ?, o).
   virtual std::vector<uint64_t> ObjectsOf(
       uint64_t subject, const exec::ExecContext& ectx) const = 0;
-
-  // --- phases -------------------------------------------------------------
   // q1: object counts of one property.
   virtual KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
                                  const exec::ExecContext& ectx) const = 0;
@@ -106,16 +102,10 @@ class PhasedBackend : public BackendBase {
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
       uint64_t universe, const colstore::MinCount& min_count,
       const exec::ExecContext& ectx) const = 0;
-  // q5/q7: (subject, object) rows of `property` whose subject is in
-  // `subjects`.
-  virtual SubjectObjects SubjectObjectPairs(
-      uint64_t property, std::span<const uint64_t> subjects,
-      const exec::ExecContext& ectx) const = 0;
-  // q6/q8: subjects with an object in `objects`, through `property` or
-  // through any property.
+  // q8: subjects with an object in `objects`, through any property.
   virtual std::vector<uint64_t> SubjectsWithObjectIn(
-      std::span<const uint64_t> objects, std::optional<uint64_t> property,
-      uint64_t universe, const exec::ExecContext& ectx) const = 0;
+      std::span<const uint64_t> objects, uint64_t universe,
+      const exec::ExecContext& ectx) const = 0;
 
   std::string tag_;
   uint64_t merge_count_ = 0;

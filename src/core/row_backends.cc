@@ -11,11 +11,10 @@ namespace swan::core {
 
 namespace {
 
-rdf::TriplePattern PatternPO(uint64_t p,
-                             std::optional<uint64_t> o = std::nullopt) {
+// The pattern (?s, p, ?o).
+rdf::TriplePattern PatternP(uint64_t p) {
   rdf::TriplePattern pattern;
   pattern.property = p;
-  pattern.object = o;
   return pattern;
 }
 
@@ -69,7 +68,7 @@ std::vector<uint64_t> KeysOf(const KeyCounts& groups) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// RowBackend: the seven phases over ScanPattern and ScanBranches
+// RowBackend: the five phases over ScanPattern and ScanBranches
 // ---------------------------------------------------------------------------
 
 template <typename Key>
@@ -130,19 +129,6 @@ void RowBackend::PropertyObjectPairs(const Pass& pass,
   span.set_rows_out(props->size());
 }
 
-std::vector<uint64_t> RowBackend::SubjectsOf(
-    uint64_t property, uint64_t object, const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), tag() + ".index_scan");
-  std::vector<uint64_t> out;
-  ScanPattern(PatternPO(property, object), {},
-              EachTriple([&](const rdf::Triple& t) {
-                out.push_back(t.subject);
-              }));
-  out = colstore::SortDistinct(std::move(out));
-  span.set_rows_out(out.size());
-  return out;
-}
-
 std::vector<uint64_t> RowBackend::ObjectsOf(
     uint64_t subject, const exec::ExecContext& ectx) const {
   return KeysOf(CountPass({.subject = subject}, ectx,
@@ -154,7 +140,7 @@ KeyCounts RowBackend::ObjectCounts(uint64_t property, uint64_t universe,
   (void)universe;
   (void)ectx;
   Counts counts;
-  ScanPattern(PatternPO(property), {}, EachTriple([&](const rdf::Triple& t) {
+  ScanPattern(PatternP(property), {}, EachTriple([&](const rdf::Triple& t) {
                 ++counts[t.object];
               }));
   return SortedCounts(counts);
@@ -179,42 +165,16 @@ std::vector<colstore::PairCount> RowBackend::PropertyObjectCounts(
   return colstore::CountPairs(ps, os, universe, min_count, ectx);
 }
 
-SubjectObjects RowBackend::SubjectObjectPairs(
-    uint64_t property, std::span<const uint64_t> subjects,
-    const exec::ExecContext& ectx) const {
-  obs::Span span(ectx.trace(), tag() + ".hash_probe");
-  const IdSet in = ToIdSet(subjects);
-  SubjectObjects out;
-  ScanPattern(PatternPO(property), {}, EachTriple([&](const rdf::Triple& t) {
-                if (in.contains(t.subject)) {
-                  out.emplace_back(t.subject, t.object);
-                }
-              }));
-  std::sort(out.begin(), out.end());
-  span.set_rows_out(out.size());
-  return out;
-}
-
 std::vector<uint64_t> RowBackend::SubjectsWithObjectIn(
-    std::span<const uint64_t> objects, std::optional<uint64_t> property,
-    uint64_t universe, const exec::ExecContext& ectx) const {
+    std::span<const uint64_t> objects, uint64_t universe,
+    const exec::ExecContext& ectx) const {
   (void)universe;
   const IdSet in = ToIdSet(objects);
-  if (!property) {
-    return KeysOf(CountPass(
-        {}, ectx, [&](const rdf::Triple& t) -> std::optional<uint64_t> {
-          if (!in.contains(t.object)) return std::nullopt;
-          return t.subject;
-        }));
-  }
-  obs::Span span(ectx.trace(), tag() + ".hash_probe");
-  std::vector<uint64_t> out;
-  ScanPattern(PatternPO(*property), {}, EachTriple([&](const rdf::Triple& t) {
-                if (in.contains(t.object)) out.push_back(t.subject);
-              }));
-  out = colstore::SortDistinct(std::move(out));
-  span.set_rows_out(out.size());
-  return out;
+  return KeysOf(CountPass(
+      {}, ectx, [&](const rdf::Triple& t) -> std::optional<uint64_t> {
+        if (!in.contains(t.object)) return std::nullopt;
+        return t.subject;
+      }));
 }
 
 std::vector<rdf::Triple> RowBackend::Match(
@@ -346,7 +306,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     std::unordered_multimap<uint64_t, uint64_t> build;
     build.reserve(partition_rows);
     relation_->ScanPartition(
-        PatternPO(property), {},
+        PatternP(property), {},
         EachTriple([&](const rdf::Triple& t) {
           build.emplace(t.subject, t.object);
         }));
@@ -363,7 +323,7 @@ void RowVerticalBackend::JoinPartitionWithTempTable(
     const std::unordered_set<uint64_t> build(temp_table.begin(),
                                              temp_table.end());
     relation_->ScanPartition(
-        PatternPO(property), {},
+        PatternP(property), {},
         [&](std::span<const rdf::Triple> batch) {
           ForKept(
               batch,

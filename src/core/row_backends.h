@@ -17,7 +17,7 @@
 namespace swan::core {
 
 // The row engine ("DBX" of Tables 6/7): the physical designs differ only
-// in two scan primitives, and the skeleton's seven phases (PhasedBackend)
+// in two scan primitives, and the skeleton's five phases (PhasedBackend)
 // run on top of them. Plans are pipelines over leaf-at-a-time scans: each
 // B+tree leaf a scan walks arrives as one batch of its decoded matches,
 // and the operators above take the batch apart tuple by tuple. The row
@@ -73,11 +73,7 @@ class RowBackend : public PhasedBackend {
  private:
   using Counts = IdMap<uint64_t>;
 
-  // The phases: a pattern scan for SubjectsOf, q1 and the probes through
-  // one property; a branch pass for the rest.
-  std::vector<uint64_t> SubjectsOf(
-      uint64_t property, uint64_t object,
-      const exec::ExecContext& ectx) const override;
+  // The phases: a pattern scan for q1; a branch pass for the rest.
   std::vector<uint64_t> ObjectsOf(
       uint64_t subject, const exec::ExecContext& ectx) const override;
   KeyCounts ObjectCounts(uint64_t property, uint64_t universe,
@@ -90,12 +86,9 @@ class RowBackend : public PhasedBackend {
       std::span<const uint64_t> subjects, const std::vector<uint64_t>* props,
       uint64_t universe, const colstore::MinCount& min_count,
       const exec::ExecContext& ectx) const override;
-  SubjectObjects SubjectObjectPairs(
-      uint64_t property, std::span<const uint64_t> subjects,
-      const exec::ExecContext& ectx) const override;
   std::vector<uint64_t> SubjectsWithObjectIn(
-      std::span<const uint64_t> objects, std::optional<uint64_t> property,
-      uint64_t universe, const exec::ExecContext& ectx) const override;
+      std::span<const uint64_t> objects, uint64_t universe,
+      const exec::ExecContext& ectx) const override;
 
   // Group-counts the triples of `pass` by `key(triple)` (an optional:
   // nullopt drops the triple), one hash partial per branch, summed in

@@ -161,11 +161,11 @@ CStoreEngine::Rows CStoreEngine::Q5(const CStoreConstants& c,
                                     const exec::ExecContext& ectx) const {
   Rows rows;
   if (!HasProperty(c.records) || !HasProperty(c.type)) return rows;
-  const std::vector<uint64_t> a = SubjectsWhereObjEq(c.origin, c.dlc, ectx);
+  MarkSet a(c.dict_size);
+  a.MarkAll(SubjectsWhereObjEq(c.origin, c.dlc, ectx));
 
   const EncodedColumn& rs = Subjects(c.records);
-  const PositionVector rec_sel =
-      MergeSelectPositions(rs, 0, rs.size(), a, ectx);
+  const PositionVector rec_sel = SelectMarked(rs, a, ectx);
   const std::vector<uint64_t> rec_subjects = Gather(rs, rec_sel, ectx);
   const std::vector<uint64_t> rec_objects =
       Gather(Objects(c.records), rec_sel, ectx);
@@ -211,13 +211,13 @@ CStoreEngine::Rows CStoreEngine::Q7(const CStoreConstants& c,
                                     const exec::ExecContext& ectx) const {
   Rows rows;
   if (!HasProperty(c.encoding) || !HasProperty(c.type)) return rows;
-  const std::vector<uint64_t> a = SubjectsWhereObjEq(c.point, c.end, ectx);
+  MarkSet a(c.dict_size);
+  a.MarkAll(SubjectsWhereObjEq(c.point, c.end, ectx));
 
   auto collect = [&](uint64_t property, std::vector<uint64_t>* subjects,
                      std::vector<uint64_t>* objects) {
     const EncodedColumn& subj = Subjects(property);
-    const PositionVector sel =
-        MergeSelectPositions(subj, 0, subj.size(), a, ectx);
+    const PositionVector sel = SelectMarked(subj, a, ectx);
     *subjects = Gather(subj, sel, ectx);
     *objects = Gather(Objects(property), sel, ectx);
   };

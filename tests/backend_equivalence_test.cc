@@ -729,86 +729,148 @@ TEST(ColumnMatchCostTest, MatchReadsOnlyNeededColumns) {
   }
 }
 
-// A cold q3/q4 run on the vertical store opens a partition's object
-// column only where its subject selection keeps a row. The expected
-// columns come from the dataset: every listed partition's subject column;
-// the object column of each filter partition (<type>, and <language> for
-// q4) and of each listed partition that holds a selected subject; a filter
-// partition's subject column where it holds its filter object. Checked for
-// q3, q3*, q4 and q4* on the raw and auto codecs and on each node of a
-// 2-node sharded store, at widths 1 and 8, with the bytes read equal to
-// the opened columns' disk bytes and the rows equal to the reference's.
-TEST(VerticalSecondColumnTest, ColdQ3Q4OpenObjectsOfSelectedPartitionsOnly) {
-  BartonConfig config;
-  config.target_triples = 40000;
-  config.seed = 7;
-  const auto barton = GenerateBarton(config);
-  const rdf::Dataset& data = barton.dataset;
-  const core::QueryContext ctx = MakeBartonContext(data, 28);
-  const core::Vocabulary& v = ctx.vocab();
-  core::ReferenceBackend reference(data);
+// A cold run on the vertical store opens a partition's second column only
+// where the selection on its first column kept a row. A query's plan is a
+// list of steps on one property each: a step opens its first column (the
+// subjects where it selects on them, else the objects) in every partition
+// of its property, and the other column in the partitions that hold a row
+// the step keeps. The expected columns come from the dataset. Each query
+// runs cold on the raw and auto codecs and on each node of a 2-node
+// sharded store, at widths 1 and 8, with the bytes read equal to the
+// opened columns' disk bytes and the rows equal to the reference's.
+class VerticalSecondColumnTest : public ::testing::Test {
+ protected:
+  struct Step {
+    uint64_t property;
+    bool subject_first;
+    std::function<bool(const rdf::Triple&)> keep;
+  };
+  using Ids = std::set<uint64_t>;
 
-  core::ColVerticalBackend vert_raw(data, {}, 4096,
-                                    colstore::ColumnCodec::kRaw);
-  core::ColVerticalBackend vert_auto(data, {}, 4096,
-                                     colstore::ColumnCodec::kAuto);
-  shard::ShardOptions options;
-  options.nodes = 2;
-  shard::ShardedBackend sharded(data, options);
-  const auto on_node0 = [](const rdf::Triple&) { return 0; };
-  std::vector<PartitionedStore> stores = {
-      {"vertical raw", &vert_raw, {}, on_node0},
-      {"vertical auto", &vert_auto, {}, on_node0},
-      {"sharded vertical", &sharded, {}, [&](const rdf::Triple& t) {
-         return sharded.placement().NodeOf(t);
-       }}};
-  AddVerticalParts(vert_raw.table(), 0, &stores[0].parts);
-  AddVerticalParts(vert_auto.table(), 0, &stores[1].parts);
-  for (int node = 0; node < options.nodes; ++node) {
-    AddVerticalParts(
-        dynamic_cast<const core::ColVerticalBackend&>(
-            sharded.node_backend(node))
-            .table(),
-        node, &stores[2].parts);
+  // The reference and the three stores over the graph as it stands.
+  struct Stores {
+    explicit Stores(const rdf::Dataset& data)
+        : reference(data),
+          vert_raw(data, {}, 4096, colstore::ColumnCodec::kRaw),
+          vert_auto(data, {}, 4096, colstore::ColumnCodec::kAuto),
+          sharded(data, TwoNodes()) {
+      const auto on_node0 = [](const rdf::Triple&) { return 0; };
+      list = {{"vertical raw", &vert_raw, {}, on_node0},
+              {"vertical auto", &vert_auto, {}, on_node0},
+              {"sharded vertical", &sharded, {},
+               [this](const rdf::Triple& t) {
+                 return sharded.placement().NodeOf(t);
+               }}};
+      AddVerticalParts(vert_raw.table(), 0, &list[0].parts);
+      AddVerticalParts(vert_auto.table(), 0, &list[1].parts);
+      for (int node = 0; node < 2; ++node) {
+        AddVerticalParts(dynamic_cast<const core::ColVerticalBackend&>(
+                             sharded.node_backend(node))
+                             .table(),
+                         node, &list[2].parts);
+      }
+    }
+    core::ReferenceBackend reference;
+    core::ColVerticalBackend vert_raw;
+    core::ColVerticalBackend vert_auto;
+    shard::ShardedBackend sharded;
+    std::vector<PartitionedStore> list;
+  };
+
+  VerticalSecondColumnTest()
+      : barton_(GenerateBarton(Config())),
+        data_(barton_.dataset),
+        ctx_(MakeBartonContext(data_, 28)),
+        v_(ctx_.vocab()) {}
+
+  static BartonConfig Config() {
+    BartonConfig config;
+    config.target_triples = 40000;
+    config.seed = 7;
+    return config;
+  }
+  static shard::ShardOptions TwoNodes() {
+    shard::ShardOptions options;
+    options.nodes = 2;
+    return options;
   }
 
-  const auto subjects_with = [&](uint64_t property, uint64_t object) {
-    std::set<uint64_t> out;
-    for (const rdf::Triple& t : data.triples()) {
+  // Removes the triples `drop` accepts from the graph the stores open
+  // next.
+  void Drop(const std::function<bool(const rdf::Triple&)>& drop) {
+    std::vector<rdf::Triple> kept;
+    for (const rdf::Triple& t : data_.triples()) {
+      if (!drop(t)) kept.push_back(t);
+    }
+    stores_.reset();
+    data_.ReplaceTriples(std::move(kept));
+  }
+
+  // The subjects of (?s, property, object); the objects of `property`'s
+  // rows whose subject is in `subjects`.
+  Ids SubjectsWith(uint64_t property, uint64_t object) const {
+    Ids out;
+    for (const rdf::Triple& t : data_.triples()) {
       if (t.property == property && t.object == object) out.insert(t.subject);
     }
     return out;
-  };
-  const std::set<uint64_t> text_typed = subjects_with(v.type, v.text);
-  const std::set<uint64_t> french = subjects_with(v.language, v.french);
-  std::set<uint64_t> text_french;
-  std::set_intersection(text_typed.begin(), text_typed.end(), french.begin(),
-                        french.end(),
-                        std::inserter(text_french, text_french.end()));
+  }
+  Ids ObjectsOf(uint64_t property, const Ids& subjects) const {
+    Ids out;
+    for (const rdf::Triple& t : data_.triples()) {
+      if (t.property == property && subjects.count(t.subject) != 0) {
+        out.insert(t.object);
+      }
+    }
+    return out;
+  }
 
-  for (QueryId id :
-       {QueryId::kQ3, QueryId::kQ3Star, QueryId::kQ4, QueryId::kQ4Star}) {
-    const bool q4 = core::BaseOf(id) == QueryId::kQ4;
-    const std::set<uint64_t>& selected = q4 ? text_french : text_typed;
-    const std::vector<uint64_t>* listed = core::PropertyFilter(id, ctx);
-    // (property, filter object) of the subject filters.
-    std::map<uint64_t, uint64_t> filters = {{v.type, v.text}};
-    if (q4) filters[v.language] = v.french;
+  // The filter step (?s, property, object), selecting on the objects.
+  static Step FilterStep(uint64_t property, uint64_t object) {
+    return {property, false,
+            [object](const rdf::Triple& t) { return t.object == object; }};
+  }
+  // A step selecting on the subjects of `property` by `subjects`; nullptr
+  // keeps no row (a count that opens no second column).
+  static Step SubjectStep(uint64_t property, const Ids* subjects) {
+    return {property, true, [subjects](const rdf::Triple& t) {
+              return subjects != nullptr && subjects->count(t.subject) != 0;
+            }};
+  }
+  // SubjectStep on every property `id` lists (every property for a
+  // starred query).
+  std::vector<Step> ListedSteps(QueryId id, const Ids* subjects) const {
+    const std::vector<uint64_t>* listed = core::PropertyFilter(id, ctx_);
+    Ids props;
+    if (listed != nullptr) {
+      props.insert(listed->begin(), listed->end());
+    } else {
+      for (const rdf::Triple& t : data_.triples()) props.insert(t.property);
+    }
+    std::vector<Step> steps;
+    for (uint64_t p : props) steps.push_back(SubjectStep(p, subjects));
+    return steps;
+  }
+
+  // Runs `id` cold on every store and checks its rows, the columns
+  // `steps` open and the bytes read.
+  void ExpectColdRun(QueryId id, const std::vector<Step>& steps) {
+    if (stores_ == nullptr) stores_ = std::make_unique<Stores>(data_);
     std::vector<std::vector<uint64_t>> want_rows =
-        reference.Run(id, ctx).rows;
+        stores_->reference.Run(id, ctx_).rows;
     std::sort(want_rows.begin(), want_rows.end());
-
-    for (const PartitionedStore& store : stores) {
-      // Per (node, property): a selected subject's row, and the filter
-      // object's row.
-      std::set<std::pair<int, uint64_t>> selects;
-      std::set<std::pair<int, uint64_t>> filter_hits;
-      for (const rdf::Triple& t : data.triples()) {
-        const std::pair<int, uint64_t> part = {store.node_of(t), t.property};
-        if (selected.count(t.subject) != 0) selects.insert(part);
-        const auto f = filters.find(t.property);
-        if (f != filters.end() && f->second == t.object) {
-          filter_hits.insert(part);
+    std::map<uint64_t, std::vector<size_t>> steps_on;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      steps_on[steps[i].property].push_back(i);
+    }
+    for (const PartitionedStore& store : stores_->list) {
+      // Per step, the (node, property) partitions holding a kept row.
+      std::vector<std::set<std::pair<int, uint64_t>>> kept(steps.size());
+      for (const rdf::Triple& t : data_.triples()) {
+        const auto on = steps_on.find(t.property);
+        if (on == steps_on.end()) continue;
+        for (size_t i : on->second) {
+          if (steps[i].keep(t)) kept[i].insert({store.node_of(t), t.property});
         }
       }
       for (int threads : {1, 8}) {
@@ -817,21 +879,20 @@ TEST(VerticalSecondColumnTest, ColdQ3Q4OpenObjectsOfSelectedPartitionsOnly) {
         store.backend->DropCaches();
         const uint64_t before = store.backend->TotalBytesRead();
         std::vector<std::vector<uint64_t>> got =
-            store.backend->Run(id, ctx, exec::ExecContext(threads)).rows;
+            store.backend->Run(id, ctx_, exec::ExecContext(threads)).rows;
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, want_rows) << what;
         uint64_t want_bytes = 0;
         for (const PartitionedStore::Part& part : store.parts) {
-          const std::pair<int, uint64_t> key = {part.node, part.property};
-          const bool is_listed =
-              listed == nullptr ||
-              std::binary_search(listed->begin(), listed->end(),
-                                 part.property);
-          const bool is_filter = filters.count(part.property) != 0;
-          const bool want_subj =
-              is_listed || (is_filter && filter_hits.count(key) != 0);
-          const bool want_obj =
-              is_filter || (is_listed && selects.count(key) != 0);
+          bool want_subj = false;
+          bool want_obj = false;
+          static const std::vector<size_t> kNoSteps;
+          const auto on = steps_on.find(part.property);
+          for (size_t i : on == steps_on.end() ? kNoSteps : on->second) {
+            const bool hit = kept[i].count({part.node, part.property}) != 0;
+            (steps[i].subject_first ? want_subj : want_obj) = true;
+            if (hit) (steps[i].subject_first ? want_obj : want_subj) = true;
+          }
           EXPECT_EQ(part.subj->loaded(), want_subj)
               << what << " node " << part.node << " p " << part.property
               << " subjects";
@@ -846,6 +907,76 @@ TEST(VerticalSecondColumnTest, ColdQ3Q4OpenObjectsOfSelectedPartitionsOnly) {
       }
     }
   }
+
+  bench_support::BartonDataset barton_;
+  rdf::Dataset& data_;
+  const core::QueryContext ctx_;
+  const core::Vocabulary& v_;
+  std::unique_ptr<Stores> stores_;
+};
+
+// q3/q4: the subject filters, then every listed partition's subjects
+// selected by the filtered subjects (q4: those carrying (language, fre)
+// too), whose objects the (property, object) groups read.
+TEST_F(VerticalSecondColumnTest, ColdQ3Q4OpenObjectsOfSelectedPartitionsOnly) {
+  const Ids text_typed = SubjectsWith(v_.type, v_.text);
+  const Ids french = SubjectsWith(v_.language, v_.french);
+  Ids text_french;
+  std::set_intersection(text_typed.begin(), text_typed.end(), french.begin(),
+                        french.end(),
+                        std::inserter(text_french, text_french.end()));
+  for (QueryId id :
+       {QueryId::kQ3, QueryId::kQ3Star, QueryId::kQ4, QueryId::kQ4Star}) {
+    const bool q4 = core::BaseOf(id) == QueryId::kQ4;
+    std::vector<Step> steps =
+        ListedSteps(id, q4 ? &text_french : &text_typed);
+    steps.push_back(FilterStep(v_.type, v_.text));
+    if (q4) steps.push_back(FilterStep(v_.language, v_.french));
+    ExpectColdRun(id, steps);
+  }
+}
+
+// q5/q7's pair steps select a property's subjects by the filter's
+// subjects (q5's <type> step by the <records> objects those reach) and
+// read the objects only where a subject was kept. q6's <records> probe
+// selects on the objects by the Text-typed subjects and reads the
+// subjects only where an object was kept, though q6's property count then
+// reads them anyway: <records> is always listed. On the generated graph
+// every step keeps rows; the graph is then trimmed so that q5's <records>
+// step and q7's <encoding> step keep none, and those partitions' object
+// columns (and q5's <type> objects, whose join keys are gone) stay unread.
+TEST_F(VerticalSecondColumnTest, ColdQ5Q6Q7OpenSecondColumnsOfKeptRowsOnly) {
+  const auto expect_q5_q7 = [&] {
+    const Ids dlc = SubjectsWith(v_.origin, v_.dlc);
+    const Ids join_keys = ObjectsOf(v_.records, dlc);
+    ExpectColdRun(QueryId::kQ5, {FilterStep(v_.origin, v_.dlc),
+                                 SubjectStep(v_.records, &dlc),
+                                 SubjectStep(v_.type, &join_keys)});
+    const Ids ends = SubjectsWith(v_.point, v_.end);
+    ExpectColdRun(QueryId::kQ7, {FilterStep(v_.point, v_.end),
+                                 SubjectStep(v_.encoding, &ends),
+                                 SubjectStep(v_.type, &ends)});
+  };
+  expect_q5_q7();
+  const Ids text_typed = SubjectsWith(v_.type, v_.text);
+  for (QueryId id : {QueryId::kQ6, QueryId::kQ6Star}) {
+    std::vector<Step> steps = ListedSteps(id, nullptr);
+    steps.push_back(FilterStep(v_.type, v_.text));
+    steps.push_back({v_.records, false, [&](const rdf::Triple& t) {
+                       return text_typed.count(t.object) != 0;
+                     }});
+    ExpectColdRun(id, steps);
+  }
+
+  const Ids dlc = SubjectsWith(v_.origin, v_.dlc);
+  const Ids ends = SubjectsWith(v_.point, v_.end);
+  ASSERT_FALSE(ObjectsOf(v_.records, dlc).empty());
+  ASSERT_FALSE(ObjectsOf(v_.encoding, ends).empty());
+  Drop([&](const rdf::Triple& t) {
+    return (t.property == v_.records && dlc.count(t.subject) != 0) ||
+           (t.property == v_.encoding && ends.count(t.subject) != 0);
+  });
+  expect_q5_q7();
 }
 
 // The column engines' modeled cold cost, pinned the same way
